@@ -31,7 +31,7 @@ use geotp_simrt::{sleep, sleep_until, spawn, SimInstant};
 use geotp_storage::{CostModel, EngineConfig};
 use geotp_workloads::ZipfianGenerator;
 
-use crate::harness::{ChaosConfig, ChaosReport};
+use crate::harness::{mvcc_totals, ChaosConfig, ChaosReport};
 use crate::injector::ScheduleInjector;
 use crate::invariants;
 use crate::schedule::{FaultEvent, FaultSchedule};
@@ -514,6 +514,7 @@ pub fn run_cluster_scenario_with(
             invariants,
             fingerprint: trace.fingerprint(),
             trace: trace.lines(),
+            mvcc: mvcc_totals(&sources),
         }
     })
 }

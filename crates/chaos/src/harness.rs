@@ -33,7 +33,7 @@ use geotp_middleware::{
 use geotp_net::{NetworkBuilder, NodeId};
 use geotp_simrt::hash::FxHashMap;
 use geotp_simrt::{now, sleep, sleep_until, spawn, SimInstant};
-use geotp_storage::{CostModel, EngineConfig, IsolationLevel};
+use geotp_storage::{CostModel, EngineConfig, IsolationLevel, MvccStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -186,6 +186,22 @@ pub struct ChaosReport {
     pub trace: Vec<String>,
     /// FNV-1a fingerprint of the trace (bit-identical-replay check).
     pub fingerprint: u64,
+    /// Version-store counters summed over the data sources' engines (all
+    /// zero under strict 2PL). Not part of the trace or its fingerprint.
+    pub mvcc: MvccStats,
+}
+
+/// Sum the engines' version-store counters.
+pub(crate) fn mvcc_totals(sources: &[Rc<DataSource>]) -> MvccStats {
+    let mut total = MvccStats::default();
+    for ds in sources {
+        let stats = ds.engine().version_store().stats();
+        total.versions_installed += stats.versions_installed;
+        total.versions_gced += stats.versions_gced;
+        total.gc_passes += stats.gc_passes;
+        total.gc_chains_examined += stats.gc_chains_examined;
+    }
+    total
 }
 
 /// Per-node clock skew bookkeeping (chaos-local: the commit protocol never
@@ -764,6 +780,7 @@ fn run_scenario_impl(
             invariants,
             fingerprint: trace.fingerprint(),
             trace: trace.lines(),
+            mvcc: mvcc_totals(&deployment.sources),
         }
     })
 }

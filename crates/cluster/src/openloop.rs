@@ -16,7 +16,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use geotp_middleware::TransactionSpec;
-use geotp_simrt::{join_all, now, sleep_until, spawn};
+use geotp_simrt::{now, sleep_until, spawn};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -149,8 +149,11 @@ pub async fn run_open_loop(
         }));
     }
     // Drain the backlog so no task outlives the run (completions after the
-    // window are executed but not counted).
-    join_all(tasks).await;
+    // window are executed but not counted). One handle after another:
+    // `join_all` would re-poll every unfinished arrival on each wake-up.
+    for task in tasks {
+        task.await;
+    }
 
     let mut lats = latencies.borrow_mut();
     lats.sort_unstable();

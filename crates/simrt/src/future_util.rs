@@ -102,6 +102,11 @@ pub async fn race<A: Future, B: Future>(a: A, b: B) -> Either<A::Output, B::Outp
 }
 
 /// Await a set of futures concurrently, returning their outputs in input order.
+///
+/// Every wake-up re-polls every unfinished future, so joining `n` of them
+/// costs O(n²) polls: this is for the coordinator's 2–4-branch fan-outs.
+/// Spawned tasks progress on their own — to join many, await their
+/// [`JoinHandle`](crate::JoinHandle)s one after another instead.
 pub async fn join_all<F: Future>(futures: Vec<F>) -> Vec<F::Output> {
     let mut slots: Vec<Option<F::Output>> = Vec::with_capacity(futures.len());
     let mut pinned: Vec<Pin<Box<F>>> = Vec::with_capacity(futures.len());
@@ -244,6 +249,35 @@ mod tests {
         let outs: Vec<u8> =
             rt.block_on(async { join_all(Vec::<std::future::Ready<u8>>::new()).await });
         assert!(outs.is_empty());
+    }
+
+    /// The drivers' join: spawned tasks awaited one handle after another.
+    /// Linear in the number of tasks (`join_all` over these handles re-polls
+    /// every unfinished one on each completion and does not finish).
+    #[test]
+    fn awaiting_spawned_handles_in_order_is_linear() {
+        const N: u64 = 100_000;
+        let mut rt = Runtime::new();
+        let sum = rt.block_on(async {
+            let handles: Vec<_> = (0..N)
+                .map(|i| {
+                    spawn(async move {
+                        // Completion order is scrambled against join order.
+                        sleep(Duration::from_micros(i * 7919 % N)).await;
+                        i
+                    })
+                })
+                .collect();
+            let mut sum = 0;
+            for handle in handles {
+                sum += handle.await;
+            }
+            sum
+        });
+        assert_eq!(sum, N * (N - 1) / 2);
+        assert_eq!(rt.now_micros(), N - 1);
+        // Two polls per task plus at most one wake-up of the joiner each.
+        assert!(rt.metrics().polls <= 3 * N + 8, "{}", rt.metrics().polls);
     }
 
     #[test]

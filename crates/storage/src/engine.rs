@@ -16,7 +16,7 @@ use crate::history::{
     row_fingerprint, BranchHistory, ReadAccess, VersionedValue, WriteAccess, TOMBSTONE_FINGERPRINT,
 };
 use crate::lock::{LockManager, LockMode, LockStats};
-use crate::mvcc::{ChainVersion, VersionStore};
+use crate::mvcc::VersionStore;
 use crate::row::Row;
 use crate::types::{Key, StorageError, TableId, Xid};
 use crate::wal::{LogRecord, WriteAheadLog};
@@ -457,9 +457,14 @@ impl StorageEngine {
             _ => self.mvcc.read_latest(key),
         };
         self.stats.borrow_mut().snapshot_reads += 1;
+        // The chain lookup made the read's one row clone; move it out.
         let version = version.ok_or(StorageError::KeyNotFound(key))?;
-        let row = version.row.clone().ok_or(StorageError::KeyNotFound(key))?;
-        self.record_versioned_read(xid, key, &version);
+        let row = version.row.ok_or(StorageError::KeyNotFound(key))?;
+        let observed = VersionedValue {
+            version: version.version,
+            fingerprint: version.fingerprint,
+        };
+        self.record_versioned_read(xid, key, observed);
         Ok(row)
     }
 
@@ -544,14 +549,10 @@ impl StorageEngine {
     /// version served* — the checker validates against real version chains,
     /// not recorder shadows. Own-write reads never reach here (filtered in
     /// [`StorageEngine::read_versioned`]).
-    fn record_versioned_read(&self, xid: Xid, key: Key, version: &ChainVersion) {
+    fn record_versioned_read(&self, xid: Xid, key: Key, observed: VersionedValue) {
         if !self.config.record_history {
             return;
         }
-        let observed = VersionedValue {
-            version: version.version,
-            fingerprint: version.fingerprint,
-        };
         let mut txns = self.txns.borrow_mut();
         let Some(entry) = txns.get_mut(&xid) else {
             return;
@@ -793,43 +794,40 @@ impl StorageEngine {
     /// branch can touch these keys until the locks drop, so version order
     /// per key equals commit order.
     fn record_commit_history(&self, xid: Xid, entry: &mut TxnEntry) {
-        let mut write_keys: Vec<Key> = Vec::with_capacity(entry.undo.len());
-        for (key, _) in &entry.undo {
-            if !write_keys.contains(key) {
-                write_keys.push(*key);
-            }
-        }
         let mvcc_enabled = self.mvcc_enabled();
+        let record_history = self.config.record_history;
         let commit_ts = now().as_micros();
-        let writes: Vec<WriteAccess> = {
+        // Collected only for the history recorder: a plain MVCC commit
+        // installs its versions without allocating.
+        let mut writes: Vec<WriteAccess> = Vec::new();
+        {
             let records = self.records.borrow();
             let mut versions = self.versions.borrow_mut();
-            write_keys
-                .into_iter()
-                .map(|key| {
-                    let row = records.get(&key);
-                    let fingerprint = row.map(row_fingerprint).unwrap_or(TOMBSTONE_FINGERPRINT);
-                    let slot = versions.entry(key).or_insert(VersionedValue {
-                        version: 0,
-                        fingerprint: 0,
-                    });
-                    slot.version += 1;
-                    slot.fingerprint = fingerprint;
-                    let installed = *slot;
-                    if mvcc_enabled {
-                        self.mvcc.install(
-                            key,
-                            installed.version,
-                            commit_ts,
-                            row.cloned(),
-                            fingerprint,
-                        );
-                    }
-                    WriteAccess { key, installed }
-                })
-                .collect()
-        };
-        if self.config.record_history {
+            for (i, (key, _)) in entry.undo.iter().enumerate() {
+                // Each written key once, in first-write order.
+                if entry.undo[..i].iter().any(|(k, _)| k == key) {
+                    continue;
+                }
+                let key = *key;
+                let row = records.get(&key);
+                let fingerprint = row.map(row_fingerprint).unwrap_or(TOMBSTONE_FINGERPRINT);
+                let slot = versions.entry(key).or_insert(VersionedValue {
+                    version: 0,
+                    fingerprint: 0,
+                });
+                slot.version += 1;
+                slot.fingerprint = fingerprint;
+                let installed = *slot;
+                if mvcc_enabled {
+                    self.mvcc
+                        .install(key, installed.version, commit_ts, row.cloned(), fingerprint);
+                }
+                if record_history {
+                    writes.push(WriteAccess { key, installed });
+                }
+            }
+        }
+        if record_history {
             self.history.borrow_mut().push(BranchHistory {
                 xid,
                 reads: std::mem::take(&mut entry.reads),

@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use geotp_middleware::session::SessionService;
 use geotp_middleware::{Middleware, TransactionSpec, TxnOutcome};
-use geotp_simrt::{join_all, now, spawn};
+use geotp_simrt::{now, spawn};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -235,10 +235,10 @@ where
         }));
     }
 
-    let collectors = join_all(handles.into_iter().collect()).await;
+    // Await the terminals in order (see `join_all` on why not through it).
     let mut merged = MetricsCollector::new(measure_start);
-    for collector in &collectors {
-        merged.merge(collector);
+    for handle in handles {
+        merged.merge(&handle.await);
     }
     BenchmarkReport {
         metrics: merged,
@@ -293,10 +293,10 @@ where
         }));
     }
 
-    let collectors = join_all(handles.into_iter().collect()).await;
+    // Await the terminals in order (see `join_all` on why not through it).
     let mut merged = MetricsCollector::new(measure_start);
-    for collector in &collectors {
-        merged.merge(collector);
+    for handle in handles {
+        merged.merge(&handle.await);
     }
     BenchmarkReport {
         metrics: merged,
