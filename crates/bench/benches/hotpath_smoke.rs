@@ -1,11 +1,15 @@
-//! Quick-mode regression gate for the contended-lock microbenches.
+//! Quick-mode regression gate for two hot-path microbenches.
 //!
 //! `BENCH_hotpath.json` records the post-overhaul timings of the contended
-//! 64-writer promote chain (the hot path PR 1 made O(keys-held)). This smoke
-//! target re-measures that exact operation and **fails the build** (non-zero
-//! exit) if it regressed more than the tolerance versus the stored baseline
-//! — the chaos-drills CI job runs it on every push so a hot-path regression
-//! cannot ride in silently behind a green functional suite.
+//! 64-writer promote chain (the hot path PR 1 made O(keys-held)) and of one
+//! transaction-key of hotspot-footprint bookkeeping on a footprint churning
+//! at capacity (O(1) since PR 14: ~30 ns on the recording box, against
+//! ~450 ns for the tree walks it replaced, so the default tolerance convicts
+//! a reintroduced walk by ~12×). This smoke target re-measures those exact operations and **fails
+//! the build** (non-zero exit) if one regressed more than the tolerance
+//! versus the stored baseline — the chaos-drills CI job runs it on every push
+//! so a hot-path regression cannot ride in silently behind a green functional
+//! suite.
 //!
 //! Methodology: best-of-N wall time (the minimum is the least noisy location
 //! estimate for a microbench on a shared CI box), compared against the
@@ -26,11 +30,16 @@
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
+use geotp_middleware::{GlobalKey, HotspotConfig, HotspotFootprint};
 use geotp_simrt::Runtime;
 use geotp_storage::{Key, LockManager, LockMode, TableId, Xid};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const WRITERS: u64 = 64;
 const PROBES: usize = 40;
+/// Five-key transactions per footprint probe.
+const FOOTPRINT_TXNS: u64 = 20_000;
 
 /// One timed run of the contended promote chain over a lock table prefilled
 /// with `table_size` unrelated held keys (prefill untimed).
@@ -77,6 +86,49 @@ fn best_of(table_size: u64) -> Duration {
         .map(|_| promote_chain_once(table_size))
         .min()
         .expect("at least one probe")
+}
+
+/// One timed run of footprint bookkeeping, in ns per transaction-key: the
+/// three calls a transaction makes (`on_access_start`, `on_subtxn_feedback`,
+/// `on_txn_finish`) over five-key transactions on a footprint filled to the
+/// paper-default capacity (fill untimed). Two keys in five are cold — an
+/// insert plus an eviction, the churn `ycsb_paper` shows — and the rest were
+/// inserted within the last half-capacity of cold keys, so they are resident.
+fn footprint_key_once() -> f64 {
+    let capacity = HotspotConfig::default().capacity as u64;
+    let key = |row: u64| GlobalKey::new(TableId(0), row);
+    let mut fp = HotspotFootprint::with_defaults();
+    for row in 0..capacity {
+        fp.on_access_start(&[key(row)]);
+        fp.on_txn_finish(&[key(row)], true);
+    }
+    let mut next_cold = capacity;
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let keys: Vec<GlobalKey> = (0..FOOTPRINT_TXNS * 5)
+        .map(|i| {
+            if i % 5 < 2 {
+                next_cold += 1;
+                key(next_cold - 1)
+            } else {
+                key(next_cold - 1 - rng.gen_range(0..capacity / 2))
+            }
+        })
+        .collect();
+    let started = Instant::now();
+    for txn in keys.chunks_exact(5) {
+        fp.on_access_start(txn);
+        fp.on_subtxn_feedback(txn, Duration::from_micros(300));
+        fp.on_txn_finish(txn, true);
+    }
+    let elapsed = started.elapsed();
+    std::hint::black_box(fp.evictions());
+    elapsed.as_secs_f64() * 1e9 / keys.len() as f64
+}
+
+fn best_footprint_key_ns() -> f64 {
+    (0..PROBES)
+        .map(|_| footprint_key_once())
+        .fold(f64::MAX, f64::min)
 }
 
 /// Deterministic pure-CPU calibration: FNV-1a over 1 MiB × 8 passes, best
@@ -132,11 +184,13 @@ fn main() {
         let calibration = calibration_us();
         let t0 = best_of(0).as_secs_f64() * 1e6;
         let t10k = best_of(10_000).as_secs_f64() * 1e6;
+        let footprint_ns = best_footprint_key_ns();
         println!(
             " \"smoke_baseline\": {{\n  \"note\": \"hotpath_smoke gate: best-of-{PROBES} \
-             contended promote chain; limits scale by local/recorded calibration\",\n  \
+             contended promote chain and footprint transaction-key; limits scale by \
+             local/recorded calibration\",\n  \
              \"calibration_us\": {calibration:.1},\n  \"table_0_us\": {t0:.1},\n  \
-             \"table_10000_us\": {t10k:.1}\n }}"
+             \"table_10000_us\": {t10k:.1},\n  \"footprint_key_ns\": {footprint_ns:.1}\n }}"
         );
         return;
     }
@@ -153,29 +207,37 @@ fn main() {
     );
 
     let mut failed = false;
-    let mut timings = Vec::new();
-    for size in [0u64, 10_000] {
-        let measured = best_of(size);
-        let measured_us = measured.as_secs_f64() * 1e6;
-        timings.push(measured_us);
-        let Some(baseline_us) = baseline_number(&json, &format!("table_{size}_us")) else {
-            eprintln!("hotpath_smoke: no smoke_baseline.table_{size}_us in BENCH_hotpath.json");
+    // Compare one measured figure with `smoke_baseline.<key>`.
+    let mut gate = |name: &str, key: &str, unit: &str, measured: f64| {
+        let Some(baseline) = baseline_number(&json, key) else {
+            eprintln!("hotpath_smoke: no smoke_baseline.{key} in BENCH_hotpath.json");
             std::process::exit(2);
         };
-        let limit = baseline_us * (1.0 + tolerance_pct / 100.0) * speed_scale;
-        let verdict = if measured_us > limit {
-            "REGRESSED"
-        } else {
-            "ok"
-        };
+        let limit = baseline * (1.0 + tolerance_pct / 100.0) * speed_scale;
+        let verdict = if measured > limit { "REGRESSED" } else { "ok" };
         println!(
-            "contended_promote_chain_64_writers/table_{size}: {measured_us:.1} us \
-             (baseline {baseline_us:.1} us, limit {limit:.1} us) {verdict}"
+            "{name}: {measured:.1} {unit} (baseline {baseline:.1} {unit}, \
+             limit {limit:.1} {unit}) {verdict}"
         );
-        if measured_us > limit {
-            failed = true;
-        }
+        failed |= measured > limit;
+    };
+    let mut timings = Vec::new();
+    for size in [0u64, 10_000] {
+        let measured_us = best_of(size).as_secs_f64() * 1e6;
+        timings.push(measured_us);
+        gate(
+            &format!("contended_promote_chain_64_writers/table_{size}"),
+            &format!("table_{size}_us"),
+            "us",
+            measured_us,
+        );
     }
+    gate(
+        "hotspot_footprint/txn_key_at_capacity_40pct_cold",
+        "footprint_key_ns",
+        "ns",
+        best_footprint_key_ns(),
+    );
 
     // Structural flatness: independent of how fast this machine is.
     let (empty, full) = (timings[0], timings[1]);
@@ -191,7 +253,7 @@ fn main() {
 
     if failed {
         eprintln!(
-            "hotpath_smoke: contended-lock microbench regressed beyond {tolerance_pct}% \
+            "hotpath_smoke: a hot-path microbench regressed beyond {tolerance_pct}% \
              of BENCH_hotpath.json (set GEOTP_SMOKE_TOLERANCE to adjust)"
         );
         std::process::exit(1);

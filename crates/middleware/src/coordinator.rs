@@ -416,6 +416,9 @@ pub struct Middleware {
     /// Per-session front-door state (the session API's server side): which
     /// sessions are connected and which transaction each has in flight.
     sessions: RefCell<FxHashMap<u64, SessionState>>,
+    /// The footprint's `(len, unlinked_in_use, evictions)` as last mirrored
+    /// into the metrics registry.
+    hotspot_depth_traced: Cell<(usize, usize, u64)>,
 }
 
 /// Per-session state the coordinator keeps for the session front door.
@@ -483,6 +486,7 @@ impl Middleware {
             sql_cache: RefCell::new(SqlPlanCache::new(sql_cache_capacity)),
             scratch_pool: RefCell::new(Vec::new()),
             sessions: RefCell::new(FxHashMap::default()),
+            hotspot_depth_traced: Cell::new((0, 0, 0)),
         })
     }
 
@@ -766,7 +770,8 @@ impl Middleware {
     /// Telemetry hook shared by every transaction exit path: close whatever
     /// spans are still open for this transaction on this coordinator (the
     /// root `Txn` span on the happy path; a dangling `Round` too on crash and
-    /// abandon paths) and mirror the outcome into the metrics registry.
+    /// abandon paths) and mirror the outcome, and under O3 the depth of the
+    /// hotspot footprint, into the metrics registry.
     fn trace_txn_exit(&self, gtrid: u64, outcome: &TxnOutcome) {
         if !geotp_telemetry::enabled() {
             return;
@@ -777,6 +782,30 @@ impl Middleware {
             geotp_telemetry::counter_add("mw.committed", "", idx, 1);
         } else if let Some(reason) = outcome.abort_reason {
             geotp_telemetry::counter_add("mw.aborts", reason.label(), idx, 1);
+        }
+        if self.config.protocol.advanced() {
+            // Only what moved since the last exit is written: a registry
+            // update costs about as much as a span, and a footprint at
+            // capacity keeps its depth from one transaction to the next.
+            let footprint = self.scheduler.footprint().borrow();
+            let (records, unlinked, evictions) = (
+                footprint.len(),
+                footprint.unlinked_in_use(),
+                footprint.evictions(),
+            );
+            let (traced_records, traced_unlinked, traced_evictions) = self
+                .hotspot_depth_traced
+                .replace((records, unlinked, evictions));
+            if records != traced_records {
+                geotp_telemetry::gauge_set("mw.hotspot_records", "", idx, records as i64);
+            }
+            if unlinked != traced_unlinked {
+                geotp_telemetry::gauge_set("mw.hotspot_unlinked_in_use", "", idx, unlinked as i64);
+            }
+            if evictions != traced_evictions {
+                let delta = evictions - traced_evictions;
+                geotp_telemetry::counter_add("mw.hotspot_evictions", "", idx, delta);
+            }
         }
     }
 

@@ -10,13 +10,41 @@
 //! * `c_cnt(r)`  — number of committed transactions that accessed `r`,
 //! * `a_cnt(r)`  — number of transactions currently accessing `r`.
 //!
-//! Records live in an [`AvlMap`] (point/range lookups in `O(log n)`) and an
-//! LRU list evicts cold records so memory stays bounded.
+//! # Layout, and the departure from the paper
+//!
+//! §IV-C keeps the footprint in an AVL tree, for point *and range* lookups.
+//! Every statement this reproduction routes is point-keyed and no caller
+//! ranges over the footprint, so the tree bought nothing, while its ≥ 6
+//! descents per key per transaction measured 16–33 % of the simulator's host
+//! time (`BENCH_hotpath.json`, `pr14_hotspot_o1`). Records therefore live in
+//! a dense slab found through one hash index, and recency is a doubly-linked
+//! list threaded through the slab (head = coldest): every operation is O(1)
+//! expected and memory is O(capacity) however many touches are made. The
+//! index is never iterated, so hash order cannot leak into a run.
+//!
+//! # Eviction contract
+//!
+//! An evicted record re-enters with `w_lat = 0`, which feeds Eq. 5/8/9, so
+//! which record is evicted when is part of the simulated behaviour:
+//!
+//! * a touch ([`HotspotFootprint::on_access_start`] and
+//!   [`HotspotFootprint::on_subtxn_feedback`]; *not*
+//!   [`HotspotFootprint::on_txn_finish`]) moves the record to the tail of the
+//!   list, linking it if it was unlinked;
+//! * only an insert that pushes `len` over `capacity` evicts;
+//! * the evict loop unlinks the head and removes it iff `a_cnt == 0`,
+//!   otherwise leaves it tracked but unlinked until its next touch, and stops
+//!   once `len <= capacity` or the list is empty.
+//!
+//! Consequently a record popped while in use is never evictable again unless
+//! it is re-touched, even after its transactions finish
+//! ([`HotspotFootprint::unlinked_in_use`] counts them).
 
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
 use std::time::Duration;
 
-use crate::avl::{AvlHandle, AvlMap};
+use geotp_simrt::hash::FxHashMap;
+
 use crate::ops::GlobalKey;
 
 /// Statistics for one hot record.
@@ -30,21 +58,9 @@ pub struct HotRecordStats {
     pub c_cnt: u64,
     /// Transactions currently accessing the record.
     pub a_cnt: u64,
-    /// Monotonic touch counter used for LRU eviction.
-    last_touch: u64,
 }
 
 impl HotRecordStats {
-    fn new(touch: u64) -> Self {
-        Self {
-            w_lat: 0.0,
-            t_cnt: 0,
-            c_cnt: 0,
-            a_cnt: 0,
-            last_touch: touch,
-        }
-    }
-
     /// The success ratio `c_cnt / t_cnt`, defaulting to 1 when unknown.
     pub fn success_ratio(&self) -> f64 {
         if self.t_cnt == 0 {
@@ -78,19 +94,37 @@ impl Default for HotspotConfig {
     }
 }
 
+/// "No slot": list terminator and the scratch marker for an absent key.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry: a record plus its links in the recency list.
+struct Slot {
+    key: GlobalKey,
+    stats: HotRecordStats,
+    prev: u32,
+    next: u32,
+    /// Whether the slot is on the recency list (see the eviction contract).
+    linked: bool,
+}
+
 /// The hotspot footprint table.
 pub struct HotspotFootprint {
     config: HotspotConfig,
-    records: AvlMap<GlobalKey, HotRecordStats>,
-    /// LRU queue of `(key, touch, handle)` entries; stale entries are skipped
-    /// on eviction. The arena handle makes eviction *validation* O(1) — a
-    /// slot probe instead of the AVL lookup that used to cost ~11% inclusive
-    /// at the paper-default YCSB config (one tree descent per popped entry).
-    lru: VecDeque<(GlobalKey, u64, AvlHandle)>,
-    touch_counter: u64,
+    /// Dense record storage; vacated slots are recycled through `free`.
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    /// Key → slot. Point lookups only — never iterated (determinism).
+    index: FxHashMap<GlobalKey, u32>,
+    /// Coldest linked slot, the next eviction candidate.
+    head: u32,
+    /// Most recently touched slot.
+    tail: u32,
+    /// Tracked slots that are off the recency list.
+    unlinked: usize,
     evictions: u64,
-    /// Reusable buffer for [`HotspotFootprint::on_subtxn_feedback`].
-    feedback_scratch: Vec<f64>,
+    /// Reusable `(slot, w_lat)` buffer for
+    /// [`HotspotFootprint::on_subtxn_feedback`].
+    feedback_scratch: Vec<(u32, f64)>,
 }
 
 impl HotspotFootprint {
@@ -98,9 +132,12 @@ impl HotspotFootprint {
     pub fn new(config: HotspotConfig) -> Self {
         Self {
             config,
-            records: AvlMap::new(),
-            lru: VecDeque::new(),
-            touch_counter: 0,
+            slots: Vec::new(),
+            free: Vec::new(),
+            index: FxHashMap::default(),
+            head: NIL,
+            tail: NIL,
+            unlinked: 0,
             evictions: 0,
             feedback_scratch: Vec::new(),
         }
@@ -113,12 +150,12 @@ impl HotspotFootprint {
 
     /// Number of records currently tracked.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.index.len()
     }
 
     /// Whether no records are tracked.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.index.is_empty()
     }
 
     /// Number of LRU evictions performed.
@@ -126,45 +163,111 @@ impl HotspotFootprint {
         self.evictions
     }
 
-    /// Snapshot of a record's statistics.
-    pub fn stats(&self, key: GlobalKey) -> Option<HotRecordStats> {
-        self.records.get(&key).copied()
+    /// Number of tracked records that are off the recency list: popped by an
+    /// eviction scan while in use and not touched since. They cannot be
+    /// evicted until a touch relinks them.
+    pub fn unlinked_in_use(&self) -> usize {
+        self.unlinked
     }
 
-    /// Bump the touch clock for `key` and apply `f` to its stats entry
-    /// (creating it first if needed) — one tree traversal per call.
-    fn touch_with(&mut self, key: GlobalKey, f: impl FnOnce(&mut HotRecordStats)) {
-        self.touch_counter += 1;
-        let touch = self.touch_counter;
-        let before = self.records.len();
-        let (handle, entry) = self
-            .records
-            .get_or_insert_with_handle(key, || HotRecordStats::new(touch));
-        entry.last_touch = touch;
-        f(entry);
-        let inserted = self.records.len() != before;
-        self.lru.push_back((key, touch, handle));
-        if inserted {
-            self.maybe_evict();
+    fn get(&self, key: &GlobalKey) -> Option<&HotRecordStats> {
+        self.index
+            .get(key)
+            .map(|&idx| &self.slots[idx as usize].stats)
+    }
+
+    /// Snapshot of a record's statistics.
+    pub fn stats(&self, key: GlobalKey) -> Option<HotRecordStats> {
+        self.get(&key).copied()
+    }
+
+    fn unlink(&mut self, idx: u32) {
+        let slot = &mut self.slots[idx as usize];
+        let (prev, next) = (slot.prev, slot.next);
+        slot.linked = false;
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
         }
     }
 
-    fn maybe_evict(&mut self) {
-        while self.records.len() > self.config.capacity {
-            let Some((candidate, touch, handle)) = self.lru.pop_front() else {
-                return;
-            };
-            // O(1) validation through the arena handle: only evict if the
-            // entry still exists (generation matches), this LRU entry is its
-            // latest touch, and nothing is currently accessing it. Only a
-            // *passing* validation pays the O(log n) tree removal.
-            let evict = match self.records.peek_handle(handle) {
-                Some((_, stats)) => stats.last_touch == touch && stats.a_cnt == 0,
-                None => false,
-            };
-            if evict {
-                self.records.remove(&candidate);
+    fn push_tail(&mut self, idx: u32) {
+        let prev = self.tail;
+        let slot = &mut self.slots[idx as usize];
+        (slot.prev, slot.next, slot.linked) = (prev, NIL, true);
+        match prev {
+            NIL => self.head = idx,
+            p => self.slots[p as usize].next = idx,
+        }
+        self.tail = idx;
+    }
+
+    /// Touch an existing record: move it to the tail of the recency list and
+    /// apply `f` to its stats.
+    fn touch_slot(&mut self, idx: u32, f: impl FnOnce(&mut HotRecordStats)) {
+        if self.tail != idx {
+            if self.slots[idx as usize].linked {
+                self.unlink(idx);
+            } else {
+                self.unlinked -= 1;
+            }
+            self.push_tail(idx);
+        }
+        f(&mut self.slots[idx as usize].stats);
+    }
+
+    /// Touch `key`'s record, creating it first if needed — one index probe
+    /// per call. `f` runs before any eviction the insert triggers, so it
+    /// decides whether the new record itself is evictable.
+    fn touch_with(&mut self, key: GlobalKey, f: impl FnOnce(&mut HotRecordStats)) {
+        let idx = match self.index.entry(key) {
+            Entry::Occupied(entry) => {
+                let idx = *entry.get();
+                return self.touch_slot(idx, f);
+            }
+            Entry::Vacant(entry) => {
+                let slot = Slot {
+                    key,
+                    stats: HotRecordStats::default(),
+                    prev: NIL,
+                    next: NIL,
+                    linked: false,
+                };
+                let idx = match self.free.pop() {
+                    Some(idx) => {
+                        self.slots[idx as usize] = slot;
+                        idx
+                    }
+                    None => {
+                        let idx = self.slots.len();
+                        assert!(idx < NIL as usize, "slot index would collide with NIL");
+                        self.slots.push(slot);
+                        idx as u32
+                    }
+                };
+                *entry.insert(idx)
+            }
+        };
+        self.push_tail(idx);
+        f(&mut self.slots[idx as usize].stats);
+        self.evict_over_capacity();
+    }
+
+    fn evict_over_capacity(&mut self) {
+        while self.index.len() > self.config.capacity && self.head != NIL {
+            let idx = self.head;
+            self.unlink(idx);
+            let slot = &self.slots[idx as usize];
+            if slot.stats.a_cnt == 0 {
+                self.index.remove(&slot.key);
+                self.free.push(idx);
                 self.evictions += 1;
+            } else {
+                self.unlinked += 1;
             }
         }
     }
@@ -189,40 +292,48 @@ impl HotspotFootprint {
         }
         let lel = local_execution_latency.as_secs_f64();
         // Weight w_r = w_lat(r) / Σ w_lat(r_k); fall back to an even split when
-        // no history exists yet. The per-key latencies are gathered once into
-        // a reusable scratch buffer so each key costs one lookup for the sum
-        // and one upsert for the update, not four tree walks.
-        let mut lats = std::mem::take(&mut self.feedback_scratch);
-        lats.clear();
-        lats.extend(
-            keys.iter()
-                .map(|k| self.records.get(k).map(|s| s.w_lat).unwrap_or(0.0)),
-        );
-        let sum: f64 = lats.iter().sum();
+        // no history exists yet. Each key is resolved to its slot once, for
+        // the sum, and the update below reuses that slot.
+        let mut resolved = std::mem::take(&mut self.feedback_scratch);
+        resolved.clear();
+        resolved.extend(keys.iter().map(|key| match self.index.get(key) {
+            Some(&idx) => (idx, self.slots[idx as usize].stats.w_lat),
+            None => (NIL, 0.0),
+        }));
+        let sum: f64 = resolved.iter().map(|(_, w_lat)| w_lat).sum();
         let alpha = self.config.alpha;
-        for (key, w_lat) in keys.iter().zip(&lats) {
+        let evictions_before = self.evictions;
+        for (key, &(idx, w_lat)) in keys.iter().zip(&resolved) {
             let weight = if sum > 0.0 {
                 w_lat / sum
             } else {
                 1.0 / keys.len() as f64
             };
             let observed = lel * weight;
-            self.touch_with(*key, |entry| {
+            let update = |entry: &mut HotRecordStats| {
                 if entry.w_lat == 0.0 {
                     entry.w_lat = observed;
                 } else {
                     entry.w_lat = alpha * entry.w_lat + (1.0 - alpha) * observed;
                 }
-            });
+            };
+            // A resolved slot stays this key's until an insert for an
+            // earlier (absent) key of this call evicts; then probe again.
+            if idx != NIL && self.evictions == evictions_before {
+                self.touch_slot(idx, update);
+            } else {
+                self.touch_with(*key, update);
+            }
         }
-        self.feedback_scratch = lats;
+        self.feedback_scratch = resolved;
     }
 
     /// A transaction finished (committed or aborted): decrement `a_cnt` and,
     /// on commit, increment `c_cnt` for every record it accessed.
     pub fn on_txn_finish(&mut self, keys: &[GlobalKey], committed: bool) {
         for key in keys {
-            if let Some(entry) = self.records.get_mut(key) {
+            if let Some(&idx) = self.index.get(key) {
+                let entry = &mut self.slots[idx as usize].stats;
                 entry.a_cnt = entry.a_cnt.saturating_sub(1);
                 if committed {
                     entry.c_cnt += 1;
@@ -236,7 +347,7 @@ impl HotspotFootprint {
     pub fn forecast_local_latency(&self, keys: &[GlobalKey]) -> Duration {
         let total: f64 = keys
             .iter()
-            .map(|k| self.records.get(k).map(|s| s.w_lat).unwrap_or(0.0))
+            .map(|k| self.get(k).map(|s| s.w_lat).unwrap_or(0.0))
             .sum();
         Duration::from_secs_f64((total * self.config.forecast_scale).max(0.0))
     }
@@ -246,7 +357,7 @@ impl HotspotFootprint {
     pub fn success_probability(&self, keys: &[GlobalKey]) -> f64 {
         let mut p = 1.0;
         for key in keys {
-            if let Some(stats) = self.records.get(key) {
+            if let Some(stats) = self.get(key) {
                 let queue = stats.a_cnt.saturating_sub(1);
                 if queue > 0 {
                     p *= stats.success_ratio().powi(queue as i32);
@@ -264,8 +375,13 @@ impl HotspotFootprint {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::collections::{BTreeMap, VecDeque};
+
     use geotp_storage::TableId;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::*;
 
     fn gk(row: u64) -> GlobalKey {
         GlobalKey::new(TableId(0), row)
@@ -373,5 +489,233 @@ mod tests {
             fp.stats(gk(0)).is_some(),
             "in-use record must survive eviction"
         );
+    }
+
+    #[test]
+    fn memory_stays_bounded_when_the_working_set_fits() {
+        // The parent's lazy LRU queue grew by one entry per touch for as long
+        // as the working set fit under capacity. Nothing here may.
+        let mut fp = HotspotFootprint::with_defaults();
+        let keys: Vec<GlobalKey> = (0..64).map(gk).collect();
+        for round in 0..1_000_000 / 128 {
+            let txn = &keys[round % 61..][..4];
+            for _ in 0..16 {
+                fp.on_access_start(txn);
+                fp.on_subtxn_feedback(txn, Duration::from_micros(300));
+                fp.on_txn_finish(txn, round % 3 != 0);
+            }
+        }
+        assert_eq!(fp.len(), 64);
+        assert!(fp.slots.len() <= 64, "slab grew to {}", fp.slots.len());
+        assert!(fp.index.capacity() <= 128 && fp.free.capacity() == 0);
+        assert!(fp.feedback_scratch.capacity() <= 4);
+        assert_eq!((fp.evictions(), fp.unlinked_in_use()), (0, 0));
+    }
+
+    /// The parent commit's algorithm, kept as the reference the slab is
+    /// checked against: an ordered map, a touch clock, and a lazy queue that
+    /// gets one `(key, touch)` entry per touch and skips the stale ones when
+    /// an insert has to evict.
+    struct ReferenceModel {
+        config: HotspotConfig,
+        records: BTreeMap<GlobalKey, (HotRecordStats, u64)>,
+        lru: VecDeque<(GlobalKey, u64)>,
+        touches: u64,
+        evictions: u64,
+    }
+
+    impl ReferenceModel {
+        fn touch_with(&mut self, key: GlobalKey, f: impl FnOnce(&mut HotRecordStats)) {
+            self.touches += 1;
+            let before = self.records.len();
+            let (stats, last_touch) = self.records.entry(key).or_default();
+            *last_touch = self.touches;
+            f(stats);
+            self.lru.push_back((key, self.touches));
+            if self.records.len() == before {
+                return;
+            }
+            while self.records.len() > self.config.capacity {
+                let Some((candidate, touch)) = self.lru.pop_front() else {
+                    return;
+                };
+                let latest_and_idle =
+                    |(stats, last): &(HotRecordStats, u64)| *last == touch && stats.a_cnt == 0;
+                if self.records.get(&candidate).is_some_and(latest_and_idle) {
+                    self.records.remove(&candidate);
+                    self.evictions += 1;
+                }
+            }
+        }
+
+        fn w_lat(&self, key: &GlobalKey) -> f64 {
+            self.records.get(key).map_or(0.0, |(stats, _)| stats.w_lat)
+        }
+
+        fn on_access_start(&mut self, keys: &[GlobalKey]) {
+            for key in keys {
+                self.touch_with(*key, |entry| {
+                    entry.t_cnt += 1;
+                    entry.a_cnt += 1;
+                });
+            }
+        }
+
+        fn on_subtxn_feedback(&mut self, keys: &[GlobalKey], latency: Duration) {
+            let lats: Vec<f64> = keys.iter().map(|k| self.w_lat(k)).collect();
+            let sum: f64 = lats.iter().sum();
+            let alpha = self.config.alpha;
+            for (key, w_lat) in keys.iter().zip(&lats) {
+                let weight = if sum > 0.0 {
+                    w_lat / sum
+                } else {
+                    1.0 / keys.len() as f64
+                };
+                let observed = latency.as_secs_f64() * weight;
+                self.touch_with(*key, |entry| {
+                    if entry.w_lat == 0.0 {
+                        entry.w_lat = observed;
+                    } else {
+                        entry.w_lat = alpha * entry.w_lat + (1.0 - alpha) * observed;
+                    }
+                });
+            }
+        }
+
+        fn on_txn_finish(&mut self, keys: &[GlobalKey], committed: bool) {
+            for key in keys {
+                if let Some((entry, _)) = self.records.get_mut(key) {
+                    entry.a_cnt = entry.a_cnt.saturating_sub(1);
+                    entry.c_cnt += u64::from(committed);
+                }
+            }
+        }
+
+        fn forecast_local_latency(&self, keys: &[GlobalKey]) -> Duration {
+            let total: f64 = keys.iter().map(|k| self.w_lat(k)).sum();
+            Duration::from_secs_f64((total * self.config.forecast_scale).max(0.0))
+        }
+
+        fn success_probability(&self, keys: &[GlobalKey]) -> f64 {
+            let mut p = 1.0;
+            for (stats, _) in keys.iter().filter_map(|k| self.records.get(k)) {
+                let queue = stats.a_cnt.saturating_sub(1);
+                if queue > 0 {
+                    p *= stats.success_ratio().powi(queue as i32);
+                }
+            }
+            p
+        }
+    }
+
+    /// Drive the slab and the reference model with one seeded schedule and
+    /// compare them after every step. Returns how many records the slab ever
+    /// held popped-while-in-use at once.
+    fn run_differential(seed: u64, capacity: usize, universe: u64, steps: usize) -> usize {
+        let config = HotspotConfig {
+            capacity,
+            ..HotspotConfig::default()
+        };
+        let mut fp = HotspotFootprint::new(config);
+        let mut model = ReferenceModel {
+            config,
+            records: BTreeMap::new(),
+            lru: VecDeque::new(),
+            touches: 0,
+            evictions: 0,
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Up to 5/8 of capacity is in use at once and transactions finish in
+        // random order, so some stay open long enough for their records to
+        // reach the head of the list and be popped in use, while `len`
+        // still crosses capacity in both directions.
+        let max_open = (capacity / 8).max(2);
+        let mut open: Vec<Vec<GlobalKey>> = Vec::new();
+        let mut max_unlinked = 0;
+        // Comparing every tracked record is O(len): done after every step at
+        // the smallest capacity and after every 64th beyond it, where a step
+        // still compares the counters and the records it used. A wrongly
+        // evicted record stays wrong, so the next sweep convicts it.
+        let full_check_every = if capacity <= 8 { 1 } else { 64 };
+        for step in 0..steps {
+            let mut keys: Vec<GlobalKey> = (0..rng.gen_range(1..=5))
+                .map(|_| gk(rng.gen_range(0..universe)))
+                .collect();
+            match rng.gen_range(0..10) {
+                0..=3 if open.len() < max_open => {
+                    fp.on_access_start(&keys);
+                    model.on_access_start(&keys);
+                    open.push(keys.clone());
+                }
+                4..=6 => {
+                    // Feedback for a branch of an open transaction, or (one
+                    // time in four) for keys nobody announced.
+                    if !open.is_empty() && rng.gen_range(0..4) != 0 {
+                        let txn = &open[rng.gen_range(0..open.len())];
+                        keys = txn[..rng.gen_range(1..=txn.len())].to_vec();
+                    }
+                    let latency = Duration::from_micros(rng.gen_range(0..5_000));
+                    fp.on_subtxn_feedback(&keys, latency);
+                    model.on_subtxn_feedback(&keys, latency);
+                }
+                _ => {
+                    // Finish a random open transaction; rarely, "finish" keys
+                    // that were never started.
+                    if !open.is_empty() && rng.gen_range(0..16) != 0 {
+                        keys = open.swap_remove(rng.gen_range(0..open.len()));
+                    }
+                    let committed = rng.gen_bool(0.7);
+                    fp.on_txn_finish(&keys, committed);
+                    model.on_txn_finish(&keys, committed);
+                }
+            }
+            max_unlinked = max_unlinked.max(fp.unlinked_in_use());
+
+            let context =
+                format!("seed {seed} capacity {capacity} universe {universe} step {step}");
+            assert_eq!(fp.len(), model.records.len(), "{context}");
+            assert_eq!(fp.evictions(), model.evictions, "{context}");
+            // Equal `len` plus every record of the model found with equal
+            // stats means every key of the universe agrees, absent ones too.
+            let same = |key: &GlobalKey, want: Option<&(HotRecordStats, u64)>| {
+                let bits = |s: &HotRecordStats| (s.w_lat.to_bits(), s.t_cnt, s.c_cnt, s.a_cnt);
+                let got = fp.stats(*key).as_ref().map(bits);
+                assert_eq!(got, want.map(|(s, _)| bits(s)), "{context} key {key:?}");
+            };
+            if step % full_check_every == 0 || step + 1 == steps {
+                model
+                    .records
+                    .iter()
+                    .for_each(|(k, want)| same(k, Some(want)));
+            } else {
+                keys.iter().for_each(|k| same(k, model.records.get(k)));
+            }
+            let probe: Vec<GlobalKey> = (0..rng.gen_range(1..=8))
+                .map(|_| gk(rng.gen_range(0..universe)))
+                .collect();
+            assert_eq!(
+                fp.forecast_local_latency(&probe),
+                model.forecast_local_latency(&probe),
+                "{context}"
+            );
+            assert_eq!(
+                fp.success_probability(&probe).to_bits(),
+                model.success_probability(&probe).to_bits(),
+                "{context}"
+            );
+        }
+        max_unlinked
+    }
+
+    #[test]
+    fn slab_matches_the_reference_model() {
+        for seed in [1, 2, 3] {
+            for capacity in [8usize, 100, 10_000] {
+                let small = run_differential(seed, capacity, capacity as u64 / 2, 20_000);
+                assert_eq!(small, 0, "nothing is popped while the universe fits");
+                let large = run_differential(seed, capacity, capacity as u64 * 50, 20_000);
+                assert!(large > 0, "capacity {capacity}: no in-use head was popped");
+            }
+        }
     }
 }

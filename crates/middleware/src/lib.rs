@@ -15,7 +15,6 @@
 //! against (SSP, SSP(local), QURO, Chiller) as alternative [`Protocol`]s so
 //! the ablation study is a pure configuration sweep.
 
-pub mod avl;
 pub mod commit_log;
 pub mod coordinator;
 pub mod hotspot;
@@ -27,7 +26,6 @@ pub mod router;
 pub mod scheduler;
 pub mod session;
 
-pub use avl::{AvlHandle, AvlMap};
 pub use commit_log::{CommitLog, Decision, Fenced};
 pub use coordinator::{gtrid_owner, Middleware, MiddlewareConfig, Protocol, SessionState};
 pub use hotspot::{HotRecordStats, HotspotConfig, HotspotFootprint};

@@ -170,10 +170,12 @@ impl GeoScheduler {
         let mut all_keys = self.keys_scratch.borrow_mut();
         all_keys.clear();
         all_keys.extend(branches.iter().flat_map(|b| b.keys.iter().copied()));
+        // Nothing can touch the footprint between draws (the loop never
+        // yields), so Eq. 9 is evaluated once for all of them.
+        let success_p = self.footprint.borrow().success_probability(&all_keys);
         let mut attempts = 0;
         loop {
             attempts += 1;
-            let success_p = self.footprint.borrow().success_probability(&all_keys);
             let draw: f64 = self.rng.borrow_mut().gen();
             if success_p >= draw {
                 *self.admissions.borrow_mut() += 1;
