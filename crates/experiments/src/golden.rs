@@ -217,6 +217,73 @@ mod tests {
         }
     }
 
+    /// The presets no drill table covers — the five MVCC / group-commit
+    /// drills and TPC-C on the coordinator tier — pinned per seed (1–3), so
+    /// a harness refactor cannot move them silently. One row per run; the
+    /// `write_skew_*` rows are *expected* to show serializability
+    /// convictions. Scale-independent (there is no full variant).
+    #[test]
+    fn golden_chaos_unpinned_presets() {
+        use geotp::chaos::{traced, ChaosReport, MvccScenario, TpccChaosWorkload};
+        use geotp::ClusterScenario;
+
+        let mut table = Table::new(
+            "Chaos presets outside the drill tables — per-seed pins",
+            &[
+                "scenario",
+                "workload",
+                "seed",
+                "committed",
+                "aborted",
+                "indeterminate",
+                "atomicity",
+                "durability",
+                "liveness",
+                "serializability",
+                "trace",
+                "trace fingerprint",
+            ],
+        );
+        let mut push = |name: &str, seed: u64, report: ChaosReport| {
+            let workload = report.trace[0]
+                .split("workload=")
+                .nth(1)
+                .and_then(|tail| tail.split(' ').next())
+                .expect("the first trace line names the workload")
+                .to_string();
+            let verdict = |ok: bool| if ok { "ok" } else { "VIOLATED" }.to_string();
+            let inv = &report.invariants;
+            table.push_row(vec![
+                name.to_string(),
+                workload,
+                seed.to_string(),
+                report.committed.to_string(),
+                report.aborted.to_string(),
+                report.indeterminate.to_string(),
+                verdict(inv.atomicity_ok),
+                verdict(inv.durability_ok),
+                verdict(inv.liveness_ok),
+                verdict(inv.serializability_ok),
+                verdict(inv.trace_ok),
+                format!("{:016x}", report.fingerprint),
+            ]);
+        };
+        for scenario in MvccScenario::all() {
+            for seed in 1..=3 {
+                push(scenario.name(), seed, traced(|| scenario.run(seed)).0);
+            }
+        }
+        let takeover = ClusterScenario::CoordinatorCrashTakeover;
+        for seed in 1..=3 {
+            let tpcc = std::rc::Rc::new(TpccChaosWorkload::drill_scale(3));
+            let report = traced(|| takeover.run_with(seed, tpcc)).0;
+            push(takeover.name(), seed, report);
+        }
+        if let Err(drift) = verify("chaos_unpinned_presets_quick", &[table]) {
+            panic!("{drift}");
+        }
+    }
+
     /// Golden coverage beyond the drill tables (the ROADMAP open item):
     /// Fig. 6 is the cheapest deterministic figure experiment whose *quick*
     /// table is non-degenerate in every column (Fig. 1b's quick run commits
