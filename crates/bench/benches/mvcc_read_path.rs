@@ -22,7 +22,7 @@
 //! cargo bench -p geotp-bench --bench mvcc_read_path
 //! ```
 
-use geotp_chaos::{traced, MvccScenario};
+use geotp_chaos::{preset, traced};
 use geotp_telemetry::{MetricValue, Telemetry};
 
 const SEEDS: u64 = 3;
@@ -50,14 +50,14 @@ fn histogram_stats(telemetry: &Telemetry, name: &str) -> (u64, f64) {
 fn main() {
     let mut failed = false;
     for seed in 1..=SEEDS {
-        let (snap_report, snap_telemetry) = traced(|| MvccScenario::LongReadersSnapshot.run(seed));
+        let (snap_report, snap_telemetry) = traced(|| preset("long_readers_snapshot").run(seed));
         let (snap_waits, _) = histogram_stats(&snap_telemetry, "storage.lock_wait");
         let fast_path = snap_telemetry
             .metrics
             .snapshot()
             .counter_total("mw.readonly_commits");
 
-        let (legacy_report, legacy_telemetry) = traced(|| MvccScenario::LongReaders2pl.run(seed));
+        let (legacy_report, legacy_telemetry) = traced(|| preset("long_readers_2pl").run(seed));
         let (legacy_waits, legacy_mean_us) =
             histogram_stats(&legacy_telemetry, "storage.lock_wait");
 

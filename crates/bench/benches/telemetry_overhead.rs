@@ -26,36 +26,35 @@
 
 use std::time::Instant;
 
-use geotp_chaos::telemetry::run_scenario_traced;
-use geotp_chaos::Scenario;
+use geotp_chaos::{preset, run, traced, ChaosReport, DrillWorkload};
 
 const PROBES: usize = 7;
 const SEED: u64 = 11;
+const PRESET: &str = "prepare_phase_crash";
 
 /// The preset scaled up (16 clients × 100 transactions) so per-transaction
 /// tracing cost dominates over the one-time collector setup — a preset-sized
 /// run finishes in ~1.5 ms of wall time, where the ratio mostly measures
 /// constant overheads.
-fn build() -> (geotp_chaos::ChaosConfig, geotp_chaos::FaultSchedule) {
-    let (mut config, schedule) = Scenario::PreparePhaseCrash.build(SEED);
+fn scaled_run() -> ChaosReport {
+    let (mut config, schedule) = preset(PRESET).build(SEED);
     config.clients = 16;
     config.txns_per_client = 100;
-    (config, schedule)
+    let workload = DrillWorkload::Transfer.build(&config);
+    run(config, schedule, workload)
 }
 
 fn untraced_once() -> f64 {
-    let (config, schedule) = build();
     let started = Instant::now();
-    let report = geotp_chaos::run_scenario(config, schedule);
+    let report = scaled_run();
     let elapsed = started.elapsed().as_secs_f64() * 1e6;
     assert!(report.invariants.all_hold());
     elapsed
 }
 
 fn traced_once() -> (f64, usize) {
-    let (config, schedule) = build();
     let started = Instant::now();
-    let (report, telemetry) = run_scenario_traced(config, schedule);
+    let (report, telemetry) = traced(scaled_run);
     let elapsed = started.elapsed().as_secs_f64() * 1e6;
     assert!(report.invariants.all_hold());
     (elapsed, telemetry.tracer.len())
@@ -102,7 +101,7 @@ fn main() {
              median of {PROBES} paired traced/untraced ratios; the ratio (not the absolute \
              best-of figures) is the gate\",\n  \"untraced_us\": {best_off:.1},\n  \
              \"traced_us\": {best_on:.1},\n  \"ratio\": {ratio:.3},\n  \"spans\": {spans}\n }}",
-            Scenario::PreparePhaseCrash.name()
+            PRESET
         );
         return;
     }
@@ -110,7 +109,7 @@ fn main() {
     println!(
         "{} seed {SEED}: untraced best {best_off:.0} us, traced best {best_on:.0} us \
          ({spans} spans) -> median pair ratio {ratio:.3}x (limit {tolerance:.2}x)",
-        Scenario::PreparePhaseCrash.name()
+        PRESET
     );
     if ratio > tolerance {
         eprintln!(

@@ -1,39 +1,56 @@
-//! The chaos harness: build a cluster, drive a workload under a fault
+//! The chaos harness: build a deployment, drive a workload under a fault
 //! schedule, check invariants, emit a replayable trace.
 //!
-//! [`run_scenario_with`] owns the whole lifecycle:
+//! [`run`] owns the whole lifecycle, once, for both front doors:
 //!
-//! 1. assemble a simulated deployment (network, data sources + geo-agents,
-//!    coordinator) exactly like the facade's `ClusterBuilder` does, with
+//! 1. assemble a simulated deployment through the shared
+//!    [`geotp_cluster::wire`] (network, data sources + geo-agents) with
 //!    engine-side history recording switched on for the serializability
-//!    checker;
+//!    checker, and put a front door in front of it;
 //! 2. compile the [`FaultSchedule`] into the network fault plane and spawn a
-//!    *controller task* that applies node-level events (crashes, restarts,
-//!    coordinator failover with commit-log replay, clock-skew ramps) at
-//!    their scheduled instants;
-//! 3. drive any [`ChaosWorkload`] — balance transfers or the TPC-C mix —
-//!    where clients retry transactions refused by a crashed coordinator;
+//!    *controller task* that applies node-level events at their scheduled
+//!    instants;
+//! 3. drive any [`ChaosWorkload`] — balance transfers, the TPC-C mix, … —
+//!    where clients retry transactions a crashed coordinator refused;
 //! 4. once the clients drain (bounded by the liveness horizon): heal
 //!    everything, restart any still-crashed data source, run one final
-//!    commit-log replay over the in-doubt branches, and hand the cluster to
+//!    recovery pass over the in-doubt branches, and hand the deployment to
 //!    the [`crate::invariants`] checkers (atomicity, durability, liveness,
-//!    serializability).
+//!    serializability, plus the trace oracle on traced runs).
 //!
-//! [`run_scenario`] is the transfer-workload shorthand the original presets
-//! use.
+//! The two doors differ only in what the private `FrontDoor` enum supplies:
+//!
+//! * **`Single`** — one [`Middleware`]. Failover is *scripted* (§V-A: a
+//!   successor shares the durable commit log and replays it), and the
+//!   clock-skew bookkeeping lives here;
+//! * **`Tier`** ([`ChaosConfig::tier`] set) — a [`CoordinatorCluster`] of N
+//!   coordinators, each with its own commit log and gtrid space, behind the
+//!   consistent-hash session router. Nobody scripts a failover: the tier's
+//!   own lease heartbeats (over the simulated network, so partitions starve
+//!   them), supervisor, fencing and peer takeover react to the schedule.
+//!   The durability checker resolves each gtrid against its owning
+//!   coordinator's log; engine-side history is coordinator-agnostic, so
+//!   cross-coordinator anomalies close serializability cycles the same way.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
-use geotp_datasource::{DataSource, DataSourceConfig, Dialect};
-use geotp_middleware::{
-    AbortReason, CommitLog, Middleware, MiddlewareConfig, Partitioner, Protocol, TxnOutcome,
+use geotp_cluster::{
+    wire, AdmissionPolicy, ClusterConfig, CoordinatorCluster, MembershipConfig,
+    SessionReaperConfig, Wiring,
 };
-use geotp_net::{NetworkBuilder, NodeId};
+use geotp_datasource::{DataSource, Dialect};
+use geotp_middleware::session::RetryPolicy;
+use geotp_middleware::{
+    AbortReason, CommitLog, Decision, Middleware, MiddlewareConfig, Partitioner, Protocol, Session,
+    SessionService, TransactionSpec, TxnOutcome,
+};
+use geotp_net::{Network, NodeId};
 use geotp_simrt::hash::FxHashMap;
-use geotp_simrt::{now, sleep, sleep_until, spawn, SimInstant};
+use geotp_simrt::{now, sleep, sleep_until, spawn, JoinHandle, SimInstant};
 use geotp_storage::{CostModel, EngineConfig, IsolationLevel, MvccStats};
+use geotp_workloads::ZipfianGenerator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,9 +58,7 @@ use crate::injector::ScheduleInjector;
 use crate::invariants::{self, InvariantReport};
 use crate::schedule::{FaultEvent, FaultSchedule};
 use crate::trace::EventTrace;
-use crate::workload::{ChaosWorkload, TransferWorkload};
-
-pub use crate::workload::CHAOS_TABLE;
+use crate::workload::ChaosWorkload;
 
 /// Parameters of a chaos run.
 #[derive(Debug, Clone)]
@@ -52,15 +67,15 @@ pub struct ChaosConfig {
     /// network jitter, scheduler lotteries. Same seed + same schedule ⇒
     /// bit-identical trace.
     pub seed: u64,
-    /// Middleware↔data-source RTTs in milliseconds (one entry per data
-    /// source; inter-source RTT is the max of the endpoints', as in the
-    /// facade's builder).
+    /// Coordinator↔data-source RTTs in milliseconds (one entry per data
+    /// source, shared by every coordinator; inter-source RTT is the max of
+    /// the endpoints').
     pub ds_rtts_ms: Vec<u64>,
     /// Rows per data source (transfer workload).
     pub records_per_node: u64,
     /// Initial integer balance of every row (transfer workload).
     pub initial_balance: i64,
-    /// Concurrent client loops.
+    /// Concurrent client loops (one durable session id each).
     pub clients: usize,
     /// Transactions each client performs.
     pub txns_per_client: usize,
@@ -82,7 +97,7 @@ pub struct ChaosConfig {
     /// serializability checker catches a real isolation bug and to give the
     /// schedule shrinker a genuine failure to minimize.
     pub isolation_bug_read_stride: Option<u64>,
-    /// Checker-validation fail point: the coordinator dispatches voted-2PC
+    /// Checker-validation fail point: every coordinator dispatches voted-2PC
     /// commits *before* flushing the decision to its commit log. The durable
     /// end state stays correct (the flush still happens), so the four
     /// state-based checkers stay green — only the trace oracle's
@@ -98,15 +113,6 @@ pub struct ChaosConfig {
     /// commit or rollback — the middleware's connection-loss handling must
     /// roll the orphaned branches back. `None` disables client crashes.
     pub client_crash_every: Option<u64>,
-    /// Issue transfers interactively (one operation per statement round, see
-    /// [`crate::workload::InteractiveTransferWorkload`]) instead of as a
-    /// single batched round.
-    pub interactive_transfers: bool,
-    /// Client retry policy for transient non-starts (refused connections,
-    /// overload sheds, reaped sessions). The default reproduces the original
-    /// hard-coded loop exactly — 40 attempts, flat 250 ms pauses, no RNG
-    /// consumed — so preset traces stay bit-identical.
-    pub retry: geotp_middleware::session::RetryPolicy,
     /// Worker shards for the simulator runtime. `None` (the default) honours
     /// the `GEOTP_WORKERS` environment variable, falling back to 1. The
     /// chaos deployment shares one `Rc` object graph, so it is pinned to
@@ -114,17 +120,16 @@ pub struct ChaosConfig {
     /// every worker count (the CI worker matrix asserts exactly this).
     pub workers: Option<usize>,
     /// Storage isolation level on every engine. The default
-    /// (`Serializable2pl`) is the legacy strict-2PL path and replays every
-    /// existing preset byte-identically; `SnapshotRead` serves plain reads
-    /// from MVCC snapshots without locks; `ReadCommitted` deliberately
-    /// weakens snapshots so the serializability checker has something to
-    /// convict.
+    /// (`Serializable2pl`) is the strict-2PL path; `SnapshotRead` serves
+    /// plain reads from MVCC snapshots without locks; `ReadCommitted`
+    /// deliberately weakens snapshots so the serializability checker has
+    /// something to convict.
     pub isolation: IsolationLevel,
     /// Group-commit window on every engine's WAL. `Duration::ZERO` (the
-    /// default) flushes each commit solo — the legacy path; a nonzero
-    /// window parks committers so one flush amortizes across the batch.
+    /// default) flushes each commit solo; a nonzero window parks committers
+    /// so one flush amortizes across the batch.
     pub group_commit_window: Duration,
-    /// Let the coordinator commit unannotated read-only transactions via
+    /// Let the coordinators commit unannotated read-only transactions via
     /// the snapshot-read fast path (no prepare, no WAL flush, no locks
     /// under `SnapshotRead` isolation). Off by default.
     pub snapshot_reads: bool,
@@ -132,6 +137,9 @@ pub struct ChaosConfig {
     /// runs (see [`crate::invariants::trace::TraceRule`]). Empty by
     /// default.
     pub trace_rules: crate::invariants::trace::TraceRules,
+    /// The front door. `None` (the default) deploys one middleware; `Some`
+    /// deploys a coordinator tier with these dimensions.
+    pub tier: Option<TierConfig>,
 }
 
 impl Default for ChaosConfig {
@@ -152,13 +160,12 @@ impl Default for ChaosConfig {
             commit_before_flush_bug: false,
             think_time: Duration::ZERO,
             client_crash_every: None,
-            interactive_transfers: false,
-            retry: geotp_middleware::session::RetryPolicy::fixed(40, Duration::from_millis(250)),
             workers: None,
             isolation: IsolationLevel::Serializable2pl,
             group_commit_window: Duration::ZERO,
             snapshot_reads: false,
             trace_rules: crate::invariants::trace::TraceRules::default(),
+            tier: None,
         }
     }
 }
@@ -168,7 +175,97 @@ impl ChaosConfig {
     pub fn nodes(&self) -> u32 {
         self.ds_rtts_ms.len() as u32
     }
+
+    /// Number of coordinators behind the front door.
+    pub fn coordinators(&self) -> usize {
+        self.tier.as_ref().map_or(1, |tier| tier.coordinators)
+    }
 }
+
+/// The tier dimensions of a multi-coordinator chaos run.
+#[derive(Debug, Clone)]
+pub struct TierConfig {
+    /// Number of coordinator slots.
+    pub coordinators: usize,
+    /// Lease/heartbeat parameters (the failure-detection clock of the tier).
+    pub membership: MembershipConfig,
+    /// Supervisor scan cadence.
+    pub supervisor_interval: Duration,
+    /// Coordinator↔control-node RTT in milliseconds.
+    pub control_rtt_ms: u64,
+    /// Per-coordinator worker capacity (`0` = unbounded).
+    pub max_inflight: usize,
+    /// Admission policy at each coordinator's capacity gate.
+    pub admission: AdmissionPolicy,
+    /// Idle-session reaper schedule (`None` = never reap).
+    pub session_reaper: Option<SessionReaperConfig>,
+    /// When set, the run drives a flash crowd (idle-session registration +
+    /// zipfian arrival spike) instead of/alongside the per-client loops.
+    pub flash_crowd: Option<FlashCrowdConfig>,
+}
+
+impl Default for TierConfig {
+    fn default() -> Self {
+        Self {
+            coordinators: 2,
+            membership: MembershipConfig {
+                lease: Duration::from_millis(1_500),
+                heartbeat_interval: Duration::from_millis(500),
+            },
+            supervisor_interval: Duration::from_millis(500),
+            control_rtt_ms: 2,
+            max_inflight: 0,
+            admission: AdmissionPolicy::default(),
+            session_reaper: None,
+            flash_crowd: None,
+        }
+    }
+}
+
+/// The flash-crowd drive: a large mostly-idle session population is
+/// registered up front (router affinity + registry entries on every
+/// coordinator), then a sudden open-loop arrival spike hits a zipfian hot
+/// set of those sessions — typically with a coordinator failover armed
+/// mid-spike and bounded admission shedding the overflow.
+#[derive(Debug, Clone, Copy)]
+pub struct FlashCrowdConfig {
+    /// Sessions registered before the spike (the mostly-idle crowd).
+    pub idle_sessions: u64,
+    /// When the arrival spike starts.
+    pub spike_at: Duration,
+    /// How long the spike lasts.
+    pub spike_duration: Duration,
+    /// Spike arrival rate (open loop: arrivals do not wait for completions).
+    pub spike_arrivals_per_sec: u64,
+    /// Zipfian skew of the spike's session choice (item 0 hottest).
+    pub zipf_theta: f64,
+    /// Retry policy of each spike arrival (exponential backoff with seeded
+    /// jitter — the schedule is a pure function of the run's seed).
+    pub retry: RetryPolicy,
+}
+
+impl Default for FlashCrowdConfig {
+    fn default() -> Self {
+        Self {
+            idle_sessions: 200_000,
+            spike_at: Duration::from_secs(2),
+            spike_duration: Duration::from_millis(1_500),
+            spike_arrivals_per_sec: 400,
+            zipf_theta: 0.9,
+            retry: RetryPolicy {
+                max_attempts: 6,
+                base_backoff: Duration::from_millis(25),
+                max_backoff: Duration::from_secs(1),
+                jitter: 0.5,
+            },
+        }
+    }
+}
+
+/// How a client loop retries a transient non-start (refused connection,
+/// overload shed, reaped session): 40 attempts, flat 250 ms pauses, no RNG
+/// consumed. Bounded so a schedule without failover still drains.
+const CLIENT_RETRY: RetryPolicy = RetryPolicy::fixed(40, Duration::from_millis(250));
 
 /// What one chaos run produced.
 #[derive(Debug, Clone)]
@@ -192,7 +289,7 @@ pub struct ChaosReport {
 }
 
 /// Sum the engines' version-store counters.
-pub(crate) fn mvcc_totals(sources: &[Rc<DataSource>]) -> MvccStats {
+fn mvcc_totals(sources: &[Rc<DataSource>]) -> MvccStats {
     let mut total = MvccStats::default();
     for ds in sources {
         let stats = ds.engine().version_store().stats();
@@ -249,21 +346,40 @@ impl NodeClocks {
     }
 }
 
-/// Everything the controller task and the final heal pass share.
-struct Deployment {
-    config: ChaosConfig,
-    partitioner: Partitioner,
-    net: Rc<geotp_net::Network>,
-    sources: Vec<Rc<DataSource>>,
-    /// The currently-serving coordinator (replaced on failover).
-    active_mw: RefCell<Rc<Middleware>>,
+/// What stands between the clients and the data sources. The run loop is
+/// shared; a door supplies only what genuinely differs — connecting a client
+/// session, applying a coordinator-level event, how long failure detection
+/// needs to settle, the final recovery pass, the decision lookup, and its
+/// share of the trace wording.
+enum FrontDoor {
+    /// One middleware; a §V-A successor replaces it on scripted failover.
+    Single(SingleDoor),
+    /// A coordinator tier with lease membership, fencing and peer takeover.
+    Tier(Rc<CoordinatorCluster>),
+}
+
+struct SingleDoor {
+    /// The currently-serving coordinator.
+    active: RefCell<Rc<Middleware>>,
     /// The durable commit log, shared across coordinator generations.
     commit_log: Rc<CommitLog>,
-    trace: Rc<EventTrace>,
     clocks: RefCell<NodeClocks>,
 }
 
+/// Everything the controller task, the client loops and the final heal pass
+/// share.
+struct Deployment {
+    config: ChaosConfig,
+    partitioner: Partitioner,
+    net: Rc<Network>,
+    sources: Vec<Rc<DataSource>>,
+    door: FrontDoor,
+    trace: Rc<EventTrace>,
+}
+
 impl Deployment {
+    /// The lone middleware's configuration (`Single` door; a successor
+    /// continues its predecessor's gtrid sequence).
     fn middleware_config(
         config: &ChaosConfig,
         partitioner: Partitioner,
@@ -286,55 +402,26 @@ impl Deployment {
         schedule: &FaultSchedule,
         workload: &dyn ChaosWorkload,
     ) -> Rc<Self> {
-        let dm = NodeId::middleware(0);
-        let mut net_builder =
-            NetworkBuilder::new(config.seed).default_lan_rtt(Duration::from_micros(500));
-        for (i, rtt) in config.ds_rtts_ms.iter().enumerate() {
-            net_builder = net_builder.static_link(
-                dm,
-                NodeId::data_source(i as u32),
-                Duration::from_millis(*rtt),
-            );
-        }
-        for i in 0..config.ds_rtts_ms.len() {
-            for j in (i + 1)..config.ds_rtts_ms.len() {
-                let rtt = config.ds_rtts_ms[i].max(config.ds_rtts_ms[j]);
-                net_builder = net_builder.static_link(
-                    NodeId::data_source(i as u32),
-                    NodeId::data_source(j as u32),
-                    Duration::from_millis(rtt),
-                );
-            }
-        }
-        let net = net_builder.build();
-        net.set_fault_injector(ScheduleInjector::compile(
-            schedule,
-            config.seed,
-            Rc::clone(&trace),
-        ));
-
-        let mut sources = Vec::new();
-        for i in 0..config.nodes() {
-            let mut ds_cfg = DataSourceConfig::new(NodeId::data_source(i));
-            ds_cfg.dialect = Dialect::MySql;
-            ds_cfg.engine = EngineConfig {
+        let (net, sources) = wire(&Wiring {
+            seed: config.seed,
+            coordinator_rtts_ms: vec![config.ds_rtts_ms.clone(); config.coordinators()],
+            control_rtt_ms: config.tier.as_ref().map(|tier| tier.control_rtt_ms),
+            dialects: vec![Dialect::MySql; config.ds_rtts_ms.len()],
+            engine: EngineConfig {
                 lock_wait_timeout: config.lock_wait_timeout,
                 cost: CostModel::default(),
                 // The serializability checker needs the versioned histories.
                 record_history: true,
                 isolation: config.isolation,
                 group_commit_window: config.group_commit_window,
-            };
-            ds_cfg.agent_lan_rtt = Duration::from_micros(500);
-            sources.push(DataSource::new(ds_cfg, Rc::clone(&net)));
-        }
-        for a in &sources {
-            for b in &sources {
-                if a.index() != b.index() {
-                    a.register_peer(b);
-                }
-            }
-        }
+            },
+            agent_lan_rtt: Duration::from_micros(500),
+        });
+        net.set_fault_injector(ScheduleInjector::compile(
+            schedule,
+            config.seed,
+            Rc::clone(&trace),
+        ));
         if let Some(stride) = config.isolation_bug_read_stride {
             for ds in &sources {
                 ds.engine().fail_point_bypass_read_locks(stride);
@@ -343,39 +430,78 @@ impl Deployment {
                 "fail point armed: every {stride}-th read skips its shared lock"
             ));
         }
+        workload.load(&sources);
 
         let partitioner = workload.partitioner();
-        let mw = Middleware::connect(
-            Self::middleware_config(&config, partitioner, 1),
-            Rc::clone(&net),
-            &sources,
-            None,
-        );
+        let (door, coordinators) = match &config.tier {
+            None => {
+                let mw = Middleware::connect(
+                    Self::middleware_config(&config, partitioner, 1),
+                    Rc::clone(&net),
+                    &sources,
+                    None,
+                );
+                let door = SingleDoor {
+                    commit_log: Rc::clone(mw.commit_log()),
+                    active: RefCell::new(Rc::clone(&mw)),
+                    clocks: RefCell::new(NodeClocks::default()),
+                };
+                (FrontDoor::Single(door), vec![mw])
+            }
+            Some(tier) => {
+                let mut cfg = ClusterConfig::new(tier.coordinators, config.protocol, partitioner);
+                cfg.membership = tier.membership;
+                cfg.supervisor_interval = tier.supervisor_interval;
+                cfg.decision_wait_timeout = config.decision_wait_timeout;
+                cfg.record_history = true;
+                cfg.snapshot_reads = config.snapshot_reads;
+                cfg.seed = config.seed;
+                cfg.max_inflight = tier.max_inflight;
+                cfg.admission = tier.admission;
+                cfg.session_reaper = tier.session_reaper;
+                let cluster = CoordinatorCluster::build(cfg, Rc::clone(&net), &sources);
+                cluster.start();
+                let coordinators = (0..tier.coordinators as u32)
+                    .map(|coord| cluster.middleware(coord))
+                    .collect();
+                (FrontDoor::Tier(cluster), coordinators)
+            }
+        };
         if config.commit_before_flush_bug {
-            mw.fail_point_dispatch_before_flush();
+            for mw in &coordinators {
+                mw.fail_point_dispatch_before_flush();
+            }
             trace.record("fail point armed: commit dispatch precedes its log flush");
         }
-        let commit_log = Rc::clone(mw.commit_log());
-
-        workload.load(&sources);
 
         Rc::new(Self {
             config,
             partitioner,
             net,
             sources,
-            active_mw: RefCell::new(mw),
-            commit_log,
+            door,
             trace,
-            clocks: RefCell::new(NodeClocks::default()),
         })
     }
 
-    /// Replace the crashed coordinator: data sources run their disconnect
-    /// handling, a successor shares the durable commit log, replays it over
-    /// the in-doubt branches and becomes the active instance.
-    async fn failover(&self) {
-        let old = self.active_mw.borrow().clone();
+    /// Open client `client`'s session against whatever is serving now. The
+    /// session *id* is what is durable: a tier's router pins it to a
+    /// coordinator (affinity), re-homes it on takeover and moves it back
+    /// when its home slot re-registers; a lone middleware's successor simply
+    /// sees the same id reconnect.
+    fn connect(&self, client: u64) -> Session {
+        match &self.door {
+            FrontDoor::Single(door) => SessionService::connect(&*door.active.borrow(), client),
+            FrontDoor::Tier(cluster) => cluster.connect(client),
+        }
+    }
+
+    /// `Single` door: replace the crashed coordinator. Data sources run
+    /// their disconnect handling, a successor shares the durable commit log,
+    /// replays it over the in-doubt branches and becomes the active
+    /// instance.
+    async fn failover(&self, door: &SingleDoor) {
+        let old = door.active.borrow().clone();
         if !old.is_crashed() {
             old.crash();
             self.trace
@@ -398,84 +524,174 @@ impl Deployment {
             Self::middleware_config(&self.config, self.partitioner, old.next_txn_seq()),
             Rc::clone(&self.net),
             &self.sources,
-            Some(Rc::clone(&self.commit_log)),
+            Some(Rc::clone(&door.commit_log)),
         );
         let (committed, aborted) = successor.recover().await;
         self.trace.record(&format!(
             "failover: successor dm0 recovered {committed} committed / {aborted} aborted branch(es)"
         ));
-        *self.active_mw.borrow_mut() = successor;
+        *door.active.borrow_mut() = successor;
     }
 
-    /// Apply one node-level event.
+    /// Apply one node-level event (link-level events live in the injector).
     async fn apply(&self, event: &FaultEvent) {
-        match event {
-            FaultEvent::CrashDataSource { ds, .. } => {
-                let node = NodeId::data_source(*ds);
-                let clock = self.clocks.borrow().node_now_micros(node);
+        let trace = &self.trace;
+        match (event, &self.door) {
+            (FaultEvent::CrashDataSource { ds, .. }, door) => {
                 self.sources[*ds as usize].crash();
-                self.trace
-                    .record(&format!("crash ds{ds} (node clock {clock}us)"));
+                match door {
+                    FrontDoor::Single(door) => {
+                        let clock = door
+                            .clocks
+                            .borrow()
+                            .node_now_micros(NodeId::data_source(*ds));
+                        trace.record(&format!("crash ds{ds} (node clock {clock}us)"));
+                    }
+                    FrontDoor::Tier(_) => trace.record(&format!("crash ds{ds}")),
+                }
             }
-            FaultEvent::RestartDataSource { ds, .. } => {
+            (FaultEvent::RestartDataSource { ds, .. }, _) => {
                 let recovered = self.sources[*ds as usize].restart().await;
-                self.trace.record(&format!(
+                trace.record(&format!(
                     "restart ds{ds}: {} prepared branch(es) recovered from the WAL",
                     recovered.len()
                 ));
             }
-            FaultEvent::CrashMiddleware { .. } => {
-                self.active_mw.borrow().crash();
-                self.trace.record("crash middleware dm0");
+            (FaultEvent::CrashMiddleware { .. }, FrontDoor::Single(door)) => {
+                door.active.borrow().crash();
+                trace.record("crash middleware dm0");
             }
-            FaultEvent::CrashMiddlewareAfterFlush { .. } => {
-                self.active_mw.borrow().crash_after_next_flush();
-                self.trace
-                    .record("arm fail point: crash middleware dm0 after next commit-log flush");
+            (FaultEvent::CrashMiddlewareAfterFlush { .. }, FrontDoor::Single(door)) => {
+                door.active.borrow().crash_after_next_flush();
+                trace.record("arm fail point: crash middleware dm0 after next commit-log flush");
             }
-            FaultEvent::FailoverMiddleware { .. } => {
-                self.failover().await;
+            (FaultEvent::FailoverMiddleware { .. }, FrontDoor::Single(door)) => {
+                self.failover(door).await
             }
-            FaultEvent::ClockSkewRamp {
-                node, drift_ppm, ..
-            } => {
-                self.clocks.borrow_mut().ramp(*node, *drift_ppm);
-                self.trace.record(&format!(
+            (
+                FaultEvent::ClockSkewRamp {
+                    node, drift_ppm, ..
+                },
+                FrontDoor::Single(door),
+            ) => {
+                door.clocks.borrow_mut().ramp(*node, *drift_ppm);
+                trace.record(&format!(
                     "clock skew ramp on {node}: {drift_ppm:+} ppm (node clock {}us)",
-                    self.clocks.borrow().node_now_micros(*node)
+                    door.clocks.borrow().node_now_micros(*node)
                 ));
             }
-            // Cluster-tier events have no meaning in the single-coordinator
-            // harness: record the skip so a replayed cluster timeline is
-            // visibly (not silently) incomplete here.
-            FaultEvent::CrashCoordinator { .. }
-            | FaultEvent::CrashCoordinatorAfterFlush { .. }
-            | FaultEvent::RestartCoordinator { .. } => {
+            (FaultEvent::CrashCoordinator { dm, .. }, FrontDoor::Tier(cluster)) => {
+                cluster.crash(*dm);
+                trace.record(&format!("crash coordinator dm{dm}"));
+            }
+            (FaultEvent::CrashCoordinatorAfterFlush { dm, .. }, FrontDoor::Tier(cluster)) => {
+                cluster.crash_after_next_flush(*dm);
+                trace.record(&format!(
+                    "arm fail point: crash coordinator dm{dm} after next commit-log flush"
+                ));
+            }
+            (FaultEvent::RestartCoordinator { dm, .. }, FrontDoor::Tier(cluster)) => {
+                let epoch = cluster.restart(*dm).await;
+                trace.record(&format!(
+                    "restart coordinator dm{dm}: successor registered at epoch {epoch}"
+                ));
+            }
+            // A coordinator-level event scripted for the other door has no
+            // meaning here: record the skip so a replayed timeline is visibly
+            // (not silently) incomplete.
+            (other, _) => trace.record(&format!(
+                "ignoring {other:?}: an event of the other front door"
+            )),
+        }
+    }
+
+    /// How long after the last client and event the run waits for in-flight
+    /// notifications and deferred decisions to settle. A tier additionally
+    /// needs a lease plus supervisor scans to notice a death and take over.
+    fn settle_time(&self) -> Duration {
+        let detection = self.config.tier.as_ref().map_or(Duration::ZERO, |tier| {
+            tier.membership.lease + tier.supervisor_interval * 2
+        });
+        detection + self.config.decision_wait_timeout * 2 + Duration::from_secs(1)
+    }
+
+    /// Heal everything and resolve the in-doubt state: detach the fault
+    /// plane, restart crashed data sources, and let the front door run its
+    /// final recovery pass (a lone crashed middleware fails over first; a
+    /// tier recovers every gtrid space, adopting never-adopted dead slots).
+    async fn heal(&self) {
+        if let FrontDoor::Tier(cluster) = &self.door {
+            cluster.stop();
+        }
+        self.net.clear_fault_injector();
+        for ds in &self.sources {
+            if ds.is_crashed() {
+                let recovered = ds.restart().await;
                 self.trace.record(&format!(
-                    "single-coordinator harness: ignoring cluster event {event:?} \
-                     (replay it through run_cluster_scenario)"
+                    "final heal: restart ds{} ({} prepared branch(es) recovered)",
+                    ds.index(),
+                    recovered.len()
                 ));
             }
-            // Link-level events live in the injector.
-            _ => {}
+        }
+        let ((committed, aborted), takeovers) = match &self.door {
+            FrontDoor::Single(door) => {
+                if door.active.borrow().is_crashed() {
+                    self.failover(door).await;
+                }
+                let final_mw = door.active.borrow().clone();
+                (final_mw.recover().await, String::new())
+            }
+            FrontDoor::Tier(cluster) => (
+                cluster.recover_all().await,
+                format!("; takeovers so far: {}", cluster.takeover_count()),
+            ),
+        };
+        self.trace.record(&format!(
+            "final recovery pass: {committed} committed / {aborted} aborted branch(es){takeovers}"
+        ));
+    }
+
+    /// The durable decision for `gtrid`, from whichever commit log owns it.
+    fn decision(&self, gtrid: u64) -> Option<Decision> {
+        match &self.door {
+            FrontDoor::Single(door) => door.commit_log.decision(gtrid),
+            FrontDoor::Tier(cluster) => cluster.decision(gtrid),
         }
     }
 }
 
-/// Run `schedule` against a fresh cluster driving the balance-transfer
-/// workload described by `config` (the original drill shape; with
-/// [`ChaosConfig::interactive_transfers`] the transfers ship one operation
-/// per statement round instead).
-pub fn run_scenario(config: ChaosConfig, schedule: FaultSchedule) -> ChaosReport {
-    let base = TransferWorkload::from_config(&config);
-    if config.interactive_transfers {
-        run_scenario_with(
-            config,
-            schedule,
-            Rc::new(crate::workload::InteractiveTransferWorkload(base)),
-        )
-    } else {
-        run_scenario_with(config, schedule, Rc::new(base))
+/// Client-side bookkeeping shared by every client task of a run.
+#[derive(Default)]
+struct Tally {
+    /// Outcomes of transactions that actually started.
+    ledger: RefCell<Vec<TxnOutcome>>,
+    /// Connection attempts a crashed (or absent) coordinator refused.
+    refused: Cell<u64>,
+    /// Other transient non-starts: overload sheds and reaped sessions.
+    degraded: Cell<u64>,
+}
+
+impl Tally {
+    /// Book one attempt's outcome. Transient non-starts (gtrid 0: refused
+    /// connection, overload shed, reaped session) never started a
+    /// transaction, so they are counted separately and kept out of the
+    /// per-transaction ledger; returns whether the caller may retry.
+    fn book(&self, outcome: TxnOutcome) -> Option<TxnOutcome> {
+        let transient = outcome.is_refusal()
+            || outcome.is_overloaded()
+            || outcome.abort_reason == Some(AbortReason::SessionExpired);
+        if !transient {
+            self.ledger.borrow_mut().push(outcome);
+            return None;
+        }
+        let counter = if outcome.is_refusal() {
+            &self.refused
+        } else {
+            &self.degraded
+        };
+        counter.set(counter.get() + 1);
+        Some(outcome)
     }
 }
 
@@ -485,9 +701,9 @@ pub fn run_scenario(config: ChaosConfig, schedule: FaultSchedule) -> ChaosReport
 /// Returns `None` when the client crashed mid-transaction (no client-side
 /// outcome exists — the middleware's connection-loss handling owns the
 /// cleanup) and `Some(outcome)` otherwise.
-pub(crate) async fn drive_client_txn(
-    session: &mut geotp_middleware::Session,
-    spec: &geotp_middleware::TransactionSpec,
+async fn drive_client_txn(
+    session: &mut Session,
+    spec: &TransactionSpec,
     think_time: Duration,
     crash_client: bool,
 ) -> Option<TxnOutcome> {
@@ -513,9 +729,9 @@ pub(crate) async fn drive_client_txn(
 }
 
 /// The per-client workload RNG stream. One derivation, used by the seeded
-/// client loops of *both* harnesses and by [`client_scripts`]: the workload
-/// shrinker's "exact scripts a seeded run would generate" contract depends
-/// on these never diverging.
+/// client loops, the flash-crowd arrivals and [`client_scripts`]: the
+/// workload shrinker's "exact scripts a seeded run would generate" contract
+/// depends on these never diverging.
 pub fn client_rng(seed: u64, client: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (0x5151_7c7c + client as u64 * 0x9e37))
 }
@@ -528,7 +744,7 @@ pub fn client_rng(seed: u64, client: usize) -> StdRng {
 pub fn client_scripts(
     config: &ChaosConfig,
     workload: &dyn ChaosWorkload,
-) -> Vec<Vec<geotp_middleware::TransactionSpec>> {
+) -> Vec<Vec<TransactionSpec>> {
     (0..config.clients)
         .map(|client| {
             let mut rng = client_rng(config.seed, client);
@@ -539,45 +755,54 @@ pub fn client_scripts(
         .collect()
 }
 
-/// Run `schedule` with an *explicit* per-client workload instead of seeded
+/// Run `schedule` against a fresh deployment described by `config`, driving
+/// `workload`, and return the invariant-checked, replayable report.
+pub fn run(
+    config: ChaosConfig,
+    schedule: FaultSchedule,
+    workload: Rc<dyn ChaosWorkload>,
+) -> ChaosReport {
+    run_impl(config, schedule, workload, None)
+}
+
+/// [`run`] with an *explicit* per-client workload instead of seeded
 /// generation: client `i` executes exactly `scripts[i]`, in order (retries
 /// after a refused connection re-submit the same spec, as always). `workload`
 /// still supplies the partitioner, the initial load and the consistency
 /// conditions. This is the replay vehicle for minimized workloads.
-pub fn run_scenario_scripted(
+pub fn run_scripted(
     config: ChaosConfig,
     schedule: FaultSchedule,
     workload: Rc<dyn ChaosWorkload>,
-    scripts: Vec<Vec<geotp_middleware::TransactionSpec>>,
+    scripts: Vec<Vec<TransactionSpec>>,
 ) -> ChaosReport {
-    run_scenario_impl(config, schedule, workload, Some(scripts))
+    run_impl(config, schedule, workload, Some(scripts))
 }
 
-/// Run `schedule` against a fresh cluster described by `config`, driving
-/// `workload`, and return the invariant-checked, replayable report.
-pub fn run_scenario_with(
-    config: ChaosConfig,
-    schedule: FaultSchedule,
-    workload: Rc<dyn ChaosWorkload>,
-) -> ChaosReport {
-    run_scenario_impl(config, schedule, workload, None)
-}
-
-/// Build the simulator runtime for a chaos run: the middleware and data
-/// sources are declared as topology nodes (links carry the configured WAN
-/// RTTs) but pinned to shard 0, because the deployment is one `Rc`-shared
-/// object graph. Extra worker shards idle at the barrier, which is exactly
-/// the scheduler-independence property the worker-matrix tests pin down.
+/// Build the simulator runtime for a chaos run: coordinators, the tier's
+/// control node and the data sources are declared as topology nodes (links
+/// carry the configured RTTs) but pinned to shard 0, because the deployment
+/// is one `Rc`-shared object graph. Extra worker shards idle at the barrier,
+/// which is exactly the scheduler-independence property the worker-matrix
+/// tests pin down.
 fn chaos_runtime(config: &ChaosConfig) -> geotp_simrt::Runtime {
-    let mut builder = geotp_simrt::RuntimeBuilder::from_env()
-        .seed(config.seed)
-        .node("mw0")
-        .assign("mw0", 0);
-    for (i, rtt_ms) in config.ds_rtts_ms.iter().enumerate() {
-        let ds = format!("ds{i}");
-        builder = builder
-            .link("mw0", &ds, Duration::from_millis(*rtt_ms))
-            .assign(&ds, 0);
+    let mut builder = geotp_simrt::RuntimeBuilder::from_env().seed(config.seed);
+    if config.tier.is_some() {
+        builder = builder.node("control0").assign("control0", 0);
+    }
+    for c in 0..config.coordinators() {
+        let mw = format!("mw{c}");
+        if let Some(tier) = &config.tier {
+            let control_rtt = Duration::from_millis(tier.control_rtt_ms);
+            builder = builder.link("control0", &mw, control_rtt);
+        }
+        builder = builder.assign(&mw, 0);
+        for (i, rtt_ms) in config.ds_rtts_ms.iter().enumerate() {
+            let ds = format!("ds{i}");
+            builder = builder
+                .link(&mw, &ds, Duration::from_millis(*rtt_ms))
+                .assign(&ds, 0);
+        }
     }
     if let Some(workers) = config.workers {
         builder = builder.workers(workers);
@@ -585,17 +810,78 @@ fn chaos_runtime(config: &ChaosConfig) -> geotp_simrt::Runtime {
     builder.build()
 }
 
-fn run_scenario_impl(
+/// The flash crowd (`Tier` door): register the mostly-idle session crowd,
+/// then spawn one task per open-loop spike arrival.
+fn spawn_flash_crowd(
+    fc: FlashCrowdConfig,
+    cluster: &Rc<CoordinatorCluster>,
+    deployment: &Deployment,
+    workload: &Rc<dyn ChaosWorkload>,
+    tally: &Rc<Tally>,
+) -> Vec<JoinHandle<()>> {
+    let seed = deployment.config.seed;
+    // Register the crowd up front: every session pins its router affinity
+    // and lands a registry entry on its coordinator — the state the reaper
+    // must keep lean.
+    let mut registered = 0u64;
+    for session in 0..fc.idle_sessions {
+        if let Some(coord) = cluster.router().route(session) {
+            cluster.middleware(coord).register_session(session);
+            registered += 1;
+        }
+    }
+    deployment.trace.record(&format!(
+        "flash crowd: {registered} idle session(s) registered, spike {}/s for {:?} at {:?}",
+        fc.spike_arrivals_per_sec, fc.spike_duration, fc.spike_at
+    ));
+    let spike_micros = fc.spike_duration.as_micros() as u64;
+    let arrivals = (spike_micros * fc.spike_arrivals_per_sec / 1_000_000).max(1);
+    let interval_micros = (spike_micros / arrivals).max(1);
+    let zipf = Rc::new(ZipfianGenerator::new(fc.idle_sessions, fc.zipf_theta));
+    (0..arrivals)
+        .map(|arrival| {
+            let cluster = Rc::clone(cluster);
+            let workload = Rc::clone(workload);
+            let tally = Rc::clone(tally);
+            let zipf = Rc::clone(&zipf);
+            spawn(async move {
+                let at = SimInstant::ZERO
+                    + fc.spike_at
+                    + Duration::from_micros(arrival * interval_micros);
+                sleep_until(at).await;
+                // Each arrival gets its own derived RNG stream: the whole
+                // spike (session choice, spec, backoff jitter) is a pure
+                // function of the run's seed.
+                let mut rng = client_rng(seed, 0x0f1a_5000 + arrival as usize);
+                let session_id = zipf.next(&mut rng);
+                let spec = workload.next_spec(&mut rng);
+                let mut session = cluster.connect(session_id);
+                let retried = session
+                    .run_spec_with_retries(&spec, Duration::ZERO, fc.retry, &mut rng)
+                    .await;
+                // A still-transient outcome means the budget ran out without
+                // ever starting a transaction: shed load, not an abort.
+                tally.book(retried.outcome);
+            })
+        })
+        .collect()
+}
+
+fn run_impl(
     config: ChaosConfig,
     schedule: FaultSchedule,
     workload: Rc<dyn ChaosWorkload>,
-    scripts: Option<Vec<Vec<geotp_middleware::TransactionSpec>>>,
+    scripts: Option<Vec<Vec<TransactionSpec>>>,
 ) -> ChaosReport {
     let mut rt = chaos_runtime(&config);
     rt.block_on(async move {
         let trace = EventTrace::new();
+        let (tier_tag, coordinators) = match &config.tier {
+            None => ("", String::new()),
+            Some(tier) => ("cluster ", format!(" coordinators={}", tier.coordinators)),
+        };
         trace.record(&format!(
-            "scenario start: workload={} seed={} nodes={} clients={}x{} protocol={}",
+            "{tier_tag}scenario start: workload={} seed={}{coordinators} nodes={} clients={}x{} protocol={}",
             workload.name(),
             config.seed,
             config.nodes(),
@@ -619,19 +905,17 @@ fn run_scenario_impl(
         };
 
         // ---------------- workload ----------------
-        let ledger: Rc<RefCell<Vec<TxnOutcome>>> = Rc::new(RefCell::new(Vec::new()));
-        let refused_connections = Rc::new(std::cell::Cell::new(0u64));
+        let tally = Rc::new(Tally::default());
         let scripts = scripts.map(Rc::new);
         let client_count = scripts.as_ref().map(|s| s.len()).unwrap_or(config.clients);
         let mut clients = Vec::new();
         for client in 0..client_count {
             let deployment = Rc::clone(&deployment);
-            let ledger = Rc::clone(&ledger);
-            let refused_connections = Rc::clone(&refused_connections);
+            let tally = Rc::clone(&tally);
             let workload = Rc::clone(&workload);
             let scripts = scripts.clone();
-            let config = config.clone();
             clients.push(spawn(async move {
+                let config = &deployment.config;
                 let mut rng = client_rng(config.seed, client);
                 let txns = scripts
                     .as_ref()
@@ -646,47 +930,33 @@ fn run_scenario_impl(
                         .client_crash_every
                         .is_some_and(|n| n > 0 && (txn as u64 + 1).is_multiple_of(n));
                     // A crashed coordinator refuses the connection; real
-                    // clients reconnect and retry (re-`connect`ing their
-                    // session against whatever instance is serving) under
-                    // the config's retry policy. Refusals and other transient
-                    // non-starts never started a transaction (gtrid 0), so
-                    // they are counted separately and kept out of the
-                    // per-transaction ledger. Bounded so a schedule without
-                    // failover still drains.
-                    let retry = config.retry;
-                    let mut attempts = 0;
-                    loop {
-                        let mw = deployment.active_mw.borrow().clone();
-                        let mut session =
-                            geotp_middleware::SessionService::connect(&mw, client as u64);
-                        attempts += 1;
+                    // clients reconnect (against whatever is serving by
+                    // then) and re-submit the same spec.
+                    for attempt in 1..=CLIENT_RETRY.max_attempts {
+                        let mut session = deployment.connect(client as u64);
                         let Some(outcome) =
                             drive_client_txn(&mut session, &spec, config.think_time, crash_client)
                                 .await
                         else {
-                            // The client crashed mid-transaction: nobody is
-                            // waiting for an outcome; move on.
+                            // The client crashed mid-transaction on purpose:
+                            // nobody is waiting for an outcome; move on.
                             break;
                         };
-                        let transient = outcome.is_refusal()
-                            || outcome.is_overloaded()
-                            || outcome.abort_reason == Some(AbortReason::SessionExpired);
-                        if !transient {
-                            ledger.borrow_mut().push(outcome);
+                        let Some(transient) = tally.book(outcome) else {
                             break;
+                        };
+                        if attempt < CLIENT_RETRY.max_attempts {
+                            let pause = CLIENT_RETRY.backoff(attempt - 1, &mut rng);
+                            sleep(pause.max(transient.retry_after.unwrap_or_default())).await;
                         }
-                        refused_connections.set(refused_connections.get() + 1);
-                        if attempts >= retry.max_attempts {
-                            break;
-                        }
-                        let mut pause = retry.backoff(attempts - 1, &mut rng);
-                        if let Some(hint) = outcome.retry_after {
-                            pause = pause.max(hint);
-                        }
-                        sleep(pause).await;
                     }
                 }
             }));
+        }
+        if let (FrontDoor::Tier(cluster), Some(tier)) = (&deployment.door, &config.tier) {
+            if let Some(fc) = tier.flash_crowd {
+                clients.extend(spawn_flash_crowd(fc, cluster, &deployment, &workload, &tally));
+            }
         }
 
         // ---------------- drain, bounded by the liveness horizon ----------------
@@ -695,8 +965,7 @@ fn run_scenario_impl(
                 client.await;
             }
             controller.await;
-            // Let in-flight notifications / deferred decisions settle.
-            sleep(config.decision_wait_timeout * 2 + Duration::from_secs(1)).await;
+            sleep(deployment.settle_time()).await;
         })
         .await;
         let workload_drained = drained.is_ok();
@@ -704,29 +973,10 @@ fn run_scenario_impl(
             "workload drained within horizon: {workload_drained}"
         ));
 
-        // ---------------- heal everything, resolve in-doubt state ----------------
-        deployment.net.clear_fault_injector();
-        for ds in &deployment.sources {
-            if ds.is_crashed() {
-                let recovered = ds.restart().await;
-                trace.record(&format!(
-                    "final heal: restart ds{} ({} prepared branch(es) recovered)",
-                    ds.index(),
-                    recovered.len()
-                ));
-            }
-        }
-        if deployment.active_mw.borrow().is_crashed() {
-            deployment.failover().await;
-        }
-        let final_mw = deployment.active_mw.borrow().clone();
-        let (rec_committed, rec_aborted) = final_mw.recover().await;
-        trace.record(&format!(
-            "final recovery pass: {rec_committed} committed / {rec_aborted} aborted branch(es)"
-        ));
+        deployment.heal().await;
 
         // ---------------- tally + invariants ----------------
-        let ledger = ledger.borrow();
+        let ledger = tally.ledger.borrow();
         let committed = ledger.iter().filter(|o| o.committed).count() as u64;
         // Indeterminate = transactions that actually started (gtrid
         // assigned) and then lost their coordinator mid-flight; connection
@@ -736,18 +986,40 @@ fn run_scenario_impl(
             .filter(|o| o.gtrid != 0 && o.abort_reason == Some(AbortReason::CoordinatorCrashed))
             .count() as u64;
         let aborted = ledger.len() as u64 - committed - indeterminate;
-        if refused_connections.get() > 0 {
-            trace.record(&format!(
-                "coordinator refused {} connection attempt(s) while crashed",
-                refused_connections.get()
-            ));
+        let refused = tally.refused.get();
+        let mut takeovers = String::new();
+        match &deployment.door {
+            FrontDoor::Single(_) => {
+                if refused > 0 {
+                    trace.record(&format!(
+                        "coordinator refused {refused} connection attempt(s) while crashed"
+                    ));
+                }
+            }
+            FrontDoor::Tier(cluster) => {
+                if refused > 0 {
+                    trace.record(&format!(
+                        "router/coordinators refused {refused} connection attempt(s)"
+                    ));
+                }
+                let degraded = tally.degraded.get();
+                if degraded > 0 || cluster.shed_count() > 0 || cluster.reaped_sessions() > 0 {
+                    trace.record(&format!(
+                        "degradation: {degraded} transient non-start(s) (shed/expired) seen by \
+                         clients, {} begin(s) shed by admission, {} idle session(s) reaped",
+                        cluster.shed_count(),
+                        cluster.reaped_sessions()
+                    ));
+                }
+                takeovers = format!(" takeovers={}", cluster.takeover_count());
+            }
         }
 
         let mut invariants = invariants::check(
             &deployment.sources,
             || workload.consistency_violations(&deployment.sources),
             &ledger,
-            |gtrid| deployment.commit_log.decision(gtrid),
+            |gtrid| deployment.decision(gtrid),
             workload_drained,
         );
         // Traced runs also get the trace oracle (fifth checker). Its verdict
@@ -759,11 +1031,11 @@ fn run_scenario_impl(
                 &telemetry,
                 &deployment.sources,
                 &ledger,
-                &deployment.config.trace_rules,
+                &config.trace_rules,
             );
         }
         trace.record(&format!(
-            "summary: committed={committed} aborted={aborted} indeterminate={indeterminate}"
+            "summary: committed={committed} aborted={aborted} indeterminate={indeterminate}{takeovers}"
         ));
         trace.record(&format!(
             "invariants: atomicity={} durability={} liveness={} serializability={}",

@@ -324,17 +324,6 @@ pub fn check_spans(
     violations
 }
 
-/// Run the trace oracle — built-ins only — over the installed run's
-/// telemetry and fold the verdict into `report.trace_ok`.
-pub fn apply(
-    report: &mut InvariantReport,
-    telemetry: &Telemetry,
-    sources: &[Rc<DataSource>],
-    ledger: &[TxnOutcome],
-) {
-    apply_with(report, telemetry, sources, ledger, &TraceRules::default());
-}
-
 /// Run the trace oracle — built-ins plus `extra` rules — over the installed
 /// run's telemetry and fold the verdict into `report.trace_ok`. Harvests
 /// the durable-gtrid set from the WALs and the concluded set from the

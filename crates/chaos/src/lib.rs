@@ -17,10 +17,11 @@
 //!   harness's controller task against the hooks the component crates expose
 //!   (`StorageEngine::crash`/`restart`, `Middleware::crash`,
 //!   `crash_after_next_flush`, shared commit logs, `recover`);
-//! * [`run_scenario_with`] drives any [`ChaosWorkload`] — balance transfers
+//! * [`run`] drives any [`ChaosWorkload`] — balance transfers
 //!   ([`TransferWorkload`]) or the real TPC-C mix ([`TpccChaosWorkload`]) —
-//!   under the schedule on the simulated runtime and hands the final state
-//!   to the [`invariants`] checkers: **atomicity** (no transaction with both
+//!   under the schedule on the simulated runtime, behind either front door
+//!   (one middleware, or a coordinator tier when [`ChaosConfig::tier`] is
+//!   set), and hands the final state to the [`invariants`] checkers: **atomicity** (no transaction with both
 //!   a committed and an aborted branch, plus the workload's own consistency
 //!   conditions), **durability** (every outcome the client saw as committed
 //!   is backed by a durable commit decision and per-branch WAL commits after
@@ -40,57 +41,52 @@
 //!   bit-identical trace, across runs *and across processes* — chaos
 //!   findings are perfectly reproducible.
 //!
-//! The [`scenarios`] module ships named presets (prepare-phase crash,
-//! commit-phase partition, asymmetric partition, rolling restarts, WAN
-//! brownout, coordinator failover, lossy notifications, clock-skew drift,
-//! …), each runnable under either workload ([`Scenario::run_with`]); they
-//! double as the failure-drill tables in `geotp-experiments` and as
+//! The [`presets`] table ships the named drills (prepare-phase crash,
+//! commit-phase partition, rolling restarts, WAN brownout, coordinator
+//! failover, lossy notifications, clock-skew drift, MVCC long readers,
+//! write skew, group-commit crash window, coordinator takeover, split
+//! brain, flash crowd, …), one row each: front door, configuration,
+//! schedule, the workloads it is swept under and the verdict it must reach.
+//! The rows double as the failure-drill tables in `geotp-experiments` and as
 //! regression sweeps in this crate's tests.
 //!
 //! ```
-//! use geotp_chaos::scenarios::{DrillWorkload, Scenario};
+//! use geotp_chaos::{preset, DrillWorkload};
 //!
-//! let report = Scenario::PreparePhaseCrash.run(7);
+//! let crash = preset("prepare_phase_crash");
+//! let report = crash.run(7);
 //! assert!(report.invariants.all_hold(), "{:?}", report.invariants.violations);
 //! // Replayable: the same seed produces a bit-identical event trace.
-//! assert_eq!(report.fingerprint, Scenario::PreparePhaseCrash.run(7).fingerprint);
+//! assert_eq!(report.fingerprint, crash.run(7).fingerprint);
 //! // The same preset drives the TPC-C mix, serializability-checked.
-//! let tpcc = Scenario::PreparePhaseCrash.run_with(7, DrillWorkload::Tpcc);
+//! let tpcc = crash.run_with(7, DrillWorkload::Tpcc);
 //! assert!(tpcc.invariants.serializability_ok);
 //! ```
 
-pub mod cluster_harness;
 pub mod harness;
 pub mod injector;
 pub mod invariants;
 pub mod mvcc;
-pub mod scenarios;
+pub mod presets;
 pub mod schedule;
 pub mod shrink;
 pub mod telemetry;
 pub mod trace;
 pub mod workload;
 
-pub use cluster_harness::{
-    run_cluster_scenario, run_cluster_scenario_with, ClusterChaosConfig, ClusterScenario,
-    FlashCrowdConfig,
-};
 pub use geotp_middleware::Protocol;
 pub use harness::{
-    client_rng, client_scripts, run_scenario, run_scenario_scripted, run_scenario_with,
-    ChaosConfig, ChaosReport,
+    client_rng, client_scripts, run, run_scripted, ChaosConfig, ChaosReport, FlashCrowdConfig,
+    TierConfig,
 };
 pub use injector::ScheduleInjector;
 pub use invariants::trace::{TraceContext, TraceRule, TraceRules};
 pub use invariants::{InvariantReport, SerializabilityReport};
-pub use mvcc::{LongReaderOltpWorkload, MvccScenario, WriteSkewWorkload};
-pub use scenarios::{DrillWorkload, Scenario};
+pub use mvcc::{LongReaderOltpWorkload, WriteSkewWorkload};
+pub use presets::{preset, Door, DrillWorkload, Expect, Preset, PRESETS};
 pub use schedule::{FaultEvent, FaultSchedule, RandomFaultConfig};
 pub use shrink::{shrink_schedule, shrink_workload, ShrinkReport, WorkloadShrinkReport};
-pub use telemetry::{
-    attach_trace_on_failure, run_scenario_traced, run_scenario_with_traced, traced, traced_capped,
-    write_failure_artifact,
-};
+pub use telemetry::{attach_trace_on_failure, traced, traced_capped, write_failure_artifact};
 pub use trace::EventTrace;
 pub use workload::{
     ChaosWorkload, InteractiveTransferWorkload, TpccChaosWorkload, TransferWorkload, CHAOS_TABLE,

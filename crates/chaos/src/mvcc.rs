@@ -1,44 +1,30 @@
-//! MVCC and group-commit failure drills.
+//! Workloads of the MVCC drills.
 //!
-//! These presets exercise the storage tier's versioned read path and the
-//! WAL's group-commit window under the same five checkers as the classic
-//! drills. They are deliberately *not* part of [`crate::Scenario::all`]:
-//! the legacy presets pin the default strict-2PL engine byte-identically,
-//! while everything here opts into the new `EngineConfig` knobs
-//! (`isolation`, `group_commit_window`) and the coordinator's
-//! snapshot-read fast path.
+//! The `long_readers_*` and `write_skew_*` rows of the preset table
+//! ([`crate::PRESETS`]) exercise the storage tier's versioned read path
+//! under the same five checkers as the classic drills; these are the
+//! workloads they drive.
 //!
-//! * [`MvccScenario::LongReadersSnapshot`] — long multi-round read-only
-//!   scans (unannotated, so the coordinator commits them via the
-//!   snapshot-read fast path) against an OLTP write stream on disjoint
-//!   keys, under `SnapshotRead`. Readers acquire **zero** locks: the run's
-//!   `storage.lock_wait` histogram stays empty, which the sweep asserts.
-//! * [`MvccScenario::LongReaders2pl`] — the same workload under the legacy
-//!   `Serializable2pl` engine, as the contrast run: the same scans *do*
-//!   contend there, so the lock-wait histogram is non-empty.
-//! * [`MvccScenario::WriteSkewSnapshot`] / [`MvccScenario::WriteSkewReadCommitted`]
-//!   — a write-skew-prone hot-pair workload under the deliberately weak
-//!   isolation modes; the serializability checker must convict at least
-//!   one seed (the adversarial leg of the checker suite).
-//! * [`MvccScenario::GroupCommitCrashWindow`] — balance transfers with a
-//!   10 ms group-commit window and a data source crashing mid-traffic, so
-//!   crashes land *between a commit's WAL append and the deferred group
-//!   flush* (§V-A at the storage tier). Unacknowledged commits must roll
-//!   back on recovery; all five checkers stay green.
+//! * [`LongReaderOltpWorkload`] — long multi-round read-only scans
+//!   (unannotated, so the coordinator commits them via the snapshot-read
+//!   fast path when it is on) against an OLTP write stream on disjoint keys.
+//!   Under `SnapshotRead` readers acquire **zero** locks: the run's
+//!   `storage.lock_wait` histogram stays empty, which the sweep asserts;
+//!   under strict 2PL the same scans *do* contend.
+//! * [`WriteSkewWorkload`] — a write-skew-prone hot pair for the
+//!   deliberately weak isolation modes; the serializability checker must
+//!   convict it (the adversarial leg of the checker suite).
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::time::Duration;
 
 use geotp_datasource::DataSource;
 use geotp_middleware::{ClientOp, GlobalKey, Partitioner, TransactionSpec};
-use geotp_storage::{IsolationLevel, Row};
+use geotp_storage::Row;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::harness::{run_scenario_with, ChaosConfig, ChaosReport};
-use crate::schedule::{FaultEvent, FaultSchedule};
-use crate::workload::{ChaosWorkload, TransferWorkload, CHAOS_TABLE};
+use crate::workload::{ChaosWorkload, CHAOS_TABLE};
 
 /// Long read-only scans interleaved with an OLTP write stream that never
 /// contends with itself.
@@ -215,132 +201,10 @@ impl ChaosWorkload for WriteSkewWorkload {
     }
 }
 
-/// The MVCC / group-commit failure drills. Not part of
-/// [`crate::Scenario::all`]: every preset here opts into non-default
-/// engine knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MvccScenario {
-    /// Long readers vs. OLTP under `SnapshotRead` with the coordinator's
-    /// snapshot-read fast path: readers acquire zero locks.
-    LongReadersSnapshot,
-    /// The same workload under legacy strict 2PL — the contrast run whose
-    /// lock-wait histogram is non-empty.
-    LongReaders2pl,
-    /// Write-skew hot pair under `SnapshotRead` (snapshot isolation's
-    /// classic anomaly).
-    WriteSkewSnapshot,
-    /// Write-skew hot pair under `ReadCommitted`.
-    WriteSkewReadCommitted,
-    /// Balance transfers with a 10 ms group-commit window and a data source
-    /// crashing mid-traffic: crashes land between WAL append and the
-    /// deferred group flush; unacknowledged commits roll back on recovery.
-    GroupCommitCrashWindow,
-}
-
-impl MvccScenario {
-    /// Every preset, in a stable order.
-    pub fn all() -> [MvccScenario; 5] {
-        [
-            MvccScenario::LongReadersSnapshot,
-            MvccScenario::LongReaders2pl,
-            MvccScenario::WriteSkewSnapshot,
-            MvccScenario::WriteSkewReadCommitted,
-            MvccScenario::GroupCommitCrashWindow,
-        ]
-    }
-
-    /// Stable identifier used in traces and CI output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MvccScenario::LongReadersSnapshot => "long_readers_snapshot",
-            MvccScenario::LongReaders2pl => "long_readers_2pl",
-            MvccScenario::WriteSkewSnapshot => "write_skew_snapshot",
-            MvccScenario::WriteSkewReadCommitted => "write_skew_read_committed",
-            MvccScenario::GroupCommitCrashWindow => "group_commit_crash_window",
-        }
-    }
-
-    /// The preset's configuration, fault schedule and workload for a seed.
-    pub fn build(&self, seed: u64) -> (ChaosConfig, FaultSchedule, Rc<dyn ChaosWorkload>) {
-        let mut config = ChaosConfig {
-            seed,
-            ..ChaosConfig::default()
-        };
-        let s = Duration::from_secs;
-        match self {
-            MvccScenario::LongReadersSnapshot | MvccScenario::LongReaders2pl => {
-                config.isolation = if matches!(self, MvccScenario::LongReadersSnapshot) {
-                    IsolationLevel::SnapshotRead
-                } else {
-                    IsolationLevel::Serializable2pl
-                };
-                config.snapshot_reads = matches!(self, MvccScenario::LongReadersSnapshot);
-                // O3's late scheduling would refuse admission to the hot
-                // scans and serialize access before it ever reaches the
-                // engines; these drills study the *engine's* read path, so
-                // run O1–O2 and let the conflicting transactions through.
-                config.protocol = geotp_middleware::Protocol::geotp_o1_o2();
-                config.clients = 6;
-                config.txns_per_client = 20;
-                // Readers span two statement rounds with think time between
-                // them, so their snapshot (or, under 2PL, their shared
-                // locks) outlives several writer commits.
-                config.think_time = Duration::from_millis(20);
-                let workload = LongReaderOltpWorkload::drill_scale(config.nodes());
-                (config, FaultSchedule::new(), Rc::new(workload))
-            }
-            MvccScenario::WriteSkewSnapshot | MvccScenario::WriteSkewReadCommitted => {
-                config.isolation = if matches!(self, MvccScenario::WriteSkewSnapshot) {
-                    IsolationLevel::SnapshotRead
-                } else {
-                    IsolationLevel::ReadCommitted
-                };
-                // Same reasoning as the long-reader presets: the hot pair
-                // must actually reach the engines concurrently for the
-                // anomaly to form, so keep O3's admission lottery out.
-                config.protocol = geotp_middleware::Protocol::geotp_o1_o2();
-                config.clients = 6;
-                config.txns_per_client = 15;
-                let workload = WriteSkewWorkload::drill_scale(config.nodes());
-                (config, FaultSchedule::new(), Rc::new(workload))
-            }
-            MvccScenario::GroupCommitCrashWindow => {
-                // Default (strict-2PL) isolation: group commit is orthogonal
-                // to the read path, and the transfer workload's checkers are
-                // the sharpest about torn commits.
-                config.group_commit_window = Duration::from_millis(10);
-                let workload = TransferWorkload::from_config(&config);
-                let schedule = FaultSchedule::new()
-                    .with(FaultEvent::CrashDataSource { at: s(3), ds: 1 })
-                    .with(FaultEvent::RestartDataSource { at: s(6), ds: 1 })
-                    .with(FaultEvent::CrashDataSource { at: s(8), ds: 0 })
-                    .with(FaultEvent::RestartDataSource { at: s(10), ds: 0 });
-                (config, schedule, Rc::new(workload))
-            }
-        }
-    }
-
-    /// Build and run this preset under `seed`.
-    pub fn run(&self, seed: u64) -> ChaosReport {
-        let (config, schedule, workload) = self.build(seed);
-        run_scenario_with(config, schedule, workload)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    #[test]
-    fn preset_names_are_unique_and_disjoint_from_the_legacy_drills() {
-        let mut names: Vec<&str> = MvccScenario::all().iter().map(|p| p.name()).collect();
-        names.extend(crate::Scenario::all().iter().map(|p| p.name()));
-        let mut dedup = names.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), names.len());
-    }
 
     #[test]
     fn long_reader_mix_interleaves_unannotated_scans_with_conserving_writes() {
@@ -392,22 +256,6 @@ mod tests {
             targets.into_iter().collect::<Vec<_>>(),
             vec![0, 1],
             "both halves get written across specs"
-        );
-    }
-
-    #[test]
-    fn presets_opt_into_the_new_engine_knobs() {
-        let (snap, _, _) = MvccScenario::LongReadersSnapshot.build(1);
-        assert_eq!(snap.isolation, IsolationLevel::SnapshotRead);
-        assert!(snap.snapshot_reads);
-        let (legacy, _, _) = MvccScenario::LongReaders2pl.build(1);
-        assert_eq!(legacy.isolation, IsolationLevel::Serializable2pl);
-        assert!(!legacy.snapshot_reads);
-        let (gc, schedule, _) = MvccScenario::GroupCommitCrashWindow.build(1);
-        assert_eq!(gc.group_commit_window, Duration::from_millis(10));
-        assert!(
-            schedule.last_fault_instant() + gc.decision_wait_timeout * 2 < gc.horizon,
-            "faults must heal comfortably before the horizon"
         );
     }
 }

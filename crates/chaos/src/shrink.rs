@@ -202,8 +202,8 @@ pub struct WorkloadShrinkReport {
 /// [`crate::harness::client_scripts`], which materializes exactly what the
 /// seeded harness would have generated); `fails` replays a full scenario
 /// against a candidate script set, typically through
-/// [`crate::harness::run_scenario_scripted`]. Returns `None` if the initial
-/// workload does not fail at all.
+/// [`crate::run_scripted`]. Returns `None` if the initial workload does not
+/// fail at all.
 pub fn shrink_workload<F>(
     initial: &[Vec<TransactionSpec>],
     max_runs: u32,

@@ -1,5 +1,5 @@
-//! Traced chaos runs: run any scenario with a `geotp-telemetry` collector
-//! installed, and turn a failing drill into an on-disk trace artifact.
+//! Traced chaos runs: run any scenario (`traced(|| run(..))`) with a
+//! `geotp-telemetry` collector installed, and turn a failing drill into an on-disk trace artifact.
 //!
 //! Tracing is guaranteed not to perturb the schedule — the collector only
 //! reads the virtual clock and appends to in-memory structures — so a traced
@@ -13,14 +13,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use geotp_middleware::TransactionSpec;
 use geotp_telemetry::Telemetry;
 
-use crate::harness::{
-    run_scenario, run_scenario_scripted, run_scenario_with, ChaosConfig, ChaosReport,
-};
-use crate::schedule::FaultSchedule;
-use crate::workload::ChaosWorkload;
+use crate::harness::ChaosReport;
 
 /// Run `f` with a fresh telemetry collector installed, returning both its
 /// report and the collector. Restores the previous install state afterwards,
@@ -51,35 +46,6 @@ fn traced_into<F: FnOnce() -> ChaosReport>(
         geotp_telemetry::install_collector(previous);
     }
     (report, telemetry)
-}
-
-/// [`run_scenario`], traced: same fingerprint, plus the full span tree and
-/// metrics registry for the run.
-pub fn run_scenario_traced(
-    config: ChaosConfig,
-    schedule: FaultSchedule,
-) -> (ChaosReport, Rc<Telemetry>) {
-    traced(|| run_scenario(config, schedule))
-}
-
-/// [`run_scenario_with`], traced.
-pub fn run_scenario_with_traced(
-    config: ChaosConfig,
-    schedule: FaultSchedule,
-    workload: Rc<dyn ChaosWorkload>,
-) -> (ChaosReport, Rc<Telemetry>) {
-    traced(|| run_scenario_with(config, schedule, workload))
-}
-
-/// [`run_scenario_scripted`], traced — the replay vehicle for minimized
-/// workloads, with the span tree attached.
-pub fn run_scenario_scripted_traced(
-    config: ChaosConfig,
-    schedule: FaultSchedule,
-    workload: Rc<dyn ChaosWorkload>,
-    scripts: Vec<Vec<TransactionSpec>>,
-) -> (ChaosReport, Rc<Telemetry>) {
-    traced(|| run_scenario_scripted(config, schedule, workload, scripts))
 }
 
 /// Write the failure artifact for a (typically minimized) failing run:

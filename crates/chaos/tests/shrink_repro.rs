@@ -13,25 +13,23 @@
 //! 3. the minimized schedule round-trips through the replayable timeline
 //!    format and still fails when replayed from it.
 
-use std::rc::Rc;
-
 use geotp_chaos::{
-    client_scripts, run_scenario_scripted, run_scenario_with, shrink_schedule, shrink_workload,
-    ChaosConfig, FaultSchedule, RandomFaultConfig, Scenario, TpccChaosWorkload,
+    client_scripts, preset, run, run_scripted, shrink_schedule, shrink_workload, ChaosConfig,
+    DrillWorkload, FaultSchedule, RandomFaultConfig,
 };
 
 /// The failing configuration: TPC-C at drill scale with every 2nd read
 /// bypassing its shared lock. Deterministic — seed 1 reliably produces dirty
 /// reads under contention on the warehouse/district hotspot rows.
 fn bugged_config() -> ChaosConfig {
-    let (mut config, _) = Scenario::RandomizedFaults.build(1);
+    let (mut config, _) = preset("randomized_faults").build(1);
     config.isolation_bug_read_stride = Some(2);
     config
 }
 
 fn tpcc_fails(config: &ChaosConfig, schedule: &FaultSchedule) -> bool {
-    let workload = Rc::new(TpccChaosWorkload::drill_scale(config.nodes()));
-    let report = run_scenario_with(config.clone(), schedule.clone(), workload);
+    let workload = DrillWorkload::Tpcc.build(config);
+    let report = run(config.clone(), schedule.clone(), workload);
     !report.invariants.serializability_ok
 }
 
@@ -53,8 +51,8 @@ fn injected_isolation_bug_is_caught_and_shrunk_to_a_minimal_timeline() {
     );
 
     // 1. The checker catches the injected bug under the noisy schedule.
-    let workload = Rc::new(TpccChaosWorkload::drill_scale(config.nodes()));
-    let report = run_scenario_with(config.clone(), schedule.clone(), workload);
+    let workload = DrillWorkload::Tpcc.build(&config);
+    let report = run(config.clone(), schedule.clone(), workload);
     assert!(
         !report.invariants.serializability_ok,
         "the injected lock-bypass bug must turn the serializability checker red"
@@ -92,12 +90,11 @@ fn injected_isolation_bug_is_caught_and_shrunk_to_a_minimal_timeline() {
     //    ddmin the *workload* too. Start from the exact per-client scripts
     //    the seeded run generated; drop clients and transactions while the
     //    serializability checker keeps turning red.
-    let workload = TpccChaosWorkload::drill_scale(config.nodes());
-    let scripts = client_scripts(&config, &workload);
+    let scripts = client_scripts(&config, &*DrillWorkload::Tpcc.build(&config));
     let initial_txns: usize = scripts.iter().map(Vec::len).sum();
     let scripted_fails = |candidate: &[Vec<geotp_middleware::TransactionSpec>]| {
-        let workload = Rc::new(TpccChaosWorkload::drill_scale(config.nodes()));
-        let report = run_scenario_scripted(
+        let workload = DrillWorkload::Tpcc.build(&config);
+        let report = run_scripted(
             config.clone(),
             shrink.minimized.clone(),
             workload,
@@ -137,8 +134,8 @@ fn without_the_fail_point_the_same_run_is_green() {
             horizon: std::time::Duration::from_secs(60),
         },
     );
-    let workload = Rc::new(TpccChaosWorkload::drill_scale(config.nodes()));
-    let report = run_scenario_with(config, schedule, workload);
+    let workload = DrillWorkload::Tpcc.build(&config);
+    let report = run(config, schedule, workload);
     assert!(
         report.invariants.all_hold(),
         "control run must be green: {:?}",

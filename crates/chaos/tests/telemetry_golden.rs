@@ -8,47 +8,41 @@
 //! over the full event trace) to be *byte-identical*. Any telemetry call
 //! that so much as reorders two timer wakeups breaks this test.
 
-use geotp_chaos::telemetry::{
-    attach_trace_on_failure, run_scenario_traced, write_failure_artifact,
-};
-use geotp_chaos::{DrillWorkload, Scenario};
+use geotp_chaos::{attach_trace_on_failure, preset, traced, write_failure_artifact, DrillWorkload};
 use geotp_telemetry::SpanKind;
 
 /// Presets covering every instrumented subsystem: decentralized prepare and
 /// early abort, partitions (net drops), coordinator failover + recovery
 /// spans, the interactive session path with admission, and the seeded-random
 /// schedule as a catch-all.
-const GOLDEN_SCENARIOS: &[Scenario] = &[
-    Scenario::PreparePhaseCrash,
-    Scenario::CommitPhasePartition,
-    Scenario::CoordinatorFailover,
-    Scenario::InteractiveClientChaos,
-    Scenario::RandomizedFaults,
+const GOLDEN_SCENARIOS: &[&str] = &[
+    "prepare_phase_crash",
+    "commit_phase_partition",
+    "coordinator_failover",
+    "interactive_client_chaos",
+    "randomized_faults",
 ];
 
 #[test]
 fn fingerprints_are_byte_identical_with_tracing_on_and_off() {
-    for scenario in GOLDEN_SCENARIOS {
+    for scenario in GOLDEN_SCENARIOS.iter().map(|name| preset(name)) {
         for seed in [1u64, 7, 23] {
             let untraced = scenario.run(seed);
-            let (config, schedule) = scenario.build(seed);
-            let (traced, telemetry) = run_scenario_traced(config, schedule);
+            let (traced, telemetry) = traced(|| scenario.run(seed));
             assert_eq!(
-                untraced.fingerprint,
-                traced.fingerprint,
+                untraced.fingerprint, traced.fingerprint,
                 "{} seed {seed}: tracing perturbed the schedule",
-                scenario.name()
+                scenario.name
             );
             assert_eq!(
-                untraced.trace,
-                traced.trace,
+                untraced.trace, traced.trace,
                 "{} seed {seed}: event traces diverged line-for-line",
-                scenario.name()
+                scenario.name
             );
             assert!(
                 !telemetry.tracer.is_empty(),
                 "{} seed {seed}: traced run recorded no spans",
-                scenario.name()
+                scenario.name
             );
             // The registry must agree with the report on commits: every
             // client-observed commit was recorded by some coordinator
@@ -58,7 +52,7 @@ fn fingerprints_are_byte_identical_with_tracing_on_and_off() {
             assert!(
                 committed >= traced.committed,
                 "{} seed {seed}: registry saw {committed} commits, clients saw {}",
-                scenario.name(),
+                scenario.name,
                 traced.committed
             );
         }
@@ -67,17 +61,16 @@ fn fingerprints_are_byte_identical_with_tracing_on_and_off() {
 
 #[test]
 fn tpcc_mix_fingerprint_survives_tracing() {
-    let untraced = Scenario::WanBrownout.run_with(5, DrillWorkload::Tpcc);
-    let (traced, telemetry) =
-        geotp_chaos::telemetry::traced(|| Scenario::WanBrownout.run_with(5, DrillWorkload::Tpcc));
+    let brownout = preset("wan_brownout");
+    let untraced = brownout.run_with(5, DrillWorkload::Tpcc);
+    let (traced, telemetry) = traced(|| brownout.run_with(5, DrillWorkload::Tpcc));
     assert_eq!(untraced.fingerprint, traced.fingerprint);
     assert!(!telemetry.tracer.is_empty());
 }
 
 #[test]
 fn traced_spans_reconstruct_per_txn_trees_with_rounds_and_votes() {
-    let (config, schedule) = Scenario::PreparePhaseCrash.build(11);
-    let (report, telemetry) = run_scenario_traced(config, schedule);
+    let (report, telemetry) = traced(|| preset("prepare_phase_crash").run(11));
     assert!(report.committed > 0);
     let spans = telemetry.tracer.spans();
     // Every traced transaction has exactly one root Txn span, and at least
@@ -108,8 +101,7 @@ fn traced_spans_reconstruct_per_txn_trees_with_rounds_and_votes() {
 
 #[test]
 fn failure_artifact_is_written_only_for_red_runs() {
-    let (config, schedule) = Scenario::PreparePhaseCrash.build(3);
-    let (report, telemetry) = run_scenario_traced(config, schedule);
+    let (report, telemetry) = traced(|| preset("prepare_phase_crash").run(3));
     assert!(report.invariants.all_hold());
     let dir = std::path::Path::new("../../target/chaos/test_artifacts");
     // Green run: attach_trace_on_failure declines to write.

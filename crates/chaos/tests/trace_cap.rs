@@ -4,16 +4,17 @@
 //! pure bookkeeping on the in-memory span store, never a schedule
 //! perturbation — and (c) lose no metrics, since the cap bounds spans only.
 
+use geotp_chaos::preset;
 use geotp_chaos::telemetry::traced_capped;
-use geotp_chaos::ClusterScenario;
 
 const SPAN_CAP: usize = 4_096;
 
 #[test]
 fn flash_crowd_trace_stays_under_span_cap() {
     let seed = 11;
-    let untraced = ClusterScenario::FlashCrowd.run(seed);
-    let (capped, telemetry) = traced_capped(SPAN_CAP, || ClusterScenario::FlashCrowd.run(seed));
+    let flash_crowd = preset("flash_crowd");
+    let untraced = flash_crowd.run(seed);
+    let (capped, telemetry) = traced_capped(SPAN_CAP, || flash_crowd.run(seed));
 
     assert_eq!(
         untraced.fingerprint, capped.fingerprint,

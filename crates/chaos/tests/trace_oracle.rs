@@ -11,13 +11,18 @@
 //! like any other chaos failure.
 
 use geotp_chaos::{
-    run_scenario, run_scenario_traced, shrink_schedule, ChaosConfig, FaultSchedule, Scenario,
+    preset, run, shrink_schedule, traced, ChaosConfig, ChaosReport, DrillWorkload, FaultSchedule,
 };
+
+fn run_transfers(config: ChaosConfig, schedule: FaultSchedule) -> ChaosReport {
+    let workload = DrillWorkload::Transfer.build(&config);
+    run(config, schedule, workload)
+}
 
 /// The armed preset: a real fault schedule (data-source crash mid-prepare)
 /// plus the coordinator-side reordering bug.
 fn armed(seed: u64) -> (ChaosConfig, FaultSchedule) {
-    let (mut config, schedule) = Scenario::PreparePhaseCrash.build(seed);
+    let (mut config, schedule) = preset("prepare_phase_crash").build(seed);
     config.commit_before_flush_bug = true;
     (config, schedule)
 }
@@ -25,7 +30,7 @@ fn armed(seed: u64) -> (ChaosConfig, FaultSchedule) {
 #[test]
 fn write_ahead_violation_is_convicted_only_by_the_trace_oracle() {
     let (config, schedule) = armed(11);
-    let (report, _telemetry) = run_scenario_traced(config, schedule);
+    let (report, _telemetry) = traced(|| run_transfers(config, schedule));
     let inv = &report.invariants;
     assert!(
         !inv.trace_ok,
@@ -52,7 +57,7 @@ fn untraced_runs_demonstrate_the_state_checkers_blind_spot() {
     // all four state-based checkers pass — i.e. before the trace oracle this
     // bug was undetectable.
     let (config, schedule) = armed(11);
-    let report = run_scenario(config, schedule);
+    let report = run_transfers(config, schedule);
     assert!(
         report.invariants.all_hold(),
         "without a trace the bug must go unnoticed, but: {:?}",
@@ -62,8 +67,8 @@ fn untraced_runs_demonstrate_the_state_checkers_blind_spot() {
 
 #[test]
 fn unarmed_run_passes_the_trace_oracle() {
-    let (config, schedule) = Scenario::PreparePhaseCrash.build(11);
-    let (report, _telemetry) = run_scenario_traced(config, schedule);
+    let (config, schedule) = preset("prepare_phase_crash").build(11);
+    let (report, _telemetry) = traced(|| run_transfers(config, schedule));
     assert!(report.invariants.trace_ok);
     assert!(
         report.invariants.all_hold(),
@@ -80,7 +85,8 @@ fn trace_conviction_shrinks_to_a_replayable_timeline() {
 
     let probe_config = config.clone();
     let report = shrink_schedule(&schedule, 60, move |candidate| {
-        let (report, _telemetry) = run_scenario_traced(probe_config.clone(), candidate.clone());
+        let (report, _telemetry) =
+            traced(|| run_transfers(probe_config.clone(), candidate.clone()));
         !report.invariants.trace_ok
     })
     .expect("the armed run fails the oracle, so the shrink must start");
@@ -97,7 +103,7 @@ fn trace_conviction_shrinks_to_a_replayable_timeline() {
     // The minimized schedule round-trips through its timeline and still
     // produces the same conviction — a self-contained repro.
     let replayed = FaultSchedule::parse_timeline(&report.timeline()).expect("timeline parses");
-    let (replay, _telemetry) = run_scenario_traced(config, replayed);
+    let (replay, _telemetry) = traced(|| run_transfers(config, replayed));
     assert!(
         !replay.invariants.trace_ok,
         "the minimized timeline must still fail the trace oracle"

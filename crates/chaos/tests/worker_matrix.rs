@@ -9,36 +9,35 @@
 //! promises: extra shards idle at the conservative barrier without
 //! perturbing the shard-0 schedule by a single poll.
 
-use geotp_chaos::{traced, DrillWorkload, Scenario};
+use geotp_chaos::{preset, run, traced, ChaosReport, DrillWorkload};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn assert_worker_independent(scenario: Scenario, workload: DrillWorkload, seed: u64) {
-    let baseline = scenario.run_with_workers(seed, workload, 1);
+/// Run `name` under `workload` on an explicit worker-shard count (presets
+/// otherwise honour `GEOTP_WORKERS`).
+fn run_on_workers(name: &str, workload: DrillWorkload, seed: u64, workers: usize) -> ChaosReport {
+    let (mut config, schedule) = preset(name).build(seed);
+    config.workers = Some(workers);
+    let workload = workload.build(&config);
+    run(config, schedule, workload)
+}
+
+fn assert_worker_independent(name: &str, workload: DrillWorkload, seed: u64) {
+    let baseline = run_on_workers(name, workload, seed, 1);
     assert!(
         baseline.invariants.all_hold(),
-        "{} ({}) seed {} violated invariants at workers=1",
-        scenario.name(),
-        workload.name(),
-        seed
+        "{name} ({workload:?}) seed {seed} violated invariants at workers=1"
     );
     for workers in &WORKER_COUNTS[1..] {
-        let report = scenario.run_with_workers(seed, workload, *workers);
+        let report = run_on_workers(name, workload, seed, *workers);
         assert_eq!(
-            baseline.fingerprint,
-            report.fingerprint,
-            "{} ({}) seed {}: trace fingerprint diverged at workers={workers}",
-            scenario.name(),
-            workload.name(),
-            seed
+            baseline.fingerprint, report.fingerprint,
+            "{name} ({workload:?}) seed {seed}: trace fingerprint diverged at workers={workers}"
         );
         assert_eq!(
-            baseline.trace,
-            report.trace,
-            "{} ({}) seed {}: fingerprints collided but traces differ at workers={workers}",
-            scenario.name(),
-            workload.name(),
-            seed
+            baseline.trace, report.trace,
+            "{name} ({workload:?}) seed {seed}: fingerprints collided but traces differ at \
+             workers={workers}"
         );
     }
 }
@@ -46,27 +45,27 @@ fn assert_worker_independent(scenario: Scenario, workload: DrillWorkload, seed: 
 #[test]
 fn prepare_phase_crash_is_worker_independent() {
     for seed in 1..=3 {
-        assert_worker_independent(Scenario::PreparePhaseCrash, DrillWorkload::Transfer, seed);
+        assert_worker_independent("prepare_phase_crash", DrillWorkload::Transfer, seed);
     }
 }
 
 #[test]
 fn coordinator_failover_is_worker_independent() {
     for seed in 1..=3 {
-        assert_worker_independent(Scenario::CoordinatorFailover, DrillWorkload::Transfer, seed);
+        assert_worker_independent("coordinator_failover", DrillWorkload::Transfer, seed);
     }
 }
 
 #[test]
 fn wan_brownout_is_worker_independent() {
     for seed in 1..=3 {
-        assert_worker_independent(Scenario::WanBrownout, DrillWorkload::Transfer, seed);
+        assert_worker_independent("wan_brownout", DrillWorkload::Transfer, seed);
     }
 }
 
 #[test]
 fn tpcc_drill_is_worker_independent() {
-    assert_worker_independent(Scenario::PreparePhaseCrash, DrillWorkload::Tpcc, 1);
+    assert_worker_independent("prepare_phase_crash", DrillWorkload::Tpcc, 1);
 }
 
 /// The trace oracle's verdict is part of the same promise: a traced run at
@@ -78,10 +77,11 @@ fn trace_oracle_verdict_is_worker_independent() {
     for armed in [false, true] {
         let run = |workers: usize| {
             traced(|| {
-                let (mut config, schedule) = Scenario::PreparePhaseCrash.build(2);
+                let (mut config, schedule) = preset("prepare_phase_crash").build(2);
                 config.commit_before_flush_bug = armed;
                 config.workers = Some(workers);
-                geotp_chaos::run_scenario(config, schedule)
+                let workload = DrillWorkload::Transfer.build(&config);
+                run(config, schedule, workload)
             })
             .0
         };

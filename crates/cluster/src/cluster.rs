@@ -32,7 +32,7 @@ use geotp_middleware::session::{
 };
 use geotp_middleware::{
     AbortReason, ClientOp, CommitLog, Middleware, MiddlewareConfig, Partitioner, Protocol,
-    TransactionSpec, TxnOutcome,
+    TxnOutcome,
 };
 use geotp_net::{Network, NodeId};
 use geotp_simrt::sync::semaphore::SemaphorePermit;
@@ -150,15 +150,6 @@ pub struct TakeoverReport {
     /// Unprepared branches of the dead coordinator aborted by the data
     /// sources' scoped disconnect handling.
     pub unprepared_aborted: usize,
-}
-
-/// A transaction outcome plus the coordinator that served it.
-#[derive(Debug, Clone)]
-pub struct RoutedOutcome {
-    /// The coordinator slot the session was routed to.
-    pub coordinator: u32,
-    /// The transaction outcome.
-    pub outcome: TxnOutcome,
 }
 
 /// The scale-out middleware tier.
@@ -558,56 +549,6 @@ impl CoordinatorCluster {
             adopted_aborted,
             unprepared_aborted: unprepared_counts.iter().sum(),
         }
-    }
-
-    /// Run one client transaction for `session`: route to a live coordinator,
-    /// queue on its capacity gate, execute. `None` when no coordinator is
-    /// alive (the client should back off and retry).
-    pub async fn run_transaction(
-        &self,
-        session: u64,
-        spec: &TransactionSpec,
-    ) -> Option<RoutedOutcome> {
-        let coordinator = self.router.route(session)?;
-        let slot = &self.slots[coordinator as usize];
-        let enqueued = now();
-        let ticket = match slot.admission.admit().await {
-            Ok(ticket) => ticket,
-            Err(reject) => {
-                if reject.reason == ShedReason::Closed {
-                    return None;
-                }
-                return Some(RoutedOutcome {
-                    coordinator,
-                    outcome: TxnError::overloaded(reject.retry_after).outcome,
-                });
-            }
-        };
-        let _permit = ticket.permit;
-        let middleware = slot.middleware();
-        let mut outcome = middleware.run_transaction(spec).await;
-        if !ticket.queue_time.is_zero() {
-            outcome.breakdown.queue_time += ticket.queue_time;
-            outcome.latency += ticket.queue_time;
-            // The queue wait predates the transaction's gtrid; backdate it
-            // into the trace now that the id is known.
-            if outcome.gtrid != 0 {
-                geotp_telemetry::span_leaf_window(
-                    outcome.gtrid,
-                    geotp_telemetry::TraceNode::middleware(coordinator),
-                    geotp_telemetry::SpanKind::Admission,
-                    0,
-                    enqueued,
-                    geotp_simrt::SimInstant::from_micros(
-                        enqueued.as_micros() + ticket.queue_time.as_micros() as u64,
-                    ),
-                );
-            }
-        }
-        Some(RoutedOutcome {
-            coordinator,
-            outcome,
-        })
     }
 
     /// Final recovery pass (after every fault healed): every live coordinator

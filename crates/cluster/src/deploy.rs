@@ -1,10 +1,12 @@
-//! Deployment helper: wire the network and data sources for a tier.
+//! Deployment wiring: the network and data sources under N ≥ 1 coordinators.
 //!
-//! Both the chaos cluster harness and the scale-out experiments need the same
-//! physical layout — every coordinator linked to every data source, a control
-//! node for the membership heartbeats, data sources inter-linked for the
-//! geo-agent early-abort traffic — differing only in engine configuration and
-//! what gets plugged into the fault plane afterwards.
+//! Every deployment in the workspace — the facade's `ClusterBuilder`, the
+//! chaos harness behind either front door, the scale-out experiments — has
+//! the same physical shape: each coordinator linked to every data source, an
+//! optional control node for the membership heartbeats, data sources
+//! inter-linked for the geo-agent early-abort traffic. [`wire`] builds it
+//! once; callers differ only in RTT vectors, dialects, engine configuration
+//! and what they plug into the fault plane afterwards.
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -13,7 +15,78 @@ use geotp_datasource::{DataSource, DataSourceConfig, Dialect};
 use geotp_net::{Network, NetworkBuilder, NodeId};
 use geotp_storage::EngineConfig;
 
-/// Physical layout of a cluster deployment.
+/// Physical layout of a deployment.
+#[derive(Debug, Clone)]
+pub struct Wiring {
+    /// Seed for network latency sampling.
+    pub seed: u64,
+    /// One RTT vector per coordinator: `coordinator_rtts_ms[i][j]` is the
+    /// `dm_i ↔ ds_j` RTT in milliseconds.
+    pub coordinator_rtts_ms: Vec<Vec<u64>>,
+    /// Coordinator↔control-node RTT in milliseconds; `None` deploys no
+    /// control node (a lone middleware has no membership service).
+    pub control_rtt_ms: Option<u64>,
+    /// SQL dialect of each data source (its length is the source count).
+    pub dialects: Vec<Dialect>,
+    /// Storage-engine configuration applied to every source.
+    pub engine: EngineConfig,
+    /// LAN RTT between each geo-agent and its co-located database.
+    pub agent_lan_rtt: Duration,
+}
+
+/// Build the latency matrix and the data sources for `wiring`:
+/// `dm_i ↔ ds_j` at the configured RTT, `dm_i ↔ ctl0` at the control RTT,
+/// `ds_i ↔ ds_j` at the max of the two endpoints' RTTs from the first
+/// coordinator (geo-agents of distant regions are roughly as far from each
+/// other as from the middleware), geo-agent peers registered.
+pub fn wire(wiring: &Wiring) -> (Rc<Network>, Vec<Rc<DataSource>>) {
+    assert!(
+        !wiring.coordinator_rtts_ms.is_empty(),
+        "a deployment needs at least one coordinator"
+    );
+    let ms = Duration::from_millis;
+    let mut net_builder =
+        NetworkBuilder::new(wiring.seed).default_lan_rtt(Duration::from_micros(500));
+    for (dm, rtts) in wiring.coordinator_rtts_ms.iter().enumerate() {
+        let dm_node = NodeId::middleware(dm as u32);
+        for (j, rtt) in rtts.iter().enumerate() {
+            net_builder = net_builder.static_link(dm_node, NodeId::data_source(j as u32), ms(*rtt));
+        }
+        if let Some(control_rtt) = wiring.control_rtt_ms {
+            net_builder = net_builder.static_link(dm_node, NodeId::control(0), ms(control_rtt));
+        }
+    }
+    let ds_rtts = &wiring.coordinator_rtts_ms[0];
+    for i in 0..ds_rtts.len() {
+        for j in (i + 1)..ds_rtts.len() {
+            net_builder = net_builder.static_link(
+                NodeId::data_source(i as u32),
+                NodeId::data_source(j as u32),
+                ms(ds_rtts[i].max(ds_rtts[j])),
+            );
+        }
+    }
+    let net = net_builder.build();
+
+    let mut sources = Vec::with_capacity(wiring.dialects.len());
+    for (j, dialect) in wiring.dialects.iter().enumerate() {
+        let mut cfg = DataSourceConfig::new(NodeId::data_source(j as u32));
+        cfg.dialect = *dialect;
+        cfg.engine = wiring.engine;
+        cfg.agent_lan_rtt = wiring.agent_lan_rtt;
+        sources.push(DataSource::new(cfg, Rc::clone(&net)));
+    }
+    for a in &sources {
+        for b in &sources {
+            if a.index() != b.index() {
+                a.register_peer(b);
+            }
+        }
+    }
+    (net, sources)
+}
+
+/// Physical layout of a co-located coordinator tier.
 #[derive(Debug, Clone)]
 pub struct TierLayout {
     /// Seed for network latency sampling.
@@ -32,55 +105,15 @@ pub struct TierLayout {
     pub agent_lan_rtt: Duration,
 }
 
-/// Build the latency matrix and the data sources for `layout`:
-/// `dm_i ↔ ds_j` at the configured RTT, `dm_i ↔ ctl0` at the control RTT,
-/// `ds_i ↔ ds_j` at the max of the two endpoints' coordinator RTTs (the
-/// convention the facade's `ClusterBuilder` uses), geo-agent peers registered.
+/// [`wire`] for a co-located tier: every coordinator shares one RTT vector,
+/// a control node is always present, every source speaks MySQL.
 pub fn build_tier(layout: &TierLayout) -> (Rc<Network>, Vec<Rc<DataSource>>) {
-    let control = NodeId::control(0);
-    let mut net_builder =
-        NetworkBuilder::new(layout.seed).default_lan_rtt(Duration::from_micros(500));
-    for dm in 0..layout.coordinators as u32 {
-        let dm_node = NodeId::middleware(dm);
-        for (j, rtt) in layout.ds_rtts_ms.iter().enumerate() {
-            net_builder = net_builder.static_link(
-                dm_node,
-                NodeId::data_source(j as u32),
-                Duration::from_millis(*rtt),
-            );
-        }
-        net_builder = net_builder.static_link(
-            dm_node,
-            control,
-            Duration::from_millis(layout.control_rtt_ms),
-        );
-    }
-    for i in 0..layout.ds_rtts_ms.len() {
-        for j in (i + 1)..layout.ds_rtts_ms.len() {
-            let rtt = layout.ds_rtts_ms[i].max(layout.ds_rtts_ms[j]);
-            net_builder = net_builder.static_link(
-                NodeId::data_source(i as u32),
-                NodeId::data_source(j as u32),
-                Duration::from_millis(rtt),
-            );
-        }
-    }
-    let net = net_builder.build();
-
-    let mut sources = Vec::with_capacity(layout.ds_rtts_ms.len());
-    for j in 0..layout.ds_rtts_ms.len() as u32 {
-        let mut cfg = DataSourceConfig::new(NodeId::data_source(j));
-        cfg.dialect = Dialect::MySql;
-        cfg.engine = layout.engine;
-        cfg.agent_lan_rtt = layout.agent_lan_rtt;
-        sources.push(DataSource::new(cfg, Rc::clone(&net)));
-    }
-    for a in &sources {
-        for b in &sources {
-            if a.index() != b.index() {
-                a.register_peer(b);
-            }
-        }
-    }
-    (net, sources)
+    wire(&Wiring {
+        seed: layout.seed,
+        coordinator_rtts_ms: vec![layout.ds_rtts_ms.clone(); layout.coordinators],
+        control_rtt_ms: Some(layout.control_rtt_ms),
+        dialects: vec![Dialect::MySql; layout.ds_rtts_ms.len()],
+        engine: layout.engine,
+        agent_lan_rtt: layout.agent_lan_rtt,
+    })
 }

@@ -43,10 +43,9 @@ pub use admission::{
     AdmissionGate, AdmissionPolicy, AdmissionReject, AdmissionTicket, CoordinatorLoad, ShedReason,
 };
 pub use cluster::{
-    ClusterConfig, ClusterSessionService, CoordinatorCluster, RoutedOutcome, SessionReaperConfig,
-    TakeoverReport,
+    ClusterConfig, ClusterSessionService, CoordinatorCluster, SessionReaperConfig, TakeoverReport,
 };
-pub use deploy::{build_tier, TierLayout};
+pub use deploy::{build_tier, wire, TierLayout, Wiring};
 pub use membership::{MembershipConfig, MembershipTable, RenewError, SlotState};
 pub use openloop::{run_open_loop, OpenLoopConfig, OpenLoopReport};
 pub use ring::SessionRouter;

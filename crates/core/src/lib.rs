@@ -67,10 +67,10 @@ pub use geotp_telemetry as telemetry;
 pub use geotp_workloads as workloads;
 
 pub use geotp_chaos::{
-    shrink_schedule, shrink_workload, ChaosConfig, ChaosReport, ChaosWorkload, ClusterChaosConfig,
-    ClusterScenario, DrillWorkload, FaultEvent, FaultSchedule, FlashCrowdConfig,
-    InteractiveTransferWorkload, InvariantReport, Scenario, ShrinkReport, TpccChaosWorkload,
-    TransferWorkload, WorkloadShrinkReport,
+    preset, shrink_schedule, shrink_workload, ChaosConfig, ChaosReport, ChaosWorkload, Door,
+    DrillWorkload, FaultEvent, FaultSchedule, FlashCrowdConfig, InteractiveTransferWorkload,
+    InvariantReport, Preset, ShrinkReport, TierConfig, TpccChaosWorkload, TransferWorkload,
+    WorkloadShrinkReport, PRESETS,
 };
 pub use geotp_cluster::{
     run_open_loop, AdmissionPolicy, ClusterConfig, ClusterSessionService, CoordinatorCluster,
@@ -242,58 +242,19 @@ impl ClusterBuilder {
             "a cluster needs at least one data source"
         );
         let n = self.sources.len() as u32;
-        let dm0 = NodeId::middleware(0);
 
-        // Wire the latency matrix: DM↔DS links as configured, DS↔DS links as
-        // the maximum of the two endpoints' DM RTTs (geo-agents of distant
-        // regions are roughly as far from each other as from the middleware).
-        let mut net_builder =
-            NetworkBuilder::new(self.seed).default_lan_rtt(Duration::from_micros(500));
-        for (i, spec) in self.sources.iter().enumerate() {
-            net_builder = net_builder.static_link(
-                dm0,
-                NodeId::data_source(i as u32),
-                Duration::from_millis(spec.rtt_ms),
-            );
-        }
-        for i in 0..self.sources.len() {
-            for j in (i + 1)..self.sources.len() {
-                let rtt = self.sources[i].rtt_ms.max(self.sources[j].rtt_ms);
-                net_builder = net_builder.static_link(
-                    NodeId::data_source(i as u32),
-                    NodeId::data_source(j as u32),
-                    Duration::from_millis(rtt),
-                );
-            }
-        }
-        for (m, rtts) in self.extra_middlewares.iter().enumerate() {
-            let dm = NodeId::middleware(m as u32 + 1);
-            for (i, rtt) in rtts.iter().enumerate() {
-                net_builder = net_builder.static_link(
-                    dm,
-                    NodeId::data_source(i as u32),
-                    Duration::from_millis(*rtt),
-                );
-            }
-        }
-        let net = net_builder.build();
-
-        // Data sources + geo-agents.
-        let mut sources = Vec::new();
-        for (i, spec) in self.sources.iter().enumerate() {
-            let mut cfg = DataSourceConfig::new(NodeId::data_source(i as u32));
-            cfg.dialect = spec.dialect;
-            cfg.engine = self.engine;
-            cfg.agent_lan_rtt = self.agent_lan_rtt;
-            sources.push(DataSource::new(cfg, Rc::clone(&net)));
-        }
-        for a in &sources {
-            for b in &sources {
-                if a.index() != b.index() {
-                    a.register_peer(b);
-                }
-            }
-        }
+        // DM↔DS links as configured (one RTT vector per middleware), DS↔DS
+        // links and the geo-agents by the shared wiring convention.
+        let mut coordinator_rtts_ms = vec![self.sources.iter().map(|s| s.rtt_ms).collect()];
+        coordinator_rtts_ms.extend(self.extra_middlewares.iter().cloned());
+        let (net, sources) = geotp_cluster::wire(&geotp_cluster::Wiring {
+            seed: self.seed,
+            coordinator_rtts_ms,
+            control_rtt_ms: None,
+            dialects: self.sources.iter().map(|s| s.dialect).collect(),
+            engine: self.engine,
+            agent_lan_rtt: self.agent_lan_rtt,
+        });
 
         let partitioner = self.partitioner.unwrap_or(Partitioner::Range {
             rows_per_node: self.records_per_node,

@@ -7,100 +7,28 @@
 //! coordinator-crash-with-takeover and coordinator-partition presets. Every
 //! cell is deterministic and golden-gated (`tests/golden/cluster_drills_*`).
 
-use geotp::chaos::traced;
-use geotp::ClusterScenario;
+use geotp::chaos::{Door, Preset, PRESETS};
 
+use crate::failure_drills::{drill_table, seeds};
 use crate::report::Table;
 use crate::scale::Scale;
 
-/// Seeds per preset at each scale.
-fn seeds(scale: Scale) -> u64 {
-    match scale {
-        Scale::Quick => 3,
-        Scale::Full => 32,
-    }
+/// The tier rows of the preset table.
+fn tier_drills() -> impl Iterator<Item = &'static Preset> {
+    PRESETS.iter().filter(|p| p.door == Door::Tier)
 }
 
 /// Run every cluster preset across the seed sweep.
 pub fn cluster_drills(scale: Scale) -> Vec<Table> {
-    let mut table = Table::new(
-        format!(
-            "Cluster failure drills — 2 coordinators, {} seed(s) per preset, transfer workload, GeoTP (O1-O3)",
-            seeds(scale)
-        ),
-        &[
-            "scenario",
-            "committed",
-            "aborted",
-            "indeterminate",
-            "atomicity",
-            "durability",
-            "liveness",
-            "serializability",
-            "trace",
-            "trace fingerprint (seed 1)",
-        ],
+    let title = format!(
+        "Cluster failure drills — 2 coordinators, {} seed(s) per preset, transfer workload, GeoTP (O1-O3)",
+        seeds(scale)
     );
-    for scenario in ClusterScenario::all() {
-        let mut committed = 0u64;
-        let mut aborted = 0u64;
-        let mut indeterminate = 0u64;
-        let mut atomicity = true;
-        let mut durability = true;
-        let mut liveness = true;
-        let mut serializability = true;
-        let mut trace_ok = true;
-        let mut fingerprint = String::new();
-        for seed in 1..=seeds(scale) {
-            let (report, _telemetry) = traced(|| scenario.run(seed));
-            committed += report.committed;
-            aborted += report.aborted;
-            indeterminate += report.indeterminate;
-            atomicity &= report.invariants.atomicity_ok;
-            durability &= report.invariants.durability_ok;
-            liveness &= report.invariants.liveness_ok;
-            serializability &= report.invariants.serializability_ok;
-            trace_ok &= report.invariants.trace_ok;
-            if seed == 1 {
-                fingerprint = format!("{:016x}", report.fingerprint);
-            }
-        }
-        let verdict = |ok: bool| if ok { "ok" } else { "VIOLATED" };
-        table.push_row(vec![
-            scenario.name().to_string(),
-            committed.to_string(),
-            aborted.to_string(),
-            indeterminate.to_string(),
-            verdict(atomicity).to_string(),
-            verdict(durability).to_string(),
-            verdict(liveness).to_string(),
-            verdict(serializability).to_string(),
-            verdict(trace_ok).to_string(),
-            fingerprint,
-        ]);
-    }
-    vec![table]
+    vec![drill_table(title, scale, tier_drills(), None)]
 }
 
 #[cfg(test)]
 pub(crate) fn assert_tables_cover_every_preset_and_stay_green(tables: &[Table]) {
     assert_eq!(tables.len(), 1);
-    let table = &tables[0];
-    assert_eq!(table.len(), ClusterScenario::all().len());
-    for scenario in ClusterScenario::all() {
-        for column in [
-            "atomicity",
-            "durability",
-            "liveness",
-            "serializability",
-            "trace",
-        ] {
-            assert_eq!(
-                table.cell(scenario.name(), column),
-                Some("ok"),
-                "{} {column}",
-                scenario.name()
-            );
-        }
-    }
+    crate::failure_drills::assert_all_green(&tables[0], tier_drills(), "transfer");
 }

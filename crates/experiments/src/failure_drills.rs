@@ -15,26 +15,43 @@
 //! tables are committed as golden references under `tests/golden/` and
 //! diffed in CI ([`crate::golden`]): silent result drift fails the job.
 
-use geotp::chaos::{traced, DrillWorkload, Scenario};
+use geotp::chaos::{traced, Door, DrillWorkload, Preset, PRESETS};
 
 use crate::report::Table;
 use crate::scale::Scale;
 
 /// Seeds per preset at each scale.
-fn seeds(scale: Scale) -> u64 {
+pub(crate) fn seeds(scale: Scale) -> u64 {
     match scale {
         Scale::Quick => 3,
         Scale::Full => 32,
     }
 }
 
-fn drill_table(scale: Scale, workload: DrillWorkload) -> Table {
+/// The workload-generic single-middleware drills — the rows of these tables
+/// (and of the profile tables): the presets whose faults are about the
+/// deployment, swept under their own transfer workload *and* the TPC-C mix.
+pub(crate) fn generic_drills() -> impl Iterator<Item = &'static Preset> {
+    PRESETS
+        .iter()
+        .filter(|p| p.door == Door::Single && p.workloads.contains(&DrillWorkload::Tpcc))
+}
+
+/// The two legs of the failure-drill sweep: each preset's own (transfer)
+/// workload, then the TPC-C mix.
+const LEGS: [(&str, Option<DrillWorkload>); 2] =
+    [("transfer", None), ("tpcc", Some(DrillWorkload::Tpcc))];
+
+/// One drill table: every preset in `presets` across the seed sweep, driving
+/// `workload` (`None`: each preset's own), with the five checker verdicts.
+pub(crate) fn drill_table(
+    title: String,
+    scale: Scale,
+    presets: impl Iterator<Item = &'static Preset>,
+    workload: Option<DrillWorkload>,
+) -> Table {
     let mut table = Table::new(
-        format!(
-            "Failure drills — chaos presets x {} seed(s), {} workload, GeoTP (O1-O3)",
-            seeds(scale),
-            workload.name()
-        ),
+        title,
         &[
             "scenario",
             "committed",
@@ -48,7 +65,7 @@ fn drill_table(scale: Scale, workload: DrillWorkload) -> Table {
             "trace fingerprint (seed 1)",
         ],
     );
-    for scenario in Scenario::all() {
+    for scenario in presets {
         let mut committed = 0u64;
         let mut aborted = 0u64;
         let mut indeterminate = 0u64;
@@ -62,6 +79,7 @@ fn drill_table(scale: Scale, workload: DrillWorkload) -> Table {
             // Traced, so the trace oracle (fifth checker) runs too; tracing
             // never perturbs the schedule, so the fingerprint column is the
             // same one an untraced run would report.
+            let workload = workload.unwrap_or(scenario.workloads[0]);
             let (report, _telemetry) = traced(|| scenario.run_with(seed, workload));
             committed += report.committed;
             aborted += report.aborted;
@@ -77,7 +95,7 @@ fn drill_table(scale: Scale, workload: DrillWorkload) -> Table {
         }
         let verdict = |ok: bool| if ok { "ok" } else { "VIOLATED" };
         table.push_row(vec![
-            scenario.name().to_string(),
+            scenario.name.to_string(),
             committed.to_string(),
             aborted.to_string(),
             indeterminate.to_string(),
@@ -94,9 +112,14 @@ fn drill_table(scale: Scale, workload: DrillWorkload) -> Table {
 
 /// Run every chaos preset across the seed sweep, once per drill workload.
 pub fn failure_drills(scale: Scale) -> Vec<Table> {
-    DrillWorkload::all()
-        .into_iter()
-        .map(|workload| drill_table(scale, workload))
+    LEGS.into_iter()
+        .map(|(name, workload)| {
+            let title = format!(
+                "Failure drills — chaos presets x {} seed(s), {name} workload, GeoTP (O1-O3)",
+                seeds(scale)
+            );
+            drill_table(title, scale, generic_drills(), workload)
+        })
         .collect()
 }
 
@@ -105,26 +128,37 @@ pub fn failure_drills(scale: Scale) -> Vec<Table> {
 /// both this structural check and the golden diff to the same tables).
 #[cfg(test)]
 pub(crate) fn assert_tables_cover_every_preset_and_stay_green(tables: &[Table]) {
-    assert_eq!(tables.len(), DrillWorkload::all().len());
-    for (table, workload) in tables.iter().zip(DrillWorkload::all()) {
-        assert!(table.title.contains(workload.name()));
-        assert_eq!(table.len(), Scenario::all().len());
-        for scenario in Scenario::all() {
-            for column in [
-                "atomicity",
-                "durability",
-                "liveness",
-                "serializability",
-                "trace",
-            ] {
-                assert_eq!(
-                    table.cell(scenario.name(), column),
-                    Some("ok"),
-                    "{} {} {column}",
-                    scenario.name(),
-                    workload.name()
-                );
-            }
+    assert_eq!(tables.len(), LEGS.len());
+    for (table, (workload, _)) in tables.iter().zip(LEGS) {
+        assert!(table.title.contains(workload));
+        assert_all_green(table, generic_drills(), workload);
+    }
+}
+
+/// `table` has exactly one row per preset in `presets`, every checker `ok`.
+#[cfg(test)]
+pub(crate) fn assert_all_green(
+    table: &Table,
+    presets: impl Iterator<Item = &'static Preset>,
+    workload: &str,
+) {
+    let mut rows = 0;
+    for scenario in presets {
+        rows += 1;
+        for column in [
+            "atomicity",
+            "durability",
+            "liveness",
+            "serializability",
+            "trace",
+        ] {
+            assert_eq!(
+                table.cell(scenario.name, column),
+                Some("ok"),
+                "{} {workload} {column}",
+                scenario.name
+            );
         }
     }
+    assert_eq!(table.len(), rows);
 }

@@ -224,8 +224,7 @@ mod tests {
     /// convictions. Scale-independent (there is no full variant).
     #[test]
     fn golden_chaos_unpinned_presets() {
-        use geotp::chaos::{traced, ChaosReport, MvccScenario, TpccChaosWorkload};
-        use geotp::ClusterScenario;
+        use geotp::chaos::{preset, traced, ChaosReport, Door, DrillWorkload, PRESETS};
 
         let mut table = Table::new(
             "Chaos presets outside the drill tables — per-seed pins",
@@ -268,16 +267,18 @@ mod tests {
                 format!("{:016x}", report.fingerprint),
             ]);
         };
-        for scenario in MvccScenario::all() {
+        let workload_specific = PRESETS
+            .iter()
+            .filter(|p| p.door == Door::Single && !p.workloads.contains(&DrillWorkload::Tpcc));
+        for scenario in workload_specific {
             for seed in 1..=3 {
-                push(scenario.name(), seed, traced(|| scenario.run(seed)).0);
+                push(scenario.name, seed, traced(|| scenario.run(seed)).0);
             }
         }
-        let takeover = ClusterScenario::CoordinatorCrashTakeover;
+        let takeover = preset("coordinator_crash_takeover");
         for seed in 1..=3 {
-            let tpcc = std::rc::Rc::new(TpccChaosWorkload::drill_scale(3));
-            let report = traced(|| takeover.run_with(seed, tpcc)).0;
-            push(takeover.name(), seed, report);
+            let report = traced(|| takeover.run_with(seed, DrillWorkload::Tpcc)).0;
+            push(takeover.name, seed, report);
         }
         if let Err(drift) = verify("chaos_unpinned_presets_quick", &[table]) {
             panic!("{drift}");

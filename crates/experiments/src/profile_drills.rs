@@ -13,19 +13,12 @@
 //! even when throughput stays flat, so they are golden-gated like every
 //! other experiment, and exported as a CSV artifact for offline plotting.
 
-use geotp::chaos::{traced, Scenario};
+use geotp::chaos::{traced, Preset};
 use geotp_telemetry::{critical_path, CriticalPath, SpanKind, SPAN_KINDS};
 
+use crate::failure_drills::{generic_drills, seeds};
 use crate::report::Table;
 use crate::scale::Scale;
-
-/// Seeds per preset at each scale (mirrors the failure-drill sweep).
-fn seeds(scale: Scale) -> u64 {
-    match scale {
-        Scale::Quick => 3,
-        Scale::Full => 32,
-    }
-}
 
 /// One preset's aggregated profile across the sweep.
 struct PresetProfile {
@@ -66,7 +59,7 @@ impl PresetProfile {
     }
 }
 
-fn profile(scale: Scale, scenario: Scenario) -> PresetProfile {
+fn profile(scale: Scale, scenario: &Preset) -> PresetProfile {
     let mut agg = CriticalPath::default();
     let mut totals = Vec::new();
     for seed in 1..=seeds(scale) {
@@ -89,7 +82,7 @@ fn profile(scale: Scale, scenario: Scenario) -> PresetProfile {
         }
     }
     PresetProfile {
-        name: scenario.name(),
+        name: scenario.name,
         agg,
         totals,
     }
@@ -164,8 +157,7 @@ fn csv(profiles: &[PresetProfile]) -> String {
 /// Run the traced sweep over every preset; returns the two dominance tables
 /// plus the per-preset critical-path CSV (one row per preset × span kind).
 pub fn profile_drills_with_csv(scale: Scale) -> (Vec<Table>, String) {
-    let profiles: Vec<PresetProfile> = Scenario::all()
-        .into_iter()
+    let profiles: Vec<PresetProfile> = generic_drills()
         .map(|scenario| profile(scale, scenario))
         .collect();
     let tables = vec![
@@ -186,37 +178,36 @@ pub fn profile_drills(scale: Scale) -> Vec<Table> {
 /// latency (shares sum to ~100%).
 #[cfg(test)]
 pub(crate) fn assert_profiles_are_nondegenerate(tables: &[Table]) {
-    use geotp::chaos::Scenario;
     assert_eq!(tables.len(), 2);
     let dominance = &tables[0];
-    assert_eq!(dominance.len(), Scenario::all().len());
-    for scenario in Scenario::all() {
+    assert_eq!(dominance.len(), generic_drills().count());
+    for scenario in generic_drills() {
         let txns: u64 = dominance
-            .cell(scenario.name(), "committed txns")
+            .cell(scenario.name, "committed txns")
             .expect("preset row")
             .parse()
             .expect("numeric txn count");
         assert!(
             txns > 0,
             "{}: profiling nothing proves nothing",
-            scenario.name()
+            scenario.name
         );
         let p99: u64 = dominance
-            .cell(scenario.name(), "p99 us")
+            .cell(scenario.name, "p99 us")
             .unwrap()
             .parse()
             .unwrap();
         let p50: u64 = dominance
-            .cell(scenario.name(), "p50 us")
+            .cell(scenario.name, "p50 us")
             .unwrap()
             .parse()
             .unwrap();
-        assert!(p99 >= p50, "{}: p99 < p50", scenario.name());
+        assert!(p99 >= p50, "{}: p99 < p50", scenario.name);
         let share_sum: f64 = SPAN_KINDS
             .iter()
             .map(|k| {
                 tables[1]
-                    .cell(scenario.name(), k.label())
+                    .cell(scenario.name, k.label())
                     .unwrap()
                     .parse::<f64>()
                     .unwrap()
@@ -225,7 +216,7 @@ pub(crate) fn assert_profiles_are_nondegenerate(tables: &[Table]) {
         assert!(
             (share_sum - 100.0).abs() < 1.0,
             "{}: shares sum to {share_sum}",
-            scenario.name()
+            scenario.name
         );
     }
 }

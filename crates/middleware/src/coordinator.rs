@@ -2085,26 +2085,4 @@ impl Middleware {
         self.return_scratch(std::mem::take(&mut txn.scratch));
         outcome
     }
-
-    /// Spawn a background task running `count` transactions from an async
-    /// generator closure — a small helper for driver loops in examples.
-    pub fn spawn_client<F, Fut>(
-        self: &Rc<Self>,
-        count: usize,
-        mut make: F,
-    ) -> geotp_simrt::JoinHandle<Vec<TxnOutcome>>
-    where
-        F: FnMut(usize) -> Fut + 'static,
-        Fut: std::future::Future<Output = TransactionSpec> + 'static,
-    {
-        let mw = Rc::clone(self);
-        spawn(async move {
-            let mut outcomes = Vec::with_capacity(count);
-            for i in 0..count {
-                let spec = make(i).await;
-                outcomes.push(mw.run_transaction(&spec).await);
-            }
-            outcomes
-        })
-    }
 }

@@ -188,7 +188,7 @@ impl RetryPolicy {
     /// A fixed-interval policy with no jitter — every retry waits exactly
     /// `backoff`. This reproduces the legacy harness behaviour (and consumes
     /// no RNG), so pre-existing chaos fingerprints are unchanged.
-    pub fn fixed(max_attempts: u32, backoff: Duration) -> Self {
+    pub const fn fixed(max_attempts: u32, backoff: Duration) -> Self {
         Self {
             max_attempts,
             base_backoff: backoff,

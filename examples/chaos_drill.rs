@@ -10,15 +10,15 @@
 //! cargo run --release --example chaos_drill [seed]
 //! ```
 
-use geotp::Scenario;
+use geotp::preset;
 
 fn main() {
     let seed = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(7u64);
-    let scenario = Scenario::CoordinatorFailover;
-    println!("== chaos drill: {} (seed {seed}) ==\n", scenario.name());
+    let scenario = preset("coordinator_failover");
+    println!("== chaos drill: {} (seed {seed}) ==\n", scenario.name);
 
     let report = scenario.run(seed);
     for line in &report.trace {

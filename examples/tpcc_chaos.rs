@@ -17,12 +17,9 @@
 //! `target/chaos/minimized.trace.json` (Perfetto-loadable; the chaos-drills
 //! CI job uploads both files as artifacts).
 
-use std::rc::Rc;
-
-use geotp::chaos::telemetry::{attach_trace_on_failure, run_scenario_with_traced};
 use geotp::chaos::{
-    run_scenario_with, shrink_schedule, DrillWorkload, FaultSchedule, RandomFaultConfig, Scenario,
-    TpccChaosWorkload,
+    attach_trace_on_failure, preset, run, shrink_schedule, traced, DrillWorkload, FaultSchedule,
+    RandomFaultConfig,
 };
 
 fn main() {
@@ -32,11 +29,8 @@ fn main() {
         .unwrap_or(1u64);
 
     // ---------------- part 1: TPC-C under a chaos preset ----------------
-    let scenario = Scenario::CrashDuringBrownout;
-    println!(
-        "== TPC-C under chaos: {} (seed {seed}) ==\n",
-        scenario.name()
-    );
+    let scenario = preset("crash_during_brownout");
+    println!("== TPC-C under chaos: {} (seed {seed}) ==\n", scenario.name);
     let report = scenario.run_with(seed, DrillWorkload::Tpcc);
     for line in report.trace.iter().rev().take(8).rev() {
         println!("  {line}");
@@ -66,7 +60,7 @@ fn main() {
 
     // ---------------- part 2: inject a bug, catch it, shrink it ----------------
     println!("\n== injected isolation bug: catch + shrink ==\n");
-    let (mut config, _) = Scenario::RandomizedFaults.build(seed);
+    let (mut config, _) = preset("randomized_faults").build(seed);
     config.isolation_bug_read_stride = Some(2);
     let noisy = FaultSchedule::random(
         config.seed,
@@ -77,9 +71,9 @@ fn main() {
         },
     );
     let fails = |schedule: &FaultSchedule| {
-        let workload = Rc::new(TpccChaosWorkload::drill_scale(config.nodes()));
-        let run = run_scenario_with(config.clone(), schedule.clone(), workload);
-        !run.invariants.serializability_ok
+        let workload = DrillWorkload::Tpcc.build(&config);
+        let report = run(config.clone(), schedule.clone(), workload);
+        !report.invariants.serializability_ok
     };
     println!("noisy schedule: {} events", noisy.events.len());
     let Some(shrink) = shrink_schedule(&noisy, 80, fails) else {
@@ -109,8 +103,8 @@ fn main() {
     // installed (tracing never changes the schedule, so it reproduces the
     // exact same failure) and attach the full span tree to the bug report:
     // a Chrome-trace/Perfetto JSON plus the event trace + metrics snapshot.
-    let workload = Rc::new(TpccChaosWorkload::drill_scale(config.nodes()));
-    let (traced_run, telemetry) = run_scenario_with_traced(config.clone(), replayed, workload);
+    let workload = DrillWorkload::Tpcc.build(&config);
+    let (traced_run, telemetry) = traced(|| run(config.clone(), replayed, workload));
     assert!(
         !traced_run.invariants.serializability_ok,
         "traced replay must reproduce the failure"

@@ -18,8 +18,7 @@
 //! cargo run --release --example trace_explorer [seed]
 //! ```
 
-use geotp::chaos::telemetry::run_scenario_traced;
-use geotp::chaos::Scenario;
+use geotp::chaos::{preset, traced};
 use geotp::telemetry::{critical_path, write_chrome_trace, SpanKind};
 
 fn main() {
@@ -27,11 +26,10 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(7u64);
-    let scenario = Scenario::CoordinatorFailover;
-    println!("== trace explorer: {} (seed {seed}) ==\n", scenario.name());
+    let scenario = preset("coordinator_failover");
+    println!("== trace explorer: {} (seed {seed}) ==\n", scenario.name);
 
-    let (config, schedule) = scenario.build(seed);
-    let (report, telemetry) = run_scenario_traced(config, schedule);
+    let (report, telemetry) = traced(|| scenario.run(seed));
     assert!(report.invariants.all_hold());
     println!(
         "client view: {} committed, {} aborted, {} indeterminate (coordinator crash)",
