@@ -285,6 +285,161 @@ mod tests {
         }
     }
 
+    /// The one-shot door (`Middleware::run_transaction`) pinned per
+    /// transaction, not per 1-decimal figure cell: the 7 protocol presets ×
+    /// rounds {1, 3} × annotation {on, off}, one seeded contended YCSB run
+    /// each. The fingerprint folds `(gtrid, committed, latency µs)` in
+    /// completion order, so any change to what a whole-spec submission tells
+    /// the coordinator (the per-branch `is_last` oracle, the up-front peer
+    /// list, the hotspot touch order) moves a row. Scale-independent.
+    #[test]
+    fn golden_oneshot_protocol_matrix() {
+        use geotp::{ClusterBuilder, Protocol};
+        use geotp_middleware::{TxnOutcome, ABORT_REASONS};
+        use geotp_storage::EngineConfig;
+        use geotp_workloads::{Contention, YcsbConfig, YcsbGenerator};
+        use rand::{rngs::StdRng, SeedableRng};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        use std::time::Duration;
+
+        const SEED: u64 = 16;
+        const TERMINALS: u64 = 32;
+        const WINDOW: Duration = Duration::from_secs(20);
+
+        let mut table = Table::new(
+            "One-shot door — protocol × rounds × annotation, per-transaction pins",
+            &[
+                "protocol",
+                "rounds",
+                "annotated",
+                "committed",
+                "aborts",
+                "postpone us",
+                "dec. prepares",
+                "wait timeouts",
+                "ds statements",
+                "ds prepares",
+                "final us",
+                "fingerprint",
+            ],
+        );
+        let protocols = [
+            Protocol::SspXa,
+            Protocol::SspLocal,
+            Protocol::Quro,
+            Protocol::Chiller,
+            Protocol::geotp_o1(),
+            Protocol::geotp_o1_o2(),
+            Protocol::geotp(),
+        ];
+        for protocol in protocols {
+            for rounds in [1usize, 3] {
+                for annotated in [true, false] {
+                    let mut ycsb = YcsbConfig::new(4, 500)
+                        .with_contention(Contention::Medium)
+                        .with_distributed_ratio(0.5);
+                    ycsb.rounds = rounds;
+                    ycsb.nodes_per_distributed_txn = 3;
+                    let rtts = geotp_net::PAPER_DEFAULT_RTTS_MS;
+                    let mut rt = crate::runner::sim_runtime(SEED, &rtts);
+                    let row = rt.block_on(async move {
+                        let cluster = ClusterBuilder::new()
+                            .seed(SEED)
+                            .paper_default_sources()
+                            .records_per_node(ycsb.records_per_node)
+                            .protocol(protocol)
+                            .engine_config(EngineConfig {
+                                lock_wait_timeout: Duration::from_millis(400),
+                                ..EngineConfig::default()
+                            })
+                            .build();
+                        let generator = Rc::new(YcsbGenerator::new(ycsb));
+                        generator.load(cluster.data_sources());
+                        let completed: Rc<RefCell<Vec<TxnOutcome>>> = Rc::default();
+                        let end = geotp_simrt::now() + WINDOW;
+                        let terminals: Vec<_> = (0..TERMINALS)
+                            .map(|terminal| {
+                                let mw = Rc::clone(cluster.middleware());
+                                let generator = Rc::clone(&generator);
+                                let completed = Rc::clone(&completed);
+                                let mut rng = StdRng::seed_from_u64(SEED * 1_000 + terminal);
+                                geotp_simrt::spawn(async move {
+                                    while geotp_simrt::now() < end {
+                                        let mut spec = generator.generate(&mut rng).0;
+                                        spec.annotate_last = annotated;
+                                        let outcome = mw.run_transaction(&spec).await;
+                                        completed.borrow_mut().push(outcome);
+                                    }
+                                })
+                            })
+                            .collect();
+                        for terminal in terminals {
+                            terminal.await;
+                        }
+                        let final_us = geotp_simrt::now().as_micros();
+                        let completed = completed.borrow();
+                        let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+                        let mut aborts = [0u64; ABORT_REASONS.len()];
+                        for outcome in completed.iter() {
+                            for word in [
+                                outcome.gtrid,
+                                outcome.committed as u64,
+                                outcome.latency.as_micros() as u64,
+                            ] {
+                                for byte in word.to_le_bytes() {
+                                    fnv = (fnv ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                                }
+                            }
+                            if let Some(reason) = outcome.abort_reason {
+                                aborts[reason.ordinal()] += 1;
+                            }
+                        }
+                        let aborts: Vec<String> = ABORT_REASONS
+                            .iter()
+                            .zip(aborts)
+                            .filter(|(_, n)| *n > 0)
+                            .map(|(reason, n)| format!("{}={n}", reason.label()))
+                            .collect();
+                        let stats = cluster.middleware().stats();
+                        let ds_stats: Vec<_> =
+                            cluster.data_sources().iter().map(|ds| ds.stats()).collect();
+                        vec![
+                            protocol.name().to_string(),
+                            rounds.to_string(),
+                            if annotated { "on" } else { "off" }.to_string(),
+                            completed.iter().filter(|o| o.committed).count().to_string(),
+                            if aborts.is_empty() {
+                                "-".to_string()
+                            } else {
+                                aborts.join(" ")
+                            },
+                            stats.total_postpone_micros.to_string(),
+                            stats.decentralized_prepares.to_string(),
+                            stats.decision_wait_timeouts.to_string(),
+                            ds_stats
+                                .iter()
+                                .map(|s| s.statements)
+                                .sum::<u64>()
+                                .to_string(),
+                            ds_stats
+                                .iter()
+                                .map(|s| s.decentralized_prepares)
+                                .sum::<u64>()
+                                .to_string(),
+                            final_us.to_string(),
+                            format!("{fnv:016x}"),
+                        ]
+                    });
+                    table.push_row(row);
+                }
+            }
+        }
+        if let Err(drift) = verify("oneshot_protocol_matrix_quick", &[table]) {
+            panic!("{drift}");
+        }
+    }
+
     /// Golden coverage beyond the drill tables (the ROADMAP open item):
     /// Fig. 6 is the cheapest deterministic figure experiment whose *quick*
     /// table is non-degenerate in every column (Fig. 1b's quick run commits
