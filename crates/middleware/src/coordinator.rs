@@ -19,6 +19,7 @@
 use geotp_simrt::hash::FxHashMap;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -37,18 +38,26 @@ use crate::ops::{ClientOp, GlobalKey, TransactionSpec};
 use crate::parser::{Catalog, SqlParser, TxnControl};
 use crate::router::Partitioner;
 use crate::scheduler::{AdmissionDecision, BranchPlan, GeoScheduler, Schedule, SchedulerConfig};
-use crate::session::TxnError;
+use crate::session::{SqlScript, TxnError};
 
-/// The server-side state of one live (interactively driven) transaction —
-/// what the session front door's [`crate::session::Txn`] handle points at.
-/// Involvement, peer lists and the latency breakdown grow round by round.
+/// The server-side state of one live transaction — what the session front
+/// door's [`crate::session::Txn`] handle points at, and what
+/// [`Middleware::run_transaction`] drives for a whole submitted spec. For a
+/// statement stream, involvement, peer lists and the latency breakdown grow
+/// round by round; a declared plan fixes them before the first round.
 pub struct LiveTxn {
     gtrid: u64,
-    session: u64,
+    /// The session streaming this transaction's statements; `None` when a
+    /// whole spec was submitted (nothing is tracked in the session registry).
+    session: Option<u64>,
+    plan: Option<DeclaredPlan>,
     started: SimInstant,
     breakdown: LatencyBreakdown,
     scratch: TxnScratch,
     distributed: bool,
+    /// Whether the decentralized prepare was triggered: a decentralized-
+    /// prepare protocol saw the `/*+ last */` annotation, so the commit
+    /// phase waits for pushed votes instead of driving a prepare round.
     annotated: bool,
     /// True until the transaction issues anything besides a plain read; a
     /// still-read-only transaction qualifies for the snapshot-read commit
@@ -58,6 +67,20 @@ pub struct LiveTxn {
     concluded: bool,
     #[cfg(feature = "history")]
     history: crate::metrics::TxnHistory,
+}
+
+/// What a client that submits a whole [`TransactionSpec`] has told the
+/// coordinator before the first round runs — the knowledge the paper's
+/// `/*+ last */` annotation stands for, per branch. The key set, the
+/// involvement and the peer lists it also implies are written straight into
+/// the transaction's scratch buffers by [`Middleware::declare_plan`]. A
+/// statement stream has no plan: the coordinator learns the same facts one
+/// round at a time and only the client's annotation ends a branch.
+struct DeclaredPlan {
+    /// The spec's `/*+ last */` annotation flag.
+    annotate_last: bool,
+    /// `(data source, index of the last round that touches it)`.
+    final_round: Vec<(u32, usize)>,
 }
 
 impl LiveTxn {
@@ -70,6 +93,23 @@ impl LiveTxn {
     /// aborted or abandoned).
     pub fn concluded(&self) -> bool {
         self.concluded
+    }
+
+    /// Whether round `round` carries `ds`'s last statement — the per-branch
+    /// `is_last` oracle. A declared plan knows each branch's final round; a
+    /// statement stream knows only the client's annotation on the current
+    /// round (`last`), which ends every branch at once.
+    fn branch_ends(&self, ds: u32, round: usize, last: bool) -> bool {
+        match &self.plan {
+            Some(plan) => plan.final_round.contains(&(ds, round)),
+            None => last,
+        }
+    }
+
+    /// The other branches `ds`'s geo-agent must know about (early abort).
+    fn peers_of(&self, ds: u32) -> Vec<u32> {
+        let involved = self.scratch.involved.iter().copied();
+        involved.filter(|peer| *peer != ds).collect()
     }
 
     /// Move the transaction's latency origin back to `connected` (the
@@ -172,6 +212,30 @@ impl Protocol {
     /// Whether the high-contention heuristics are enabled (O3).
     pub fn advanced(&self) -> bool {
         matches!(self, Protocol::GeoTp { advanced: true, .. })
+    }
+
+    /// QURO: whether each branch's writes move behind its reads, delaying
+    /// exclusive-lock acquisition.
+    fn reorders_writes_last(&self) -> bool {
+        matches!(self, Protocol::Quro)
+    }
+
+    /// Whether every round is planned by the geo-scheduler (which O2/O3
+    /// then make postpone or refuse; with O1 alone it postpones nothing).
+    fn geo_scheduled(&self) -> bool {
+        matches!(self, Protocol::GeoTp { .. })
+    }
+
+    /// Chiller: whether the lowest-RTT ("inner region") branch of a round
+    /// runs only after the others finished.
+    fn inner_region_last(&self) -> bool {
+        matches!(self, Protocol::Chiller)
+    }
+
+    /// SSP(local): whether a distributed transaction commits one-phase on
+    /// every branch with no vote collection (and no atomicity).
+    fn one_phase_everywhere(&self) -> bool {
+        matches!(self, Protocol::SspLocal)
     }
 
     /// Short display name used in experiment tables.
@@ -286,35 +350,26 @@ impl MiddlewareConfig {
 /// cache (see [`MiddlewareConfig::sql_cache_capacity`]).
 const SQL_CACHE_MAX: usize = 4_096;
 
-/// A cached, fully parsed SQL script: what `run_sql` needs to skip the parser
-/// on repeat executions of the same text.
-pub(crate) enum SqlPlan {
-    /// The script runs this transaction.
-    Run(Rc<TransactionSpec>),
-    /// The script ends in ROLLBACK (or contains no operations).
-    Rollback,
-}
-
 /// The parsed-SQL plan cache, bounded by cheap second-chance (clock)
 /// eviction. The previous policy wholesale-`clear()`ed a full cache, so a
 /// workload whose distinct-script count hovered just above capacity threw
 /// away its *hot* entries along with the cold ones and thrashed the parser;
 /// the clock gives every entry that was hit since its last inspection one
 /// more pass, so hot scripts survive capacity pressure indefinitely.
-struct SqlPlanCache {
+struct SqlCache {
     capacity: usize,
-    map: FxHashMap<Rc<str>, CachedSqlPlan>,
+    map: FxHashMap<Rc<str>, CachedScript>,
     /// Clock order: the front is the next eviction candidate.
     clock: std::collections::VecDeque<Rc<str>>,
 }
 
-struct CachedSqlPlan {
-    plan: Rc<SqlPlan>,
+struct CachedScript {
+    plan: SqlScript,
     /// Set on every hit, cleared when the clock hand passes over the entry.
     referenced: bool,
 }
 
-impl SqlPlanCache {
+impl SqlCache {
     fn new(capacity: usize) -> Self {
         Self {
             capacity,
@@ -323,13 +378,13 @@ impl SqlPlanCache {
         }
     }
 
-    fn get(&mut self, script: &str) -> Option<Rc<SqlPlan>> {
+    fn get(&mut self, script: &str) -> Option<SqlScript> {
         let slot = self.map.get_mut(script)?;
         slot.referenced = true;
-        Some(Rc::clone(&slot.plan))
+        Some(slot.plan.clone())
     }
 
-    fn insert(&mut self, script: &str, plan: Rc<SqlPlan>) {
+    fn insert(&mut self, script: &str, plan: SqlScript) {
         if self.capacity == 0 || self.map.contains_key(script) {
             return;
         }
@@ -355,7 +410,7 @@ impl SqlPlanCache {
         self.clock.push_back(Rc::clone(&key));
         self.map.insert(
             key,
-            CachedSqlPlan {
+            CachedScript {
                 plan,
                 referenced: false,
             },
@@ -410,7 +465,7 @@ pub struct Middleware {
     catalog: RefCell<Catalog>,
     /// Parsed-statement cache for [`Middleware::run_sql`], keyed by script
     /// text, bounded by second-chance eviction.
-    sql_cache: RefCell<SqlPlanCache>,
+    sql_cache: RefCell<SqlCache>,
     /// Pool of reusable per-transaction buffers.
     scratch_pool: RefCell<Vec<TxnScratch>>,
     /// Per-session front-door state (the session API's server side): which
@@ -483,7 +538,7 @@ impl Middleware {
             dispatch_before_flush: Cell::new(false),
             stats: RefCell::new(MiddlewareStats::default()),
             catalog: RefCell::new(Catalog::new()),
-            sql_cache: RefCell::new(SqlPlanCache::new(sql_cache_capacity)),
+            sql_cache: RefCell::new(SqlCache::new(sql_cache_capacity)),
             scratch_pool: RefCell::new(Vec::new()),
             sessions: RefCell::new(FxHashMap::default()),
             hotspot_depth_traced: Cell::new((0, 0, 0)),
@@ -568,27 +623,6 @@ impl Middleware {
         self.next_txn.get()
     }
 
-    /// Flush a decision, honouring the [`Middleware::crash_after_next_flush`]
-    /// fail point: the crash lands exactly between the durable flush and the
-    /// decision dispatch. Returns `false` when the commit log rejected the
-    /// write because this coordinator's epoch has been fenced — the caller
-    /// must treat the transaction as undecided (a peer owns it now).
-    async fn flush_decision(&self, gtrid: u64, decision: Decision) -> bool {
-        let flushed = self
-            .commit_log
-            .try_flush_decision(gtrid, decision, self.config.epoch)
-            .await
-            .is_ok();
-        // The fail point models a crash after a *successful* durable flush
-        // (the §V-A window). A fence-rejected flush wrote nothing, so firing
-        // on it would stage a crash without the durable decision the drill
-        // exists to exercise; leave the fail point armed for a real flush.
-        if flushed && self.crash_after_flush.replace(false) {
-            self.crashed.set(true);
-        }
-        flushed
-    }
-
     /// The simulated network this middleware is attached to.
     pub fn network(&self) -> &Rc<Network> {
         &self.net
@@ -598,6 +632,11 @@ impl Middleware {
         let seq = self.next_txn.get();
         self.next_txn.set(seq + 1);
         ((self.config.node.index() as u64) << Xid::OWNER_SHIFT) | seq
+    }
+
+    /// This coordinator's identity in the span tree.
+    fn dm(&self) -> TraceNode {
+        TraceNode::middleware(self.config.node.index())
     }
 
     fn conn(&self, ds: u32) -> &DsConnection {
@@ -644,35 +683,24 @@ impl Middleware {
         self: &Rc<Self>,
         script: &str,
     ) -> Result<TxnOutcome, crate::parser::ParseError> {
-        match &*self.sql_plan(script)? {
-            SqlPlan::Rollback => Ok(TxnOutcome::aborted(
+        match self.parsed_sql(script)? {
+            SqlScript::Rollback => Ok(TxnOutcome::aborted(
                 AbortReason::ClientRollback,
                 Duration::ZERO,
                 false,
             )),
-            SqlPlan::Run(spec) => Ok(self.run_transaction(spec).await),
+            SqlScript::Run(spec) => Ok(self.run_transaction(&spec).await),
         }
     }
 
     /// Look the script's plan up in the bounded cache, parsing on a miss.
-    pub(crate) fn sql_plan(&self, script: &str) -> Result<Rc<SqlPlan>, crate::parser::ParseError> {
+    pub(crate) fn parsed_sql(&self, script: &str) -> Result<SqlScript, crate::parser::ParseError> {
         if let Some(plan) = self.sql_cache.borrow_mut().get(script) {
             return Ok(plan);
         }
-        let plan = Rc::new(self.parse_sql_plan(script)?);
-        self.sql_cache.borrow_mut().insert(script, Rc::clone(&plan));
+        let plan = self.parse_script(script)?;
+        self.sql_cache.borrow_mut().insert(script, plan.clone());
         Ok(plan)
-    }
-
-    /// The script's plan in the session front door's vocabulary.
-    pub(crate) fn sql_script(
-        &self,
-        script: &str,
-    ) -> Result<crate::session::SqlScript, crate::parser::ParseError> {
-        Ok(match &*self.sql_plan(script)? {
-            SqlPlan::Rollback => crate::session::SqlScript::Rollback,
-            SqlPlan::Run(spec) => crate::session::SqlScript::Run(Rc::clone(spec)),
-        })
     }
 
     /// Parse a single SQL statement against the middleware's catalog (the
@@ -702,7 +730,7 @@ impl Middleware {
 
     /// Parse a SQL script into its executable plan (the slow path behind the
     /// statement cache).
-    fn parse_sql_plan(&self, script: &str) -> Result<SqlPlan, crate::parser::ParseError> {
+    fn parse_script(&self, script: &str) -> Result<SqlScript, crate::parser::ParseError> {
         let statements = {
             let mut catalog = self.catalog.borrow_mut();
             let mut parser = SqlParser::new();
@@ -734,37 +762,11 @@ impl Middleware {
             }
         }
         if rollback || rounds.is_empty() {
-            return Ok(SqlPlan::Rollback);
+            return Ok(SqlScript::Rollback);
         }
         let mut spec = TransactionSpec::multi_round(rounds);
         spec.annotate_last = annotate_last || spec.rounds.len() == 1;
-        Ok(SqlPlan::Run(Rc::new(spec)))
-    }
-
-    /// Bookkeeping common to every transaction exit path.
-    #[cfg_attr(not(feature = "history"), allow(unused_mut, unused_variables))]
-    fn finish_txn(
-        &self,
-        gtrid: u64,
-        advanced: bool,
-        keys: &[GlobalKey],
-        spec: &TransactionSpec,
-        mut outcome: TxnOutcome,
-    ) -> TxnOutcome {
-        self.hub.unregister(gtrid);
-        if advanced {
-            self.scheduler
-                .footprint()
-                .borrow_mut()
-                .on_txn_finish(keys, outcome.committed);
-        }
-        #[cfg(feature = "history")]
-        if self.config.record_history && outcome.gtrid != 0 {
-            outcome.history = crate::metrics::TxnHistory::from_spec(spec);
-        }
-        self.stats.borrow_mut().record(&outcome);
-        self.trace_txn_exit(gtrid, &outcome);
-        outcome
+        Ok(SqlScript::Run(Rc::new(spec)))
     }
 
     /// Telemetry hook shared by every transaction exit path: close whatever
@@ -807,258 +809,6 @@ impl Middleware {
                 geotp_telemetry::counter_add("mw.hotspot_evictions", "", idx, delta);
             }
         }
-    }
-
-    /// Run one client transaction end to end and return its outcome.
-    pub async fn run_transaction(self: &Rc<Self>, spec: &TransactionSpec) -> TxnOutcome {
-        let started = now();
-        let mut breakdown = LatencyBreakdown::default();
-        if self.crashed.get() {
-            // A crashed coordinator accepts nothing; the client's connection
-            // is refused before any state is created.
-            return TxnOutcome::aborted(AbortReason::CoordinatorCrashed, Duration::ZERO, false);
-        }
-
-        // ------------------------------------------------------------------
-        // Analysis: parse, route, plan (Fig. 6c "Analysis").
-        // ------------------------------------------------------------------
-        sleep(self.config.analysis_cost).await;
-        breakdown.analysis = self.config.analysis_cost;
-
-        // Key/routing bookkeeping lives in pooled buffers: the steady-state
-        // transaction path reuses the vectors of earlier transactions.
-        let mut scratch = self.take_scratch();
-        spec.collect_keys_into(&mut scratch.keys);
-        self.config
-            .partitioner
-            .involved_nodes_into(&scratch.keys, &mut scratch.involved);
-        scratch.started_branches.clear();
-        let distributed = scratch.involved.len() > 1;
-        let gtrid = self.alloc_gtrid();
-        self.hub.register(gtrid);
-        // Trace root + the analysis slice (backdated: the gtrid only exists
-        // now, after the analysis already ran).
-        let dm = TraceNode::middleware(self.config.node.index());
-        geotp_telemetry::span_root_at(gtrid, dm, SpanKind::Txn, spec.rounds.len() as u64, started);
-        geotp_telemetry::span_leaf_closed(gtrid, dm, SpanKind::Analysis, 0, started);
-        let advanced = self.config.protocol.advanced();
-        if advanced {
-            self.scheduler
-                .footprint()
-                .borrow_mut()
-                .on_access_start(&scratch.keys);
-        }
-
-        // ------------------------------------------------------------------
-        // Execution phase: dispatch each round to the involved data sources.
-        // ------------------------------------------------------------------
-        let exec_started = now();
-        let mut rows = Vec::new();
-
-        for (round_idx, round_ops) in spec.rounds.iter().enumerate() {
-            let round_span =
-                geotp_telemetry::span_scoped(gtrid, dm, SpanKind::Round, round_idx as u64);
-            // Per-branch operation groups borrow from the spec — nothing is
-            // cloned for routing.
-            let mut groups = self.config.partitioner.split(round_ops);
-
-            // QURO: delay exclusive-lock acquisition by moving writes last.
-            if matches!(self.config.protocol, Protocol::Quro) {
-                for (_, ops) in groups.iter_mut() {
-                    ops.sort_by_key(|op| op.is_write());
-                }
-            }
-
-            // Build the scheduling plan for this round.
-            let plans: Vec<BranchPlan> = groups
-                .iter()
-                .map(|(ds, ops)| BranchPlan {
-                    ds_index: *ds,
-                    keys: ops.iter().map(|op| op.key()).collect(),
-                })
-                .collect();
-
-            let schedule = if matches!(self.config.protocol, Protocol::GeoTp { .. }) {
-                if advanced && round_idx == 0 {
-                    match self.scheduler.schedule_with_admission(&plans) {
-                        AdmissionDecision::Admit(s) => s,
-                        AdmissionDecision::Reject { attempts } => {
-                            // Late transaction scheduling kept this transaction
-                            // back; charge the backoff and abort it.
-                            let backoff = self.config.scheduler.retry_backoff * attempts;
-                            sleep(backoff).await;
-                            let mut outcome = TxnOutcome::aborted(
-                                AbortReason::AdmissionRejected,
-                                now().duration_since(started),
-                                distributed,
-                            );
-                            outcome.gtrid = gtrid;
-                            let outcome =
-                                self.finish_txn(gtrid, advanced, &scratch.keys, spec, outcome);
-                            self.return_scratch(scratch);
-                            return outcome;
-                        }
-                    }
-                } else {
-                    self.scheduler.schedule(&plans)
-                }
-            } else {
-                Schedule {
-                    postpone: vec![Duration::ZERO; plans.len()],
-                    horizon: Duration::ZERO,
-                }
-            };
-            self.stats.borrow_mut().total_postpone_micros += schedule
-                .postpone
-                .iter()
-                .map(|d| d.as_micros() as u64)
-                .sum::<u64>();
-
-            // Assemble the per-branch requests.
-            let decentralized = self.config.protocol.decentralized_prepare() && spec.annotate_last;
-            let mut requests = Vec::with_capacity(groups.len());
-            for (ds, ops) in &groups {
-                let later_rounds_touch_ds = spec.rounds[round_idx + 1..].iter().any(|round| {
-                    round
-                        .iter()
-                        .any(|op| self.config.partitioner.route(op.key()) == *ds)
-                });
-                let is_last = decentralized && !later_rounds_touch_ds;
-                requests.push(StatementRequest {
-                    xid: Xid::new(gtrid, *ds),
-                    begin: !scratch.started_branches.contains(ds),
-                    ops: ops.iter().map(|op| Self::to_ds_op(op)).collect(),
-                    is_last,
-                    decentralized_prepare: decentralized,
-                    early_abort: self.config.protocol.early_abort() && distributed,
-                    peers: if distributed {
-                        scratch
-                            .involved
-                            .iter()
-                            .copied()
-                            .filter(|p| p != ds)
-                            .collect()
-                    } else {
-                        Vec::new()
-                    },
-                    trace_parent: round_span,
-                });
-            }
-            for (ds, _) in &groups {
-                if !scratch.started_branches.contains(ds) {
-                    scratch.started_branches.push(*ds);
-                }
-            }
-
-            // Dispatch.
-            let mut responses = match self.config.protocol {
-                Protocol::Chiller if groups.len() > 1 => {
-                    self.dispatch_chiller(&groups, requests).await
-                }
-                _ => self.dispatch_parallel(&groups, requests, &schedule).await,
-            };
-
-            // The coordinator may have been crashed while this round was in
-            // flight: stop dead. No rollbacks are dispatched — a crashed
-            // process sends nothing; the branches are cleaned up by the data
-            // sources' disconnect handling and by failure recovery.
-            if self.crashed.get() {
-                let mut outcome = TxnOutcome::aborted(
-                    AbortReason::CoordinatorCrashed,
-                    now().duration_since(started),
-                    distributed,
-                );
-                outcome.gtrid = gtrid;
-                let outcome = self.finish_txn(gtrid, advanced, &scratch.keys, spec, outcome);
-                self.return_scratch(scratch);
-                return outcome;
-            }
-
-            // Feedback + failure handling.
-            let mut failed = false;
-            for ((_ds, ops), response) in groups.iter().zip(&responses) {
-                if advanced {
-                    scratch.branch_keys.clear();
-                    scratch.branch_keys.extend(ops.iter().map(|op| op.key()));
-                    self.scheduler
-                        .footprint()
-                        .borrow_mut()
-                        .on_subtxn_feedback(&scratch.branch_keys, response.local_execution_latency);
-                }
-                if !response.outcome.is_ok() {
-                    failed = true;
-                }
-            }
-            if !failed {
-                // Move the result rows out of the responses (no clones).
-                for response in &mut responses {
-                    if let StatementOutcome::Ok { rows: r } = &mut response.outcome {
-                        rows.append(r);
-                    }
-                }
-            }
-
-            if failed {
-                geotp_telemetry::span_end(round_span);
-                breakdown.execution = now().duration_since(exec_started);
-                let failed_here: Vec<u32> = groups
-                    .iter()
-                    .zip(&responses)
-                    .filter(|(_, r)| !r.outcome.is_ok())
-                    .map(|((ds, _), _)| *ds)
-                    .collect();
-                let abort_span = geotp_telemetry::span_leaf(
-                    gtrid,
-                    dm,
-                    SpanKind::RollbackDispatch,
-                    scratch.started_branches.len() as u64,
-                );
-                self.abort_started_branches(gtrid, &scratch.started_branches, &failed_here)
-                    .await;
-                geotp_telemetry::span_end(abort_span);
-                let outcome = TxnOutcome {
-                    gtrid,
-                    committed: false,
-                    abort_reason: Some(AbortReason::ExecutionFailed),
-                    latency: now().duration_since(started),
-                    breakdown,
-                    distributed,
-                    ..TxnOutcome::default()
-                };
-                let outcome = self.finish_txn(gtrid, advanced, &scratch.keys, spec, outcome);
-                self.return_scratch(scratch);
-                return outcome;
-            }
-            geotp_telemetry::span_end(round_span);
-        }
-        breakdown.execution = now().duration_since(exec_started);
-
-        // ------------------------------------------------------------------
-        // Commit phase.
-        // ------------------------------------------------------------------
-        let commit_outcome = self
-            .commit_phase(
-                gtrid,
-                &scratch.involved,
-                distributed,
-                spec.annotate_last,
-                &mut breakdown,
-            )
-            .await;
-
-        let outcome = TxnOutcome {
-            gtrid,
-            committed: commit_outcome.is_ok(),
-            abort_reason: commit_outcome.err(),
-            latency: now().duration_since(started),
-            breakdown,
-            distributed,
-            rows,
-            ..TxnOutcome::default()
-        };
-        let outcome = self.finish_txn(gtrid, advanced, &scratch.keys, spec, outcome);
-        self.return_scratch(scratch);
-        outcome
     }
 
     /// Dispatch every branch of a round concurrently, honouring the
@@ -1143,219 +893,217 @@ impl Middleware {
         responses.into_iter().map(|r| r.expect("filled")).collect()
     }
 
+    /// Roll `branches` back concurrently. Failures are ignored: rolling back
+    /// an already-finished branch is a no-op on the data source, and a
+    /// branch that cannot be reached is finished by recovery.
+    fn rollback_branches(
+        &self,
+        gtrid: u64,
+        branches: impl IntoIterator<Item = u32>,
+    ) -> impl Future<Output = ()> + 'static {
+        let rollbacks: Vec<_> = branches
+            .into_iter()
+            .map(|ds| {
+                let conn = self.conn(ds).clone();
+                async move {
+                    let _ = conn.rollback(Xid::new(gtrid, ds)).await;
+                }
+            })
+            .collect();
+        async move {
+            join_all(rollbacks).await;
+        }
+    }
+
     /// Abort path after an execution failure. `failed_here` names the
     /// branches whose own statement failed — those have already been rolled
     /// back by their geo-agent.
     async fn abort_started_branches(&self, gtrid: u64, started: &[u32], failed_here: &[u32]) {
+        let mut confirmed = Vec::new();
         if self.config.protocol.early_abort() {
             // The failing geo-agent has notified its peers directly; the
             // middleware only waits for the rollback confirmations. Bounded
             // wait: a crashed peer (or a lost confirmation) must not park
             // this transaction forever.
-            let waiting: Vec<u32> = started.to_vec();
-            if !waiting.is_empty()
-                && geotp_simrt::timeout(
+            if started.is_empty()
+                || geotp_simrt::timeout(
                     self.config.decision_wait_timeout,
-                    self.hub.wait_for_rollbacks(gtrid, &waiting),
+                    self.hub.wait_for_rollbacks(gtrid, started),
                 )
                 .await
-                .is_err()
+                .is_ok()
             {
-                self.stats.borrow_mut().decision_wait_timeouts += 1;
-                // Give up on the notifications and roll the stragglers back
-                // explicitly, like a real XA coordinator. Without this, a
-                // branch whose sibling died *at XA START* (a crashed
-                // participant sends no early aborts) is abandoned ACTIVE on a
-                // healthy data source: locks held forever, uncommitted writes
-                // visible to `peek`, invisible to `XA RECOVER` — the TPC-C
-                // chaos drills caught exactly that via the district order-id
-                // consistency condition. Rolling back an already-rolled-back
-                // branch is a no-op on the data source, so this is safe to
-                // over-apply.
-                let confirmed = self.hub.rollbacked(gtrid);
-                let stragglers: Vec<u32> = waiting
-                    .iter()
-                    .copied()
-                    .filter(|ds| !confirmed.contains(ds) && !failed_here.contains(ds))
-                    .collect();
-                join_all(
-                    stragglers
-                        .iter()
-                        .map(|ds| {
-                            let conn = self.conn(*ds).clone();
-                            let xid = Xid::new(gtrid, *ds);
-                            async move {
-                                let _ = conn.rollback(xid).await;
-                            }
-                        })
-                        .collect(),
-                )
-                .await;
+                return;
             }
-            return;
+            self.stats.borrow_mut().decision_wait_timeouts += 1;
+            // Give up on the notifications and roll the stragglers back
+            // explicitly, like a real XA coordinator. Without this, a
+            // branch whose sibling died *at XA START* (a crashed
+            // participant sends no early aborts) is abandoned ACTIVE on a
+            // healthy data source: locks held forever, uncommitted writes
+            // visible to `peek`, invisible to `XA RECOVER` — the TPC-C
+            // chaos drills caught exactly that via the district order-id
+            // consistency condition.
+            confirmed = self.hub.rollbacked(gtrid);
         }
-        // Classic path: the middleware dispatches rollbacks itself.
-        let mut futures = Vec::new();
-        for ds in started {
-            if failed_here.contains(ds) {
-                continue;
-            }
-            let conn = self.conn(*ds).clone();
-            let xid = Xid::new(gtrid, *ds);
-            futures.push(async move {
-                let _ = conn.rollback(xid).await;
-            });
-        }
-        join_all(futures).await;
+        // Classic path (and the stragglers above): the middleware dispatches
+        // the rollbacks itself.
+        let unconfirmed = |ds: &u32| !confirmed.contains(ds) && !failed_here.contains(ds);
+        self.rollback_branches(gtrid, started.iter().copied().filter(unconfirmed))
+            .await;
     }
 
-    /// Commit phase, per protocol. Returns `Ok(())` on commit or the abort
-    /// reason.
+    /// Commit phase: one-phase where no vote is needed, otherwise collect
+    /// the votes (pushed by the geo-agents when the decentralized prepare was
+    /// triggered, else through an explicit prepare round), decide and
+    /// dispatch. Returns `Ok(())` on commit or the abort reason.
     async fn commit_phase(
         &self,
         gtrid: u64,
         involved: &[u32],
-        distributed: bool,
         annotated: bool,
         breakdown: &mut LatencyBreakdown,
     ) -> Result<(), AbortReason> {
-        let dm = TraceNode::middleware(self.config.node.index());
-        // Centralized transaction: a single one-phase commit round trip.
-        if !distributed {
-            let ds = involved[0];
-            let flush_started = now();
-            let flush_span = geotp_telemetry::span_leaf(gtrid, dm, SpanKind::LogFlush, 0);
-            let flushed = self.flush_decision(gtrid, Decision::Commit).await;
-            geotp_telemetry::span_end(flush_span);
-            breakdown.log_flush = now().duration_since(flush_started);
-            if !flushed {
-                return Err(AbortReason::CoordinatorFenced);
-            }
-            if self.crashed.get() {
-                // Crashed before dispatching the one-phase commit: the branch
-                // never prepared, so the data source's disconnect handling
-                // rolls it back. The client sees no outcome.
-                return Err(AbortReason::CoordinatorCrashed);
-            }
-            let commit_started = now();
-            let commit_span = geotp_telemetry::span_leaf(gtrid, dm, SpanKind::CommitDispatch, 1);
-            let result = self.conn(ds).commit(Xid::new(gtrid, ds), true).await;
-            geotp_telemetry::span_end(commit_span);
-            breakdown.commit = now().duration_since(commit_started);
-            return match result {
-                Ok(()) => Ok(()),
-                Err(_) => Err(AbortReason::PrepareFailed),
-            };
+        if involved.len() == 1 || self.config.protocol.one_phase_everywhere() {
+            return self.commit_one_phase(gtrid, involved, breakdown).await;
         }
+        let wait_started = now();
+        let votes = if annotated {
+            self.stats.borrow_mut().decentralized_prepares += 1;
+            // Wait for the asynchronous prepare votes pushed by the
+            // geo-agents (no extra WAN round trip). The wait is bounded: a
+            // crashed participant (or a lost vote notification) must not
+            // park the coordinator forever — after the decision-wait timeout
+            // the missing votes count as no-votes and the transaction
+            // aborts, exactly like a real XA coordinator giving up on a dead
+            // participant.
+            let wait_span = geotp_telemetry::span_leaf(
+                gtrid,
+                self.dm(),
+                SpanKind::VoteWait,
+                involved.len() as u64,
+            );
+            let pushed = geotp_simrt::timeout(
+                self.config.decision_wait_timeout,
+                self.hub.wait_for_votes(gtrid, involved),
+            )
+            .await;
+            let votes = pushed.unwrap_or_else(|_elapsed| {
+                self.stats.borrow_mut().decision_wait_timeouts += 1;
+                let mut votes = self.hub.votes(gtrid);
+                for b in self.hub.rollbacked(gtrid) {
+                    votes.entry(b).or_insert(PrepareVote::RollbackOnly);
+                }
+                votes
+            });
+            geotp_telemetry::span_end(wait_span);
+            votes
+        } else {
+            // Classic XA: explicit prepare round trip (SSP, QURO, and any
+            // transaction the client did not annotate).
+            let prepare_span = geotp_telemetry::span_leaf(
+                gtrid,
+                self.dm(),
+                SpanKind::Prepare,
+                involved.len() as u64,
+            );
+            let prepares = involved.iter().map(|ds| {
+                let conn = self.conn(*ds).clone();
+                let xid = Xid::new(gtrid, *ds);
+                async move { (xid.bqual, conn.prepare(xid).await) }
+            });
+            let votes = join_all(prepares.collect()).await;
+            geotp_telemetry::span_end(prepare_span);
+            votes.into_iter().collect()
+        };
+        breakdown.prepare_wait = now().duration_since(wait_started);
+        self.decide_and_dispatch(gtrid, involved, &votes, breakdown)
+            .await
+    }
 
-        let protocol = self.config.protocol;
-        match protocol {
-            Protocol::GeoTp { .. } | Protocol::Chiller if annotated => {
-                self.stats.borrow_mut().decentralized_prepares += 1;
-                // Wait for the asynchronous prepare votes pushed by the
-                // geo-agents (no extra WAN round trip). The wait is bounded:
-                // a crashed participant (or a lost vote notification) must
-                // not park the coordinator forever — after the decision-wait
-                // timeout the missing votes count as no-votes and the
-                // transaction aborts, exactly like a real XA coordinator
-                // giving up on a dead participant.
-                let wait_started = now();
-                let wait_span = geotp_telemetry::span_leaf(
-                    gtrid,
-                    dm,
-                    SpanKind::VoteWait,
-                    involved.len() as u64,
-                );
-                let votes = match geotp_simrt::timeout(
-                    self.config.decision_wait_timeout,
-                    self.hub.wait_for_votes(gtrid, involved),
-                )
+    /// Flush the decision (the `LogFlush` slice), honouring the
+    /// [`Middleware::crash_after_next_flush`] fail point: the crash lands
+    /// exactly between the durable flush and the decision dispatch. An `Err`
+    /// means nothing may be dispatched.
+    async fn flush_decision(
+        &self,
+        gtrid: u64,
+        decision: Decision,
+        breakdown: &mut LatencyBreakdown,
+    ) -> Result<(), AbortReason> {
+        let flush_started = now();
+        let flush_span = geotp_telemetry::span_leaf(gtrid, self.dm(), SpanKind::LogFlush, 0);
+        let flushed = self
+            .commit_log
+            .try_flush_decision(gtrid, decision, self.config.epoch)
+            .await
+            .is_ok();
+        geotp_telemetry::span_end(flush_span);
+        breakdown.log_flush = now().duration_since(flush_started);
+        if !flushed {
+            // Fenced mid-transaction: the commit log rejected the write, so
+            // the decision never became durable. The branches belong to the
+            // adopting peer now, which resolves them from the sealed log
+            // (no record ⇒ abort) — exactly the outcome we report. The fail
+            // point stays armed for a real flush: a fence-rejected one wrote
+            // nothing, so firing on it would stage a crash without the
+            // durable decision the drill exists to exercise.
+            return Err(AbortReason::CoordinatorFenced);
+        }
+        if self.crash_after_flush.replace(false) {
+            self.crashed.set(true);
+        }
+        if self.crashed.get() {
+            // The §V-A window: decision durable, dispatch never happens.
+            // Prepared branches stay in doubt until a successor replays the
+            // commit log through `recover()`; a one-phase branch never
+            // prepared, so its data source's disconnect handling rolls it
+            // back. The client sees no outcome.
+            return Err(AbortReason::CoordinatorCrashed);
+        }
+        Ok(())
+    }
+
+    /// Commit without votes: the centralized transaction's single one-phase
+    /// round trip, and SSP(local)'s one-phase commit on every branch.
+    async fn commit_one_phase(
+        &self,
+        gtrid: u64,
+        involved: &[u32],
+        breakdown: &mut LatencyBreakdown,
+    ) -> Result<(), AbortReason> {
+        self.flush_decision(gtrid, Decision::Commit, breakdown)
+            .await?;
+        let commit_started = now();
+        let commit_span = geotp_telemetry::span_leaf(
+            gtrid,
+            self.dm(),
+            SpanKind::CommitDispatch,
+            involved.len() as u64,
+        );
+        let committed = if let [ds] = involved {
+            // Centralized transactions are the overwhelming majority at the
+            // paper's 20% distributed ratio: await the one branch directly
+            // instead of paying `join_all`'s boxing and re-polling.
+            self.conn(*ds)
+                .commit(Xid::new(gtrid, *ds), true)
                 .await
-                {
-                    Ok(votes) => votes,
-                    Err(_elapsed) => {
-                        self.stats.borrow_mut().decision_wait_timeouts += 1;
-                        let mut votes = self.hub.votes(gtrid);
-                        for b in self.hub.rollbacked(gtrid) {
-                            votes.entry(b).or_insert(PrepareVote::RollbackOnly);
-                        }
-                        votes
-                    }
-                };
-                geotp_telemetry::span_end(wait_span);
-                breakdown.prepare_wait = now().duration_since(wait_started);
-                let all_yes = involved
-                    .iter()
-                    .all(|ds| votes.get(ds).map(|v| v.is_yes()).unwrap_or(false));
-                self.decide_and_dispatch(gtrid, involved, all_yes, &votes, breakdown)
-                    .await
-            }
-            Protocol::SspLocal => {
-                // One-phase commit everywhere, no vote collection.
-                let flush_started = now();
-                let flush_span = geotp_telemetry::span_leaf(gtrid, dm, SpanKind::LogFlush, 0);
-                let flushed = self.flush_decision(gtrid, Decision::Commit).await;
-                geotp_telemetry::span_end(flush_span);
-                breakdown.log_flush = now().duration_since(flush_started);
-                if !flushed {
-                    return Err(AbortReason::CoordinatorFenced);
-                }
-                if self.crashed.get() {
-                    return Err(AbortReason::CoordinatorCrashed);
-                }
-                let commit_started = now();
-                let commit_span = geotp_telemetry::span_leaf(
-                    gtrid,
-                    dm,
-                    SpanKind::CommitDispatch,
-                    involved.len() as u64,
-                );
-                let results = join_all(
-                    involved
-                        .iter()
-                        .map(|ds| {
-                            let conn = self.conn(*ds).clone();
-                            let xid = Xid::new(gtrid, *ds);
-                            async move { conn.commit(xid, true).await }
-                        })
-                        .collect(),
-                )
-                .await;
-                geotp_telemetry::span_end(commit_span);
-                breakdown.commit = now().duration_since(commit_started);
-                // No atomicity guarantee: report commit if any branch made it.
-                if results.iter().any(Result::is_ok) {
-                    Ok(())
-                } else {
-                    Err(AbortReason::PrepareFailed)
-                }
-            }
-            _ => {
-                // Classic XA: explicit prepare round trip (SSP, QURO, and any
-                // GeoTP transaction the client did not annotate).
-                let wait_started = now();
-                let prepare_span =
-                    geotp_telemetry::span_leaf(gtrid, dm, SpanKind::Prepare, involved.len() as u64);
-                let votes_vec = join_all(
-                    involved
-                        .iter()
-                        .map(|ds| {
-                            let conn = self.conn(*ds).clone();
-                            let xid = Xid::new(gtrid, *ds);
-                            async move { (xid.bqual, conn.prepare(xid).await) }
-                        })
-                        .collect(),
-                )
-                .await;
-                geotp_telemetry::span_end(prepare_span);
-                breakdown.prepare_wait = now().duration_since(wait_started);
-                let votes: HashMap<u32, PrepareVote> = votes_vec.into_iter().collect();
-                let all_yes = involved
-                    .iter()
-                    .all(|ds| votes.get(ds).map(|v| v.is_yes()).unwrap_or(false));
-                self.decide_and_dispatch(gtrid, involved, all_yes, &votes, breakdown)
-                    .await
-            }
+                .is_ok()
+        } else {
+            let commits = involved.iter().map(|ds| {
+                let conn = self.conn(*ds).clone();
+                let xid = Xid::new(gtrid, *ds);
+                async move { conn.commit(xid, true).await }
+            });
+            // No atomicity guarantee: report commit if any branch made it.
+            join_all(commits.collect()).await.iter().any(Result::is_ok)
+        };
+        geotp_telemetry::span_end(commit_span);
+        breakdown.commit = now().duration_since(commit_started);
+        if committed {
+            Ok(())
+        } else {
+            Err(AbortReason::PrepareFailed)
         }
     }
 
@@ -1364,81 +1112,47 @@ impl Middleware {
         &self,
         gtrid: u64,
         involved: &[u32],
-        all_yes: bool,
         votes: &HashMap<u32, PrepareVote>,
         breakdown: &mut LatencyBreakdown,
     ) -> Result<(), AbortReason> {
-        let dm = TraceNode::middleware(self.config.node.index());
-        let decision = if all_yes {
-            Decision::Commit
-        } else {
-            Decision::Abort
-        };
+        let voted_yes = |ds: &u32| votes.get(ds).is_some_and(PrepareVote::is_yes);
+        let all_yes = involved.iter().all(voted_yes);
         let dispatched_early = all_yes && self.dispatch_before_flush.get();
         if dispatched_early {
             // Fail point: the commit reaches the branches before the decision
             // is durable. See [`Middleware::fail_point_dispatch_before_flush`].
             let commit_started = now();
-            self.dispatch_commits(gtrid, involved, votes, dm).await;
+            self.dispatch_commits(gtrid, involved, votes).await;
             breakdown.commit = now().duration_since(commit_started);
         }
-        let flush_started = now();
-        let flush_span = geotp_telemetry::span_leaf(gtrid, dm, SpanKind::LogFlush, 0);
-        let flushed = self.flush_decision(gtrid, decision).await;
-        geotp_telemetry::span_end(flush_span);
-        breakdown.log_flush = now().duration_since(flush_started);
-        if !flushed {
-            // Fenced mid-transaction: the decision never became durable, so
-            // nothing may be dispatched. The prepared branches belong to the
-            // adopting peer now, which resolves them from the sealed log
-            // (no record ⇒ abort) — exactly the outcome we report.
-            return Err(AbortReason::CoordinatorFenced);
-        }
-        if self.crashed.get() {
-            // The §V-A window: decision durable, dispatch never happens. The
-            // prepared branches stay in doubt until a successor replays the
-            // commit log through `recover()`.
-            return Err(AbortReason::CoordinatorCrashed);
-        }
+        let decision = if all_yes {
+            Decision::Commit
+        } else {
+            Decision::Abort
+        };
+        self.flush_decision(gtrid, decision, breakdown).await?;
 
         let commit_started = now();
         if all_yes {
             if !dispatched_early {
-                self.dispatch_commits(gtrid, involved, votes, dm).await;
+                self.dispatch_commits(gtrid, involved, votes).await;
                 breakdown.commit = now().duration_since(commit_started);
             }
-            Ok(())
-        } else {
-            // Abort: branches that already rolled back (no-vote / rollbacked)
-            // need nothing; the rest are told to roll back.
-            let to_rollback: Vec<u32> = involved
-                .iter()
-                .copied()
-                .filter(|ds| votes.get(ds).map(|v| v.is_yes()).unwrap_or(false))
-                .collect();
-            let dispatch_span = geotp_telemetry::span_leaf(
-                gtrid,
-                dm,
-                SpanKind::RollbackDispatch,
-                to_rollback.len() as u64,
-            );
-            join_all(
-                to_rollback
-                    .iter()
-                    .map(|ds| {
-                        let conn = self.conn(*ds).clone();
-                        let xid = Xid::new(gtrid, *ds);
-                        async move {
-                            let _ = conn.rollback(xid).await;
-                        }
-                    })
-                    .collect(),
-            )
-            .await;
-            geotp_telemetry::span_end(dispatch_span);
-            breakdown.commit = now().duration_since(commit_started);
-            Err(AbortReason::PrepareFailed)
+            return Ok(());
         }
+        // Abort: branches that already rolled back (no-vote / rollbacked)
+        // need nothing; the rest are told to roll back.
+        let to_rollback: Vec<u32> = involved.iter().copied().filter(voted_yes).collect();
+        let dispatch_span = geotp_telemetry::span_leaf(
+            gtrid,
+            self.dm(),
+            SpanKind::RollbackDispatch,
+            to_rollback.len() as u64,
+        );
+        self.rollback_branches(gtrid, to_rollback).await;
+        geotp_telemetry::span_end(dispatch_span);
+        breakdown.commit = now().duration_since(commit_started);
+        Err(AbortReason::PrepareFailed)
     }
 
     /// Dispatch the commit decision to every involved branch.
@@ -1454,10 +1168,13 @@ impl Middleware {
         gtrid: u64,
         involved: &[u32],
         votes: &HashMap<u32, PrepareVote>,
-        dm: TraceNode,
     ) {
-        let dispatch_span =
-            geotp_telemetry::span_leaf(gtrid, dm, SpanKind::CommitDispatch, involved.len() as u64);
+        let dispatch_span = geotp_telemetry::span_leaf(
+            gtrid,
+            self.dm(),
+            SpanKind::CommitDispatch,
+            involved.len() as u64,
+        );
         let results = join_all(
             involved
                 .iter()
@@ -1504,7 +1221,7 @@ impl Middleware {
     ) -> (usize, usize) {
         let mut committed = 0;
         let mut aborted = 0;
-        let dm = TraceNode::middleware(self.config.node.index());
+        let dm = self.dm();
         for conn in self.connections.values() {
             let prepared = conn.recover_prepared_owned_by(owner).await;
             for xid in prepared {
@@ -1544,16 +1261,7 @@ impl Middleware {
     }
 
     // ------------------------------------------------------------------
-    // Session front door: per-session registry + live transactions.
-    //
-    // The interactive path genuinely differs from the one-shot
-    // `run_transaction` spec path: involvement, peer lists and the
-    // decentralized-prepare trigger are computed *incrementally*, because an
-    // interactive coordinator cannot see the future rounds of a live
-    // session. Branches whose last touching round is over prepare only when
-    // the client annotates a later round (or at commit, classically) — the
-    // one-shot path's per-branch `is_last` oracle is exactly the knowledge a
-    // real interactive middleware does not have.
+    // Session front door: the per-session registry.
     // ------------------------------------------------------------------
 
     /// Register a session (idempotent). Called by the session front door on
@@ -1625,10 +1333,38 @@ impl Middleware {
         }
     }
 
-    /// Begin a live transaction for `session`: the analysis slice is charged
-    /// here (parse/route/plan happens as the statement stream arrives), a
-    /// gtrid is allocated and the coordinator starts tracking the
-    /// transaction. Fails with a retryable refusal on a crashed coordinator.
+    // ------------------------------------------------------------------
+    // The one transaction body. Two doors lead into it and differ only in
+    // what the client has told the coordinator: a session streams statement
+    // rounds (`begin_live`), a one-shot caller submits the whole spec
+    // (`run_transaction`, which declares a plan first).
+    // ------------------------------------------------------------------
+
+    /// Run one client transaction end to end and return its outcome: declare
+    /// the whole spec to the coordinator (its declared plan), then drive it
+    /// round by round through the live path.
+    pub async fn run_transaction(self: &Rc<Self>, spec: &TransactionSpec) -> TxnOutcome {
+        if self.crashed.get() {
+            // A crashed coordinator accepts nothing; the client's connection
+            // is refused before any state is created.
+            return TxnOutcome::aborted(AbortReason::CoordinatorCrashed, Duration::ZERO, false);
+        }
+        let mut txn = self.begin_txn(None, spec.rounds.len() as u64).await;
+        self.declare_plan(&mut txn, spec);
+        let mut rows = Vec::new();
+        for round in &spec.rounds {
+            match self.execute_live(&mut txn, round, false).await {
+                Ok(mut round_rows) => rows.append(&mut round_rows),
+                Err(error) => return error.outcome,
+            }
+        }
+        let mut outcome = self.commit_live(&mut txn).await;
+        outcome.rows = rows;
+        outcome
+    }
+
+    /// Begin a live transaction for `session`. Fails with a retryable
+    /// refusal on a crashed coordinator.
     pub(crate) async fn begin_live(self: &Rc<Self>, session: u64) -> Result<LiveTxn, TxnError> {
         if self.crashed.get() {
             return Err(TxnError::refused());
@@ -1639,27 +1375,37 @@ impl Middleware {
             self.stats.borrow_mut().sessions_expired += 1;
             return Err(TxnError::session_expired());
         }
+        let txn = self.begin_txn(Some(session), session).await;
+        self.note_txn_begin(session, txn.gtrid);
+        Ok(txn)
+    }
+
+    /// Charge the analysis slice (Fig. 6c "Analysis": parse/route/plan),
+    /// allocate a gtrid and start tracking the transaction. `trace_attr`
+    /// labels the root span: the session id for a statement stream, the
+    /// round count for a declared spec.
+    async fn begin_txn(&self, session: Option<u64>, trace_attr: u64) -> LiveTxn {
         let started = now();
         sleep(self.config.analysis_cost).await;
-        let breakdown = LatencyBreakdown {
-            analysis: self.config.analysis_cost,
-            ..LatencyBreakdown::default()
-        };
         let gtrid = self.alloc_gtrid();
         self.hub.register(gtrid);
-        self.note_txn_begin(session, gtrid);
-        let dm = TraceNode::middleware(self.config.node.index());
-        geotp_telemetry::span_root_at(gtrid, dm, SpanKind::Txn, session, started);
-        geotp_telemetry::span_leaf_closed(gtrid, dm, SpanKind::Analysis, 0, started);
+        // Trace root + the analysis slice (backdated: the gtrid only exists
+        // now, after the analysis already ran).
+        geotp_telemetry::span_root_at(gtrid, self.dm(), SpanKind::Txn, trace_attr, started);
+        geotp_telemetry::span_leaf_closed(gtrid, self.dm(), SpanKind::Analysis, 0, started);
         let mut scratch = self.take_scratch();
         scratch.keys.clear();
         scratch.involved.clear();
         scratch.started_branches.clear();
-        Ok(LiveTxn {
+        LiveTxn {
             gtrid,
             session,
+            plan: None,
             started,
-            breakdown,
+            breakdown: LatencyBreakdown {
+                analysis: self.config.analysis_cost,
+                ..LatencyBreakdown::default()
+            },
             scratch,
             distributed: false,
             annotated: false,
@@ -1668,15 +1414,45 @@ impl Middleware {
             concluded: false,
             #[cfg(feature = "history")]
             history: crate::metrics::TxnHistory::default(),
-        })
+        }
     }
 
-    /// Execute one statement round of a live transaction. `last` is the
-    /// client's `/*+ last */` annotation: with a decentralized-prepare
-    /// protocol it triggers the implicit prepare on every started branch —
-    /// the round's participants prepare when their statement finishes, and
-    /// branches whose last statement is already behind them get an empty
-    /// end-of-branch trigger dispatched concurrently with the round.
+    /// Record what submitting the whole `spec` tells the coordinator before
+    /// the first round: the sorted, deduped key set (the hotspot footprint
+    /// sees all of it at once), hence the full involvement — `distributed`,
+    /// early abort and every peer list are right from round 0 — and each
+    /// branch's final round.
+    fn declare_plan(&self, txn: &mut LiveTxn, spec: &TransactionSpec) {
+        let partitioner = &self.config.partitioner;
+        spec.collect_keys_into(&mut txn.scratch.keys);
+        partitioner.involved_nodes_into(&txn.scratch.keys, &mut txn.scratch.involved);
+        txn.distributed = txn.scratch.involved.len() > 1;
+        if self.config.protocol.advanced() {
+            let mut footprint = self.scheduler.footprint().borrow_mut();
+            footprint.on_access_start(&txn.scratch.keys);
+        }
+        let mut final_round: Vec<(u32, usize)> = Vec::with_capacity(txn.scratch.involved.len());
+        for (round, ops) in spec.rounds.iter().enumerate() {
+            for op in ops {
+                let ds = partitioner.route(op.key());
+                match final_round.iter_mut().find(|(branch, _)| *branch == ds) {
+                    Some(entry) => entry.1 = round,
+                    None => final_round.push((ds, round)),
+                }
+            }
+        }
+        txn.plan = Some(DeclaredPlan {
+            annotate_last: spec.annotate_last,
+            final_round,
+        });
+    }
+
+    /// Execute one statement round of a live transaction — the only place
+    /// that splits a round, schedules it, builds the per-branch requests,
+    /// dispatches and folds the feedback. `last` is a streaming client's
+    /// `/*+ last */` annotation on this round (a declared plan carries its
+    /// own): with a decentralized-prepare protocol it triggers the implicit
+    /// prepare on every branch it ends.
     pub(crate) async fn execute_live(
         self: &Rc<Self>,
         txn: &mut LiveTxn,
@@ -1685,19 +1461,19 @@ impl Middleware {
     ) -> Result<Vec<geotp_storage::Row>, TxnError> {
         debug_assert!(!txn.concluded, "round on a concluded transaction");
         if self.crashed.get() {
-            return Err(self.conclude_crashed(txn));
+            return Err(self.conclude_aborted(txn, AbortReason::CoordinatorCrashed, true));
         }
         let round_started = now();
-        let advanced = self.config.protocol.advanced();
+        let protocol = self.config.protocol;
+        let advanced = protocol.advanced();
         let round_idx = txn.rounds;
         txn.rounds += 1;
-        let dm = TraceNode::middleware(self.config.node.index());
         let round_span =
-            geotp_telemetry::span_scoped(txn.gtrid, dm, SpanKind::Round, round_idx as u64);
+            geotp_telemetry::span_scoped(txn.gtrid, self.dm(), SpanKind::Round, round_idx as u64);
 
-        // Merge this round's keys into the transaction's accumulated key set
-        // and recompute the involvement (interactive transactions grow their
-        // footprint one round at a time).
+        // A statement stream grows its key set and involvement one round at
+        // a time; a declared plan fixed both before the first round.
+        let streaming = txn.plan.is_none();
         let mut fresh_keys: Vec<GlobalKey> = Vec::new();
         for op in ops {
             let key = op.key();
@@ -1707,7 +1483,7 @@ impl Middleware {
             if !matches!(op, ClientOp::Read(_)) {
                 txn.read_only = false;
             }
-            if !txn.scratch.keys.contains(&key) {
+            if streaming && !txn.scratch.keys.contains(&key) {
                 txn.scratch.keys.push(key);
                 fresh_keys.push(key);
             }
@@ -1720,19 +1496,21 @@ impl Middleware {
                 set.push(key);
             }
         }
-        self.config
-            .partitioner
-            .involved_nodes_into(&txn.scratch.keys, &mut txn.scratch.involved);
-        txn.distributed = txn.scratch.involved.len() > 1;
-        if advanced && !fresh_keys.is_empty() {
-            self.scheduler
-                .footprint()
-                .borrow_mut()
-                .on_access_start(&fresh_keys);
+        if streaming {
+            self.config
+                .partitioner
+                .involved_nodes_into(&txn.scratch.keys, &mut txn.scratch.involved);
+            txn.distributed = txn.scratch.involved.len() > 1;
+            if advanced && !fresh_keys.is_empty() {
+                let mut footprint = self.scheduler.footprint().borrow_mut();
+                footprint.on_access_start(&fresh_keys);
+            }
         }
 
+        // Per-branch operation groups borrow from the caller's round —
+        // nothing is cloned for routing.
         let mut groups = self.config.partitioner.split(ops);
-        if matches!(self.config.protocol, Protocol::Quro) {
+        if protocol.reorders_writes_last() {
             for (_, ops) in groups.iter_mut() {
                 ops.sort_by_key(|op| op.is_write());
             }
@@ -1744,31 +1522,31 @@ impl Middleware {
                 keys: ops.iter().map(|op| op.key()).collect(),
             })
             .collect();
-        let schedule = if matches!(self.config.protocol, Protocol::GeoTp { .. }) {
-            if advanced && round_idx == 0 {
-                match self.scheduler.schedule_with_admission(&plans) {
-                    AdmissionDecision::Admit(schedule) => schedule,
-                    AdmissionDecision::Reject { attempts } => {
-                        let backoff = self.config.scheduler.retry_backoff * attempts;
-                        sleep(backoff).await;
-                        let mut outcome = TxnOutcome::aborted(
-                            AbortReason::AdmissionRejected,
-                            now().duration_since(txn.started),
-                            txn.distributed,
-                        );
-                        outcome.gtrid = txn.gtrid;
-                        let outcome = self.finish_live(txn, outcome);
-                        return Err(TxnError::aborted(outcome, false));
-                    }
-                }
-            } else {
-                self.scheduler.schedule(&plans)
-            }
-        } else {
+        let schedule = if !protocol.geo_scheduled() {
             Schedule {
                 postpone: vec![Duration::ZERO; plans.len()],
                 horizon: Duration::ZERO,
             }
+        } else if advanced && round_idx == 0 {
+            match self.scheduler.schedule_with_admission(&plans) {
+                AdmissionDecision::Admit(schedule) => schedule,
+                AdmissionDecision::Reject { attempts } => {
+                    // Late transaction scheduling kept this transaction
+                    // back; charge the backoff and abort it.
+                    let backoff = self.config.scheduler.retry_backoff * attempts;
+                    sleep(backoff).await;
+                    let mut outcome = TxnOutcome::aborted(
+                        AbortReason::AdmissionRejected,
+                        now().duration_since(txn.started),
+                        txn.distributed,
+                    );
+                    outcome.gtrid = txn.gtrid;
+                    let outcome = self.finish_live(txn, outcome);
+                    return Err(TxnError::aborted(outcome, false));
+                }
+            }
+        } else {
+            self.scheduler.schedule(&plans)
         };
         self.stats.borrow_mut().total_postpone_micros += schedule
             .postpone
@@ -1776,26 +1554,20 @@ impl Middleware {
             .map(|d| d.as_micros() as u64)
             .sum::<u64>();
 
-        let decentralized = self.config.protocol.decentralized_prepare() && last;
+        // Assemble the per-branch requests.
+        let annotated = txn.plan.as_ref().map_or(last, |plan| plan.annotate_last);
+        let decentralized = protocol.decentralized_prepare() && annotated;
+        let early_abort = protocol.early_abort() && txn.distributed;
         let mut requests = Vec::with_capacity(groups.len());
         for (ds, ops) in &groups {
             requests.push(StatementRequest {
                 xid: Xid::new(txn.gtrid, *ds),
                 begin: !txn.scratch.started_branches.contains(ds),
                 ops: ops.iter().map(|op| Self::to_ds_op(op)).collect(),
-                is_last: decentralized,
+                is_last: decentralized && txn.branch_ends(*ds, round_idx, last),
                 decentralized_prepare: decentralized,
-                early_abort: self.config.protocol.early_abort() && txn.distributed,
-                peers: if txn.distributed {
-                    txn.scratch
-                        .involved
-                        .iter()
-                        .copied()
-                        .filter(|p| p != ds)
-                        .collect()
-                } else {
-                    Vec::new()
-                },
+                early_abort,
+                peers: txn.peers_of(*ds),
                 trace_parent: round_span,
             });
         }
@@ -1805,13 +1577,15 @@ impl Middleware {
             }
         }
 
-        // The `/*+ last */` round triggers the decentralized prepare on every
-        // started branch. Branches not participating in this round get an
-        // empty end-of-branch statement, dispatched concurrently with the
-        // round itself (their prepare overlaps the round's execution — the
-        // interactive shape of the paper's O1).
-        if decentralized {
-            for ds in txn.scratch.started_branches.clone() {
+        txn.annotated |= decentralized;
+        if decentralized && streaming {
+            // The stream's `/*+ last */` round ends every started branch.
+            // Branches not participating in it get an empty end-of-branch
+            // statement, dispatched concurrently with the round itself
+            // (their prepare overlaps the round's execution — the
+            // interactive shape of the paper's O1). A declared plan never
+            // needs one: each branch was told at its own final round.
+            for &ds in &txn.scratch.started_branches {
                 if groups.iter().any(|(g, _)| *g == ds) {
                     continue;
                 }
@@ -1822,35 +1596,31 @@ impl Middleware {
                     ops: Vec::new(),
                     is_last: true,
                     decentralized_prepare: true,
-                    early_abort: self.config.protocol.early_abort() && txn.distributed,
-                    peers: txn
-                        .scratch
-                        .involved
-                        .iter()
-                        .copied()
-                        .filter(|p| *p != ds)
-                        .collect(),
+                    early_abort,
+                    peers: txn.peers_of(ds),
                     trace_parent: round_span,
                 };
                 spawn(async move {
                     let _ = conn.execute(request).await;
                 });
             }
-            txn.annotated = true;
         }
 
-        let mut responses = match self.config.protocol {
-            Protocol::Chiller if groups.len() > 1 => self.dispatch_chiller(&groups, requests).await,
-            _ => self.dispatch_parallel(&groups, requests, &schedule).await,
+        let mut responses = if protocol.inner_region_last() && groups.len() > 1 {
+            self.dispatch_chiller(&groups, requests).await
+        } else {
+            self.dispatch_parallel(&groups, requests, &schedule).await
         };
 
         if self.crashed.get() {
-            // Crashed while the round was in flight: no rollbacks are
-            // dispatched (a dead process sends nothing); disconnect handling
-            // and recovery clean the branches up.
-            return Err(self.conclude_crashed(txn));
+            // Crashed while the round was in flight: stop dead. No rollbacks
+            // are dispatched (a dead process sends nothing); the data
+            // sources' disconnect handling and failure recovery clean the
+            // branches up.
+            return Err(self.conclude_aborted(txn, AbortReason::CoordinatorCrashed, true));
         }
 
+        // Feedback + failure handling.
         let mut failed_here = Vec::new();
         for ((ds, ops), response) in groups.iter().zip(&responses) {
             if advanced {
@@ -1867,109 +1637,84 @@ impl Middleware {
                 failed_here.push(*ds);
             }
         }
+        geotp_telemetry::span_end(round_span);
+        txn.breakdown.execution += now().duration_since(round_started);
 
         if !failed_here.is_empty() {
-            geotp_telemetry::span_end(round_span);
-            txn.breakdown.execution += now().duration_since(round_started);
-            let started_branches = txn.scratch.started_branches.clone();
-            self.abort_started_branches(txn.gtrid, &started_branches, &failed_here)
-                .await;
-            let mut outcome = TxnOutcome::aborted(
-                AbortReason::ExecutionFailed,
-                now().duration_since(txn.started),
-                txn.distributed,
+            let abort_span = geotp_telemetry::span_leaf(
+                txn.gtrid,
+                self.dm(),
+                SpanKind::RollbackDispatch,
+                txn.scratch.started_branches.len() as u64,
             );
-            outcome.gtrid = txn.gtrid;
-            outcome.breakdown = txn.breakdown;
-            let outcome = self.finish_live(txn, outcome);
-            return Err(TxnError::aborted(outcome, false));
+            self.abort_started_branches(txn.gtrid, &txn.scratch.started_branches, &failed_here)
+                .await;
+            geotp_telemetry::span_end(abort_span);
+            return Err(self.conclude_aborted(txn, AbortReason::ExecutionFailed, false));
         }
 
+        // Move the result rows out of the responses (no clones).
         let mut rows = Vec::new();
         for response in &mut responses {
             if let StatementOutcome::Ok { rows: r } = &mut response.outcome {
                 rows.append(r);
             }
         }
-        geotp_telemetry::span_end(round_span);
-        txn.breakdown.execution += now().duration_since(round_started);
         Ok(rows)
     }
 
-    /// Commit a live transaction: with a decentralized-prepare protocol and
-    /// an annotated last round the coordinator only waits for the pushed
-    /// votes; otherwise it drives the classic explicit prepare round.
+    /// Commit a live transaction: with the decentralized prepare triggered
+    /// the coordinator only waits for the pushed votes; otherwise it drives
+    /// the classic explicit prepare round.
     pub(crate) async fn commit_live(self: &Rc<Self>, txn: &mut LiveTxn) -> TxnOutcome {
         debug_assert!(!txn.concluded, "commit on a concluded transaction");
         if self.crashed.get() {
-            return self.conclude_crashed(txn).outcome;
+            return self
+                .conclude_aborted(txn, AbortReason::CoordinatorCrashed, true)
+                .outcome;
         }
-        if txn.scratch.involved.is_empty() {
+        let mut outcome = TxnOutcome {
+            gtrid: txn.gtrid,
+            distributed: txn.distributed,
+            ..TxnOutcome::default()
+        };
+        let committed = if txn.scratch.involved.is_empty() {
             // An empty transaction commits trivially — nothing was decided.
-            let mut outcome = TxnOutcome {
-                gtrid: txn.gtrid,
-                committed: true,
-                latency: now().duration_since(txn.started),
-                distributed: false,
-                ..TxnOutcome::default()
-            };
-            outcome.breakdown = txn.breakdown;
-            return self.finish_live(txn, outcome);
-        }
-        if self.config.snapshot_reads && txn.read_only && !txn.annotated {
+            Ok(())
+        } else if self.config.snapshot_reads && txn.read_only && !txn.annotated {
             // Snapshot-read fast path: every branch only read, so there is no
             // decision to make durable — no prepare round, no log flush, just
             // one parallel read-only commit per started branch. No commit
             // dispatch span either: the trace oracle's flush-before-dispatch
             // rule is about decisions, and this path decides nothing.
             let commit_started = now();
-            let gtrid = txn.gtrid;
-            let started = txn.scratch.started_branches.clone();
-            let results = join_all(
-                started
-                    .iter()
-                    .map(|ds| {
-                        let conn = self.conn(*ds).clone();
-                        let xid = Xid::new(gtrid, *ds);
-                        async move { conn.commit_read_only(xid).await }
-                    })
-                    .collect(),
-            )
-            .await;
+            let commits = txn.scratch.started_branches.iter().map(|ds| {
+                let conn = self.conn(*ds).clone();
+                let xid = Xid::new(txn.gtrid, *ds);
+                async move { conn.commit_read_only(xid).await }
+            });
+            let results = join_all(commits.collect()).await;
             txn.breakdown.commit += now().duration_since(commit_started);
-            let committed = results.iter().all(Result::is_ok);
             geotp_telemetry::counter_add("mw.readonly_commits", "", self.config.node.index(), 1);
-            let outcome = TxnOutcome {
-                gtrid,
-                committed,
-                abort_reason: (!committed).then_some(AbortReason::ExecutionFailed),
-                latency: now().duration_since(txn.started),
-                breakdown: txn.breakdown,
-                distributed: txn.distributed,
-                read_only: true,
-                ..TxnOutcome::default()
-            };
-            return self.finish_live(txn, outcome);
-        }
-        let involved = txn.scratch.involved.clone();
-        let commit_outcome = self
-            .commit_phase(
+            outcome.read_only = true;
+            if results.iter().all(Result::is_ok) {
+                Ok(())
+            } else {
+                Err(AbortReason::ExecutionFailed)
+            }
+        } else {
+            self.commit_phase(
                 txn.gtrid,
-                &involved,
-                txn.distributed,
+                &txn.scratch.involved,
                 txn.annotated,
                 &mut txn.breakdown,
             )
-            .await;
-        let outcome = TxnOutcome {
-            gtrid: txn.gtrid,
-            committed: commit_outcome.is_ok(),
-            abort_reason: commit_outcome.err(),
-            latency: now().duration_since(txn.started),
-            breakdown: txn.breakdown,
-            distributed: txn.distributed,
-            ..TxnOutcome::default()
+            .await
         };
+        outcome.committed = committed.is_ok();
+        outcome.abort_reason = committed.err();
+        outcome.latency = now().duration_since(txn.started);
+        outcome.breakdown = txn.breakdown;
         self.finish_live(txn, outcome)
     }
 
@@ -1977,32 +1722,16 @@ impl Middleware {
     pub(crate) async fn rollback_live(self: &Rc<Self>, txn: &mut LiveTxn) -> TxnOutcome {
         debug_assert!(!txn.concluded, "rollback on a concluded transaction");
         if self.crashed.get() {
-            return self.conclude_crashed(txn).outcome;
+            return self
+                .conclude_aborted(txn, AbortReason::CoordinatorCrashed, true)
+                .outcome;
         }
         let rollback_started = now();
-        let started = txn.scratch.started_branches.clone();
-        join_all(
-            started
-                .iter()
-                .map(|ds| {
-                    let conn = self.conn(*ds).clone();
-                    let xid = Xid::new(txn.gtrid, *ds);
-                    async move {
-                        let _ = conn.rollback(xid).await;
-                    }
-                })
-                .collect(),
-        )
-        .await;
+        let started = txn.scratch.started_branches.iter().copied();
+        self.rollback_branches(txn.gtrid, started).await;
         txn.breakdown.commit += now().duration_since(rollback_started);
-        let mut outcome = TxnOutcome::aborted(
-            AbortReason::ClientRollback,
-            now().duration_since(txn.started),
-            txn.distributed,
-        );
-        outcome.gtrid = txn.gtrid;
-        outcome.breakdown = txn.breakdown;
-        self.finish_live(txn, outcome)
+        self.conclude_aborted(txn, AbortReason::ClientRollback, false)
+            .outcome
     }
 
     /// The client's connection dropped mid-transaction: conclude the
@@ -2014,51 +1743,29 @@ impl Middleware {
         if txn.concluded {
             return;
         }
-        let mut outcome = TxnOutcome::aborted(
-            AbortReason::ClientDisconnected,
-            now().duration_since(txn.started),
-            txn.distributed,
-        );
-        outcome.gtrid = txn.gtrid;
-        outcome.breakdown = txn.breakdown;
-        let gtrid = txn.gtrid;
-        let cleanup: Vec<(DsConnection, Xid)> = txn
-            .scratch
-            .started_branches
-            .iter()
-            .map(|ds| (self.conn(*ds).clone(), Xid::new(gtrid, *ds)))
-            .collect();
-        let _ = self.finish_live(&mut txn, outcome);
-        if !cleanup.is_empty() && !self.crashed.get() {
-            spawn(async move {
-                join_all(
-                    cleanup
-                        .into_iter()
-                        .map(|(conn, xid)| async move {
-                            let _ = conn.rollback(xid).await;
-                        })
-                        .collect(),
-                )
-                .await;
-            });
+        let orphaned = txn.scratch.started_branches.clone();
+        self.conclude_aborted(&mut txn, AbortReason::ClientDisconnected, false);
+        if !orphaned.is_empty() && !self.crashed.get() {
+            spawn(self.rollback_branches(txn.gtrid, orphaned));
         }
     }
 
-    /// Conclude a live transaction whose coordinator crashed under it.
-    fn conclude_crashed(&self, txn: &mut LiveTxn) -> TxnError {
-        let mut outcome = TxnOutcome::aborted(
-            AbortReason::CoordinatorCrashed,
-            now().duration_since(txn.started),
-            txn.distributed,
-        );
+    /// Conclude a live transaction that did not commit, reporting the
+    /// latency breakdown accumulated so far.
+    fn conclude_aborted(
+        &self,
+        txn: &mut LiveTxn,
+        reason: AbortReason,
+        retryable: bool,
+    ) -> TxnError {
+        let mut outcome =
+            TxnOutcome::aborted(reason, now().duration_since(txn.started), txn.distributed);
         outcome.gtrid = txn.gtrid;
         outcome.breakdown = txn.breakdown;
-        let outcome = self.finish_live(txn, outcome);
-        TxnError::aborted(outcome, true)
+        TxnError::aborted(self.finish_live(txn, outcome), retryable)
     }
 
-    /// Bookkeeping common to every live-transaction exit path (the live
-    /// analogue of [`Middleware::finish_txn`]).
+    /// Bookkeeping common to every transaction exit path.
     #[cfg_attr(not(feature = "history"), allow(unused_mut))]
     fn finish_live(&self, txn: &mut LiveTxn, mut outcome: TxnOutcome) -> TxnOutcome {
         debug_assert!(!txn.concluded);
@@ -2081,7 +1788,9 @@ impl Middleware {
         }
         self.stats.borrow_mut().record(&outcome);
         self.trace_txn_exit(txn.gtrid, &outcome);
-        self.note_txn_end(txn.session, txn.gtrid);
+        if let Some(session) = txn.session {
+            self.note_txn_end(session, txn.gtrid);
+        }
         self.return_scratch(std::mem::take(&mut txn.scratch));
         outcome
     }

@@ -691,35 +691,106 @@ mod tests {
 
     #[test]
     fn session_replay_matches_one_shot_latency_and_effects() {
-        // The spec-replay adapter drives the live path; with a co-located
-        // client it must cost exactly what the one-shot front door costs.
+        // The spec-replay adapter and the one-shot door drive the same live
+        // path; with a co-located client they must cost exactly the same.
+        // The empty specs used to panic the one-shot door (`involved[0]`).
         let mut rt = Runtime::new();
         rt.block_on(async {
-            let (_net, _sources, oneshot_mw) = cluster(Protocol::geotp());
-            let oneshot = oneshot_mw.run_transaction(&transfer_spec()).await;
+            for spec in [
+                transfer_spec(),
+                TransactionSpec::multi_round(vec![]),
+                TransactionSpec::multi_round(vec![vec![]]),
+            ] {
+                let debited = if spec.is_empty() { 1000 } else { 900 };
+                let (_net, sources, oneshot_mw) = cluster(Protocol::geotp());
+                let oneshot = oneshot_mw.run_transaction(&spec).await;
+                assert!(oneshot.committed);
+                assert_eq!(oneshot.distributed, !spec.is_empty());
 
-            let (_net2, sources2, session_mw) = cluster(Protocol::geotp());
-            let mut session = session::SessionService::connect(&session_mw, 7);
-            let outcome = session.run_spec(&transfer_spec()).await;
-            assert!(outcome.committed);
+                let (_net2, sources2, session_mw) = cluster(Protocol::geotp());
+                let mut session = session::SessionService::connect(&session_mw, 7);
+                let outcome = session.run_spec(&spec).await;
+                assert!(outcome.committed);
+                assert_eq!(
+                    outcome.latency, oneshot.latency,
+                    "co-located session replay is free"
+                );
+                assert_eq!(outcome.breakdown.prepare_wait, Duration::ZERO);
+                assert_eq!(outcome.breakdown.client_rtt, Duration::ZERO);
+                for sources in [&sources, &sources2] {
+                    assert_eq!(
+                        sources[0]
+                            .engine()
+                            .peek(gk(1).storage_key())
+                            .unwrap()
+                            .int_value(),
+                        Some(debited)
+                    );
+                }
+                let state = session_mw.session_state(7).unwrap();
+                assert_eq!(state.txns_begun, 1);
+                assert_eq!(state.live_gtrid, None, "the transaction concluded");
+                assert_eq!(session_mw.active_sessions(), 1);
+                assert_eq!(
+                    oneshot_mw.active_sessions(),
+                    0,
+                    "the one-shot door registers no session"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn declared_plan_prepares_each_branch_at_its_own_final_round() {
+        // The one difference between the two doors, pinned: DS0 is touched
+        // only in round 0 of a three-round cross-source transaction. A
+        // submitted spec declares that, so DS0 prepares as soon as round 0
+        // finishes and never sees another statement; a statement stream
+        // cannot know, so DS0 prepares only when the annotated last round
+        // sends it an empty end-of-branch trigger.
+        let spec = TransactionSpec::multi_round(vec![
+            vec![ClientOp::add(gk(1), -100)],
+            vec![ClientOp::add(gk(1001), 60)],
+            vec![ClientOp::add(gk(1002), 40)],
+        ]);
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            // (statements DS0 has seen, prepares it ran) mid-round-1 and at
+            // the end; round 0 ends at 10 ms, round 1 at 110 ms.
+            async fn observe(
+                sources: &[Rc<DataSource>],
+                run: geotp_simrt::JoinHandle<TxnOutcome>,
+            ) -> [(u64, u64); 2] {
+                let ds0 = |sources: &[Rc<DataSource>]| {
+                    let stats = sources[0].stats();
+                    (stats.statements, stats.decentralized_prepares)
+                };
+                geotp_simrt::sleep(Duration::from_millis(50)).await;
+                let mid = ds0(sources);
+                let outcome = run.await;
+                assert!(outcome.committed);
+                assert_eq!(outcome.breakdown.prepare_wait, Duration::ZERO);
+                assert_eq!(sources[1].stats().decentralized_prepares, 1);
+                [mid, ds0(sources)]
+            }
+
+            let (_net, sources, mw) = cluster(Protocol::geotp_o1());
+            let declared = spec.clone();
+            let run = geotp_simrt::spawn(async move { mw.run_transaction(&declared).await });
             assert_eq!(
-                outcome.latency, oneshot.latency,
-                "co-located session replay is free"
+                observe(&sources, run).await,
+                [(1, 1), (1, 1)],
+                "declared plan: prepared right after round 0, no empty trigger"
             );
-            assert_eq!(outcome.breakdown.prepare_wait, Duration::ZERO);
-            assert_eq!(outcome.breakdown.client_rtt, Duration::ZERO);
+
+            let (_net, sources, mw) = cluster(Protocol::geotp_o1());
+            let mut session = session::SessionService::connect(&mw, 1);
+            let run = geotp_simrt::spawn(async move { session.run_spec(&spec).await });
             assert_eq!(
-                sources2[0]
-                    .engine()
-                    .peek(gk(1).storage_key())
-                    .unwrap()
-                    .int_value(),
-                Some(900)
+                observe(&sources, run).await,
+                [(1, 0), (2, 1)],
+                "statement stream: prepared by the last round's empty trigger"
             );
-            let state = session_mw.session_state(7).unwrap();
-            assert_eq!(state.txns_begun, 1);
-            assert_eq!(state.live_gtrid, None, "the transaction concluded");
-            assert_eq!(session_mw.active_sessions(), 1);
         });
     }
 
@@ -1062,16 +1133,21 @@ mod tests {
             ])
             .without_annotation();
             let mut session = session::SessionService::connect(&mw, 11);
-            let outcome = session.run_spec(&scan).await;
-            assert!(outcome.committed);
-            assert!(outcome.read_only, "the fast path must mark the outcome");
-            assert_eq!(outcome.rows.len(), 3);
-            assert!(outcome.rows.iter().all(|r| r.int_value() == Some(1000)));
-            assert_eq!(
-                outcome.breakdown.prepare_wait,
-                Duration::ZERO,
-                "read-only commits never prepare"
-            );
+            // Both doors: the one-shot one used to ignore `snapshot_reads`.
+            for outcome in [
+                session.run_spec(&scan).await,
+                mw.run_transaction(&scan).await,
+            ] {
+                assert!(outcome.committed);
+                assert!(outcome.read_only, "the fast path must mark the outcome");
+                assert_eq!(outcome.rows.len(), 3);
+                assert!(outcome.rows.iter().all(|r| r.int_value() == Some(1000)));
+                assert_eq!(
+                    outcome.breakdown.prepare_wait,
+                    Duration::ZERO,
+                    "read-only commits never prepare"
+                );
+            }
         });
     }
 

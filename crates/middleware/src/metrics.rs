@@ -125,8 +125,8 @@ impl LatencyBreakdown {
     }
 }
 
-/// The read/write key sets of one transaction, as declared by the submitted
-/// spec. Only populated (and only useful) under the `history` cargo feature:
+/// The read/write key sets of one transaction, as its rounds issued them.
+/// Only populated (and only useful) under the `history` cargo feature:
 /// failure-drill harnesses cross-check these client-level sets against the
 /// versioned histories the storage engines record.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -135,26 +135,6 @@ pub struct TxnHistory {
     pub reads: Vec<crate::ops::GlobalKey>,
     /// Distinct keys written (updates, inserts, deletes), sorted.
     pub writes: Vec<crate::ops::GlobalKey>,
-}
-
-impl TxnHistory {
-    /// Derive the read/write sets from a transaction spec.
-    pub fn from_spec(spec: &crate::ops::TransactionSpec) -> Self {
-        use crate::ops::ClientOp;
-        let mut history = TxnHistory::default();
-        for op in spec.all_ops() {
-            let set = match op {
-                ClientOp::Read(_) | ClientOp::ReadForUpdate(_) => &mut history.reads,
-                _ => &mut history.writes,
-            };
-            set.push(op.key());
-        }
-        history.reads.sort();
-        history.reads.dedup();
-        history.writes.sort();
-        history.writes.dedup();
-        history
-    }
 }
 
 /// The outcome of one transaction as observed by the client.
@@ -331,28 +311,6 @@ mod tests {
             think_time: Duration::from_millis(4),
         };
         assert_eq!(b.total(), Duration::from_millis(155));
-    }
-
-    #[test]
-    fn txn_history_from_spec_splits_and_dedups_key_sets() {
-        use crate::ops::{ClientOp, GlobalKey, TransactionSpec};
-        use geotp_storage::TableId;
-        let k = |row| GlobalKey::new(TableId(0), row);
-        let spec = TransactionSpec::multi_round(vec![
-            vec![
-                ClientOp::Read(k(5)),
-                ClientOp::ReadForUpdate(k(3)),
-                ClientOp::add(k(1), 1),
-            ],
-            vec![
-                ClientOp::Read(k(5)),   // repeat read, dedup
-                ClientOp::add(k(1), 2), // repeat write, dedup
-                ClientOp::Delete(k(2)),
-            ],
-        ]);
-        let history = TxnHistory::from_spec(&spec);
-        assert_eq!(history.reads, vec![k(3), k(5)], "sorted, deduplicated");
-        assert_eq!(history.writes, vec![k(1), k(2)]);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! * [`SessionService`] — anything a client can `connect` a [`Session`] to;
 //! * [`Session`] — one client connection: [`Session::begin`] live
-//!   transactions, or replay a whole [`TransactionSpec`] with
-//!   [`Session::run_spec`] (the compatibility adapter for the old one-shot
-//!   `run_transaction` front door);
+//!   transactions, or replay a whole [`TransactionSpec`] as a statement
+//!   stream with [`Session::run_spec`] (the coordinator learns it round by
+//!   round; [`Middleware::run_transaction`](crate::Middleware::run_transaction)
+//!   is the same live path with the spec declared up front);
 //! * [`Txn`] — a live transaction handle: [`Txn::execute`] ships one
 //!   statement round, [`Txn::execute_last`] carries the paper's `/*+ last */`
 //!   annotation (triggering the decentralized prepare at the end of that
@@ -26,8 +27,7 @@
 //! pays one client↔middleware round trip per `begin`/round/`commit`, and
 //! that time lands in [`LatencyBreakdown::client_rtt`]; client think time
 //! injected with [`Txn::think`] lands in [`LatencyBreakdown::think_time`].
-//! Co-located sessions (the default) pay nothing, which keeps the replay
-//! adapter's latency identical to the old one-shot path.
+//! Co-located sessions (the default) pay nothing.
 //!
 //! ```
 //! use geotp_middleware::session::SessionService;
@@ -250,7 +250,9 @@ pub struct RoundResult {
     pub latency: Duration,
 }
 
-/// A parsed SQL script, as the session front door executes it.
+/// A parsed SQL script, as the session front door executes it (and as the
+/// middleware's bounded parse cache stores it).
+#[derive(Clone)]
 pub enum SqlScript {
     /// The script runs this transaction (one statement per round).
     Run(Rc<TransactionSpec>),
@@ -378,10 +380,10 @@ impl Session {
         })
     }
 
-    /// Replay a whole [`TransactionSpec`] through the live-transaction path:
-    /// begin, one `execute` per round (the final round carries the spec's
-    /// `/*+ last */` annotation), commit. This is the thin adapter that keeps
-    /// the old spec-submission front door working on top of sessions.
+    /// Replay a whole [`TransactionSpec`] as a statement stream: begin, one
+    /// `execute` per round (the final round carries the spec's `/*+ last */`
+    /// annotation), commit. The backend sees what an interactive client
+    /// would send — no round is known before it arrives.
     pub async fn run_spec(&mut self, spec: &TransactionSpec) -> TxnOutcome {
         self.run_spec_thinking(spec, Duration::ZERO).await
     }
@@ -679,7 +681,7 @@ impl SessionLink for MiddlewareLink {
     }
 
     fn parse_sql(&self, script: &str) -> Result<SqlScript, ParseError> {
-        self.mw.sql_script(script)
+        self.mw.parsed_sql(script)
     }
 }
 
@@ -693,44 +695,54 @@ struct MiddlewareTxn {
 }
 
 impl MiddlewareTxn {
-    fn concluded_error(&self) -> TxnError {
-        let outcome = self.failed.clone().unwrap_or_else(|| {
+    /// What a transaction that already failed re-reports (a repeated round,
+    /// commit or rollback on it must not panic).
+    fn failed_outcome(&self) -> TxnOutcome {
+        self.failed.clone().unwrap_or_else(|| {
             TxnOutcome::aborted(AbortReason::ExecutionFailed, Duration::ZERO, false)
-        });
-        TxnError::aborted(outcome, false)
+        })
     }
 
     async fn run_round(&mut self, ops: &[ClientOp], last: bool) -> Result<RoundResult, TxnError> {
-        let MiddlewareTxn {
-            mw,
-            client,
-            live,
-            failed,
-        } = self;
-        let Some(live_txn) = live.as_mut() else {
-            let outcome = failed.clone().unwrap_or_else(|| {
-                TxnOutcome::aborted(AbortReason::ExecutionFailed, Duration::ZERO, false)
-            });
-            return Err(TxnError::aborted(outcome, false));
+        let Some(live) = self.live.as_mut() else {
+            return Err(TxnError::aborted(self.failed_outcome(), false));
         };
         let round_started = now();
-        let hop_in = client_hop(mw, *client, true).await;
-        live_txn.note_client_rtt(hop_in);
-        match mw.execute_live(live_txn, ops, last).await {
+        let hop_in = client_hop(&self.mw, self.client, true).await;
+        live.note_client_rtt(hop_in);
+        match self.mw.execute_live(live, ops, last).await {
             Ok(rows) => {
-                let hop_out = client_hop(mw, *client, false).await;
-                live_txn.note_client_rtt(hop_out);
+                let hop_out = client_hop(&self.mw, self.client, false).await;
+                live.note_client_rtt(hop_out);
                 Ok(RoundResult {
                     rows,
                     latency: now().duration_since(round_started),
                 })
             }
             Err(error) => {
-                *failed = Some(error.outcome.clone());
-                *live = None;
+                self.failed = Some(error.outcome.clone());
+                self.live = None;
                 Err(error)
             }
         }
+    }
+
+    /// Commit (or roll back), paying the client↔middleware hop each way.
+    async fn conclude(&mut self, commit: bool) -> TxnOutcome {
+        let Some(mut live) = self.live.take() else {
+            return self.failed_outcome();
+        };
+        let hop_in = client_hop(&self.mw, self.client, true).await;
+        live.note_client_rtt(hop_in);
+        let mut outcome = if commit {
+            self.mw.commit_live(&mut live).await
+        } else {
+            self.mw.rollback_live(&mut live).await
+        };
+        let hop_out = client_hop(&self.mw, self.client, false).await;
+        outcome.latency += hop_out;
+        outcome.breakdown.client_rtt += hop_out;
+        outcome
     }
 }
 
@@ -754,10 +766,10 @@ impl TxnHandle for MiddlewareTxn {
                     // Garbage from the client aborts the transaction, like a
                     // real server erroring the statement and poisoning the txn.
                     if self.live.is_some() {
-                        let outcome = self.run_abort().await;
+                        let outcome = self.conclude(false).await;
                         self.failed = Some(outcome);
                     }
-                    return Err(self.concluded_error());
+                    return Err(TxnError::aborted(self.failed_outcome(), false));
                 }
             };
             if let Some(control) = parsed.control {
@@ -774,7 +786,7 @@ impl TxnHandle for MiddlewareTxn {
                     // real (locks released, outcome recorded) instead of
                     // leaving a live transaction behind a fabricated error.
                     TxnControl::Commit | TxnControl::Rollback => {
-                        let outcome = self.run_abort().await;
+                        let outcome = self.conclude(false).await;
                         self.failed = Some(outcome.clone());
                         Err(TxnError::aborted(outcome, false))
                     }
@@ -804,24 +816,11 @@ impl TxnHandle for MiddlewareTxn {
     }
 
     fn commit(mut self: Box<Self>) -> BoxFuture<'static, TxnOutcome> {
-        Box::pin(async move {
-            let Some(mut live) = self.live.take() else {
-                return self.failed.clone().unwrap_or_else(|| {
-                    TxnOutcome::aborted(AbortReason::ExecutionFailed, Duration::ZERO, false)
-                });
-            };
-            let hop_in = client_hop(&self.mw, self.client, true).await;
-            live.note_client_rtt(hop_in);
-            let mut outcome = self.mw.commit_live(&mut live).await;
-            let hop_out = client_hop(&self.mw, self.client, false).await;
-            outcome.latency += hop_out;
-            outcome.breakdown.client_rtt += hop_out;
-            outcome
-        })
+        Box::pin(async move { self.conclude(true).await })
     }
 
     fn rollback(mut self: Box<Self>) -> BoxFuture<'static, TxnOutcome> {
-        Box::pin(async move { self.run_abort().await })
+        Box::pin(async move { self.conclude(false).await })
     }
 
     fn abandon(mut self: Box<Self>) {
@@ -837,22 +836,5 @@ impl TxnHandle for MiddlewareTxn {
             .as_ref()
             .map(|l| l.gtrid())
             .unwrap_or_else(|| self.failed.as_ref().map(|o| o.gtrid).unwrap_or(0))
-    }
-}
-
-impl MiddlewareTxn {
-    async fn run_abort(&mut self) -> TxnOutcome {
-        let Some(mut live) = self.live.take() else {
-            return self.failed.clone().unwrap_or_else(|| {
-                TxnOutcome::aborted(AbortReason::ExecutionFailed, Duration::ZERO, false)
-            });
-        };
-        let hop_in = client_hop(&self.mw, self.client, true).await;
-        live.note_client_rtt(hop_in);
-        let mut outcome = self.mw.rollback_live(&mut live).await;
-        let hop_out = client_hop(&self.mw, self.client, false).await;
-        outcome.latency += hop_out;
-        outcome.breakdown.client_rtt += hop_out;
-        outcome
     }
 }
