@@ -18,10 +18,13 @@
 //! by a pure-CPU calibration ratio (local machine vs the recorder of the
 //! baseline), so a slower runner is not misread as a code regression;
 //! re-record with `GEOTP_SMOKE_RECORD=1` after an intentional hot-path
-//! change. A second, hardware-independent *flatness* check guards the
-//! structural claim: the 10 000-entry lock table must not cost more than
-//! 2.5× the empty table (the pre-index implementation was ~500× — it
-//! scanned the table per release).
+//! change. Two hardware-independent *flatness* checks guard the structural
+//! claims: the 10 000-entry lock table must not cost more than 2.5× the
+//! empty table (the pre-index implementation was ~500× — it scanned the
+//! table per release), and the same hand-off chain behind 12 800 abandoned
+//! 5 s lock-wait timeouts must not cost more than 2.0× the chain on a
+//! drained timer store (a store that looks at pending timers it is not
+//! firing read 3–5×, growing with their number).
 //!
 //! ```text
 //! cargo bench -p geotp-bench --bench hotpath_smoke
@@ -86,6 +89,65 @@ fn best_of(table_size: u64) -> Duration {
         .map(|_| promote_chain_once(table_size))
         .min()
         .expect("at least one probe")
+}
+
+/// Rounds per writer in one hand-off batch of [`stale_timer_ratio`].
+const HANDOFF_ROUNDS: u64 = 50;
+/// Batches run back to back ahead of the timed one: 4 × 64 × 50 = 12 800
+/// granted waits, each leaving its lock-wait timeout pending.
+const STALE_BATCHES: u64 = 4;
+
+/// Host time of one hand-off batch: every writer takes the hot row
+/// `HANDOFF_ROUNDS` times and holds it across one timer tick, so the others
+/// park behind it — arming the manager's wait timeout, which the grant then
+/// abandons (nothing cancels a timer; it stays pending until its deadline).
+async fn handoff_batch(lm: &Rc<LockManager>, first_gtrid: u64) -> Duration {
+    let hot = Key::new(TableId(0), 0);
+    let started = Instant::now();
+    let handles: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let lm = Rc::clone(lm);
+            geotp_simrt::spawn(async move {
+                for r in 0..HANDOFF_ROUNDS {
+                    let xid = Xid::new(first_gtrid + w * HANDOFF_ROUNDS + r, 0);
+                    lm.acquire(xid, hot, LockMode::Exclusive).await.unwrap();
+                    geotp_simrt::sleep(Duration::from_micros(1)).await;
+                    lm.release_all(xid);
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.await;
+    }
+    started.elapsed()
+}
+
+/// The construction of the benchmark's `simrt.probe_stale_timer_ratio`: a
+/// hand-off batch running behind `STALE_BATCHES` batches' worth of abandoned
+/// timeouts, over the same batch on a drained timer store (virtual time run
+/// past the timeout first). Best of `PROBES / 4` for each side.
+fn stale_timer_ratio() -> f64 {
+    let (mut drained, mut stale) = (Duration::MAX, Duration::MAX);
+    for _ in 0..PROBES / 4 {
+        let mut rt = Runtime::new();
+        let (d, s) = rt.block_on(async {
+            let lm = LockManager::new(Duration::from_secs(5));
+            let settle = lm.wait_timeout() + Duration::from_secs(1);
+            let batch = |b: u64| handoff_batch(&lm, b * WRITERS * HANDOFF_ROUNDS);
+            batch(0).await; // warm the grant-channel pool
+            geotp_simrt::sleep(settle).await;
+            let drained = batch(1).await;
+            geotp_simrt::sleep(settle).await;
+            for b in 0..STALE_BATCHES {
+                batch(2 + b).await;
+            }
+            (drained, batch(2 + STALE_BATCHES).await)
+        });
+        drained = drained.min(d);
+        stale = stale.min(s);
+    }
+    stale.as_secs_f64() / drained.as_secs_f64()
 }
 
 /// One timed run of footprint bookkeeping, in ns per transaction-key: the
@@ -248,6 +310,17 @@ fn main() {
         if flat { "ok" } else { "REGRESSED" }
     );
     if !flat {
+        failed = true;
+    }
+    let stale_ratio = stale_timer_ratio();
+    let stale_flat = stale_ratio <= 2.0;
+    println!(
+        "flatness: hand-offs behind {} abandoned timeouts / drained = {stale_ratio:.2}x \
+         (must be <= 2.0x) {}",
+        STALE_BATCHES * WRITERS * HANDOFF_ROUNDS,
+        if stale_flat { "ok" } else { "REGRESSED" }
+    );
+    if !stale_flat {
         failed = true;
     }
 

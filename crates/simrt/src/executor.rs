@@ -1,4 +1,4 @@
-//! The discrete-event executor: ready queue, virtual clock and timer wheel.
+//! The discrete-event executor: ready queue, virtual clock and timer heap.
 //!
 //! ## Hot-path design
 //!
@@ -15,9 +15,9 @@
 //!   of allocating a fresh `Arc` per poll.
 //! * **`Cell` metrics** — the run counters are plain `Cell`s, not a `RefCell`
 //!   of the whole struct, so bumping a counter is a load+store.
-//! * **Batch timer firing** — expired timers are collected from the
-//!   hierarchical wheel (see [`crate::wheel`]) into a reusable scratch buffer
-//!   under a single `RefCell` borrow.
+//! * **Batch timer firing** — expired timers are popped from the timer heap
+//!   (see [`crate::timer_heap`]) into a reusable scratch buffer under a
+//!   single `RefCell` borrow.
 //!
 //! ## One loop, two modes
 //!
@@ -41,8 +41,8 @@ use crate::mailbox::{DeliverHook, Envelope};
 use crate::shard::ShardLink;
 use crate::task::{JoinHandle, JoinState};
 use crate::time::SimInstant;
+use crate::timer_heap::{TimerEntry, TimerHeap, CLASS_DELIVERY, CLASS_NORMAL};
 use crate::topology::RunMeta;
-use crate::wheel::{TimerEntry, TimerWheel, CLASS_DELIVERY, CLASS_NORMAL};
 
 /// Identifier of a spawned task within one runtime: slab slot in the upper
 /// bits, slot generation in the lower 32 (so ids of finished tasks are never
@@ -92,6 +92,11 @@ pub struct RunMetrics {
     pub timers_registered: u64,
     /// Number of times the virtual clock jumped forward.
     pub clock_advances: u64,
+    /// High-water mark of pending timers, abandoned ones included (a timer
+    /// whose future was dropped stays pending until its deadline). In
+    /// multi-worker runs the per-shard peaks are summed: an upper bound on
+    /// the run-wide peak, since shards need not peak at the same instant.
+    pub timers_pending_peak: u64,
 }
 
 impl RunMetrics {
@@ -101,6 +106,7 @@ impl RunMetrics {
         self.tasks_spawned += other.tasks_spawned;
         self.timers_registered += other.timers_registered;
         self.clock_advances += other.clock_advances;
+        self.timers_pending_peak += other.timers_pending_peak;
     }
 }
 
@@ -141,7 +147,7 @@ pub(crate) struct RuntimeInner {
     tasks: RefCell<Vec<TaskSlot>>,
     free_slots: RefCell<Vec<u32>>,
     ready: Arc<Mutex<VecDeque<TaskId>>>,
-    timers: RefCell<TimerWheel>,
+    timers: RefCell<TimerHeap>,
     /// Scratch buffer for expired timers (reused across clock advances).
     fired: RefCell<Vec<TimerEntry>>,
     /// Mailbox delivery hooks bound on this shard, by mailbox id.
@@ -152,6 +158,7 @@ pub(crate) struct RuntimeInner {
     tasks_spawned: Cell<u64>,
     timers_registered: Cell<u64>,
     clock_advances: Cell<u64>,
+    timers_pending_peak: Cell<u64>,
 }
 
 impl RuntimeInner {
@@ -161,7 +168,7 @@ impl RuntimeInner {
             tasks: RefCell::new(Vec::new()),
             free_slots: RefCell::new(Vec::new()),
             ready: Arc::new(Mutex::new(VecDeque::new())),
-            timers: RefCell::new(TimerWheel::new()),
+            timers: RefCell::new(TimerHeap::new()),
             fired: RefCell::new(Vec::new()),
             mailboxes: RefCell::new(crate::hash::FxHashMap::default()),
             pending_mail: RefCell::new(crate::hash::FxHashMap::default()),
@@ -169,6 +176,7 @@ impl RuntimeInner {
             tasks_spawned: Cell::new(0),
             timers_registered: Cell::new(0),
             clock_advances: Cell::new(0),
+            timers_pending_peak: Cell::new(0),
         }
     }
 
@@ -182,15 +190,13 @@ impl RuntimeInner {
             tasks_spawned: self.tasks_spawned.get(),
             timers_registered: self.timers_registered.get(),
             clock_advances: self.clock_advances.get(),
+            timers_pending_peak: self.timers_pending_peak.get(),
         }
     }
 
     /// Register a timer waking `waker` at `deadline_micros` (virtual time).
     pub(crate) fn register_timer(&self, deadline_micros: u64, waker: Waker) {
-        self.timers_registered.set(self.timers_registered.get() + 1);
-        self.timers
-            .borrow_mut()
-            .push(deadline_micros, CLASS_NORMAL, waker);
+        self.register(deadline_micros, CLASS_NORMAL, waker);
     }
 
     /// Register a message-delivery wake-up. Delivery-class timers sort
@@ -198,10 +204,20 @@ impl RuntimeInner {
     /// at `t` wakes its receiver ahead of local timers for `t` on every
     /// worker layout.
     pub(crate) fn register_delivery(&self, deadline_micros: u64, waker: Waker) {
+        self.register(deadline_micros, CLASS_DELIVERY, waker);
+    }
+
+    fn register(&self, deadline_micros: u64, class: u8, waker: Waker) {
+        debug_assert!(
+            deadline_micros >= self.now_micros(),
+            "timer registered in the past: deadline={deadline_micros} now={}",
+            self.now_micros()
+        );
         self.timers_registered.set(self.timers_registered.get() + 1);
-        self.timers
-            .borrow_mut()
-            .push(deadline_micros, CLASS_DELIVERY, waker);
+        let mut timers = self.timers.borrow_mut();
+        timers.push(deadline_micros, class, waker);
+        let peak = self.timers_pending_peak.get().max(timers.len() as u64);
+        self.timers_pending_peak.set(peak);
     }
 
     /// Whether any task is queued to run right now.
@@ -211,7 +227,7 @@ impl RuntimeInner {
 
     /// Earliest pending timer deadline on this shard.
     pub(crate) fn next_timer_deadline(&self) -> Option<u64> {
-        self.timers.borrow_mut().next_deadline()
+        self.timers.borrow().next_deadline()
     }
 
     fn waker_for(&self, task_id: TaskId) -> Waker {
@@ -648,11 +664,6 @@ pub(crate) fn current_now() -> SimInstant {
     with_current(|inner| SimInstant::from_micros(inner.now_micros()))
 }
 
-/// Like [`current_now`], but `None` when no runtime is active on this thread.
-pub(crate) fn try_current_now() -> Option<SimInstant> {
-    try_with_current_ctx(|ctx| SimInstant::from_micros(ctx.inner.now_micros()))
-}
-
 /// Register a wake-up at `deadline` (virtual) for `waker` on the active runtime.
 pub(crate) fn current_register_timer(deadline: SimInstant, waker: Waker) {
     with_current(|inner| inner.register_timer(deadline.as_micros(), waker));
@@ -764,6 +775,27 @@ mod tests {
         assert_eq!(m.tasks_spawned, 1);
         assert!(m.timers_registered >= 1);
         assert!(m.clock_advances >= 1);
+    }
+
+    #[test]
+    fn pending_peak_counts_abandoned_timers() {
+        const N: u64 = 50;
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            for _ in 0..N {
+                // The inner sleep wins; the 5 s deadline is abandoned and
+                // stays pending (nothing cancels a timer).
+                crate::timeout(Duration::from_secs(5), sleep(Duration::from_millis(1)))
+                    .await
+                    .unwrap();
+            }
+        });
+        let m = rt.metrics();
+        // The last round holds N - 1 abandoned deadlines plus its own two.
+        assert_eq!(m.timers_pending_peak, N + 1);
+        assert_eq!(m.timers_registered, 2 * N);
+        assert_eq!(m.clock_advances, N);
+        assert_eq!(rt.now_micros(), N * 1_000);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::future::{poll_fn, Future};
-use std::pin::Pin;
+use std::pin::{pin, Pin};
 use std::task::Poll;
 use std::time::Duration;
 
@@ -25,9 +25,9 @@ impl std::error::Error for Elapsed {}
 /// Returns `Ok(output)` if the future completes first, `Err(Elapsed)` if the
 /// timer fires first. The inner future is dropped on timeout, cancelling it.
 pub async fn timeout<F: Future>(dur: Duration, fut: F) -> Result<F::Output, Elapsed> {
-    let mut fut = Box::pin(fut);
-    let mut deadline = Box::pin(sleep(dur));
-    poll_fn(move |cx| {
+    let mut fut = pin!(fut);
+    let mut deadline = pin!(sleep(dur));
+    poll_fn(|cx| {
         if let Poll::Ready(out) = fut.as_mut().poll(cx) {
             return Poll::Ready(Ok(out));
         }
@@ -37,42 +37,6 @@ pub async fn timeout<F: Future>(dur: Duration, fut: F) -> Result<F::Output, Elap
         Poll::Pending
     })
     .await
-}
-
-/// Allocation-free [`timeout`] for `Unpin` futures.
-///
-/// `timeout` boxes both the inner future and its deadline sleep (two heap
-/// allocations per call) because it must pin an arbitrary future. Callers on
-/// hot paths whose future is already `Unpin` — like the lock manager awaiting
-/// a grant `Receiver` — can use this combinator instead: the state lives
-/// inline in the returned future.
-pub fn timeout_unpin<F: Future + Unpin>(dur: Duration, fut: F) -> Timeout<F> {
-    Timeout {
-        fut,
-        deadline: sleep(dur),
-    }
-}
-
-/// Future returned by [`timeout_unpin`].
-#[derive(Debug)]
-pub struct Timeout<F> {
-    fut: F,
-    deadline: crate::time::Sleep,
-}
-
-impl<F: Future + Unpin> Future for Timeout<F> {
-    type Output = Result<F::Output, Elapsed>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut std::task::Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        if let Poll::Ready(out) = Pin::new(&mut this.fut).poll(cx) {
-            return Poll::Ready(Ok(out));
-        }
-        if Pin::new(&mut this.deadline).poll(cx).is_ready() {
-            return Poll::Ready(Err(Elapsed));
-        }
-        Poll::Pending
-    }
 }
 
 /// Result of [`race`]: which future finished first.
@@ -87,9 +51,9 @@ pub enum Either<A, B> {
 /// Poll two futures concurrently and return the output of whichever finishes
 /// first (left wins ties). The loser is dropped/cancelled.
 pub async fn race<A: Future, B: Future>(a: A, b: B) -> Either<A::Output, B::Output> {
-    let mut a = Box::pin(a);
-    let mut b = Box::pin(b);
-    poll_fn(move |cx| {
+    let mut a = pin!(a);
+    let mut b = pin!(b);
+    poll_fn(|cx| {
         if let Poll::Ready(out) = a.as_mut().poll(cx) {
             return Poll::Ready(Either::Left(out));
         }
@@ -157,53 +121,40 @@ mod tests {
     fn timeout_ok_when_future_finishes_first() {
         let mut rt = Runtime::new();
         let out = rt.block_on(async {
-            timeout(Duration::from_millis(100), async {
+            let block = timeout(Duration::from_millis(100), async {
                 sleep(Duration::from_millis(10)).await;
                 5
             })
-            .await
+            .await;
+            // An `Unpin` future — the shape of the lock manager's grant wait.
+            let (tx, rx) = crate::sync::oneshot::channel();
+            spawn(async move {
+                sleep(Duration::from_millis(3)).await;
+                tx.send(11u8).unwrap();
+            });
+            (block, timeout(Duration::from_millis(10), rx).await)
         });
-        assert_eq!(out, Ok(5));
-        assert_eq!(rt.now_micros(), 10_000);
+        assert_eq!(out, (Ok(5), Ok(Ok(11))));
+        assert_eq!(rt.now_micros(), 13_000);
     }
 
     #[test]
     fn timeout_elapsed_when_deadline_first() {
         let mut rt = Runtime::new();
         let out = rt.block_on(async {
-            timeout(Duration::from_millis(10), async {
+            let block = timeout(Duration::from_millis(10), async {
                 sleep(Duration::from_millis(100)).await;
                 5
             })
-            .await
+            .await;
+            // The inner future is dropped: its sender observes the closure.
+            let (tx, rx) = crate::sync::oneshot::channel::<u8>();
+            let channel = timeout(Duration::from_millis(5), rx).await;
+            assert!(tx.is_closed(), "timed-out receiver was cancelled");
+            (block, channel)
         });
-        assert_eq!(out, Err(Elapsed));
-        assert_eq!(rt.now_micros(), 10_000);
-    }
-
-    #[test]
-    fn timeout_unpin_matches_timeout_semantics() {
-        let mut rt = Runtime::new();
-        rt.block_on(async {
-            // Completes first.
-            let (tx, rx) = crate::sync::oneshot::channel();
-            spawn(async move {
-                sleep(Duration::from_millis(3)).await;
-                tx.send(11u8).unwrap();
-            });
-            assert_eq!(
-                timeout_unpin(Duration::from_millis(10), rx).await,
-                Ok(Ok(11))
-            );
-            // Deadline first: inner future dropped (sender observes closure).
-            let (tx2, rx2) = crate::sync::oneshot::channel::<u8>();
-            assert_eq!(
-                timeout_unpin(Duration::from_millis(5), rx2).await,
-                Err(Elapsed)
-            );
-            assert!(tx2.is_closed(), "timed-out receiver was cancelled");
-        });
-        assert_eq!(rt.now_micros(), 8_000);
+        assert_eq!(out, (Err(Elapsed), Err(Elapsed)));
+        assert_eq!(rt.now_micros(), 15_000);
     }
 
     #[test]

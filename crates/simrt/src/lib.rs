@@ -49,22 +49,17 @@ mod shard;
 pub mod sync;
 mod task;
 mod time;
+mod timer_heap;
 mod topology;
-mod wheel;
 
 pub use builder::RuntimeBuilder;
 pub use executor::{spawn, RunMetrics, Runtime};
-pub use future_util::{
-    join_all, race, timeout, timeout_unpin, yield_now, Either, Elapsed, Timeout,
-};
+pub use future_util::{join_all, race, timeout, yield_now, Either, Elapsed};
 pub use handle::{handle, try_handle, RuntimeHandle};
 pub use mailbox::{BoundSender, Delivery, Mailbox, MailboxSender, MailboxToken, RecvFuture};
 pub use task::JoinHandle;
 pub use time::{now, sleep, sleep_until, SimInstant, Sleep};
 pub use topology::Topology;
-
-#[allow(deprecated)]
-pub use time::try_now;
 
 /// Convenience: build a fresh [`Runtime`] and run `fut` to completion on it.
 ///

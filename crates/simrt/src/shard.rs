@@ -4,7 +4,7 @@
 //! ## Protocol
 //!
 //! Each worker shard owns a full [`RuntimeInner`] (ready queue, clock, timer
-//! wheel). Execution alternates between *barriers* and *windows*:
+//! heap). Execution alternates between *barriers* and *windows*:
 //!
 //! 1. At a barrier every shard reports its next local event time (its clock
 //!    if a task is runnable, else its earliest timer) and hands over the

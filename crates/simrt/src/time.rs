@@ -93,19 +93,11 @@ pub fn now() -> SimInstant {
     current_now()
 }
 
-/// Current virtual time of the active runtime, or `None` when no runtime is
-/// running on this thread (e.g. inspecting collected telemetry after
-/// `block_on` returned).
-#[deprecated(
-    since = "0.6.0",
-    note = "use geotp_simrt::try_handle().map(|h| h.now()) — the RuntimeHandle \
-            also carries the run seed, shard placement and topology"
-)]
-pub fn try_now() -> Option<SimInstant> {
-    crate::executor::try_current_now()
-}
-
 /// Future returned by [`sleep`] / [`sleep_until`].
+///
+/// Dropping a pending `Sleep` cancels nothing: its timer stays in the
+/// executor's heap until the deadline, then wakes the registering task once
+/// more (a spurious poll if the task lives on, ignored if it finished).
 #[derive(Debug)]
 pub struct Sleep {
     deadline: Option<SimInstant>,

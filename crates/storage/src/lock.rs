@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use geotp_simrt::hash::FxHashMap;
 use geotp_simrt::sync::oneshot;
-use geotp_simrt::{now, timeout_unpin, SimInstant};
+use geotp_simrt::{now, timeout, SimInstant};
 
 use crate::small_vec::SmallVec;
 use crate::types::{Key, Xid};
@@ -355,10 +355,10 @@ impl LockManager {
             key.row,
         );
 
-        // `timeout_unpin` keeps the deadline state inline: together with the
-        // pooled grant channel, a contended acquire performs no allocations in
-        // the steady state (`timeout` would box both future and sleep).
-        let outcome = timeout_unpin(self.wait_timeout, rx).await;
+        // `timeout` keeps its state inline: together with the pooled grant
+        // channel, a contended acquire performs no allocations in the steady
+        // state.
+        let outcome = timeout(self.wait_timeout, rx).await;
         let waited = now().duration_since(request_at);
         self.stats
             .total_wait_micros
