@@ -440,6 +440,280 @@ mod tests {
         }
     }
 
+    /// The comparison systems (ScalarDB, ScalarDB+, the YugabyteDB-like
+    /// database) pinned per transaction through the one-shot door, the way
+    /// the matrix above pins the middleware: fig05 / fig13 hold them with 18
+    /// one-decimal cells, this holds every outcome. One seeded run per row —
+    /// 4 paper-default sources, 50 % distributed over 3 of them, 32 terminals,
+    /// a 400 ms lock-wait timeout at the stores *and* at ScalarDB's
+    /// coordinator-side lock table — then a drain so asynchronous applies
+    /// land before the stored state is folded. TPC-C covers `Put` / `Delete`
+    /// intents and multi-round specs. The database runs at rounds 1 only:
+    /// its one-shot door ships the whole statement buffer, so rounds 3 prints
+    /// the same row byte for byte. ScalarDB+ at high contention gets a 5 s
+    /// window: it spins ≈ 53 k admission rejections per virtual second and
+    /// this gate runs in the debug profile. Scale-independent.
+    #[test]
+    fn golden_baseline_matrix() {
+        use geotp::ClusterBuilder;
+        use geotp_distdb::{DistDb, DistDbConfig, DistDbService};
+        use geotp_middleware::{GlobalKey, TransactionSpec, TxnOutcome, ABORT_REASONS};
+        use geotp_net::NodeId;
+        use geotp_scalardb::{ScalarDbCluster, ScalarDbConfig, ScalarDbService};
+        use geotp_storage::{row_fingerprint, EngineConfig, Row};
+        use geotp_workloads::ycsb::USERTABLE;
+        use geotp_workloads::{
+            Contention, TpccConfig, TpccGenerator, TransactionService, YcsbConfig, YcsbGenerator,
+        };
+        use rand::{rngs::StdRng, SeedableRng};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        use std::time::Duration;
+
+        const SEED: u64 = 19;
+        const TERMINALS: u64 = 32;
+        const RECORDS_PER_NODE: u64 = 500;
+        const DRAIN: Duration = Duration::from_secs(5);
+        const LOCK_WAIT: Duration = Duration::from_millis(400);
+
+        #[derive(Clone, Copy, PartialEq)]
+        enum System {
+            ScalarDb,
+            ScalarDbPlus,
+            DistDb,
+        }
+        #[derive(Clone, Copy, PartialEq)]
+        enum Workload {
+            Ycsb(usize, Contention),
+            Tpcc,
+        }
+
+        fn eat(fnv: &mut u64, word: u64) {
+            for byte in word.to_le_bytes() {
+                *fnv = (*fnv ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+
+        /// What the terminals fold, in completion order.
+        struct Seen {
+            committed: u64,
+            aborts: [u64; ABORT_REASONS.len()],
+            fnv: u64,
+        }
+        impl Seen {
+            fn record(&mut self, outcome: &TxnOutcome) {
+                self.committed += outcome.committed as u64;
+                if let Some(reason) = outcome.abort_reason {
+                    self.aborts[reason.ordinal()] += 1;
+                }
+                eat(&mut self.fnv, outcome.gtrid);
+                eat(&mut self.fnv, outcome.committed as u64);
+                eat(&mut self.fnv, outcome.latency.as_micros() as u64);
+                eat(&mut self.fnv, outcome.distributed as u64);
+                for row in &outcome.rows {
+                    eat(&mut self.fnv, row_fingerprint(row));
+                }
+            }
+        }
+
+        let mut cells = Vec::new();
+        for system in [System::ScalarDb, System::ScalarDbPlus] {
+            for rounds in [1usize, 3] {
+                for contention in [Contention::Medium, Contention::High] {
+                    cells.push((system, Workload::Ycsb(rounds, contention)));
+                }
+            }
+        }
+        for system in [System::ScalarDb, System::ScalarDbPlus] {
+            cells.push((system, Workload::Tpcc));
+        }
+        for contention in [Contention::Medium, Contention::High] {
+            cells.push((System::DistDb, Workload::Ycsb(1, contention)));
+        }
+
+        let mut table = Table::new(
+            "Baselines — system × workload through the one-shot door, per-transaction pins",
+            &[
+                "system",
+                "workload",
+                "window s",
+                "committed",
+                "aborts",
+                "stats c/a/d",
+                "messages",
+                "final us",
+                "stored state",
+                "fingerprint",
+            ],
+        );
+        for (system, workload) in cells {
+            let spinning = system == System::ScalarDbPlus
+                && matches!(workload, Workload::Ycsb(_, Contention::High));
+            let window = Duration::from_secs(if spinning { 5 } else { 20 });
+            let mut rt = crate::runner::sim_runtime(SEED, &geotp_net::PAPER_DEFAULT_RTTS_MS);
+            let row = rt.block_on(async move {
+                let engine = EngineConfig {
+                    lock_wait_timeout: LOCK_WAIT,
+                    ..EngineConfig::default()
+                };
+                let cluster = ClusterBuilder::new()
+                    .seed(SEED)
+                    .paper_default_sources()
+                    .records_per_node(RECORDS_PER_NODE)
+                    .engine_config(engine)
+                    .build();
+                let sources = cluster.data_sources();
+                type Generate = Rc<dyn Fn(&mut StdRng) -> TransactionSpec>;
+                let (generate, partitioner, name): (Generate, _, _) = match workload {
+                    Workload::Ycsb(rounds, contention) => {
+                        let mut ycsb = YcsbConfig::new(4, RECORDS_PER_NODE)
+                            .with_contention(contention)
+                            .with_distributed_ratio(0.5);
+                        ycsb.rounds = rounds;
+                        ycsb.nodes_per_distributed_txn = 3;
+                        let generator = YcsbGenerator::new(ycsb);
+                        generator.load(sources);
+                        (
+                            Rc::new(move |rng: &mut StdRng| generator.generate(rng).0),
+                            ycsb.partitioner(),
+                            format!("ycsb {} r{rounds}", contention.name()),
+                        )
+                    }
+                    Workload::Tpcc => {
+                        let tpcc = TpccConfig::new(4, 2);
+                        let partitioner = tpcc.partitioner();
+                        let generator = TpccGenerator::new(tpcc);
+                        generator.load(sources);
+                        (
+                            Rc::new(move |rng: &mut StdRng| generator.generate(rng).0),
+                            partitioner,
+                            "tpcc 4x2".to_string(),
+                        )
+                    }
+                };
+
+                let dm = NodeId::middleware(0);
+                let net = Rc::clone(cluster.network());
+                type Peek = Box<dyn Fn(GlobalKey) -> Option<Row>>;
+                let stored: Peek = {
+                    let sources = sources.to_vec();
+                    Box::new(move |key| {
+                        sources[partitioner.route(key) as usize]
+                            .engine()
+                            .peek(key.storage_key())
+                    })
+                };
+                let (service, stats, peek): (Rc<dyn TransactionService>, Box<dyn Fn() -> _>, Peek) =
+                    match system {
+                        System::ScalarDb | System::ScalarDbPlus => {
+                            let mut config = ScalarDbConfig::new(dm);
+                            config.lock_wait_timeout = LOCK_WAIT;
+                            let scalardb = if system == System::ScalarDbPlus {
+                                ScalarDbCluster::new_plus(config, net, sources, partitioner)
+                            } else {
+                                ScalarDbCluster::new(config, net, sources, partitioner)
+                            };
+                            let handle = Rc::clone(&scalardb);
+                            (
+                                Rc::new(ScalarDbService(scalardb)),
+                                Box::new(move || handle.stats()),
+                                stored,
+                            )
+                        }
+                        System::DistDb => {
+                            let mut config = DistDbConfig::new(dm, 4);
+                            config.engine = engine;
+                            let db = DistDb::new(config, net, partitioner);
+                            for row in 0..4 * RECORDS_PER_NODE {
+                                db.load(GlobalKey::new(USERTABLE, row), Row::int(10_000));
+                            }
+                            let (handle, reader) = (Rc::clone(&db), Rc::clone(&db));
+                            (
+                                Rc::new(DistDbService(db)),
+                                Box::new(move || handle.stats()),
+                                Box::new(move |key| reader.peek(key)),
+                            )
+                        }
+                    };
+                let label = service.label();
+
+                let seen = Rc::new(RefCell::new(Seen {
+                    committed: 0,
+                    aborts: [0; ABORT_REASONS.len()],
+                    fnv: 0xcbf2_9ce4_8422_2325,
+                }));
+                let end = geotp_simrt::now() + window;
+                let terminals: Vec<_> = (0..TERMINALS)
+                    .map(|terminal| {
+                        let service = Rc::clone(&service);
+                        let generate = Rc::clone(&generate);
+                        let seen = Rc::clone(&seen);
+                        let mut rng = StdRng::seed_from_u64(SEED * 1_000 + terminal);
+                        geotp_simrt::spawn(async move {
+                            while geotp_simrt::now() < end {
+                                let spec = generate(&mut rng);
+                                let outcome = service.run(&spec).await;
+                                seen.borrow_mut().record(&outcome);
+                            }
+                        })
+                    })
+                    .collect();
+                for terminal in terminals {
+                    terminal.await;
+                }
+                let final_us = geotp_simrt::now().as_micros();
+                geotp_simrt::sleep(DRAIN).await;
+
+                let state = match workload {
+                    Workload::Ycsb(..) => {
+                        let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+                        for row in 0..4 * RECORDS_PER_NODE {
+                            let stored = peek(GlobalKey::new(USERTABLE, row));
+                            eat(&mut fnv, stored.as_ref().map_or(0, row_fingerprint));
+                        }
+                        format!("{fnv:016x}")
+                    }
+                    Workload::Tpcc => {
+                        let records: usize =
+                            sources.iter().map(|s| s.engine().record_count()).sum();
+                        format!("{records} records")
+                    }
+                };
+                let seen = seen.borrow();
+                let aborts: Vec<String> = ABORT_REASONS
+                    .iter()
+                    .zip(seen.aborts)
+                    .filter(|(_, n)| *n > 0)
+                    .map(|(reason, n)| format!("{}={n}", reason.label()))
+                    .collect();
+                let stats = stats();
+                vec![
+                    label,
+                    name,
+                    window.as_secs().to_string(),
+                    seen.committed.to_string(),
+                    if aborts.is_empty() {
+                        "-".to_string()
+                    } else {
+                        aborts.join(" ")
+                    },
+                    format!(
+                        "{}/{}/{}",
+                        stats.committed, stats.aborted, stats.distributed_committed
+                    ),
+                    cluster.network().total_messages().to_string(),
+                    final_us.to_string(),
+                    state,
+                    format!("{:016x}", seen.fnv),
+                ]
+            });
+            table.push_row(row);
+        }
+        if let Err(drift) = verify("baseline_matrix_quick", &[table]) {
+            panic!("{drift}");
+        }
+    }
+
     /// Golden coverage beyond the drill tables (the ROADMAP open item):
     /// Fig. 6 is the cheapest deterministic figure experiment whose *quick*
     /// table is non-degenerate in every column (Fig. 1b's quick run commits
