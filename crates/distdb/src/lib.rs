@@ -11,8 +11,9 @@
 //!
 //! This crate builds that baseline on the simulated substrate:
 //!
-//! * one [`geotp_storage::StorageEngine`] per shard (tablet leader), placed at
-//!   the same geographic nodes as the GeoTP data sources,
+//! * the tablet leaders are the deployment's own data sources — their
+//!   [`geotp_storage::StorageEngine`]s driven directly, at the same
+//!   geographic nodes GeoTP reaches them at (the XA agents stay idle),
 //! * the query router is co-located with the client (same placement as the
 //!   middleware in the paper's setup),
 //! * **single-shard transactions**: one WAN round trip to the leader; the
@@ -22,95 +23,64 @@
 //!   as the transaction coordinator; it executes its local part and drives
 //!   prepare/commit over the other shards (shard-to-shard WAN hops), holding
 //!   locks across that window.
+//!
+//! The router ships a transaction's whole statement buffer at once, so this
+//! is the only door: there is no per-round session model to drive.
 
-use std::cell::Cell;
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 
+use geotp_datasource::DataSource;
 use geotp_middleware::{
-    AbortReason, ClientOp, LatencyBreakdown, MiddlewareStats, Partitioner, TransactionSpec,
-    TxnOutcome,
+    AbortReason, ClientOp, GlobalKey, LatencyBreakdown, MiddlewareStats, Partitioner,
+    TransactionSpec, TxnOutcome,
 };
 use geotp_net::{Network, NodeId};
 use geotp_simrt::{join_all, now, spawn};
-use geotp_storage::{EngineConfig, Row, StorageEngine, StorageError, Xid};
+use geotp_storage::{Row, StorageEngine, StorageError, Xid};
 use geotp_workloads::TransactionService;
-use std::cell::RefCell;
-
-/// Configuration of the distributed-database baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct DistDbConfig {
-    /// The query router's node identity (co-located with the client).
-    pub router: NodeId,
-    /// Number of shards (one per geographic node).
-    pub shards: u32,
-    /// Storage-engine configuration used by every tablet leader.
-    pub engine: EngineConfig,
-}
-
-impl DistDbConfig {
-    /// Defaults for the given router node and shard count.
-    pub fn new(router: NodeId, shards: u32) -> Self {
-        Self {
-            router,
-            shards,
-            engine: EngineConfig::default(),
-        }
-    }
-}
-
-struct Shard {
-    node: NodeId,
-    engine: Rc<StorageEngine>,
-}
 
 /// The sharded distributed database.
 pub struct DistDb {
-    config: DistDbConfig,
+    /// The query router's node (co-located with the client).
+    router: NodeId,
     net: Rc<Network>,
-    shards: HashMap<u32, Shard>,
+    /// The tablet leaders, indexed by shard (= data-source id).
+    shards: Vec<Rc<DataSource>>,
     partitioner: Partitioner,
     next_txn: Cell<u64>,
     stats: RefCell<MiddlewareStats>,
 }
 
 impl DistDb {
-    /// Build the database with one shard per data-source node id
-    /// (`NodeId::data_source(0..shards)`), matching the GeoTP deployment.
-    pub fn new(config: DistDbConfig, net: Rc<Network>, partitioner: Partitioner) -> Rc<Self> {
-        let shards = (0..config.shards)
-            .map(|i| {
-                (
-                    i,
-                    Shard {
-                        node: NodeId::data_source(i),
-                        engine: StorageEngine::new(config.engine),
-                    },
-                )
-            })
-            .collect();
+    /// Build the database with its query router at `router` and one shard
+    /// per data source of the deployment (in data-source order).
+    pub fn new(
+        router: NodeId,
+        net: Rc<Network>,
+        sources: &[Rc<DataSource>],
+        partitioner: Partitioner,
+    ) -> Rc<Self> {
+        assert!(
+            (0..).zip(sources).all(|(i, s)| s.index() == i),
+            "the shards are the data sources, in data-source order"
+        );
         Rc::new(Self {
-            config,
+            router,
             net,
-            shards,
+            shards: sources.to_vec(),
             partitioner,
             next_txn: Cell::new(1),
             stats: RefCell::new(MiddlewareStats::default()),
         })
     }
 
-    /// Load a record into whichever shard owns it.
-    pub fn load(&self, key: geotp_middleware::GlobalKey, row: Row) {
-        let shard = self.partitioner.route(key);
-        self.shards[&shard].engine.load(key.storage_key(), row);
-    }
-
     /// Read a record directly from its shard (verification only).
-    pub fn peek(&self, key: geotp_middleware::GlobalKey) -> Option<Row> {
+    pub fn peek(&self, key: GlobalKey) -> Option<Row> {
         let shard = self.partitioner.route(key);
-        self.shards[&shard].engine.peek(key.storage_key())
+        self.shards[shard as usize].engine().peek(key.storage_key())
     }
 
     /// Aggregate statistics.
@@ -179,13 +149,13 @@ impl DistDb {
         if !distributed {
             // -------- Single-shard fast path --------
             let shard_idx = involved[0];
-            let shard = &self.shards[&shard_idx];
+            let shard = &self.shards[shard_idx as usize];
             let xid = Xid::new(gtrid, shard_idx);
-            self.net.transfer(self.config.router, shard.node).await;
+            self.net.transfer(self.router, shard.node()).await;
             let mut rows = Vec::new();
             let result: Result<(), StorageError> = async {
-                shard.engine.begin(xid)?;
-                Self::apply_ops(&shard.engine, xid, &all_ops, &mut rows).await?;
+                shard.engine().begin(xid)?;
+                Self::apply_ops(shard.engine(), xid, &all_ops, &mut rows).await?;
                 Ok(())
             }
             .await;
@@ -193,18 +163,18 @@ impl DistDb {
                 Ok(()) => {
                     // Commit locally; the apply/replication happens
                     // asynchronously after the response is sent.
-                    let engine = Rc::clone(&shard.engine);
+                    let engine = Rc::clone(shard.engine());
                     spawn(async move {
                         let _ = engine.commit(xid, true).await;
                     });
                     true
                 }
                 Err(_) => {
-                    let _ = shard.engine.rollback(xid).await;
+                    let _ = shard.engine().rollback(xid).await;
                     false
                 }
             };
-            self.net.transfer(shard.node, self.config.router).await;
+            self.net.transfer(shard.node(), self.router).await;
             return if ok {
                 finish(true, None, rows)
             } else {
@@ -214,11 +184,9 @@ impl DistDb {
 
         // -------- Multi-shard path: shard-coordinated 2PC --------
         let coordinator_idx = involved[0];
-        let coordinator_node = self.shards[&coordinator_idx].node;
+        let coordinator_node = self.shards[coordinator_idx as usize].node();
         // Router → coordinator shard.
-        self.net
-            .transfer(self.config.router, coordinator_node)
-            .await;
+        self.net.transfer(self.router, coordinator_node).await;
 
         // The coordinator executes every shard's part: its own locally, the
         // others via shard-to-shard hops (in parallel).
@@ -228,8 +196,9 @@ impl DistDb {
         for (shard_idx, ops) in &groups {
             let ops: Vec<ClientOp> = ops.iter().map(|op| (*op).clone()).collect();
             let xid = Xid::new(gtrid, *shard_idx);
-            let shard_node = self.shards[shard_idx].node;
-            let engine = Rc::clone(&self.shards[shard_idx].engine);
+            let shard = &self.shards[*shard_idx as usize];
+            let shard_node = shard.node();
+            let engine = Rc::clone(shard.engine());
             let net = Rc::clone(&self.net);
             let is_local = *shard_idx == coordinator_idx;
             remote_futures.push(async move {
@@ -264,7 +233,7 @@ impl DistDb {
         let decisions = results
             .iter()
             .map(|(_, _, xid, is_local, shard_node)| {
-                let engine = Rc::clone(&self.shards[&xid.bqual].engine);
+                let engine = Rc::clone(self.shards[xid.bqual as usize].engine());
                 let net = Rc::clone(&self.net);
                 let xid = *xid;
                 let is_local = *is_local;
@@ -288,337 +257,12 @@ impl DistDb {
         join_all(decisions).await;
 
         // Coordinator → router response.
-        self.net
-            .transfer(coordinator_node, self.config.router)
-            .await;
+        self.net.transfer(coordinator_node, self.router).await;
         if failed {
             finish(false, Some(AbortReason::ExecutionFailed), Vec::new())
         } else {
             finish(true, None, rows)
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Session front door (the interactive client API).
-//
-// An interactive transaction against the distributed database keeps one open
-// transaction per involved tablet leader: each statement round fans out from
-// the (client-co-located) query router to the involved shards, and commit
-// runs the single-shard fast path (one round trip, asynchronous apply) or a
-// router-driven 2PC over the open shard transactions. Unlike the one-shot
-// path — which ships the whole statement buffer at once and lets the first
-// shard coordinate — the interactive path cannot batch rounds, so locks are
-// held across client round trips: exactly the interactivity penalty the
-// paper's middleware avoids with its own session handling.
-// ---------------------------------------------------------------------------
-
-use geotp_middleware::session::{
-    BoxFuture, RoundResult, Session, SessionLink, SessionService, TxnError, TxnHandle,
-};
-
-impl DistDb {
-    /// The session front door for this database.
-    pub fn session_service(self: &Rc<Self>) -> DistDbService {
-        DistDbService(Rc::clone(self))
-    }
-
-    fn record_session_outcome(
-        &self,
-        gtrid: u64,
-        started: geotp_simrt::SimInstant,
-        distributed: bool,
-        committed: bool,
-        reason: Option<AbortReason>,
-    ) -> TxnOutcome {
-        let outcome = TxnOutcome {
-            gtrid,
-            committed,
-            abort_reason: reason,
-            latency: now().duration_since(started),
-            breakdown: LatencyBreakdown::default(),
-            distributed,
-            ..TxnOutcome::default()
-        };
-        self.stats.borrow_mut().record(&outcome);
-        outcome
-    }
-}
-
-impl SessionService for DistDbService {
-    fn connect(&self, session_id: u64) -> Session {
-        Session::from_link(
-            session_id,
-            TransactionService::label(self),
-            Box::new(DistDbLink(Rc::clone(&self.0))),
-        )
-    }
-
-    fn label(&self) -> String {
-        TransactionService::label(self)
-    }
-}
-
-struct DistDbLink(Rc<DistDb>);
-
-impl SessionLink for DistDbLink {
-    fn begin<'a>(&'a mut self) -> BoxFuture<'a, Result<Box<dyn TxnHandle>, TxnError>> {
-        let db = Rc::clone(&self.0);
-        Box::pin(async move {
-            let gtrid = db.next_txn.get();
-            db.next_txn.set(gtrid + 1);
-            Ok(Box::new(DistDbTxn {
-                db,
-                gtrid,
-                started: now(),
-                begun: Vec::new(),
-                concluded: false,
-                final_outcome: None,
-            }) as Box<dyn TxnHandle>)
-        })
-    }
-}
-
-struct DistDbTxn {
-    db: Rc<DistDb>,
-    gtrid: u64,
-    started: geotp_simrt::SimInstant,
-    /// Shards with an open transaction branch, in first-touch order.
-    begun: Vec<u32>,
-    concluded: bool,
-    /// The outcome of an already-concluded transaction: repeated
-    /// commit/rollback re-report it instead of re-touching the shards or
-    /// double-recording stats.
-    final_outcome: Option<TxnOutcome>,
-}
-
-impl DistDbTxn {
-    fn distributed(&self) -> bool {
-        self.begun.len() > 1
-    }
-
-    /// Roll every open shard transaction back (router-driven, parallel).
-    async fn rollback_shards(&mut self) {
-        let db = Rc::clone(&self.db);
-        let router = db.config.router;
-        join_all(
-            self.begun
-                .iter()
-                .map(|shard_idx| {
-                    let engine = Rc::clone(&db.shards[shard_idx].engine);
-                    let node = db.shards[shard_idx].node;
-                    let net = Rc::clone(&db.net);
-                    let xid = Xid::new(self.gtrid, *shard_idx);
-                    async move {
-                        net.transfer(router, node).await;
-                        if engine.state_of(xid).is_some() {
-                            let _ = engine.rollback(xid).await;
-                        }
-                        net.transfer(node, router).await;
-                    }
-                })
-                .collect(),
-        )
-        .await;
-    }
-
-    fn conclude(&mut self, committed: bool, reason: Option<AbortReason>) -> TxnOutcome {
-        self.concluded = true;
-        let outcome = self.db.record_session_outcome(
-            self.gtrid,
-            self.started,
-            self.distributed(),
-            committed,
-            reason,
-        );
-        self.final_outcome = Some(outcome.clone());
-        outcome
-    }
-
-    /// The outcome to re-report once the transaction has concluded.
-    fn concluded_outcome(&self) -> TxnOutcome {
-        self.final_outcome.clone().unwrap_or_else(|| {
-            TxnOutcome::aborted(
-                AbortReason::ExecutionFailed,
-                std::time::Duration::ZERO,
-                false,
-            )
-        })
-    }
-}
-
-impl TxnHandle for DistDbTxn {
-    fn execute<'a>(
-        &'a mut self,
-        ops: &'a [ClientOp],
-        _last: bool,
-    ) -> BoxFuture<'a, Result<RoundResult, TxnError>> {
-        Box::pin(async move {
-            let round_started = now();
-            let db = Rc::clone(&self.db);
-            let router = db.config.router;
-            let groups = db.partitioner.split(ops);
-            let mut futures = Vec::new();
-            for (shard_idx, shard_ops) in &groups {
-                let ops: Vec<ClientOp> = shard_ops.iter().map(|op| (*op).clone()).collect();
-                let xid = Xid::new(self.gtrid, *shard_idx);
-                let begin = !self.begun.contains(shard_idx);
-                let engine = Rc::clone(&db.shards[shard_idx].engine);
-                let node = db.shards[shard_idx].node;
-                let net = Rc::clone(&db.net);
-                futures.push(async move {
-                    net.transfer(router, node).await;
-                    let mut local_rows = Vec::new();
-                    let result: Result<(), StorageError> = async {
-                        if begin {
-                            engine.begin(xid)?;
-                        }
-                        DistDb::apply_ops(&engine, xid, &ops, &mut local_rows).await?;
-                        Ok(())
-                    }
-                    .await;
-                    if result.is_err() {
-                        let _ = engine.rollback(xid).await;
-                    }
-                    net.transfer(node, router).await;
-                    (result.is_ok(), local_rows)
-                });
-            }
-            for (shard_idx, _) in &groups {
-                if !self.begun.contains(shard_idx) {
-                    self.begun.push(*shard_idx);
-                }
-            }
-            let results = join_all(futures).await;
-            let mut rows = Vec::new();
-            let mut failed = false;
-            for (ok, local_rows) in results {
-                if ok {
-                    rows.extend(local_rows);
-                } else {
-                    failed = true;
-                }
-            }
-            if failed {
-                self.rollback_shards().await;
-                let outcome = self.conclude(false, Some(AbortReason::ExecutionFailed));
-                return Err(TxnError::aborted(outcome, false));
-            }
-            Ok(RoundResult {
-                rows,
-                latency: now().duration_since(round_started),
-            })
-        })
-    }
-
-    fn commit(mut self: Box<Self>) -> BoxFuture<'static, TxnOutcome> {
-        Box::pin(async move {
-            if self.concluded {
-                // The transaction already failed and was rolled back:
-                // re-report the recorded outcome, never touch the shards.
-                return self.concluded_outcome();
-            }
-            let db = Rc::clone(&self.db);
-            let router = db.config.router;
-            if self.begun.is_empty() {
-                return self.conclude(true, None);
-            }
-            if self.begun.len() == 1 {
-                // Single-shard fast path: one round trip; the apply happens
-                // asynchronously after the response is sent.
-                let shard_idx = self.begun[0];
-                let engine = Rc::clone(&db.shards[&shard_idx].engine);
-                let node = db.shards[&shard_idx].node;
-                let xid = Xid::new(self.gtrid, shard_idx);
-                db.net.transfer(router, node).await;
-                let apply = Rc::clone(&engine);
-                spawn(async move {
-                    let _ = apply.commit(xid, true).await;
-                });
-                db.net.transfer(node, router).await;
-                return self.conclude(true, None);
-            }
-            // Router-driven 2PC over the open shard transactions.
-            let prepare_results = join_all(
-                self.begun
-                    .iter()
-                    .map(|shard_idx| {
-                        let engine = Rc::clone(&db.shards[shard_idx].engine);
-                        let node = db.shards[shard_idx].node;
-                        let net = Rc::clone(&db.net);
-                        let xid = Xid::new(self.gtrid, *shard_idx);
-                        async move {
-                            net.transfer(router, node).await;
-                            let result: Result<(), StorageError> = async {
-                                engine.end(xid)?;
-                                engine.prepare(xid).await?;
-                                Ok(())
-                            }
-                            .await;
-                            net.transfer(node, router).await;
-                            result.is_ok()
-                        }
-                    })
-                    .collect(),
-            )
-            .await;
-            let all_prepared = prepare_results.iter().all(|ok| *ok);
-            let commit = all_prepared;
-            join_all(
-                self.begun
-                    .iter()
-                    .map(|shard_idx| {
-                        let engine = Rc::clone(&db.shards[shard_idx].engine);
-                        let node = db.shards[shard_idx].node;
-                        let net = Rc::clone(&db.net);
-                        let xid = Xid::new(self.gtrid, *shard_idx);
-                        async move {
-                            net.transfer(router, node).await;
-                            if commit {
-                                let _ = engine.commit(xid, false).await;
-                            } else if engine.state_of(xid).is_some() {
-                                let _ = engine.rollback(xid).await;
-                            }
-                            net.transfer(node, router).await;
-                        }
-                    })
-                    .collect(),
-            )
-            .await;
-            if all_prepared {
-                self.conclude(true, None)
-            } else {
-                self.conclude(false, Some(AbortReason::PrepareFailed))
-            }
-        })
-    }
-
-    fn rollback(mut self: Box<Self>) -> BoxFuture<'static, TxnOutcome> {
-        Box::pin(async move {
-            if self.concluded {
-                return self.concluded_outcome();
-            }
-            self.rollback_shards().await;
-            self.conclude(false, Some(AbortReason::ClientRollback))
-        })
-    }
-
-    fn abandon(mut self: Box<Self>) {
-        if self.concluded {
-            return;
-        }
-        // The router notices the dropped client connection and aborts the
-        // open shard transactions in the background.
-        let outcome = self.conclude(false, Some(AbortReason::ClientDisconnected));
-        let _ = outcome;
-        let mut this = self;
-        spawn(async move {
-            this.rollback_shards().await;
-        });
-    }
-
-    fn gtrid(&self) -> u64 {
-        self.gtrid
     }
 }
 
@@ -643,10 +287,10 @@ impl TransactionService for DistDbService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geotp_middleware::GlobalKey;
+    use geotp_datasource::DataSourceConfig;
     use geotp_net::NetworkBuilder;
     use geotp_simrt::Runtime;
-    use geotp_storage::{CostModel, TableId};
+    use geotp_storage::{CostModel, EngineConfig, TableId};
     use std::time::Duration;
 
     fn gk(row: u64) -> GlobalKey {
@@ -664,25 +308,26 @@ mod tests {
                 Duration::from_millis(100),
             )
             .build();
-        let mut config = DistDbConfig::new(router, 2);
-        config.engine = EngineConfig {
+        let engine = EngineConfig {
             lock_wait_timeout: Duration::from_secs(2),
             cost: CostModel::zero(),
             record_history: false,
             ..EngineConfig::default()
         };
-        let db = DistDb::new(
-            config,
-            net,
-            Partitioner::Range {
-                rows_per_node: 100,
-                nodes: 2,
-            },
-        );
+        let sources: Vec<_> = (0..2)
+            .map(|i| {
+                let config = DataSourceConfig::new(NodeId::data_source(i)).with_engine(engine);
+                DataSource::new(config, Rc::clone(&net))
+            })
+            .collect();
         for row in 0..200u64 {
-            db.load(gk(row), Row::int(100));
+            sources[row as usize / 100].load(gk(row).storage_key(), Row::int(100));
         }
-        db
+        let partitioner = Partitioner::Range {
+            rows_per_node: 100,
+            nodes: 2,
+        };
+        DistDb::new(router, net, &sources, partitioner)
     }
 
     #[test]
@@ -745,50 +390,6 @@ mod tests {
                 db.peek(gk(7)).unwrap().int_value(),
                 Some(100 + committed as i64)
             );
-        });
-    }
-
-    #[test]
-    fn interactive_session_runs_rounds_and_commits_2pc() {
-        let mut rt = Runtime::new();
-        rt.block_on(async {
-            let db = build();
-            let mut session = SessionService::connect(&db.session_service(), 1);
-            let mut txn = session.begin().await.unwrap();
-            txn.execute(&[ClientOp::add(gk(1), -30)]).await.unwrap();
-            txn.execute(&[ClientOp::add(gk(150), 30)]).await.unwrap();
-            let outcome = txn.commit().await;
-            assert!(outcome.committed);
-            assert!(outcome.distributed);
-            assert_eq!(db.peek(gk(1)).unwrap().int_value(), Some(70));
-            assert_eq!(db.peek(gk(150)).unwrap().int_value(), Some(130));
-        });
-    }
-
-    /// Regression: `commit` on a transaction whose round already failed (and
-    /// was rolled back) must re-report the abort, not fabricate a commit or
-    /// double-record the outcome.
-    #[test]
-    fn commit_after_failed_round_reports_the_abort() {
-        let mut rt = Runtime::new();
-        rt.block_on(async {
-            let db = build();
-            let mut session = SessionService::connect(&db.session_service(), 2);
-            let mut txn = session.begin().await.unwrap();
-            txn.execute(&[ClientOp::add(gk(1), 9)]).await.unwrap();
-            txn.execute(&[ClientOp::Read(gk(50_000))])
-                .await
-                .expect_err("missing key fails the round");
-            let outcome = txn.commit().await;
-            assert!(!outcome.committed, "a rolled-back txn cannot commit later");
-            geotp_simrt::sleep(Duration::from_millis(50)).await;
-            assert_eq!(
-                db.peek(gk(1)).unwrap().int_value(),
-                Some(100),
-                "the rolled-back write must not resurface"
-            );
-            let stats = db.stats();
-            assert_eq!((stats.committed, stats.aborted), (0, 1), "one abort, once");
         });
     }
 

@@ -285,6 +285,14 @@ mod tests {
         }
     }
 
+    /// FNV-1a over a word's little-endian bytes: the per-transaction pins'
+    /// fingerprint step.
+    fn fnv_fold(fnv: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *fnv = (*fnv ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
     /// The one-shot door (`Middleware::run_transaction`) pinned per
     /// transaction, not per 1-decimal figure cell: the 7 protocol presets ×
     /// rounds {1, 3} × annotation {on, off}, one seeded contended YCSB run
@@ -387,9 +395,7 @@ mod tests {
                                 outcome.committed as u64,
                                 outcome.latency.as_micros() as u64,
                             ] {
-                                for byte in word.to_le_bytes() {
-                                    fnv = (fnv ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-                                }
+                                fnv_fold(&mut fnv, word);
                             }
                             if let Some(reason) = outcome.abort_reason {
                                 aborts[reason.ordinal()] += 1;
@@ -456,11 +462,11 @@ mod tests {
     #[test]
     fn golden_baseline_matrix() {
         use geotp::ClusterBuilder;
-        use geotp_distdb::{DistDb, DistDbConfig, DistDbService};
+        use geotp_distdb::{DistDb, DistDbService};
         use geotp_middleware::{GlobalKey, TransactionSpec, TxnOutcome, ABORT_REASONS};
         use geotp_net::NodeId;
-        use geotp_scalardb::{ScalarDbCluster, ScalarDbConfig, ScalarDbService};
-        use geotp_storage::{row_fingerprint, EngineConfig, Row};
+        use geotp_scalardb::{ScalarDbCluster, ScalarDbService};
+        use geotp_storage::{row_fingerprint, EngineConfig};
         use geotp_workloads::ycsb::USERTABLE;
         use geotp_workloads::{
             Contention, TpccConfig, TpccGenerator, TransactionService, YcsbConfig, YcsbGenerator,
@@ -488,12 +494,6 @@ mod tests {
             Tpcc,
         }
 
-        fn eat(fnv: &mut u64, word: u64) {
-            for byte in word.to_le_bytes() {
-                *fnv = (*fnv ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-
         /// What the terminals fold, in completion order.
         struct Seen {
             committed: u64,
@@ -506,12 +506,12 @@ mod tests {
                 if let Some(reason) = outcome.abort_reason {
                     self.aborts[reason.ordinal()] += 1;
                 }
-                eat(&mut self.fnv, outcome.gtrid);
-                eat(&mut self.fnv, outcome.committed as u64);
-                eat(&mut self.fnv, outcome.latency.as_micros() as u64);
-                eat(&mut self.fnv, outcome.distributed as u64);
+                fnv_fold(&mut self.fnv, outcome.gtrid);
+                fnv_fold(&mut self.fnv, outcome.committed as u64);
+                fnv_fold(&mut self.fnv, outcome.latency.as_micros() as u64);
+                fnv_fold(&mut self.fnv, outcome.distributed as u64);
                 for row in &outcome.rows {
-                    eat(&mut self.fnv, row_fingerprint(row));
+                    fnv_fold(&mut self.fnv, row_fingerprint(row));
                 }
             }
         }
@@ -594,45 +594,24 @@ mod tests {
 
                 let dm = NodeId::middleware(0);
                 let net = Rc::clone(cluster.network());
-                type Peek = Box<dyn Fn(GlobalKey) -> Option<Row>>;
-                let stored: Peek = {
-                    let sources = sources.to_vec();
-                    Box::new(move |key| {
-                        sources[partitioner.route(key) as usize]
-                            .engine()
-                            .peek(key.storage_key())
-                    })
-                };
-                let (service, stats, peek): (Rc<dyn TransactionService>, Box<dyn Fn() -> _>, Peek) =
+                let (service, stats): (Rc<dyn TransactionService>, Box<dyn Fn() -> _>) =
                     match system {
                         System::ScalarDb | System::ScalarDbPlus => {
-                            let mut config = ScalarDbConfig::new(dm);
-                            config.lock_wait_timeout = LOCK_WAIT;
                             let scalardb = if system == System::ScalarDbPlus {
-                                ScalarDbCluster::new_plus(config, net, sources, partitioner)
+                                ScalarDbCluster::new_plus(dm, net, sources, partitioner)
                             } else {
-                                ScalarDbCluster::new(config, net, sources, partitioner)
+                                ScalarDbCluster::new(dm, net, sources, partitioner)
                             };
                             let handle = Rc::clone(&scalardb);
                             (
                                 Rc::new(ScalarDbService(scalardb)),
                                 Box::new(move || handle.stats()),
-                                stored,
                             )
                         }
                         System::DistDb => {
-                            let mut config = DistDbConfig::new(dm, 4);
-                            config.engine = engine;
-                            let db = DistDb::new(config, net, partitioner);
-                            for row in 0..4 * RECORDS_PER_NODE {
-                                db.load(GlobalKey::new(USERTABLE, row), Row::int(10_000));
-                            }
-                            let (handle, reader) = (Rc::clone(&db), Rc::clone(&db));
-                            (
-                                Rc::new(DistDbService(db)),
-                                Box::new(move || handle.stats()),
-                                Box::new(move |key| reader.peek(key)),
-                            )
+                            let db = DistDb::new(dm, net, sources, partitioner);
+                            let handle = Rc::clone(&db);
+                            (Rc::new(DistDbService(db)), Box::new(move || handle.stats()))
                         }
                     };
                 let label = service.label();
@@ -668,8 +647,11 @@ mod tests {
                     Workload::Ycsb(..) => {
                         let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
                         for row in 0..4 * RECORDS_PER_NODE {
-                            let stored = peek(GlobalKey::new(USERTABLE, row));
-                            eat(&mut fnv, stored.as_ref().map_or(0, row_fingerprint));
+                            let key = GlobalKey::new(USERTABLE, row);
+                            let stored = sources[partitioner.route(key) as usize]
+                                .engine()
+                                .peek(key.storage_key());
+                            fnv_fold(&mut fnv, stored.as_ref().map_or(0, row_fingerprint));
                         }
                         format!("{fnv:016x}")
                     }

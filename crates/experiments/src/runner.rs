@@ -2,21 +2,22 @@
 //! drives it with YCSB or TPC-C through the closed-loop terminal driver and
 //! returns the measurements every figure needs.
 
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
 use std::time::Duration;
 
 use geotp::{Cluster, ClusterBuilder, Dialect, Protocol};
-use geotp_distdb::{DistDb, DistDbConfig, DistDbService};
-use geotp_middleware::GlobalKey;
+use geotp_distdb::{DistDb, DistDbService};
+use geotp_middleware::{Middleware, MiddlewareConfig, Partitioner, TransactionSpec, TxnOutcome};
 use geotp_net::{DynamicLatency, JitteredLatency, NodeId, RandomLatency};
-use geotp_scalardb::{ScalarDbCluster, ScalarDbConfig, ScalarDbService};
+use geotp_scalardb::{ScalarDbCluster, ScalarDbService};
 use geotp_simrt::Runtime;
-use geotp_storage::{CostModel, EngineConfig, Row};
+use geotp_storage::{CostModel, EngineConfig};
 use geotp_workloads::driver::run_benchmark;
-use geotp_workloads::ycsb::USERTABLE;
 use geotp_workloads::{
-    BenchmarkReport, DriverConfig, TpccConfig, TpccGenerator, WorkloadMix, YcsbConfig,
-    YcsbGenerator,
+    BenchmarkReport, DriverConfig, TpccConfig, TpccGenerator, TransactionService, WorkloadMix,
+    YcsbConfig, YcsbGenerator,
 };
 
 /// Which system a run exercises.
@@ -215,7 +216,7 @@ impl YcsbRunSpec {
 /// Specification of one TPC-C run.
 #[derive(Clone)]
 pub struct TpccRunSpec {
-    /// System under test (middleware protocols, ScalarDB, ScalarDB+).
+    /// System under test.
     pub system: SystemUnderTest,
     /// WAN latency configuration.
     pub latency: LatencyConfig,
@@ -333,14 +334,19 @@ fn engine_config(lock_wait_timeout: Duration) -> EngineConfig {
 }
 
 fn build_cluster(
+    system: SystemUnderTest,
     latency: &LatencyConfig,
     dialects: &Option<Vec<Dialect>>,
     records_per_node: u64,
-    protocol: Protocol,
     lock_wait_timeout: Duration,
     seed: u64,
     background_monitor: bool,
 ) -> Cluster {
+    // The baselines ride a cluster wired for SSP; its coordinator stays idle.
+    let protocol = match system {
+        SystemUnderTest::Middleware(protocol) => protocol,
+        _ => Protocol::SspXa,
+    };
     let rtts = latency.base_rtts();
     let mut builder = ClusterBuilder::new()
         .seed(seed)
@@ -360,6 +366,86 @@ fn build_cluster(
     cluster
 }
 
+/// A system under test standing on a wired cluster. One type so both
+/// workloads drive every system through the same `run_benchmark` call.
+#[derive(Clone)]
+enum Deployed {
+    Middleware(Rc<Middleware>),
+    ScalarDb(ScalarDbService),
+    DistDb(DistDbService),
+}
+
+impl TransactionService for Deployed {
+    fn run<'a>(
+        &'a self,
+        spec: &'a TransactionSpec,
+    ) -> Pin<Box<dyn Future<Output = TxnOutcome> + 'a>> {
+        match self {
+            Deployed::Middleware(service) => service.run(spec),
+            Deployed::ScalarDb(service) => service.run(spec),
+            Deployed::DistDb(service) => service.run(spec),
+        }
+    }
+
+    fn label(&self) -> String {
+        match self {
+            Deployed::Middleware(service) => service.label(),
+            Deployed::ScalarDb(service) => TransactionService::label(service),
+            Deployed::DistDb(service) => service.label(),
+        }
+    }
+}
+
+/// Stand `system` up at the client's node over the cluster's network and
+/// (already loaded) data sources, routing with the workload's `partitioner`.
+fn deploy(system: SystemUnderTest, cluster: &Cluster, partitioner: Partitioner) -> Deployed {
+    let dm = NodeId::middleware(0);
+    let (net, sources) = (Rc::clone(cluster.network()), cluster.data_sources());
+    match system {
+        SystemUnderTest::Middleware(_) if partitioner == cluster.partitioner() => {
+            Deployed::Middleware(Rc::clone(cluster.middleware()))
+        }
+        // The cluster's own coordinator routes by range; a workload laid out
+        // differently (TPC-C's warehouses) gets a coordinator that follows it.
+        SystemUnderTest::Middleware(protocol) => Deployed::Middleware(Middleware::connect(
+            MiddlewareConfig::new(dm, protocol, partitioner),
+            net,
+            sources,
+            None,
+        )),
+        SystemUnderTest::ScalarDb => Deployed::ScalarDb(ScalarDbService(ScalarDbCluster::new(
+            dm,
+            net,
+            sources,
+            partitioner,
+        ))),
+        SystemUnderTest::ScalarDbPlus => Deployed::ScalarDb(ScalarDbService(
+            ScalarDbCluster::new_plus(dm, net, sources, partitioner),
+        )),
+        SystemUnderTest::DistDb => {
+            Deployed::DistDb(DistDbService(DistDb::new(dm, net, sources, partitioner)))
+        }
+    }
+}
+
+/// Deploy `system` on the loaded cluster, drive it and collect the result.
+async fn measure(
+    system: SystemUnderTest,
+    cluster: &Cluster,
+    partitioner: Partitioner,
+    workload: WorkloadMix,
+    driver: DriverConfig,
+) -> RunResult {
+    let service = deploy(system, cluster, partitioner);
+    let report = run_benchmark(service.clone(), workload, driver).await;
+    let mut result = report_to_result(&report, driver.measure);
+    result.net_messages = cluster.network().total_messages();
+    if let Deployed::Middleware(middleware) = service {
+        result.hotspot_entries = middleware.scheduler().footprint().borrow().len();
+    }
+    result
+}
+
 /// Run one YCSB experiment point. Builds a dedicated runtime and cluster so
 /// every point starts from identical, independent state.
 pub fn run_ycsb(spec: &YcsbRunSpec) -> RunResult {
@@ -376,102 +462,27 @@ pub fn run_ycsb(spec: &YcsbRunSpec) -> RunResult {
         seed: spec.seed,
     };
     let generator = Rc::new(YcsbGenerator::new(spec.ycsb));
-    let mut result = match spec.system {
-        SystemUnderTest::Middleware(protocol) => rt.block_on(async {
-            let cluster = build_cluster(
-                &spec.latency,
-                &spec.dialects,
-                spec.ycsb.records_per_node,
-                protocol,
-                spec.lock_wait_timeout,
-                spec.seed,
-                spec.background_monitor,
-            );
-            generator.load(cluster.data_sources());
-            let report = run_benchmark(
-                Rc::clone(cluster.middleware()),
-                WorkloadMix::Ycsb(Rc::clone(&generator)),
-                driver,
-            )
-            .await;
-            let mut result = report_to_result(&report, spec.measure);
-            result.net_messages = cluster.network().total_messages();
-            result.hotspot_entries = cluster.middleware().scheduler().footprint().borrow().len();
-            result
-        }),
-        SystemUnderTest::ScalarDb | SystemUnderTest::ScalarDbPlus => rt.block_on(async {
-            let cluster = build_cluster(
-                &spec.latency,
-                &spec.dialects,
-                spec.ycsb.records_per_node,
-                Protocol::SspXa,
-                spec.lock_wait_timeout,
-                spec.seed,
-                spec.background_monitor,
-            );
-            let config = ScalarDbConfig::new(NodeId::middleware(0));
-            let scalardb = if matches!(spec.system, SystemUnderTest::ScalarDbPlus) {
-                ScalarDbCluster::new_plus(
-                    config,
-                    Rc::clone(cluster.network()),
-                    cluster.data_sources(),
-                    spec.ycsb.partitioner(),
-                )
-            } else {
-                ScalarDbCluster::new(
-                    config,
-                    Rc::clone(cluster.network()),
-                    cluster.data_sources(),
-                    spec.ycsb.partitioner(),
-                )
-            };
-            generator.load(cluster.data_sources());
-            let report = run_benchmark(
-                ScalarDbService(scalardb),
-                WorkloadMix::Ycsb(Rc::clone(&generator)),
-                driver,
-            )
-            .await;
-            let mut result = report_to_result(&report, spec.measure);
-            result.net_messages = cluster.network().total_messages();
-            result
-        }),
-        SystemUnderTest::DistDb => rt.block_on(async {
-            let cluster = build_cluster(
-                &spec.latency,
-                &spec.dialects,
-                spec.ycsb.records_per_node,
-                Protocol::SspXa,
-                spec.lock_wait_timeout,
-                spec.seed,
-                spec.background_monitor,
-            );
-            let mut config = DistDbConfig::new(NodeId::middleware(0), spec.ycsb.nodes);
-            config.engine = engine_config(spec.lock_wait_timeout);
-            let db = DistDb::new(
-                config,
-                Rc::clone(cluster.network()),
-                spec.ycsb.partitioner(),
-            );
-            for node in 0..spec.ycsb.nodes as u64 {
-                for row in 0..spec.ycsb.records_per_node {
-                    db.load(
-                        GlobalKey::new(USERTABLE, node * spec.ycsb.records_per_node + row),
-                        Row::int(10_000),
-                    );
-                }
-            }
-            let report = run_benchmark(
-                DistDbService(db),
-                WorkloadMix::Ycsb(Rc::clone(&generator)),
-                driver,
-            )
-            .await;
-            let mut result = report_to_result(&report, spec.measure);
-            result.net_messages = cluster.network().total_messages();
-            result
-        }),
-    };
+    let mut result = rt.block_on(async {
+        let cluster = build_cluster(
+            spec.system,
+            &spec.latency,
+            &spec.dialects,
+            spec.ycsb.records_per_node,
+            spec.lock_wait_timeout,
+            spec.seed,
+            spec.background_monitor,
+        );
+        generator.load(cluster.data_sources());
+        let workload = WorkloadMix::Ycsb(Rc::clone(&generator));
+        measure(
+            spec.system,
+            &cluster,
+            spec.ycsb.partitioner(),
+            workload,
+            driver,
+        )
+        .await
+    });
     result.sim_polls = rt.metrics().polls;
     result
 }
@@ -486,67 +497,26 @@ pub fn run_tpcc(spec: &TpccRunSpec) -> RunResult {
         seed: spec.seed,
     };
     let generator = Rc::new(TpccGenerator::new(spec.tpcc.clone()));
-    let protocol = match spec.system {
-        SystemUnderTest::Middleware(p) => p,
-        _ => Protocol::SspXa,
-    };
     let mut result = rt.block_on(async {
         let cluster = build_cluster(
+            spec.system,
             &spec.latency,
             &None,
             1_000,
-            protocol,
             Duration::from_secs(5),
             spec.seed,
             false,
         );
         generator.load(cluster.data_sources());
-        let report = match spec.system {
-            SystemUnderTest::ScalarDb | SystemUnderTest::ScalarDbPlus => {
-                let config = ScalarDbConfig::new(NodeId::middleware(0));
-                let scalardb = if matches!(spec.system, SystemUnderTest::ScalarDbPlus) {
-                    ScalarDbCluster::new_plus(
-                        config,
-                        Rc::clone(cluster.network()),
-                        cluster.data_sources(),
-                        spec.tpcc.partitioner(),
-                    )
-                } else {
-                    ScalarDbCluster::new(
-                        config,
-                        Rc::clone(cluster.network()),
-                        cluster.data_sources(),
-                        spec.tpcc.partitioner(),
-                    )
-                };
-                run_benchmark(
-                    ScalarDbService(scalardb),
-                    WorkloadMix::Tpcc(Rc::clone(&generator)),
-                    driver,
-                )
-                .await
-            }
-            _ => {
-                // Middleware systems need the warehouse partitioner instead of
-                // the default range partitioner.
-                let mut cfg = geotp_middleware::MiddlewareConfig::new(
-                    NodeId::middleware(0),
-                    protocol,
-                    spec.tpcc.partitioner(),
-                );
-                cfg.analysis_cost = Duration::from_millis(1);
-                let mw = geotp_middleware::Middleware::connect(
-                    cfg,
-                    Rc::clone(cluster.network()),
-                    cluster.data_sources(),
-                    None,
-                );
-                run_benchmark(mw, WorkloadMix::Tpcc(Rc::clone(&generator)), driver).await
-            }
-        };
-        let mut result = report_to_result(&report, spec.measure);
-        result.net_messages = cluster.network().total_messages();
-        result
+        let workload = WorkloadMix::Tpcc(Rc::clone(&generator));
+        measure(
+            spec.system,
+            &cluster,
+            spec.tpcc.partitioner(),
+            workload,
+            driver,
+        )
+        .await
     });
     result.sim_polls = rt.metrics().polls;
     result
@@ -594,21 +564,25 @@ mod tests {
         );
     }
 
+    /// Every system runs TPC-C as itself: the database used to fall through
+    /// to the SSP arm and be measured under a "YugabyteDB" column header.
     #[test]
     fn tpcc_runner_commits_transactions() {
-        let mut tpcc = TpccConfig::new(2, 2);
-        tpcc.items = 100;
-        tpcc.customers_per_district = 30;
-        let mut spec = TpccRunSpec::new(
-            SystemUnderTest::Middleware(Protocol::geotp()),
-            tpcc,
-            4,
-            Duration::from_secs(2),
-        );
-        spec.latency = LatencyConfig::Static(vec![10, 100]);
-        let result = run_tpcc(&spec);
-        assert!(result.committed > 0);
-        assert!(result.throughput > 0.0);
+        for (system, label) in [
+            (SystemUnderTest::Middleware(Protocol::geotp()), "GeoTP"),
+            (SystemUnderTest::ScalarDbPlus, "ScalarDB+"),
+            (SystemUnderTest::DistDb, "YugabyteDB-like"),
+        ] {
+            let mut tpcc = TpccConfig::new(2, 2);
+            tpcc.items = 100;
+            tpcc.customers_per_district = 30;
+            let mut spec = TpccRunSpec::new(system, tpcc, 4, Duration::from_secs(2));
+            spec.latency = LatencyConfig::Static(vec![10, 100]);
+            let result = run_tpcc(&spec);
+            assert_eq!(result.label, label);
+            assert!(result.committed > 0, "{label} committed nothing");
+            assert!(result.throughput > 0.0);
+        }
     }
 
     #[test]

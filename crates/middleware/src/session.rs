@@ -3,9 +3,10 @@
 //! The paper's middleware is *interactive*: clients hold sessions and ship
 //! statements one round at a time, and GeoTP's latency-aware scheduling and
 //! decentralized prepare act on that statement stream. This module is the
-//! client-facing API for that reality, uniform over every backend in the
-//! workspace (the GeoTP middleware, the coordinator cluster tier, the
-//! ScalarDB-style baseline and the distributed-database baseline):
+//! client-facing API for that reality, uniform over every interactive backend
+//! in the workspace (the GeoTP middleware, the coordinator cluster tier and
+//! the ScalarDB-style baseline; the distributed-database baseline ships whole
+//! statement buffers and has only the one-shot door):
 //!
 //! * [`SessionService`] — anything a client can `connect` a [`Session`] to;
 //! * [`Session`] — one client connection: [`Session::begin`] live
@@ -261,8 +262,7 @@ pub enum SqlScript {
 }
 
 /// Anything a client can connect a [`Session`] to. Implemented by the GeoTP
-/// middleware, the coordinator cluster, and the ScalarDB / distributed-DB
-/// baselines.
+/// middleware, the coordinator cluster and the ScalarDB baseline.
 pub trait SessionService {
     /// Open a client session. Sessions are the unit of routing affinity in
     /// clustered deployments; `session_id` identifies the client connection.

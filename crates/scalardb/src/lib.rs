@@ -22,114 +22,114 @@
 //!   write prepared records on every involved data source, then one WAN round
 //!   trip to persist the commit-status record, then asynchronous apply.
 //!
+//! There is one transaction body: the session front door
+//! ([`ScalarDbCluster::session_service`]) drives begin / round / commit
+//! statement by statement, and [`ScalarDbCluster::run`] replays a whole
+//! [`TransactionSpec`] through the same three steps as a declared plan.
+//!
 //! [`ScalarDbCluster::new_plus`] builds **ScalarDB+**, the paper's variant
 //! that plugs GeoTP's latency-aware scheduler (O2) and admission heuristics
 //! (O3) into the same architecture — demonstrating that the proposed
 //! techniques generalize beyond ShardingSphere.
 
-use std::cell::Cell;
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::time::Duration;
 
 use geotp_datasource::DataSource;
+use geotp_middleware::session::{
+    BoxFuture, RoundResult, Session, SessionLink, SessionService, TxnError, TxnHandle,
+};
 use geotp_middleware::{
-    AbortReason, BranchPlan, ClientOp, GeoScheduler, LatencyBreakdown, MiddlewareStats,
+    AbortReason, AdmissionDecision, BranchPlan, ClientOp, GeoScheduler, GlobalKey, MiddlewareStats,
     Partitioner, SchedulerConfig, TransactionSpec, TxnOutcome,
 };
 use geotp_net::{LatencyMonitor, MonitorConfig, Network, NodeId};
-use geotp_simrt::{join_all, now, sleep};
-use geotp_storage::{Key, LockManager, LockMode, Row};
+use geotp_simrt::{join_all, now, sleep, SimInstant};
+use geotp_storage::{Key, LockManager, LockMode, Row, Xid};
 use geotp_workloads::TransactionService;
-use std::cell::RefCell;
 
-/// Configuration of the ScalarDB-style coordinator.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalarDbConfig {
-    /// The coordinator's node identity (usually the same host as the GeoTP
-    /// middleware would use, i.e. co-located with the client).
-    pub node: NodeId,
-    /// Lock-wait timeout of the coordinator-side lock table.
-    pub lock_wait_timeout: Duration,
-    /// Whether GeoTP's latency-aware scheduling is applied to per-data-source
-    /// batches (the ScalarDB+ variant).
-    pub latency_aware: bool,
-    /// Whether GeoTP's admission heuristics are applied (ScalarDB+).
-    pub advanced: bool,
-    /// CPU cost of coordinator-side validation per transaction.
-    pub validation_cost: Duration,
-}
-
-impl ScalarDbConfig {
-    /// Plain ScalarDB defaults.
-    pub fn new(node: NodeId) -> Self {
-        Self {
-            node,
-            lock_wait_timeout: Duration::from_secs(5),
-            latency_aware: false,
-            advanced: false,
-            validation_cost: Duration::from_micros(500),
-        }
-    }
-}
+/// CPU cost of coordinator-side validation, charged once per transaction.
+const VALIDATION_COST: Duration = Duration::from_micros(500);
 
 /// The ScalarDB-style transaction manager.
 pub struct ScalarDbCluster {
-    config: ScalarDbConfig,
+    /// The coordinator's node (co-located with the client, like the GeoTP
+    /// middleware it is compared against).
+    node: NodeId,
+    /// ScalarDB+: GeoTP's latency-aware scheduling (O2) and admission
+    /// heuristics (O3) plugged into the same architecture.
+    plus: bool,
     net: Rc<Network>,
-    sources: HashMap<u32, Rc<DataSource>>,
+    /// The stores, indexed by data-source id.
+    sources: Vec<Rc<DataSource>>,
     partitioner: Partitioner,
     locks: Rc<LockManager>,
-    scheduler: Rc<GeoScheduler>,
+    scheduler: GeoScheduler,
     next_txn: Cell<u64>,
     stats: RefCell<MiddlewareStats>,
 }
 
 impl ScalarDbCluster {
-    /// Build a plain ScalarDB coordinator over the given data sources.
+    /// Build a plain ScalarDB coordinator at `node` over the given data
+    /// sources (in data-source order). The coordinator-side lock table waits
+    /// as long as the deployment's stores do.
     pub fn new(
-        config: ScalarDbConfig,
+        node: NodeId,
         net: Rc<Network>,
         sources: &[Rc<DataSource>],
         partitioner: Partitioner,
     ) -> Rc<Self> {
+        Self::build(node, net, sources, partitioner, false)
+    }
+
+    /// Build the ScalarDB+ variant (latency-aware scheduling + heuristics).
+    pub fn new_plus(
+        node: NodeId,
+        net: Rc<Network>,
+        sources: &[Rc<DataSource>],
+        partitioner: Partitioner,
+    ) -> Rc<Self> {
+        Self::build(node, net, sources, partitioner, true)
+    }
+
+    fn build(
+        node: NodeId,
+        net: Rc<Network>,
+        sources: &[Rc<DataSource>],
+        partitioner: Partitioner,
+        plus: bool,
+    ) -> Rc<Self> {
+        assert!(
+            !sources.is_empty() && (0..).zip(sources).all(|(i, s)| s.index() == i),
+            "ScalarDB needs its data sources, in data-source order"
+        );
         let targets: Vec<NodeId> = sources.iter().map(|s| s.node()).collect();
-        let monitor = LatencyMonitor::new(&net, config.node, &targets, MonitorConfig::default());
+        let monitor = LatencyMonitor::new(&net, node, &targets, MonitorConfig::default());
         let scheduler_config = SchedulerConfig {
-            latency_aware: config.latency_aware,
-            advanced: config.advanced,
+            latency_aware: plus,
+            advanced: plus,
             ..SchedulerConfig::default()
         };
-        let scheduler = Rc::new(GeoScheduler::new(scheduler_config, monitor));
         Rc::new(Self {
-            locks: LockManager::new(config.lock_wait_timeout),
-            sources: sources.iter().map(|s| (s.index(), Rc::clone(s))).collect(),
+            node,
+            plus,
+            locks: LockManager::new(sources[0].engine().config().lock_wait_timeout),
+            sources: sources.to_vec(),
             partitioner,
-            scheduler,
+            scheduler: GeoScheduler::new(scheduler_config, monitor),
             net,
-            config,
             next_txn: Cell::new(1),
             stats: RefCell::new(MiddlewareStats::default()),
         })
     }
 
-    /// Build the ScalarDB+ variant (latency-aware scheduling + heuristics).
-    pub fn new_plus(
-        mut config: ScalarDbConfig,
-        net: Rc<Network>,
-        sources: &[Rc<DataSource>],
-        partitioner: Partitioner,
-    ) -> Rc<Self> {
-        config.latency_aware = true;
-        config.advanced = true;
-        Self::new(config, net, sources, partitioner)
-    }
-
     /// Whether this instance is the `+` variant.
     pub fn is_plus(&self) -> bool {
-        self.config.latency_aware
+        self.plus
     }
 
     /// Aggregate statistics.
@@ -137,226 +137,72 @@ impl ScalarDbCluster {
         *self.stats.borrow()
     }
 
-    fn source(&self, ds: u32) -> &Rc<DataSource> {
-        self.sources
-            .get(&ds)
-            .unwrap_or_else(|| panic!("no data source {ds}"))
+    /// The session front door for this coordinator.
+    pub fn session_service(self: &Rc<Self>) -> ScalarDbService {
+        ScalarDbService(Rc::clone(self))
     }
 
     /// One WAN round trip to data source `ds` performing `work` at the store.
-    async fn round_trip<T>(&self, ds: u32, work: impl FnOnce(&Rc<DataSource>) -> T) -> T {
-        let node = self.source(ds).node();
-        self.net.transfer(self.config.node, node).await;
-        let out = work(self.source(ds));
-        self.net.transfer(node, self.config.node).await;
+    async fn round_trip<T>(&self, ds: u32, work: impl FnOnce(&DataSource) -> T) -> T {
+        let source = &self.sources[ds as usize];
+        self.net.transfer(self.node, source.node()).await;
+        let out = work(source);
+        self.net.transfer(source.node(), self.node).await;
         out
     }
 
-    /// Run one transaction with coordinator-side two-phase locking and the
-    /// Consensus-Commit write path.
+    /// Run one whole transaction: the live path with `spec` declared up front
+    /// (`begin_txn` says what that fixes), rows of all rounds concatenated.
     pub async fn run(self: &Rc<Self>, spec: &TransactionSpec) -> TxnOutcome {
+        let mut txn = self.begin_txn(Some(spec)).await;
+        let mut rows = Vec::new();
+        for round in &spec.rounds {
+            match txn.run_round(round).await {
+                Ok(mut result) => rows.append(&mut result.rows),
+                Err(error) => return error.outcome,
+            }
+        }
+        let mut outcome = txn.commit_txn().await;
+        outcome.rows = rows;
+        outcome
+    }
+
+    /// Open a transaction. A statement stream (`plan == None`) learns its
+    /// keys and data sources round by round. A declared plan fixes them
+    /// before validation: the key set is the spec's (sorted), so the
+    /// commit-status record goes to the lowest involved data source rather
+    /// than the first touched, ScalarDB+ registers every key with the hotspot
+    /// footprint in one touch now instead of per fresh key after the sleep,
+    /// and the opening round's admission check sees the whole transaction.
+    async fn begin_txn(self: &Rc<Self>, plan: Option<&TransactionSpec>) -> ScalarDbTxn {
         let started = now();
         let gtrid = self.next_txn.get();
         self.next_txn.set(gtrid + 1);
-        let xid = geotp_storage::Xid::new(gtrid, 0);
-
-        let keys = spec.keys();
+        let keys = plan.map(TransactionSpec::keys).unwrap_or_default();
         let involved = self.partitioner.involved_nodes(&keys);
-        let distributed = involved.len() > 1;
-        let advanced = self.config.advanced;
-        if advanced {
+        if self.plus {
             self.scheduler
                 .footprint()
                 .borrow_mut()
                 .on_access_start(&keys);
         }
-
-        let finish = |committed: bool, reason: Option<AbortReason>, rows: Vec<Row>| {
-            if advanced {
-                self.scheduler
-                    .footprint()
-                    .borrow_mut()
-                    .on_txn_finish(&keys, committed);
-            }
-            let outcome = TxnOutcome {
-                gtrid,
-                committed,
-                abort_reason: reason,
-                latency: now().duration_since(started),
-                breakdown: LatencyBreakdown::default(),
-                distributed,
-                rows,
-                ..TxnOutcome::default()
-            };
-            self.stats.borrow_mut().record(&outcome);
-            outcome
-        };
-
-        sleep(self.config.validation_cost).await;
-
-        // Admission control (ScalarDB+ only).
-        if advanced {
-            let plans: Vec<BranchPlan> = involved
-                .iter()
-                .map(|ds| BranchPlan {
-                    ds_index: *ds,
-                    keys: keys
-                        .iter()
-                        .copied()
-                        .filter(|k| self.partitioner.route(*k) == *ds)
-                        .collect(),
-                })
-                .collect();
-            if let geotp_middleware::AdmissionDecision::Reject { .. } =
-                self.scheduler.schedule_with_admission(&plans)
-            {
-                return finish(false, Some(AbortReason::AdmissionRejected), Vec::new());
-            }
+        sleep(VALIDATION_COST).await;
+        ScalarDbTxn {
+            cluster: Rc::clone(self),
+            gtrid,
+            xid: Xid::new(gtrid, 0),
+            started,
+            keys,
+            involved,
+            writes: BTreeMap::new(),
+            rounds: 0,
+            failed: None,
         }
-
-        // Execution: acquire coordinator-side locks, then fetch/buffer.
-        let mut rows = Vec::new();
-        let mut write_buffer: Vec<(u32, Key, WriteIntent)> = Vec::new();
-        let abort = |this: &Rc<Self>, xid| {
-            this.locks.release_all(xid);
-        };
-
-        for round in &spec.rounds {
-            // Group operations per data source.
-            let groups = self.partitioner.split(round);
-            // Coordinator-side locking happens before any store access.
-            for op in round {
-                let mode = if op.is_write() {
-                    LockMode::Exclusive
-                } else {
-                    LockMode::Shared
-                };
-                if self
-                    .locks
-                    .acquire(xid, op.key().storage_key(), mode)
-                    .await
-                    .is_err()
-                {
-                    abort(self, xid);
-                    return finish(false, Some(AbortReason::ExecutionFailed), Vec::new());
-                }
-            }
-            // Latency-aware postponing of per-data-source read batches (the +
-            // variant); plain ScalarDB dispatches everything immediately.
-            let plans: Vec<BranchPlan> = groups
-                .iter()
-                .map(|(ds, ops)| BranchPlan {
-                    ds_index: *ds,
-                    keys: ops.iter().map(|op| op.key()).collect(),
-                })
-                .collect();
-            let schedule = self.scheduler.schedule(&plans);
-
-            let mut batches = Vec::new();
-            for (idx, (ds, ops)) in groups.iter().enumerate() {
-                let reads: Vec<Key> = ops
-                    .iter()
-                    .filter(|op| !op.is_write())
-                    .map(|op| op.key().storage_key())
-                    .collect();
-                let postpone = schedule
-                    .postpone
-                    .get(idx)
-                    .copied()
-                    .unwrap_or(Duration::ZERO);
-                let this = Rc::clone(self);
-                let ds = *ds;
-                batches.push(async move {
-                    if !postpone.is_zero() {
-                        sleep(postpone).await;
-                    }
-                    // One WAN round trip fetching every read of this round
-                    // from this data source's store.
-                    this.round_trip(ds, |source| {
-                        reads
-                            .iter()
-                            .map(|k| source.engine().peek(*k))
-                            .collect::<Vec<Option<Row>>>()
-                    })
-                    .await
-                });
-            }
-            let read_results = join_all(batches).await;
-            for results in read_results {
-                for row in results {
-                    match row {
-                        Some(r) => rows.push(r),
-                        None => {
-                            abort(self, xid);
-                            return finish(false, Some(AbortReason::ExecutionFailed), Vec::new());
-                        }
-                    }
-                }
-            }
-            // Buffer writes (applied during the commit write phase).
-            for (ds, ops) in &groups {
-                for op in ops {
-                    match op {
-                        ClientOp::AddInt { key, col, delta } => write_buffer.push((
-                            *ds,
-                            key.storage_key(),
-                            WriteIntent::Add {
-                                col: *col,
-                                delta: *delta,
-                            },
-                        )),
-                        ClientOp::Write { key, row } | ClientOp::Insert { key, row } => {
-                            write_buffer.push((
-                                *ds,
-                                key.storage_key(),
-                                WriteIntent::Put(row.clone()),
-                            ))
-                        }
-                        ClientOp::Delete(key) => {
-                            write_buffer.push((*ds, key.storage_key(), WriteIntent::Delete))
-                        }
-                        ClientOp::Read(_) | ClientOp::ReadForUpdate(_) => {}
-                    }
-                }
-            }
-        }
-
-        // Consensus Commit: prepare-record write round to every involved data
-        // source, then one round trip persisting the commit-status record.
-        let mut write_groups: HashMap<u32, Vec<(Key, WriteIntent)>> = HashMap::new();
-        for (ds, key, intent) in write_buffer {
-            write_groups.entry(ds).or_default().push((key, intent));
-        }
-        if !write_groups.is_empty() {
-            let prepare_rounds = write_groups
-                .iter()
-                .map(|(ds, writes)| {
-                    let this = Rc::clone(self);
-                    let ds = *ds;
-                    let writes = writes.clone();
-                    async move {
-                        this.round_trip(ds, move |source| {
-                            for (key, intent) in &writes {
-                                intent.apply(source, *key);
-                            }
-                        })
-                        .await
-                    }
-                })
-                .collect();
-            join_all(prepare_rounds).await;
-        }
-        // Commit-status record lives on the coordinator table of the first
-        // involved data source.
-        let status_ds = involved.first().copied().unwrap_or(0);
-        self.round_trip(status_ds, |_| ()).await;
-
-        self.locks.release_all(xid);
-        finish(true, None, rows)
     }
 }
 
-#[derive(Clone)]
+/// A buffered write, applied to the store by the Consensus-Commit prepare
+/// round.
 enum WriteIntent {
     Put(Row),
     Add { col: usize, delta: i64 },
@@ -364,70 +210,284 @@ enum WriteIntent {
 }
 
 impl WriteIntent {
-    fn apply(&self, source: &Rc<DataSource>, key: Key) {
-        match self {
-            WriteIntent::Put(row) => source.engine().load(key, row.clone()),
+    fn of(op: &ClientOp) -> Option<Self> {
+        match op {
+            ClientOp::AddInt { col, delta, .. } => Some(WriteIntent::Add {
+                col: *col,
+                delta: *delta,
+            }),
+            ClientOp::Write { row, .. } | ClientOp::Insert { row, .. } => {
+                Some(WriteIntent::Put(row.clone()))
+            }
+            ClientOp::Delete(_) => Some(WriteIntent::Delete),
+            ClientOp::Read(_) | ClientOp::ReadForUpdate(_) => None,
+        }
+    }
+
+    fn apply(self, source: &DataSource, key: Key) {
+        let row = match self {
+            WriteIntent::Put(row) => row,
             WriteIntent::Add { col, delta } => {
                 let mut row = source.engine().peek(key).unwrap_or_default();
-                row.add_int(*col, *delta);
-                source.engine().load(key, row);
+                row.add_int(col, delta);
+                row
             }
-            WriteIntent::Delete => {
-                // Modelled as overwriting with an empty row (the store has no
-                // transactional delete; ScalarDB tombstones records).
-                source.engine().load(key, Row::new());
-            }
-        }
+            // The store has no transactional delete; ScalarDB tombstones
+            // records, modelled as overwriting with an empty row.
+            WriteIntent::Delete => Row::new(),
+        };
+        source.engine().load(key, row);
     }
 }
 
-// ---------------------------------------------------------------------------
-// Session front door (the interactive client API).
-//
-// ScalarDB's architecture is genuinely interactive-friendly: concurrency
-// control lives at the coordinator, so a live transaction acquires
-// coordinator-side locks and fetches reads round by round, buffering writes;
-// only `commit` touches the stores with the Consensus-Commit write path.
-// ---------------------------------------------------------------------------
+/// One live transaction. Concurrency control lives at the coordinator, so a
+/// round acquires coordinator-side locks, fetches its reads and buffers its
+/// writes; only `commit` writes to the stores.
+struct ScalarDbTxn {
+    cluster: Rc<ScalarDbCluster>,
+    gtrid: u64,
+    xid: Xid,
+    started: SimInstant,
+    /// Distinct keys, declared up front or in first-touch order.
+    keys: Vec<GlobalKey>,
+    /// Involved data sources, in the order of `keys`.
+    involved: Vec<u32>,
+    /// Buffered writes per data source, in statement order.
+    writes: BTreeMap<u32, Vec<(Key, WriteIntent)>>,
+    rounds: usize,
+    /// The aborted outcome of a transaction that already failed: a later
+    /// commit/rollback on the handle re-reports it instead of re-running the
+    /// (lock-free by then!) write path or double-recording stats.
+    failed: Option<TxnOutcome>,
+}
 
-use geotp_middleware::session::{
-    BoxFuture, RoundResult, Session, SessionLink, SessionService, TxnError, TxnHandle,
-};
-
-impl ScalarDbCluster {
-    /// The session front door for this coordinator.
-    pub fn session_service(self: &Rc<Self>) -> ScalarDbService {
-        ScalarDbService(Rc::clone(self))
-    }
-
-    fn record_outcome(
-        &self,
-        gtrid: u64,
-        started: geotp_simrt::SimInstant,
-        keys: &[geotp_middleware::GlobalKey],
-        distributed: bool,
-        committed: bool,
-        reason: Option<AbortReason>,
-    ) -> TxnOutcome {
-        if self.config.advanced {
-            self.scheduler
+impl ScalarDbTxn {
+    /// Release the coordinator-side locks and record the outcome.
+    fn conclude(&self, committed: bool, reason: Option<AbortReason>) -> TxnOutcome {
+        let cluster = &self.cluster;
+        cluster.locks.release_all(self.xid);
+        if cluster.plus {
+            cluster
+                .scheduler
                 .footprint()
                 .borrow_mut()
-                .on_txn_finish(keys, committed);
+                .on_txn_finish(&self.keys, committed);
         }
         let outcome = TxnOutcome {
-            gtrid,
+            gtrid: self.gtrid,
             committed,
             abort_reason: reason,
-            latency: now().duration_since(started),
-            breakdown: LatencyBreakdown::default(),
-            distributed,
+            latency: now().duration_since(self.started),
+            distributed: self.involved.len() > 1,
             ..TxnOutcome::default()
         };
-        self.stats.borrow_mut().record(&outcome);
+        cluster.stats.borrow_mut().record(&outcome);
         outcome
     }
+
+    fn fail(&mut self, reason: AbortReason) -> TxnError {
+        let outcome = self.conclude(false, Some(reason));
+        self.failed = Some(outcome.clone());
+        TxnError::aborted(outcome, false)
+    }
+
+    async fn run_round(&mut self, ops: &[ClientOp]) -> Result<RoundResult, TxnError> {
+        let round_started = now();
+        let opening = self.rounds == 0;
+        self.rounds += 1;
+        let cluster = Rc::clone(&self.cluster);
+        let mut fresh = Vec::new();
+        for op in ops {
+            let key = op.key();
+            if !self.keys.contains(&key) {
+                self.keys.push(key);
+                fresh.push(key);
+                let ds = cluster.partitioner.route(key);
+                if !self.involved.contains(&ds) {
+                    self.involved.push(ds);
+                }
+            }
+        }
+        if cluster.plus {
+            cluster
+                .scheduler
+                .footprint()
+                .borrow_mut()
+                .on_access_start(&fresh);
+        }
+
+        // Admission control on the opening round (ScalarDB+ only).
+        if cluster.plus && opening {
+            let plans: Vec<BranchPlan> = self
+                .involved
+                .iter()
+                .map(|ds| BranchPlan {
+                    ds_index: *ds,
+                    keys: self
+                        .keys
+                        .iter()
+                        .copied()
+                        .filter(|k| cluster.partitioner.route(*k) == *ds)
+                        .collect(),
+                })
+                .collect();
+            if let AdmissionDecision::Reject { .. } =
+                cluster.scheduler.schedule_with_admission(&plans)
+            {
+                return Err(self.fail(AbortReason::AdmissionRejected));
+            }
+        }
+
+        // Coordinator-side 2PL before any store access.
+        for op in ops {
+            let mode = if op.is_write() {
+                LockMode::Exclusive
+            } else {
+                LockMode::Shared
+            };
+            let key = op.key().storage_key();
+            if cluster.locks.acquire(self.xid, key, mode).await.is_err() {
+                return Err(self.fail(AbortReason::ExecutionFailed));
+            }
+        }
+
+        // One WAN round trip per involved data source fetching this round's
+        // reads, postponed per the latency-aware schedule (the + variant;
+        // plain ScalarDB dispatches everything immediately).
+        let groups = cluster.partitioner.split(ops);
+        let plans: Vec<BranchPlan> = groups
+            .iter()
+            .map(|(ds, ops)| BranchPlan {
+                ds_index: *ds,
+                keys: ops.iter().map(|op| op.key()).collect(),
+            })
+            .collect();
+        let schedule = cluster.scheduler.schedule(&plans);
+        let batches = groups
+            .iter()
+            .zip(schedule.postpone)
+            .map(|((ds, ops), postpone)| {
+                let reads: Vec<Key> = ops
+                    .iter()
+                    .filter(|op| !op.is_write())
+                    .map(|op| op.key().storage_key())
+                    .collect();
+                let (this, ds) = (Rc::clone(&cluster), *ds);
+                async move {
+                    if !postpone.is_zero() {
+                        sleep(postpone).await;
+                    }
+                    this.round_trip(ds, |source| {
+                        reads
+                            .iter()
+                            .map(|k| source.engine().peek(*k))
+                            .collect::<Vec<Option<Row>>>()
+                    })
+                    .await
+                }
+            })
+            .collect();
+        let mut rows = Vec::new();
+        for row in join_all(batches).await.into_iter().flatten() {
+            match row {
+                Some(row) => rows.push(row),
+                None => return Err(self.fail(AbortReason::ExecutionFailed)),
+            }
+        }
+
+        // Buffer writes for the commit write phase.
+        for (ds, ops) in &groups {
+            for op in ops {
+                if let Some(intent) = WriteIntent::of(op) {
+                    let key = op.key().storage_key();
+                    self.writes.entry(*ds).or_default().push((key, intent));
+                }
+            }
+        }
+        Ok(RoundResult {
+            rows,
+            latency: now().duration_since(round_started),
+        })
+    }
+
+    /// Consensus Commit: one round trip writing the prepared records on every
+    /// data source with buffered writes — dispatched in data-source order, so
+    /// jittered links draw in the same order on every run — then one
+    /// persisting the commit-status record on the first involved data source,
+    /// then (asynchronous, not modelled) apply.
+    async fn commit_txn(&mut self) -> TxnOutcome {
+        if let Some(outcome) = &self.failed {
+            return outcome.clone();
+        }
+        let cluster = Rc::clone(&self.cluster);
+        let prepares = std::mem::take(&mut self.writes)
+            .into_iter()
+            .map(|(ds, writes)| {
+                let this = Rc::clone(&cluster);
+                async move {
+                    this.round_trip(ds, |source| {
+                        for (key, intent) in writes {
+                            intent.apply(source, key);
+                        }
+                    })
+                    .await
+                }
+            })
+            .collect();
+        join_all(prepares).await;
+        let status_ds = self.involved.first().copied().unwrap_or(0);
+        cluster.round_trip(status_ds, |_| ()).await;
+        self.conclude(true, None)
+    }
 }
+
+impl TxnHandle for ScalarDbTxn {
+    fn execute<'a>(
+        &'a mut self,
+        ops: &'a [ClientOp],
+        _last: bool,
+    ) -> BoxFuture<'a, Result<RoundResult, TxnError>> {
+        Box::pin(self.run_round(ops))
+    }
+
+    fn commit(mut self: Box<Self>) -> BoxFuture<'static, TxnOutcome> {
+        Box::pin(async move { self.commit_txn().await })
+    }
+
+    fn rollback(self: Box<Self>) -> BoxFuture<'static, TxnOutcome> {
+        // Writes were only buffered; dropping them and releasing the
+        // coordinator-side locks is the whole rollback.
+        Box::pin(async move {
+            match &self.failed {
+                Some(outcome) => outcome.clone(),
+                None => self.conclude(false, Some(AbortReason::ClientRollback)),
+            }
+        })
+    }
+
+    fn abandon(self: Box<Self>) {
+        if self.failed.is_none() {
+            self.conclude(false, Some(AbortReason::ClientDisconnected));
+        }
+    }
+
+    fn gtrid(&self) -> u64 {
+        self.gtrid
+    }
+}
+
+struct ScalarDbLink(Rc<ScalarDbCluster>);
+
+impl SessionLink for ScalarDbLink {
+    fn begin<'a>(&'a mut self) -> BoxFuture<'a, Result<Box<dyn TxnHandle>, TxnError>> {
+        Box::pin(async move { Ok(Box::new(self.0.begin_txn(None).await) as Box<dyn TxnHandle>) })
+    }
+}
+
+/// Cloneable handle to a ScalarDB cluster: the benchmark driver's one-shot
+/// [`TransactionService`] and the [`SessionService`] front door.
+#[derive(Clone)]
+pub struct ScalarDbService(pub Rc<ScalarDbCluster>);
 
 impl SessionService for ScalarDbService {
     fn connect(&self, session_id: u64) -> Session {
@@ -443,323 +503,6 @@ impl SessionService for ScalarDbService {
     }
 }
 
-struct ScalarDbLink(Rc<ScalarDbCluster>);
-
-impl SessionLink for ScalarDbLink {
-    fn begin<'a>(&'a mut self) -> BoxFuture<'a, Result<Box<dyn TxnHandle>, TxnError>> {
-        let cluster = Rc::clone(&self.0);
-        Box::pin(async move {
-            let started = now();
-            let gtrid = cluster.next_txn.get();
-            cluster.next_txn.set(gtrid + 1);
-            // Coordinator-side validation happens as the statement stream
-            // arrives; charge it up front like the one-shot path does.
-            sleep(cluster.config.validation_cost).await;
-            Ok(Box::new(ScalarDbTxn {
-                cluster,
-                gtrid,
-                xid: geotp_storage::Xid::new(gtrid, 0),
-                started,
-                keys: Vec::new(),
-                involved: Vec::new(),
-                write_buffer: Vec::new(),
-                rounds: 0,
-                concluded: false,
-                failed: None,
-            }) as Box<dyn TxnHandle>)
-        })
-    }
-}
-
-struct ScalarDbTxn {
-    cluster: Rc<ScalarDbCluster>,
-    gtrid: u64,
-    xid: geotp_storage::Xid,
-    started: geotp_simrt::SimInstant,
-    keys: Vec<geotp_middleware::GlobalKey>,
-    involved: Vec<u32>,
-    write_buffer: Vec<(u32, Key, WriteIntent)>,
-    rounds: usize,
-    concluded: bool,
-    /// The aborted outcome of a transaction that already failed: repeated
-    /// commit/rollback on the handle re-report it instead of re-running the
-    /// (lock-free by then!) write path or double-recording stats.
-    failed: Option<TxnOutcome>,
-}
-
-impl ScalarDbTxn {
-    fn distributed(&self) -> bool {
-        self.involved.len() > 1
-    }
-
-    fn fail(&mut self, reason: AbortReason) -> TxnError {
-        self.concluded = true;
-        self.cluster.locks.release_all(self.xid);
-        let outcome = self.cluster.record_outcome(
-            self.gtrid,
-            self.started,
-            &self.keys,
-            self.distributed(),
-            false,
-            Some(reason),
-        );
-        self.failed = Some(outcome.clone());
-        TxnError::aborted(outcome, false)
-    }
-
-    /// The outcome to re-report once the transaction has concluded.
-    fn concluded_outcome(&self) -> TxnOutcome {
-        self.failed.clone().unwrap_or_else(|| {
-            TxnOutcome::aborted(AbortReason::ExecutionFailed, Duration::ZERO, false)
-        })
-    }
-}
-
-impl TxnHandle for ScalarDbTxn {
-    fn execute<'a>(
-        &'a mut self,
-        ops: &'a [ClientOp],
-        _last: bool,
-    ) -> BoxFuture<'a, Result<RoundResult, TxnError>> {
-        Box::pin(async move {
-            let round_started = now();
-            let round_idx = self.rounds;
-            self.rounds += 1;
-            let cluster = Rc::clone(&self.cluster);
-            let advanced = cluster.config.advanced;
-            let mut fresh = Vec::new();
-            for op in ops {
-                let key = op.key();
-                if !self.keys.contains(&key) {
-                    self.keys.push(key);
-                    fresh.push(key);
-                }
-                let ds = cluster.partitioner.route(key);
-                if !self.involved.contains(&ds) {
-                    self.involved.push(ds);
-                }
-            }
-            if advanced && !fresh.is_empty() {
-                cluster
-                    .scheduler
-                    .footprint()
-                    .borrow_mut()
-                    .on_access_start(&fresh);
-            }
-
-            // Admission control on the opening round (ScalarDB+ only).
-            if advanced && round_idx == 0 {
-                let plans: Vec<BranchPlan> = self
-                    .involved
-                    .iter()
-                    .map(|ds| BranchPlan {
-                        ds_index: *ds,
-                        keys: self
-                            .keys
-                            .iter()
-                            .copied()
-                            .filter(|k| cluster.partitioner.route(*k) == *ds)
-                            .collect(),
-                    })
-                    .collect();
-                if let geotp_middleware::AdmissionDecision::Reject { .. } =
-                    cluster.scheduler.schedule_with_admission(&plans)
-                {
-                    return Err(self.fail(AbortReason::AdmissionRejected));
-                }
-            }
-
-            // Coordinator-side 2PL before any store access.
-            for op in ops {
-                let mode = if op.is_write() {
-                    LockMode::Exclusive
-                } else {
-                    LockMode::Shared
-                };
-                if cluster
-                    .locks
-                    .acquire(self.xid, op.key().storage_key(), mode)
-                    .await
-                    .is_err()
-                {
-                    return Err(self.fail(AbortReason::ExecutionFailed));
-                }
-            }
-
-            // Latency-aware postponing of per-data-source read batches.
-            let groups = cluster.partitioner.split(ops);
-            let plans: Vec<BranchPlan> = groups
-                .iter()
-                .map(|(ds, ops)| BranchPlan {
-                    ds_index: *ds,
-                    keys: ops.iter().map(|op| op.key()).collect(),
-                })
-                .collect();
-            let schedule = cluster.scheduler.schedule(&plans);
-            let mut batches = Vec::new();
-            for (idx, (ds, ops)) in groups.iter().enumerate() {
-                let reads: Vec<Key> = ops
-                    .iter()
-                    .filter(|op| !op.is_write())
-                    .map(|op| op.key().storage_key())
-                    .collect();
-                let postpone = schedule
-                    .postpone
-                    .get(idx)
-                    .copied()
-                    .unwrap_or(Duration::ZERO);
-                let this = Rc::clone(&cluster);
-                let ds = *ds;
-                batches.push(async move {
-                    if !postpone.is_zero() {
-                        sleep(postpone).await;
-                    }
-                    this.round_trip(ds, |source| {
-                        reads
-                            .iter()
-                            .map(|k| source.engine().peek(*k))
-                            .collect::<Vec<Option<Row>>>()
-                    })
-                    .await
-                });
-            }
-            let read_results = join_all(batches).await;
-            let mut rows = Vec::new();
-            for results in read_results {
-                for row in results {
-                    match row {
-                        Some(r) => rows.push(r),
-                        None => return Err(self.fail(AbortReason::ExecutionFailed)),
-                    }
-                }
-            }
-
-            // Buffer writes for the commit write phase.
-            for (ds, ops) in &groups {
-                for op in ops {
-                    match op {
-                        ClientOp::AddInt { key, col, delta } => self.write_buffer.push((
-                            *ds,
-                            key.storage_key(),
-                            WriteIntent::Add {
-                                col: *col,
-                                delta: *delta,
-                            },
-                        )),
-                        ClientOp::Write { key, row } | ClientOp::Insert { key, row } => self
-                            .write_buffer
-                            .push((*ds, key.storage_key(), WriteIntent::Put(row.clone()))),
-                        ClientOp::Delete(key) => {
-                            self.write_buffer
-                                .push((*ds, key.storage_key(), WriteIntent::Delete))
-                        }
-                        ClientOp::Read(_) | ClientOp::ReadForUpdate(_) => {}
-                    }
-                }
-            }
-            Ok(RoundResult {
-                rows,
-                latency: now().duration_since(round_started),
-            })
-        })
-    }
-
-    fn commit(mut self: Box<Self>) -> BoxFuture<'static, TxnOutcome> {
-        Box::pin(async move {
-            if self.concluded {
-                // The transaction already failed (locks gone, abort
-                // recorded): re-report the failure, never replay the
-                // buffered writes.
-                return self.concluded_outcome();
-            }
-            let cluster = Rc::clone(&self.cluster);
-            self.concluded = true;
-            // Consensus Commit: prepare-record writes, then the commit-status
-            // record, then (asynchronous) apply — modelled as in the one-shot
-            // path.
-            let mut write_groups: HashMap<u32, Vec<(Key, WriteIntent)>> = HashMap::new();
-            for (ds, key, intent) in self.write_buffer.drain(..) {
-                write_groups.entry(ds).or_default().push((key, intent));
-            }
-            if !write_groups.is_empty() {
-                let prepare_rounds = write_groups
-                    .iter()
-                    .map(|(ds, writes)| {
-                        let this = Rc::clone(&cluster);
-                        let ds = *ds;
-                        let writes = writes.clone();
-                        async move {
-                            this.round_trip(ds, move |source| {
-                                for (key, intent) in &writes {
-                                    intent.apply(source, *key);
-                                }
-                            })
-                            .await
-                        }
-                    })
-                    .collect();
-                join_all(prepare_rounds).await;
-            }
-            let status_ds = self.involved.first().copied().unwrap_or(0);
-            cluster.round_trip(status_ds, |_| ()).await;
-            cluster.locks.release_all(self.xid);
-            cluster.record_outcome(
-                self.gtrid,
-                self.started,
-                &self.keys,
-                self.distributed(),
-                true,
-                None,
-            )
-        })
-    }
-
-    fn rollback(mut self: Box<Self>) -> BoxFuture<'static, TxnOutcome> {
-        Box::pin(async move {
-            if self.concluded {
-                return self.concluded_outcome();
-            }
-            self.concluded = true;
-            // Writes were only buffered; dropping them and releasing the
-            // coordinator-side locks is the whole rollback.
-            self.cluster.locks.release_all(self.xid);
-            self.cluster.record_outcome(
-                self.gtrid,
-                self.started,
-                &self.keys,
-                self.distributed(),
-                false,
-                Some(AbortReason::ClientRollback),
-            )
-        })
-    }
-
-    fn abandon(mut self: Box<Self>) {
-        if self.concluded {
-            return;
-        }
-        self.concluded = true;
-        self.cluster.locks.release_all(self.xid);
-        let _ = self.cluster.record_outcome(
-            self.gtrid,
-            self.started,
-            &self.keys,
-            self.distributed(),
-            false,
-            Some(AbortReason::ClientDisconnected),
-        );
-    }
-
-    fn gtrid(&self) -> u64 {
-        self.gtrid
-    }
-}
-
-/// Cloneable handle implementing the benchmark driver's
-/// [`TransactionService`] interface for a ScalarDB cluster.
-#[derive(Clone)]
-pub struct ScalarDbService(pub Rc<ScalarDbCluster>);
-
 impl TransactionService for ScalarDbService {
     fn run<'a>(
         &'a self,
@@ -770,10 +513,11 @@ impl TransactionService for ScalarDbService {
 
     fn label(&self) -> String {
         if self.0.is_plus() {
-            "ScalarDB+".to_string()
+            "ScalarDB+"
         } else {
-            "ScalarDB".to_string()
+            "ScalarDB"
         }
+        .to_string()
     }
 }
 
@@ -813,11 +557,10 @@ mod tests {
             rows_per_node: 100,
             nodes: 2,
         };
-        let config = ScalarDbConfig::new(dm);
         let cluster = if plus {
-            ScalarDbCluster::new_plus(config, net, &sources, partitioner)
+            ScalarDbCluster::new_plus(dm, net, &sources, partitioner)
         } else {
-            ScalarDbCluster::new(config, net, &sources, partitioner)
+            ScalarDbCluster::new(dm, net, &sources, partitioner)
         };
         (cluster, sources)
     }
@@ -916,6 +659,81 @@ mod tests {
         });
     }
 
+    /// The fold's contract: a spec submitted whole and the same spec replayed
+    /// as a statement stream are the same transaction.
+    #[test]
+    fn one_shot_and_session_replay_agree_on_a_single_round_spec() {
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let spec = TransactionSpec::single_round(vec![
+                ClientOp::Read(gk(1)),
+                ClientOp::add(gk(101), 25),
+            ]);
+            let (one_shot, one_shot_sources) = cluster(false);
+            let declared = ScalarDbCluster::run(&one_shot, &spec).await;
+            let (live, live_sources) = cluster(false);
+            let mut session = SessionService::connect(&live.session_service(), 1);
+            let streamed = session.run_spec(&spec).await;
+            assert!(declared.committed);
+            assert_eq!(declared, streamed);
+            assert_eq!(one_shot.stats(), live.stats());
+            for key in [gk(1), gk(101)] {
+                let stored = |sources: &[Rc<DataSource>]| {
+                    sources[key.row as usize / 100]
+                        .engine()
+                        .peek(key.storage_key())
+                };
+                assert_eq!(stored(&one_shot_sources), stored(&live_sources));
+            }
+        });
+    }
+
+    /// The one difference a declared plan carries: ScalarDB+ registers the
+    /// whole key set with the hotspot footprint at `begin`, while a stream
+    /// registers each key in the round that first touches it.
+    #[test]
+    fn declared_plan_touches_the_footprint_once_a_stream_per_fresh_key() {
+        let rounds = vec![
+            vec![ClientOp::Read(gk(1))],
+            vec![ClientOp::add(gk(2), 1)],
+            vec![ClientOp::add(gk(101), 1)],
+        ];
+        let keys = [gk(1), gk(2), gk(101)];
+        let accessing = |cluster: &ScalarDbCluster| {
+            let footprint = cluster.scheduler.footprint().borrow();
+            keys.map(|key| footprint.stats(key).map(|stats| (stats.t_cnt, stats.a_cnt)))
+        };
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let spec = TransactionSpec::multi_round(rounds.clone());
+
+            let (declared, _) = cluster(true);
+            let running = {
+                let declared = Rc::clone(&declared);
+                geotp_simrt::spawn(async move { ScalarDbCluster::run(&declared, &spec).await })
+            };
+            // Inside round one (validation 500 µs, then a 10 ms round trip).
+            sleep(Duration::from_millis(1)).await;
+            assert_eq!(accessing(&declared), [Some((1, 1)); 3]);
+            assert!(running.await.committed);
+
+            let (streamed, _) = cluster(true);
+            let mut session = SessionService::connect(&streamed.session_service(), 1);
+            let mut txn = session.begin().await.unwrap();
+            let mut known = [None; 3];
+            for (round, ops) in rounds.iter().enumerate() {
+                txn.execute(ops).await.unwrap();
+                known[round] = Some((1, 1));
+                assert_eq!(accessing(&streamed), known);
+            }
+            assert!(txn.commit().await.committed);
+
+            // Either way every key ends up counted once and released.
+            assert_eq!(accessing(&declared), [Some((1, 0)); 3]);
+            assert_eq!(accessing(&streamed), [Some((1, 0)); 3]);
+        });
+    }
+
     /// Regression: `commit` on a transaction that already failed must
     /// re-report the abort — never replay the buffered writes (the locks are
     /// long gone) or double-record stats.
@@ -946,6 +764,101 @@ mod tests {
             let stats = cluster.stats();
             assert_eq!((stats.committed, stats.aborted), (0, 1), "one abort, once");
         });
+    }
+
+    /// The baseline is a function of its seed: one all-distributed workload
+    /// over four sources on jittered links, run eight times in one process.
+    /// Every jittered hop draws from the network's seeded stream in dispatch
+    /// order, so the prepare-write round trips must leave in data-source
+    /// order — grouped in a std `HashMap` they left in its per-instance
+    /// `RandomState` order and every run printed its own bytes.
+    #[test]
+    fn same_seed_same_bytes_on_jittered_links() {
+        use geotp_net::JitteredLatency;
+        use geotp_workloads::driver::run_benchmark;
+        use geotp_workloads::{DriverConfig, WorkloadMix, YcsbConfig, YcsbGenerator};
+
+        /// Folds `(gtrid, committed, latency µs)` in completion order.
+        #[derive(Clone)]
+        struct Folding(ScalarDbService, Rc<Cell<(u64, u64)>>);
+
+        impl TransactionService for Folding {
+            fn run<'a>(
+                &'a self,
+                spec: &'a TransactionSpec,
+            ) -> Pin<Box<dyn Future<Output = TxnOutcome> + 'a>> {
+                Box::pin(async move {
+                    let outcome = self.0.run(spec).await;
+                    let (txns, mut fnv) = self.1.get();
+                    for word in [
+                        outcome.gtrid,
+                        outcome.committed as u64,
+                        outcome.latency.as_micros() as u64,
+                    ] {
+                        for byte in word.to_le_bytes() {
+                            fnv = (fnv ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                        }
+                    }
+                    self.1.set((txns + 1, fnv));
+                    outcome
+                })
+            }
+        }
+
+        fn run_once() -> (u64, u64, u64) {
+            let mut rt = Runtime::new();
+            rt.block_on(async {
+                let dm = NodeId::middleware(0);
+                let mut builder = NetworkBuilder::new(19);
+                for (i, rtt_ms) in [10u64, 27, 73, 251].into_iter().enumerate() {
+                    let (mean, std) = (Duration::from_millis(rtt_ms), Duration::from_millis(5));
+                    builder = builder.link(
+                        dm,
+                        NodeId::data_source(i as u32),
+                        JitteredLatency::new(mean, std),
+                    );
+                }
+                let net = builder.build();
+                let sources: Vec<_> = (0..4)
+                    .map(|i| {
+                        DataSource::new(
+                            DataSourceConfig::new(NodeId::data_source(i)),
+                            Rc::clone(&net),
+                        )
+                    })
+                    .collect();
+                let mut ycsb = YcsbConfig::new(4, 1_000).with_distributed_ratio(1.0);
+                ycsb.nodes_per_distributed_txn = 4;
+                let generator = Rc::new(YcsbGenerator::new(ycsb));
+                generator.load(&sources);
+                let cluster = ScalarDbCluster::new(dm, net, &sources, ycsb.partitioner());
+                let folded = Rc::new(Cell::new((0, 0xcbf2_9ce4_8422_2325)));
+                let driver = DriverConfig {
+                    terminals: 16,
+                    warmup: Duration::ZERO,
+                    measure: Duration::from_secs(10),
+                    seed: 19,
+                };
+                run_benchmark(
+                    Folding(ScalarDbService(cluster), Rc::clone(&folded)),
+                    WorkloadMix::Ycsb(generator),
+                    driver,
+                )
+                .await;
+                let (txns, fnv) = folded.get();
+                (txns, now().as_micros(), fnv)
+            })
+        }
+
+        let runs: Vec<_> = (0..8).map(|_| run_once()).collect();
+        for (txns, final_us, fnv) in &runs {
+            println!("txns={txns} final_us={final_us} fingerprint={fnv:016x}");
+        }
+        assert!(runs[0].0 > 100, "the workload must actually run");
+        assert!(
+            runs.iter().all(|run| *run == runs[0]),
+            "same seed, different bytes: {runs:x?}"
+        );
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   [`TransactionService`], kept as a compatibility shim so the recorded
 //!   golden experiment tables stay reproducible.
 //!
-//! Both work over every backend — the GeoTP/SSP middleware, the coordinator
-//! cluster tier, the ScalarDB-style baseline and the distributed-database
-//! baseline — for a configurable number of terminals, warm-up period and
+//! The session driver works over the GeoTP/SSP middleware, the coordinator
+//! cluster tier and the ScalarDB-style baseline; the one-shot driver over the
+//! middleware and both baselines (the distributed-database baseline has no
+//! other door) — for a configurable number of terminals, warm-up period and
 //! measurement window (all in virtual time).
 
 use std::future::Future;
