@@ -18,6 +18,7 @@ use crate::history::{
 use crate::lock::{LockManager, LockMode, LockStats};
 use crate::mvcc::VersionStore;
 use crate::row::Row;
+use crate::table::RecordTable;
 use crate::types::{Key, StorageError, TableId, Xid};
 use crate::wal::{LogRecord, WriteAheadLog};
 
@@ -199,7 +200,7 @@ struct GroupCommitState {
 
 /// One simulated data source's storage engine.
 pub struct StorageEngine {
-    records: RefCell<FxHashMap<Key, Row>>,
+    records: RefCell<RecordTable>,
     locks: Rc<LockManager>,
     wal: WriteAheadLog,
     txns: RefCell<FxHashMap<Xid, TxnEntry>>,
@@ -233,7 +234,7 @@ impl StorageEngine {
     /// Create an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Rc<Self> {
         Rc::new(Self {
-            records: RefCell::new(FxHashMap::default()),
+            records: RefCell::new(RecordTable::default()),
             locks: LockManager::new(config.lock_wait_timeout),
             wal: WriteAheadLog::new(),
             txns: RefCell::new(FxHashMap::default()),
@@ -599,14 +600,11 @@ impl StorageEngine {
         self.lock(xid, key, LockMode::Exclusive).await?;
         sleep(self.config.cost.statement_execute).await;
         self.ensure_active(xid)?;
-        {
-            let records = self.records.borrow();
-            if records.contains_key(&key) {
-                return Err(StorageError::DuplicateKey(key));
-            }
-        }
-        self.records.borrow_mut().insert(key, row.clone());
-        self.record_undo(xid, key, None, Some(row));
+        let after = match self.records.borrow_mut().try_insert(key, row) {
+            Some(stored) => stored.clone(),
+            None => return Err(StorageError::DuplicateKey(key)),
+        };
+        self.record_undo(xid, key, None, Some(after));
         self.stats.borrow_mut().writes += 1;
         Ok(())
     }
@@ -641,7 +639,7 @@ impl StorageEngine {
         self.lock(xid, key, LockMode::Exclusive).await?;
         sleep(self.config.cost.statement_execute).await;
         self.ensure_active(xid)?;
-        // Mutate the stored row in place: one hash lookup and two row clones
+        // Mutate the stored row in place: one page lookup and two row clones
         // (undo image + WAL after-image) instead of the clone-per-step a
         // read-modify-insert cycle would cost.
         let (before, after, new_value) = {
@@ -865,7 +863,7 @@ impl StorageEngine {
             .borrow()
             .iter()
             .filter(|(k, _)| k.table == table)
-            .map(|(k, r)| (*k, r.clone()))
+            .map(|(k, r)| (k, r.clone()))
             .collect();
         rows.sort_by_key(|(k, _)| *k);
         rows
@@ -961,7 +959,7 @@ impl StorageEngine {
             .txns
             .borrow_mut()
             .get_mut(&xid)
-            .map(|e| e.undo.drain(..).collect())
+            .map(|e| std::mem::take(&mut e.undo))
             .unwrap_or_default();
         let mut records = self.records.borrow_mut();
         for (key, before) in undo.into_iter().rev() {
@@ -1493,6 +1491,34 @@ mod tests {
             assert_eq!(snap[0].0.row, 1);
             assert_eq!(snap[1].0.row, 3);
             assert_eq!(eng.snapshot_table(TableId(0)).len(), 2);
+        });
+    }
+
+    #[test]
+    fn record_count_is_exact_through_rollbacks() {
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let eng = engine();
+            assert_eq!(eng.record_count(), 2);
+            // Inserts into the loaded rows' page and into a new one; a
+            // refused duplicate changes nothing.
+            eng.begin(xid(1)).unwrap();
+            eng.insert(xid(1), key(3), Row::int(3)).await.unwrap();
+            eng.insert(xid(1), key(640), Row::int(640)).await.unwrap();
+            assert!(eng.insert(xid(1), key(3), Row::int(0)).await.is_err());
+            assert_eq!(eng.record_count(), 4);
+            eng.rollback(xid(1)).await.unwrap();
+            assert_eq!(eng.record_count(), 2);
+            assert!(eng.peek(key(640)).is_none());
+            // Deleting every row empties the page; rollback refills it.
+            eng.begin(xid(2)).unwrap();
+            eng.delete(xid(2), key(1)).await.unwrap();
+            eng.delete(xid(2), key(2)).await.unwrap();
+            assert_eq!(eng.record_count(), 0);
+            eng.rollback(xid(2)).await.unwrap();
+            assert_eq!(eng.record_count(), 2);
+            assert_eq!(eng.peek(key(1)).unwrap().int_value(), Some(100));
+            assert_eq!(eng.peek(key(2)).unwrap().int_value(), Some(200));
         });
     }
 

@@ -4,7 +4,9 @@
 //! the serializable isolation level with two-phase locking and XA support.
 //! This crate implements the equivalent substrate from scratch:
 //!
-//! * an in-memory, multi-table record store ([`engine::StorageEngine`]),
+//! * an in-memory, multi-table record store ([`engine::StorageEngine`]) laid
+//!   out in 64-row pages: one hash lookup per `(table, row >> 6)` page, a
+//!   presence bitmap, and the page's rows in slot order,
 //! * a strict two-phase-locking [`lock::LockManager`] with shared/exclusive
 //!   record locks, FIFO wait queues, lock upgrades and a lock-wait timeout
 //!   (the paper configures MySQL/PostgreSQL with a 5 s timeout),
@@ -31,6 +33,7 @@ pub mod lock;
 pub mod mvcc;
 pub mod row;
 pub mod small_vec;
+mod table;
 pub mod types;
 pub mod wal;
 

@@ -2,9 +2,9 @@
 //! commit timestamps.
 //!
 //! The version store sits beside the record store. Writers still go through
-//! strict 2PL and mutate the records map; at commit, [`StorageEngine`]
+//! strict 2PL and mutate the paged record store; at commit, [`StorageEngine`]
 //! installs one [`ChainVersion`] per written key, all stamped with the same
-//! commit instant. Snapshot readers never consult the records map (it holds
+//! commit instant. Snapshot readers never consult the record store (it holds
 //! uncommitted writer data) — they resolve against the chain, visible-as-of
 //! their snapshot timestamp, and acquire **no locks**.
 //!
