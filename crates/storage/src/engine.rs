@@ -641,7 +641,10 @@ impl StorageEngine {
         self.ensure_active(xid)?;
         // Mutate the stored row in place: one page lookup and two row clones
         // (undo image + WAL after-image) instead of the clone-per-step a
-        // read-modify-insert cycle would cost.
+        // read-modify-insert cycle would cost. Neither clone allocates: a
+        // one-column row is inline, and a wider row's clones share its
+        // columns — the write copies them once, because the undo image
+        // still holds them, and the after-image shares the new copy.
         let (before, after, new_value) = {
             let mut records = self.records.borrow_mut();
             let row = records

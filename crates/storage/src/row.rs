@@ -1,6 +1,7 @@
 //! Row and value representation.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A single column value. The workloads only need integers, floats and
 /// strings (YCSB payload fields, TPC-C balances and names).
@@ -75,20 +76,30 @@ impl From<String> for Value {
     }
 }
 
-/// A record: an ordered list of column values.
+/// A record: an ordered list of column values, exactly one [`Value`] wide.
 ///
-/// The first column is stored inline: single-column rows (the YCSB usertable
-/// shape that dominates every benchmark) are created, cloned and dropped
-/// without touching the allocator. Multi-column rows (TPC-C) spill the
-/// remaining columns into a `Vec`.
+/// A single-column row (the YCSB usertable shape that dominates every
+/// benchmark) holds its value inline and is created, cloned and dropped
+/// without touching the allocator. A wider row (TPC-C) keeps its columns in
+/// one shared `Arc<[Value]>`: cloning it is a reference-count bump, and a
+/// write copies the columns only while another clone is alive
+/// (copy-on-write through [`Arc::make_mut`]). `Arc` rather than `Rc` keeps
+/// rows `Send`, so they may cross threads.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Row {
-    /// Column 0, inline. `None` only for the empty row; `rest` is non-empty
-    /// only if this is `Some`.
-    first: Option<Value>,
-    /// Columns 1.., heap-allocated only when they exist.
-    rest: Vec<Value>,
+pub struct Row(Repr);
+
+/// The shape follows the column count — 0 is `Empty`, 1 is `One`, 2 or more
+/// is `Many` — so the derived equality is column-wise equality. `Value`'s
+/// `String` niche holds the tag: the enum is no wider than one `Value`.
+#[derive(Debug, Clone, PartialEq, Default)]
+enum Repr {
+    #[default]
+    Empty,
+    One(Value),
+    Many(Arc<[Value]>),
 }
+
+const _: () = assert!(std::mem::size_of::<Row>() == std::mem::size_of::<Value>());
 
 impl Row {
     /// An empty row.
@@ -97,64 +108,63 @@ impl Row {
     }
 
     /// Build a row from column values.
-    pub fn from_values(columns: Vec<Value>) -> Self {
-        let mut it = columns.into_iter();
-        let first = it.next();
-        Self {
-            first,
-            rest: it.collect(),
-        }
+    pub fn from_values(mut columns: Vec<Value>) -> Self {
+        Self(match columns.len() {
+            0 => Repr::Empty,
+            1 => Repr::One(columns.swap_remove(0)),
+            _ => Repr::Many(columns.into()),
+        })
     }
 
     /// A single-integer-column row, the common YCSB shape (allocation-free).
     pub fn int(v: i64) -> Self {
-        Self {
-            first: Some(Value::Int(v)),
-            rest: Vec::new(),
+        Self(Repr::One(Value::Int(v)))
+    }
+
+    /// The columns, in order.
+    fn as_slice(&self) -> &[Value] {
+        match &self.0 {
+            Repr::Empty => &[],
+            Repr::One(value) => std::slice::from_ref(value),
+            Repr::Many(columns) => columns,
         }
     }
 
     /// Number of columns.
     pub fn len(&self) -> usize {
-        self.first.is_some() as usize + self.rest.len()
+        self.as_slice().len()
     }
 
     /// Whether the row has no columns.
     pub fn is_empty(&self) -> bool {
-        self.first.is_none()
+        matches!(self.0, Repr::Empty)
     }
 
     /// Column accessor.
     pub fn get(&self, idx: usize) -> Option<&Value> {
-        if idx == 0 {
-            self.first.as_ref()
-        } else {
-            self.rest.get(idx - 1)
-        }
+        self.as_slice().get(idx)
     }
 
-    /// Mutable column accessor.
+    /// Mutable column accessor. On a wide row whose columns another clone
+    /// shares, this first gives the row its own copy of them.
     pub fn get_mut(&mut self, idx: usize) -> Option<&mut Value> {
-        if idx == 0 {
-            self.first.as_mut()
-        } else {
-            self.rest.get_mut(idx - 1)
+        match &mut self.0 {
+            Repr::One(value) if idx == 0 => Some(value),
+            Repr::Many(columns) if idx < columns.len() => Some(&mut Arc::make_mut(columns)[idx]),
+            _ => None,
         }
     }
 
-    /// Overwrite (or extend to include) column `idx`.
+    /// Overwrite (or extend with `Null`s to include) column `idx`.
     pub fn set(&mut self, idx: usize, value: Value) {
-        if idx == 0 {
-            self.first = Some(value);
+        if let Some(slot) = self.get_mut(idx) {
+            *slot = value;
             return;
         }
-        if self.first.is_none() {
-            self.first = Some(Value::Null);
-        }
-        if idx > self.rest.len() {
-            self.rest.resize(idx, Value::Null);
-        }
-        self.rest[idx - 1] = value;
+        let mut columns = self.as_slice().to_vec();
+        columns.resize(idx, Value::Null);
+        columns.push(value);
+        *self = Self::from_values(columns);
     }
 
     /// First column as integer (YCSB convenience).
@@ -170,7 +180,7 @@ impl Row {
 
     /// Iterate over the columns.
     pub fn iter(&self) -> impl Iterator<Item = &Value> {
-        self.first.iter().chain(self.rest.iter())
+        self.as_slice().iter()
     }
 }
 
@@ -208,6 +218,37 @@ mod tests {
         r.add_int(0, -30);
         r.add_int(0, 5);
         assert_eq!(r.int_value(), Some(75));
+    }
+
+    const fn assert_send_sync<T: Send + Sync>() {}
+    const _: () = assert_send_sync::<Row>();
+
+    #[test]
+    fn equal_columns_make_equal_rows_whatever_the_construction() {
+        assert_eq!(Row::from_values(vec![Value::Int(7)]), Row::int(7));
+        assert_eq!(Row::from_values(vec![]), Row::new());
+        assert!(Row::new().is_empty());
+
+        let columns = vec![Value::Int(1), Value::Null, Value::Str("c".into())];
+        let mut grown = Row::new();
+        grown.set(0, Value::Int(1));
+        assert_eq!(grown, Row::int(1));
+        grown.set(2, Value::Str("c".into()));
+        assert_eq!(grown, Row::from_values(columns.clone()));
+        assert_eq!(grown.iter().cloned().collect::<Vec<_>>(), columns);
+        assert_eq!(grown.get(3), None);
+    }
+
+    #[test]
+    fn writing_a_clone_of_a_wide_row_leaves_the_original_alone() {
+        let original = Row::from_values(vec![Value::Int(10), Value::Int(20)]);
+        let mut copy = original.clone();
+        copy.add_int(1, 5);
+        copy.set(0, Value::Null);
+        assert_eq!(original.get(0), Some(&Value::Int(10)));
+        assert_eq!(original.get(1), Some(&Value::Int(20)));
+        assert_eq!(copy.get(0), Some(&Value::Null));
+        assert_eq!(copy.get(1), Some(&Value::Int(25)));
     }
 
     #[test]

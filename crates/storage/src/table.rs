@@ -4,9 +4,10 @@
 //! of its memory on buckets and hashes. [`RecordTable`] hashes a *page* —
 //! `(table, row >> 6)` — instead; a page keeps a presence bitmap and its rows
 //! in slot order, so a slot's row sits at the popcount of the bits below it.
-//! A dense page costs one bucket per 64 rows plus the rows themselves. A page
-//! holding one row keeps it inline, so the one-row-per-page insert shapes of
-//! TPC-C (ORDERS, NEW_ORDER, HISTORY) cost a bucket and no allocation.
+//! A dense page costs one bucket per 64 rows plus the rows themselves (24
+//! bytes each, see [`Row`]). A page holding one row keeps it inline, so the
+//! one-row-per-page insert shapes of TPC-C (ORDERS, NEW_ORDER, HISTORY) cost
+//! one 56-byte bucket and no allocation.
 //!
 //! A page's second row spills its rows into a `Vec` that doubles from four.
 //! The buffer a page outgrows is kept for the next page to grow into (see
