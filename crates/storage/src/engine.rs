@@ -1,11 +1,21 @@
-//! The in-memory storage engine: record store + 2PL + WAL + XA participant.
+//! The in-memory storage engine: record pages + 2PL + WAL + XA participant.
 //!
 //! One [`StorageEngine`] models one data source (a MySQL or PostgreSQL
 //! instance). All statement execution goes through the XA branch state
 //! machine; locks are acquired before access and released only when the
-//! branch commits or rolls back (strict 2PL, serializable isolation).
+//! branch commits or rolls back (strict 2PL).
+//!
+//! A branch's writes stay in its own write set until it commits: its reads
+//! of those keys are served from there, commit applies the set to the record
+//! pages, and rollback drops it. The pages therefore hold exactly the
+//! committed head of every key, and the [`VersionStore`] keeps only what
+//! they cannot say: the stamps of the keys written since load and the
+//! superseded versions an open snapshot can still reach. The three
+//! [`IsolationLevel`]s share one read path and differ only in whether a
+//! plain read takes a shared lock and which committed version it returns.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
+use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -16,8 +26,8 @@ use crate::history::{
     row_fingerprint, BranchHistory, ReadAccess, VersionedValue, WriteAccess, TOMBSTONE_FINGERPRINT,
 };
 use crate::lock::{LockManager, LockMode, LockStats};
-use crate::mvcc::VersionStore;
-use crate::row::Row;
+use crate::mvcc::{VersionStore, Visible};
+use crate::row::{Row, Value};
 use crate::table::RecordTable;
 use crate::types::{Key, StorageError, TableId, Xid};
 use crate::wal::{LogRecord, WriteAheadLog};
@@ -62,22 +72,23 @@ impl CostModel {
 /// Concurrency-control mode for plain reads.
 ///
 /// Writes (and `SELECT ... FOR UPDATE`) always go through strict 2PL in every
-/// mode; the isolation level only chooses how *plain reads* resolve.
+/// mode; the isolation level only chooses whether a *plain read* takes a
+/// shared lock and which committed version it returns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IsolationLevel {
-    /// Strict two-phase locking: plain reads take shared locks and observe
-    /// the record store directly. Serializable; byte-identical to the legacy
-    /// engine behavior.
+    /// Strict two-phase locking: plain reads take shared locks and return
+    /// the committed head. Serializable; byte-identical to the legacy engine
+    /// behavior.
     #[default]
     Serializable2pl,
     /// Multi-version snapshot reads: the first plain read pins a snapshot
-    /// timestamp and every later plain read resolves against the version
-    /// chain as of that instant — consistent, and entirely lock-free.
+    /// timestamp and every later plain read returns the version committed
+    /// as of that instant — consistent, and entirely lock-free.
     SnapshotRead,
-    /// Deliberately weaker: each plain read observes the newest committed
-    /// version *at its own execution instant* without pinning a snapshot.
-    /// Lock-free, but admits classic anomalies (non-repeatable reads, write
-    /// skew) that the serializability checker is expected to convict.
+    /// Deliberately weaker: each plain read returns the committed head *at
+    /// its own execution instant* without pinning a snapshot. Lock-free, but
+    /// admits classic anomalies (non-repeatable reads, write skew) that the
+    /// serializability checker is expected to convict.
     ReadCommitted,
 }
 
@@ -156,8 +167,10 @@ pub struct EngineStats {
 
 struct TxnEntry {
     state: XaState,
-    /// Before-images for rollback, in reverse application order.
-    undo: Vec<(Key, Option<Row>)>,
+    /// The branch's uncommitted writes, one per key in first-write order:
+    /// the value it last wrote (`None` = deleted). Commit applies them to
+    /// the record pages; rollback drops them.
+    writes: Vec<(Key, Option<Row>)>,
     /// When the branch acquired its first lock. (Per-key release bookkeeping
     /// lives in the lock manager's own per-transaction index.)
     first_lock_at: Option<SimInstant>,
@@ -171,14 +184,12 @@ struct TxnEntry {
 }
 
 impl TxnEntry {
-    fn new() -> Self {
-        Self {
-            state: XaState::Active,
-            undo: Vec::new(),
-            first_lock_at: None,
-            reads: Vec::new(),
-            snapshot_ts: None,
-        }
+    /// The branch's uncommitted value of `key`, if it wrote the key.
+    fn written(&self, key: Key) -> Option<&Option<Row>> {
+        self.writes
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, row)| row)
     }
 }
 
@@ -200,6 +211,8 @@ struct GroupCommitState {
 
 /// One simulated data source's storage engine.
 pub struct StorageEngine {
+    /// The committed head of every key. Like a real data file it survives
+    /// the simulated crash/restart.
     records: RefCell<RecordTable>,
     locks: Rc<LockManager>,
     wal: WriteAheadLog,
@@ -207,25 +220,18 @@ pub struct StorageEngine {
     config: EngineConfig,
     stats: RefCell<EngineStats>,
     crashed: Cell<bool>,
-    /// Committed version + value fingerprint per key (history recording).
-    /// Mirrors the record store, so it is treated as durable across the
-    /// simulated crash/restart like the records themselves.
-    versions: RefCell<FxHashMap<Key, VersionedValue>>,
     /// Access histories of committed branches, in commit order. An observer
     /// artifact for the serializability checker (like a chaos trace), not
     /// engine state: crashes do not clear it.
     history: RefCell<Vec<BranchHistory>>,
-    /// Fingerprints of the bulk-loaded (version 0) values, retained after
-    /// later writes overwrite the live entry in `versions`: the checker needs
-    /// them to validate reads that observed version 0.
-    base_fingerprints: RefCell<FxHashMap<Key, u64>>,
     /// Checker-validation fail point: every `stride`-th read skips its shared
     /// lock (0 = disabled). See [`StorageEngine::fail_point_bypass_read_locks`].
     read_bypass_stride: Cell<u64>,
     read_counter: Cell<u64>,
-    /// Per-key committed version chains (populated in the MVCC isolation
-    /// modes; empty under pure 2PL).
-    mvcc: VersionStore,
+    /// Stamps of the keys written since load (kept when recording history
+    /// or under an MVCC isolation level) and, under the MVCC levels, the
+    /// superseded versions open snapshots can reach.
+    versions: VersionStore,
     /// Group-commit window state (leader election + follower parking).
     group: GroupCommitState,
 }
@@ -241,12 +247,13 @@ impl StorageEngine {
             config,
             stats: RefCell::new(EngineStats::default()),
             crashed: Cell::new(false),
-            versions: RefCell::new(FxHashMap::default()),
             history: RefCell::new(Vec::new()),
-            base_fingerprints: RefCell::new(FxHashMap::default()),
             read_bypass_stride: Cell::new(0),
             read_counter: Cell::new(0),
-            mvcc: VersionStore::new(),
+            versions: VersionStore::new(
+                config.isolation != IsolationLevel::Serializable2pl,
+                config.record_history,
+            ),
             group: GroupCommitState::default(),
         })
     }
@@ -277,43 +284,33 @@ impl StorageEngine {
         &self.locks
     }
 
-    /// Whether plain reads resolve against the version store instead of the
-    /// lock manager + record store.
+    /// Whether plain reads resolve lock-free against committed versions
+    /// instead of taking shared locks.
     fn mvcc_enabled(&self) -> bool {
         self.config.isolation != IsolationLevel::Serializable2pl
     }
 
     /// The engine's version store (tests and GC audits). Empty under the
-    /// default [`IsolationLevel::Serializable2pl`].
+    /// default [`IsolationLevel::Serializable2pl`] without history recording.
     pub fn version_store(&self) -> &VersionStore {
-        &self.mvcc
+        &self.versions
     }
 
     /// Bulk-load a record without locking or logging (initial population).
+    /// It becomes the key's version 0: the pages take the row, and the
+    /// version store forgets whatever it held for the key.
     pub fn load(&self, key: Key, row: Row) {
-        if self.config.record_history || self.mvcc_enabled() {
-            let fingerprint = row_fingerprint(&row);
-            self.versions.borrow_mut().insert(
-                key,
-                VersionedValue {
-                    version: 0,
-                    fingerprint,
-                },
-            );
-            self.base_fingerprints.borrow_mut().insert(key, fingerprint);
-            if self.mvcc_enabled() {
-                self.mvcc.load(key, row.clone(), fingerprint);
-            }
-        }
+        self.versions.forget(key);
         self.records.borrow_mut().insert(key, row);
     }
 
-    /// Read a record without any transaction (snapshot for verification only).
+    /// Read a record's committed value without any transaction (snapshot
+    /// for verification only).
     pub fn peek(&self, key: Key) -> Option<Row> {
         self.records.borrow().get(&key).cloned()
     }
 
-    /// Number of records stored.
+    /// Number of committed records stored.
     pub fn record_count(&self) -> usize {
         self.records.borrow().len()
     }
@@ -346,16 +343,24 @@ impl StorageEngine {
                 reason: "branch already exists",
             });
         }
-        txns.insert(xid, TxnEntry::new());
+        let entry = TxnEntry {
+            state: XaState::Active,
+            writes: Vec::new(),
+            first_lock_at: None,
+            reads: Vec::new(),
+            snapshot_ts: None,
+        };
+        txns.insert(xid, entry);
         self.wal.append(LogRecord::Begin(xid));
         Ok(())
     }
 
-    fn ensure_active(&self, xid: Xid) -> Result<(), StorageError> {
-        match self.state_of(xid) {
-            None => Err(StorageError::UnknownTransaction(xid)),
-            Some(XaState::Active) => Ok(()),
-            Some(_) => Err(StorageError::InvalidState {
+    /// The branch's entry, if it may still execute statements.
+    fn active(&self, xid: Xid) -> Result<RefMut<'_, TxnEntry>, StorageError> {
+        match RefMut::filter_map(self.txns.borrow_mut(), |txns| txns.get_mut(&xid)) {
+            Err(_) => Err(StorageError::UnknownTransaction(xid)),
+            Ok(entry) if entry.state == XaState::Active => Ok(entry),
+            Ok(_) => Err(StorageError::InvalidState {
                 xid,
                 reason: "statement execution requires an ACTIVE branch",
             }),
@@ -377,95 +382,92 @@ impl StorageEngine {
         }
     }
 
-    /// Read a record. Under the default 2PL isolation this takes a shared
-    /// lock and observes the record store; under the MVCC modes it is served
-    /// lock-free from the version chain (see [`IsolationLevel`]).
-    pub async fn read(&self, xid: Xid, key: Key) -> Result<Row, StorageError> {
-        self.check_available()?;
-        self.ensure_active(xid)?;
-        if self.mvcc_enabled() {
-            return self.read_versioned(xid, key).await;
-        }
-        if !self.bypass_read_lock() {
-            self.lock(xid, key, LockMode::Shared).await?;
-        }
-        sleep(self.config.cost.statement_execute).await;
-        // Re-check after the awaits: the branch may have been aborted (early
-        // abort from a peer geo-agent) while this statement was in flight.
-        self.ensure_active(xid)?;
-        self.stats.borrow_mut().reads += 1;
-        let row = self
-            .records
-            .borrow()
-            .get(&key)
-            .cloned()
-            .ok_or(StorageError::KeyNotFound(key))?;
-        self.record_read(xid, key, &row);
-        Ok(row)
+    /// Read a record. Under the default 2PL isolation a plain read takes a
+    /// shared lock and returns the committed head; under the MVCC levels it
+    /// takes no lock and returns the committed version its level sees (see
+    /// [`IsolationLevel`]).
+    pub fn read(&self, xid: Xid, key: Key) -> impl Future<Output = Result<Row, StorageError>> + '_ {
+        self.read_as(xid, key, false)
     }
 
     /// Read a record under an exclusive lock (`SELECT ... FOR UPDATE`).
-    pub async fn read_for_update(&self, xid: Xid, key: Key) -> Result<Row, StorageError> {
+    pub fn read_for_update(
+        &self,
+        xid: Xid,
+        key: Key,
+    ) -> impl Future<Output = Result<Row, StorageError>> + '_ {
+        self.read_as(xid, key, true)
+    }
+
+    /// The one read path. A branch always reads its own writes; otherwise a
+    /// locked read returns the committed head, and a plain read under an
+    /// MVCC level returns the version visible to its pinned snapshot
+    /// (`SnapshotRead`) or the head as of now (`ReadCommitted`).
+    async fn read_as(&self, xid: Xid, key: Key, for_update: bool) -> Result<Row, StorageError> {
         self.check_available()?;
-        self.ensure_active(xid)?;
-        self.lock(xid, key, LockMode::Exclusive).await?;
+        self.active(xid)?;
+        let lock_free = !for_update && self.mvcc_enabled();
+        let lock = if for_update {
+            Some(LockMode::Exclusive)
+        } else if lock_free || self.bypass_read_lock() {
+            None
+        } else {
+            Some(LockMode::Shared)
+        };
+        if let Some(mode) = lock {
+            self.lock(xid, key, mode).await?;
+        }
         sleep(self.config.cost.statement_execute).await;
         // Re-check after the awaits: the branch may have been aborted (early
         // abort from a peer geo-agent) while this statement was in flight.
-        self.ensure_active(xid)?;
+        let own = self.active(xid)?.written(key).cloned();
         self.stats.borrow_mut().reads += 1;
-        let row = self
-            .records
-            .borrow()
-            .get(&key)
-            .cloned()
-            .ok_or(StorageError::KeyNotFound(key))?;
-        self.record_read(xid, key, &row);
-        Ok(row)
-    }
-
-    /// Serve a plain read from the version store: no lock acquisition in any
-    /// MVCC mode. `SnapshotRead` pins a snapshot timestamp at the branch's
-    /// first plain read and resolves every later read as of that instant;
-    /// `ReadCommitted` resolves each read at its own execution instant.
-    async fn read_versioned(&self, xid: Xid, key: Key) -> Result<Row, StorageError> {
-        sleep(self.config.cost.statement_execute).await;
-        // Re-check after the await: the branch may have been aborted (early
-        // abort from a peer geo-agent) while this statement was in flight.
-        self.ensure_active(xid)?;
-        self.stats.borrow_mut().reads += 1;
-        // Read-your-writes: the branch's own uncommitted writes (it holds
-        // their exclusive locks) are served from the record store. Such reads
-        // create no inter-transaction dependency and are never recorded.
-        let own_write = self
-            .txns
-            .borrow()
-            .get(&xid)
-            .is_some_and(|e| e.undo.iter().any(|(k, _)| *k == key));
-        if own_write {
-            return self
-                .records
-                .borrow()
-                .get(&key)
-                .cloned()
-                .ok_or(StorageError::KeyNotFound(key));
+        // Read-your-writes creates no inter-transaction dependency and is
+        // never recorded.
+        if let Some(own) = own {
+            return own.ok_or(StorageError::KeyNotFound(key));
         }
-        let version = match self.config.isolation {
-            IsolationLevel::SnapshotRead => {
-                let ts = self.snapshot_ts_of(xid);
-                self.mvcc.read_at(key, ts)
+        let visible = if lock_free {
+            self.stats.borrow_mut().snapshot_reads += 1;
+            match self.config.isolation {
+                IsolationLevel::SnapshotRead => {
+                    let ts = self.snapshot_ts_of(xid);
+                    self.versions.read_at(key, ts)
+                }
+                _ => Some(Visible::Head),
             }
-            _ => self.mvcc.read_latest(key),
+        } else {
+            Some(Visible::Head)
         };
-        self.stats.borrow_mut().snapshot_reads += 1;
-        // The chain lookup made the read's one row clone; move it out.
-        let version = version.ok_or(StorageError::KeyNotFound(key))?;
-        let row = version.row.ok_or(StorageError::KeyNotFound(key))?;
-        let observed = VersionedValue {
-            version: version.version,
-            fingerprint: version.fingerprint,
+        let (row, version) = match visible {
+            Some(Visible::Superseded(v)) => (v.row, Some(v.version)),
+            // A 2PL plain read that skipped its lock (the fail point) sees
+            // the uncommitted value of whichever branch holds the key.
+            Some(Visible::Head) if lock.is_none() && !lock_free => {
+                let txns = self.txns.borrow();
+                let dirty = txns.values().find_map(|e| e.written(key)).cloned();
+                let head = || self.records.borrow().get(&key).cloned();
+                (dirty.unwrap_or_else(head), None)
+            }
+            Some(Visible::Head) => (self.records.borrow().get(&key).cloned(), None),
+            None => (None, None),
         };
-        self.record_versioned_read(xid, key, observed);
+        let row = row.ok_or(StorageError::KeyNotFound(key))?;
+        if self.config.record_history {
+            // Exact duplicates are dropped; two observations that *differ*
+            // at one version are both kept, as evidence for the checker.
+            let version = version.unwrap_or_else(|| self.versions.head_version(key).unwrap_or(0));
+            let observed = VersionedValue {
+                version,
+                fingerprint: row_fingerprint(&row),
+            };
+            let read = ReadAccess { key, observed };
+            let mut txns = self.txns.borrow_mut();
+            let reads = txns.get_mut(&xid).map(|e| &mut e.reads);
+            if let Some(reads) = reads.filter(|reads| !reads.contains(&read)) {
+                reads.push(read);
+            }
+        }
         Ok(row)
     }
 
@@ -476,15 +478,11 @@ impl StorageEngine {
         let Some(entry) = txns.get_mut(&xid) else {
             return now().as_micros();
         };
-        match entry.snapshot_ts {
-            Some(ts) => ts,
-            None => {
-                let ts = now().as_micros();
-                entry.snapshot_ts = Some(ts);
-                self.mvcc.open_snapshot(ts);
-                ts
-            }
-        }
+        *entry.snapshot_ts.get_or_insert_with(|| {
+            let ts = now().as_micros();
+            self.versions.open_snapshot(ts);
+            ts
+        })
     }
 
     /// Checker-validation fail point: make every `stride`-th read on this
@@ -509,158 +507,99 @@ impl StorageEngine {
         n.is_multiple_of(stride)
     }
 
-    /// Record one versioned read into the branch's access history. Reads of
-    /// the branch's own uncommitted writes create no inter-transaction
-    /// dependency and are skipped; exact duplicates are deduplicated (two
-    /// observations that *differ* at the same version are both kept — that
-    /// divergence is itself evidence for the checker).
-    fn record_read(&self, xid: Xid, key: Key, row: &Row) {
-        if !self.config.record_history {
-            return;
-        }
-        let version = self
-            .versions
-            .borrow()
-            .get(&key)
-            .map(|v| v.version)
-            .unwrap_or(0);
-        let observed = VersionedValue {
-            version,
-            fingerprint: row_fingerprint(row),
+    /// The one write path: take the exclusive lock, pay the statement cost,
+    /// then let `op` turn the row the branch sees under `key` — its own
+    /// uncommitted write, else the committed head — into the key's new value
+    /// (`None` = deleted), or refuse: a refusal is a duplicate key if there
+    /// was a row, else a missing one. The WAL gets both images; the write set
+    /// keeps the new value until commit.
+    async fn write_as<R>(
+        &self,
+        xid: Xid,
+        key: Key,
+        op: impl FnOnce(Option<&Row>) -> Option<(Option<Row>, R)>,
+    ) -> Result<R, StorageError> {
+        self.check_available()?;
+        self.active(xid)?;
+        self.lock(xid, key, LockMode::Exclusive).await?;
+        sleep(self.config.cost.statement_execute).await;
+        let mut entry = self.active(xid)?;
+        let slot = entry.writes.iter().position(|(k, _)| *k == key);
+        let before = match slot {
+            Some(i) => entry.writes[i].1.clone(),
+            None => self.records.borrow().get(&key).cloned(),
         };
-        let mut txns = self.txns.borrow_mut();
-        let Some(entry) = txns.get_mut(&xid) else {
-            return;
+        let Some((after, out)) = op(before.as_ref()) else {
+            return Err(match before {
+                Some(_) => StorageError::DuplicateKey(key),
+                None => StorageError::KeyNotFound(key),
+            });
         };
-        if entry.undo.iter().any(|(k, _)| *k == key) {
-            return;
+        match slot {
+            Some(i) => entry.writes[i].1 = after.clone(),
+            None => entry.writes.push((key, after.clone())),
         }
-        if entry
-            .reads
-            .iter()
-            .any(|r| r.key == key && r.observed == observed)
-        {
-            return;
-        }
-        entry.reads.push(ReadAccess { key, observed });
-    }
-
-    /// Record a version-store read into the branch's access history. Unlike
-    /// [`StorageEngine::record_read`], the observation is the *actual chain
-    /// version served* — the checker validates against real version chains,
-    /// not recorder shadows. Own-write reads never reach here (filtered in
-    /// [`StorageEngine::read_versioned`]).
-    fn record_versioned_read(&self, xid: Xid, key: Key, observed: VersionedValue) {
-        if !self.config.record_history {
-            return;
-        }
-        let mut txns = self.txns.borrow_mut();
-        let Some(entry) = txns.get_mut(&xid) else {
-            return;
-        };
-        if entry
-            .reads
-            .iter()
-            .any(|r| r.key == key && r.observed == observed)
-        {
-            return;
-        }
-        entry.reads.push(ReadAccess { key, observed });
-    }
-
-    fn record_undo(&self, xid: Xid, key: Key, before: Option<Row>, after: Option<Row>) {
         self.wal.append(LogRecord::Update {
             xid,
             key,
-            before: before.clone(),
+            before,
             after,
         });
-        if let Some(entry) = self.txns.borrow_mut().get_mut(&xid) {
-            entry.undo.push((key, before));
-        }
+        self.stats.borrow_mut().writes += 1;
+        Ok(out)
     }
 
     /// Insert or overwrite a record under an exclusive lock.
-    pub async fn write(&self, xid: Xid, key: Key, row: Row) -> Result<(), StorageError> {
-        self.check_available()?;
-        self.ensure_active(xid)?;
-        self.lock(xid, key, LockMode::Exclusive).await?;
-        sleep(self.config.cost.statement_execute).await;
-        self.ensure_active(xid)?;
-        let before = self.records.borrow_mut().insert(key, row.clone());
-        self.record_undo(xid, key, before, Some(row));
-        self.stats.borrow_mut().writes += 1;
-        Ok(())
+    pub fn write(
+        &self,
+        xid: Xid,
+        key: Key,
+        row: Row,
+    ) -> impl Future<Output = Result<(), StorageError>> + '_ {
+        self.write_as(xid, key, move |_| Some((Some(row), ())))
     }
 
     /// Insert a record that must not already exist.
-    pub async fn insert(&self, xid: Xid, key: Key, row: Row) -> Result<(), StorageError> {
-        self.check_available()?;
-        self.ensure_active(xid)?;
-        self.lock(xid, key, LockMode::Exclusive).await?;
-        sleep(self.config.cost.statement_execute).await;
-        self.ensure_active(xid)?;
-        let after = match self.records.borrow_mut().try_insert(key, row) {
-            Some(stored) => stored.clone(),
-            None => return Err(StorageError::DuplicateKey(key)),
-        };
-        self.record_undo(xid, key, None, Some(after));
-        self.stats.borrow_mut().writes += 1;
-        Ok(())
+    pub fn insert(
+        &self,
+        xid: Xid,
+        key: Key,
+        row: Row,
+    ) -> impl Future<Output = Result<(), StorageError>> + '_ {
+        self.write_as(xid, key, move |before| {
+            before.is_none().then_some((Some(row), ()))
+        })
     }
 
     /// Delete a record under an exclusive lock.
-    pub async fn delete(&self, xid: Xid, key: Key) -> Result<(), StorageError> {
-        self.check_available()?;
-        self.ensure_active(xid)?;
-        self.lock(xid, key, LockMode::Exclusive).await?;
-        sleep(self.config.cost.statement_execute).await;
-        self.ensure_active(xid)?;
-        let before = self.records.borrow_mut().remove(&key);
-        if before.is_none() {
-            return Err(StorageError::KeyNotFound(key));
-        }
-        self.record_undo(xid, key, before, None);
-        self.stats.borrow_mut().writes += 1;
-        Ok(())
+    pub fn delete(
+        &self,
+        xid: Xid,
+        key: Key,
+    ) -> impl Future<Output = Result<(), StorageError>> + '_ {
+        self.write_as(xid, key, |before| before.map(|_| (None, ())))
     }
 
     /// Add `delta` to integer column `col` of the record (read-modify-write
     /// under an exclusive lock). Returns the new value.
-    pub async fn add_int(
+    pub fn add_int(
         &self,
         xid: Xid,
         key: Key,
         col: usize,
         delta: i64,
-    ) -> Result<i64, StorageError> {
-        self.check_available()?;
-        self.ensure_active(xid)?;
-        self.lock(xid, key, LockMode::Exclusive).await?;
-        sleep(self.config.cost.statement_execute).await;
-        self.ensure_active(xid)?;
-        // Mutate the stored row in place: one page lookup and two row clones
-        // (undo image + WAL after-image) instead of the clone-per-step a
-        // read-modify-insert cycle would cost. Neither clone allocates: a
-        // one-column row is inline, and a wider row's clones share its
-        // columns — the write copies them once, because the undo image
-        // still holds them, and the after-image shares the new copy.
-        let (before, after, new_value) = {
-            let mut records = self.records.borrow_mut();
-            let row = records
-                .get_mut(&key)
-                .ok_or(StorageError::KeyNotFound(key))?;
-            let before = row.clone();
-            row.add_int(col, delta);
-            let new_value = row
-                .get(col)
-                .and_then(crate::row::Value::as_int)
-                .unwrap_or(0);
-            (before, row.clone(), new_value)
-        };
-        self.record_undo(xid, key, Some(before), Some(after));
-        self.stats.borrow_mut().writes += 1;
-        Ok(new_value)
+    ) -> impl Future<Output = Result<i64, StorageError>> + '_ {
+        // Three row clones (the before-image, the new value, the write set's
+        // copy of it), none of which allocates: a one-column row is inline,
+        // and a wider row's clones share its columns — the write copies them
+        // once, because the before-image still holds them, and the write
+        // set shares the new copy.
+        self.write_as(xid, key, move |before| {
+            let mut after = before?.clone();
+            after.add_int(col, delta);
+            let new_value = after.get(col).and_then(Value::as_int).unwrap_or(0);
+            Some((Some(after), new_value))
+        })
     }
 
     /// End the execution phase of a branch (`XA END`).
@@ -764,19 +703,18 @@ impl StorageEngine {
         let entry = self.txns.borrow_mut().remove(&xid);
         let Some(mut entry) = entry else { return };
         if let Some(ts) = entry.snapshot_ts {
-            self.mvcc.close_snapshot(ts);
+            self.versions.close_snapshot(ts);
         }
-        if committed && (self.config.record_history || self.mvcc_enabled()) {
-            self.record_commit_history(xid, &mut entry);
+        if committed {
+            self.apply(xid, &mut entry);
         }
-        let released = self.locks.release_all(xid);
+        self.locks.release_all(xid);
         let mut stats = self.stats.borrow_mut();
         if let Some(first) = entry.first_lock_at {
             let span = now().duration_since(first);
             stats.total_contention_span_micros += span.as_micros() as u64;
             stats.contention_span_samples += 1;
         }
-        let _ = released;
         if committed {
             stats.commits += 1;
         } else {
@@ -784,51 +722,46 @@ impl StorageEngine {
         }
     }
 
-    /// Commit-time version install: every key the branch wrote installs the
-    /// key's next committed version, fingerprinted from the (now committed)
-    /// record store. In the MVCC modes the new version is also appended to
-    /// the key's chain, every key stamped with the *same* commit instant so
-    /// the whole commit is atomic in snapshot space; with history recording
-    /// on, the branch's access history becomes part of
+    /// Commit-time apply: every key the branch wrote moves its value from
+    /// the write set to the record pages and, where versions are stamped,
+    /// installs the key's next committed version — every key at the *same*
+    /// commit instant, so the whole commit is atomic in snapshot space. With
+    /// history recording on, the branch's access history becomes part of
     /// [`StorageEngine::committed_history`]. Runs atomically with the lock
     /// release in [`StorageEngine::finish`] — under strict 2PL no other
     /// branch can touch these keys until the locks drop, so version order
     /// per key equals commit order.
-    fn record_commit_history(&self, xid: Xid, entry: &mut TxnEntry) {
-        let mvcc_enabled = self.mvcc_enabled();
-        let record_history = self.config.record_history;
+    fn apply(&self, xid: Xid, entry: &mut TxnEntry) {
+        // The history recorder numbers versions and the MVCC levels keep
+        // superseded ones; plain 2PL needs neither.
+        let stamps = self.config.record_history || self.mvcc_enabled();
         let commit_ts = now().as_micros();
-        // Collected only for the history recorder: a plain MVCC commit
-        // installs its versions without allocating.
+        // Collected only for the history recorder: a plain commit applies
+        // its writes without allocating.
         let mut writes: Vec<WriteAccess> = Vec::new();
-        {
-            let records = self.records.borrow();
-            let mut versions = self.versions.borrow_mut();
-            for (i, (key, _)) in entry.undo.iter().enumerate() {
-                // Each written key once, in first-write order.
-                if entry.undo[..i].iter().any(|(k, _)| k == key) {
-                    continue;
-                }
-                let key = *key;
-                let row = records.get(&key);
-                let fingerprint = row.map(row_fingerprint).unwrap_or(TOMBSTONE_FINGERPRINT);
-                let slot = versions.entry(key).or_insert(VersionedValue {
-                    version: 0,
-                    fingerprint: 0,
-                });
-                slot.version += 1;
-                slot.fingerprint = fingerprint;
-                let installed = *slot;
-                if mvcc_enabled {
-                    self.mvcc
-                        .install(key, installed.version, commit_ts, row.cloned(), fingerprint);
-                }
-                if record_history {
+        for (key, after) in entry.writes.drain(..) {
+            let live = after.is_some();
+            let fingerprint = (self.config.record_history).then(|| {
+                after
+                    .as_ref()
+                    .map_or(TOMBSTONE_FINGERPRINT, row_fingerprint)
+            });
+            let before = match after {
+                Some(row) => self.records.borrow_mut().insert(key, row),
+                None => self.records.borrow_mut().remove(&key),
+            };
+            if stamps {
+                let version = self.versions.install(key, commit_ts, before, live);
+                if let Some(fingerprint) = fingerprint {
+                    let installed = VersionedValue {
+                        version,
+                        fingerprint,
+                    };
                     writes.push(WriteAccess { key, installed });
                 }
             }
         }
-        if record_history {
+        if self.config.record_history {
             self.history.borrow_mut().push(BranchHistory {
                 xid,
                 reads: std::mem::take(&mut entry.reads),
@@ -844,22 +777,45 @@ impl StorageEngine {
         self.history.borrow().clone()
     }
 
-    /// The committed version currently installed for `key` (None if the key
-    /// was never loaded or written with history recording on).
+    /// The committed version currently installed for `key`: its stamped
+    /// version (0 if never written since load) and the fingerprint of its
+    /// row in the pages (the tombstone's if deleted). `None` for a key never
+    /// loaded or written, and unless [`EngineConfig::record_history`] is set.
     pub fn committed_version(&self, key: Key) -> Option<VersionedValue> {
-        self.versions.borrow().get(&key).copied()
+        let version = self.versions.head_version(key);
+        let fingerprint = self.records.borrow().get(&key).map(row_fingerprint);
+        let known = self.config.record_history && (version.is_some() || fingerprint.is_some());
+        known.then(|| VersionedValue {
+            version: version.unwrap_or(0),
+            fingerprint: fingerprint.unwrap_or(TOMBSTONE_FINGERPRINT),
+        })
     }
 
     /// Fingerprints of the bulk-loaded (version 0) values, for validating
     /// reads that observed version 0. Empty unless
     /// [`EngineConfig::record_history`] is set.
     pub fn base_fingerprints(&self) -> FxHashMap<Key, u64> {
-        self.base_fingerprints.borrow().clone()
+        if !self.config.record_history {
+            return FxHashMap::default();
+        }
+        let mut bases: FxHashMap<Key, u64> = self
+            .records
+            .borrow()
+            .iter()
+            .map(|(key, row)| (key, row_fingerprint(row)))
+            .collect();
+        for (key, base) in self.versions.bases() {
+            match base {
+                Some(fingerprint) => bases.insert(key, fingerprint),
+                None => bases.remove(&key),
+            };
+        }
+        bases
     }
 
-    /// Snapshot every record of `table`, sorted by key — for workload-level
-    /// consistency checkers (e.g. TPC-C's warehouse/district conditions)
-    /// that need to aggregate over final state.
+    /// Snapshot every committed record of `table`, sorted by key — for
+    /// workload-level consistency checkers (e.g. TPC-C's warehouse/district
+    /// conditions) that need to aggregate over final state.
     pub fn snapshot_table(&self, table: TableId) -> Vec<(Key, Row)> {
         let mut rows: Vec<(Key, Row)> = self
             .records
@@ -919,7 +875,7 @@ impl StorageEngine {
                     reason: "read-only commit requires an ACTIVE or ENDED branch",
                 });
             }
-            if !entry.undo.is_empty() {
+            if !entry.writes.is_empty() {
                 return Err(StorageError::InvalidState {
                     xid,
                     reason: "read-only commit on a branch that wrote",
@@ -933,13 +889,14 @@ impl StorageEngine {
         Ok(())
     }
 
-    /// Roll back a branch from any non-final state, undoing its writes.
+    /// Roll back a branch from any non-final state. Its writes never reached
+    /// the record pages, so dropping its write set undoes them.
     pub async fn rollback(&self, xid: Xid) -> Result<(), StorageError> {
         self.check_available()?;
         {
-            let txns = self.txns.borrow();
+            let mut txns = self.txns.borrow_mut();
             let entry = txns
-                .get(&xid)
+                .get_mut(&xid)
                 .ok_or(StorageError::UnknownTransaction(xid))?;
             if matches!(entry.state, XaState::Committed | XaState::Aborted) {
                 return Err(StorageError::InvalidState {
@@ -947,34 +904,14 @@ impl StorageEngine {
                     reason: "branch already finished",
                 });
             }
+            entry.writes = Vec::new();
         }
-        self.undo_writes(xid);
         self.wal.append(LogRecord::Abort(xid));
         sleep(self.config.cost.decision_apply).await;
         self.flush_wal().await?;
         self.finish(xid, false);
         geotp_telemetry::counter_add("storage.branch_rollbacks", "", xid.bqual, 1);
         Ok(())
-    }
-
-    fn undo_writes(&self, xid: Xid) {
-        let undo: Vec<(Key, Option<Row>)> = self
-            .txns
-            .borrow_mut()
-            .get_mut(&xid)
-            .map(|e| std::mem::take(&mut e.undo))
-            .unwrap_or_default();
-        let mut records = self.records.borrow_mut();
-        for (key, before) in undo.into_iter().rev() {
-            match before {
-                Some(row) => {
-                    records.insert(key, row);
-                }
-                None => {
-                    records.remove(&key);
-                }
-            }
-        }
     }
 
     /// Branches still in a pre-prepare state (`ACTIVE`/`ENDED`): work that
@@ -1504,24 +1441,39 @@ mod tests {
             let eng = engine();
             assert_eq!(eng.record_count(), 2);
             // Inserts into the loaded rows' page and into a new one; a
-            // refused duplicate changes nothing.
-            eng.begin(xid(1)).unwrap();
-            eng.insert(xid(1), key(3), Row::int(3)).await.unwrap();
-            eng.insert(xid(1), key(640), Row::int(640)).await.unwrap();
-            assert!(eng.insert(xid(1), key(3), Row::int(0)).await.is_err());
+            // refused duplicate changes nothing. Uncommitted rows are not
+            // counted, and a rollback leaves nothing behind.
+            for (n, commit) in [(1, false), (2, true)] {
+                eng.begin(xid(n)).unwrap();
+                eng.insert(xid(n), key(3), Row::int(3)).await.unwrap();
+                eng.insert(xid(n), key(640), Row::int(640)).await.unwrap();
+                assert!(eng.insert(xid(n), key(3), Row::int(0)).await.is_err());
+                assert_eq!(eng.record_count(), 2);
+                if commit {
+                    eng.commit(xid(n), true).await.unwrap();
+                } else {
+                    eng.rollback(xid(n)).await.unwrap();
+                    assert!(eng.peek(key(640)).is_none());
+                }
+            }
             assert_eq!(eng.record_count(), 4);
-            eng.rollback(xid(1)).await.unwrap();
-            assert_eq!(eng.record_count(), 2);
-            assert!(eng.peek(key(640)).is_none());
-            // Deleting every row empties the page; rollback refills it.
-            eng.begin(xid(2)).unwrap();
-            eng.delete(xid(2), key(1)).await.unwrap();
-            eng.delete(xid(2), key(2)).await.unwrap();
-            assert_eq!(eng.record_count(), 0);
-            eng.rollback(xid(2)).await.unwrap();
-            assert_eq!(eng.record_count(), 2);
-            assert_eq!(eng.peek(key(1)).unwrap().int_value(), Some(100));
-            assert_eq!(eng.peek(key(2)).unwrap().int_value(), Some(200));
+            // Deleting every row of a page empties it at commit; a rolled-back
+            // delete keeps it whole.
+            for (n, commit) in [(3, false), (4, true)] {
+                eng.begin(xid(n)).unwrap();
+                for row in [1, 2, 3] {
+                    eng.delete(xid(n), key(row)).await.unwrap();
+                }
+                assert_eq!(eng.record_count(), 4);
+                if commit {
+                    eng.commit(xid(n), true).await.unwrap();
+                } else {
+                    eng.rollback(xid(n)).await.unwrap();
+                    assert_eq!(eng.peek(key(1)).unwrap().int_value(), Some(100));
+                }
+            }
+            assert_eq!(eng.record_count(), 1);
+            assert_eq!(eng.peek(key(640)).unwrap().int_value(), Some(640));
         });
     }
 
@@ -1647,15 +1599,15 @@ mod tests {
             eng.add_int(xid(2), key(2), 0, 1).await.unwrap();
             eng.commit(xid(2), true).await.unwrap();
             let history = eng.committed_history();
-            // T2's read observed T1's installed chain version (v1), with the
-            // fingerprint taken from the chain itself.
+            // T2's read observed T1's installed version (v1), the head whose
+            // stamp the version store keeps.
             assert_eq!(history[1].reads[0].observed, history[0].writes[0].installed);
-            let chain_tip = eng.version_store().read_latest(key(1)).unwrap();
-            assert_eq!(chain_tip.version, history[0].writes[0].installed.version);
+            let installed = history[0].writes[0].installed;
             assert_eq!(
-                chain_tip.fingerprint,
-                history[0].writes[0].installed.fingerprint
+                eng.version_store().head_version(key(1)),
+                Some(installed.version)
             );
+            assert_eq!(eng.committed_version(key(1)), Some(installed));
         });
     }
 

@@ -1,14 +1,16 @@
 //! Versioned access histories for serializability checking.
 //!
-//! When [`crate::EngineConfig::record_history`] is on, the engine maintains a
-//! per-key *committed version counter* and, for every transaction branch, the
-//! list of reads (key, observed version, observed value fingerprint) and
-//! writes (key, installed version, installed value fingerprint) it performed.
+//! When [`crate::EngineConfig::record_history`] is on, the engine records,
+//! for every transaction branch, the reads (key, observed version, observed
+//! value fingerprint) and writes (key, installed version, installed value
+//! fingerprint) it performed. The version numbers are the version store's
+//! commit stamps ([`crate::mvcc::VersionStore`]): a key never written since
+//! load is at version 0, and each committing writer stamps the next one.
 //! Strict 2PL makes the construction sound: an exclusive writer holds its
-//! lock until its commit bumps the key's version, so the committed version a
-//! reader observes is exactly the version of the data it read — unless
-//! isolation is broken, which is precisely what a checker built on these
-//! histories detects.
+//! lock until its commit stamps the key's next version, so the committed
+//! version a reader observes is exactly the version of the data it read —
+//! unless isolation is broken, which is precisely what a checker built on
+//! these histories detects.
 //!
 //! Version order per key is total and known (committed writers bump the
 //! counter by one each), so a checker can derive the full Adya dependency
@@ -61,8 +63,8 @@ pub struct WriteAccess {
 }
 
 /// The recorded access history of one *committed* branch. Aborted branches
-/// leave no history: their writes are undone and their reads constrain
-/// nothing.
+/// leave no history: their writes never left their write sets and their
+/// reads constrain nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchHistory {
     /// The branch identity (gtrid + branch qualifier).

@@ -6,17 +6,20 @@
 //!
 //! * an in-memory, multi-table record store ([`engine::StorageEngine`]) laid
 //!   out in 64-row pages: one hash lookup per `(table, row >> 6)` page, a
-//!   presence bitmap, and the page's rows in slot order,
+//!   presence bitmap, and the page's rows in slot order. The pages hold
+//!   only committed data: a branch's writes stay in its write set until its
+//!   commit applies them, and a rollback just drops them,
 //! * a strict two-phase-locking [`lock::LockManager`] with shared/exclusive
 //!   record locks, FIFO wait queues, lock upgrades and a lock-wait timeout
 //!   (the paper configures MySQL/PostgreSQL with a 5 s timeout),
 //! * a write-ahead log ([`wal::WriteAheadLog`]) whose flush latency is part of
 //!   the simulated prepare cost, with optional group commit (one flush
 //!   amortized across a commit window of concurrently-committing branches),
-//! * a multi-version store ([`mvcc::VersionStore`]): per-key version chains
-//!   stamped with virtual-time commit timestamps, behind an
-//!   [`engine::IsolationLevel`] knob — `Serializable2pl` (the default, pure
-//!   2PL), `SnapshotRead` (lock-free consistent snapshots) and the
+//! * a version store ([`mvcc::VersionStore`]) holding, for the keys written
+//!   since load only, their commit stamps and the superseded versions open
+//!   snapshots can still reach; an [`engine::IsolationLevel`] knob picks
+//!   what a plain read locks and returns — `Serializable2pl` (the default,
+//!   pure 2PL), `SnapshotRead` (lock-free consistent snapshots) and the
 //!   deliberately weaker `ReadCommitted`,
 //! * an XA participant state machine (`ACTIVE → ENDED → PREPARED →
 //!   COMMITTED/ABORTED`) with crash/recovery semantics matching the two
@@ -40,7 +43,7 @@ pub mod wal;
 pub use engine::{CostModel, EngineConfig, EngineStats, IsolationLevel, StorageEngine, XaState};
 pub use history::{row_fingerprint, BranchHistory, ReadAccess, VersionedValue, WriteAccess};
 pub use lock::{LockError, LockManager, LockMode, LockStats};
-pub use mvcc::{ChainVersion, MvccStats, VersionStore};
+pub use mvcc::{ChainVersion, MvccStats, VersionStore, Visible};
 pub use row::{Row, Value};
 pub use small_vec::SmallVec;
 pub use types::{Key, StorageError, TableId, Xid};

@@ -99,8 +99,8 @@ impl Page {
         (self.present & (bit - 1)).count_ones() as usize
     }
 
-    /// Put `row` in the empty slot whose bit is `bit`; returns its position.
-    fn fill(&mut self, bit: u64, row: Row, spares: &mut Spares) -> usize {
+    /// Put `row` in the empty slot whose bit is `bit`.
+    fn fill(&mut self, bit: u64, row: Row, spares: &mut Spares) {
         let i = self.index(bit);
         let mut rows = match std::mem::replace(&mut self.rows, Rows::Many(Vec::new())) {
             Rows::One(first) => {
@@ -119,7 +119,6 @@ impl Page {
         rows.insert(i, row);
         self.rows = Rows::Many(rows);
         self.present |= bit;
-        i
     }
 }
 
@@ -151,55 +150,27 @@ impl RecordTable {
         (page.present & bit != 0).then(|| &page.rows.as_slice()[page.index(bit)])
     }
 
-    /// The row stored under `key`, mutably.
-    pub(crate) fn get_mut(&mut self, key: &Key) -> Option<&mut Row> {
-        let (page, bit) = locate(key);
-        let page = self.pages.get_mut(&page)?;
-        if page.present & bit == 0 {
-            return None;
-        }
-        let i = page.index(bit);
-        Some(&mut page.rows.as_mut_slice()[i])
-    }
-
     /// Store `row` under `key`, returning the row it replaced.
     pub(crate) fn insert(&mut self, key: Key, row: Row) -> Option<Row> {
-        self.put(key, row, true).err()
-    }
-
-    /// Store `row` under `key` unless a row is already there, in one lookup;
-    /// returns the stored row, or `None` (dropping `row`) if the key was
-    /// present.
-    pub(crate) fn try_insert(&mut self, key: Key, row: Row) -> Option<&Row> {
-        self.put(key, row, false).ok()
-    }
-
-    /// Store `row` in a vacant slot (`Ok` with the stored row), or, with the
-    /// slot taken, return the row that leaves it: the old one if `replace`,
-    /// else `row` itself.
-    fn put(&mut self, key: Key, row: Row, replace: bool) -> Result<&Row, Row> {
         let (page_key, bit) = locate(&key);
         let page = match self.pages.entry(page_key) {
             Entry::Vacant(vacant) => {
                 self.len += 1;
-                let page = vacant.insert(Page {
+                vacant.insert(Page {
                     present: bit,
                     rows: Rows::One(row),
                 });
-                return Ok(&page.rows.as_slice()[0]);
+                return None;
             }
             Entry::Occupied(occupied) => occupied.into_mut(),
         };
         if page.present & bit != 0 {
-            if !replace {
-                return Err(row);
-            }
             let i = page.index(bit);
-            return Err(std::mem::replace(&mut page.rows.as_mut_slice()[i], row));
+            return Some(std::mem::replace(&mut page.rows.as_mut_slice()[i], row));
         }
         self.len += 1;
-        let i = page.fill(bit, row, &mut self.spares);
-        Ok(&page.rows.as_slice()[i])
+        page.fill(bit, row, &mut self.spares);
+        None
     }
 
     /// Remove and return the row stored under `key`.
@@ -270,14 +241,6 @@ mod tests {
             self.check();
         }
 
-        fn try_insert(&mut self, key: Key, row: Row) {
-            let expected = (!self.model.contains_key(&key)).then(|| row.clone());
-            let got = self.table.try_insert(key, row.clone()).cloned();
-            assert_eq!(got, expected, "try_insert {key}");
-            self.model.entry(key).or_insert(row);
-            self.check();
-        }
-
         fn remove(&mut self, key: Key) {
             let got = self.table.remove(&key);
             assert_eq!(got, self.model.remove(&key), "remove {key}");
@@ -286,19 +249,6 @@ mod tests {
 
         fn get(&mut self, key: Key) {
             assert_eq!(self.table.get(&key), self.model.get(&key), "get {key}");
-            self.check();
-        }
-
-        fn add_int(&mut self, key: Key, delta: i64) {
-            let got = self.table.get_mut(&key).map(|r| {
-                r.add_int(0, delta);
-                r.clone()
-            });
-            let expected = self.model.get_mut(&key).map(|r| {
-                r.add_int(0, delta);
-                r.clone()
-            });
-            assert_eq!(got, expected, "get_mut {key}");
             self.check();
         }
 
@@ -364,25 +314,23 @@ mod tests {
         d.remove(Key::new(t(2), 0));
         d.remove(Key::new(t(2), 63));
         d.get(Key::new(t(2), 63));
-        d.try_insert(Key::new(t(2), 63), row_for(7));
-        d.try_insert(Key::new(t(2), 63), row_for(8));
+        d.insert(Key::new(t(2), 63), row_for(7));
+        d.insert(Key::new(t(2), 63), row_for(8));
         d.insert(Key::new(t(2), 0), row_for(9));
         d.remove(Key::new(t(2), 64));
         d.insert(Key::new(t(3), 450), row_for(1));
         d.get(Key::new(t(4), 450));
         d.remove(Key::new(t(4), 450));
         d.insert(Key::new(t(u16::MAX), u64::MAX), row_for(2));
-        d.add_int(Key::new(t(u16::MAX), u64::MAX), 5);
+        d.get(Key::new(t(u16::MAX), u64::MAX));
 
         for seed in 1..=3u64 {
             let mut rng = seed;
             for step in 0..4_000u64 {
                 let key = keys[(splitmix64(&mut rng) % keys.len() as u64) as usize];
                 match splitmix64(&mut rng) % 10 {
-                    0..=2 => d.insert(key, row_for(step)),
-                    3..=4 => d.try_insert(key, row_for(step)),
+                    0..=4 => d.insert(key, row_for(step)),
                     5..=6 => d.remove(key),
-                    7 => d.add_int(key, step as i64),
                     _ => d.get(key),
                 }
             }

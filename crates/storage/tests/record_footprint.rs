@@ -9,12 +9,18 @@
 //! rows (an inline first column beside a `Vec` of the rest) read 50.4, 119.6
 //! and 97.5 B/row on the three loads; 24-byte rows (one column inline, wider
 //! rows in one `Arc<[Value]>` that clones share) read 25.9, 93.4 and 89.2.
+//!
+//! A load touches only the pages under every engine configuration. While
+//! the pages also held uncommitted writes, a dense load into a `SnapshotRead`
+//! engine filled a version chain per row beside the pages (281.5 B/row), and
+//! one into a history-recording engine a version counter and a base
+//! fingerprint per row (147.5 B/row).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use geotp_storage::{Key, Row, StorageEngine, TableId, Value};
+use geotp_storage::{EngineConfig, IsolationLevel, Key, Row, StorageEngine, TableId, Value};
 
 struct LiveBytes;
 
@@ -65,18 +71,28 @@ fn two_int_row(n: u64) -> Row {
     Row::from_values(vec![Value::Int(n as i64), Value::Int(0)])
 }
 
-/// A fresh engine holding `rows` rows `row(n)` under keys `0, stride,
-/// 2 * stride, ...` of one table, and the live heap bytes per row that
-/// loading them left behind.
-fn load(rows: u64, stride: u64, row: fn(u64) -> Row) -> (Rc<StorageEngine>, f64) {
+/// A fresh engine configured by `config`, holding `rows` rows `row(n)`
+/// under keys `0, stride, 2 * stride, ...` of one table, and the live heap
+/// bytes per row that loading them left behind.
+fn load_into(
+    config: EngineConfig,
+    rows: u64,
+    stride: u64,
+    row: fn(u64) -> Row,
+) -> (Rc<StorageEngine>, f64) {
     let before = LIVE.load(Ordering::Relaxed);
-    let engine = StorageEngine::with_defaults();
+    let engine = StorageEngine::new(config);
     for n in 0..rows {
         engine.load(key(n * stride), row(n));
     }
     assert_eq!(engine.record_count(), rows as usize);
     let after = LIVE.load(Ordering::Relaxed);
     (engine, (after - before) as f64 / rows as f64)
+}
+
+/// [`load_into`] a default (strict 2PL, no history) engine.
+fn load(rows: u64, stride: u64, row: fn(u64) -> Row) -> (Rc<StorageEngine>, f64) {
+    load_into(EngineConfig::default(), rows, stride, row)
 }
 
 // One test in this binary, so no other test allocates while it measures.
@@ -86,9 +102,21 @@ fn loaded_rows_stay_within_their_heap_budget() {
     let sparse = load(80_000, 640, int_row).1;
     const WIDE_ROWS: u64 = 100_000;
     let (engine, wide) = load(WIDE_ROWS, 1, two_int_row);
+    let snapshot = EngineConfig {
+        isolation: IsolationLevel::SnapshotRead,
+        ..EngineConfig::default()
+    };
+    let snapshot = load_into(snapshot, 1_000_000, 1, int_row).1;
+    let history = EngineConfig {
+        record_history: true,
+        ..EngineConfig::default()
+    };
+    let history = load_into(history, 1_000_000, 1, int_row).1;
     println!("dense rows: {dense:.1} heap B/row (per-row hash map: 136.3)");
     println!("stride-640 rows: {sparse:.1} heap B/row (per-row hash map: 106.5)");
     println!("dense two-column rows: {wide:.1} heap B/row");
+    println!("dense rows, SnapshotRead: {snapshot:.1} heap B/row (version chain per row: 281.5)");
+    println!("dense rows, record_history: {history:.1} heap B/row (stamps per row: 147.5)");
     assert!(
         dense <= 32.0,
         "dense rows cost {dense:.1} B each (budget 32)"
@@ -100,6 +128,14 @@ fn loaded_rows_stay_within_their_heap_budget() {
     assert!(
         wide <= 1.1 * 89.2,
         "dense two-column rows cost {wide:.1} B each (budget 1.1 x 89.2)"
+    );
+    assert!(
+        snapshot <= 32.0,
+        "dense rows on a SnapshotRead engine cost {snapshot:.1} B each (budget 32)"
+    );
+    assert!(
+        history <= 32.0,
+        "dense rows on a history-recording engine cost {history:.1} B each (budget 32)"
     );
 
     // A clone of a stored wide row shares its columns.
