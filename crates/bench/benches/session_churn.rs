@@ -7,13 +7,13 @@
 //! build** (non-zero exit) if the cycle regressed more than the tolerance
 //! versus the `session_baseline` block in `BENCH_hotpath.json`.
 //!
-//! Methodology mirrors `hotpath_smoke`: best-of-N wall time, limits rescaled
-//! by the pure-CPU calibration ratio (local machine vs the recorder of the
-//! baseline), 25% tolerance by default (`GEOTP_SMOKE_TOLERANCE` overrides,
-//! in percent), re-record with `GEOTP_SMOKE_RECORD=1` after an intentional
-//! change. A hardware-independent structural check rides along: the reaper
-//! must evict every idle session (the registry drains to zero), so "lean"
-//! is not just fast but actually bounded.
+//! Methodology: best-of-N wall time against the recorded baseline with a 25%
+//! tolerance, the limit rescaled by a pure-CPU calibration ratio (local
+//! machine vs the recorder of the baseline); re-record with
+//! `GEOTP_SMOKE_RECORD=1` after an intentional change. A hardware-independent
+//! structural check rides along: the reaper must evict every idle session
+//! (the registry drains to zero), so "lean" is not just fast but actually
+//! bounded.
 //!
 //! ```text
 //! cargo bench -p geotp-bench --bench session_churn
@@ -28,6 +28,8 @@ use geotp_storage::{CostModel, EngineConfig};
 
 const SESSIONS: u64 = 100_000;
 const PROBES: usize = 10;
+/// Allowed regression over the recorded baseline, in percent.
+const TOLERANCE_PCT: f64 = 25.0;
 
 /// One timed churn cycle: register `SESSIONS` sessions (router affinity +
 /// registry entry), idle past the reap deadline on the virtual clock (free),
@@ -82,9 +84,9 @@ fn best_of() -> Duration {
     (0..PROBES).map(|_| churn_once()).min().expect("probes")
 }
 
-/// Deterministic pure-CPU calibration, identical to `hotpath_smoke`'s: the
-/// ratio of local to recorded calibration rescales the regression limit so a
-/// slower runner is not misread as a code regression.
+/// Deterministic pure-CPU calibration (FNV-1a over 1 MiB x 8 passes, best of
+/// 5): the ratio of local to recorded calibration rescales the regression
+/// limit so a slower runner is not misread as a code regression.
 fn calibration_us() -> f64 {
     let buf: Vec<u8> = (0..1_048_576u32)
         .map(|i| (i.wrapping_mul(31)) as u8)
@@ -118,10 +120,6 @@ fn baseline_number(json: &str, key: &str) -> Option<f64> {
 }
 
 fn main() {
-    let tolerance_pct: f64 = std::env::var("GEOTP_SMOKE_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25.0);
     let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
     let json = std::fs::read_to_string(baseline_path).expect("read BENCH_hotpath.json");
 
@@ -154,7 +152,7 @@ fn main() {
         eprintln!("session_churn: no session_baseline.churn_100k_us in BENCH_hotpath.json");
         std::process::exit(2);
     };
-    let limit = baseline_us * (1.0 + tolerance_pct / 100.0) * speed_scale;
+    let limit = baseline_us * (1.0 + TOLERANCE_PCT / 100.0) * speed_scale;
     let rate = SESSIONS as f64 / measured.as_secs_f64();
     let verdict = if measured_us > limit {
         "REGRESSED"
@@ -167,8 +165,8 @@ fn main() {
     );
     if measured_us > limit {
         eprintln!(
-            "session_churn: session-registry churn regressed beyond {tolerance_pct}% \
-             of BENCH_hotpath.json (set GEOTP_SMOKE_TOLERANCE to adjust)"
+            "session_churn: session-registry churn regressed beyond {TOLERANCE_PCT}% \
+             of BENCH_hotpath.json"
         );
         std::process::exit(1);
     }

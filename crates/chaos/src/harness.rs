@@ -48,7 +48,7 @@ use geotp_middleware::{
 };
 use geotp_net::{Network, NodeId};
 use geotp_simrt::hash::FxHashMap;
-use geotp_simrt::{now, sleep, sleep_until, spawn, JoinHandle, SimInstant};
+use geotp_simrt::{now, sleep, sleep_until, spawn, JoinHandle, Runtime, SimInstant};
 use geotp_storage::{CostModel, EngineConfig, IsolationLevel, MvccStats};
 use geotp_workloads::ZipfianGenerator;
 use rand::rngs::StdRng;
@@ -113,12 +113,6 @@ pub struct ChaosConfig {
     /// commit or rollback — the middleware's connection-loss handling must
     /// roll the orphaned branches back. `None` disables client crashes.
     pub client_crash_every: Option<u64>,
-    /// Worker shards for the simulator runtime. `None` (the default) honours
-    /// the `GEOTP_WORKERS` environment variable, falling back to 1. The
-    /// chaos deployment shares one `Rc` object graph, so it is pinned to
-    /// shard 0 regardless — traces and fingerprints are bit-identical at
-    /// every worker count (the CI worker matrix asserts exactly this).
-    pub workers: Option<usize>,
     /// Storage isolation level on every engine. The default
     /// (`Serializable2pl`) is the strict-2PL path; `SnapshotRead` serves
     /// plain reads from MVCC snapshots without locks; `ReadCommitted`
@@ -160,7 +154,6 @@ impl Default for ChaosConfig {
             commit_before_flush_bug: false,
             think_time: Duration::ZERO,
             client_crash_every: None,
-            workers: None,
             isolation: IsolationLevel::Serializable2pl,
             group_commit_window: Duration::ZERO,
             snapshot_reads: false,
@@ -779,37 +772,6 @@ pub fn run_scripted(
     run_impl(config, schedule, workload, Some(scripts))
 }
 
-/// Build the simulator runtime for a chaos run: coordinators, the tier's
-/// control node and the data sources are declared as topology nodes (links
-/// carry the configured RTTs) but pinned to shard 0, because the deployment
-/// is one `Rc`-shared object graph. Extra worker shards idle at the barrier,
-/// which is exactly the scheduler-independence property the worker-matrix
-/// tests pin down.
-fn chaos_runtime(config: &ChaosConfig) -> geotp_simrt::Runtime {
-    let mut builder = geotp_simrt::RuntimeBuilder::from_env().seed(config.seed);
-    if config.tier.is_some() {
-        builder = builder.node("control0").assign("control0", 0);
-    }
-    for c in 0..config.coordinators() {
-        let mw = format!("mw{c}");
-        if let Some(tier) = &config.tier {
-            let control_rtt = Duration::from_millis(tier.control_rtt_ms);
-            builder = builder.link("control0", &mw, control_rtt);
-        }
-        builder = builder.assign(&mw, 0);
-        for (i, rtt_ms) in config.ds_rtts_ms.iter().enumerate() {
-            let ds = format!("ds{i}");
-            builder = builder
-                .link(&mw, &ds, Duration::from_millis(*rtt_ms))
-                .assign(&ds, 0);
-        }
-    }
-    if let Some(workers) = config.workers {
-        builder = builder.workers(workers);
-    }
-    builder.build()
-}
-
 /// The flash crowd (`Tier` door): register the mostly-idle session crowd,
 /// then spawn one task per open-loop spike arrival.
 fn spawn_flash_crowd(
@@ -873,7 +835,7 @@ fn run_impl(
     workload: Rc<dyn ChaosWorkload>,
     scripts: Option<Vec<Vec<TransactionSpec>>>,
 ) -> ChaosReport {
-    let mut rt = chaos_runtime(&config);
+    let mut rt = Runtime::new();
     rt.block_on(async move {
         let trace = EventTrace::new();
         let (tier_tag, coordinators) = match &config.tier {

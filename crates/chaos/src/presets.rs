@@ -4,7 +4,7 @@
 //! and fault schedule for a seed, the workloads it is swept under (its own
 //! first) and the verdict the checkers must reach. The chaos sweeps in this
 //! crate's tests, the drill and profile tables in `geotp-experiments`, the
-//! worker matrix, the benches and the examples all iterate [`PRESETS`] and
+//! benches and the examples all iterate [`PRESETS`] and
 //! run rows through the one [`run`] harness — a preset that regresses fails
 //! everywhere at once, and a cross-product over presets is a loop over this
 //! table.

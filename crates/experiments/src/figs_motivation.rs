@@ -95,7 +95,7 @@ pub fn fig06_breakdown(scale: Scale) -> Vec<Table> {
         "Fig. 6c — latency breakdown of one distributed GeoTP transaction (paper deployment)",
         &["phase", "latency (ms)"],
     );
-    let mut rt = crate::runner::sim_runtime(42, &geotp_net::PAPER_DEFAULT_RTTS_MS);
+    let mut rt = geotp_simrt::Runtime::new();
     rt.block_on(async {
         let cluster = ClusterBuilder::new()
             .paper_default_sources()
@@ -150,7 +150,7 @@ pub fn fig06_trace_breakdown(_scale: Scale) -> Vec<Table> {
         "Fig. 6c (trace-derived) — critical-path attribution of the same transaction",
         &["span kind", "blocking time (ms)"],
     );
-    let mut rt = crate::runner::sim_runtime(42, &geotp_net::PAPER_DEFAULT_RTTS_MS);
+    let mut rt = geotp_simrt::Runtime::new();
     rt.block_on(async {
         let session = telemetry::install();
         let cluster = ClusterBuilder::new()
@@ -265,7 +265,7 @@ mod tests {
     /// Cheap helper used by the unit test: only the single-transaction
     /// breakdown part of Fig. 6.
     fn fig06_breakdown_single_txn_only() -> Table {
-        let mut rt = crate::runner::sim_runtime(42, &geotp_net::PAPER_DEFAULT_RTTS_MS);
+        let mut rt = geotp_simrt::Runtime::new();
         let mut breakdown = Table::new("test", &["phase", "latency (ms)"]);
         rt.block_on(async {
             let cluster = ClusterBuilder::new()

@@ -95,7 +95,7 @@ pub fn fig15_multi_dm(scale: Scale) -> Vec<Table> {
         &["deployment", "throughput (txn/s)"],
     );
     for multi in [false, true] {
-        let mut rt = crate::runner::sim_runtime(42, &geotp_net::PAPER_DEFAULT_RTTS_MS);
+        let mut rt = geotp_simrt::Runtime::new();
         let throughput = rt.block_on(async {
             let mut builder = ClusterBuilder::new()
                 .paper_default_sources()

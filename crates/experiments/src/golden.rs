@@ -349,8 +349,7 @@ mod tests {
                         .with_distributed_ratio(0.5);
                     ycsb.rounds = rounds;
                     ycsb.nodes_per_distributed_txn = 3;
-                    let rtts = geotp_net::PAPER_DEFAULT_RTTS_MS;
-                    let mut rt = crate::runner::sim_runtime(SEED, &rtts);
+                    let mut rt = geotp_simrt::Runtime::new();
                     let row = rt.block_on(async move {
                         let cluster = ClusterBuilder::new()
                             .seed(SEED)
@@ -550,7 +549,7 @@ mod tests {
             let spinning = system == System::ScalarDbPlus
                 && matches!(workload, Workload::Ycsb(_, Contention::High));
             let window = Duration::from_secs(if spinning { 5 } else { 20 });
-            let mut rt = crate::runner::sim_runtime(SEED, &geotp_net::PAPER_DEFAULT_RTTS_MS);
+            let mut rt = geotp_simrt::Runtime::new();
             let row = rt.block_on(async move {
                 let engine = EngineConfig {
                     lock_wait_timeout: LOCK_WAIT,

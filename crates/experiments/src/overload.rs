@@ -48,7 +48,7 @@ struct OverloadRow {
 fn drive(admission: AdmissionPolicy, scale: Scale) -> OverloadRow {
     let previous = geotp_telemetry::uninstall();
     let telemetry = geotp_telemetry::install();
-    let mut rt = crate::runner::sim_runtime(42, &DS_RTTS_MS);
+    let mut rt = geotp_simrt::Runtime::new();
     let mut row = rt.block_on(async {
         let (net, sources) = build_tier(&TierLayout {
             seed: 42,

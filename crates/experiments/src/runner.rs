@@ -304,26 +304,6 @@ fn report_to_result(report: &BenchmarkReport, measure: Duration) -> RunResult {
     }
 }
 
-/// Build the simulator runtime for an experiment point: the coordinator and
-/// data sources are declared as topology nodes (links carry the point's WAN
-/// RTTs) pinned to shard 0, since every model tier shares one `Rc` object
-/// graph. Worker count comes from `GEOTP_WORKERS` (default 1); extra shards
-/// idle deterministically, so results and `sim_polls` are identical at any
-/// worker count.
-pub(crate) fn sim_runtime(seed: u64, ds_rtts_ms: &[u64]) -> Runtime {
-    let mut builder = geotp_simrt::RuntimeBuilder::from_env()
-        .seed(seed)
-        .node("mw0")
-        .assign("mw0", 0);
-    for (i, rtt_ms) in ds_rtts_ms.iter().enumerate() {
-        let ds = format!("ds{i}");
-        builder = builder
-            .link("mw0", &ds, Duration::from_millis(*rtt_ms))
-            .assign(&ds, 0);
-    }
-    builder.build()
-}
-
 fn engine_config(lock_wait_timeout: Duration) -> EngineConfig {
     EngineConfig {
         lock_wait_timeout,
@@ -454,7 +434,7 @@ pub fn run_ycsb(spec: &YcsbRunSpec) -> RunResult {
         spec.ycsb.nodes as usize,
         "latency config and YCSB node count must agree"
     );
-    let mut rt = sim_runtime(spec.seed, &spec.latency.base_rtts());
+    let mut rt = Runtime::new();
     let driver = DriverConfig {
         terminals: spec.terminals,
         warmup: spec.warmup,
@@ -489,7 +469,7 @@ pub fn run_ycsb(spec: &YcsbRunSpec) -> RunResult {
 
 /// Run one TPC-C experiment point.
 pub fn run_tpcc(spec: &TpccRunSpec) -> RunResult {
-    let mut rt = sim_runtime(spec.seed, &spec.latency.base_rtts());
+    let mut rt = Runtime::new();
     let driver = DriverConfig {
         terminals: spec.terminals,
         warmup: spec.warmup,

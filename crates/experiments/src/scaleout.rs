@@ -33,7 +33,7 @@ const DS_RTTS_MS: [u64; 3] = [10, 60, 120];
 const WORKERS_PER_COORDINATOR: usize = 32;
 
 fn drive(coordinators: usize, scale: Scale) -> geotp::OpenLoopReport {
-    let mut rt = crate::runner::sim_runtime(42, &DS_RTTS_MS);
+    let mut rt = geotp_simrt::Runtime::new();
     rt.block_on(async {
         let (net, sources) = build_tier(&TierLayout {
             seed: 42,

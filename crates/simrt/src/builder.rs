@@ -1,224 +1,97 @@
-//! The topology-aware front door: [`RuntimeBuilder`].
-//!
-//! ```
-//! use std::time::Duration;
-//! use geotp_simrt::RuntimeBuilder;
-//!
-//! let mut builder = RuntimeBuilder::new()
-//!     .node("coord0")
-//!     .node("ds1")
-//!     .link("coord0", "ds1", Duration::from_millis(27))
-//!     .workers(1)
-//!     .seed(42);
-//! let (tx, rx) = builder.mailbox::<u32>("ds1");
-//! let mut rt = builder
-//!     .spawn_node("ds1", move || async move {
-//!         let mailbox = rx.bind();
-//!         let msg = mailbox.recv().await;
-//!         assert_eq!(msg.payload, 7);
-//!     })
-//!     .build();
-//! rt.block_on(async move {
-//!     let tx = tx.bind_src("coord0");
-//!     tx.send(13_500, 7); // one-way WAN latency, in virtual µs
-//!     geotp_simrt::sleep(Duration::from_millis(20)).await;
-//! });
-//! ```
+//! [`RuntimeBuilder`], the declaration-style front door kept for callers
+//! that describe their deployment before building a [`Runtime`].
 
-use std::future::Future;
-use std::sync::Arc;
 use std::time::Duration;
 
-use crate::executor::{PendingSpawn, Runtime};
-use crate::mailbox::{MailboxSender, MailboxToken};
-use crate::topology::{build_lookahead, RunMeta, ShardHooks, Topology};
+use crate::executor::Runtime;
 
-/// Builder for a [`Runtime`]: declare the cluster's nodes and links, choose
-/// the worker count and seed, register node-affine tasks and mailboxes, then
-/// [`RuntimeBuilder::build`].
-///
-/// With `workers(1)` (the default) the runtime is the classic single-threaded
-/// discrete-event executor; the topology is carried as metadata only, so the
-/// schedule is byte-identical with or without node/link declarations. With
-/// `workers(n)` nodes are partitioned across `n` shards (round-robin in
-/// declaration order unless pinned via [`RuntimeBuilder::assign`]) and the
-/// declared link latencies become the conservative lookahead of the barrier
-/// protocol in [`crate::shard`].
+/// Builder for a [`Runtime`]. It accepts seed, node, link and placement
+/// declarations and ignores them: the runtime has one worker, so `build()`
+/// is [`Runtime::new`].
+#[derive(Default)]
 pub struct RuntimeBuilder {
-    topology: Topology,
-    pinned: Vec<bool>,
-    workers: usize,
-    seed: u64,
-    pending: Vec<PendingSpawn>,
-    next_mailbox: u64,
-    shard_hooks: Vec<ShardHooks>,
-}
-
-impl Default for RuntimeBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
+    _private: (),
 }
 
 impl RuntimeBuilder {
     pub fn new() -> Self {
-        Self {
-            topology: Topology::default(),
-            pinned: Vec::new(),
-            workers: 1,
-            seed: 0,
-            pending: Vec::new(),
-            next_mailbox: 0,
-            shard_hooks: Vec::new(),
-        }
+        Self::default()
     }
 
-    /// Like [`RuntimeBuilder::new`], but the worker count defaults from the
-    /// `GEOTP_WORKERS` environment variable (unset or invalid → 1). The
-    /// standard entry point for harnesses that should honour the CI
-    /// worker-count matrix.
+    /// Same as [`RuntimeBuilder::new`]; reads no environment variable.
     pub fn from_env() -> Self {
-        let workers = std::env::var("GEOTP_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&w| w >= 1)
-            .unwrap_or(1);
-        Self::new().workers(workers)
+        Self::new()
     }
 
-    fn intern(&mut self, name: &str) -> u32 {
-        let idx = self.topology.add_node(name);
-        if idx as usize == self.pinned.len() {
-            self.pinned.push(false);
-        }
-        idx
-    }
-
-    /// Declare a node (data source, coordinator, client driver…). Declaring
-    /// the same name twice is idempotent; declaration order determines the
-    /// default shard placement.
-    pub fn node(mut self, name: &str) -> Self {
-        self.intern(name);
+    pub fn seed(self, _seed: u64) -> Self {
         self
     }
 
-    /// Declare a symmetric link between two nodes with round-trip time
-    /// `rtt`. Auto-declares unknown endpoints. The link's one-way latency
-    /// (floored at 1µs) bounds how early messages can cross between the
-    /// endpoints' shards.
-    pub fn link(mut self, a: &str, b: &str, rtt: Duration) -> Self {
-        let a = self.intern(a);
-        let b = self.intern(b);
-        self.topology.add_link(a, b, rtt.as_micros() as u64);
+    pub fn node(self, _name: &str) -> Self {
         self
     }
 
-    /// Pin `node` to a specific worker shard, overriding round-robin
-    /// placement. Useful for keeping chatty zero-latency neighbours
-    /// co-resident.
-    pub fn assign(mut self, node: &str, shard: u32) -> Self {
-        let idx = self.intern(node);
-        self.topology.set_shard(idx, shard);
-        self.pinned[idx as usize] = true;
+    pub fn link(self, _a: &str, _b: &str, _rtt: Duration) -> Self {
         self
     }
 
-    /// Number of worker shards. `1` (the default) is the historical
-    /// single-threaded executor.
-    pub fn workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "workers must be >= 1");
-        self.workers = workers;
+    pub fn assign(self, _node: &str, _shard: u32) -> Self {
         self
     }
 
-    /// Root seed for the run; per-component RNG streams derive from it via
-    /// [`crate::RuntimeHandle::stream_seed`].
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+    pub fn build(self) -> Runtime {
+        Runtime::new()
     }
+}
 
-    /// Register a task with affinity to `node`: at start-of-run it is
-    /// spawned on the node's shard, before the root future's first poll,
-    /// in declaration order. The closure runs on the shard's thread, so the
-    /// future it returns may freely hold `Rc`/`RefCell` state created there.
-    pub fn spawn_node<F, Fut>(mut self, node: &str, f: F) -> Self
-    where
-        F: FnOnce() -> Fut + Send + 'static,
-        Fut: Future<Output = ()> + 'static,
-    {
-        let node = self.intern(node);
-        self.pending.push(PendingSpawn {
-            node,
-            thunk: Box::new(move || {
-                drop(crate::spawn(f()));
-            }),
-        });
-        self
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{sleep, spawn, sync::mpsc, RunMetrics};
 
-    /// Register a per-shard lifecycle hook pair. `enter(shard)` runs on each
-    /// shard's thread after the runtime context is active but before any
-    /// node-affine task (or the root future) is polled; `teardown(shard)`
-    /// runs on the same thread once the shard's event loop has finished,
-    /// while its thread-local state is still alive. Hooks run strictly
-    /// outside the event loop — they see virtual time frozen and cannot
-    /// perturb the deterministic schedule.
-    ///
-    /// The canonical use is per-shard telemetry collection: install a fresh
-    /// thread-local collector on enter, deposit it into a shared merge sink
-    /// on teardown (see `geotp_telemetry`'s `RuntimeBuilderTelemetryExt`).
-    /// Hooks fire once per `block_on`; runtimes using them should be driven
-    /// by a single `block_on` call.
-    pub fn shard_scope(
-        mut self,
-        enter: impl Fn(u32) + Send + Sync + 'static,
-        teardown: impl Fn(u32) + Send + Sync + 'static,
-    ) -> Self {
-        self.shard_hooks.push(ShardHooks {
-            enter: Arc::new(enter),
-            teardown: Arc::new(teardown),
-        });
-        self
-    }
-
-    /// Allocate a mailbox owned by `node`. Returns the `Send + Clone`
-    /// sending half and the one-shot token the owning task uses to
-    /// [`MailboxToken::bind`] the receiving half on its shard. (`&mut self`
-    /// so handles can be captured by later `spawn_node` closures.)
-    pub fn mailbox<T: Send + 'static>(
-        &mut self,
-        node: &str,
-    ) -> (MailboxSender<T>, MailboxToken<T>) {
-        let owner = self.intern(node);
-        let id = self.next_mailbox;
-        self.next_mailbox += 1;
-        (MailboxSender::new(id, owner), MailboxToken::new(id, owner))
-    }
-
-    /// Finalize shard placement and produce the [`Runtime`].
-    pub fn build(mut self) -> Runtime {
-        self.topology
-            .assign_round_robin(self.workers as u32, &self.pinned);
-        for (i, &pinned) in self.pinned.iter().enumerate() {
-            if pinned {
-                let shard = self.topology.shard_of(i as u32);
-                assert!(
-                    (shard as usize) < self.workers,
-                    "node '{}' pinned to shard {shard} but workers = {}",
-                    self.topology.node_name(i as u32),
-                    self.workers
-                );
+    /// Eight spawned tasks sleep staggered amounts and report over a
+    /// channel; returns the run's counters and its final clock.
+    fn run_workload(mut rt: Runtime) -> (RunMetrics, u64, u64) {
+        let sum = rt.block_on(async {
+            let (tx, mut rx) = mpsc::unbounded();
+            for i in 0..8u64 {
+                let tx = tx.clone();
+                spawn(async move {
+                    for round in 0..3 {
+                        sleep(Duration::from_micros(100 * (i + 1) + 7 * round)).await;
+                        tx.send(i * round).unwrap();
+                    }
+                });
             }
-        }
-        let lookahead = build_lookahead(&self.topology, self.workers);
-        let meta = Arc::new(RunMeta {
-            seed: self.seed,
-            workers: self.workers,
-            topology: self.topology,
-            lookahead,
-            shard_hooks: self.shard_hooks,
+            drop(tx);
+            let mut sum = 0;
+            while let Some(v) = rx.recv().await {
+                sum += v;
+            }
+            sum
         });
-        Runtime::from_parts(meta, self.pending)
+        (rt.metrics(), rt.now_micros(), sum)
+    }
+
+    /// The declaration chain a deployment builds its runtime with runs a
+    /// workload exactly like [`Runtime::new`]: same counters, same clock.
+    #[test]
+    fn declared_deployment_runs_like_a_plain_runtime() {
+        let mut builder = RuntimeBuilder::from_env().seed(42).node("client");
+        for (i, rtt_ms) in [0u64, 27, 73, 251].into_iter().enumerate() {
+            let ds = format!("ds{i}");
+            builder = builder
+                .assign("mw0", 0)
+                .link("mw0", &ds, Duration::from_millis(rtt_ms))
+                .assign(&ds, 0);
+        }
+        let declared = run_workload(builder.build());
+        let plain = run_workload(Runtime::new());
+        assert_eq!(declared, plain);
+        let (metrics, now, sum) = plain;
+        assert_eq!(metrics.tasks_spawned, 8);
+        assert_eq!(metrics.timers_registered, 24);
+        assert_eq!(now, 2_421);
+        assert_eq!(sum, 84);
     }
 }

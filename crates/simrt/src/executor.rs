@@ -19,15 +19,11 @@
 //!   (see [`crate::timer_heap`]) into a reusable scratch buffer under a
 //!   single `RefCell` borrow.
 //!
-//! ## One loop, two modes
+//! ## One loop
 //!
-//! [`RuntimeInner::run_window`] is the poll loop shared by both execution
-//! modes. Single-worker runs ([`Runtime::block_on`] with `workers(1)`, the
-//! default) call it once with no time limit — byte-for-byte the historical
-//! single-threaded schedule. Multi-worker runs (built via
-//! [`crate::RuntimeBuilder::workers`]) give every worker shard its own
-//! `RuntimeInner` and drive the same loop window-by-window under the
-//! conservative barrier protocol in [`crate::shard`].
+//! [`RuntimeInner::run`] is the whole schedule: one thread, one ready queue,
+//! one clock, one timer heap, run until the root future completes. The same
+//! program and seed therefore produce the same bytes on every run.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -37,12 +33,9 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
-use crate::mailbox::{DeliverHook, Envelope};
-use crate::shard::ShardLink;
 use crate::task::{JoinHandle, JoinState};
 use crate::time::SimInstant;
-use crate::timer_heap::{TimerEntry, TimerHeap, CLASS_DELIVERY, CLASS_NORMAL};
-use crate::topology::RunMeta;
+use crate::timer_heap::{TimerEntry, TimerHeap};
 
 /// Identifier of a spawned task within one runtime: slab slot in the upper
 /// bits, slot generation in the lower 32 (so ids of finished tasks are never
@@ -63,8 +56,8 @@ type LocalFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
 
 /// The waker handed to tasks: pushing the task id back onto the shared ready
 /// queue. The queue lives behind an `Arc<Mutex<..>>` purely to satisfy the
-/// `Send + Sync` bound on [`Wake`]; each shard's runtime is single-threaded
-/// and the mutex is never contended.
+/// `Send + Sync` bound on [`Wake`]; the runtime is single-threaded and the
+/// mutex is never contended.
 struct QueueWaker {
     task_id: TaskId,
     queue: Arc<Mutex<VecDeque<TaskId>>>,
@@ -81,7 +74,6 @@ impl Wake for QueueWaker {
 
 /// Counters describing what one `block_on` call did. Exposed so the experiment
 /// harness can report simulator "resource" usage (substitute for Fig. 6a).
-/// In multi-worker runs the counters are summed across shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunMetrics {
     /// Total number of task polls performed.
@@ -92,22 +84,9 @@ pub struct RunMetrics {
     pub timers_registered: u64,
     /// Number of times the virtual clock jumped forward.
     pub clock_advances: u64,
-    /// High-water mark of pending timers, abandoned ones included (a timer
-    /// whose future was dropped stays pending until its deadline). In
-    /// multi-worker runs the per-shard peaks are summed: an upper bound on
-    /// the run-wide peak, since shards need not peak at the same instant.
+    /// Exact high-water mark of pending timers, abandoned ones included (a
+    /// timer whose future was dropped stays pending until its deadline).
     pub timers_pending_peak: u64,
-}
-
-impl RunMetrics {
-    /// Element-wise sum, for merging per-shard counters.
-    pub(crate) fn merge(&mut self, other: RunMetrics) {
-        self.polls += other.polls;
-        self.tasks_spawned += other.tasks_spawned;
-        self.timers_registered += other.timers_registered;
-        self.clock_advances += other.clock_advances;
-        self.timers_pending_peak += other.timers_pending_peak;
-    }
 }
 
 /// One slab slot. `fut` is `None` both while the task is being polled (the
@@ -123,25 +102,6 @@ struct TaskSlot {
     occupied: bool,
 }
 
-/// The root future's polling context, threaded through [`RuntimeInner::run_window`]
-/// by reference so `block_on` keeps its non-`'static` signature.
-pub(crate) struct RootCtx<'a, F: Future> {
-    pub(crate) fut: Pin<&'a mut F>,
-    pub(crate) waker: &'a Waker,
-    pub(crate) out: &'a mut Option<F::Output>,
-}
-
-/// Why [`RuntimeInner::run_window`] returned.
-pub(crate) enum WindowPause {
-    /// Nothing runnable before the window limit (the caller re-reads the
-    /// next pending deadline when reporting to the barrier).
-    Blocked,
-    /// The root future completed; its output is in `RootCtx::out`.
-    RootDone,
-    /// `should_stop` returned true.
-    Stopped,
-}
-
 pub(crate) struct RuntimeInner {
     now_micros: Cell<u64>,
     tasks: RefCell<Vec<TaskSlot>>,
@@ -150,10 +110,6 @@ pub(crate) struct RuntimeInner {
     timers: RefCell<TimerHeap>,
     /// Scratch buffer for expired timers (reused across clock advances).
     fired: RefCell<Vec<TimerEntry>>,
-    /// Mailbox delivery hooks bound on this shard, by mailbox id.
-    mailboxes: RefCell<crate::hash::FxHashMap<u64, DeliverHook>>,
-    /// Envelopes delivered before their mailbox was bound.
-    pending_mail: RefCell<crate::hash::FxHashMap<u64, Vec<Envelope>>>,
     polls: Cell<u64>,
     tasks_spawned: Cell<u64>,
     timers_registered: Cell<u64>,
@@ -162,7 +118,7 @@ pub(crate) struct RuntimeInner {
 }
 
 impl RuntimeInner {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             now_micros: Cell::new(0),
             tasks: RefCell::new(Vec::new()),
@@ -170,8 +126,6 @@ impl RuntimeInner {
             ready: Arc::new(Mutex::new(VecDeque::new())),
             timers: RefCell::new(TimerHeap::new()),
             fired: RefCell::new(Vec::new()),
-            mailboxes: RefCell::new(crate::hash::FxHashMap::default()),
-            pending_mail: RefCell::new(crate::hash::FxHashMap::default()),
             polls: Cell::new(0),
             tasks_spawned: Cell::new(0),
             timers_registered: Cell::new(0),
@@ -184,7 +138,7 @@ impl RuntimeInner {
         self.now_micros.get()
     }
 
-    pub(crate) fn metrics(&self) -> RunMetrics {
+    fn metrics(&self) -> RunMetrics {
         RunMetrics {
             polls: self.polls.get(),
             tasks_spawned: self.tasks_spawned.get(),
@@ -195,19 +149,7 @@ impl RuntimeInner {
     }
 
     /// Register a timer waking `waker` at `deadline_micros` (virtual time).
-    pub(crate) fn register_timer(&self, deadline_micros: u64, waker: Waker) {
-        self.register(deadline_micros, CLASS_NORMAL, waker);
-    }
-
-    /// Register a message-delivery wake-up. Delivery-class timers sort
-    /// before ordinary timers at an equal deadline, so a message arriving
-    /// at `t` wakes its receiver ahead of local timers for `t` on every
-    /// worker layout.
-    pub(crate) fn register_delivery(&self, deadline_micros: u64, waker: Waker) {
-        self.register(deadline_micros, CLASS_DELIVERY, waker);
-    }
-
-    fn register(&self, deadline_micros: u64, class: u8, waker: Waker) {
+    fn register_timer(&self, deadline_micros: u64, waker: Waker) {
         debug_assert!(
             deadline_micros >= self.now_micros(),
             "timer registered in the past: deadline={deadline_micros} now={}",
@@ -215,19 +157,9 @@ impl RuntimeInner {
         );
         self.timers_registered.set(self.timers_registered.get() + 1);
         let mut timers = self.timers.borrow_mut();
-        timers.push(deadline_micros, class, waker);
+        timers.push(deadline_micros, waker);
         let peak = self.timers_pending_peak.get().max(timers.len() as u64);
         self.timers_pending_peak.set(peak);
-    }
-
-    /// Whether any task is queued to run right now.
-    pub(crate) fn has_ready(&self) -> bool {
-        !self.ready.lock().unwrap().is_empty()
-    }
-
-    /// Earliest pending timer deadline on this shard.
-    pub(crate) fn next_timer_deadline(&self) -> Option<u64> {
-        self.timers.borrow().next_deadline()
     }
 
     fn waker_for(&self, task_id: TaskId) -> Waker {
@@ -235,46 +167,6 @@ impl RuntimeInner {
             task_id,
             queue: Arc::clone(&self.ready),
         }))
-    }
-
-    /// Bind a mailbox delivery hook, replaying any envelopes that arrived
-    /// before the owning task bound the mailbox (sorted by delivery key so
-    /// the replay order is canonical).
-    pub(crate) fn bind_mailbox(&self, id: u64, hook: DeliverHook) {
-        let prev = self.mailboxes.borrow_mut().insert(id, Rc::clone(&hook));
-        assert!(prev.is_none(), "mailbox {id} bound twice");
-        if let Some(mut early) = self.pending_mail.borrow_mut().remove(&id) {
-            early.sort_by_key(|e| (e.deliver_at, e.src_node, e.seq));
-            for env in early {
-                hook(self, env);
-            }
-        }
-    }
-
-    /// Hand an envelope to its mailbox's delivery hook (stashing it if the
-    /// mailbox is not bound yet). Called at send time for local traffic and
-    /// at window barriers for cross-shard traffic — the hook itself is
-    /// identical in both cases, which is what keeps delivery semantics
-    /// independent of the worker layout.
-    pub(crate) fn deliver(&self, env: Envelope) {
-        let hook = self.mailboxes.borrow().get(&env.mailbox).cloned();
-        match hook {
-            Some(hook) => hook(self, env),
-            None => self
-                .pending_mail
-                .borrow_mut()
-                .entry(env.mailbox)
-                .or_default()
-                .push(env),
-        }
-    }
-
-    pub(crate) fn push_root_ready(&self) {
-        self.ready.lock().unwrap().push_back(ROOT_ID);
-    }
-
-    pub(crate) fn root_waker(&self) -> Waker {
-        self.waker_for(ROOT_ID)
     }
 
     /// Insert a task into the slab and schedule it. Safe to call from inside
@@ -312,32 +204,20 @@ impl RuntimeInner {
         id
     }
 
-    /// The executor loop: poll ready tasks; when none are runnable, advance
-    /// the virtual clock to the next timer strictly below `limit` and fire
-    /// every expired timer. Returns when the window limit is reached
-    /// (`Blocked`), the root completes (`RootDone`), or `should_stop` fires
-    /// (`Stopped`). With `limit == None` and a never-true `should_stop`
-    /// this is exactly the historical single-threaded `block_on` loop.
-    pub(crate) fn run_window<F: Future>(
-        &self,
-        limit: Option<u64>,
-        root: &mut Option<RootCtx<'_, F>>,
-        mut should_stop: impl FnMut() -> bool,
-    ) -> WindowPause {
+    /// The executor loop: poll ready tasks in FIFO order; when none is
+    /// runnable, advance the virtual clock to the earliest pending timer and
+    /// fire every timer due by then. Returns the root's output once it
+    /// completes, or `None` when the root is pending while no task is
+    /// runnable and no timer is pending.
+    fn run<F: Future>(&self, mut root: Pin<&mut F>, root_waker: &Waker) -> Option<F::Output> {
         loop {
-            if should_stop() {
-                return WindowPause::Stopped;
-            }
             let next = self.ready.lock().unwrap().pop_front();
             match next {
                 Some(ROOT_ID) => {
-                    // A stale root wake after completion is ignored.
-                    let Some(rc) = root.as_mut() else { continue };
                     self.polls.set(self.polls.get() + 1);
-                    let mut cx = Context::from_waker(rc.waker);
-                    if let Poll::Ready(out) = rc.fut.as_mut().poll(&mut cx) {
-                        *rc.out = Some(out);
-                        return WindowPause::RootDone;
+                    let mut cx = Context::from_waker(root_waker);
+                    if let Poll::Ready(out) = root.as_mut().poll(&mut cx) {
+                        return Some(out);
                     }
                 }
                 Some(id) => {
@@ -381,14 +261,7 @@ impl RuntimeInner {
                     // No runnable task: advance the clock to the next timer
                     // and fire every expired timer under one borrow.
                     let mut timers = self.timers.borrow_mut();
-                    let Some(deadline) = timers.next_deadline() else {
-                        return WindowPause::Blocked;
-                    };
-                    if let Some(limit) = limit {
-                        if deadline >= limit {
-                            return WindowPause::Blocked;
-                        }
-                    }
+                    let deadline = timers.next_deadline()?;
                     debug_assert!(deadline >= self.now_micros());
                     if deadline > self.now_micros() {
                         self.now_micros.set(deadline);
@@ -406,90 +279,50 @@ impl RuntimeInner {
     }
 }
 
-/// Everything the thread-local "current runtime" carries: the shard's
-/// executor, run-wide metadata (seed, workers, topology), and — in
-/// multi-worker mode — the shard's link to the barrier coordinator.
-pub(crate) struct CurrentCtx {
-    pub(crate) inner: Rc<RuntimeInner>,
-    pub(crate) meta: Arc<RunMeta>,
-    pub(crate) shard: Option<ShardLink>,
-}
-
 thread_local! {
-    static CURRENT: RefCell<Option<CurrentCtx>> = const { RefCell::new(None) };
+    static CURRENT: RefCell<Option<Rc<RuntimeInner>>> = const { RefCell::new(None) };
 }
 
 pub(crate) fn with_current<R>(f: impl FnOnce(&Rc<RuntimeInner>) -> R) -> R {
-    with_current_ctx(|ctx| f(&ctx.inner))
-}
-
-pub(crate) fn with_current_ctx<R>(f: impl FnOnce(&CurrentCtx) -> R) -> R {
     CURRENT.with(|cur| {
         let borrow = cur.borrow();
-        let ctx = borrow.as_ref().expect(
+        let inner = borrow.as_ref().expect(
             "geotp-simrt: no runtime is active on this thread; wrap the call in Runtime::block_on",
         );
-        f(ctx)
+        f(inner)
     })
 }
 
-pub(crate) fn try_with_current_ctx<R>(f: impl FnOnce(&CurrentCtx) -> R) -> Option<R> {
+pub(crate) fn try_with_current<R>(f: impl FnOnce(&Rc<RuntimeInner>) -> R) -> Option<R> {
     CURRENT.with(|cur| cur.borrow().as_ref().map(f))
 }
 
-pub(crate) struct CurrentGuard {
-    prev: Option<CurrentCtx>,
-}
+struct CurrentGuard;
 
 impl CurrentGuard {
-    pub(crate) fn enter(ctx: CurrentCtx) -> Self {
+    fn enter(inner: Rc<RuntimeInner>) -> Self {
         CURRENT.with(|cur| {
             let mut slot = cur.borrow_mut();
             assert!(
                 slot.is_none(),
                 "geotp-simrt: nested Runtime::block_on is not supported"
             );
-            let prev = slot.replace(ctx);
-            CurrentGuard { prev }
-        })
+            *slot = Some(inner);
+        });
+        CurrentGuard
     }
 }
 
 impl Drop for CurrentGuard {
     fn drop(&mut self) {
-        CURRENT.with(|cur| {
-            *cur.borrow_mut() = self.prev.take();
-        });
+        CURRENT.with(|cur| *cur.borrow_mut() = None);
     }
 }
 
-/// A node-affine task registered on the builder, to be spawned at t=0 on
-/// the node's shard (before the root future's first poll).
-pub(crate) struct PendingSpawn {
-    pub(crate) node: u32,
-    pub(crate) thunk: Box<dyn FnOnce() + Send>,
-}
-
-enum Mode {
-    /// One worker: the historical single-threaded executor.
-    Single(Rc<RuntimeInner>),
-    /// `workers > 1`: per-shard executors under the conservative barrier.
-    Sharded {
-        ran: bool,
-        /// Per-shard metrics (index = shard) and the max shard clock,
-        /// recorded once `block_on` returns.
-        result: Option<(Vec<RunMetrics>, u64)>,
-    },
-}
-
-/// The simulated-time runtime. Construct via [`Runtime::new`] (single
-/// worker, no topology — the historical entry point) or through
-/// [`crate::RuntimeBuilder`] for topology-aware, optionally multi-worker
-/// execution, then call [`Runtime::block_on`] with the root future.
+/// The simulated-time runtime: construct with [`Runtime::new`], then call
+/// [`Runtime::block_on`] with the root future.
 pub struct Runtime {
-    meta: Arc<RunMeta>,
-    pending: Vec<PendingSpawn>,
-    mode: Mode,
+    inner: Rc<RuntimeInner>,
 }
 
 impl Default for Runtime {
@@ -499,69 +332,21 @@ impl Default for Runtime {
 }
 
 impl Runtime {
-    /// Create a fresh single-worker runtime with the virtual clock at zero.
-    ///
-    /// Thin shim over [`crate::RuntimeBuilder`] kept for the existing call
-    /// sites; equivalent to `RuntimeBuilder::new().build()`.
+    /// Create a fresh runtime with the virtual clock at zero.
     pub fn new() -> Self {
-        crate::RuntimeBuilder::new().build()
-    }
-
-    pub(crate) fn from_parts(meta: Arc<RunMeta>, pending: Vec<PendingSpawn>) -> Self {
-        let mode = if meta.workers > 1 {
-            Mode::Sharded {
-                ran: false,
-                result: None,
-            }
-        } else {
-            Mode::Single(Rc::new(RuntimeInner::new()))
-        };
         Self {
-            meta,
-            pending,
-            mode,
+            inner: Rc::new(RuntimeInner::new()),
         }
     }
 
-    /// Current virtual time in microseconds since start. For multi-worker
-    /// runs this is the maximum across shards, available once `block_on`
-    /// returned.
+    /// Current virtual time in microseconds since start.
     pub fn now_micros(&self) -> u64 {
-        match &self.mode {
-            Mode::Single(inner) => inner.now_micros(),
-            Mode::Sharded { result, .. } => result.as_ref().map(|(_, now)| *now).unwrap_or(0),
-        }
+        self.inner.now_micros()
     }
 
     /// Counters accumulated so far (polls, spawns, timers, clock advances).
-    /// For multi-worker runs the per-shard counters are summed, available
-    /// once `block_on` returned.
     pub fn metrics(&self) -> RunMetrics {
-        self.shard_metrics()
-            .into_iter()
-            .fold(RunMetrics::default(), |mut acc, m| {
-                acc.merge(m);
-                acc
-            })
-    }
-
-    /// Per-shard counters, indexed by shard. In single-worker mode this is a
-    /// one-element vector; in sharded mode it is available once `block_on`
-    /// returned (empty before). The spread across shards is the load-balance
-    /// signal the parallel bench gates on: `sum(polls) / max(polls)` bounds
-    /// the achievable parallel speedup.
-    pub fn shard_metrics(&self) -> Vec<RunMetrics> {
-        match &self.mode {
-            Mode::Single(inner) => vec![inner.metrics()],
-            Mode::Sharded { result, .. } => {
-                result.as_ref().map(|(m, _)| m.clone()).unwrap_or_default()
-            }
-        }
-    }
-
-    /// The number of worker shards this runtime executes on.
-    pub fn workers(&self) -> usize {
-        self.meta.workers
+        self.inner.metrics()
     }
 
     /// Drive `root` to completion, advancing virtual time as needed.
@@ -574,71 +359,28 @@ impl Runtime {
     ///
     /// Panics if the root future is still pending while no task is runnable
     /// and no timer is registered (a genuine deadlock in the simulated
-    /// system), or if `block_on` is re-entered on the same thread. A
-    /// multi-worker runtime additionally panics when `block_on` is called
-    /// twice (per-shard state does not outlive the worker threads).
+    /// system), or if `block_on` is re-entered on the same thread.
     pub fn block_on<F: Future>(&mut self, root: F) -> F::Output {
-        let pending = std::mem::take(&mut self.pending);
-        match &mut self.mode {
-            Mode::Single(inner) => {
-                let inner = Rc::clone(inner);
-                let _guard = CurrentGuard::enter(CurrentCtx {
-                    inner: Rc::clone(&inner),
-                    meta: Arc::clone(&self.meta),
-                    shard: None,
-                });
-                for hooks in &self.meta.shard_hooks {
-                    (hooks.enter)(0);
-                }
-                // Node-affine tasks enter the ready queue ahead of the root,
-                // matching the per-shard startup order of multi-worker runs.
-                for spawn in pending {
-                    (spawn.thunk)();
-                }
-                let mut root = Box::pin(root);
-                let root_waker = inner.root_waker();
-                inner.push_root_ready();
-                let mut out = None;
-                let mut root_ctx = Some(RootCtx {
-                    fut: root.as_mut(),
-                    waker: &root_waker,
-                    out: &mut out,
-                });
-                match inner.run_window(None, &mut root_ctx, || false) {
-                    WindowPause::RootDone => {
-                        for hooks in self.meta.shard_hooks.iter().rev() {
-                            (hooks.teardown)(0);
-                        }
-                        out.expect("root future completed")
-                    }
-                    WindowPause::Blocked => panic!(
-                        "geotp-simrt: simulation deadlock at t={}us — the root task is \
-                         pending but no task is runnable and no timer is registered",
-                        inner.now_micros()
-                    ),
-                    WindowPause::Stopped => unreachable!("single mode never stops early"),
-                }
-            }
-            Mode::Sharded { ran, result } => {
-                assert!(
-                    !*ran,
-                    "geotp-simrt: a multi-worker Runtime supports exactly one block_on"
-                );
-                *ran = true;
-                let (out, metrics, now) =
-                    crate::shard::run_sharded(Arc::clone(&self.meta), pending, root);
-                *result = Some((metrics, now));
-                out
-            }
+        let inner = Rc::clone(&self.inner);
+        let _guard = CurrentGuard::enter(Rc::clone(&inner));
+        let mut root = Box::pin(root);
+        let root_waker = inner.waker_for(ROOT_ID);
+        inner.ready.lock().unwrap().push_back(ROOT_ID);
+        match inner.run(root.as_mut(), &root_waker) {
+            Some(out) => out,
+            None => panic!(
+                "geotp-simrt: simulation deadlock at t={}us — the root task is \
+                 pending but no task is runnable and no timer is registered",
+                inner.now_micros()
+            ),
         }
     }
 }
 
-/// Spawn a new asynchronous task onto the currently running runtime (the
-/// calling thread's shard, in multi-worker mode).
+/// Spawn a new asynchronous task onto the currently running runtime.
 ///
 /// The returned [`JoinHandle`] can be awaited for the task's output. Unlike
-/// tokio, futures do not need to be `Send`: each shard is single-threaded.
+/// tokio, futures do not need to be `Send`: the runtime is single-threaded.
 ///
 /// # Panics
 ///

@@ -1,12 +1,12 @@
 //! The executor's pending-timer store: one binary min-heap keyed
-//! `(deadline, class, seq)`.
+//! `(deadline, seq)`.
 //!
 //! Timers fire in key order, and that order is the heap's pop order — there
 //! is nothing to re-establish after the fact. `seq` is the registration
-//! sequence number, so timers of one class due at the same instant fire in
-//! the order they were registered, and [`TimerHeap::next_deadline`] is the
-//! *exact* minimum pending deadline (a `peek`), which is what keeps the
-//! executor's one-clock-jump-per-advance accounting (`clock_advances`) exact.
+//! sequence number, so timers due at the same instant fire in the order they
+//! were registered, and [`TimerHeap::next_deadline`] is the *exact* minimum
+//! pending deadline (a `peek`), which is what keeps the executor's
+//! one-clock-jump-per-advance accounting (`clock_advances`) exact.
 //!
 //! Nothing is ever cancelled: a timer whose future was dropped (a granted
 //! lock wait's 5 s timeout, a vote wait's 30 s one) stays until its deadline
@@ -14,37 +14,21 @@
 //! costs O(log n) on its way in and out and nothing in between; the
 //! benchmark's five workloads peak at 300 to 9 100 pending timers
 //! ([`crate::RunMetrics::timers_pending_peak`]), a heap at most 14 deep.
-//!
-//! ## Delivery class
-//!
-//! Cross-node mailbox deliveries register with [`CLASS_DELIVERY`] (0),
-//! which sorts before [`CLASS_NORMAL`] (1) at an equal deadline. This is
-//! the cross-shard determinism anchor: a message arriving at instant `t`
-//! wakes its receiver *before* any local timer scheduled for `t`,
-//! regardless of registration order — and therefore regardless of whether
-//! the sender lived on the same shard (registered at send time) or a
-//! remote one (registered at the window barrier).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::task::Waker;
 
-/// Firing class for cross-node message deliveries (sorts first).
-pub(crate) const CLASS_DELIVERY: u8 = 0;
-/// Firing class for ordinary timers (`sleep` etc.).
-pub(crate) const CLASS_NORMAL: u8 = 1;
-
 /// One registered timer.
 pub(crate) struct TimerEntry {
     deadline: u64,
-    class: u8,
     seq: u64,
     pub(crate) waker: Waker,
 }
 
 impl TimerEntry {
-    fn key(&self) -> (u64, u8, u64) {
-        (self.deadline, self.class, self.seq)
+    fn key(&self) -> (u64, u64) {
+        (self.deadline, self.seq)
     }
 }
 
@@ -69,7 +53,7 @@ impl PartialEq for TimerEntry {
 
 impl Eq for TimerEntry {}
 
-/// The heap. Single-threaded; owned by one shard's `RuntimeInner`.
+/// The heap. Single-threaded; owned by the executor's `RuntimeInner`.
 pub(crate) struct TimerHeap {
     heap: BinaryHeap<TimerEntry>,
     next_seq: u64,
@@ -89,12 +73,11 @@ impl TimerHeap {
     }
 
     /// Register a timer.
-    pub(crate) fn push(&mut self, deadline: u64, class: u8, waker: Waker) {
+    pub(crate) fn push(&mut self, deadline: u64, waker: Waker) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(TimerEntry {
             deadline,
-            class,
             seq,
             waker,
         });
@@ -106,7 +89,7 @@ impl TimerHeap {
     }
 
     /// Append every entry with `deadline <= now` to `out` in
-    /// `(deadline, class, seq)` order.
+    /// `(deadline, seq)` order.
     pub(crate) fn expire(&mut self, now: u64, out: &mut Vec<TimerEntry>) {
         while self.heap.peek().is_some_and(|e| e.deadline <= now) {
             out.extend(self.heap.pop());
@@ -148,19 +131,19 @@ mod tests {
             }
         }
 
-        fn push(&mut self, deadline: u64, class: u8) -> (u64, u8, u64) {
+        fn push(&mut self, deadline: u64) -> (u64, u64) {
             let seq = self.heap.next_seq;
             let waker = Waker::from(Arc::new(LogWaker {
                 seq,
                 log: Arc::clone(&self.log),
             }));
-            self.heap.push(deadline, class, waker);
-            (deadline, class, seq)
+            self.heap.push(deadline, waker);
+            (deadline, seq)
         }
 
         /// Expire to `now`, wake what fired, and return the fired keys after
         /// checking each entry woke the waker it was registered with.
-        fn fire_upto(&mut self, now: u64) -> Vec<(u64, u8, u64)> {
+        fn fire_upto(&mut self, now: u64) -> Vec<(u64, u64)> {
             let mut out = Vec::new();
             self.heap.expire(now, &mut out);
             let keys: Vec<_> = out.iter().map(TimerEntry::key).collect();
@@ -168,7 +151,7 @@ mod tests {
                 entry.waker.wake();
             }
             let woken = std::mem::take(&mut *self.log.lock().unwrap());
-            assert_eq!(woken, keys.iter().map(|k| k.2).collect::<Vec<_>>());
+            assert_eq!(woken, keys.iter().map(|k| k.1).collect::<Vec<_>>());
             keys
         }
     }
@@ -176,29 +159,28 @@ mod tests {
     #[test]
     fn fires_in_deadline_then_seq_order() {
         let mut h = Harness::new();
-        h.push(20, CLASS_NORMAL);
-        h.push(10, CLASS_NORMAL);
-        h.push(10, CLASS_NORMAL);
+        h.push(20);
+        h.push(10);
+        h.push(10);
         assert_eq!(h.heap.next_deadline(), Some(10));
-        assert_eq!(h.fire_upto(10), vec![(10, 1, 1), (10, 1, 2)]);
+        assert_eq!(h.fire_upto(10), vec![(10, 1), (10, 2)]);
         assert_eq!(h.heap.next_deadline(), Some(20));
-        assert_eq!(h.fire_upto(20), vec![(20, 1, 0)]);
+        assert_eq!(h.fire_upto(20), vec![(20, 0)]);
         assert_eq!(h.heap.next_deadline(), None);
     }
 
-    #[test]
-    fn delivery_class_fires_before_normal_at_equal_deadline() {
-        let mut h = Harness::new();
-        h.push(50, CLASS_NORMAL); // seq 0
-        h.push(50, CLASS_DELIVERY); // seq 1
-        assert_eq!(h.fire_upto(50), vec![(50, 0, 1), (50, 1, 0)]);
+    fn splitmix64(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
     }
 
     /// Differential test: the heap must agree with a sorted `Vec` on a long
     /// seeded schedule of interleaved `push` / `next_deadline` / `expire`.
     /// The inputs keep the edges of the seven-level, 64-slot hierarchical
     /// wheel this heap replaced — horizons of 64^k ± 1 µs for k = 1..7 and
-    /// beyond 64^7, equal deadlines in both classes, and expiry to an instant
+    /// beyond 64^7, equal deadlines registered apart, and expiry to an instant
     /// strictly between two deadlines — because a store that treats any of
     /// them specially is exactly what must never come back unnoticed.
     #[test]
@@ -214,11 +196,11 @@ mod tests {
         let mut draws = 0xfeed_f00d_u64;
         let mut rng = || {
             draws += 1;
-            crate::handle::splitmix64(draws)
+            splitmix64(draws)
         };
         let mut h = Harness::new();
-        // Reference: every pending `(deadline, class, seq)`, kept sorted.
-        let mut model: Vec<(u64, u8, u64)> = Vec::new();
+        // Reference: every pending `(deadline, seq)`, kept sorted.
+        let mut model: Vec<(u64, u64)> = Vec::new();
         let mut now = 0u64;
         let mut expired_between = 0;
         for round in 0..3_000 {
@@ -230,11 +212,10 @@ mod tests {
                     8 => rng() % (HORIZON / 2),
                     _ => HORIZON + rng() % HORIZON,
                 };
-                let class = (rng() % 2) as u8;
-                model.push(h.push(now + horizon, class));
+                model.push(h.push(now + horizon));
                 if rng().is_multiple_of(4) {
-                    // The same instant in the other class, registered later.
-                    model.push(h.push(now + horizon, class ^ 1));
+                    // The same instant, registered later.
+                    model.push(h.push(now + horizon));
                 }
             }
             model.sort_unstable();

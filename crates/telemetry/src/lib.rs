@@ -41,21 +41,17 @@
 //! });
 //! ```
 
-mod auto_deposit;
 mod critical_path;
 mod export;
-mod frozen;
 mod histogram;
 mod registry;
 mod span;
 mod tracer;
 
-pub use auto_deposit::RuntimeBuilderTelemetryExt;
 pub use critical_path::{aggregate_critical_path, critical_path, CriticalPath};
 pub use export::{
     chrome_trace_json, metrics_timeline_csv, write_chrome_trace, write_metrics_timeline_csv,
 };
-pub use frozen::{FrozenTelemetry, ShardTelemetry};
 pub use histogram::Histogram;
 pub use registry::{MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use span::{NodeClass, Span, SpanId, SpanKind, TraceNode, SPAN_KINDS};

@@ -5,7 +5,7 @@
 //! Keys are `(&'static str, &'static str, u32)` so hot-path increments never
 //! allocate: the name is the metric family (`"net.messages"`), the label a
 //! static qualifier (`"queue_full"`, `""` when unused), and the index a node
-//! or shard number. Snapshots sort keys before emitting, so output order is
+//! number. Snapshots sort keys before emitting, so output order is
 //! deterministic regardless of hash-map iteration order.
 
 use std::cell::RefCell;
@@ -201,35 +201,6 @@ impl MetricsRegistry {
                 .unwrap_or(SimInstant::from_micros(0)),
             entries,
         }
-    }
-
-    /// Dump the raw registry contents as key-sorted vectors — the `Send`
-    /// form the cross-shard merge works on.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn dump(
-        &self,
-    ) -> (
-        Vec<(MetricKey, u64)>,
-        Vec<(MetricKey, i64)>,
-        Vec<(MetricKey, Histogram)>,
-    ) {
-        let mut counters: Vec<_> = self
-            .counters
-            .borrow()
-            .iter()
-            .map(|(k, v)| (*k, *v))
-            .collect();
-        counters.sort_unstable_by_key(|(k, _)| *k);
-        let mut gauges: Vec<_> = self.gauges.borrow().iter().map(|(k, v)| (*k, *v)).collect();
-        gauges.sort_unstable_by_key(|(k, _)| *k);
-        let mut histograms: Vec<_> = self
-            .histograms
-            .borrow()
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        histograms.sort_unstable_by_key(|(k, _)| *k);
-        (counters, gauges, histograms)
     }
 
     /// Take a snapshot and append it to the internal timeline.

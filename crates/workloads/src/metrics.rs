@@ -67,13 +67,22 @@ impl ThroughputTimeline {
     /// # Panics
     ///
     /// Panics when the window lengths differ — there is no faithful rebinning
-    /// between different resolutions.
+    /// between different resolutions — or when the two starts are not a
+    /// whole number of windows apart, since one window's count cannot be
+    /// split across two.
     pub fn merge(&mut self, other: &ThroughputTimeline) {
         assert_eq!(
             self.window, other.window,
             "cannot merge throughput timelines with different windows"
         );
         let window_micros = self.window.as_micros().max(1) as u64;
+        assert!(
+            self.start
+                .as_micros()
+                .abs_diff(other.start.as_micros())
+                .is_multiple_of(window_micros),
+            "cannot merge throughput timelines whose starts are not a whole number of windows apart"
+        );
         let new_start =
             SimInstant::from_micros(self.start.as_micros().min(other.start.as_micros()));
         let self_shift = (self.start.as_micros() - new_start.as_micros()) / window_micros;
@@ -438,6 +447,19 @@ mod tests {
     fn merging_mismatched_windows_is_rejected() {
         let mut a = ThroughputTimeline::new(SimInstant::ZERO, Duration::from_secs(1));
         let b = ThroughputTimeline::new(SimInstant::ZERO, Duration::from_millis(100));
+        a.merge(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of windows")]
+    fn merging_starts_a_partial_window_apart_is_rejected() {
+        // A 1 s timeline starting at 0.5 s bins a commit at absolute 1.2 s
+        // into its window 0; on a timeline starting at 0 it belongs in
+        // window 1, and no shift by whole windows can put it there.
+        let mut a = ThroughputTimeline::new(SimInstant::ZERO, Duration::from_secs(1));
+        let mut b =
+            ThroughputTimeline::new(SimInstant::from_micros(500_000), Duration::from_secs(1));
+        b.record_commit(SimInstant::from_micros(1_200_000));
         a.merge(&b);
     }
 }
