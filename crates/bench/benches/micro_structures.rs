@@ -10,9 +10,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use geotp_middleware::{
-    BranchPlan, GeoScheduler, GlobalKey, HotspotConfig, HotspotFootprint, SchedulerConfig,
-};
+use geotp_middleware::hotspot::DEFAULT_CAPACITY;
+use geotp_middleware::{BranchPlan, GeoScheduler, GlobalKey, HotspotFootprint, SchedulerConfig};
 use geotp_simrt::Runtime;
 use geotp_storage::{Key, LockManager, LockMode, TableId, Xid};
 use geotp_workloads::ZipfianGenerator;
@@ -144,7 +143,7 @@ fn bench_hotspot(c: &mut Criterion) {
     c.bench_function("hotspot/feedback_and_forecast", |b| {
         let keys: Vec<GlobalKey> = (0..5).map(|i| GlobalKey::new(TableId(0), i)).collect();
         b.iter_batched(
-            || HotspotFootprint::new(HotspotConfig::default()),
+            || HotspotFootprint::new(DEFAULT_CAPACITY),
             |mut fp| {
                 for _ in 0..200 {
                     fp.on_access_start(&keys);
@@ -173,10 +172,7 @@ fn bench_hotspot_eviction(c: &mut Criterion) {
         c.bench_function(&format!("hotspot/lru_eviction_churn_cap_{capacity}"), |b| {
             b.iter_batched(
                 || {
-                    let mut fp = HotspotFootprint::new(HotspotConfig {
-                        capacity,
-                        ..HotspotConfig::default()
-                    });
+                    let mut fp = HotspotFootprint::new(capacity);
                     // Fill to capacity (untimed) so the measured loop is pure
                     // touch+insert+evict churn.
                     for i in 0..capacity as u64 {
@@ -224,9 +220,9 @@ fn bench_scheduler(c: &mut Criterion) {
                         &(0..4)
                             .map(geotp_net::NodeId::data_source)
                             .collect::<Vec<_>>(),
-                        geotp_net::MonitorConfig::default(),
                     );
-                    let scheduler = GeoScheduler::new(SchedulerConfig::default(), monitor);
+                    let scheduler =
+                        GeoScheduler::new(SchedulerConfig::default(), monitor, true, true);
                     let plans: Vec<BranchPlan> = (0..4)
                         .map(|i| BranchPlan {
                             ds_index: i,

@@ -23,7 +23,7 @@
 //! * **`Single`** — one [`Middleware`]. Failover is *scripted* (§V-A: a
 //!   successor shares the durable commit log and replays it), and the
 //!   clock-skew bookkeeping lives here;
-//! * **`Tier`** ([`ChaosConfig::tier`] set) — a [`CoordinatorCluster`] of N
+//! * **`Tier`** ([`ChaosConfig::tier`] set) — a [`CoordinatorCluster`] of two
 //!   coordinators, each with its own commit log and gtrid space, behind the
 //!   consistent-hash session router. Nobody scripts a failover: the tier's
 //!   own lease heartbeats (over the simulated network, so partitions starve
@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use geotp_cluster::{
     wire, AdmissionPolicy, ClusterConfig, CoordinatorCluster, MembershipConfig,
-    SessionReaperConfig, Wiring,
+    SessionReaperConfig, Wiring, SUPERVISOR_INTERVAL,
 };
 use geotp_datasource::{DataSource, Dialect};
 use geotp_middleware::session::RetryPolicy;
@@ -60,6 +60,28 @@ use crate::schedule::{FaultEvent, FaultSchedule};
 use crate::trace::EventTrace;
 use crate::workload::ChaosWorkload;
 
+/// Coordinator↔data-source RTTs in milliseconds, one entry per data source
+/// and shared by every coordinator (inter-source RTT is the max of the
+/// endpoints').
+pub(crate) const DS_RTTS_MS: [u64; 3] = [10, 60, 120];
+
+/// Rows per data source (transfer workload).
+pub(crate) const RECORDS_PER_NODE: u64 = 200;
+
+/// Initial integer balance of every row (transfer workload).
+pub(crate) const INITIAL_BALANCE: i64 = 1_000;
+
+/// Storage lock-wait timeout (short, so induced deadlocks resolve fast).
+const LOCK_WAIT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Coordinator decision-wait timeout (bounds vote/rollback waits when a
+/// participant dies).
+pub(crate) const DECISION_WAIT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Liveness horizon: the workload must drain within this much virtual time
+/// or the liveness invariant is declared violated.
+pub(crate) const HORIZON: Duration = Duration::from_secs(300);
+
 /// Parameters of a chaos run.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
@@ -67,28 +89,12 @@ pub struct ChaosConfig {
     /// network jitter, scheduler lotteries. Same seed + same schedule ⇒
     /// bit-identical trace.
     pub seed: u64,
-    /// Coordinator↔data-source RTTs in milliseconds (one entry per data
-    /// source, shared by every coordinator; inter-source RTT is the max of
-    /// the endpoints').
-    pub ds_rtts_ms: Vec<u64>,
-    /// Rows per data source (transfer workload).
-    pub records_per_node: u64,
-    /// Initial integer balance of every row (transfer workload).
-    pub initial_balance: i64,
     /// Concurrent client loops (one durable session id each).
     pub clients: usize,
     /// Transactions each client performs.
     pub txns_per_client: usize,
     /// Fraction of transfers that cross data sources (transfer workload).
     pub distributed_ratio: f64,
-    /// Storage lock-wait timeout (short, so induced deadlocks resolve fast).
-    pub lock_wait_timeout: Duration,
-    /// Coordinator decision-wait timeout (bounds vote/rollback waits when a
-    /// participant dies).
-    pub decision_wait_timeout: Duration,
-    /// Liveness horizon: the workload must drain within this much virtual
-    /// time or the liveness invariant is declared violated.
-    pub horizon: Duration,
     /// Commit protocol under test.
     pub protocol: Protocol,
     /// Checker-validation fail point: every n-th read on every engine skips
@@ -127,12 +133,8 @@ pub struct ChaosConfig {
     /// the snapshot-read fast path (no prepare, no WAL flush, no locks
     /// under `SnapshotRead` isolation). Off by default.
     pub snapshot_reads: bool,
-    /// Extra trace-oracle rules evaluated after the built-ins on traced
-    /// runs (see [`crate::invariants::trace::TraceRule`]). Empty by
-    /// default.
-    pub trace_rules: crate::invariants::trace::TraceRules,
     /// The front door. `None` (the default) deploys one middleware; `Some`
-    /// deploys a coordinator tier with these dimensions.
+    /// deploys a coordinator tier with these overload knobs.
     pub tier: Option<TierConfig>,
 }
 
@@ -140,15 +142,9 @@ impl Default for ChaosConfig {
     fn default() -> Self {
         Self {
             seed: 42,
-            ds_rtts_ms: vec![10, 60, 120],
-            records_per_node: 200,
-            initial_balance: 1_000,
             clients: 4,
             txns_per_client: 25,
             distributed_ratio: 0.5,
-            lock_wait_timeout: Duration::from_secs(2),
-            decision_wait_timeout: Duration::from_secs(2),
-            horizon: Duration::from_secs(300),
             protocol: Protocol::geotp(),
             isolation_bug_read_stride: None,
             commit_before_flush_bug: false,
@@ -157,7 +153,6 @@ impl Default for ChaosConfig {
             isolation: IsolationLevel::Serializable2pl,
             group_commit_window: Duration::ZERO,
             snapshot_reads: false,
-            trace_rules: crate::invariants::trace::TraceRules::default(),
             tier: None,
         }
     }
@@ -166,94 +161,69 @@ impl Default for ChaosConfig {
 impl ChaosConfig {
     /// Number of data sources.
     pub fn nodes(&self) -> u32 {
-        self.ds_rtts_ms.len() as u32
+        DS_RTTS_MS.len() as u32
     }
 
     /// Number of coordinators behind the front door.
     pub fn coordinators(&self) -> usize {
-        self.tier.as_ref().map_or(1, |tier| tier.coordinators)
+        if self.tier.is_some() {
+            TIER_COORDINATORS
+        } else {
+            1
+        }
     }
 }
 
-/// The tier dimensions of a multi-coordinator chaos run.
-#[derive(Debug, Clone)]
+/// Coordinator slots of a tier run.
+const TIER_COORDINATORS: usize = 2;
+
+/// Coordinator↔control-node RTT of a tier run, in milliseconds.
+const TIER_CONTROL_RTT_MS: u64 = 2;
+
+/// The overload knobs of a tier run. The tier itself is fixed: two
+/// coordinators, leases and heartbeats per [`MembershipConfig::default`], a
+/// supervisor scan every [`SUPERVISOR_INTERVAL`] and a 2 ms control-node RTT.
+#[derive(Debug, Clone, Default)]
 pub struct TierConfig {
-    /// Number of coordinator slots.
-    pub coordinators: usize,
-    /// Lease/heartbeat parameters (the failure-detection clock of the tier).
-    pub membership: MembershipConfig,
-    /// Supervisor scan cadence.
-    pub supervisor_interval: Duration,
-    /// Coordinator↔control-node RTT in milliseconds.
-    pub control_rtt_ms: u64,
     /// Per-coordinator worker capacity (`0` = unbounded).
     pub max_inflight: usize,
     /// Admission policy at each coordinator's capacity gate.
     pub admission: AdmissionPolicy,
     /// Idle-session reaper schedule (`None` = never reap).
     pub session_reaper: Option<SessionReaperConfig>,
-    /// When set, the run drives a flash crowd (idle-session registration +
-    /// zipfian arrival spike) instead of/alongside the per-client loops.
-    pub flash_crowd: Option<FlashCrowdConfig>,
+    /// Drive a flash crowd alongside the per-client loops: 200 000 mostly
+    /// idle sessions are registered up front (router affinity + registry
+    /// entries on every coordinator), then a sudden open-loop arrival spike
+    /// hits a zipfian hot set of those sessions — typically with a
+    /// coordinator failover armed mid-spike and bounded admission shedding
+    /// the overflow.
+    pub flash_crowd: bool,
 }
 
-impl Default for TierConfig {
-    fn default() -> Self {
-        Self {
-            coordinators: 2,
-            membership: MembershipConfig {
-                lease: Duration::from_millis(1_500),
-                heartbeat_interval: Duration::from_millis(500),
-            },
-            supervisor_interval: Duration::from_millis(500),
-            control_rtt_ms: 2,
-            max_inflight: 0,
-            admission: AdmissionPolicy::default(),
-            session_reaper: None,
-            flash_crowd: None,
-        }
-    }
-}
+/// Sessions a flash crowd registers before its spike (the mostly-idle
+/// crowd).
+const FLASH_CROWD_IDLE_SESSIONS: u64 = 200_000;
 
-/// The flash-crowd drive: a large mostly-idle session population is
-/// registered up front (router affinity + registry entries on every
-/// coordinator), then a sudden open-loop arrival spike hits a zipfian hot
-/// set of those sessions — typically with a coordinator failover armed
-/// mid-spike and bounded admission shedding the overflow.
-#[derive(Debug, Clone, Copy)]
-pub struct FlashCrowdConfig {
-    /// Sessions registered before the spike (the mostly-idle crowd).
-    pub idle_sessions: u64,
-    /// When the arrival spike starts.
-    pub spike_at: Duration,
-    /// How long the spike lasts.
-    pub spike_duration: Duration,
-    /// Spike arrival rate (open loop: arrivals do not wait for completions).
-    pub spike_arrivals_per_sec: u64,
-    /// Zipfian skew of the spike's session choice (item 0 hottest).
-    pub zipf_theta: f64,
-    /// Retry policy of each spike arrival (exponential backoff with seeded
-    /// jitter — the schedule is a pure function of the run's seed).
-    pub retry: RetryPolicy,
-}
+/// When the flash crowd's arrival spike starts.
+const FLASH_CROWD_SPIKE_AT: Duration = Duration::from_secs(2);
 
-impl Default for FlashCrowdConfig {
-    fn default() -> Self {
-        Self {
-            idle_sessions: 200_000,
-            spike_at: Duration::from_secs(2),
-            spike_duration: Duration::from_millis(1_500),
-            spike_arrivals_per_sec: 400,
-            zipf_theta: 0.9,
-            retry: RetryPolicy {
-                max_attempts: 6,
-                base_backoff: Duration::from_millis(25),
-                max_backoff: Duration::from_secs(1),
-                jitter: 0.5,
-            },
-        }
-    }
-}
+/// How long the spike lasts.
+const FLASH_CROWD_SPIKE_DURATION: Duration = Duration::from_millis(1_500);
+
+/// Spike arrival rate (open loop: arrivals do not wait for completions).
+const FLASH_CROWD_ARRIVALS_PER_SEC: u64 = 400;
+
+/// Zipfian skew of the spike's session choice (item 0 hottest).
+const FLASH_CROWD_ZIPF_THETA: f64 = 0.9;
+
+/// Retry policy of each spike arrival (exponential backoff with seeded
+/// jitter — the schedule is a pure function of the run's seed).
+const FLASH_CROWD_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 6,
+    base_backoff: Duration::from_millis(25),
+    max_backoff: Duration::from_secs(1),
+    jitter: 0.5,
+};
 
 /// How a client loop retries a transient non-start (refused connection,
 /// overload shed, reaped session): 40 attempts, flat 250 ms pauses, no RNG
@@ -381,7 +351,7 @@ impl Deployment {
         let mut cfg = MiddlewareConfig::new(NodeId::middleware(0), config.protocol, partitioner);
         cfg.analysis_cost = Duration::from_micros(200);
         cfg.log_flush_cost = Duration::from_micros(200);
-        cfg.decision_wait_timeout = config.decision_wait_timeout;
+        cfg.decision_wait_timeout = DECISION_WAIT_TIMEOUT;
         cfg.record_history = true;
         cfg.scheduler.seed = config.seed;
         cfg.first_txn_seq = first_txn_seq;
@@ -397,11 +367,11 @@ impl Deployment {
     ) -> Rc<Self> {
         let (net, sources) = wire(&Wiring {
             seed: config.seed,
-            coordinator_rtts_ms: vec![config.ds_rtts_ms.clone(); config.coordinators()],
-            control_rtt_ms: config.tier.as_ref().map(|tier| tier.control_rtt_ms),
-            dialects: vec![Dialect::MySql; config.ds_rtts_ms.len()],
+            coordinator_rtts_ms: vec![DS_RTTS_MS.to_vec(); config.coordinators()],
+            control_rtt_ms: config.tier.as_ref().map(|_| TIER_CONTROL_RTT_MS),
+            dialects: vec![Dialect::MySql; DS_RTTS_MS.len()],
             engine: EngineConfig {
-                lock_wait_timeout: config.lock_wait_timeout,
+                lock_wait_timeout: LOCK_WAIT_TIMEOUT,
                 cost: CostModel::default(),
                 // The serializability checker needs the versioned histories.
                 record_history: true,
@@ -442,10 +412,8 @@ impl Deployment {
                 (FrontDoor::Single(door), vec![mw])
             }
             Some(tier) => {
-                let mut cfg = ClusterConfig::new(tier.coordinators, config.protocol, partitioner);
-                cfg.membership = tier.membership;
-                cfg.supervisor_interval = tier.supervisor_interval;
-                cfg.decision_wait_timeout = config.decision_wait_timeout;
+                let mut cfg = ClusterConfig::new(TIER_COORDINATORS, config.protocol, partitioner);
+                cfg.decision_wait_timeout = DECISION_WAIT_TIMEOUT;
                 cfg.record_history = true;
                 cfg.snapshot_reads = config.snapshot_reads;
                 cfg.seed = config.seed;
@@ -454,7 +422,7 @@ impl Deployment {
                 cfg.session_reaper = tier.session_reaper;
                 let cluster = CoordinatorCluster::build(cfg, Rc::clone(&net), &sources);
                 cluster.start();
-                let coordinators = (0..tier.coordinators as u32)
+                let coordinators = (0..TIER_COORDINATORS as u32)
                     .map(|coord| cluster.middleware(coord))
                     .collect();
                 (FrontDoor::Tier(cluster), coordinators)
@@ -602,10 +570,10 @@ impl Deployment {
     /// notifications and deferred decisions to settle. A tier additionally
     /// needs a lease plus supervisor scans to notice a death and take over.
     fn settle_time(&self) -> Duration {
-        let detection = self.config.tier.as_ref().map_or(Duration::ZERO, |tier| {
-            tier.membership.lease + tier.supervisor_interval * 2
+        let detection = self.config.tier.as_ref().map_or(Duration::ZERO, |_| {
+            MembershipConfig::default().lease + SUPERVISOR_INTERVAL * 2
         });
-        detection + self.config.decision_wait_timeout * 2 + Duration::from_secs(1)
+        detection + DECISION_WAIT_TIMEOUT * 2 + Duration::from_secs(1)
     }
 
     /// Heal everything and resolve the in-doubt state: detach the fault
@@ -775,7 +743,6 @@ pub fn run_scripted(
 /// The flash crowd (`Tier` door): register the mostly-idle session crowd,
 /// then spawn one task per open-loop spike arrival.
 fn spawn_flash_crowd(
-    fc: FlashCrowdConfig,
     cluster: &Rc<CoordinatorCluster>,
     deployment: &Deployment,
     workload: &Rc<dyn ChaosWorkload>,
@@ -786,7 +753,7 @@ fn spawn_flash_crowd(
     // and lands a registry entry on its coordinator — the state the reaper
     // must keep lean.
     let mut registered = 0u64;
-    for session in 0..fc.idle_sessions {
+    for session in 0..FLASH_CROWD_IDLE_SESSIONS {
         if let Some(coord) = cluster.router().route(session) {
             cluster.middleware(coord).register_session(session);
             registered += 1;
@@ -794,12 +761,15 @@ fn spawn_flash_crowd(
     }
     deployment.trace.record(&format!(
         "flash crowd: {registered} idle session(s) registered, spike {}/s for {:?} at {:?}",
-        fc.spike_arrivals_per_sec, fc.spike_duration, fc.spike_at
+        FLASH_CROWD_ARRIVALS_PER_SEC, FLASH_CROWD_SPIKE_DURATION, FLASH_CROWD_SPIKE_AT
     ));
-    let spike_micros = fc.spike_duration.as_micros() as u64;
-    let arrivals = (spike_micros * fc.spike_arrivals_per_sec / 1_000_000).max(1);
+    let spike_micros = FLASH_CROWD_SPIKE_DURATION.as_micros() as u64;
+    let arrivals = (spike_micros * FLASH_CROWD_ARRIVALS_PER_SEC / 1_000_000).max(1);
     let interval_micros = (spike_micros / arrivals).max(1);
-    let zipf = Rc::new(ZipfianGenerator::new(fc.idle_sessions, fc.zipf_theta));
+    let zipf = Rc::new(ZipfianGenerator::new(
+        FLASH_CROWD_IDLE_SESSIONS,
+        FLASH_CROWD_ZIPF_THETA,
+    ));
     (0..arrivals)
         .map(|arrival| {
             let cluster = Rc::clone(cluster);
@@ -808,7 +778,7 @@ fn spawn_flash_crowd(
             let zipf = Rc::clone(&zipf);
             spawn(async move {
                 let at = SimInstant::ZERO
-                    + fc.spike_at
+                    + FLASH_CROWD_SPIKE_AT
                     + Duration::from_micros(arrival * interval_micros);
                 sleep_until(at).await;
                 // Each arrival gets its own derived RNG stream: the whole
@@ -819,7 +789,7 @@ fn spawn_flash_crowd(
                 let spec = workload.next_spec(&mut rng);
                 let mut session = cluster.connect(session_id);
                 let retried = session
-                    .run_spec_with_retries(&spec, Duration::ZERO, fc.retry, &mut rng)
+                    .run_spec_with_retries(&spec, Duration::ZERO, FLASH_CROWD_RETRY, &mut rng)
                     .await;
                 // A still-transient outcome means the budget ran out without
                 // ever starting a transaction: shed load, not an abort.
@@ -840,7 +810,7 @@ fn run_impl(
         let trace = EventTrace::new();
         let (tier_tag, coordinators) = match &config.tier {
             None => ("", String::new()),
-            Some(tier) => ("cluster ", format!(" coordinators={}", tier.coordinators)),
+            Some(_) => ("cluster ", format!(" coordinators={TIER_COORDINATORS}")),
         };
         trace.record(&format!(
             "{tier_tag}scenario start: workload={} seed={}{coordinators} nodes={} clients={}x{} protocol={}",
@@ -916,13 +886,13 @@ fn run_impl(
             }));
         }
         if let (FrontDoor::Tier(cluster), Some(tier)) = (&deployment.door, &config.tier) {
-            if let Some(fc) = tier.flash_crowd {
-                clients.extend(spawn_flash_crowd(fc, cluster, &deployment, &workload, &tally));
+            if tier.flash_crowd {
+                clients.extend(spawn_flash_crowd(cluster, &deployment, &workload, &tally));
             }
         }
 
         // ---------------- drain, bounded by the liveness horizon ----------------
-        let drained = geotp_simrt::timeout(config.horizon, async {
+        let drained = geotp_simrt::timeout(HORIZON, async {
             for client in clients {
                 client.await;
             }
@@ -988,13 +958,7 @@ fn run_impl(
         // is deliberately kept out of the event trace: fingerprints must stay
         // byte-identical between traced and untraced replays of one seed.
         if let Some(telemetry) = geotp_telemetry::installed() {
-            invariants::trace::apply_with(
-                &mut invariants,
-                &telemetry,
-                &deployment.sources,
-                &ledger,
-                &config.trace_rules,
-            );
+            invariants::trace::apply(&mut invariants, &telemetry, &deployment.sources, &ledger);
         }
         trace.record(&format!(
             "summary: committed={committed} aborted={aborted} indeterminate={indeterminate}{takeovers}"

@@ -65,7 +65,7 @@ pub struct InvariantReport {
     pub serializability_ok: bool,
     /// The telemetry span record obeys the protocol's happens-before rules
     /// (see [`trace`]). Vacuously `true` on untraced runs — [`check`] sets
-    /// it and [`trace::apply_with`] can only lower it.
+    /// it and [`trace::apply`] can only lower it.
     pub trace_ok: bool,
     /// One line per violation (empty when everything holds).
     pub violations: Vec<String>,

@@ -10,10 +10,9 @@
 //! spans themselves.
 //!
 //! Every rule is a [`TraceRule`] — a named predicate over a [`TraceContext`]
-//! (the span record plus the durable/concluded gtrid sets). The built-in
-//! rules ship in [`builtin_rules`] and always run; harnesses register extra
-//! scenario-specific rules through `ChaosConfig::trace_rules`, which
-//! [`apply_with`] evaluates after the built-ins. The built-ins:
+//! (the span record plus the durable/concluded gtrid sets). The five rules
+//! ship in [`builtin_rules`], and [`apply`] runs all of them on every traced
+//! chaos run:
 //!
 //! * **R1 flush-before-dispatch** — on each `(gtrid, middleware)` pair,
 //!   every `CommitDispatch` span starts at or after some `LogFlush` span of
@@ -75,27 +74,6 @@ pub trait TraceRule {
     fn name(&self) -> &'static str;
     /// Evaluate the rule; one line per violation, empty when it holds.
     fn check(&self, ctx: &TraceContext<'_>) -> Vec<String>;
-}
-
-/// An ordered set of extra [`TraceRule`]s for a harness to evaluate after
-/// the built-ins. `Default` is empty — the built-ins alone.
-#[derive(Clone, Default)]
-pub struct TraceRules(pub Vec<Rc<dyn TraceRule>>);
-
-impl TraceRules {
-    /// Register one more rule, builder-style.
-    pub fn with(mut self, rule: Rc<dyn TraceRule>) -> Self {
-        self.0.push(rule);
-        self
-    }
-}
-
-impl std::fmt::Debug for TraceRules {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list()
-            .entries(self.0.iter().map(|r| r.name()))
-            .finish()
-    }
 }
 
 /// Per-`(gtrid, node)` extrema accumulated in one pass over the spans.
@@ -324,18 +302,15 @@ pub fn check_spans(
     violations
 }
 
-/// Run the trace oracle — built-ins plus `extra` rules — over the installed
-/// run's telemetry and fold the verdict into `report.trace_ok`. Harvests
-/// the durable-gtrid set from the WALs and the concluded set from the
-/// client ledger (outcomes with a definite answer — everything except
-/// coordinator-crash indeterminates). Extra-rule violations carry the
-/// rule's name so a conviction points at the predicate that fired.
-pub fn apply_with(
+/// Run the trace oracle over the installed run's telemetry and fold the
+/// verdict into `report.trace_ok`. Harvests the durable-gtrid set from the
+/// WALs and the concluded set from the client ledger (outcomes with a
+/// definite answer — everything except coordinator-crash indeterminates).
+pub fn apply(
     report: &mut InvariantReport,
     telemetry: &Telemetry,
     sources: &[Rc<DataSource>],
     ledger: &[TxnOutcome],
-    extra: &TraceRules,
 ) {
     let mut durable: FxHashSet<u64> = FxHashSet::default();
     for ds in sources {
@@ -363,13 +338,6 @@ pub fn apply_with(
     let mut violations = Vec::new();
     for rule in builtin_rules() {
         violations.extend(rule.check(&ctx).into_iter().map(|v| format!("trace: {v}")));
-    }
-    for rule in &extra.0 {
-        violations.extend(
-            rule.check(&ctx)
-                .into_iter()
-                .map(|v| format!("trace[{}]: {v}", rule.name())),
-        );
     }
     drop(spans);
     if !violations.is_empty() {
@@ -539,72 +507,5 @@ mod tests {
             &[1],
         );
         assert!(v.is_empty(), "{v:?}");
-    }
-
-    /// A custom rule caps transaction span fan-out per gtrid.
-    struct MaxSpansPerTxn(usize);
-
-    impl TraceRule for MaxSpansPerTxn {
-        fn name(&self) -> &'static str {
-            "max-spans-per-txn"
-        }
-
-        fn check(&self, ctx: &TraceContext<'_>) -> Vec<String> {
-            let mut counts: FxHashMap<u64, usize> = FxHashMap::default();
-            for s in ctx.spans {
-                *counts.entry(s.id.gtrid).or_default() += 1;
-            }
-            let mut gtrids: Vec<u64> = counts
-                .iter()
-                .filter(|(_, &n)| n > self.0)
-                .map(|(&g, _)| g)
-                .collect();
-            gtrids.sort_unstable();
-            gtrids
-                .into_iter()
-                .map(|g| format!("gtrid {g} recorded more than {} spans", self.0))
-                .collect()
-        }
-    }
-
-    #[test]
-    fn custom_rules_run_after_the_builtins() {
-        let mut rt = Runtime::new();
-        rt.block_on(async {
-            let t = Tracer::new();
-            let dm = TraceNode::middleware(0);
-            t.leaf_window(1, dm, SpanKind::LogFlush, 0, us(0), us(10));
-            t.leaf_window(1, dm, SpanKind::CommitDispatch, 1, us(10), us(20));
-
-            let (durable, concluded) = sets(&[1], &[1]);
-            let spans = t.spans();
-            let open = t.open_spans();
-            let ctx = TraceContext {
-                spans: &spans,
-                open: &open,
-                durable_gtrids: &durable,
-                concluded_gtrids: &concluded,
-            };
-            // Built-ins are clean; a tight custom rule convicts, a loose
-            // one does not.
-            for rule in builtin_rules() {
-                assert!(rule.check(&ctx).is_empty(), "{}", rule.name());
-            }
-            let tight = MaxSpansPerTxn(1);
-            let loose = MaxSpansPerTxn(10);
-            assert_eq!(
-                tight.check(&ctx),
-                vec!["gtrid 1 recorded more than 1 spans".to_string()]
-            );
-            assert!(loose.check(&ctx).is_empty());
-
-            let rules = TraceRules::default()
-                .with(Rc::new(MaxSpansPerTxn(1)))
-                .with(Rc::new(MaxSpansPerTxn(10)));
-            assert_eq!(
-                format!("{rules:?}"),
-                "[\"max-spans-per-txn\", \"max-spans-per-txn\"]"
-            );
-        });
     }
 }

@@ -76,11 +76,9 @@ pub mod workload;
 
 pub use geotp_middleware::Protocol;
 pub use harness::{
-    client_rng, client_scripts, run, run_scripted, ChaosConfig, ChaosReport, FlashCrowdConfig,
-    TierConfig,
+    client_rng, client_scripts, run, run_scripted, ChaosConfig, ChaosReport, TierConfig,
 };
 pub use injector::ScheduleInjector;
-pub use invariants::trace::{TraceContext, TraceRule, TraceRules};
 pub use invariants::{InvariantReport, SerializabilityReport};
 pub use mvcc::{LongReaderOltpWorkload, WriteSkewWorkload};
 pub use presets::{preset, Door, DrillWorkload, Expect, Preset, PRESETS};

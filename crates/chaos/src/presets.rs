@@ -17,7 +17,7 @@ use geotp_middleware::Protocol;
 use geotp_net::NodeId;
 use geotp_storage::IsolationLevel;
 
-use crate::harness::{run, ChaosConfig, ChaosReport, FlashCrowdConfig, TierConfig};
+use crate::harness::{run, ChaosConfig, ChaosReport, TierConfig};
 use crate::invariants::InvariantReport;
 use crate::mvcc::{LongReaderOltpWorkload, WriteSkewWorkload};
 use crate::schedule::{FaultEvent, FaultSchedule, RandomFaultConfig};
@@ -598,8 +598,7 @@ pub static PRESETS: [Preset; 21] = [
                     interval: ms(500),
                     idle_for: s(5),
                 }),
-                flash_crowd: Some(FlashCrowdConfig::default()),
-                ..TierConfig::default()
+                flash_crowd: true,
             }),
             ..tier(seed)
         },
@@ -615,7 +614,70 @@ pub static PRESETS: [Preset; 21] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{DECISION_WAIT_TIMEOUT, HORIZON};
     use crate::telemetry::traced;
+
+    /// Every chaos knob earns its place: some row of the table sets it to a
+    /// non-default value. The destructuring lists every field with no `..`,
+    /// so a new field fails to compile here until it is listed — and then
+    /// fails the test until a preset varies it. A knob no row varies
+    /// belongs in a constant.
+    #[test]
+    fn every_chaos_knob_is_varied_by_some_preset() {
+        let ChaosConfig {
+            seed,
+            clients,
+            txns_per_client,
+            distributed_ratio,
+            protocol,
+            // Set only by shrink_repro and the tpcc_chaos example (the
+            // isolation-bug fail point the shrinker minimizes).
+            isolation_bug_read_stride: _,
+            // Set only by trace_oracle (the write-ahead fail point only the
+            // trace oracle convicts).
+            commit_before_flush_bug: _,
+            think_time,
+            client_crash_every,
+            isolation,
+            group_commit_window,
+            snapshot_reads,
+            tier,
+        } = ChaosConfig::default();
+        let TierConfig {
+            max_inflight,
+            admission,
+            session_reaper,
+            flash_crowd,
+        } = TierConfig::default();
+        let configs: Vec<ChaosConfig> = PRESETS.iter().map(|p| p.build(1).0).collect();
+        let tiers: Vec<&TierConfig> = configs.iter().filter_map(|c| c.tier.as_ref()).collect();
+        macro_rules! varied {
+            ($rows:expr, $($field:ident),+) => {$(
+                assert!(
+                    $rows.iter().any(|row| row.$field != $field),
+                    concat!("no preset varies `", stringify!($field), "`: make it a constant")
+                );
+            )+};
+        }
+        varied!(
+            configs,
+            seed,
+            clients,
+            txns_per_client,
+            distributed_ratio,
+            protocol,
+            think_time,
+            client_crash_every,
+            isolation,
+            group_commit_window,
+            snapshot_reads
+        );
+        assert!(
+            tier.is_none() && !tiers.is_empty(),
+            "no preset varies `tier`"
+        );
+        varied!(tiers, max_inflight, admission, session_reaper, flash_crowd);
+    }
 
     #[test]
     fn engine_drills_opt_into_the_engine_knobs() {
@@ -649,13 +711,11 @@ mod tests {
                     "{}: door column disagrees with the built configuration",
                     preset.name
                 );
-                let detection = config
-                    .tier
-                    .as_ref()
-                    .map_or(Duration::ZERO, |tier| tier.membership.lease);
+                let detection = config.tier.as_ref().map_or(Duration::ZERO, |_| {
+                    geotp_cluster::MembershipConfig::default().lease
+                });
                 assert!(
-                    schedule.last_fault_instant() + detection + config.decision_wait_timeout * 2
-                        < config.horizon,
+                    schedule.last_fault_instant() + detection + DECISION_WAIT_TIMEOUT * 2 < HORIZON,
                     "{}: faults must heal comfortably before the horizon",
                     preset.name
                 );

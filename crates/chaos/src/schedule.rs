@@ -1,7 +1,7 @@
 //! The fault-schedule DSL.
 //!
 //! A [`FaultSchedule`] is a declarative timeline of faults, written either
-//! explicitly (every preset in [`crate::scenarios`] is one) or generated from
+//! explicitly (every preset in [`crate::presets`] is one) or generated from
 //! a seed with [`FaultSchedule::random`]. Link-level events (partitions,
 //! latency storms, notification loss) compile into the
 //! [`crate::ScheduleInjector`] consulted by the network on every message;

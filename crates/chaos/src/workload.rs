@@ -28,7 +28,7 @@ use geotp_workloads::tpcc::{self, TpccConfig, TpccGenerator};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::harness::ChaosConfig;
+use crate::harness::{ChaosConfig, INITIAL_BALANCE, RECORDS_PER_NODE};
 
 /// A workload the chaos harness can drive under fault schedules.
 pub trait ChaosWorkload {
@@ -72,13 +72,14 @@ pub struct TransferWorkload {
 }
 
 impl TransferWorkload {
-    /// The transfer workload described by a [`ChaosConfig`] (its
-    /// `records_per_node` / `initial_balance` / `distributed_ratio` knobs).
+    /// The transfer workload of a [`ChaosConfig`] run: 200 rows of balance
+    /// 1 000 per data source, transfers crossing sources at the config's
+    /// `distributed_ratio`.
     pub fn from_config(config: &ChaosConfig) -> Self {
         Self {
             nodes: config.nodes(),
-            records_per_node: config.records_per_node,
-            initial_balance: config.initial_balance,
+            records_per_node: RECORDS_PER_NODE,
+            initial_balance: INITIAL_BALANCE,
             distributed_ratio: config.distributed_ratio,
         }
     }

@@ -11,19 +11,16 @@
 //! Beside the table-driven sweeps sit the per-preset proofs that a drill
 //! exercises what it claims to (the interactive preset abandons
 //! transactions, the takeover presets take over, the flash crowd sheds and
-//! reaps, snapshot readers take zero locks, group commit batches, custom
-//! trace rules fire), and replayability, checked twice: in-process (two runs
+//! reaps, snapshot readers take zero locks, group commit batches), and
+//! replayability, checked twice: in-process (two runs
 //! of the same seed and preset must produce bit-identical traces) and
 //! *across processes* — the parent test re-executes this test binary as a
 //! child with `GEOTP_CHAOS_EMIT_FP` set and compares fingerprints, proving
 //! the trace does not depend on address-space layout, environment or any
 //! other process-local accident.
 
-use std::rc::Rc;
-
 use geotp_chaos::{
-    preset, run, traced, traced_capped, ChaosConfig, ChaosReport, Door, DrillWorkload, Expect,
-    FaultSchedule, Preset, TraceContext, TraceRule, TraceRules, PRESETS,
+    preset, traced, traced_capped, ChaosReport, Door, DrillWorkload, Expect, Preset, PRESETS,
 };
 use geotp_telemetry::{MetricValue, Telemetry};
 
@@ -465,84 +462,4 @@ fn sweep_group_commit_crash_window_holds() {
              produce group-cause flushes"
         );
     }
-}
-
-/// A rule that fires whenever the run recorded any spans at all — a
-/// deterministic tripwire proving extra rules run at the harness check
-/// site, labelled with their name.
-struct SpanBudgetZero;
-
-impl TraceRule for SpanBudgetZero {
-    fn name(&self) -> &'static str {
-        "span-budget-zero"
-    }
-
-    fn check(&self, ctx: &TraceContext<'_>) -> Vec<String> {
-        if ctx.spans.is_empty() {
-            Vec::new()
-        } else {
-            vec![format!(
-                "{} span(s) recorded, budget is zero",
-                ctx.spans.len()
-            )]
-        }
-    }
-}
-
-/// A rule that can never fire (recovery of gtrid 0 does not exist).
-struct NeverFires;
-
-impl TraceRule for NeverFires {
-    fn name(&self) -> &'static str {
-        "never-fires"
-    }
-
-    fn check(&self, _ctx: &TraceContext<'_>) -> Vec<String> {
-        Vec::new()
-    }
-}
-
-/// Custom trace rules registered on `ChaosConfig::trace_rules` are
-/// evaluated by the harness after the built-ins: a firing rule lowers
-/// `trace_ok` with a violation labelled by the rule's name, and an inert
-/// rule leaves the run green.
-#[test]
-fn custom_trace_rules_register_at_the_harness_check_site() {
-    let run_transfers = |config: ChaosConfig| {
-        let workload = DrillWorkload::Transfer.build(&config);
-        run(config, FaultSchedule::new(), workload)
-    };
-    let small = |rules: TraceRules| ChaosConfig {
-        seed: 5,
-        clients: 2,
-        txns_per_client: 3,
-        trace_rules: rules,
-        ..ChaosConfig::default()
-    };
-
-    let tripwire = TraceRules::default().with(Rc::new(SpanBudgetZero));
-    let (report, _) = traced(|| run_transfers(small(tripwire)));
-    assert!(!report.invariants.trace_ok, "the tripwire rule must fire");
-    assert!(
-        report
-            .invariants
-            .violations
-            .iter()
-            .any(|v| v.starts_with("trace[span-budget-zero]:")),
-        "violations must carry the firing rule's name: {:?}",
-        report.invariants.violations
-    );
-
-    let inert = TraceRules::default().with(Rc::new(NeverFires));
-    let (report, _) = traced(|| run_transfers(small(inert)));
-    assert!(
-        report.invariants.all_hold(),
-        "an inert extra rule must leave the run green: {:?}",
-        report.invariants.violations
-    );
-
-    // Untraced runs skip the oracle entirely — extra rules included.
-    let tripwire = TraceRules::default().with(Rc::new(SpanBudgetZero));
-    let report = run_transfers(small(tripwire));
-    assert!(report.invariants.trace_ok);
 }

@@ -18,9 +18,9 @@
 //!    dead gtrid space and finishes each in-doubt branch per the sealed log:
 //!    durable `Commit` ⇒ commit, anything else ⇒ abort.
 //!
-//! Clients keep calling [`CoordinatorCluster::run_transaction`]; the router
-//! re-homes the dead coordinator's sessions onto survivors on their next
-//! request.
+//! Client sessions ([`CoordinatorCluster::connect`]) keep running; the
+//! router re-homes the dead coordinator's sessions onto survivors on their
+//! next `begin`.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -51,10 +51,6 @@ pub struct ClusterConfig {
     pub protocol: Protocol,
     /// The shared data partitioning scheme.
     pub partitioner: Partitioner,
-    /// Lease/heartbeat parameters.
-    pub membership: MembershipConfig,
-    /// How often the supervisor scans for lapsed leases and crashes.
-    pub supervisor_interval: Duration,
     /// Per-coordinator concurrent-transaction capacity (the worker/connection
     /// pool of one proxy instance); `0` means unbounded. This is what makes
     /// the tier *scale out*: total capacity grows with the coordinator count.
@@ -83,6 +79,10 @@ pub struct ClusterConfig {
     pub session_reaper: Option<SessionReaperConfig>,
 }
 
+/// How often the supervisor scans for lapsed leases and crashes. Leases
+/// and heartbeats follow [`MembershipConfig::default`].
+pub const SUPERVISOR_INTERVAL: Duration = Duration::from_millis(500);
+
 /// Idle-session reaper schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionReaperConfig {
@@ -100,8 +100,6 @@ impl ClusterConfig {
             coordinators,
             protocol,
             partitioner,
-            membership: MembershipConfig::default(),
-            supervisor_interval: Duration::from_millis(500),
             max_inflight: 0,
             decision_wait_timeout: Duration::from_secs(2),
             analysis_cost: Duration::from_micros(200),
@@ -199,7 +197,10 @@ impl CoordinatorCluster {
     /// Every slot registers in a fresh membership table and is granted its
     /// initial epoch before serving anything.
     pub fn build(config: ClusterConfig, net: Rc<Network>, sources: &[Rc<DataSource>]) -> Rc<Self> {
-        let membership = Rc::new(MembershipTable::new(config.coordinators, config.membership));
+        let membership = Rc::new(MembershipTable::new(
+            config.coordinators,
+            MembershipConfig::default(),
+        ));
         let mut slots = Vec::with_capacity(config.coordinators);
         for coord in 0..config.coordinators as u32 {
             let epoch = membership.register(coord);
@@ -399,7 +400,7 @@ impl CoordinatorCluster {
         let cluster = Rc::clone(self);
         spawn(async move {
             loop {
-                sleep(cluster.config.supervisor_interval).await;
+                sleep(SUPERVISOR_INTERVAL).await;
                 if cluster.stopped.get() {
                     return;
                 }
@@ -428,7 +429,7 @@ impl CoordinatorCluster {
     async fn heartbeat_loop(self: Rc<Self>, coord: u32, epoch: u64) {
         let dm = NodeId::middleware(coord);
         let control = NodeId::control(0);
-        let interval = self.config.membership.heartbeat_interval;
+        let interval = self.membership.config().heartbeat_interval;
         loop {
             sleep(interval).await;
             let stale = self.slots[coord as usize].epoch.get() != epoch;

@@ -44,6 +44,7 @@ pub use admission::{
 };
 pub use cluster::{
     ClusterConfig, ClusterSessionService, CoordinatorCluster, SessionReaperConfig, TakeoverReport,
+    SUPERVISOR_INTERVAL,
 };
 pub use deploy::{build_tier, wire, TierLayout, Wiring};
 pub use membership::{MembershipConfig, MembershipTable, RenewError, SlotState};

@@ -6,7 +6,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use geotp_cluster::{build_tier, ClusterConfig, CoordinatorCluster, MembershipConfig, TierLayout};
+use geotp_cluster::{build_tier, ClusterConfig, CoordinatorCluster, TierLayout};
 use geotp_middleware::{AbortReason, ClientOp, GlobalKey, Partitioner, Protocol, TransactionSpec};
 use geotp_simrt::Runtime;
 use geotp_storage::{CostModel, EngineConfig, Row, TableId};
@@ -49,10 +49,6 @@ fn build(coordinators: usize) -> Rc<CoordinatorCluster> {
     );
     config.analysis_cost = Duration::ZERO;
     config.log_flush_cost = Duration::ZERO;
-    config.membership = MembershipConfig {
-        lease: Duration::from_millis(1_500),
-        heartbeat_interval: Duration::from_millis(500),
-    };
     CoordinatorCluster::build(config, net, &sources)
 }
 

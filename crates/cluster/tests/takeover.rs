@@ -5,8 +5,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use geotp_cluster::{
-    build_tier, run_open_loop, ClusterConfig, CoordinatorCluster, MembershipConfig, OpenLoopConfig,
-    TierLayout,
+    build_tier, run_open_loop, ClusterConfig, CoordinatorCluster, OpenLoopConfig, TierLayout,
 };
 use geotp_datasource::{DsConnection, DsOperation, StatementRequest};
 use geotp_middleware::{ClientOp, GlobalKey, Partitioner, Protocol, TransactionSpec};
@@ -56,10 +55,6 @@ fn build(coordinators: usize, ds_rtts_ms: Vec<u64>) -> Rc<CoordinatorCluster> {
     );
     config.analysis_cost = Duration::ZERO;
     config.log_flush_cost = Duration::ZERO;
-    config.membership = MembershipConfig {
-        lease: Duration::from_millis(1_500),
-        heartbeat_interval: Duration::from_millis(500),
-    };
     CoordinatorCluster::build(config, net, &sources)
 }
 

@@ -68,9 +68,8 @@ pub use geotp_workloads as workloads;
 
 pub use geotp_chaos::{
     preset, shrink_schedule, shrink_workload, ChaosConfig, ChaosReport, ChaosWorkload, Door,
-    DrillWorkload, FaultEvent, FaultSchedule, FlashCrowdConfig, InteractiveTransferWorkload,
-    InvariantReport, Preset, ShrinkReport, TierConfig, TpccChaosWorkload, TransferWorkload,
-    WorkloadShrinkReport, PRESETS,
+    DrillWorkload, FaultEvent, FaultSchedule, InteractiveTransferWorkload, InvariantReport, Preset,
+    ShrinkReport, TierConfig, TpccChaosWorkload, TransferWorkload, WorkloadShrinkReport, PRESETS,
 };
 pub use geotp_cluster::{
     run_open_loop, AdmissionPolicy, ClusterConfig, ClusterSessionService, CoordinatorCluster,
@@ -86,8 +85,8 @@ pub use geotp_middleware::{
 pub use geotp_net::{LatencyModel, Network, NetworkBuilder, NodeId, StaticLatency};
 pub use geotp_simrt::Runtime;
 pub use geotp_storage::{EngineConfig, Row, TableId};
+pub use geotp_workloads::run_session_benchmark;
 pub use geotp_workloads::ycsb::USERTABLE;
-pub use geotp_workloads::{run_session_benchmark, SessionDriverConfig};
 
 /// Commonly used items for building and driving a cluster.
 pub mod prelude {
@@ -101,8 +100,7 @@ pub mod prelude {
     pub use geotp_storage::Row;
     pub use geotp_workloads::driver::{run_benchmark, run_session_benchmark};
     pub use geotp_workloads::{
-        Contention, DriverConfig, SessionDriverConfig, TpccConfig, TpccGenerator, WorkloadMix,
-        YcsbConfig, YcsbGenerator,
+        Contention, DriverConfig, TpccConfig, TpccGenerator, WorkloadMix, YcsbConfig, YcsbGenerator,
     };
 }
 

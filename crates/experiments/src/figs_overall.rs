@@ -122,6 +122,7 @@ pub fn fig15_multi_dm(scale: Scale) -> Vec<Table> {
                 warmup: scale.warmup(),
                 measure: scale.measure(),
                 seed: 42,
+                think_time: Duration::ZERO,
             };
             if multi {
                 // Each middleware serves its own region's clients concurrently.

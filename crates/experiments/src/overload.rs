@@ -144,8 +144,8 @@ pub fn overload(scale: Scale) -> Vec<Table> {
 }
 
 /// [`overload`], also returning each policy's metrics-timeline CSV
-/// (`("off" | "on", csv)`) — the registry sampled every
-/// [`TIMELINE_SAMPLE_EVERY`] of virtual time, golden-gated next to the
+/// (`("off" | "on", csv)`) — the registry sampled every 500 ms
+/// (`TIMELINE_SAMPLE_EVERY`) of virtual time, golden-gated next to the
 /// table so the *shape over time* of the collapse (queue depth ramps,
 /// latency histograms fattening) is pinned, not just the end-of-run
 /// aggregates.

@@ -440,6 +440,7 @@ pub fn run_ycsb(spec: &YcsbRunSpec) -> RunResult {
         warmup: spec.warmup,
         measure: spec.measure,
         seed: spec.seed,
+        think_time: Duration::ZERO,
     };
     let generator = Rc::new(YcsbGenerator::new(spec.ycsb));
     let mut result = rt.block_on(async {
@@ -475,6 +476,7 @@ pub fn run_tpcc(spec: &TpccRunSpec) -> RunResult {
         warmup: spec.warmup,
         measure: spec.measure,
         seed: spec.seed,
+        think_time: Duration::ZERO,
     };
     let generator = Rc::new(TpccGenerator::new(spec.tpcc.clone()));
     let mut result = rt.block_on(async {

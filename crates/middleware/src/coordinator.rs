@@ -26,7 +26,7 @@ use std::time::Duration;
 use geotp_datasource::{
     DataSource, DsConnection, DsOperation, PrepareVote, StatementOutcome, StatementRequest,
 };
-use geotp_net::{LatencyMonitor, MonitorConfig, Network, NodeId};
+use geotp_net::{LatencyMonitor, Network, NodeId};
 use geotp_simrt::{join_all, now, sleep, spawn, SimInstant};
 use geotp_storage::Xid;
 use geotp_telemetry::{SpanKind, TraceNode};
@@ -37,7 +37,9 @@ use crate::notify_hub::NotifyHub;
 use crate::ops::{ClientOp, GlobalKey, TransactionSpec};
 use crate::parser::{Catalog, SqlParser, TxnControl};
 use crate::router::Partitioner;
-use crate::scheduler::{AdmissionDecision, BranchPlan, GeoScheduler, Schedule, SchedulerConfig};
+use crate::scheduler::{
+    AdmissionDecision, BranchPlan, GeoScheduler, Schedule, SchedulerConfig, ADMISSION_RETRY_BACKOFF,
+};
 use crate::session::{SqlScript, TxnError};
 
 /// The server-side state of one live transaction — what the session front
@@ -267,13 +269,11 @@ pub struct MiddlewareConfig {
     pub protocol: Protocol,
     /// Data partitioning scheme.
     pub partitioner: Partitioner,
-    /// RTT monitor configuration.
-    pub monitor: MonitorConfig,
     /// Whether to spawn the background ping tasks (disable in unit tests that
     /// want a perfectly quiet network).
     pub background_monitor: bool,
-    /// Base scheduler configuration (retries, backoff, hotspot, seed). The
-    /// O2/O3 switches are derived from [`MiddlewareConfig::protocol`].
+    /// The geo-scheduler's admission-lottery seed. O2 and O3 are switched by
+    /// [`MiddlewareConfig::protocol`].
     pub scheduler: SchedulerConfig,
     /// Virtual-time cost of parsing/routing/scheduling one transaction
     /// (the "Analysis" slice of Fig. 6c).
@@ -331,7 +331,6 @@ impl MiddlewareConfig {
             node,
             protocol,
             partitioner,
-            monitor: MonitorConfig::default(),
             background_monitor: false,
             scheduler: SchedulerConfig::default(),
             analysis_cost: Duration::from_micros(1000),
@@ -513,14 +512,16 @@ impl Middleware {
             targets.push(ds.node());
         }
         let monitor = if config.background_monitor {
-            LatencyMonitor::start(Rc::clone(&net), config.node, &targets, config.monitor)
+            LatencyMonitor::start(Rc::clone(&net), config.node, &targets)
         } else {
-            LatencyMonitor::new(&net, config.node, &targets, config.monitor)
+            LatencyMonitor::new(&net, config.node, &targets)
         };
-        let mut scheduler_config = config.scheduler;
-        scheduler_config.latency_aware = config.protocol.latency_scheduling();
-        scheduler_config.advanced = config.protocol.advanced();
-        let scheduler = Rc::new(GeoScheduler::new(scheduler_config, Rc::clone(&monitor)));
+        let scheduler = Rc::new(GeoScheduler::new(
+            config.scheduler,
+            Rc::clone(&monitor),
+            config.protocol.latency_scheduling(),
+            config.protocol.advanced(),
+        ));
         let commit_log = commit_log.unwrap_or_else(|| CommitLog::new(config.log_flush_cost));
         let first_txn_seq = config.first_txn_seq;
         let sql_cache_capacity = config.sql_cache_capacity;
@@ -1533,7 +1534,7 @@ impl Middleware {
                 AdmissionDecision::Reject { attempts } => {
                     // Late transaction scheduling kept this transaction
                     // back; charge the backoff and abort it.
-                    let backoff = self.config.scheduler.retry_backoff * attempts;
+                    let backoff = ADMISSION_RETRY_BACKOFF * attempts;
                     sleep(backoff).await;
                     let mut outcome = TxnOutcome::aborted(
                         AbortReason::AdmissionRejected,

@@ -71,28 +71,12 @@ impl HotRecordStats {
     }
 }
 
-/// Configuration of the hotspot footprint.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HotspotConfig {
-    /// Maximum number of records tracked before LRU eviction kicks in.
-    pub capacity: usize,
-    /// EWMA coefficient `α` of Eq. 4 (weight of the previous estimate).
-    pub alpha: f64,
-    /// Scale-down factor applied to forecasts before they feed the scheduler
-    /// (the paper suggests scaling predictions down when they prove
-    /// inaccurate, §IV-C).
-    pub forecast_scale: f64,
-}
+/// Records tracked before LRU eviction kicks in, unless a caller of
+/// [`HotspotFootprint::new`] asks for another bound.
+pub const DEFAULT_CAPACITY: usize = 10_000;
 
-impl Default for HotspotConfig {
-    fn default() -> Self {
-        Self {
-            capacity: 10_000,
-            alpha: 0.7,
-            forecast_scale: 1.0,
-        }
-    }
-}
+/// EWMA coefficient `α` of Eq. 4 (weight of the previous estimate).
+const FEEDBACK_ALPHA: f64 = 0.7;
 
 /// "No slot": list terminator and the scratch marker for an absent key.
 const NIL: u32 = u32::MAX;
@@ -109,7 +93,8 @@ struct Slot {
 
 /// The hotspot footprint table.
 pub struct HotspotFootprint {
-    config: HotspotConfig,
+    /// Maximum number of records tracked before LRU eviction kicks in.
+    capacity: usize,
     /// Dense record storage; vacated slots are recycled through `free`.
     slots: Vec<Slot>,
     free: Vec<u32>,
@@ -128,10 +113,11 @@ pub struct HotspotFootprint {
 }
 
 impl HotspotFootprint {
-    /// Create a footprint with the given configuration.
-    pub fn new(config: HotspotConfig) -> Self {
+    /// Create a footprint that tracks at most `capacity` records (see the
+    /// eviction contract).
+    pub fn new(capacity: usize) -> Self {
         Self {
-            config,
+            capacity,
             slots: Vec::new(),
             free: Vec::new(),
             index: FxHashMap::default(),
@@ -141,11 +127,6 @@ impl HotspotFootprint {
             evictions: 0,
             feedback_scratch: Vec::new(),
         }
-    }
-
-    /// Create a footprint with default configuration.
-    pub fn with_defaults() -> Self {
-        Self::new(HotspotConfig::default())
     }
 
     /// Number of records currently tracked.
@@ -258,7 +239,7 @@ impl HotspotFootprint {
     }
 
     fn evict_over_capacity(&mut self) {
-        while self.index.len() > self.config.capacity && self.head != NIL {
+        while self.index.len() > self.capacity && self.head != NIL {
             let idx = self.head;
             self.unlink(idx);
             let slot = &self.slots[idx as usize];
@@ -301,7 +282,6 @@ impl HotspotFootprint {
             None => (NIL, 0.0),
         }));
         let sum: f64 = resolved.iter().map(|(_, w_lat)| w_lat).sum();
-        let alpha = self.config.alpha;
         let evictions_before = self.evictions;
         for (key, &(idx, w_lat)) in keys.iter().zip(&resolved) {
             let weight = if sum > 0.0 {
@@ -314,7 +294,7 @@ impl HotspotFootprint {
                 if entry.w_lat == 0.0 {
                     entry.w_lat = observed;
                 } else {
-                    entry.w_lat = alpha * entry.w_lat + (1.0 - alpha) * observed;
+                    entry.w_lat = FEEDBACK_ALPHA * entry.w_lat + (1.0 - FEEDBACK_ALPHA) * observed;
                 }
             };
             // A resolved slot stays this key's until an insert for an
@@ -349,7 +329,7 @@ impl HotspotFootprint {
             .iter()
             .map(|k| self.get(k).map(|s| s.w_lat).unwrap_or(0.0))
             .sum();
-        Duration::from_secs_f64((total * self.config.forecast_scale).max(0.0))
+        Duration::from_secs_f64(total.max(0.0))
     }
 
     /// Eq. 9: predicted probability that a transaction accessing `keys` will
@@ -389,7 +369,7 @@ mod tests {
 
     #[test]
     fn access_lifecycle_updates_counters() {
-        let mut fp = HotspotFootprint::with_defaults();
+        let mut fp = HotspotFootprint::new(DEFAULT_CAPACITY);
         fp.on_access_start(&[gk(1), gk(2)]);
         fp.on_access_start(&[gk(1)]);
         let s1 = fp.stats(gk(1)).unwrap();
@@ -404,7 +384,7 @@ mod tests {
 
     #[test]
     fn feedback_builds_latency_forecast() {
-        let mut fp = HotspotFootprint::with_defaults();
+        let mut fp = HotspotFootprint::new(DEFAULT_CAPACITY);
         let keys = [gk(1), gk(2)];
         // First observation splits evenly: 5ms each.
         fp.on_subtxn_feedback(&keys, Duration::from_millis(10));
@@ -421,21 +401,8 @@ mod tests {
     }
 
     #[test]
-    fn forecast_scale_reduces_prediction() {
-        let mut fp = HotspotFootprint::new(HotspotConfig {
-            forecast_scale: 0.5,
-            ..HotspotConfig::default()
-        });
-        fp.on_subtxn_feedback(&[gk(1)], Duration::from_millis(20));
-        assert_eq!(
-            fp.forecast_local_latency(&[gk(1)]),
-            Duration::from_millis(10)
-        );
-    }
-
-    #[test]
     fn abort_probability_follows_eq9() {
-        let mut fp = HotspotFootprint::with_defaults();
+        let mut fp = HotspotFootprint::new(DEFAULT_CAPACITY);
         // Build history: 10 accesses, 5 commits on record 1.
         for _ in 0..10 {
             fp.on_access_start(&[gk(1)]);
@@ -460,10 +427,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_bounds_memory() {
-        let mut fp = HotspotFootprint::new(HotspotConfig {
-            capacity: 100,
-            ..HotspotConfig::default()
-        });
+        let mut fp = HotspotFootprint::new(100);
         for i in 0..1000 {
             fp.on_access_start(&[gk(i)]);
             fp.on_txn_finish(&[gk(i)], true);
@@ -476,10 +440,7 @@ mod tests {
 
     #[test]
     fn records_in_use_are_not_evicted() {
-        let mut fp = HotspotFootprint::new(HotspotConfig {
-            capacity: 10,
-            ..HotspotConfig::default()
-        });
+        let mut fp = HotspotFootprint::new(10);
         fp.on_access_start(&[gk(0)]); // stays in use
         for i in 1..500 {
             fp.on_access_start(&[gk(i)]);
@@ -495,7 +456,7 @@ mod tests {
     fn memory_stays_bounded_when_the_working_set_fits() {
         // The parent's lazy LRU queue grew by one entry per touch for as long
         // as the working set fit under capacity. Nothing here may.
-        let mut fp = HotspotFootprint::with_defaults();
+        let mut fp = HotspotFootprint::new(DEFAULT_CAPACITY);
         let keys: Vec<GlobalKey> = (0..64).map(gk).collect();
         for round in 0..1_000_000 / 128 {
             let txn = &keys[round % 61..][..4];
@@ -517,7 +478,7 @@ mod tests {
     /// gets one `(key, touch)` entry per touch and skips the stale ones when
     /// an insert has to evict.
     struct ReferenceModel {
-        config: HotspotConfig,
+        capacity: usize,
         records: BTreeMap<GlobalKey, (HotRecordStats, u64)>,
         lru: VecDeque<(GlobalKey, u64)>,
         touches: u64,
@@ -535,7 +496,7 @@ mod tests {
             if self.records.len() == before {
                 return;
             }
-            while self.records.len() > self.config.capacity {
+            while self.records.len() > self.capacity {
                 let Some((candidate, touch)) = self.lru.pop_front() else {
                     return;
                 };
@@ -564,7 +525,6 @@ mod tests {
         fn on_subtxn_feedback(&mut self, keys: &[GlobalKey], latency: Duration) {
             let lats: Vec<f64> = keys.iter().map(|k| self.w_lat(k)).collect();
             let sum: f64 = lats.iter().sum();
-            let alpha = self.config.alpha;
             for (key, w_lat) in keys.iter().zip(&lats) {
                 let weight = if sum > 0.0 {
                     w_lat / sum
@@ -576,7 +536,8 @@ mod tests {
                     if entry.w_lat == 0.0 {
                         entry.w_lat = observed;
                     } else {
-                        entry.w_lat = alpha * entry.w_lat + (1.0 - alpha) * observed;
+                        entry.w_lat =
+                            FEEDBACK_ALPHA * entry.w_lat + (1.0 - FEEDBACK_ALPHA) * observed;
                     }
                 });
             }
@@ -593,7 +554,7 @@ mod tests {
 
         fn forecast_local_latency(&self, keys: &[GlobalKey]) -> Duration {
             let total: f64 = keys.iter().map(|k| self.w_lat(k)).sum();
-            Duration::from_secs_f64((total * self.config.forecast_scale).max(0.0))
+            Duration::from_secs_f64(total.max(0.0))
         }
 
         fn success_probability(&self, keys: &[GlobalKey]) -> f64 {
@@ -612,13 +573,9 @@ mod tests {
     /// compare them after every step. Returns how many records the slab ever
     /// held popped-while-in-use at once.
     fn run_differential(seed: u64, capacity: usize, universe: u64, steps: usize) -> usize {
-        let config = HotspotConfig {
-            capacity,
-            ..HotspotConfig::default()
-        };
-        let mut fp = HotspotFootprint::new(config);
+        let mut fp = HotspotFootprint::new(capacity);
         let mut model = ReferenceModel {
-            config,
+            capacity,
             records: BTreeMap::new(),
             lru: VecDeque::new(),
             touches: 0,

@@ -28,7 +28,7 @@ pub mod session;
 
 pub use commit_log::{CommitLog, Decision, Fenced};
 pub use coordinator::{gtrid_owner, Middleware, MiddlewareConfig, Protocol, SessionState};
-pub use hotspot::{HotRecordStats, HotspotConfig, HotspotFootprint};
+pub use hotspot::{HotRecordStats, HotspotFootprint};
 pub use metrics::{
     AbortReason, LatencyBreakdown, MiddlewareStats, TxnHistory, TxnOutcome, ABORT_REASONS,
 };

@@ -11,8 +11,9 @@
 //! With the advanced optimization enabled the scheduler additionally performs
 //! *late transaction scheduling* (Algorithm 2, lines 10–18): it estimates the
 //! transaction's abort probability from the hotspot footprint (Eq. 9) and
-//! keeps high-risk transactions back, retrying a bounded number of times
-//! before refusing admission.
+//! keeps high-risk transactions back, retrying 10 times before refusing
+//! admission. O2 and O3 are arguments of [`GeoScheduler::new`]: the
+//! middleware derives them from its protocol.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -22,7 +23,7 @@ use geotp_net::LatencyMonitor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::hotspot::{HotspotConfig, HotspotFootprint};
+use crate::hotspot::{HotspotFootprint, DEFAULT_CAPACITY};
 use crate::ops::GlobalKey;
 
 /// A branch (subtransaction) the scheduler needs to place in time.
@@ -56,19 +57,16 @@ pub enum AdmissionDecision {
     },
 }
 
-/// Scheduler configuration.
+/// Admission retries before late scheduling rejects a transaction
+/// (Algorithm 2 uses 10).
+const MAX_ADMISSION_RETRIES: u32 = 10;
+
+/// Virtual-time backoff the coordinator charges per admission attempt.
+pub(crate) const ADMISSION_RETRY_BACKOFF: Duration = Duration::from_millis(2);
+
+/// Scheduler configuration: the admission lottery's seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
-    /// O2: postpone subtransactions according to network latency.
-    pub latency_aware: bool,
-    /// O3: use hotspot statistics (forecast + late scheduling).
-    pub advanced: bool,
-    /// Maximum admission retries before rejecting (Algorithm 2 uses 10).
-    pub max_retries: u32,
-    /// Virtual-time backoff between admission retries.
-    pub retry_backoff: Duration,
-    /// Hotspot footprint configuration.
-    pub hotspot: HotspotConfig,
     /// Seed for the admission lottery.
     pub seed: u64,
 }
@@ -76,11 +74,6 @@ pub struct SchedulerConfig {
 impl Default for SchedulerConfig {
     fn default() -> Self {
         Self {
-            latency_aware: true,
-            advanced: true,
-            max_retries: 10,
-            retry_backoff: Duration::from_millis(2),
-            hotspot: HotspotConfig::default(),
             seed: 0x0067_656f_7470, // "geotp"
         }
     }
@@ -88,7 +81,10 @@ impl Default for SchedulerConfig {
 
 /// The geo-scheduler.
 pub struct GeoScheduler {
-    config: SchedulerConfig,
+    /// O2: postpone subtransactions according to network latency.
+    latency_scheduling: bool,
+    /// O3: use hotspot statistics (forecast + late scheduling).
+    advanced: bool,
     monitor: Rc<LatencyMonitor>,
     footprint: RefCell<HotspotFootprint>,
     rng: RefCell<StdRng>,
@@ -99,22 +95,24 @@ pub struct GeoScheduler {
 }
 
 impl GeoScheduler {
-    /// Create a scheduler reading RTT estimates from `monitor`.
-    pub fn new(config: SchedulerConfig, monitor: Rc<LatencyMonitor>) -> Self {
+    /// Create a scheduler reading RTT estimates from `monitor`, with O2
+    /// (`latency_scheduling`) and O3 (`advanced`) switched as given.
+    pub fn new(
+        config: SchedulerConfig,
+        monitor: Rc<LatencyMonitor>,
+        latency_scheduling: bool,
+        advanced: bool,
+    ) -> Self {
         Self {
-            footprint: RefCell::new(HotspotFootprint::new(config.hotspot)),
+            latency_scheduling,
+            advanced,
+            footprint: RefCell::new(HotspotFootprint::new(DEFAULT_CAPACITY)),
             rng: RefCell::new(StdRng::seed_from_u64(config.seed)),
-            config,
             monitor,
             admissions: RefCell::new(0),
             rejections: RefCell::new(0),
             keys_scratch: RefCell::new(Vec::new()),
         }
-    }
-
-    /// The scheduler's configuration.
-    pub fn config(&self) -> SchedulerConfig {
-        self.config
     }
 
     /// Shared access to the hotspot footprint for feedback updates.
@@ -135,7 +133,7 @@ impl GeoScheduler {
     /// its forecast local execution latency.
     fn branch_latency(&self, branch: &BranchPlan) -> Duration {
         let mut latency = self.rtt_of(branch.ds_index);
-        if self.config.advanced {
+        if self.advanced {
             latency += self.footprint.borrow().forecast_local_latency(&branch.keys);
         }
         latency
@@ -145,7 +143,7 @@ impl GeoScheduler {
     pub fn schedule(&self, branches: &[BranchPlan]) -> Schedule {
         let latencies: Vec<Duration> = branches.iter().map(|b| self.branch_latency(b)).collect();
         let horizon = latencies.iter().copied().max().unwrap_or(Duration::ZERO);
-        let postpone = if self.config.latency_aware && branches.len() > 1 {
+        let postpone = if self.latency_scheduling && branches.len() > 1 {
             latencies
                 .iter()
                 .map(|lat| horizon.saturating_sub(*lat))
@@ -158,12 +156,12 @@ impl GeoScheduler {
 
     /// Algorithm 2: admission control plus scheduling. Returns how long each
     /// branch should be postponed, or a rejection when the predicted abort
-    /// rate stays too high across `max_retries` lottery draws.
+    /// rate stays too high across 10 retried lottery draws.
     ///
-    /// The returned `attempts` count lets the coordinator charge the retry
-    /// backoff to the transaction's latency.
+    /// The returned `attempts` count lets the coordinator charge a 2 ms
+    /// backoff per attempt to the transaction's latency.
     pub fn schedule_with_admission(&self, branches: &[BranchPlan]) -> AdmissionDecision {
-        if !self.config.advanced {
+        if !self.advanced {
             *self.admissions.borrow_mut() += 1;
             return AdmissionDecision::Admit(self.schedule(branches));
         }
@@ -181,7 +179,7 @@ impl GeoScheduler {
                 *self.admissions.borrow_mut() += 1;
                 return AdmissionDecision::Admit(self.schedule(branches));
             }
-            if attempts > self.config.max_retries {
+            if attempts > MAX_ADMISSION_RETRIES {
                 *self.rejections.borrow_mut() += 1;
                 return AdmissionDecision::Reject { attempts };
             }
@@ -192,7 +190,7 @@ impl GeoScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geotp_net::{MonitorConfig, NetworkBuilder, NodeId};
+    use geotp_net::{NetworkBuilder, NodeId};
     use geotp_simrt::Runtime;
     use geotp_storage::TableId;
 
@@ -210,7 +208,7 @@ mod tests {
             targets.push(ds);
         }
         let net = builder.build();
-        LatencyMonitor::new(&net, dm, &targets, MonitorConfig::default())
+        LatencyMonitor::new(&net, dm, &targets)
     }
 
     fn plan(ds: u32, keys: &[u64]) -> BranchPlan {
@@ -225,14 +223,7 @@ mod tests {
         let mut rt = Runtime::new();
         rt.block_on(async {
             let mon = monitor(&[10, 100]);
-            let sched = GeoScheduler::new(
-                SchedulerConfig {
-                    latency_aware: true,
-                    advanced: false,
-                    ..SchedulerConfig::default()
-                },
-                mon,
-            );
+            let sched = GeoScheduler::new(SchedulerConfig::default(), mon, true, false);
             let s = sched.schedule(&[plan(0, &[1]), plan(1, &[2])]);
             // Fig. 4c: the 10ms branch is postponed by 90ms, the 100ms branch not at all.
             assert_eq!(s.postpone, vec![Duration::from_millis(90), Duration::ZERO]);
@@ -245,14 +236,7 @@ mod tests {
         let mut rt = Runtime::new();
         rt.block_on(async {
             let mon = monitor(&[10, 100]);
-            let sched = GeoScheduler::new(
-                SchedulerConfig {
-                    latency_aware: false,
-                    advanced: false,
-                    ..SchedulerConfig::default()
-                },
-                mon,
-            );
+            let sched = GeoScheduler::new(SchedulerConfig::default(), mon, false, false);
             let s = sched.schedule(&[plan(0, &[1]), plan(1, &[2])]);
             assert_eq!(s.postpone, vec![Duration::ZERO, Duration::ZERO]);
         });
@@ -263,7 +247,7 @@ mod tests {
         let mut rt = Runtime::new();
         rt.block_on(async {
             let mon = monitor(&[251]);
-            let sched = GeoScheduler::new(SchedulerConfig::default(), mon);
+            let sched = GeoScheduler::new(SchedulerConfig::default(), mon, true, true);
             let s = sched.schedule(&[plan(0, &[1])]);
             assert_eq!(s.postpone, vec![Duration::ZERO]);
         });
@@ -274,14 +258,7 @@ mod tests {
         let mut rt = Runtime::new();
         rt.block_on(async {
             let mon = monitor(&[10, 100]);
-            let sched = GeoScheduler::new(
-                SchedulerConfig {
-                    latency_aware: true,
-                    advanced: true,
-                    ..SchedulerConfig::default()
-                },
-                mon,
-            );
+            let sched = GeoScheduler::new(SchedulerConfig::default(), mon, true, true);
             // Teach the footprint that key 1 (on the fast node) is slow to
             // execute locally: 60ms of lock waiting.
             sched
@@ -301,7 +278,7 @@ mod tests {
         let mut rt = Runtime::new();
         rt.block_on(async {
             let mon = monitor(&[10, 100]);
-            let sched = GeoScheduler::new(SchedulerConfig::default(), mon);
+            let sched = GeoScheduler::new(SchedulerConfig::default(), mon, true, true);
             sched
                 .footprint()
                 .borrow_mut()
@@ -319,13 +296,7 @@ mod tests {
         let mut rt = Runtime::new();
         rt.block_on(async {
             let mon = monitor(&[10, 100]);
-            let sched = GeoScheduler::new(
-                SchedulerConfig {
-                    max_retries: 3,
-                    ..SchedulerConfig::default()
-                },
-                mon,
-            );
+            let sched = GeoScheduler::new(SchedulerConfig::default(), mon, true, true);
             {
                 let mut fp = sched.footprint().borrow_mut();
                 // Record 7: heavily contended and almost always aborting.
@@ -339,7 +310,9 @@ mod tests {
             }
             let decision = sched.schedule_with_admission(&[plan(0, &[7]), plan(1, &[8])]);
             match decision {
-                AdmissionDecision::Reject { attempts } => assert_eq!(attempts, 4),
+                AdmissionDecision::Reject { attempts } => {
+                    assert_eq!(attempts, MAX_ADMISSION_RETRIES + 1)
+                }
                 other => panic!("expected rejection, got {other:?}"),
             }
             assert_eq!(sched.admission_counters(), (0, 1));
@@ -351,7 +324,7 @@ mod tests {
         let mut rt = Runtime::new();
         rt.block_on(async {
             let mon = monitor(&[10, 100]);
-            let sched = GeoScheduler::new(SchedulerConfig::default(), mon);
+            let sched = GeoScheduler::new(SchedulerConfig::default(), mon, true, true);
             let decision = sched.schedule_with_admission(&[plan(0, &[1]), plan(1, &[2])]);
             assert!(matches!(decision, AdmissionDecision::Admit(_)));
             assert_eq!(sched.admission_counters(), (1, 0));

@@ -26,8 +26,10 @@
 //! a remote client placement (e.g.
 //! [`Middleware::session_service_from`](crate::Middleware::session_service_from))
 //! pays one client↔middleware round trip per `begin`/round/`commit`, and
-//! that time lands in [`LatencyBreakdown::client_rtt`]; client think time
-//! injected with [`Txn::think`] lands in [`LatencyBreakdown::think_time`].
+//! that time lands in
+//! [`LatencyBreakdown::client_rtt`](crate::LatencyBreakdown::client_rtt);
+//! client think time injected with [`Txn::think`] lands in
+//! [`LatencyBreakdown::think_time`](crate::LatencyBreakdown::think_time).
 //! Co-located sessions (the default) pay nothing.
 //!
 //! ```

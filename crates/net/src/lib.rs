@@ -21,7 +21,7 @@ pub use fault::FaultInjector;
 pub use latency::{
     DynamicLatency, JitteredLatency, LatencyModel, RandomLatency, SpikingLatency, StaticLatency,
 };
-pub use monitor::{LatencyMonitor, MonitorConfig};
+pub use monitor::LatencyMonitor;
 pub use network::{LinkStats, Network, NetworkBuilder};
 pub use node::{NodeId, NodeKind};
 

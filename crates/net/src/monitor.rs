@@ -18,29 +18,16 @@ use geotp_simrt::{sleep, spawn};
 use crate::network::Network;
 use crate::node::NodeId;
 
-/// Configuration of the latency monitor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonitorConfig {
-    /// Interval between pings to each target (paper: 10 ms).
-    pub interval: Duration,
-    /// EWMA smoothing factor applied to the previous estimate
-    /// (`est = alpha * est + (1 - alpha) * sample`).
-    pub alpha: f64,
-}
+/// Interval between pings to each target (paper §VI: 10 ms).
+const PING_INTERVAL: Duration = Duration::from_millis(10);
 
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        Self {
-            interval: Duration::from_millis(10),
-            alpha: 0.8,
-        }
-    }
-}
+/// EWMA smoothing factor applied to the previous estimate
+/// (`est = alpha * est + (1 - alpha) * sample`).
+const EWMA_ALPHA: f64 = 0.8;
 
 /// Published RTT estimates from a middleware node to each data source.
 pub struct LatencyMonitor {
     from: NodeId,
-    config: MonitorConfig,
     estimates: RefCell<HashMap<NodeId, Duration>>,
     probes: RefCell<u64>,
 }
@@ -48,14 +35,13 @@ pub struct LatencyMonitor {
 impl LatencyMonitor {
     /// Create a monitor without starting any probing tasks; estimates start
     /// from the network's nominal RTT (the middleware knows its deployment).
-    pub fn new(net: &Network, from: NodeId, targets: &[NodeId], config: MonitorConfig) -> Rc<Self> {
+    pub fn new(net: &Network, from: NodeId, targets: &[NodeId]) -> Rc<Self> {
         let estimates = targets
             .iter()
             .map(|t| (*t, net.nominal_rtt(from, *t)))
             .collect();
         Rc::new(Self {
             from,
-            config,
             estimates: RefCell::new(estimates),
             probes: RefCell::new(0),
         })
@@ -63,20 +49,15 @@ impl LatencyMonitor {
 
     /// Create the monitor and spawn one background probing task per target.
     /// The tasks run for the lifetime of the simulation.
-    pub fn start(
-        net: Rc<Network>,
-        from: NodeId,
-        targets: &[NodeId],
-        config: MonitorConfig,
-    ) -> Rc<Self> {
-        let monitor = Self::new(&net, from, targets, config);
+    pub fn start(net: Rc<Network>, from: NodeId, targets: &[NodeId]) -> Rc<Self> {
+        let monitor = Self::new(&net, from, targets);
         for target in targets {
             let target = *target;
             let net = Rc::clone(&net);
             let monitor_bg = Rc::clone(&monitor);
             spawn(async move {
                 loop {
-                    sleep(monitor_bg.config.interval).await;
+                    sleep(PING_INTERVAL).await;
                     let sample = net.ping(monitor_bg.from, target).await;
                     monitor_bg.observe(target, sample);
                 }
@@ -90,8 +71,7 @@ impl LatencyMonitor {
         *self.probes.borrow_mut() += 1;
         let mut estimates = self.estimates.borrow_mut();
         let entry = estimates.entry(target).or_insert(sample);
-        let alpha = self.config.alpha;
-        let new = alpha * entry.as_secs_f64() + (1.0 - alpha) * sample.as_secs_f64();
+        let new = EWMA_ALPHA * entry.as_secs_f64() + (1.0 - EWMA_ALPHA) * sample.as_secs_f64();
         *entry = Duration::from_secs_f64(new);
     }
 
@@ -148,7 +128,7 @@ mod tests {
                 .static_link(dm(), ds(0), Duration::from_millis(27))
                 .static_link(dm(), ds(1), Duration::from_millis(251))
                 .build();
-            let mon = LatencyMonitor::new(&net, dm(), &[ds(0), ds(1)], MonitorConfig::default());
+            let mon = LatencyMonitor::new(&net, dm(), &[ds(0), ds(1)]);
             assert_eq!(mon.rtt(ds(0)), Duration::from_millis(27));
             assert_eq!(mon.rtt(ds(1)), Duration::from_millis(251));
             assert_eq!(mon.max_rtt(), Duration::from_millis(251));
@@ -162,21 +142,15 @@ mod tests {
             let net = NetworkBuilder::new(1)
                 .static_link(dm(), ds(0), Duration::from_millis(20))
                 .build();
-            let mon = LatencyMonitor::start(
-                Rc::clone(&net),
-                dm(),
-                &[ds(0)],
-                MonitorConfig {
-                    interval: Duration::from_millis(10),
-                    alpha: 0.5,
-                },
-            );
+            let mon = LatencyMonitor::start(Rc::clone(&net), dm(), &[ds(0)]);
             sleep(Duration::from_millis(100)).await;
             assert_eq!(mon.rtt(ds(0)), Duration::from_millis(20));
 
-            // The link degrades to 200ms; the EWMA converges towards it.
+            // The link degrades to 200ms; the EWMA converges towards it
+            // (one sample per 210 ms ping cycle, each closing a fifth of the
+            // gap).
             net.set_link(dm(), ds(0), StaticLatency::from_millis(200));
-            sleep(Duration::from_secs(2)).await;
+            sleep(Duration::from_secs(4)).await;
             let est = mon.rtt(ds(0));
             assert!(
                 est > Duration::from_millis(190),
@@ -193,19 +167,11 @@ mod tests {
             let net = NetworkBuilder::new(1)
                 .static_link(dm(), ds(0), Duration::from_millis(50))
                 .build();
-            let mon = LatencyMonitor::new(
-                &net,
-                dm(),
-                &[ds(0)],
-                MonitorConfig {
-                    interval: Duration::from_millis(10),
-                    alpha: 0.9,
-                },
-            );
+            let mon = LatencyMonitor::new(&net, dm(), &[ds(0)]);
             mon.observe(ds(0), Duration::from_millis(500));
             let est = mon.rtt(ds(0));
-            // 0.9*50 + 0.1*500 = 95ms: pulled up, but nowhere near the spike.
-            assert_eq!(est, Duration::from_millis(95));
+            // 0.8*50 + 0.2*500 = 140ms: pulled up, but nowhere near the spike.
+            assert_eq!(est, Duration::from_millis(140));
         });
     }
 
@@ -214,7 +180,7 @@ mod tests {
         let mut rt = Runtime::new();
         rt.block_on(async {
             let net = NetworkBuilder::new(1).build();
-            let mon = LatencyMonitor::new(&net, dm(), &[], MonitorConfig::default());
+            let mon = LatencyMonitor::new(&net, dm(), &[]);
             assert_eq!(mon.rtt(ds(9)), Duration::ZERO);
             assert_eq!(mon.origin(), dm());
         });

@@ -47,7 +47,7 @@ use geotp_middleware::{
     AbortReason, AdmissionDecision, BranchPlan, ClientOp, GeoScheduler, GlobalKey, MiddlewareStats,
     Partitioner, SchedulerConfig, TransactionSpec, TxnOutcome,
 };
-use geotp_net::{LatencyMonitor, MonitorConfig, Network, NodeId};
+use geotp_net::{LatencyMonitor, Network, NodeId};
 use geotp_simrt::{join_all, now, sleep, SimInstant};
 use geotp_storage::{Key, LockManager, LockMode, Row, Xid};
 use geotp_workloads::TransactionService;
@@ -108,19 +108,14 @@ impl ScalarDbCluster {
             "ScalarDB needs its data sources, in data-source order"
         );
         let targets: Vec<NodeId> = sources.iter().map(|s| s.node()).collect();
-        let monitor = LatencyMonitor::new(&net, node, &targets, MonitorConfig::default());
-        let scheduler_config = SchedulerConfig {
-            latency_aware: plus,
-            advanced: plus,
-            ..SchedulerConfig::default()
-        };
+        let monitor = LatencyMonitor::new(&net, node, &targets);
         Rc::new(Self {
             node,
             plus,
             locks: LockManager::new(sources[0].engine().config().lock_wait_timeout),
             sources: sources.to_vec(),
             partitioner,
-            scheduler: GeoScheduler::new(scheduler_config, monitor),
+            scheduler: GeoScheduler::new(SchedulerConfig::default(), monitor, plus, plus),
             net,
             next_txn: Cell::new(1),
             stats: RefCell::new(MiddlewareStats::default()),
@@ -838,6 +833,7 @@ mod tests {
                     warmup: Duration::ZERO,
                     measure: Duration::from_secs(10),
                     seed: 19,
+                    think_time: Duration::ZERO,
                 };
                 run_benchmark(
                     Folding(ScalarDbService(cluster), Rc::clone(&folded)),

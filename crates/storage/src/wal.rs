@@ -3,7 +3,7 @@
 //! The log is the durability anchor of the XA participant: a branch is
 //! *prepared* only after its `Prepare` record (and everything before it) has
 //! been flushed. The log survives simulated crashes and is the input to
-//! [`crate::engine::StorageEngine::recover`].
+//! [`crate::engine::StorageEngine::restart`].
 
 use std::cell::RefCell;
 

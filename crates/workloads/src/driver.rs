@@ -102,6 +102,12 @@ pub struct DriverConfig {
     pub measure: Duration,
     /// Seed for workload generation (each terminal derives its own stream).
     pub seed: u64,
+    /// Client think time between the statement rounds of one transaction
+    /// (the interactive-terminal shape; lands in the latency breakdown's
+    /// `think_time` slice). Zero replays specs back-to-back. Only the
+    /// session driver has rounds to think between: [`run_benchmark`]
+    /// submits whole specs and ignores it.
+    pub think_time: Duration,
 }
 
 impl Default for DriverConfig {
@@ -111,6 +117,7 @@ impl Default for DriverConfig {
             warmup: Duration::from_secs(1),
             measure: Duration::from_secs(10),
             seed: 42,
+            think_time: Duration::ZERO,
         }
     }
 }
@@ -123,6 +130,7 @@ impl DriverConfig {
             warmup: Duration::from_millis(500),
             measure,
             seed: 42,
+            think_time: Duration::ZERO,
         }
     }
 }
@@ -159,28 +167,6 @@ impl BenchmarkReport {
     }
 }
 
-/// Session-driver configuration: the closed-loop terminal parameters plus
-/// the interactive knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionDriverConfig {
-    /// Terminals, warm-up, measurement window and seed.
-    pub base: DriverConfig,
-    /// Client think time between the statement rounds of one transaction
-    /// (the interactive-terminal shape; lands in the latency breakdown's
-    /// `think_time` slice). Zero replays specs back-to-back.
-    pub think_time: Duration,
-}
-
-impl SessionDriverConfig {
-    /// A session driver with no think time.
-    pub fn new(base: DriverConfig) -> Self {
-        Self {
-            base,
-            think_time: Duration::ZERO,
-        }
-    }
-}
-
 /// Run a closed-loop benchmark of `workload` through the session front door:
 /// each terminal connects one session (`session_id == terminal`) and replays
 /// its generated specs through live transaction handles. Refused connections
@@ -189,24 +175,23 @@ impl SessionDriverConfig {
 pub async fn run_session_benchmark<S>(
     service: S,
     workload: WorkloadMix,
-    config: SessionDriverConfig,
+    config: DriverConfig,
 ) -> BenchmarkReport
 where
     S: SessionService + Clone + 'static,
 {
     let start = now();
-    let measure_start = start + config.base.warmup;
-    let end = measure_start + config.base.measure;
+    let measure_start = start + config.warmup;
+    let end = measure_start + config.measure;
     let label = service.label();
     let think_time = config.think_time;
 
-    let mut handles = Vec::with_capacity(config.base.terminals);
-    for terminal in 0..config.base.terminals {
+    let mut handles = Vec::with_capacity(config.terminals);
+    for terminal in 0..config.terminals {
         let service = service.clone();
         let workload = workload.clone();
         let mut rng = StdRng::seed_from_u64(
             config
-                .base
                 .seed
                 .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 .wrapping_add(terminal as u64),
@@ -243,7 +228,7 @@ where
     }
     BenchmarkReport {
         metrics: merged,
-        measured: config.base.measure,
+        measured: config.measure,
         label,
     }
 }
@@ -375,6 +360,7 @@ mod tests {
                     warmup: Duration::from_millis(500),
                     measure: Duration::from_secs(3),
                     seed: 1,
+                    think_time: Duration::ZERO,
                 },
             )
             .await
@@ -403,6 +389,7 @@ mod tests {
                 warmup: Duration::from_millis(500),
                 measure: Duration::from_secs(4),
                 seed: 9,
+                think_time: Duration::ZERO,
             };
             let (geotp_mw, geotp_gen) = build_cluster(Protocol::geotp());
             let geotp = run_benchmark(geotp_mw, WorkloadMix::Ycsb(geotp_gen), cfg).await;
@@ -445,12 +432,7 @@ mod tests {
             let (mw_a, gen_a) = build_cluster(Protocol::geotp());
             let oneshot = run_benchmark(mw_a, WorkloadMix::Ycsb(gen_a), cfg).await;
             let (mw_b, gen_b) = build_cluster(Protocol::geotp());
-            let sessions = run_session_benchmark(
-                mw_b,
-                WorkloadMix::Ycsb(gen_b),
-                SessionDriverConfig::new(cfg),
-            )
-            .await;
+            let sessions = run_session_benchmark(mw_b, WorkloadMix::Ycsb(gen_b), cfg).await;
             (oneshot, sessions)
         });
         assert_eq!(oneshot.metrics.committed(), sessions.metrics.committed());
@@ -515,19 +497,14 @@ mod tests {
                 t
             };
             let (mw_a, gen_a) = build_tpcc_cluster(&tpcc);
-            let eager = run_session_benchmark(
-                mw_a,
-                WorkloadMix::Tpcc(gen_a),
-                SessionDriverConfig::new(cfg),
-            )
-            .await;
+            let eager = run_session_benchmark(mw_a, WorkloadMix::Tpcc(gen_a), cfg).await;
             let (mw_b, gen_b) = build_tpcc_cluster(&tpcc);
             let thinking = run_session_benchmark(
                 mw_b,
                 WorkloadMix::Tpcc(gen_b),
-                SessionDriverConfig {
-                    base: cfg,
+                DriverConfig {
                     think_time: Duration::from_millis(50),
+                    ..cfg
                 },
             )
             .await;

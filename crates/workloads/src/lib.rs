@@ -22,8 +22,7 @@ pub mod ycsb;
 pub mod zipfian;
 
 pub use driver::{
-    run_session_benchmark, BenchmarkReport, DriverConfig, SessionDriverConfig, TransactionService,
-    WorkloadMix,
+    run_session_benchmark, BenchmarkReport, DriverConfig, TransactionService, WorkloadMix,
 };
 pub use metrics::{Histogram, MetricsCollector, ThroughputTimeline};
 pub use tpcc::{consistency_violations, TpccConfig, TpccGenerator, TpccTransaction};

@@ -44,6 +44,7 @@ fn main() {
                     warmup: Duration::from_secs(1),
                     measure: Duration::from_secs(8),
                     seed: 7,
+                    think_time: Duration::ZERO,
                 },
             )
             .await

@@ -191,6 +191,7 @@ fn throughput_ordering_matches_fig5_under_contention() {
                     warmup: Duration::from_secs(1),
                     measure: Duration::from_secs(12),
                     seed: 5,
+                    think_time: Duration::ZERO,
                 },
             )
             .await
