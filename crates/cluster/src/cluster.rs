@@ -27,15 +27,9 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use geotp_datasource::DataSource;
-use geotp_middleware::session::{
-    BoxFuture, RoundResult, Session, SessionLink, SessionService, Txn, TxnError, TxnHandle,
-};
-use geotp_middleware::{
-    AbortReason, ClientOp, CommitLog, Middleware, MiddlewareConfig, Partitioner, Protocol,
-    TxnOutcome,
-};
+use geotp_middleware::session::{BoxFuture, Session, SessionService, TxnError, TxnHandle};
+use geotp_middleware::{CommitLog, Middleware, MiddlewareConfig, Partitioner, Protocol};
 use geotp_net::{Network, NodeId};
-use geotp_simrt::sync::semaphore::SemaphorePermit;
 use geotp_simrt::{join_all, now, sleep, spawn};
 
 use crate::admission::{AdmissionGate, AdmissionPolicy, CoordinatorLoad, ShedReason};
@@ -628,59 +622,29 @@ impl CoordinatorCluster {
 // *retryable* abort on the handle, and the session's next `begin` re-routes.
 // ---------------------------------------------------------------------------
 
-/// The cluster's [`SessionService`].
-#[derive(Clone)]
-pub struct ClusterSessionService(Rc<CoordinatorCluster>);
-
 impl CoordinatorCluster {
-    /// The session front door for this tier.
-    pub fn session_service(self: &Rc<Self>) -> ClusterSessionService {
-        ClusterSessionService(Rc::clone(self))
-    }
-
-    /// Open a session directly (convenience for tests and drivers).
+    /// Open a session on this tier.
     pub fn connect(self: &Rc<Self>, session_id: u64) -> Session {
-        self.session_service().connect(session_id)
+        SessionService::connect(self, session_id)
     }
 }
 
-impl SessionService for ClusterSessionService {
-    fn connect(&self, session_id: u64) -> Session {
-        Session::from_link(
-            session_id,
-            self.label(),
-            Box::new(ClusterLink {
-                cluster: Rc::clone(&self.0),
-                session: session_id,
-            }),
-        )
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "{} tier x{}",
-            self.0.config.protocol.name(),
-            self.0.config.coordinators
-        )
-    }
-}
-
-struct ClusterLink {
-    cluster: Rc<CoordinatorCluster>,
-    session: u64,
-}
-
-impl SessionLink for ClusterLink {
-    fn begin<'a>(&'a mut self) -> BoxFuture<'a, Result<Box<dyn TxnHandle>, TxnError>> {
-        let cluster = Rc::clone(&self.cluster);
-        let session = self.session;
+/// The tier routes and admits each `begin`, then begins directly on the
+/// routed slot's middleware and hands out that middleware's own handle
+/// (holding the worker permit). Which coordinator a session is pinned to is
+/// the router's knowledge: `cluster.router().route(session_id)`.
+impl SessionService for CoordinatorCluster {
+    fn begin(
+        self: Rc<Self>,
+        session: u64,
+    ) -> BoxFuture<'static, Result<Box<dyn TxnHandle>, TxnError>> {
         Box::pin(async move {
             let begin_started = now();
             // Route (affinity, else the first live coordinator clockwise).
-            let Some(coordinator) = cluster.router.route(session) else {
+            let Some(coordinator) = self.router.route(session) else {
                 return Err(TxnError::refused()); // nobody alive; back off + retry
             };
-            let slot = &cluster.slots[coordinator as usize];
+            let slot = &self.slots[coordinator as usize];
             let enqueued = now();
             let ticket = match slot.admission.admit().await {
                 Ok(ticket) => ticket,
@@ -695,137 +659,51 @@ impl SessionLink for ClusterLink {
                 }
             };
             let middleware = slot.middleware();
-            let mut inner = SessionService::connect(&middleware, session);
-            match inner.begin().await {
-                Ok(mut txn) => {
-                    if !ticket.queue_time.is_zero() {
-                        // The wait for a worker permit is part of the client's
-                        // observed begin latency.
-                        txn.note_queue_time(ticket.queue_time);
-                    }
-                    if geotp_telemetry::enabled() && txn.gtrid() != 0 {
-                        // Backdate the front-door segments into the trace now
-                        // that the transaction has an id: the full session
-                        // begin, and the admission-queue wait inside it.
-                        let dm = geotp_telemetry::TraceNode::middleware(coordinator);
-                        geotp_telemetry::span_leaf_window(
-                            txn.gtrid(),
-                            dm,
-                            geotp_telemetry::SpanKind::SessionBegin,
-                            session,
-                            begin_started,
-                            now(),
-                        );
-                        if !ticket.queue_time.is_zero() {
-                            geotp_telemetry::span_leaf_window(
-                                txn.gtrid(),
-                                dm,
-                                geotp_telemetry::SpanKind::Admission,
-                                0,
-                                enqueued,
-                                geotp_simrt::SimInstant::from_micros(
-                                    enqueued.as_micros() + ticket.queue_time.as_micros() as u64,
-                                ),
-                            );
-                        }
-                    }
-                    Ok(Box::new(ClusterTxn {
-                        inner: Some(txn),
-                        _permit: ticket.permit,
-                    }) as Box<dyn TxnHandle>)
-                }
-                Err(mut refused) => {
-                    // The routed coordinator is crashed but not yet declared
-                    // dead; the session re-routes once the supervisor
-                    // notices, so the refusal stays retryable.
-                    refused.retryable = true;
-                    Err(refused)
+            // Every begin (re-)registers the session, so a session the reaper
+            // evicted reconnects transparently. A crashed coordinator not yet
+            // declared dead refuses retryably; the session re-routes once the
+            // supervisor notices.
+            middleware.register_session(session);
+            // The wait for a worker permit is part of the client's observed
+            // begin latency.
+            let handle = middleware
+                .begin_session(session, None, ticket.permit, ticket.queue_time)
+                .await?;
+            if geotp_telemetry::enabled() && handle.gtrid() != 0 {
+                // Backdate the front-door segments into the trace now that
+                // the transaction has an id: the full session begin, and the
+                // admission-queue wait inside it.
+                let dm = geotp_telemetry::TraceNode::middleware(coordinator);
+                geotp_telemetry::span_leaf_window(
+                    handle.gtrid(),
+                    dm,
+                    geotp_telemetry::SpanKind::SessionBegin,
+                    session,
+                    begin_started,
+                    now(),
+                );
+                if !ticket.queue_time.is_zero() {
+                    geotp_telemetry::span_leaf_window(
+                        handle.gtrid(),
+                        dm,
+                        geotp_telemetry::SpanKind::Admission,
+                        0,
+                        enqueued,
+                        geotp_simrt::SimInstant::from_micros(
+                            enqueued.as_micros() + ticket.queue_time.as_micros() as u64,
+                        ),
+                    );
                 }
             }
-        })
-    }
-}
-
-/// A live transaction pinned to one coordinator of the tier, holding its
-/// worker-capacity permit for the transaction's whole lifetime. (Which
-/// coordinator a session is pinned to is the router's knowledge:
-/// `cluster.router().route(session_id)`.)
-struct ClusterTxn {
-    inner: Option<Txn>,
-    _permit: Option<SemaphorePermit>,
-}
-
-/// Coordinator-loss abort reasons become *retryable* at the tier boundary:
-/// the session will be re-routed (takeover) or served by a successor.
-fn mark_tier_retryable(mut error: TxnError) -> TxnError {
-    if matches!(
-        error.reason,
-        AbortReason::CoordinatorCrashed | AbortReason::CoordinatorFenced
-    ) {
-        error.retryable = true;
-    }
-    error
-}
-
-impl TxnHandle for ClusterTxn {
-    fn execute<'a>(
-        &'a mut self,
-        ops: &'a [ClientOp],
-        last: bool,
-    ) -> BoxFuture<'a, Result<RoundResult, TxnError>> {
-        Box::pin(async move {
-            let inner = self.inner.as_mut().expect("transaction already concluded");
-            inner
-                .execute_round(ops, last)
-                .await
-                .map_err(mark_tier_retryable)
+            Ok(handle)
         })
     }
 
-    fn execute_sql<'a>(
-        &'a mut self,
-        statement: &'a str,
-    ) -> BoxFuture<'a, Result<RoundResult, TxnError>> {
-        Box::pin(async move {
-            let inner = self.inner.as_mut().expect("transaction already concluded");
-            inner
-                .execute_sql(statement)
-                .await
-                .map_err(mark_tier_retryable)
-        })
-    }
-
-    fn note_think(&mut self, thought: Duration) {
-        if let Some(inner) = self.inner.as_mut() {
-            inner.note_think(thought);
-        }
-    }
-
-    fn commit(mut self: Box<Self>) -> BoxFuture<'static, TxnOutcome> {
-        let inner = self.inner.take().expect("transaction already concluded");
-        Box::pin(async move {
-            let outcome = inner.commit().await;
-            drop(self); // release the worker permit after the outcome is known
-            outcome
-        })
-    }
-
-    fn rollback(mut self: Box<Self>) -> BoxFuture<'static, TxnOutcome> {
-        let inner = self.inner.take().expect("transaction already concluded");
-        Box::pin(async move {
-            let outcome = inner.rollback().await;
-            drop(self);
-            outcome
-        })
-    }
-
-    fn abandon(mut self: Box<Self>) {
-        // Dropping the inner handle runs the middleware's connection-loss
-        // cleanup; the permit frees with `self`.
-        drop(self.inner.take());
-    }
-
-    fn gtrid(&self) -> u64 {
-        self.inner.as_ref().map(|t| t.gtrid()).unwrap_or(0)
+    fn label(&self) -> String {
+        format!(
+            "{} tier x{}",
+            self.config.protocol.name(),
+            self.config.coordinators
+        )
     }
 }

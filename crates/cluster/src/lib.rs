@@ -43,8 +43,7 @@ pub use admission::{
     AdmissionGate, AdmissionPolicy, AdmissionReject, AdmissionTicket, CoordinatorLoad, ShedReason,
 };
 pub use cluster::{
-    ClusterConfig, ClusterSessionService, CoordinatorCluster, SessionReaperConfig, TakeoverReport,
-    SUPERVISOR_INTERVAL,
+    ClusterConfig, CoordinatorCluster, SessionReaperConfig, TakeoverReport, SUPERVISOR_INTERVAL,
 };
 pub use deploy::{build_tier, wire, TierLayout, Wiring};
 pub use membership::{MembershipConfig, MembershipTable, RenewError, SlotState};

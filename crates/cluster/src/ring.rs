@@ -175,11 +175,6 @@ impl SessionRouter {
         first_live
     }
 
-    /// Drop every cached assignment (tests / explicit rebalance).
-    pub fn clear_affinity(&self) {
-        self.affinity.borrow_mut().clear();
-    }
-
     /// Drop one session's cached assignment (idle-session reaping): its next
     /// `begin` re-routes from the ring as if it had never connected.
     pub fn forget(&self, session: u64) {

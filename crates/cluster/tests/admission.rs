@@ -241,7 +241,7 @@ fn reaped_session_gets_clean_retryable_error_and_reconnect_recovers() {
 
         // A middleware-level session (registered once at connect): after the
         // reaper evicts it, its next begin fails *cleanly* and retryably.
-        let service = middleware.session_service();
+        let service = Rc::clone(&middleware);
         let mut session = service.connect(7);
         assert!(session.run_spec(&transfer(3)).await.committed);
         geotp_simrt::sleep(Duration::from_secs(60)).await;

@@ -7,7 +7,9 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use geotp_cluster::{build_tier, ClusterConfig, CoordinatorCluster, TierLayout};
-use geotp_middleware::{AbortReason, ClientOp, GlobalKey, Partitioner, Protocol, TransactionSpec};
+use geotp_middleware::{
+    AbortReason, ClientOp, GlobalKey, Partitioner, Protocol, SessionService, TransactionSpec,
+};
 use geotp_simrt::Runtime;
 use geotp_storage::{CostModel, EngineConfig, Row, TableId};
 
@@ -113,6 +115,42 @@ fn mid_transaction_takeover_aborts_retryably_and_the_retry_commits() {
                 .int_value(),
             Some(1100)
         );
+    });
+}
+
+#[test]
+fn a_failed_handle_re_reports_its_original_error_through_both_doors() {
+    let mut rt = Runtime::new();
+    rt.block_on(async {
+        let cluster = build(2);
+        let session_id = session_on(&cluster, 1);
+        // The same coordinator behind both doors: the tier routes this
+        // session to dm1, and a second client connects to dm1 directly.
+        let mut via_tier = cluster.connect(session_id);
+        let mut via_middleware = cluster.middleware(1).connect(session_id + 1);
+        let mut tier_txn = via_tier.begin().await.unwrap();
+        let mut middleware_txn = via_middleware.begin().await.unwrap();
+        tier_txn.execute(&[ClientOp::add(gk(1), -1)]).await.unwrap();
+        middleware_txn
+            .execute(&[ClientOp::add(gk(2), -1)])
+            .await
+            .unwrap();
+
+        cluster.crash(1);
+        for (door, mut txn) in [("tier", tier_txn), ("middleware", middleware_txn)] {
+            let failed = txn
+                .execute(&[ClientOp::Read(gk(3))])
+                .await
+                .expect_err("the coordinator died under the transaction");
+            assert_eq!(failed.reason, AbortReason::CoordinatorCrashed, "{door}");
+            assert!(failed.retryable, "{door}: a crash invites a retry");
+            let again = txn
+                .execute_last(&[ClientOp::Read(gk(4))])
+                .await
+                .expect_err("a failed handle stays failed");
+            assert_eq!(again, failed, "{door}: a later round re-reports the error");
+            assert_eq!(txn.commit().await, failed.outcome, "{door}: so does commit");
+        }
     });
 }
 

@@ -72,9 +72,9 @@ pub use geotp_chaos::{
     ShrinkReport, TierConfig, TpccChaosWorkload, TransferWorkload, WorkloadShrinkReport, PRESETS,
 };
 pub use geotp_cluster::{
-    run_open_loop, AdmissionPolicy, ClusterConfig, ClusterSessionService, CoordinatorCluster,
-    CoordinatorLoad, MembershipConfig, MembershipTable, OpenLoopConfig, OpenLoopReport,
-    SessionReaperConfig, SessionRouter, TierLayout,
+    run_open_loop, AdmissionPolicy, ClusterConfig, CoordinatorCluster, CoordinatorLoad,
+    MembershipConfig, MembershipTable, OpenLoopConfig, OpenLoopReport, SessionReaperConfig,
+    SessionRouter, TierLayout,
 };
 pub use geotp_datasource::{DataSource, DataSourceConfig, Dialect, DsConnection};
 pub use geotp_middleware::{

@@ -40,12 +40,6 @@ impl DataSourceConfig {
         }
     }
 
-    /// Override the dialect.
-    pub fn with_dialect(mut self, dialect: Dialect) -> Self {
-        self.dialect = dialect;
-        self
-    }
-
     /// Override the engine configuration.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;

@@ -370,7 +370,7 @@ impl TransactionService for Deployed {
     fn label(&self) -> String {
         match self {
             Deployed::Middleware(service) => service.label(),
-            Deployed::ScalarDb(service) => TransactionService::label(service),
+            Deployed::ScalarDb(service) => service.label(),
             Deployed::DistDb(service) => service.label(),
         }
     }

@@ -37,8 +37,8 @@ pub use parser::{Catalog, ParseError, ParsedStatement, Rewriter, SqlParser, TxnC
 pub use router::Partitioner;
 pub use scheduler::{AdmissionDecision, BranchPlan, GeoScheduler, Schedule, SchedulerConfig};
 pub use session::{
-    MiddlewareSessionService, RetriedOutcome, RetryPolicy, RoundResult, Session, SessionLink,
-    SessionService, SqlScript, Txn, TxnError, TxnHandle,
+    MiddlewareSessionService, RetriedOutcome, RetryPolicy, RoundResult, Session, SessionService,
+    SqlScript, Txn, TxnError, TxnHandle,
 };
 
 #[cfg(test)]

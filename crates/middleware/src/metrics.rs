@@ -88,8 +88,6 @@ pub struct LatencyBreakdown {
     pub queue_time: Duration,
     /// Parsing, routing and scheduling work at the middleware.
     pub analysis: Duration,
-    /// Admission-control delay (late transaction scheduling backoff).
-    pub admission_delay: Duration,
     /// Execution phase: dispatching rounds and waiting for their results
     /// (includes the scheduler's postpone time and WAN round trips).
     pub execution: Duration,
@@ -115,7 +113,6 @@ impl LatencyBreakdown {
     pub fn total(&self) -> Duration {
         self.queue_time
             + self.analysis
-            + self.admission_delay
             + self.execution
             + self.prepare_wait
             + self.log_flush
@@ -302,7 +299,6 @@ mod tests {
         let b = LatencyBreakdown {
             queue_time: Duration::from_millis(5),
             analysis: Duration::from_millis(1),
-            admission_delay: Duration::from_millis(2),
             execution: Duration::from_millis(70),
             prepare_wait: Duration::from_millis(3),
             log_flush: Duration::from_millis(1),
@@ -310,7 +306,7 @@ mod tests {
             client_rtt: Duration::from_millis(6),
             think_time: Duration::from_millis(4),
         };
-        assert_eq!(b.total(), Duration::from_millis(155));
+        assert_eq!(b.total(), Duration::from_millis(153));
     }
 
     #[test]

@@ -8,19 +8,31 @@
 //! the ScalarDB-style baseline; the distributed-database baseline ships whole
 //! statement buffers and has only the one-shot door):
 //!
-//! * [`SessionService`] — anything a client can `connect` a [`Session`] to;
-//! * [`Session`] — one client connection: [`Session::begin`] live
-//!   transactions, or replay a whole [`TransactionSpec`] as a statement
-//!   stream with [`Session::run_spec`] (the coordinator learns it round by
-//!   round; [`Middleware::run_transaction`](crate::Middleware::run_transaction)
-//!   is the same live path with the spec declared up front);
-//! * [`Txn`] — a live transaction handle: [`Txn::execute`] ships one
+//! One trait per session door, one handle per transaction:
+//!
+//! * [`SessionService`] — a backend a client can `connect` a [`Session`] to;
+//!   its `begin` hands out the backend's own [`TxnHandle`]. The middleware
+//!   implements it for co-located clients ([`Middleware`] itself) and placed
+//!   ones ([`MiddlewareSessionService`]), both through
+//!   [`Middleware::begin_session`]. The coordinator tier adds no handle of
+//!   its own: it routes and admits a `begin`, then calls that same entry on
+//!   the routed coordinator, and the middleware's handle holds the tier's
+//!   worker permit;
+//! * [`Session`] — one client connection, `{ id, service }`:
+//!   [`Session::begin`] live transactions, or replay a whole
+//!   [`TransactionSpec`] as a statement stream with [`Session::run_spec`]
+//!   (the coordinator learns it round by round;
+//!   [`Middleware::run_transaction`](crate::Middleware::run_transaction) is
+//!   the same live path with the spec declared up front);
+//! * [`Txn`] — the client's grip on the handle: [`Txn::execute`] ships one
 //!   statement round, [`Txn::execute_last`] carries the paper's `/*+ last */`
 //!   annotation (triggering the decentralized prepare at the end of that
 //!   round), [`Txn::commit`] / [`Txn::rollback`] conclude it, and dropping
 //!   the handle without concluding models a **mid-transaction client crash**
 //!   — the backend notices the lost connection and rolls the orphaned
-//!   branches back, like a real proxy reacting to a TCP reset.
+//!   branches back, like a real proxy reacting to a TCP reset. Once a round
+//!   fails, every later round, commit or rollback re-reports the original
+//!   [`TxnError`], `retryable` flag included, behind either door.
 //!
 //! Statement rounds travel over the simulated network: a session built with
 //! a remote client placement (e.g.
@@ -72,6 +84,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use geotp_net::NodeId;
+use geotp_simrt::sync::semaphore::SemaphorePermit;
 use geotp_simrt::{now, sleep};
 use geotp_storage::Row;
 use rand::rngs::StdRng;
@@ -144,12 +157,6 @@ impl TxnError {
             retryable: true,
             outcome: TxnOutcome::aborted(AbortReason::SessionExpired, Duration::ZERO, false),
         }
-    }
-
-    /// Whether this error is a refused connection (the transaction never
-    /// started; the session should back off and re-`begin`).
-    pub fn is_refused(&self) -> bool {
-        self.outcome.gtrid == 0 && self.reason == AbortReason::CoordinatorCrashed
     }
 
     /// Whether this error is an overload shed (see [`TxnOutcome::is_overloaded`]).
@@ -263,24 +270,29 @@ pub enum SqlScript {
     Rollback,
 }
 
-/// Anything a client can connect a [`Session`] to. Implemented by the GeoTP
-/// middleware, the coordinator cluster and the ScalarDB baseline.
+/// Anything a client can connect a [`Session`] to: the GeoTP middleware
+/// (co-located clients on [`Middleware`] itself, placed clients on
+/// [`MiddlewareSessionService`]), the coordinator cluster and the ScalarDB
+/// baseline. A session holds its service and begins every transaction on it;
+/// the service hands out the backend's own [`TxnHandle`].
 pub trait SessionService {
     /// Open a client session. Sessions are the unit of routing affinity in
     /// clustered deployments; `session_id` identifies the client connection.
-    fn connect(&self, session_id: u64) -> Session;
-
-    /// Display name used in experiment tables.
-    fn label(&self) -> String {
-        "service".to_string()
+    fn connect(self: &Rc<Self>, session_id: u64) -> Session
+    where
+        Self: Sized + 'static,
+    {
+        Session {
+            id: session_id,
+            service: Rc::clone(self) as Rc<dyn SessionService>,
+        }
     }
-}
 
-/// The server side of one session — produces live transaction handles.
-/// Backends implement this; clients use the [`Session`] wrapper.
-pub trait SessionLink {
-    /// Start a transaction on this session.
-    fn begin<'a>(&'a mut self) -> BoxFuture<'a, Result<Box<dyn TxnHandle>, TxnError>>;
+    /// Start a transaction on session `session_id`.
+    fn begin(
+        self: Rc<Self>,
+        session_id: u64,
+    ) -> BoxFuture<'static, Result<Box<dyn TxnHandle>, TxnError>>;
 
     /// Parse a SQL script into an executable plan. Backends without a SQL
     /// front door return a parse error.
@@ -289,6 +301,11 @@ pub trait SessionLink {
             message: "this backend has no SQL front door".to_string(),
             statement: script.to_string(),
         })
+    }
+
+    /// Display name used in experiment tables.
+    fn label(&self) -> String {
+        "service".to_string()
     }
 }
 
@@ -325,12 +342,6 @@ pub trait TxnHandle {
     /// the latency breakdown.
     fn note_think(&mut self, _thought: Duration) {}
 
-    /// Record time this transaction's `begin` spent in an admission queue
-    /// (already elapsed at an outer layer, e.g. the cluster front door) so it
-    /// lands in [`LatencyBreakdown::queue_time`](crate::LatencyBreakdown::queue_time)
-    /// and the end-to-end latency.
-    fn note_queue_time(&mut self, _queued: Duration) {}
-
     /// Commit the transaction.
     fn commit(self: Box<Self>) -> BoxFuture<'static, TxnOutcome>;
 
@@ -349,34 +360,18 @@ pub trait TxnHandle {
 /// [`SessionService`], with routing affinity in clustered deployments.
 pub struct Session {
     id: u64,
-    label: String,
-    link: Box<dyn SessionLink>,
+    service: Rc<dyn SessionService>,
 }
 
 impl Session {
-    /// Assemble a session from a backend link (used by [`SessionService`]
-    /// implementations).
-    pub fn from_link(id: u64, label: impl Into<String>, link: Box<dyn SessionLink>) -> Self {
-        Self {
-            id,
-            label: label.into(),
-            link,
-        }
-    }
-
     /// The session id.
     pub fn id(&self) -> u64 {
         self.id
     }
 
-    /// The backend's display label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
     /// Begin a live transaction.
     pub async fn begin(&mut self) -> Result<Txn, TxnError> {
-        let handle = self.link.begin().await?;
+        let handle = Rc::clone(&self.service).begin(self.id).await?;
         Ok(Txn {
             handle: Some(handle),
         })
@@ -462,7 +457,7 @@ impl Session {
     /// live path. Each statement becomes one interactive round; the
     /// `/*+ last */` annotation is honoured.
     pub async fn run_sql(&mut self, script: &str) -> Result<TxnOutcome, ParseError> {
-        match self.link.parse_sql(script)? {
+        match self.service.parse_sql(script)? {
             SqlScript::Rollback => Ok(TxnOutcome::aborted(
                 AbortReason::ClientRollback,
                 Duration::ZERO,
@@ -525,18 +520,6 @@ impl Txn {
         self.handle_mut().note_think(pause);
     }
 
-    /// Record already-elapsed think time without sleeping (for backends that
-    /// wrap another backend's handle and have slept at their own layer).
-    pub fn note_think(&mut self, thought: Duration) {
-        self.handle_mut().note_think(thought);
-    }
-
-    /// Record already-elapsed admission-queue time (see
-    /// [`TxnHandle::note_queue_time`]).
-    pub fn note_queue_time(&mut self, queued: Duration) {
-        self.handle_mut().note_queue_time(queued);
-    }
-
     /// Commit.
     pub async fn commit(mut self) -> TxnOutcome {
         self.handle
@@ -578,59 +561,77 @@ impl Drop for Txn {
 // Middleware backend
 // ---------------------------------------------------------------------------
 
-/// The GeoTP middleware's [`SessionService`], with an optional client
-/// placement: when `client` is set, every `begin`/round/`commit` pays a
-/// client↔middleware round trip over the simulated network and the hops land
-/// in [`LatencyBreakdown::client_rtt`](crate::LatencyBreakdown::client_rtt).
-#[derive(Clone)]
+/// The GeoTP middleware's [`SessionService`] for clients placed at a remote
+/// node: every `begin`/round/`commit` pays a client↔middleware round trip
+/// over the simulated network, and the hops land in
+/// [`LatencyBreakdown::client_rtt`](crate::LatencyBreakdown::client_rtt).
+/// Co-located clients connect to the [`Middleware`] itself.
 pub struct MiddlewareSessionService {
     mw: Rc<Middleware>,
-    client: Option<NodeId>,
+    client: NodeId,
 }
 
 impl Middleware {
-    /// The session front door for clients co-located with the middleware
-    /// (no client↔middleware network hops — the deployment the paper's
-    /// closed-loop terminals model).
-    pub fn session_service(self: &Rc<Self>) -> MiddlewareSessionService {
-        MiddlewareSessionService {
-            mw: Rc::clone(self),
-            client: None,
-        }
-    }
-
     /// The session front door for clients at `client`: every statement round
     /// pays the client↔middleware round trip.
-    pub fn session_service_from(self: &Rc<Self>, client: NodeId) -> MiddlewareSessionService {
-        MiddlewareSessionService {
+    pub fn session_service_from(self: &Rc<Self>, client: NodeId) -> Rc<MiddlewareSessionService> {
+        Rc::new(MiddlewareSessionService {
             mw: Rc::clone(self),
-            client: Some(client),
+            client,
+        })
+    }
+
+    /// Begin a transaction for `session` and hand out its handle: the one
+    /// entry behind every door to this middleware. `client` places the client
+    /// (`None`: co-located, no hops). A coordinator tier passes the worker
+    /// `permit` its admission gate granted, which the handle holds until it
+    /// concludes or is dropped, and the time `queued` for it, which lands in
+    /// [`LatencyBreakdown::queue_time`](crate::LatencyBreakdown::queue_time)
+    /// and the end-to-end latency.
+    pub async fn begin_session(
+        self: Rc<Self>,
+        session: u64,
+        client: Option<NodeId>,
+        permit: Option<SemaphorePermit>,
+        queued: Duration,
+    ) -> Result<Box<dyn TxnHandle>, TxnError> {
+        let connected = now();
+        let hop_in = client_hop(&self, client, true).await;
+        let mut live = self.begin_live(session).await?;
+        live.backdate(connected);
+        live.note_client_rtt(hop_in);
+        let hop_out = client_hop(&self, client, false).await;
+        live.note_client_rtt(hop_out);
+        live.note_queue_time(queued);
+        Ok(Box::new(MiddlewareTxn {
+            mw: self,
+            client,
+            state: Ok(live),
+            _permit: permit,
+        }))
+    }
+}
+
+/// Co-located clients: no client↔middleware network hops (the deployment the
+/// paper's closed-loop terminals model).
+impl SessionService for Middleware {
+    fn connect(self: &Rc<Self>, session_id: u64) -> Session {
+        self.register_session(session_id);
+        Session {
+            id: session_id,
+            service: Rc::clone(self) as Rc<dyn SessionService>,
         }
     }
-}
 
-impl SessionService for MiddlewareSessionService {
-    fn connect(&self, session_id: u64) -> Session {
-        self.mw.register_session(session_id);
-        Session::from_link(
-            session_id,
-            self.mw.protocol().name(),
-            Box::new(MiddlewareLink {
-                mw: Rc::clone(&self.mw),
-                client: self.client,
-                session: session_id,
-            }),
-        )
+    fn begin(
+        self: Rc<Self>,
+        session_id: u64,
+    ) -> BoxFuture<'static, Result<Box<dyn TxnHandle>, TxnError>> {
+        Box::pin(self.begin_session(session_id, None, None, Duration::ZERO))
     }
 
-    fn label(&self) -> String {
-        self.mw.protocol().name().to_string()
-    }
-}
-
-impl SessionService for Rc<Middleware> {
-    fn connect(&self, session_id: u64) -> Session {
-        self.session_service().connect(session_id)
+    fn parse_sql(&self, script: &str) -> Result<SqlScript, ParseError> {
+        self.parsed_sql(script)
     }
 
     fn label(&self) -> String {
@@ -638,10 +639,30 @@ impl SessionService for Rc<Middleware> {
     }
 }
 
-struct MiddlewareLink {
-    mw: Rc<Middleware>,
-    client: Option<NodeId>,
-    session: u64,
+impl SessionService for MiddlewareSessionService {
+    fn connect(self: &Rc<Self>, session_id: u64) -> Session {
+        self.mw.register_session(session_id);
+        Session {
+            id: session_id,
+            service: Rc::clone(self) as Rc<dyn SessionService>,
+        }
+    }
+
+    fn begin(
+        self: Rc<Self>,
+        session_id: u64,
+    ) -> BoxFuture<'static, Result<Box<dyn TxnHandle>, TxnError>> {
+        let mw = Rc::clone(&self.mw);
+        Box::pin(mw.begin_session(session_id, Some(self.client), None, Duration::ZERO))
+    }
+
+    fn parse_sql(&self, script: &str) -> Result<SqlScript, ParseError> {
+        self.mw.parsed_sql(script)
+    }
+
+    fn label(&self) -> String {
+        self.mw.label()
+    }
 }
 
 /// One client→middleware (or back) hop; returns the time it took. Free for
@@ -660,54 +681,22 @@ async fn client_hop(mw: &Rc<Middleware>, client: Option<NodeId>, inbound: bool) 
     now().duration_since(started)
 }
 
-impl SessionLink for MiddlewareLink {
-    fn begin<'a>(&'a mut self) -> BoxFuture<'a, Result<Box<dyn TxnHandle>, TxnError>> {
-        let mw = Rc::clone(&self.mw);
-        let client = self.client;
-        let session = self.session;
-        Box::pin(async move {
-            let connected = now();
-            let hop_in = client_hop(&mw, client, true).await;
-            let mut live = mw.begin_live(session).await?;
-            live.backdate(connected);
-            live.note_client_rtt(hop_in);
-            let hop_out = client_hop(&mw, client, false).await;
-            live.note_client_rtt(hop_out);
-            Ok(Box::new(MiddlewareTxn {
-                mw,
-                client,
-                live: Some(live),
-                failed: None,
-            }) as Box<dyn TxnHandle>)
-        })
-    }
-
-    fn parse_sql(&self, script: &str) -> Result<SqlScript, ParseError> {
-        self.mw.parsed_sql(script)
-    }
-}
-
+/// The middleware's transaction handle, whichever door began it.
 struct MiddlewareTxn {
     mw: Rc<Middleware>,
     client: Option<NodeId>,
-    live: Option<LiveTxn>,
-    /// The aborted outcome of a transaction that already failed (a repeated
-    /// commit/rollback on it re-reports the failure instead of panicking).
-    failed: Option<TxnOutcome>,
+    /// The live transaction; once it failed, the error every later round,
+    /// commit or rollback on the handle re-reports (instead of panicking).
+    state: Result<LiveTxn, TxnError>,
+    /// A coordinator tier's worker permit, released with the handle.
+    _permit: Option<SemaphorePermit>,
 }
 
 impl MiddlewareTxn {
-    /// What a transaction that already failed re-reports (a repeated round,
-    /// commit or rollback on it must not panic).
-    fn failed_outcome(&self) -> TxnOutcome {
-        self.failed.clone().unwrap_or_else(|| {
-            TxnOutcome::aborted(AbortReason::ExecutionFailed, Duration::ZERO, false)
-        })
-    }
-
     async fn run_round(&mut self, ops: &[ClientOp], last: bool) -> Result<RoundResult, TxnError> {
-        let Some(live) = self.live.as_mut() else {
-            return Err(TxnError::aborted(self.failed_outcome(), false));
+        let live = match &mut self.state {
+            Ok(live) => live,
+            Err(failed) => return Err(failed.clone()),
         };
         let round_started = now();
         let hop_in = client_hop(&self.mw, self.client, true).await;
@@ -722,29 +711,45 @@ impl MiddlewareTxn {
                 })
             }
             Err(error) => {
-                self.failed = Some(error.outcome.clone());
-                self.live = None;
+                self.state = Err(error.clone());
                 Err(error)
             }
         }
     }
 
-    /// Commit (or roll back), paying the client↔middleware hop each way.
+    /// Commit (or roll back), paying the client↔middleware hop each way. A
+    /// failed transaction re-reports its abort.
     async fn conclude(&mut self, commit: bool) -> TxnOutcome {
-        let Some(mut live) = self.live.take() else {
-            return self.failed_outcome();
+        let live = match &mut self.state {
+            Ok(live) => live,
+            Err(failed) => return failed.outcome.clone(),
         };
         let hop_in = client_hop(&self.mw, self.client, true).await;
         live.note_client_rtt(hop_in);
         let mut outcome = if commit {
-            self.mw.commit_live(&mut live).await
+            self.mw.commit_live(live).await
         } else {
-            self.mw.rollback_live(&mut live).await
+            self.mw.rollback_live(live).await
         };
         let hop_out = client_hop(&self.mw, self.client, false).await;
         outcome.latency += hop_out;
         outcome.breakdown.client_rtt += hop_out;
         outcome
+    }
+
+    /// The client poisoned the transaction: roll it back so the reported
+    /// abort is real (locks released, outcome recorded), and keep the error
+    /// for every later call. A crashed coordinator's rollback is retryable,
+    /// like its failed rounds.
+    async fn poison(&mut self) -> TxnError {
+        if let Err(failed) = &self.state {
+            return failed.clone();
+        }
+        let outcome = self.conclude(false).await;
+        let retryable = outcome.abort_reason == Some(AbortReason::CoordinatorCrashed);
+        let error = TxnError::aborted(outcome, retryable);
+        self.state = Err(error.clone());
+        error
     }
 }
 
@@ -762,17 +767,10 @@ impl TxnHandle for MiddlewareTxn {
         statement: &'a str,
     ) -> BoxFuture<'a, Result<RoundResult, TxnError>> {
         Box::pin(async move {
-            let parsed = match self.mw.parse_statement(statement) {
-                Ok(parsed) => parsed,
-                Err(_parse) => {
-                    // Garbage from the client aborts the transaction, like a
-                    // real server erroring the statement and poisoning the txn.
-                    if self.live.is_some() {
-                        let outcome = self.conclude(false).await;
-                        self.failed = Some(outcome);
-                    }
-                    return Err(TxnError::aborted(self.failed_outcome(), false));
-                }
+            let Ok(parsed) = self.mw.parse_statement(statement) else {
+                // Garbage from the client aborts the transaction, like a
+                // real server erroring the statement and poisoning the txn.
+                return Err(self.poison().await);
             };
             if let Some(control) = parsed.control {
                 return match control {
@@ -784,14 +782,9 @@ impl TxnHandle for MiddlewareTxn {
                     // Transaction control must go through the *consuming*
                     // `Txn::commit` / `Txn::rollback`; an out-of-band control
                     // statement is protocol misuse and poisons the
-                    // transaction — roll it back so the reported abort is
-                    // real (locks released, outcome recorded) instead of
-                    // leaving a live transaction behind a fabricated error.
-                    TxnControl::Commit | TxnControl::Rollback => {
-                        let outcome = self.conclude(false).await;
-                        self.failed = Some(outcome.clone());
-                        Err(TxnError::aborted(outcome, false))
-                    }
+                    // transaction instead of leaving a live transaction
+                    // behind a fabricated error.
+                    TxnControl::Commit | TxnControl::Rollback => Err(self.poison().await),
                 };
             }
             let Some(op) = parsed.op else {
@@ -806,14 +799,8 @@ impl TxnHandle for MiddlewareTxn {
     }
 
     fn note_think(&mut self, thought: Duration) {
-        if let Some(live) = self.live.as_mut() {
+        if let Ok(live) = &mut self.state {
             live.note_think(thought);
-        }
-    }
-
-    fn note_queue_time(&mut self, queued: Duration) {
-        if let Some(live) = self.live.as_mut() {
-            live.note_queue_time(queued);
         }
     }
 
@@ -825,18 +812,18 @@ impl TxnHandle for MiddlewareTxn {
         Box::pin(async move { self.conclude(false).await })
     }
 
-    fn abandon(mut self: Box<Self>) {
+    fn abandon(self: Box<Self>) {
         // The client vanished: no network hops (there is nobody to talk to);
         // the middleware notices the dropped connection and cleans up.
-        if let Some(live) = self.live.take() {
+        if let Ok(live) = self.state {
             self.mw.abandon_live(live);
         }
     }
 
     fn gtrid(&self) -> u64 {
-        self.live
-            .as_ref()
-            .map(|l| l.gtrid())
-            .unwrap_or_else(|| self.failed.as_ref().map(|o| o.gtrid).unwrap_or(0))
+        match &self.state {
+            Ok(live) => live.gtrid(),
+            Err(failed) => failed.outcome.gtrid,
+        }
     }
 }

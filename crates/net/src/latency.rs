@@ -68,12 +68,6 @@ impl JitteredLatency {
             floor: mean_rtt / 10,
         }
     }
-
-    /// Override the lower clamp applied to samples.
-    pub fn with_floor(mut self, floor: Duration) -> Self {
-        self.floor = floor;
-        self
-    }
 }
 
 /// Draw a standard-normal sample using the Box–Muller transform.

@@ -23,7 +23,7 @@
 //!   trip to persist the commit-status record, then asynchronous apply.
 //!
 //! There is one transaction body: the session front door
-//! ([`ScalarDbCluster::session_service`]) drives begin / round / commit
+//! (the cluster's [`SessionService`] impl) drives begin / round / commit
 //! statement by statement, and [`ScalarDbCluster::run`] replays a whole
 //! [`TransactionSpec`] through the same three steps as a declared plan.
 //!
@@ -40,9 +40,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use geotp_datasource::DataSource;
-use geotp_middleware::session::{
-    BoxFuture, RoundResult, Session, SessionLink, SessionService, TxnError, TxnHandle,
-};
+use geotp_middleware::session::{BoxFuture, RoundResult, SessionService, TxnError, TxnHandle};
 use geotp_middleware::{
     AbortReason, AdmissionDecision, BranchPlan, ClientOp, GeoScheduler, GlobalKey, MiddlewareStats,
     Partitioner, SchedulerConfig, TransactionSpec, TxnOutcome,
@@ -130,11 +128,6 @@ impl ScalarDbCluster {
     /// Aggregate statistics.
     pub fn stats(&self) -> MiddlewareStats {
         *self.stats.borrow()
-    }
-
-    /// The session front door for this coordinator.
-    pub fn session_service(self: &Rc<Self>) -> ScalarDbService {
-        ScalarDbService(Rc::clone(self))
     }
 
     /// One WAN round trip to data source `ds` performing `work` at the store.
@@ -471,32 +464,23 @@ impl TxnHandle for ScalarDbTxn {
     }
 }
 
-struct ScalarDbLink(Rc<ScalarDbCluster>);
+impl SessionService for ScalarDbCluster {
+    fn begin(
+        self: Rc<Self>,
+        _session: u64,
+    ) -> BoxFuture<'static, Result<Box<dyn TxnHandle>, TxnError>> {
+        Box::pin(async move { Ok(Box::new(self.begin_txn(None).await) as Box<dyn TxnHandle>) })
+    }
 
-impl SessionLink for ScalarDbLink {
-    fn begin<'a>(&'a mut self) -> BoxFuture<'a, Result<Box<dyn TxnHandle>, TxnError>> {
-        Box::pin(async move { Ok(Box::new(self.0.begin_txn(None).await) as Box<dyn TxnHandle>) })
+    fn label(&self) -> String {
+        if self.plus { "ScalarDB+" } else { "ScalarDB" }.to_string()
     }
 }
 
 /// Cloneable handle to a ScalarDB cluster: the benchmark driver's one-shot
-/// [`TransactionService`] and the [`SessionService`] front door.
+/// [`TransactionService`].
 #[derive(Clone)]
 pub struct ScalarDbService(pub Rc<ScalarDbCluster>);
-
-impl SessionService for ScalarDbService {
-    fn connect(&self, session_id: u64) -> Session {
-        Session::from_link(
-            session_id,
-            TransactionService::label(self),
-            Box::new(ScalarDbLink(Rc::clone(&self.0))),
-        )
-    }
-
-    fn label(&self) -> String {
-        TransactionService::label(self)
-    }
-}
 
 impl TransactionService for ScalarDbService {
     fn run<'a>(
@@ -507,12 +491,7 @@ impl TransactionService for ScalarDbService {
     }
 
     fn label(&self) -> String {
-        if self.0.is_plus() {
-            "ScalarDB+"
-        } else {
-            "ScalarDB"
-        }
-        .to_string()
+        SessionService::label(&*self.0)
     }
 }
 
@@ -635,7 +614,7 @@ mod tests {
         let mut rt = Runtime::new();
         rt.block_on(async {
             let (cluster, sources) = cluster(false);
-            let mut session = SessionService::connect(&cluster.session_service(), 3);
+            let mut session = cluster.connect(3);
             let mut txn = session.begin().await.unwrap();
             let r1 = txn.execute(&[ClientOp::Read(gk(1))]).await.unwrap();
             assert_eq!(r1.rows.len(), 1);
@@ -667,7 +646,7 @@ mod tests {
             let (one_shot, one_shot_sources) = cluster(false);
             let declared = ScalarDbCluster::run(&one_shot, &spec).await;
             let (live, live_sources) = cluster(false);
-            let mut session = SessionService::connect(&live.session_service(), 1);
+            let mut session = live.connect(1);
             let streamed = session.run_spec(&spec).await;
             assert!(declared.committed);
             assert_eq!(declared, streamed);
@@ -713,7 +692,7 @@ mod tests {
             assert!(running.await.committed);
 
             let (streamed, _) = cluster(true);
-            let mut session = SessionService::connect(&streamed.session_service(), 1);
+            let mut session = streamed.connect(1);
             let mut txn = session.begin().await.unwrap();
             let mut known = [None; 3];
             for (round, ops) in rounds.iter().enumerate() {
@@ -737,7 +716,7 @@ mod tests {
         let mut rt = Runtime::new();
         rt.block_on(async {
             let (cluster, sources) = cluster(false);
-            let mut session = SessionService::connect(&cluster.session_service(), 4);
+            let mut session = cluster.connect(4);
             let mut txn = session.begin().await.unwrap();
             txn.execute(&[ClientOp::add(gk(1), 77)]).await.unwrap();
             let error = txn

@@ -258,11 +258,6 @@ impl StorageEngine {
         })
     }
 
-    /// Create an engine with default configuration.
-    pub fn with_defaults() -> Rc<Self> {
-        Self::new(EngineConfig::default())
-    }
-
     /// The engine's configuration.
     pub fn config(&self) -> EngineConfig {
         self.config

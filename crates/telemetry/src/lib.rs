@@ -100,14 +100,6 @@ pub fn install() -> Rc<Telemetry> {
     t
 }
 
-/// Install a fresh collector whose tracer retains at most `cap` spans (see
-/// [`Tracer::set_span_cap`]) and return it.
-pub fn install_with_span_cap(cap: usize) -> Rc<Telemetry> {
-    let t = Telemetry::with_span_cap(cap);
-    install_collector(t.clone());
-    t
-}
-
 /// Install a specific collector (e.g. to resume accumulating into one that
 /// was uninstalled earlier).
 pub fn install_collector(t: Rc<Telemetry>) {
@@ -225,12 +217,6 @@ pub fn span_end(id: Option<SpanId>) {
     if let Some(id) = id {
         with(|t| t.tracer.end(id));
     }
-}
-
-/// The innermost open scoped span for `(gtrid, node)` — used to hand a
-/// parent across a message boundary.
-pub fn current_span(gtrid: u64, node: TraceNode) -> Option<SpanId> {
-    with(|t| t.tracer.current(gtrid, node)).flatten()
 }
 
 /// Add to a counter (see [`MetricsRegistry::counter_add`]).

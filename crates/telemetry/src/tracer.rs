@@ -91,11 +91,6 @@ impl Tracer {
         self.cap.set(cap);
     }
 
-    /// The configured retention cap, if any.
-    pub fn span_cap(&self) -> Option<usize> {
-        self.cap.get()
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn push(
         &self,

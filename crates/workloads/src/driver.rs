@@ -173,12 +173,12 @@ impl BenchmarkReport {
 /// (no live coordinator) are retried with a small backoff, like a real
 /// client reconnecting.
 pub async fn run_session_benchmark<S>(
-    service: S,
+    service: Rc<S>,
     workload: WorkloadMix,
     config: DriverConfig,
 ) -> BenchmarkReport
 where
-    S: SessionService + Clone + 'static,
+    S: SessionService + 'static,
 {
     let start = now();
     let measure_start = start + config.warmup;
@@ -188,7 +188,7 @@ where
 
     let mut handles = Vec::with_capacity(config.terminals);
     for terminal in 0..config.terminals {
-        let service = service.clone();
+        let service = Rc::clone(&service);
         let workload = workload.clone();
         let mut rng = StdRng::seed_from_u64(
             config

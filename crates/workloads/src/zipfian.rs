@@ -14,7 +14,6 @@ pub struct ZipfianGenerator {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl ZipfianGenerator {
@@ -36,7 +35,6 @@ impl ZipfianGenerator {
             alpha,
             zetan,
             eta,
-            zeta2theta,
         }
     }
 
@@ -73,11 +71,6 @@ impl ZipfianGenerator {
         }
         let spread = self.eta.mul_add(u, 1.0 - self.eta);
         ((self.items as f64) * spread.powf(self.alpha)) as u64 % self.items
-    }
-
-    /// Zeta value of the first two items (exposed for tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 
