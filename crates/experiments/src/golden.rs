@@ -300,6 +300,13 @@ mod tests {
     /// completion order, so any change to what a whole-spec submission tells
     /// the coordinator (the per-branch `is_last` oracle, the up-front peer
     /// list, the hotspot touch order) moves a row. Scale-independent.
+    ///
+    /// The same 28 runs also fill `oneshot_commit_path_quick`: per row, the
+    /// sums over every outcome of the `execution`, `prepare_wait`,
+    /// `log_flush` and `commit` slices of the latency breakdown (µs), plus
+    /// the commits deferred to recovery. A commit-path change that keeps each
+    /// outcome's latency but moves time between those slices moves this
+    /// table.
     #[test]
     fn golden_oneshot_protocol_matrix() {
         use geotp::{ClusterBuilder, Protocol};
@@ -332,6 +339,19 @@ mod tests {
                 "fingerprint",
             ],
         );
+        let mut commit_path = Table::new(
+            "One-shot door — commit-path slices summed over every outcome",
+            &[
+                "protocol",
+                "rounds",
+                "annotated",
+                "execution us",
+                "prepare_wait us",
+                "log_flush us",
+                "commit us",
+                "deferred to recovery",
+            ],
+        );
         let protocols = [
             Protocol::SspXa,
             Protocol::SspLocal,
@@ -350,7 +370,7 @@ mod tests {
                     ycsb.rounds = rounds;
                     ycsb.nodes_per_distributed_txn = 3;
                     let mut rt = geotp_simrt::Runtime::new();
-                    let row = rt.block_on(async move {
+                    let (row, slices) = rt.block_on(async move {
                         let cluster = ClusterBuilder::new()
                             .seed(SEED)
                             .paper_default_sources()
@@ -409,10 +429,25 @@ mod tests {
                         let stats = cluster.middleware().stats();
                         let ds_stats: Vec<_> =
                             cluster.data_sources().iter().map(|ds| ds.stats()).collect();
-                        vec![
+                        let label = vec![
                             protocol.name().to_string(),
                             rounds.to_string(),
                             if annotated { "on" } else { "off" }.to_string(),
+                        ];
+                        let sum_us = |slice: fn(&TxnOutcome) -> Duration| {
+                            let us: u128 = completed.iter().map(|o| slice(o).as_micros()).sum();
+                            us.to_string()
+                        };
+                        let mut slices = label.clone();
+                        slices.extend([
+                            sum_us(|o| o.breakdown.execution),
+                            sum_us(|o| o.breakdown.prepare_wait),
+                            sum_us(|o| o.breakdown.log_flush),
+                            sum_us(|o| o.breakdown.commit),
+                            stats.commits_deferred_to_recovery.to_string(),
+                        ]);
+                        let mut row = label;
+                        row.extend([
                             completed.iter().filter(|o| o.committed).count().to_string(),
                             if aborts.is_empty() {
                                 "-".to_string()
@@ -434,13 +469,18 @@ mod tests {
                                 .to_string(),
                             final_us.to_string(),
                             format!("{fnv:016x}"),
-                        ]
+                        ]);
+                        (row, slices)
                     });
                     table.push_row(row);
+                    commit_path.push_row(slices);
                 }
             }
         }
         if let Err(drift) = verify("oneshot_protocol_matrix_quick", &[table]) {
+            panic!("{drift}");
+        }
+        if let Err(drift) = verify("oneshot_commit_path_quick", &[commit_path]) {
             panic!("{drift}");
         }
     }

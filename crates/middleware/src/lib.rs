@@ -1068,6 +1068,86 @@ mod tests {
         });
     }
 
+    /// SSP(local) gives no atomicity: a distributed one-phase commit whose
+    /// slow source crashed before the commit reached it still reports
+    /// committed, because the other branch made it.
+    #[test]
+    fn ssp_local_reports_commit_when_one_branch_made_it() {
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let (_net, sources, mw) = cluster(Protocol::SspLocal);
+            let mut session = session::SessionService::connect(&mw, 1);
+            let mut txn = session.begin().await.unwrap();
+            let ops = [ClientOp::add(gk(1), -100), ClientOp::add(gk(1001), 100)];
+            txn.execute(&ops).await.unwrap();
+            sources[1].crash();
+            let outcome = txn.commit().await;
+            assert!(outcome.committed, "{outcome:?}");
+            assert!(outcome.distributed);
+            let balance = sources[0].engine().peek(gk(1).storage_key()).unwrap();
+            assert_eq!(balance.int_value(), Some(900));
+        });
+    }
+
+    /// A voted SSP commit whose source crashes after voting yes and before
+    /// the commit is dispatched: the decision is durable, so the client sees
+    /// a commit, the failed branch is counted as deferred to recovery, and
+    /// `recover()` finishes it once the source is back.
+    #[test]
+    fn voted_commit_to_a_crashed_source_is_deferred_to_recovery() {
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let (net, sources, _) = cluster(Protocol::SspXa);
+            // A 50 ms log flush opens a window between the last vote (t =
+            // 200 ms: execution 100 ms + prepare round 100 ms) and the commit
+            // dispatch (t = 250 ms).
+            let mut cfg = MiddlewareConfig::new(
+                NodeId::middleware(0),
+                Protocol::SspXa,
+                Partitioner::Range {
+                    rows_per_node: ROWS_PER_NODE,
+                    nodes: 2,
+                },
+            );
+            cfg.analysis_cost = Duration::ZERO;
+            cfg.log_flush_cost = Duration::from_millis(50);
+            let mw = Middleware::connect(cfg, Rc::clone(&net), &sources, None);
+            let victim = Rc::clone(&sources[1]);
+            geotp_simrt::spawn(async move {
+                geotp_simrt::sleep(Duration::from_millis(225)).await;
+                victim.crash();
+            });
+            let outcome = mw.run_transaction(&transfer_spec()).await;
+            assert!(outcome.committed, "{outcome:?}");
+            assert_eq!(outcome.breakdown.prepare_wait, Duration::from_millis(100));
+            assert_eq!(mw.stats().commits_deferred_to_recovery, 1);
+            assert_eq!(sources[1].restart().await.len(), 1);
+            assert_eq!(mw.recover().await, (1, 0));
+            for (ds, key, balance) in [(0usize, 1u64, 900), (1, 1001, 1100)] {
+                let row = sources[ds].engine().peek(gk(key).storage_key()).unwrap();
+                assert_eq!(row.int_value(), Some(balance));
+            }
+        });
+    }
+
+    /// A centralized transaction commits one-phase with no vote: if its only
+    /// source crashed before the commit, nothing committed.
+    #[test]
+    fn centralized_commit_to_a_crashed_source_reports_prepare_failed() {
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let (_net, sources, mw) = cluster(Protocol::SspXa);
+            let mut session = session::SessionService::connect(&mw, 1);
+            let mut txn = session.begin().await.unwrap();
+            txn.execute(&[ClientOp::add(gk(1), -100)]).await.unwrap();
+            sources[0].crash();
+            let outcome = txn.commit().await;
+            assert!(!outcome.committed);
+            assert!(!outcome.distributed);
+            assert_eq!(outcome.abort_reason, Some(AbortReason::PrepareFailed));
+        });
+    }
+
     /// Build the 2-source cluster with `SnapshotRead` engines and the
     /// coordinator's snapshot-read fast path enabled.
     fn snapshot_cluster() -> (Rc<Network>, Vec<Rc<DataSource>>, Rc<Middleware>) {
