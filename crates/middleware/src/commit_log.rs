@@ -125,12 +125,6 @@ impl CommitLog {
     pub fn flush_count(&self) -> u64 {
         *self.flushes.borrow()
     }
-
-    /// Drop entries for completed transactions (checkpointing); retains the
-    /// given set of still-in-flight transactions.
-    pub fn truncate_except(&self, keep: &[u64]) {
-        self.entries.borrow_mut().retain(|g, _| keep.contains(g));
-    }
 }
 
 #[cfg(test)]
@@ -186,21 +180,6 @@ mod tests {
             // The legacy unfenced path is unaffected (single-coordinator).
             log.flush_decision(3, Decision::Commit).await;
             assert_eq!(log.decision(3), Some(Decision::Commit));
-        });
-    }
-
-    #[test]
-    fn truncate_keeps_only_in_flight_entries() {
-        let mut rt = Runtime::new();
-        rt.block_on(async {
-            let log = CommitLog::new(Duration::ZERO);
-            for g in 0..10 {
-                log.flush_decision(g, Decision::Commit).await;
-            }
-            log.truncate_except(&[7, 9]);
-            assert_eq!(log.len(), 2);
-            assert_eq!(log.decision(7), Some(Decision::Commit));
-            assert_eq!(log.decision(0), None);
         });
     }
 }

@@ -15,6 +15,22 @@
 //! | `Quro`          | explicit WAN prepare round | writes reordered last      |
 //! | `Chiller`       | merged into execution      | remote-first sequencing    |
 //! | `GeoTp{..}`     | decentralized (geo-agent)  | O2 latency-aware, O3 heuristics |
+//!
+//! ## The commit path
+//!
+//! `commit_phase` runs votes → decision → flush → dispatch, and the
+//! [`Protocol`] predicates pick each branch of it. With no votes to collect
+//! (one branch, or `one_phase_everywhere` — SSP(local)) it flushes Commit and
+//! dispatches one-phase commits. Otherwise the votes are the ones the
+//! geo-agents pushed, when a `decentralized_prepare` protocol saw the
+//! `/*+ last */` annotation, or the result of an explicit prepare round.
+//! The decision is Commit iff every branch voted yes; it is flushed to the
+//! commit log, then the commits are dispatched (a branch that fails its
+//! commit is left to recovery) or the branches that voted yes are rolled
+//! back. Each step is one `Phase`: a span plus the stopwatch behind its
+//! [`LatencyBreakdown`] slice. Rounds go through one `dispatch_round`, where
+//! `inner_region_last` (Chiller) holds the lowest-RTT branch back until the
+//! others finished.
 
 use geotp_simrt::hash::FxHashMap;
 use std::cell::{Cell, RefCell};
@@ -29,13 +45,13 @@ use geotp_datasource::{
 use geotp_net::{LatencyMonitor, Network, NodeId};
 use geotp_simrt::{join_all, now, sleep, spawn, SimInstant};
 use geotp_storage::Xid;
-use geotp_telemetry::{SpanKind, TraceNode};
+use geotp_telemetry::{SpanId, SpanKind, TraceNode};
 
 use crate::commit_log::{CommitLog, Decision};
 use crate::metrics::{AbortReason, LatencyBreakdown, MiddlewareStats, TxnOutcome};
 use crate::notify_hub::NotifyHub;
 use crate::ops::{ClientOp, GlobalKey, TransactionSpec};
-use crate::parser::{Catalog, SqlParser, TxnControl};
+use crate::parser::{SqlParser, TxnControl};
 use crate::router::Partitioner;
 use crate::scheduler::{
     AdmissionDecision, BranchPlan, GeoScheduler, Schedule, SchedulerConfig, ADMISSION_RETRY_BACKOFF,
@@ -83,6 +99,23 @@ struct DeclaredPlan {
     annotate_last: bool,
     /// `(data source, index of the last round that touches it)`.
     final_round: Vec<(u32, usize)>,
+}
+
+/// One traced slice of a transaction's latency breakdown: a stopwatch and
+/// the span covering the same work, opened together (by `Middleware::phase`
+/// for a leaf span) and closed together by [`Phase::end`].
+#[must_use = "a phase must be ended to close its span"]
+struct Phase {
+    started: SimInstant,
+    span: Option<SpanId>,
+}
+
+impl Phase {
+    /// Close the span and return the elapsed time — the breakdown slice.
+    fn end(self) -> Duration {
+        geotp_telemetry::span_end(self.span);
+        now().duration_since(self.started)
+    }
 }
 
 impl LiveTxn {
@@ -461,7 +494,9 @@ pub struct Middleware {
     /// in the gap — only the trace oracle can convict it.
     dispatch_before_flush: Cell<bool>,
     stats: RefCell<MiddlewareStats>,
-    catalog: RefCell<Catalog>,
+    /// The SQL front door's parser; its catalog assigns table ids in the
+    /// order scripts first name the tables.
+    parser: RefCell<SqlParser>,
     /// Parsed-statement cache for [`Middleware::run_sql`], keyed by script
     /// text, bounded by second-chance eviction.
     sql_cache: RefCell<SqlCache>,
@@ -538,7 +573,7 @@ impl Middleware {
             crash_after_flush: Cell::new(false),
             dispatch_before_flush: Cell::new(false),
             stats: RefCell::new(MiddlewareStats::default()),
-            catalog: RefCell::new(Catalog::new()),
+            parser: RefCell::new(SqlParser::new()),
             sql_cache: RefCell::new(SqlCache::new(sql_cache_capacity)),
             scratch_pool: RefCell::new(Vec::new()),
             sessions: RefCell::new(FxHashMap::default()),
@@ -710,12 +745,7 @@ impl Middleware {
         &self,
         statement: &str,
     ) -> Result<crate::parser::ParsedStatement, crate::parser::ParseError> {
-        let mut catalog = self.catalog.borrow_mut();
-        let mut parser = SqlParser::new();
-        std::mem::swap(parser.catalog_mut(), &mut catalog);
-        let parsed = parser.parse_statement(statement);
-        std::mem::swap(parser.catalog_mut(), &mut catalog);
-        parsed
+        self.parser.borrow_mut().parse_statement(statement)
     }
 
     /// Number of scripts currently in the parsed-SQL plan cache.
@@ -732,14 +762,7 @@ impl Middleware {
     /// Parse a SQL script into its executable plan (the slow path behind the
     /// statement cache).
     fn parse_script(&self, script: &str) -> Result<SqlScript, crate::parser::ParseError> {
-        let statements = {
-            let mut catalog = self.catalog.borrow_mut();
-            let mut parser = SqlParser::new();
-            std::mem::swap(parser.catalog_mut(), &mut catalog);
-            let parsed = parser.parse_script(script);
-            std::mem::swap(parser.catalog_mut(), &mut catalog);
-            parsed?
-        };
+        let statements = self.parser.borrow_mut().parse_script(script)?;
         let mut rounds: Vec<Vec<ClientOp>> = Vec::new();
         let mut annotate_last = false;
         let mut rollback = false;
@@ -812,9 +835,10 @@ impl Middleware {
         }
     }
 
-    /// Dispatch every branch of a round concurrently, honouring the
-    /// scheduler's postpone amounts.
-    async fn dispatch_parallel(
+    /// Dispatch a round's branches concurrently, honouring the scheduler's
+    /// postpone amounts. Chiller holds the lowest-RTT ("inner region")
+    /// branch back until the others finished, shrinking its lock span.
+    async fn dispatch_round(
         &self,
         groups: &[(u32, Vec<&ClientOp>)],
         requests: Vec<StatementRequest>,
@@ -831,8 +855,19 @@ impl Middleware {
             }
             return vec![self.conn(*ds).execute(request).await];
         }
+        let rtt = |idx: &usize| self.monitor.rtt(NodeId::data_source(groups[*idx].0));
+        let held_back = if self.config.protocol.inner_region_last() {
+            (0..groups.len()).min_by_key(rtt)
+        } else {
+            None
+        };
+        let mut inner = None;
         let mut futures = Vec::new();
         for (idx, ((ds, _), request)) in groups.iter().zip(requests).enumerate() {
+            if held_back == Some(idx) {
+                inner = Some((idx, *ds, request));
+                continue;
+            }
             let conn = self.conn(*ds).clone();
             let postpone = schedule
                 .postpone
@@ -846,52 +881,12 @@ impl Middleware {
                 conn.execute(request).await
             });
         }
-        join_all(futures).await
-    }
-
-    /// Chiller's sequencing: the cross-region (higher RTT) branches execute
-    /// first and concurrently; the intra-region (lowest RTT) branch executes
-    /// only after they finish, shrinking its lock span.
-    async fn dispatch_chiller(
-        &self,
-        groups: &[(u32, Vec<&ClientOp>)],
-        requests: Vec<StatementRequest>,
-    ) -> Vec<geotp_datasource::StatementResponse> {
-        // Find the branch with the smallest RTT ("inner region").
-        let mut min_idx = 0;
-        let mut min_rtt = Duration::MAX;
-        for (idx, (ds, _)) in groups.iter().enumerate() {
-            let rtt = self.monitor.rtt(NodeId::data_source(*ds));
-            if rtt < min_rtt {
-                min_rtt = rtt;
-                min_idx = idx;
-            }
+        let mut responses = join_all(futures).await;
+        if let Some((idx, ds, request)) = inner {
+            let response = self.conn(ds).execute(request).await;
+            responses.insert(idx, response);
         }
-        let mut outer = Vec::new();
-        let mut inner = None;
-        for (idx, ((ds, _), request)) in groups.iter().zip(requests).enumerate() {
-            let conn = self.conn(*ds).clone();
-            if idx == min_idx {
-                inner = Some((idx, conn, request));
-            } else {
-                outer.push((idx, conn, request));
-            }
-        }
-        let mut responses: Vec<Option<geotp_datasource::StatementResponse>> =
-            (0..groups.len()).map(|_| None).collect();
-        let outer_results = join_all(
-            outer
-                .into_iter()
-                .map(|(idx, conn, request)| async move { (idx, conn.execute(request).await) })
-                .collect(),
-        )
-        .await;
-        for (idx, resp) in outer_results {
-            responses[idx] = Some(resp);
-        }
-        let (idx, conn, request) = inner.expect("chiller dispatch requires at least one branch");
-        responses[idx] = Some(conn.execute(request).await);
-        responses.into_iter().map(|r| r.expect("filled")).collect()
+        responses
     }
 
     /// Roll `branches` back concurrently. Failures are ignored: rolling back
@@ -954,72 +949,117 @@ impl Middleware {
             .await;
     }
 
-    /// Commit phase: one-phase where no vote is needed, otherwise collect
-    /// the votes (pushed by the geo-agents when the decentralized prepare was
-    /// triggered, else through an explicit prepare round), decide and
-    /// dispatch. Returns `Ok(())` on commit or the abort reason.
-    async fn commit_phase(
-        &self,
-        gtrid: u64,
-        involved: &[u32],
-        annotated: bool,
-        breakdown: &mut LatencyBreakdown,
-    ) -> Result<(), AbortReason> {
-        if involved.len() == 1 || self.config.protocol.one_phase_everywhere() {
-            return self.commit_one_phase(gtrid, involved, breakdown).await;
+    /// Open a [`Phase`]: start its stopwatch, then its leaf span.
+    fn phase(&self, gtrid: u64, kind: SpanKind, branches: usize) -> Phase {
+        Phase {
+            started: now(),
+            span: geotp_telemetry::span_leaf(gtrid, self.dm(), kind, branches as u64),
         }
-        let wait_started = now();
-        let votes = if annotated {
+    }
+
+    /// Commit phase: votes → decision → flush → dispatch. Returns `Ok(())`
+    /// on commit or the abort reason.
+    async fn commit_phase(&self, txn: &mut LiveTxn) -> Result<(), AbortReason> {
+        let (gtrid, annotated) = (txn.gtrid, txn.annotated);
+        let (involved, breakdown) = (&txn.scratch.involved[..], &mut txn.breakdown);
+        if involved.len() == 1 || self.config.protocol.one_phase_everywhere() {
+            // No votes to collect: the centralized transaction's one-phase
+            // commit, and SSP(local)'s on every branch.
+            self.flush_decision(gtrid, Decision::Commit, breakdown)
+                .await?;
+            let commit = self.phase(gtrid, SpanKind::CommitDispatch, involved.len());
+            let committed = self.dispatch_commits(gtrid, involved, |_| true).await;
+            breakdown.commit = commit.end();
+            // No atomicity guarantee: report commit if any branch made it.
+            return if committed > 0 {
+                Ok(())
+            } else {
+                Err(AbortReason::PrepareFailed)
+            };
+        }
+        let kind = if annotated {
             self.stats.borrow_mut().decentralized_prepares += 1;
-            // Wait for the asynchronous prepare votes pushed by the
-            // geo-agents (no extra WAN round trip). The wait is bounded: a
-            // crashed participant (or a lost vote notification) must not
-            // park the coordinator forever — after the decision-wait timeout
-            // the missing votes count as no-votes and the transaction
-            // aborts, exactly like a real XA coordinator giving up on a dead
-            // participant.
-            let wait_span = geotp_telemetry::span_leaf(
-                gtrid,
-                self.dm(),
-                SpanKind::VoteWait,
-                involved.len() as u64,
-            );
-            let pushed = geotp_simrt::timeout(
-                self.config.decision_wait_timeout,
-                self.hub.wait_for_votes(gtrid, involved),
-            )
-            .await;
-            let votes = pushed.unwrap_or_else(|_elapsed| {
-                self.stats.borrow_mut().decision_wait_timeouts += 1;
-                let mut votes = self.hub.votes(gtrid);
-                for b in self.hub.rollbacked(gtrid) {
-                    votes.entry(b).or_insert(PrepareVote::RollbackOnly);
-                }
-                votes
-            });
-            geotp_telemetry::span_end(wait_span);
-            votes
+            SpanKind::VoteWait
         } else {
-            // Classic XA: explicit prepare round trip (SSP, QURO, and any
-            // transaction the client did not annotate).
-            let prepare_span = geotp_telemetry::span_leaf(
-                gtrid,
-                self.dm(),
-                SpanKind::Prepare,
-                involved.len() as u64,
-            );
-            let prepares = involved.iter().map(|ds| {
-                let conn = self.conn(*ds).clone();
-                let xid = Xid::new(gtrid, *ds);
-                async move { (xid.bqual, conn.prepare(xid).await) }
-            });
-            let votes = join_all(prepares.collect()).await;
-            geotp_telemetry::span_end(prepare_span);
-            votes.into_iter().collect()
+            SpanKind::Prepare
         };
-        breakdown.prepare_wait = now().duration_since(wait_started);
-        self.decide_and_dispatch(gtrid, involved, &votes, breakdown)
-            .await
+        let wait = self.phase(gtrid, kind, involved.len());
+        let votes = if annotated {
+            self.pushed_votes(gtrid, involved).await
+        } else {
+            self.prepare_round(gtrid, involved).await
+        };
+        breakdown.prepare_wait = wait.end();
+
+        let voted_yes = |ds: &u32| votes.get(ds).is_some_and(PrepareVote::is_yes);
+        if !involved.iter().all(voted_yes) {
+            self.flush_decision(gtrid, Decision::Abort, breakdown)
+                .await?;
+            // Branches that already rolled back (no-vote / rollbacked) need
+            // nothing; the rest are told to roll back.
+            let to_rollback: Vec<u32> = involved.iter().copied().filter(voted_yes).collect();
+            let rollback = self.phase(gtrid, SpanKind::RollbackDispatch, to_rollback.len());
+            self.rollback_branches(gtrid, to_rollback).await;
+            breakdown.commit = rollback.end();
+            return Err(AbortReason::PrepareFailed);
+        }
+        // Fail point: the commit reaches the branches before the decision is
+        // durable. See [`Middleware::fail_point_dispatch_before_flush`].
+        let dispatched_early = self.dispatch_before_flush.get();
+        if !dispatched_early {
+            self.flush_decision(gtrid, Decision::Commit, breakdown)
+                .await?;
+        }
+        let commit = self.phase(gtrid, SpanKind::CommitDispatch, involved.len());
+        let one_phase = |ds| votes.get(&ds) == Some(&PrepareVote::Idle);
+        let committed = self.dispatch_commits(gtrid, involved, one_phase).await;
+        breakdown.commit = commit.end();
+        // The decision is durable, so the transaction *is* committed whatever
+        // the dispatch returned. A branch whose commit failed (its data source
+        // crashed between prepare and commit) is finished later by failure
+        // recovery — count it, but do not lie to the client.
+        let deferred = (involved.len() - committed) as u64;
+        if deferred > 0 {
+            self.stats.borrow_mut().commits_deferred_to_recovery += deferred;
+        }
+        if dispatched_early {
+            self.flush_decision(gtrid, Decision::Commit, breakdown)
+                .await?;
+        }
+        Ok(())
+    }
+
+    /// The votes the geo-agents pushed (decentralized prepare: no extra WAN
+    /// round trip). The wait is bounded: a crashed participant (or a lost
+    /// vote notification) must not park the coordinator forever — after the
+    /// decision-wait timeout the missing votes count as no-votes and the
+    /// transaction aborts, exactly like a real XA coordinator giving up on a
+    /// dead participant.
+    async fn pushed_votes(&self, gtrid: u64, involved: &[u32]) -> HashMap<u32, PrepareVote> {
+        let pushed = geotp_simrt::timeout(
+            self.config.decision_wait_timeout,
+            self.hub.wait_for_votes(gtrid, involved),
+        )
+        .await;
+        pushed.unwrap_or_else(|_elapsed| {
+            self.stats.borrow_mut().decision_wait_timeouts += 1;
+            let mut votes = self.hub.votes(gtrid);
+            for b in self.hub.rollbacked(gtrid) {
+                votes.entry(b).or_insert(PrepareVote::RollbackOnly);
+            }
+            votes
+        })
+    }
+
+    /// Classic XA: an explicit prepare round trip (SSP, QURO, and any
+    /// transaction the client did not annotate).
+    async fn prepare_round(&self, gtrid: u64, involved: &[u32]) -> HashMap<u32, PrepareVote> {
+        let prepares = involved.iter().map(|ds| {
+            let conn = self.conn(*ds).clone();
+            let xid = Xid::new(gtrid, *ds);
+            async move { (xid.bqual, conn.prepare(xid).await) }
+        });
+        join_all(prepares.collect()).await.into_iter().collect()
     }
 
     /// Flush the decision (the `LogFlush` slice), honouring the
@@ -1032,15 +1072,13 @@ impl Middleware {
         decision: Decision,
         breakdown: &mut LatencyBreakdown,
     ) -> Result<(), AbortReason> {
-        let flush_started = now();
-        let flush_span = geotp_telemetry::span_leaf(gtrid, self.dm(), SpanKind::LogFlush, 0);
+        let flush = self.phase(gtrid, SpanKind::LogFlush, 0);
         let flushed = self
             .commit_log
             .try_flush_decision(gtrid, decision, self.config.epoch)
             .await
             .is_ok();
-        geotp_telemetry::span_end(flush_span);
-        breakdown.log_flush = now().duration_since(flush_started);
+        breakdown.log_flush = flush.end();
         if !flushed {
             // Fenced mid-transaction: the commit log rejected the write, so
             // the decision never became durable. The branches belong to the
@@ -1065,134 +1103,29 @@ impl Middleware {
         Ok(())
     }
 
-    /// Commit without votes: the centralized transaction's single one-phase
-    /// round trip, and SSP(local)'s one-phase commit on every branch.
-    async fn commit_one_phase(
-        &self,
-        gtrid: u64,
-        involved: &[u32],
-        breakdown: &mut LatencyBreakdown,
-    ) -> Result<(), AbortReason> {
-        self.flush_decision(gtrid, Decision::Commit, breakdown)
-            .await?;
-        let commit_started = now();
-        let commit_span = geotp_telemetry::span_leaf(
-            gtrid,
-            self.dm(),
-            SpanKind::CommitDispatch,
-            involved.len() as u64,
-        );
-        let committed = if let [ds] = involved {
-            // Centralized transactions are the overwhelming majority at the
-            // paper's 20% distributed ratio: await the one branch directly
-            // instead of paying `join_all`'s boxing and re-polling.
-            self.conn(*ds)
-                .commit(Xid::new(gtrid, *ds), true)
-                .await
-                .is_ok()
-        } else {
-            let commits = involved.iter().map(|ds| {
-                let conn = self.conn(*ds).clone();
-                let xid = Xid::new(gtrid, *ds);
-                async move { conn.commit(xid, true).await }
-            });
-            // No atomicity guarantee: report commit if any branch made it.
-            join_all(commits.collect()).await.iter().any(Result::is_ok)
-        };
-        geotp_telemetry::span_end(commit_span);
-        breakdown.commit = now().duration_since(commit_started);
-        if committed {
-            Ok(())
-        } else {
-            Err(AbortReason::PrepareFailed)
-        }
-    }
-
-    /// Flush the decision and dispatch commit/rollback to every branch.
-    async fn decide_and_dispatch(
-        &self,
-        gtrid: u64,
-        involved: &[u32],
-        votes: &HashMap<u32, PrepareVote>,
-        breakdown: &mut LatencyBreakdown,
-    ) -> Result<(), AbortReason> {
-        let voted_yes = |ds: &u32| votes.get(ds).is_some_and(PrepareVote::is_yes);
-        let all_yes = involved.iter().all(voted_yes);
-        let dispatched_early = all_yes && self.dispatch_before_flush.get();
-        if dispatched_early {
-            // Fail point: the commit reaches the branches before the decision
-            // is durable. See [`Middleware::fail_point_dispatch_before_flush`].
-            let commit_started = now();
-            self.dispatch_commits(gtrid, involved, votes).await;
-            breakdown.commit = now().duration_since(commit_started);
-        }
-        let decision = if all_yes {
-            Decision::Commit
-        } else {
-            Decision::Abort
-        };
-        self.flush_decision(gtrid, decision, breakdown).await?;
-
-        let commit_started = now();
-        if all_yes {
-            if !dispatched_early {
-                self.dispatch_commits(gtrid, involved, votes).await;
-                breakdown.commit = now().duration_since(commit_started);
-            }
-            return Ok(());
-        }
-        // Abort: branches that already rolled back (no-vote / rollbacked)
-        // need nothing; the rest are told to roll back.
-        let to_rollback: Vec<u32> = involved.iter().copied().filter(voted_yes).collect();
-        let dispatch_span = geotp_telemetry::span_leaf(
-            gtrid,
-            self.dm(),
-            SpanKind::RollbackDispatch,
-            to_rollback.len() as u64,
-        );
-        self.rollback_branches(gtrid, to_rollback).await;
-        geotp_telemetry::span_end(dispatch_span);
-        breakdown.commit = now().duration_since(commit_started);
-        Err(AbortReason::PrepareFailed)
-    }
-
-    /// Dispatch the commit decision to every involved branch.
-    ///
-    /// The commit decision is durable (barring the early-dispatch fail
-    /// point), so the transaction *is* committed no matter what the
-    /// per-branch dispatch returned. A branch whose commit failed (its data
-    /// source crashed between prepare and commit) is finished later by
-    /// failure recovery — count it, but do not lie to the client about the
-    /// outcome.
+    /// Send the commit to every involved branch (`one_phase` picks the
+    /// branches that never prepared) and return how many committed.
     async fn dispatch_commits(
         &self,
         gtrid: u64,
         involved: &[u32],
-        votes: &HashMap<u32, PrepareVote>,
-    ) {
-        let dispatch_span = geotp_telemetry::span_leaf(
-            gtrid,
-            self.dm(),
-            SpanKind::CommitDispatch,
-            involved.len() as u64,
-        );
-        let results = join_all(
-            involved
-                .iter()
-                .map(|ds| {
-                    let conn = self.conn(*ds).clone();
-                    let xid = Xid::new(gtrid, *ds);
-                    let one_phase = votes.get(ds) == Some(&PrepareVote::Idle);
-                    async move { conn.commit(xid, one_phase).await }
-                })
-                .collect(),
-        )
-        .await;
-        geotp_telemetry::span_end(dispatch_span);
-        let deferred = results.iter().filter(|r| r.is_err()).count() as u64;
-        if deferred > 0 {
-            self.stats.borrow_mut().commits_deferred_to_recovery += deferred;
+        one_phase: impl Fn(u32) -> bool,
+    ) -> usize {
+        if let [ds] = involved {
+            // Centralized transactions are the overwhelming majority at the
+            // paper's 20% distributed ratio: await the one branch directly
+            // instead of paying `join_all`'s boxing and re-polling.
+            let committed = self.conn(*ds).commit(Xid::new(gtrid, *ds), one_phase(*ds));
+            return committed.await.is_ok() as usize;
         }
+        let commits = involved.iter().map(|&ds| {
+            let conn = self.conn(ds).clone();
+            let xid = Xid::new(gtrid, ds);
+            let one_phase = one_phase(ds);
+            async move { conn.commit(xid, one_phase).await }
+        });
+        let results = join_all(commits.collect()).await;
+        results.iter().filter(|r| r.is_ok()).count()
     }
 
     /// Middleware failure recovery (§V-A): query every data source for
@@ -1464,13 +1397,20 @@ impl Middleware {
         if self.crashed.get() {
             return Err(self.conclude_aborted(txn, AbortReason::CoordinatorCrashed, true));
         }
-        let round_started = now();
         let protocol = self.config.protocol;
         let advanced = protocol.advanced();
         let round_idx = txn.rounds;
         txn.rounds += 1;
-        let round_span =
-            geotp_telemetry::span_scoped(txn.gtrid, self.dm(), SpanKind::Round, round_idx as u64);
+        // The round's span is scoped: the data sources' spans nest under it.
+        let round = Phase {
+            started: now(),
+            span: geotp_telemetry::span_scoped(
+                txn.gtrid,
+                self.dm(),
+                SpanKind::Round,
+                round_idx as u64,
+            ),
+        };
 
         // A statement stream grows its key set and involvement one round at
         // a time; a declared plan fixed both before the first round.
@@ -1569,7 +1509,7 @@ impl Middleware {
                 decentralized_prepare: decentralized,
                 early_abort,
                 peers: txn.peers_of(*ds),
-                trace_parent: round_span,
+                trace_parent: round.span,
             });
         }
         for (ds, _) in &groups {
@@ -1599,7 +1539,7 @@ impl Middleware {
                     decentralized_prepare: true,
                     early_abort,
                     peers: txn.peers_of(ds),
-                    trace_parent: round_span,
+                    trace_parent: round.span,
                 };
                 spawn(async move {
                     let _ = conn.execute(request).await;
@@ -1607,11 +1547,7 @@ impl Middleware {
             }
         }
 
-        let mut responses = if protocol.inner_region_last() && groups.len() > 1 {
-            self.dispatch_chiller(&groups, requests).await
-        } else {
-            self.dispatch_parallel(&groups, requests, &schedule).await
-        };
+        let mut responses = self.dispatch_round(&groups, requests, &schedule).await;
 
         if self.crashed.get() {
             // Crashed while the round was in flight: stop dead. No rollbacks
@@ -1638,8 +1574,7 @@ impl Middleware {
                 failed_here.push(*ds);
             }
         }
-        geotp_telemetry::span_end(round_span);
-        txn.breakdown.execution += now().duration_since(round_started);
+        txn.breakdown.execution += round.end();
 
         if !failed_here.is_empty() {
             let abort_span = geotp_telemetry::span_leaf(
@@ -1704,13 +1639,7 @@ impl Middleware {
                 Err(AbortReason::ExecutionFailed)
             }
         } else {
-            self.commit_phase(
-                txn.gtrid,
-                &txn.scratch.involved,
-                txn.annotated,
-                &mut txn.breakdown,
-            )
-            .await
+            self.commit_phase(txn).await
         };
         outcome.committed = committed.is_ok();
         outcome.abort_reason = committed.err();

@@ -79,18 +79,6 @@ impl NotifyHub {
         self.txns.borrow_mut().remove(&gtrid);
     }
 
-    /// Record a vote locally (used when the vote arrives synchronously, e.g.
-    /// from an explicit prepare round trip).
-    pub fn record_vote(&self, gtrid: u64, branch: u32, vote: PrepareVote) {
-        let notify = {
-            let mut map = self.txns.borrow_mut();
-            let state = map.entry(gtrid).or_default();
-            state.votes.insert(branch, vote);
-            Rc::clone(&state.notify)
-        };
-        notify.notify_waiters();
-    }
-
     /// Current votes for a transaction.
     pub fn votes(&self, gtrid: u64) -> HashMap<u32, PrepareVote> {
         self.txns
@@ -234,18 +222,6 @@ mod tests {
             });
             hub.wait_for_rollbacks(3, &[0, 1]).await;
             assert_eq!(hub.rollbacked(3).len(), 2);
-        });
-    }
-
-    #[test]
-    fn synchronous_votes_can_be_recorded_directly() {
-        let mut rt = Runtime::new();
-        rt.block_on(async {
-            let hub = NotifyHub::start();
-            hub.register(1);
-            hub.record_vote(1, 0, PrepareVote::Prepared);
-            let votes = hub.wait_for_votes(1, &[0]).await;
-            assert_eq!(votes.get(&0), Some(&PrepareVote::Prepared));
         });
     }
 }

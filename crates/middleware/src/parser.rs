@@ -135,12 +135,6 @@ impl SqlParser {
         &self.catalog
     }
 
-    /// Mutable access to the catalog (lets a caller share one catalog across
-    /// parser instances, as the middleware does for its SQL front door).
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// Parse a semicolon-separated script into statements.
     pub fn parse_script(&mut self, script: &str) -> Result<Vec<ParsedStatement>, ParseError> {
         script

@@ -121,17 +121,6 @@ pub fn metrics_timeline_csv(timeline: &[crate::MetricsSnapshot]) -> String {
     out
 }
 
-/// Write a metrics-timeline CSV (see [`metrics_timeline_csv`]).
-pub fn write_metrics_timeline_csv(
-    path: &Path,
-    timeline: &[crate::MetricsSnapshot],
-) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, metrics_timeline_csv(timeline))
-}
-
 fn sep(out: &mut String, first: &mut bool) {
     if *first {
         *first = false;

@@ -49,9 +49,7 @@ mod span;
 mod tracer;
 
 pub use critical_path::{aggregate_critical_path, critical_path, CriticalPath};
-pub use export::{
-    chrome_trace_json, metrics_timeline_csv, write_chrome_trace, write_metrics_timeline_csv,
-};
+pub use export::{chrome_trace_json, metrics_timeline_csv, write_chrome_trace};
 pub use histogram::Histogram;
 pub use registry::{MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use span::{NodeClass, Span, SpanId, SpanKind, TraceNode, SPAN_KINDS};

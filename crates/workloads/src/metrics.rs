@@ -237,16 +237,6 @@ impl MetricsCollector {
             .collect()
     }
 
-    /// Legacy 3-way breakdown `(admission, execution, prepare)`; prefer
-    /// [`Self::abort_breakdown_full`], which covers every cause.
-    pub fn abort_breakdown(&self) -> (u64, u64, u64) {
-        (
-            self.aborts_for(AbortReason::AdmissionRejected),
-            self.aborts_for(AbortReason::ExecutionFailed),
-            self.aborts_for(AbortReason::PrepareFailed),
-        )
-    }
-
     /// Merge another collector (e.g. from another terminal) into this one.
     /// Timelines align on the earliest start (see
     /// [`ThroughputTimeline::merge`]), so collectors that began at different
@@ -354,7 +344,9 @@ mod tests {
         assert_eq!(c.aborted(), 20);
         assert!((c.abort_rate() - 0.2).abs() < 1e-9);
         assert!((c.throughput(Duration::from_secs(8)) - 10.0).abs() < 1e-9);
-        assert_eq!(c.abort_breakdown(), (0, 20, 0));
+        assert_eq!(c.aborts_for(AbortReason::AdmissionRejected), 0);
+        assert_eq!(c.aborts_for(AbortReason::ExecutionFailed), 20);
+        assert_eq!(c.aborts_for(AbortReason::PrepareFailed), 0);
         assert_eq!(c.distributed_latency().count(), 16);
         assert_eq!(c.centralized_latency().count(), 64);
         let series = c.timeline().series_tps();
