@@ -463,3 +463,56 @@ fn sweep_group_commit_crash_window_holds() {
         );
     }
 }
+
+/// FNV-1a over `bytes`, continuing from `fnv`.
+fn fnv1a(fnv: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(fnv, |fnv, byte| {
+        (fnv ^ *byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The 32-seed sweep pinned byte for byte: one line per table row × declared
+/// workload, holding an FNV-1a over seeds 1–32 of `committed aborted
+/// indeterminate fingerprint` from untraced runs (the fingerprint covers the
+/// checkers' verdict line). A harness or coordinator refactor is correct iff
+/// this file does not move. Checked only at `GEOTP_CHAOS_SWEEP=32` (the
+/// chaos-drills CI job; about 8 s in release); `GEOTP_BLESS=1` re-records it.
+#[test]
+fn chaos_sweep_32_matches_its_golden() {
+    if std::env::var("GEOTP_CHAOS_SWEEP").as_deref() != Ok("32") {
+        return;
+    }
+    let mut actual = String::from(
+        "# preset workload fnv1a(seeds 1-32: committed aborted indeterminate fingerprint)\n",
+    );
+    for scenario in PRESETS.iter() {
+        for workload in scenario.workloads {
+            let mut fnv = 0xcbf2_9ce4_8422_2325;
+            for seed in 1..=32 {
+                let report = scenario.run_with(seed, *workload);
+                let row = format!(
+                    "{} {} {} {:016x}\n",
+                    report.committed, report.aborted, report.indeterminate, report.fingerprint
+                );
+                fnv = fnv1a(fnv, row.as_bytes());
+            }
+            actual.push_str(&format!("{} {workload:?} {fnv:016x}\n", scenario.name));
+        }
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/chaos_sweep_32.txt"
+    );
+    if std::env::var("GEOTP_BLESS").as_deref() == Ok("1") {
+        std::fs::write(path, &actual).expect("write the chaos sweep golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(path)
+        .expect("tests/golden/chaos_sweep_32.txt is missing; record it with GEOTP_BLESS=1");
+    assert!(
+        expected == actual,
+        "the 32-seed chaos sweep drifted from tests/golden/chaos_sweep_32.txt; if intended, \
+         re-record with GEOTP_BLESS=1 and list the moved rows in CHANGES.md\n\
+         golden:\n{expected}\nactual:\n{actual}"
+    );
+}
