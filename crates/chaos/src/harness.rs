@@ -43,13 +43,13 @@ use geotp_cluster::{
 use geotp_datasource::{DataSource, Dialect};
 use geotp_middleware::session::RetryPolicy;
 use geotp_middleware::{
-    AbortReason, CommitLog, Decision, Middleware, MiddlewareConfig, Partitioner, Protocol, Session,
-    SessionService, TransactionSpec, TxnOutcome,
+    AbortReason, ClientOp, CommitLog, Decision, Middleware, MiddlewareConfig, Partitioner,
+    Protocol, Session, SessionService, TransactionSpec, TxnOutcome,
 };
 use geotp_net::{Network, NodeId};
 use geotp_simrt::hash::FxHashMap;
 use geotp_simrt::{now, sleep, sleep_until, spawn, JoinHandle, Runtime, SimInstant};
-use geotp_storage::{CostModel, EngineConfig, IsolationLevel, MvccStats};
+use geotp_storage::{CostModel, EngineConfig, IsolationLevel, Key, MvccStats};
 use geotp_workloads::ZipfianGenerator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -352,7 +352,6 @@ impl Deployment {
         cfg.analysis_cost = Duration::from_micros(200);
         cfg.log_flush_cost = Duration::from_micros(200);
         cfg.decision_wait_timeout = DECISION_WAIT_TIMEOUT;
-        cfg.record_history = true;
         cfg.scheduler.seed = config.seed;
         cfg.first_txn_seq = first_txn_seq;
         cfg.snapshot_reads = config.snapshot_reads;
@@ -414,7 +413,6 @@ impl Deployment {
             Some(tier) => {
                 let mut cfg = ClusterConfig::new(TIER_COORDINATORS, config.protocol, partitioner);
                 cfg.decision_wait_timeout = DECISION_WAIT_TIMEOUT;
-                cfg.record_history = true;
                 cfg.snapshot_reads = config.snapshot_reads;
                 cfg.seed = config.seed;
                 cfg.max_inflight = tier.max_inflight;
@@ -627,6 +625,9 @@ impl Deployment {
 struct Tally {
     /// Outcomes of transactions that actually started.
     ledger: RefCell<Vec<TxnOutcome>>,
+    /// The keys each committed gtrid's spec writes, for the write-set
+    /// cross-check.
+    declared_writes: RefCell<FxHashMap<u64, Vec<Key>>>,
     /// Connection attempts a crashed (or absent) coordinator refused.
     refused: Cell<u64>,
     /// Other transient non-starts: overload sheds and reaped sessions.
@@ -634,15 +635,27 @@ struct Tally {
 }
 
 impl Tally {
-    /// Book one attempt's outcome. Transient non-starts (gtrid 0: refused
-    /// connection, overload shed, reaped session) never started a
+    /// Book one attempt's outcome for `spec`. Transient non-starts (gtrid
+    /// 0: refused connection, overload shed, reaped session) never started a
     /// transaction, so they are counted separately and kept out of the
-    /// per-transaction ledger; returns whether the caller may retry.
-    fn book(&self, outcome: TxnOutcome) -> Option<TxnOutcome> {
+    /// per-transaction ledger; returns whether the caller may retry. A commit
+    /// also books the keys the spec writes: every operation but a plain or
+    /// `FOR UPDATE` read.
+    fn book(&self, outcome: TxnOutcome, spec: &TransactionSpec) -> Option<TxnOutcome> {
         let transient = outcome.is_refusal()
             || outcome.is_overloaded()
             || outcome.abort_reason == Some(AbortReason::SessionExpired);
         if !transient {
+            if outcome.committed {
+                let writes = spec
+                    .all_ops()
+                    .filter(|op| !matches!(op, ClientOp::Read(_) | ClientOp::ReadForUpdate(_)))
+                    .map(|op| op.key().storage_key())
+                    .collect();
+                self.declared_writes
+                    .borrow_mut()
+                    .insert(outcome.gtrid, writes);
+            }
             self.ledger.borrow_mut().push(outcome);
             return None;
         }
@@ -793,7 +806,7 @@ fn spawn_flash_crowd(
                     .await;
                 // A still-transient outcome means the budget ran out without
                 // ever starting a transaction: shed load, not an abort.
-                tally.book(retried.outcome);
+                tally.book(retried.outcome, &spec);
             })
         })
         .collect()
@@ -874,7 +887,7 @@ fn run_impl(
                             // nobody is waiting for an outcome; move on.
                             break;
                         };
-                        let Some(transient) = tally.book(outcome) else {
+                        let Some(transient) = tally.book(outcome, &spec) else {
                             break;
                         };
                         if attempt < CLIENT_RETRY.max_attempts {
@@ -951,6 +964,7 @@ fn run_impl(
             &deployment.sources,
             || workload.consistency_violations(&deployment.sources),
             &ledger,
+            &tally.declared_writes.borrow(),
             |gtrid| deployment.decision(gtrid),
             workload_drained,
         );

@@ -99,6 +99,9 @@ struct BranchDecisions {
 ///   folded into atomicity. Lazy because on an undrained run the final
 ///   state is noise and the (potentially table-scanning) check is skipped
 ///   wholesale.
+/// * `declared_writes` — the keys each committed gtrid's spec writes, as
+///   the client submitted them; cross-checked against the keys the engines
+///   installed.
 /// * `decision_of` — the durable decision for a gtrid. A single-coordinator
 ///   harness passes its one commit log's lookup; a cluster harness resolves
 ///   the gtrid's *owner* first and reads that coordinator's log, so the
@@ -111,6 +114,7 @@ pub fn check(
     sources: &[Rc<DataSource>],
     workload_violations: impl FnOnce() -> Vec<String>,
     ledger: &[TxnOutcome],
+    declared_writes: &FxHashMap<u64, Vec<Key>>,
     decision_of: impl Fn(u64) -> Option<Decision>,
     workload_drained: bool,
 ) -> InvariantReport {
@@ -279,12 +283,10 @@ pub fn check(
     }
 
     // ---------------- declared vs observed write sets ----------------
-    // The client-side outcome declares the transaction's write keys
-    // (`TxnOutcome::history`, populated because the harness sets
-    // `MiddlewareConfig::record_history`); the engines recorded what was
-    // actually installed. For a committed transaction the two must match
-    // exactly: a declared write the engines never saw is a lost write, an
-    // observed write the client never declared is a phantom.
+    // The client's spec declares the transaction's write keys; the engines
+    // recorded what was actually installed. For a committed transaction the
+    // two must match exactly: a declared write the engines never saw is a
+    // lost write, an observed write the client never declared is a phantom.
     let mut observed_writes: FxHashMap<u64, Vec<Key>> = FxHashMap::default();
     for branch in &histories {
         observed_writes
@@ -293,13 +295,12 @@ pub fn check(
             .extend(branch.writes.iter().map(|w| w.key));
     }
     for outcome in ledger.iter().filter(|o| o.committed) {
-        let mut declared: Vec<Key> = outcome
-            .history
-            .writes
-            .iter()
-            .map(|k| k.storage_key())
-            .collect();
+        let mut declared = declared_writes
+            .get(&outcome.gtrid)
+            .cloned()
+            .unwrap_or_default();
         declared.sort();
+        declared.dedup();
         let mut observed = observed_writes.remove(&outcome.gtrid).unwrap_or_default();
         observed.sort();
         if declared != observed {
@@ -313,4 +314,79 @@ pub fn check(
     }
 
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use geotp_datasource::DataSourceConfig;
+    use geotp_middleware::GlobalKey;
+    use geotp_net::{NetworkBuilder, NodeId};
+    use geotp_simrt::Runtime;
+    use geotp_storage::{Row, TableId, Xid};
+
+    fn key(row: u64) -> Key {
+        GlobalKey::new(TableId(0), row).storage_key()
+    }
+
+    /// Every checker's verdict on one history-recording data source where
+    /// gtrid 1 committed a write to key 1, while the client's spec declared
+    /// `declared` as its writes.
+    fn verdict_with_declared_writes(declared: &[Key]) -> InvariantReport {
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let net = NetworkBuilder::new(1).build();
+            let mut cfg = DataSourceConfig::new(NodeId::data_source(0));
+            cfg.engine.record_history = true;
+            let ds = DataSource::new(cfg, net);
+            for row in 0..3 {
+                ds.load(key(row), Row::int(0));
+            }
+            let engine = ds.engine();
+            let xid = Xid::new(1, 0);
+            engine.begin(xid).unwrap();
+            engine.write(xid, key(1), Row::int(7)).await.unwrap();
+            engine.end(xid).unwrap();
+            engine.commit(xid, true).await.unwrap();
+            let committed = TxnOutcome {
+                gtrid: 1,
+                committed: true,
+                ..TxnOutcome::default()
+            };
+            let declared = FxHashMap::from_iter([(1, declared.to_vec())]);
+            let commit = |_| Some(Decision::Commit);
+            check(&[ds], Vec::new, &[committed], &declared, commit, true)
+        })
+    }
+
+    fn assert_write_set_convicted(report: &InvariantReport) {
+        assert!(!report.serializability_ok, "{:?}", report.violations);
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.starts_with("write-set:")),
+            "{:?}",
+            report.violations
+        );
+    }
+
+    #[test]
+    fn declared_write_set_matching_the_engines_is_green() {
+        // Declared twice: the checker dedups the spec's keys.
+        let report = verdict_with_declared_writes(&[key(1), key(1)]);
+        assert!(report.all_hold(), "{:?}", report.violations);
+    }
+
+    #[test]
+    fn write_set_check_convicts_a_lost_write() {
+        // Key 2 was declared, but no engine ever installed it.
+        assert_write_set_convicted(&verdict_with_declared_writes(&[key(1), key(2)]));
+    }
+
+    #[test]
+    fn write_set_check_convicts_a_phantom_write() {
+        // Key 1 was installed, but the spec never declared it.
+        assert_write_set_convicted(&verdict_with_declared_writes(&[]));
+    }
 }

@@ -55,8 +55,6 @@ pub struct ClusterConfig {
     pub analysis_cost: Duration,
     /// Commit-log flush cost.
     pub log_flush_cost: Duration,
-    /// Populate per-transaction histories (chaos checkers).
-    pub record_history: bool,
     /// Commit unannotated read-only transactions via the snapshot-read fast
     /// path (no prepare, no WAL flush). Passed through to each
     /// [`MiddlewareConfig`].
@@ -98,7 +96,6 @@ impl ClusterConfig {
             decision_wait_timeout: Duration::from_secs(2),
             analysis_cost: Duration::from_micros(200),
             log_flush_cost: Duration::from_micros(200),
-            record_history: false,
             snapshot_reads: false,
             seed: 42,
             admission: AdmissionPolicy::default(),
@@ -178,7 +175,6 @@ fn slot_middleware_config(
     mw_cfg.analysis_cost = config.analysis_cost;
     mw_cfg.log_flush_cost = config.log_flush_cost;
     mw_cfg.decision_wait_timeout = config.decision_wait_timeout;
-    mw_cfg.record_history = config.record_history;
     mw_cfg.snapshot_reads = config.snapshot_reads;
     mw_cfg.scheduler.seed = config.seed.wrapping_add(coord as u64);
     mw_cfg.epoch = epoch;

@@ -83,8 +83,6 @@ pub struct LiveTxn {
     read_only: bool,
     rounds: usize,
     concluded: bool,
-    #[cfg(feature = "history")]
-    history: crate::metrics::TxnHistory,
 }
 
 /// What a client that submits a whole [`TransactionSpec`] has told the
@@ -320,12 +318,6 @@ pub struct MiddlewareConfig {
     /// healthy cluster votes arrive within ~1 WAN RTT, so the generous
     /// default never fires outside failure drills.
     pub decision_wait_timeout: Duration,
-    /// Populate [`TxnOutcome::history`] (requires the `history` cargo
-    /// feature). Off by default: even with the feature compiled in — which
-    /// workspace feature unification forces on every build that links the
-    /// chaos crate — workload drivers must not pay the per-transaction
-    /// read/write-set allocations. The chaos harness turns this on.
-    pub record_history: bool,
     /// First value of the per-coordinator transaction sequence number. A
     /// successor instance taking over after a crash must start *past* its
     /// predecessor's sequence (see [`Middleware::next_txn_seq`]) so gtrids
@@ -369,7 +361,6 @@ impl MiddlewareConfig {
             analysis_cost: Duration::from_micros(1000),
             log_flush_cost: Duration::from_micros(500),
             decision_wait_timeout: Duration::from_secs(30),
-            record_history: false,
             first_txn_seq: 1,
             epoch: 0,
             sql_cache_capacity: SQL_CACHE_MAX,
@@ -869,11 +860,7 @@ impl Middleware {
                 continue;
             }
             let conn = self.conn(*ds).clone();
-            let postpone = schedule
-                .postpone
-                .get(idx)
-                .copied()
-                .unwrap_or(Duration::ZERO);
+            let postpone = schedule.postpone.get(idx).copied().unwrap_or_default();
             futures.push(async move {
                 if !postpone.is_zero() {
                     sleep(postpone).await;
@@ -1043,11 +1030,7 @@ impl Middleware {
         .await;
         pushed.unwrap_or_else(|_elapsed| {
             self.stats.borrow_mut().decision_wait_timeouts += 1;
-            let mut votes = self.hub.votes(gtrid);
-            for b in self.hub.rollbacked(gtrid) {
-                votes.entry(b).or_insert(PrepareVote::RollbackOnly);
-            }
-            votes
+            self.hub.votes(gtrid)
         })
     }
 
@@ -1165,29 +1148,18 @@ impl Middleware {
                 // transaction shows who finished it, and how.
                 let rec_span =
                     geotp_telemetry::span_root(xid.gtrid, dm, SpanKind::Recovery, xid.bqual as u64);
-                match decision_log.decision(xid.gtrid) {
+                let label = match decision_log.decision(xid.gtrid) {
                     Some(Decision::Commit) => {
-                        if conn.commit(xid, false).await.is_ok() {
-                            committed += 1;
-                        }
-                        geotp_telemetry::counter_add(
-                            "mw.recovered",
-                            "commit",
-                            self.config.node.index(),
-                            1,
-                        );
+                        committed += conn.commit(xid, false).await.is_ok() as usize;
+                        "commit"
                     }
                     Some(Decision::Abort) | None => {
                         let _ = conn.rollback(xid).await;
                         aborted += 1;
-                        geotp_telemetry::counter_add(
-                            "mw.recovered",
-                            "abort",
-                            self.config.node.index(),
-                            1,
-                        );
+                        "abort"
                     }
-                }
+                };
+                geotp_telemetry::counter_add("mw.recovered", label, self.config.node.index(), 1);
                 geotp_telemetry::span_end(rec_span);
             }
         }
@@ -1346,8 +1318,6 @@ impl Middleware {
             read_only: true,
             rounds: 0,
             concluded: false,
-            #[cfg(feature = "history")]
-            history: crate::metrics::TxnHistory::default(),
         }
     }
 
@@ -1394,8 +1364,8 @@ impl Middleware {
         last: bool,
     ) -> Result<Vec<geotp_storage::Row>, TxnError> {
         debug_assert!(!txn.concluded, "round on a concluded transaction");
-        if self.crashed.get() {
-            return Err(self.conclude_aborted(txn, AbortReason::CoordinatorCrashed, true));
+        if let Some(error) = self.conclude_if_crashed(txn) {
+            return Err(error);
         }
         let protocol = self.config.protocol;
         let advanced = protocol.advanced();
@@ -1415,36 +1385,27 @@ impl Middleware {
         // A statement stream grows its key set and involvement one round at
         // a time; a declared plan fixed both before the first round.
         let streaming = txn.plan.is_none();
-        let mut fresh_keys: Vec<GlobalKey> = Vec::new();
+        let known = txn.scratch.keys.len();
         for op in ops {
-            let key = op.key();
             // Anything besides a plain read (writes, but also FOR UPDATE —
             // it takes an exclusive lock) disqualifies the transaction from
             // the read-only snapshot commit fast path.
             if !matches!(op, ClientOp::Read(_)) {
                 txn.read_only = false;
             }
-            if streaming && !txn.scratch.keys.contains(&key) {
-                txn.scratch.keys.push(key);
-                fresh_keys.push(key);
-            }
-            #[cfg(feature = "history")]
-            if self.config.record_history {
-                let set = match op {
-                    ClientOp::Read(_) | ClientOp::ReadForUpdate(_) => &mut txn.history.reads,
-                    _ => &mut txn.history.writes,
-                };
-                set.push(key);
+            if streaming && !txn.scratch.keys.contains(&op.key()) {
+                txn.scratch.keys.push(op.key());
             }
         }
         if streaming {
-            self.config
-                .partitioner
-                .involved_nodes_into(&txn.scratch.keys, &mut txn.scratch.involved);
-            txn.distributed = txn.scratch.involved.len() > 1;
-            if advanced && !fresh_keys.is_empty() {
+            let scratch = &mut txn.scratch;
+            let partitioner = &self.config.partitioner;
+            partitioner.involved_nodes_into(&scratch.keys, &mut scratch.involved);
+            txn.distributed = scratch.involved.len() > 1;
+            let fresh = &scratch.keys[known..];
+            if advanced && !fresh.is_empty() {
                 let mut footprint = self.scheduler.footprint().borrow_mut();
-                footprint.on_access_start(&fresh_keys);
+                footprint.on_access_start(fresh);
             }
         }
 
@@ -1456,64 +1417,58 @@ impl Middleware {
                 ops.sort_by_key(|op| op.is_write());
             }
         }
-        let plans: Vec<BranchPlan> = groups
-            .iter()
-            .map(|(ds, ops)| BranchPlan {
-                ds_index: *ds,
-                keys: ops.iter().map(|op| op.key()).collect(),
-            })
-            .collect();
-        let schedule = if !protocol.geo_scheduled() {
-            Schedule {
-                postpone: vec![Duration::ZERO; plans.len()],
-                horizon: Duration::ZERO,
-            }
-        } else if advanced && round_idx == 0 {
-            match self.scheduler.schedule_with_admission(&plans) {
-                AdmissionDecision::Admit(schedule) => schedule,
-                AdmissionDecision::Reject { attempts } => {
-                    // Late transaction scheduling kept this transaction
-                    // back; charge the backoff and abort it.
-                    let backoff = ADMISSION_RETRY_BACKOFF * attempts;
-                    sleep(backoff).await;
-                    let mut outcome = TxnOutcome::aborted(
-                        AbortReason::AdmissionRejected,
-                        now().duration_since(txn.started),
-                        txn.distributed,
-                    );
-                    outcome.gtrid = txn.gtrid;
-                    let outcome = self.finish_live(txn, outcome);
-                    return Err(TxnError::aborted(outcome, false));
+        // Only the geo-scheduler plans a round; everyone else postpones
+        // nothing (an empty schedule).
+        let schedule = if protocol.geo_scheduled() {
+            let plans: Vec<BranchPlan> = groups
+                .iter()
+                .map(|(ds, ops)| BranchPlan {
+                    ds_index: *ds,
+                    keys: ops.iter().map(|op| op.key()).collect(),
+                })
+                .collect();
+            if !advanced || round_idx > 0 {
+                self.scheduler.schedule(&plans)
+            } else {
+                match self.scheduler.schedule_with_admission(&plans) {
+                    AdmissionDecision::Admit(schedule) => schedule,
+                    AdmissionDecision::Reject { attempts } => {
+                        // Late transaction scheduling kept this transaction
+                        // back; charge the backoff and abort it.
+                        sleep(ADMISSION_RETRY_BACKOFF * attempts).await;
+                        let reason = AbortReason::AdmissionRejected;
+                        return Err(self.conclude_aborted(txn, reason, false));
+                    }
                 }
             }
         } else {
-            self.scheduler.schedule(&plans)
+            Schedule::default()
         };
-        self.stats.borrow_mut().total_postpone_micros += schedule
-            .postpone
-            .iter()
-            .map(|d| d.as_micros() as u64)
-            .sum::<u64>();
+        let postponed: u64 = schedule.postpone.iter().map(|d| d.as_micros() as u64).sum();
+        self.stats.borrow_mut().total_postpone_micros += postponed;
 
-        // Assemble the per-branch requests.
+        // Assemble the per-branch requests; a branch's first statement
+        // starts it.
         let annotated = txn.plan.as_ref().map_or(last, |plan| plan.annotate_last);
         let decentralized = protocol.decentralized_prepare() && annotated;
         let early_abort = protocol.early_abort() && txn.distributed;
+        let request = |txn: &LiveTxn, ds: u32, begin, ops, is_last| StatementRequest {
+            xid: Xid::new(txn.gtrid, ds),
+            begin,
+            ops,
+            is_last,
+            decentralized_prepare: decentralized,
+            early_abort,
+            peers: txn.peers_of(ds),
+            trace_parent: round.span,
+        };
         let mut requests = Vec::with_capacity(groups.len());
         for (ds, ops) in &groups {
-            requests.push(StatementRequest {
-                xid: Xid::new(txn.gtrid, *ds),
-                begin: !txn.scratch.started_branches.contains(ds),
-                ops: ops.iter().map(|op| Self::to_ds_op(op)).collect(),
-                is_last: decentralized && txn.branch_ends(*ds, round_idx, last),
-                decentralized_prepare: decentralized,
-                early_abort,
-                peers: txn.peers_of(*ds),
-                trace_parent: round.span,
-            });
-        }
-        for (ds, _) in &groups {
-            if !txn.scratch.started_branches.contains(ds) {
+            let begin = !txn.scratch.started_branches.contains(ds);
+            let ds_ops = ops.iter().map(|op| Self::to_ds_op(op)).collect();
+            let is_last = decentralized && txn.branch_ends(*ds, round_idx, last);
+            requests.push(request(txn, *ds, begin, ds_ops, is_last));
+            if begin {
                 txn.scratch.started_branches.push(*ds);
             }
         }
@@ -1531,44 +1486,27 @@ impl Middleware {
                     continue;
                 }
                 let conn = self.conn(ds).clone();
-                let request = StatementRequest {
-                    xid: Xid::new(txn.gtrid, ds),
-                    begin: false,
-                    ops: Vec::new(),
-                    is_last: true,
-                    decentralized_prepare: true,
-                    early_abort,
-                    peers: txn.peers_of(ds),
-                    trace_parent: round.span,
-                };
+                let trigger = request(txn, ds, false, Vec::new(), true);
                 spawn(async move {
-                    let _ = conn.execute(request).await;
+                    let _ = conn.execute(trigger).await;
                 });
             }
         }
 
         let mut responses = self.dispatch_round(&groups, requests, &schedule).await;
-
-        if self.crashed.get() {
-            // Crashed while the round was in flight: stop dead. No rollbacks
-            // are dispatched (a dead process sends nothing); the data
-            // sources' disconnect handling and failure recovery clean the
-            // branches up.
-            return Err(self.conclude_aborted(txn, AbortReason::CoordinatorCrashed, true));
+        if let Some(error) = self.conclude_if_crashed(txn) {
+            return Err(error);
         }
 
         // Feedback + failure handling.
         let mut failed_here = Vec::new();
         for ((ds, ops), response) in groups.iter().zip(&responses) {
             if advanced {
-                txn.scratch.branch_keys.clear();
-                txn.scratch
-                    .branch_keys
-                    .extend(ops.iter().map(|op| op.key()));
-                self.scheduler
-                    .footprint()
-                    .borrow_mut()
-                    .on_subtxn_feedback(&txn.scratch.branch_keys, response.local_execution_latency);
+                let keys = &mut txn.scratch.branch_keys;
+                keys.clear();
+                keys.extend(ops.iter().map(|op| op.key()));
+                let mut footprint = self.scheduler.footprint().borrow_mut();
+                footprint.on_subtxn_feedback(keys, response.local_execution_latency);
             }
             if !response.outcome.is_ok() {
                 failed_here.push(*ds);
@@ -1577,15 +1515,11 @@ impl Middleware {
         txn.breakdown.execution += round.end();
 
         if !failed_here.is_empty() {
-            let abort_span = geotp_telemetry::span_leaf(
-                txn.gtrid,
-                self.dm(),
-                SpanKind::RollbackDispatch,
-                txn.scratch.started_branches.len() as u64,
-            );
-            self.abort_started_branches(txn.gtrid, &txn.scratch.started_branches, &failed_here)
+            let started = &txn.scratch.started_branches;
+            let rollback = self.phase(txn.gtrid, SpanKind::RollbackDispatch, started.len());
+            self.abort_started_branches(txn.gtrid, started, &failed_here)
                 .await;
-            geotp_telemetry::span_end(abort_span);
+            rollback.end();
             return Err(self.conclude_aborted(txn, AbortReason::ExecutionFailed, false));
         }
 
@@ -1604,10 +1538,8 @@ impl Middleware {
     /// the classic explicit prepare round.
     pub(crate) async fn commit_live(self: &Rc<Self>, txn: &mut LiveTxn) -> TxnOutcome {
         debug_assert!(!txn.concluded, "commit on a concluded transaction");
-        if self.crashed.get() {
-            return self
-                .conclude_aborted(txn, AbortReason::CoordinatorCrashed, true)
-                .outcome;
+        if let Some(error) = self.conclude_if_crashed(txn) {
+            return error.outcome;
         }
         let mut outcome = TxnOutcome {
             gtrid: txn.gtrid,
@@ -1651,10 +1583,8 @@ impl Middleware {
     /// Roll a live transaction back at the client's request.
     pub(crate) async fn rollback_live(self: &Rc<Self>, txn: &mut LiveTxn) -> TxnOutcome {
         debug_assert!(!txn.concluded, "rollback on a concluded transaction");
-        if self.crashed.get() {
-            return self
-                .conclude_aborted(txn, AbortReason::CoordinatorCrashed, true)
-                .outcome;
+        if let Some(error) = self.conclude_if_crashed(txn) {
+            return error.outcome;
         }
         let rollback_started = now();
         let started = txn.scratch.started_branches.iter().copied();
@@ -1680,6 +1610,15 @@ impl Middleware {
         }
     }
 
+    /// A crashed coordinator stops dead at its next step: conclude `txn` as
+    /// a retryable [`AbortReason::CoordinatorCrashed`] and dispatch nothing
+    /// (a dead process sends nothing; the data sources' disconnect handling
+    /// and failure recovery clean the branches up). `None` while alive.
+    fn conclude_if_crashed(&self, txn: &mut LiveTxn) -> Option<TxnError> {
+        let crashed = self.crashed.get();
+        crashed.then(|| self.conclude_aborted(txn, AbortReason::CoordinatorCrashed, true))
+    }
+
     /// Conclude a live transaction that did not commit, reporting the
     /// latency breakdown accumulated so far.
     fn conclude_aborted(
@@ -1696,8 +1635,7 @@ impl Middleware {
     }
 
     /// Bookkeeping common to every transaction exit path.
-    #[cfg_attr(not(feature = "history"), allow(unused_mut))]
-    fn finish_live(&self, txn: &mut LiveTxn, mut outcome: TxnOutcome) -> TxnOutcome {
+    fn finish_live(&self, txn: &mut LiveTxn, outcome: TxnOutcome) -> TxnOutcome {
         debug_assert!(!txn.concluded);
         txn.concluded = true;
         self.hub.unregister(txn.gtrid);
@@ -1706,15 +1644,6 @@ impl Middleware {
                 .footprint()
                 .borrow_mut()
                 .on_txn_finish(&txn.scratch.keys, outcome.committed);
-        }
-        #[cfg(feature = "history")]
-        if self.config.record_history && outcome.gtrid != 0 {
-            let mut history = std::mem::take(&mut txn.history);
-            history.reads.sort();
-            history.reads.dedup();
-            history.writes.sort();
-            history.writes.dedup();
-            outcome.history = history;
         }
         self.stats.borrow_mut().record(&outcome);
         self.trace_txn_exit(txn.gtrid, &outcome);

@@ -29,9 +29,7 @@ pub mod session;
 pub use commit_log::{CommitLog, Decision, Fenced};
 pub use coordinator::{gtrid_owner, Middleware, MiddlewareConfig, Protocol, SessionState};
 pub use hotspot::{HotRecordStats, HotspotFootprint};
-pub use metrics::{
-    AbortReason, LatencyBreakdown, MiddlewareStats, TxnHistory, TxnOutcome, ABORT_REASONS,
-};
+pub use metrics::{AbortReason, LatencyBreakdown, MiddlewareStats, TxnOutcome, ABORT_REASONS};
 pub use ops::{ClientOp, GlobalKey, TransactionSpec};
 pub use parser::{Catalog, ParseError, ParsedStatement, Rewriter, SqlParser, TxnControl};
 pub use router::Partitioner;
@@ -1145,6 +1143,46 @@ mod tests {
             assert!(!outcome.committed);
             assert!(!outcome.distributed);
             assert_eq!(outcome.abort_reason, Some(AbortReason::PrepareFailed));
+        });
+    }
+
+    /// O3's late transaction scheduling refuses a transaction whose key
+    /// Eq. 9 gives no chance of success: the coordinator charges 2 ms of
+    /// backoff per lottery draw (11 of them), concludes a definite,
+    /// non-retryable admission rejection, and reports the breakdown
+    /// accumulated so far.
+    #[test]
+    fn o3_rejection_charges_the_backoff_and_reports_the_breakdown() {
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let (net, sources, _) = cluster(Protocol::geotp());
+            let partitioner = Partitioner::Range {
+                rows_per_node: ROWS_PER_NODE,
+                nodes: 2,
+            };
+            let cfg = MiddlewareConfig::new(NodeId::middleware(0), Protocol::geotp(), partitioner);
+            let analysis_cost = cfg.analysis_cost;
+            assert!(!analysis_cost.is_zero());
+            let mw = Middleware::connect(cfg, Rc::clone(&net), &sources, None);
+            {
+                // Two live accessors and no commit on record: Eq. 9 gives
+                // a success probability of 0^1.
+                let mut footprint = mw.scheduler().footprint().borrow_mut();
+                footprint.on_access_start(&[gk(1)]);
+                footprint.on_access_start(&[gk(1)]);
+                assert_eq!(footprint.success_probability(&[gk(1)]), 0.0);
+            }
+            let mut session = session::SessionService::connect(&mw, 1);
+            let mut txn = session.begin().await.unwrap();
+            let Err(error) = txn.execute(&[ClientOp::add(gk(1), 1)]).await else {
+                panic!("a transaction Eq. 9 dooms must be refused admission");
+            };
+            assert_eq!(error.reason, AbortReason::AdmissionRejected);
+            assert!(!error.retryable);
+            let backoff = 11 * Duration::from_millis(2);
+            assert_eq!(error.outcome.latency, analysis_cost + backoff);
+            assert_eq!(error.outcome.breakdown.analysis, analysis_cost);
+            assert_eq!(mw.stats().admission_rejections, 1);
         });
     }
 

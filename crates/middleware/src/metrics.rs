@@ -122,18 +122,6 @@ impl LatencyBreakdown {
     }
 }
 
-/// The read/write key sets of one transaction, as its rounds issued them.
-/// Only populated (and only useful) under the `history` cargo feature:
-/// failure-drill harnesses cross-check these client-level sets against the
-/// versioned histories the storage engines record.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TxnHistory {
-    /// Distinct keys read (plain and `FOR UPDATE` reads), sorted.
-    pub reads: Vec<crate::ops::GlobalKey>,
-    /// Distinct keys written (updates, inserts, deletes), sorted.
-    pub writes: Vec<crate::ops::GlobalKey>,
-}
-
 /// The outcome of one transaction as observed by the client.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TxnOutcome {
@@ -164,10 +152,6 @@ pub struct TxnOutcome {
     /// commit needs no durable decision — durability checkers must not demand
     /// one.
     pub read_only: bool,
-    /// The transaction's declared read/write key sets (only with the
-    /// `history` cargo feature; see [`TxnHistory`]).
-    #[cfg(feature = "history")]
-    pub history: TxnHistory,
 }
 
 impl TxnOutcome {

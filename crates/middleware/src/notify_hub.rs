@@ -79,13 +79,19 @@ impl NotifyHub {
         self.txns.borrow_mut().remove(&gtrid);
     }
 
-    /// Current votes for a transaction.
+    /// Current votes for a transaction. A branch that confirmed its
+    /// rollback counts as a [`PrepareVote::RollbackOnly`] (an implicit
+    /// no-vote) unless it voted first.
     pub fn votes(&self, gtrid: u64) -> HashMap<u32, PrepareVote> {
-        self.txns
-            .borrow()
-            .get(&gtrid)
-            .map(|s| s.votes.clone())
-            .unwrap_or_default()
+        let map = self.txns.borrow();
+        let Some(state) = map.get(&gtrid) else {
+            return HashMap::new();
+        };
+        let mut votes = state.votes.clone();
+        for b in &state.rollbacked {
+            votes.entry(*b).or_insert(PrepareVote::RollbackOnly);
+        }
+        votes
     }
 
     /// Branches that have confirmed rollback for a transaction.
@@ -97,50 +103,42 @@ impl NotifyHub {
             .unwrap_or_default()
     }
 
+    /// Wait until `done` holds for the transaction's notification state (or
+    /// the transaction is unregistered).
+    async fn wait_until(&self, gtrid: u64, done: impl Fn(&TxnState) -> bool) {
+        loop {
+            let notify = {
+                let map = self.txns.borrow();
+                let Some(state) = map.get(&gtrid) else {
+                    return;
+                };
+                if done(state) {
+                    return;
+                }
+                Rc::clone(&state.notify)
+            };
+            notify.notified().await;
+        }
+    }
+
     /// Wait until all `branches` have reported a prepare vote (or a rollback,
     /// which counts as an implicit no-vote). Returns the votes.
     pub async fn wait_for_votes(&self, gtrid: u64, branches: &[u32]) -> HashMap<u32, PrepareVote> {
-        loop {
-            let (done, notify) = {
-                let map = self.txns.borrow();
-                let Some(state) = map.get(&gtrid) else {
-                    return HashMap::new();
-                };
-                let done = branches
-                    .iter()
-                    .all(|b| state.votes.contains_key(b) || state.rollbacked.contains(b));
-                (done, Rc::clone(&state.notify))
-            };
-            if done {
-                let map = self.txns.borrow();
-                let state = map.get(&gtrid).expect("state present");
-                let mut votes = state.votes.clone();
-                for b in &state.rollbacked {
-                    votes.entry(*b).or_insert(PrepareVote::RollbackOnly);
-                }
-                return votes;
-            }
-            notify.notified().await;
-        }
+        self.wait_until(gtrid, |state| {
+            let voted = |b: &u32| state.votes.contains_key(b) || state.rollbacked.contains(b);
+            branches.iter().all(voted)
+        })
+        .await;
+        self.votes(gtrid)
     }
 
     /// Wait until all `branches` have confirmed rollback (the early-abort
     /// path: the middleware "awaits the abort results from data sources").
     pub async fn wait_for_rollbacks(&self, gtrid: u64, branches: &[u32]) {
-        loop {
-            let (done, notify) = {
-                let map = self.txns.borrow();
-                let Some(state) = map.get(&gtrid) else {
-                    return;
-                };
-                let done = branches.iter().all(|b| state.rollbacked.contains(b));
-                (done, Rc::clone(&state.notify))
-            };
-            if done {
-                return;
-            }
-            notify.notified().await;
-        }
+        self.wait_until(gtrid, |state| {
+            branches.iter().all(|b| state.rollbacked.contains(b))
+        })
+        .await;
     }
 }
 

@@ -35,13 +35,12 @@ pub struct BranchPlan {
     pub keys: Vec<GlobalKey>,
 }
 
-/// The scheduler's decision for one transaction round.
-#[derive(Debug, Clone, PartialEq)]
+/// The scheduler's decision for one transaction round. The default (empty)
+/// schedule postpones no branch.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Schedule {
     /// Postpone duration per branch, in the same order as the input plan.
     pub postpone: Vec<Duration>,
-    /// The predicted makespan of the round (`max(τ + LEL̂)`).
-    pub horizon: Duration,
 }
 
 /// Outcome of trying to schedule a transaction under late scheduling.
@@ -151,7 +150,7 @@ impl GeoScheduler {
         } else {
             vec![Duration::ZERO; branches.len()]
         };
-        Schedule { postpone, horizon }
+        Schedule { postpone }
     }
 
     /// Algorithm 2: admission control plus scheduling. Returns how long each
@@ -227,7 +226,6 @@ mod tests {
             let s = sched.schedule(&[plan(0, &[1]), plan(1, &[2])]);
             // Fig. 4c: the 10ms branch is postponed by 90ms, the 100ms branch not at all.
             assert_eq!(s.postpone, vec![Duration::from_millis(90), Duration::ZERO]);
-            assert_eq!(s.horizon, Duration::from_millis(100));
         });
     }
 
@@ -269,7 +267,6 @@ mod tests {
             // Branch 0 now has predicted completion 10+60=70ms, branch 1 100ms:
             // postpone shrinks from 90ms to 30ms.
             assert_eq!(s.postpone, vec![Duration::from_millis(30), Duration::ZERO]);
-            assert_eq!(s.horizon, Duration::from_millis(100));
         });
     }
 

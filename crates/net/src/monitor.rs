@@ -85,16 +85,6 @@ impl LatencyMonitor {
             .unwrap_or(Duration::ZERO)
     }
 
-    /// The largest current estimate across all monitored targets.
-    pub fn max_rtt(&self) -> Duration {
-        self.estimates
-            .borrow()
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-
     /// Number of ping samples folded in so far.
     pub fn probe_count(&self) -> u64 {
         *self.probes.borrow()
@@ -131,7 +121,6 @@ mod tests {
             let mon = LatencyMonitor::new(&net, dm(), &[ds(0), ds(1)]);
             assert_eq!(mon.rtt(ds(0)), Duration::from_millis(27));
             assert_eq!(mon.rtt(ds(1)), Duration::from_millis(251));
-            assert_eq!(mon.max_rtt(), Duration::from_millis(251));
         });
     }
 
