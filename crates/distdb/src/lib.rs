@@ -28,8 +28,6 @@
 //! is the only door: there is no per-round session model to drive.
 
 use std::cell::{Cell, RefCell};
-use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
 
 use geotp_datasource::DataSource;
@@ -40,7 +38,6 @@ use geotp_middleware::{
 use geotp_net::{Network, NodeId};
 use geotp_simrt::{join_all, now, spawn};
 use geotp_storage::{Row, StorageEngine, StorageError, Xid};
-use geotp_workloads::TransactionService;
 
 /// The sharded distributed database.
 pub struct DistDb {
@@ -263,24 +260,6 @@ impl DistDb {
         } else {
             finish(true, None, rows)
         }
-    }
-}
-
-/// Cloneable handle implementing the benchmark driver's
-/// [`TransactionService`] interface for the distributed-database baseline.
-#[derive(Clone)]
-pub struct DistDbService(pub Rc<DistDb>);
-
-impl TransactionService for DistDbService {
-    fn run<'a>(
-        &'a self,
-        spec: &'a TransactionSpec,
-    ) -> Pin<Box<dyn Future<Output = TxnOutcome> + 'a>> {
-        Box::pin(async move { DistDb::run(&self.0, spec).await })
-    }
-
-    fn label(&self) -> String {
-        "YugabyteDB-like".to_string()
     }
 }
 

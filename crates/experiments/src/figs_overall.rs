@@ -4,16 +4,15 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use geotp::{ClusterBuilder, Dialect, Protocol};
+use geotp::{ClusterBuilder, Dialect, Middleware, Protocol};
 use geotp_net::PAPER_DM2_RTTS_MS;
 use geotp_storage::{CostModel, EngineConfig};
-use geotp_workloads::driver::run_benchmark;
 use geotp_workloads::{
     Contention, DriverConfig, TpccConfig, WorkloadMix, YcsbConfig, YcsbGenerator,
 };
 
 use crate::report::{ms, tput, Table};
-use crate::runner::{run_tpcc, run_ycsb, SystemUnderTest, TpccRunSpec, YcsbRunSpec};
+use crate::runner::{run_tpcc, run_ycsb, Deployed, SystemUnderTest, TpccRunSpec, YcsbRunSpec};
 use crate::scale::Scale;
 
 /// Fig. 5: throughput vs number of client terminals over YCSB (a) and TPC-C
@@ -124,28 +123,20 @@ pub fn fig15_multi_dm(scale: Scale) -> Vec<Table> {
                 seed: 42,
                 think_time: Duration::ZERO,
             };
+            let drive = |mw: &Rc<Middleware>, seed| {
+                Deployed::Middleware(Rc::clone(mw)).benchmark(
+                    WorkloadMix::Ycsb(Rc::clone(&generator)),
+                    DriverConfig { seed, ..driver },
+                )
+            };
             if multi {
                 // Each middleware serves its own region's clients concurrently.
-                let a = geotp_simrt::spawn(run_benchmark(
-                    Rc::clone(&cluster.middlewares()[0]),
-                    WorkloadMix::Ycsb(Rc::clone(&generator)),
-                    driver,
-                ));
-                let b = geotp_simrt::spawn(run_benchmark(
-                    Rc::clone(&cluster.middlewares()[1]),
-                    WorkloadMix::Ycsb(Rc::clone(&generator)),
-                    DriverConfig { seed: 43, ..driver },
-                ));
+                let a = geotp_simrt::spawn(drive(&cluster.middlewares()[0], 42));
+                let b = geotp_simrt::spawn(drive(&cluster.middlewares()[1], 43));
                 let (ra, rb) = (a.await, b.await);
                 ra.throughput() + rb.throughput()
             } else {
-                run_benchmark(
-                    Rc::clone(cluster.middleware()),
-                    WorkloadMix::Ycsb(generator),
-                    driver,
-                )
-                .await
-                .throughput()
+                drive(cluster.middleware(), 42).await.throughput()
             }
         });
         table.push_row(vec![

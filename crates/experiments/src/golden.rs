@@ -500,16 +500,12 @@ mod tests {
     /// this gate runs in the debug profile. Scale-independent.
     #[test]
     fn golden_baseline_matrix() {
+        use crate::runner::{deploy, Deployed, SystemUnderTest as System};
         use geotp::ClusterBuilder;
-        use geotp_distdb::{DistDb, DistDbService};
         use geotp_middleware::{GlobalKey, TransactionSpec, TxnOutcome, ABORT_REASONS};
-        use geotp_net::NodeId;
-        use geotp_scalardb::{ScalarDbCluster, ScalarDbService};
         use geotp_storage::{row_fingerprint, EngineConfig};
         use geotp_workloads::ycsb::USERTABLE;
-        use geotp_workloads::{
-            Contention, TpccConfig, TpccGenerator, TransactionService, YcsbConfig, YcsbGenerator,
-        };
+        use geotp_workloads::{Contention, TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator};
         use rand::{rngs::StdRng, SeedableRng};
         use std::cell::RefCell;
         use std::rc::Rc;
@@ -521,12 +517,6 @@ mod tests {
         const DRAIN: Duration = Duration::from_secs(5);
         const LOCK_WAIT: Duration = Duration::from_millis(400);
 
-        #[derive(Clone, Copy, PartialEq)]
-        enum System {
-            ScalarDb,
-            ScalarDbPlus,
-            DistDb,
-        }
         #[derive(Clone, Copy, PartialEq)]
         enum Workload {
             Ycsb(usize, Contention),
@@ -631,28 +621,7 @@ mod tests {
                     }
                 };
 
-                let dm = NodeId::middleware(0);
-                let net = Rc::clone(cluster.network());
-                let (service, stats): (Rc<dyn TransactionService>, Box<dyn Fn() -> _>) =
-                    match system {
-                        System::ScalarDb | System::ScalarDbPlus => {
-                            let scalardb = if system == System::ScalarDbPlus {
-                                ScalarDbCluster::new_plus(dm, net, sources, partitioner)
-                            } else {
-                                ScalarDbCluster::new(dm, net, sources, partitioner)
-                            };
-                            let handle = Rc::clone(&scalardb);
-                            (
-                                Rc::new(ScalarDbService(scalardb)),
-                                Box::new(move || handle.stats()),
-                            )
-                        }
-                        System::DistDb => {
-                            let db = DistDb::new(dm, net, sources, partitioner);
-                            let handle = Rc::clone(&db);
-                            (Rc::new(DistDbService(db)), Box::new(move || handle.stats()))
-                        }
-                    };
+                let service = deploy(system, &cluster, partitioner);
                 let label = service.label();
 
                 let seen = Rc::new(RefCell::new(Seen {
@@ -663,7 +632,7 @@ mod tests {
                 let end = geotp_simrt::now() + window;
                 let terminals: Vec<_> = (0..TERMINALS)
                     .map(|terminal| {
-                        let service = Rc::clone(&service);
+                        let service = service.clone();
                         let generate = Rc::clone(&generate);
                         let seen = Rc::clone(&seen);
                         let mut rng = StdRng::seed_from_u64(SEED * 1_000 + terminal);
@@ -707,7 +676,11 @@ mod tests {
                     .filter(|(_, n)| *n > 0)
                     .map(|(reason, n)| format!("{}={n}", reason.label()))
                     .collect();
-                let stats = stats();
+                let stats = match &service {
+                    Deployed::ScalarDb(scalardb) => scalardb.stats(),
+                    Deployed::DistDb(db) => db.stats(),
+                    Deployed::Middleware(mw) => mw.stats(),
+                };
                 vec![
                     label,
                     name,

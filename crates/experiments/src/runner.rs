@@ -2,22 +2,22 @@
 //! drives it with YCSB or TPC-C through the closed-loop terminal driver and
 //! returns the measurements every figure needs.
 
-use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
 use std::time::Duration;
 
 use geotp::{Cluster, ClusterBuilder, Dialect, Protocol};
-use geotp_distdb::{DistDb, DistDbService};
-use geotp_middleware::{Middleware, MiddlewareConfig, Partitioner, TransactionSpec, TxnOutcome};
+use geotp_distdb::DistDb;
+use geotp_middleware::{
+    Middleware, MiddlewareConfig, Partitioner, SessionService, TransactionSpec, TxnOutcome,
+};
 use geotp_net::{DynamicLatency, JitteredLatency, NodeId, RandomLatency};
-use geotp_scalardb::{ScalarDbCluster, ScalarDbService};
+use geotp_scalardb::ScalarDbCluster;
 use geotp_simrt::Runtime;
 use geotp_storage::{CostModel, EngineConfig};
 use geotp_workloads::driver::run_benchmark;
 use geotp_workloads::{
-    BenchmarkReport, DriverConfig, TpccConfig, TpccGenerator, TransactionService, WorkloadMix,
-    YcsbConfig, YcsbGenerator,
+    BenchmarkReport, DriverConfig, TpccConfig, TpccGenerator, WorkloadMix, YcsbConfig,
+    YcsbGenerator,
 };
 
 /// Which system a run exercises.
@@ -346,39 +346,57 @@ fn build_cluster(
     cluster
 }
 
-/// A system under test standing on a wired cluster. One type so both
-/// workloads drive every system through the same `run_benchmark` call.
+/// A system under test standing on a wired cluster, driven through its
+/// one-shot door. One type so both workloads drive every system through the
+/// same `run_benchmark` call.
 #[derive(Clone)]
-enum Deployed {
+pub(crate) enum Deployed {
     Middleware(Rc<Middleware>),
-    ScalarDb(ScalarDbService),
-    DistDb(DistDbService),
+    ScalarDb(Rc<ScalarDbCluster>),
+    DistDb(Rc<DistDb>),
 }
 
-impl TransactionService for Deployed {
-    fn run<'a>(
-        &'a self,
-        spec: &'a TransactionSpec,
-    ) -> Pin<Box<dyn Future<Output = TxnOutcome> + 'a>> {
+impl Deployed {
+    /// Run one whole transaction.
+    pub(crate) async fn run(&self, spec: &TransactionSpec) -> TxnOutcome {
         match self {
-            Deployed::Middleware(service) => service.run(spec),
-            Deployed::ScalarDb(service) => service.run(spec),
-            Deployed::DistDb(service) => service.run(spec),
+            Deployed::Middleware(mw) => mw.run_transaction(spec).await,
+            Deployed::ScalarDb(cluster) => cluster.run(spec).await,
+            Deployed::DistDb(db) => db.run(spec).await,
         }
     }
 
-    fn label(&self) -> String {
+    /// Display name used in experiment tables.
+    pub(crate) fn label(&self) -> String {
         match self {
-            Deployed::Middleware(service) => service.label(),
-            Deployed::ScalarDb(service) => service.label(),
-            Deployed::DistDb(service) => service.label(),
+            Deployed::Middleware(mw) => mw.label(),
+            Deployed::ScalarDb(cluster) => cluster.label(),
+            Deployed::DistDb(_) => "YugabyteDB-like".to_string(),
         }
+    }
+
+    /// Drive this system with the closed-loop terminals, each a client of
+    /// its one-shot door.
+    pub(crate) async fn benchmark(
+        self,
+        workload: WorkloadMix,
+        driver: DriverConfig,
+    ) -> BenchmarkReport {
+        run_benchmark(self.label(), workload, driver, move |_| {
+            let system = self.clone();
+            async move |spec: &TransactionSpec| system.run(spec).await
+        })
+        .await
     }
 }
 
 /// Stand `system` up at the client's node over the cluster's network and
 /// (already loaded) data sources, routing with the workload's `partitioner`.
-fn deploy(system: SystemUnderTest, cluster: &Cluster, partitioner: Partitioner) -> Deployed {
+pub(crate) fn deploy(
+    system: SystemUnderTest,
+    cluster: &Cluster,
+    partitioner: Partitioner,
+) -> Deployed {
     let dm = NodeId::middleware(0);
     let (net, sources) = (Rc::clone(cluster.network()), cluster.data_sources());
     match system {
@@ -393,18 +411,13 @@ fn deploy(system: SystemUnderTest, cluster: &Cluster, partitioner: Partitioner) 
             sources,
             None,
         )),
-        SystemUnderTest::ScalarDb => Deployed::ScalarDb(ScalarDbService(ScalarDbCluster::new(
-            dm,
-            net,
-            sources,
-            partitioner,
-        ))),
-        SystemUnderTest::ScalarDbPlus => Deployed::ScalarDb(ScalarDbService(
-            ScalarDbCluster::new_plus(dm, net, sources, partitioner),
-        )),
-        SystemUnderTest::DistDb => {
-            Deployed::DistDb(DistDbService(DistDb::new(dm, net, sources, partitioner)))
+        SystemUnderTest::ScalarDb => {
+            Deployed::ScalarDb(ScalarDbCluster::new(dm, net, sources, partitioner))
         }
+        SystemUnderTest::ScalarDbPlus => {
+            Deployed::ScalarDb(ScalarDbCluster::new_plus(dm, net, sources, partitioner))
+        }
+        SystemUnderTest::DistDb => Deployed::DistDb(DistDb::new(dm, net, sources, partitioner)),
     }
 }
 
@@ -417,7 +430,7 @@ async fn measure(
     driver: DriverConfig,
 ) -> RunResult {
     let service = deploy(system, cluster, partitioner);
-    let report = run_benchmark(service.clone(), workload, driver).await;
+    let report = service.clone().benchmark(workload, driver).await;
     let mut result = report_to_result(&report, driver.measure);
     result.net_messages = cluster.network().total_messages();
     if let Deployed::Middleware(middleware) = service {

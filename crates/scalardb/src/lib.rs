@@ -34,8 +34,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -48,7 +46,6 @@ use geotp_middleware::{
 use geotp_net::{LatencyMonitor, Network, NodeId};
 use geotp_simrt::{join_all, now, sleep, SimInstant};
 use geotp_storage::{Key, LockManager, LockMode, Row, Xid};
-use geotp_workloads::TransactionService;
 
 /// CPU cost of coordinator-side validation, charged once per transaction.
 const VALIDATION_COST: Duration = Duration::from_micros(500);
@@ -477,24 +474,6 @@ impl SessionService for ScalarDbCluster {
     }
 }
 
-/// Cloneable handle to a ScalarDB cluster: the benchmark driver's one-shot
-/// [`TransactionService`].
-#[derive(Clone)]
-pub struct ScalarDbService(pub Rc<ScalarDbCluster>);
-
-impl TransactionService for ScalarDbService {
-    fn run<'a>(
-        &'a self,
-        spec: &'a TransactionSpec,
-    ) -> Pin<Box<dyn Future<Output = TxnOutcome> + 'a>> {
-        Box::pin(async move { ScalarDbCluster::run(&self.0, spec).await })
-    }
-
-    fn label(&self) -> String {
-        SessionService::label(&*self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -752,33 +731,6 @@ mod tests {
         use geotp_workloads::driver::run_benchmark;
         use geotp_workloads::{DriverConfig, WorkloadMix, YcsbConfig, YcsbGenerator};
 
-        /// Folds `(gtrid, committed, latency µs)` in completion order.
-        #[derive(Clone)]
-        struct Folding(ScalarDbService, Rc<Cell<(u64, u64)>>);
-
-        impl TransactionService for Folding {
-            fn run<'a>(
-                &'a self,
-                spec: &'a TransactionSpec,
-            ) -> Pin<Box<dyn Future<Output = TxnOutcome> + 'a>> {
-                Box::pin(async move {
-                    let outcome = self.0.run(spec).await;
-                    let (txns, mut fnv) = self.1.get();
-                    for word in [
-                        outcome.gtrid,
-                        outcome.committed as u64,
-                        outcome.latency.as_micros() as u64,
-                    ] {
-                        for byte in word.to_le_bytes() {
-                            fnv = (fnv ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-                        }
-                    }
-                    self.1.set((txns + 1, fnv));
-                    outcome
-                })
-            }
-        }
-
         fn run_once() -> (u64, u64, u64) {
             let mut rt = Runtime::new();
             rt.block_on(async {
@@ -814,11 +766,27 @@ mod tests {
                     seed: 19,
                     think_time: Duration::ZERO,
                 };
-                run_benchmark(
-                    Folding(ScalarDbService(cluster), Rc::clone(&folded)),
-                    WorkloadMix::Ycsb(generator),
-                    driver,
-                )
+                // Folds `(gtrid, committed, latency µs)` in completion order.
+                let fold = Rc::clone(&folded);
+                let workload = WorkloadMix::Ycsb(generator);
+                run_benchmark(cluster.label(), workload, driver, move |_| {
+                    let (cluster, fold) = (Rc::clone(&cluster), Rc::clone(&fold));
+                    async move |spec: &TransactionSpec| {
+                        let outcome = cluster.run(spec).await;
+                        let (txns, mut fnv) = fold.get();
+                        for word in [
+                            outcome.gtrid,
+                            outcome.committed as u64,
+                            outcome.latency.as_micros() as u64,
+                        ] {
+                            for byte in word.to_le_bytes() {
+                                fnv = (fnv ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                            }
+                        }
+                        fold.set((txns + 1, fnv));
+                        outcome
+                    }
+                })
                 .await;
                 let (txns, fnv) = folded.get();
                 (txns, now().as_micros(), fnv)
@@ -844,14 +812,8 @@ mod tests {
             let (plus, _) = cluster(true);
             assert!(!plain.is_plus());
             assert!(plus.is_plus());
-            assert_eq!(
-                TransactionService::label(&ScalarDbService(plain)),
-                "ScalarDB"
-            );
-            assert_eq!(
-                TransactionService::label(&ScalarDbService(plus)),
-                "ScalarDB+"
-            );
+            assert_eq!(plain.label(), "ScalarDB");
+            assert_eq!(plus.label(), "ScalarDB+");
         });
     }
 }

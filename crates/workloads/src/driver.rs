@@ -1,30 +1,26 @@
 //! Closed-loop terminal driver (the Benchbase stand-in).
 //!
-//! The paper drives every experiment with Benchbase terminals: each terminal
-//! submits one transaction, waits for its outcome and immediately submits the
-//! next. Two front doors are supported:
+//! The paper drives every system with the same Benchbase terminals: each
+//! terminal submits one transaction, waits for its outcome and immediately
+//! submits the next. [`run_benchmark`] is that one loop, for a configurable
+//! number of terminals, warm-up period and measurement window (all in
+//! virtual time). Each terminal connects its own client, and a client is any
+//! async closure from a [`TransactionSpec`] to its [`TxnOutcome`]. There are
+//! two kinds:
 //!
-//! * [`run_session_benchmark`] — the session-first driver: each terminal
-//!   `connect`s one [`SessionService`] session and replays its generated
-//!   specs through live transaction handles (optionally with client think
-//!   time between statement rounds, the interactive-terminal shape);
-//! * [`run_benchmark`] — the legacy one-shot driver over
-//!   [`TransactionService`], kept as a compatibility shim so the recorded
-//!   golden experiment tables stay reproducible.
-//!
-//! The session driver works over the GeoTP/SSP middleware, the coordinator
-//! cluster tier and the ScalarDB-style baseline; the one-shot driver over the
-//! middleware and both baselines (the distributed-database baseline has no
-//! other door) — for a configurable number of terminals, warm-up period and
-//! measurement window (all in virtual time).
+//! * a session — [`run_session_benchmark`] connects one [`SessionService`]
+//!   session per terminal and replays its specs through live transaction
+//!   handles, with optional client think time between statement rounds
+//!   (the GeoTP/SSP middleware, the coordinator tier, ScalarDB);
+//! * a one-shot door that takes a whole spec — `mw.run_transaction(spec)`,
+//!   ScalarDB's `cluster.run(spec)` and the distributed database's
+//!   `db.run(spec)`, its only door.
 
-use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
 use std::time::Duration;
 
 use geotp_middleware::session::SessionService;
-use geotp_middleware::{Middleware, TransactionSpec, TxnOutcome};
+use geotp_middleware::{TransactionSpec, TxnOutcome};
 use geotp_simrt::{now, spawn};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,34 +28,6 @@ use rand::SeedableRng;
 use crate::metrics::MetricsCollector;
 use crate::tpcc::TpccGenerator;
 use crate::ycsb::YcsbGenerator;
-
-/// Anything that can execute a client transaction end to end (the one-shot
-/// compatibility shim; new code drives sessions via [`SessionService`]).
-pub trait TransactionService {
-    /// Execute one transaction and return its outcome.
-    fn run<'a>(
-        &'a self,
-        spec: &'a TransactionSpec,
-    ) -> Pin<Box<dyn Future<Output = TxnOutcome> + 'a>>;
-
-    /// Display name used in experiment tables.
-    fn label(&self) -> String {
-        "service".to_string()
-    }
-}
-
-impl TransactionService for Rc<Middleware> {
-    fn run<'a>(
-        &'a self,
-        spec: &'a TransactionSpec,
-    ) -> Pin<Box<dyn Future<Output = TxnOutcome> + 'a>> {
-        Box::pin(async move { self.run_transaction(spec).await })
-    }
-
-    fn label(&self) -> String {
-        self.protocol().name().to_string()
-    }
-}
 
 /// Which workload the terminals run.
 pub enum WorkloadMix {
@@ -104,9 +72,9 @@ pub struct DriverConfig {
     pub seed: u64,
     /// Client think time between the statement rounds of one transaction
     /// (the interactive-terminal shape; lands in the latency breakdown's
-    /// `think_time` slice). Zero replays specs back-to-back. Only the
-    /// session driver has rounds to think between: [`run_benchmark`]
-    /// submits whole specs and ignores it.
+    /// `think_time` slice). Zero replays specs back-to-back. Read by
+    /// [`run_session_benchmark`]'s sessions; a one-shot door submits whole
+    /// specs and has no rounds to think between.
     pub think_time: Duration,
 }
 
@@ -167,28 +135,29 @@ impl BenchmarkReport {
     }
 }
 
-/// Run a closed-loop benchmark of `workload` through the session front door:
-/// each terminal connects one session (`session_id == terminal`) and replays
-/// its generated specs through live transaction handles. Refused connections
-/// (no live coordinator) are retried with a small backoff, like a real
-/// client reconnecting.
-pub async fn run_session_benchmark<S>(
-    service: Rc<S>,
+/// Run a closed-loop benchmark of `workload`: each terminal `t` calls
+/// `connect(t)` once, in its own task, and submits its generated specs
+/// through the client it gets back, one at a time. A refused connection (no
+/// live coordinator) is not recorded: the terminal backs off and retries
+/// with a new spec, like a real client reconnecting, so a dead deployment
+/// cannot busy-loop the driver.
+pub async fn run_benchmark<T>(
+    label: String,
     workload: WorkloadMix,
     config: DriverConfig,
+    connect: impl Fn(u64) -> T + 'static,
 ) -> BenchmarkReport
 where
-    S: SessionService + 'static,
+    T: AsyncFnMut(&TransactionSpec) -> TxnOutcome + 'static,
 {
     let start = now();
     let measure_start = start + config.warmup;
     let end = measure_start + config.measure;
-    let label = service.label();
-    let think_time = config.think_time;
+    let connect = Rc::new(connect);
 
     let mut handles = Vec::with_capacity(config.terminals);
     for terminal in 0..config.terminals {
-        let service = Rc::clone(&service);
+        let connect = Rc::clone(&connect);
         let workload = workload.clone();
         let mut rng = StdRng::seed_from_u64(
             config
@@ -198,17 +167,11 @@ where
         );
         handles.push(spawn(async move {
             let mut collector = MetricsCollector::new(measure_start);
-            let mut session = service.connect(terminal as u64);
-            loop {
-                if now() >= end {
-                    break;
-                }
+            let mut client = connect(terminal as u64);
+            while now() < end {
                 let spec = workload.next(&mut rng);
-                let outcome = session.run_spec_thinking(&spec, think_time).await;
+                let outcome = client(&spec).await;
                 if outcome.is_refusal() {
-                    // Refused connection: back off and retry with a new spec
-                    // (the terminal reconnects; the backoff keeps a dead
-                    // deployment from busy-looping the driver).
                     geotp_simrt::sleep(Duration::from_millis(250)).await;
                     continue;
                 }
@@ -233,74 +196,48 @@ where
     }
 }
 
-/// Run a closed-loop benchmark of `workload` against `service` through the
-/// legacy one-shot front door (the compatibility shim the recorded golden
-/// tables were measured through).
-///
-/// `service` is cloned once per terminal; services are typically `Rc`-wrapped
-/// handles, so the clone is cheap reference counting.
-pub async fn run_benchmark<S>(
-    service: S,
+/// [`run_benchmark`] through the session front door: each terminal connects
+/// one session (`session_id == terminal`) and replays its specs through live
+/// transaction handles, thinking [`DriverConfig::think_time`] between rounds.
+pub async fn run_session_benchmark<S>(
+    service: Rc<S>,
     workload: WorkloadMix,
     config: DriverConfig,
 ) -> BenchmarkReport
 where
-    S: TransactionService + Clone + 'static,
+    S: SessionService + 'static,
 {
-    let start = now();
-    let measure_start = start + config.warmup;
-    let end = measure_start + config.measure;
-    let label = service.label();
-
-    let mut handles = Vec::with_capacity(config.terminals);
-    for terminal in 0..config.terminals {
-        let service = service.clone();
-        let workload = workload.clone();
-        let mut rng = StdRng::seed_from_u64(
-            config
-                .seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(terminal as u64),
-        );
-        handles.push(spawn(async move {
-            let mut collector = MetricsCollector::new(measure_start);
-            loop {
-                if now() >= end {
-                    break;
-                }
-                let spec = workload.next(&mut rng);
-                let outcome = service.run(&spec).await;
-                let finished = now();
-                if finished >= measure_start && finished < end {
-                    collector.record(&outcome, finished);
-                }
-            }
-            collector
-        }));
-    }
-
-    // Await the terminals in order (see `join_all` on why not through it).
-    let mut merged = MetricsCollector::new(measure_start);
-    for handle in handles {
-        merged.merge(&handle.await);
-    }
-    BenchmarkReport {
-        metrics: merged,
-        measured: config.measure,
-        label,
-    }
+    let think_time = config.think_time;
+    run_benchmark(service.label(), workload, config, move |terminal| {
+        let mut session = service.connect(terminal);
+        async move |spec: &TransactionSpec| session.run_spec_thinking(spec, think_time).await
+    })
+    .await
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use geotp_datasource::{DataSource, DataSourceConfig};
-    use geotp_middleware::{MiddlewareConfig, Protocol};
+    use geotp_middleware::{Middleware, MiddlewareConfig, Protocol};
     use geotp_net::{NetworkBuilder, NodeId};
     use geotp_simrt::Runtime;
     use geotp_storage::{CostModel, EngineConfig};
 
     use crate::ycsb::{Contention, YcsbConfig};
+
+    /// The middleware's one-shot door as each terminal's client.
+    async fn one_shot(
+        mw: Rc<Middleware>,
+        workload: WorkloadMix,
+        config: DriverConfig,
+    ) -> BenchmarkReport {
+        run_benchmark(mw.label(), workload, config, move |_| {
+            let mw = Rc::clone(&mw);
+            async move |spec: &TransactionSpec| mw.run_transaction(spec).await
+        })
+        .await
+    }
 
     fn build_cluster(protocol: Protocol) -> (Rc<Middleware>, Rc<YcsbGenerator>) {
         let dm = NodeId::middleware(0);
@@ -352,7 +289,7 @@ mod tests {
         let mut rt = Runtime::new();
         let report = rt.block_on(async {
             let (mw, generator) = build_cluster(Protocol::geotp());
-            run_benchmark(
+            one_shot(
                 mw,
                 WorkloadMix::Ycsb(generator),
                 DriverConfig {
@@ -392,9 +329,9 @@ mod tests {
                 think_time: Duration::ZERO,
             };
             let (geotp_mw, geotp_gen) = build_cluster(Protocol::geotp());
-            let geotp = run_benchmark(geotp_mw, WorkloadMix::Ycsb(geotp_gen), cfg).await;
+            let geotp = one_shot(geotp_mw, WorkloadMix::Ycsb(geotp_gen), cfg).await;
             let (ssp_mw, ssp_gen) = build_cluster(Protocol::SspXa);
-            let ssp = run_benchmark(ssp_mw, WorkloadMix::Ycsb(ssp_gen), cfg).await;
+            let ssp = one_shot(ssp_mw, WorkloadMix::Ycsb(ssp_gen), cfg).await;
             (geotp.throughput(), ssp.throughput())
         });
         assert!(
@@ -409,7 +346,7 @@ mod tests {
             let mut rt = Runtime::new();
             rt.block_on(async {
                 let (mw, generator) = build_cluster(Protocol::geotp());
-                let report = run_benchmark(
+                let report = one_shot(
                     mw,
                     WorkloadMix::Ycsb(generator),
                     DriverConfig::quick(4, Duration::from_secs(2)),
@@ -421,6 +358,28 @@ mod tests {
         assert_eq!(once(), once());
     }
 
+    /// A crashed coordinator refuses the one-shot door without awaiting
+    /// anything, so a terminal that did not back off would spin at one
+    /// virtual instant and the run would never end.
+    #[test]
+    fn one_shot_terminals_back_off_from_a_crashed_coordinator() {
+        let mut rt = Runtime::new();
+        let report = rt.block_on(async {
+            let (mw, generator) = build_cluster(Protocol::geotp());
+            let crashing = Rc::clone(&mw);
+            spawn(async move {
+                geotp_simrt::sleep(Duration::from_secs(1)).await;
+                crashing.crash();
+            });
+            let config = DriverConfig {
+                warmup: Duration::ZERO,
+                ..DriverConfig::quick(4, Duration::from_secs(2))
+            };
+            one_shot(mw, WorkloadMix::Ycsb(generator), config).await
+        });
+        assert!(report.metrics.committed() > 0);
+    }
+
     #[test]
     fn session_driver_matches_one_shot_driver_without_think_time() {
         // With a co-located client and zero think time the session driver is
@@ -430,7 +389,7 @@ mod tests {
         let (oneshot, sessions) = rt.block_on(async {
             let cfg = DriverConfig::quick(6, Duration::from_secs(3));
             let (mw_a, gen_a) = build_cluster(Protocol::geotp());
-            let oneshot = run_benchmark(mw_a, WorkloadMix::Ycsb(gen_a), cfg).await;
+            let oneshot = one_shot(mw_a, WorkloadMix::Ycsb(gen_a), cfg).await;
             let (mw_b, gen_b) = build_cluster(Protocol::geotp());
             let sessions = run_session_benchmark(mw_b, WorkloadMix::Ycsb(gen_b), cfg).await;
             (oneshot, sessions)
@@ -535,8 +494,7 @@ mod tests {
                 let key = GlobalKey::new(TableId(0), rng.gen_range(0..100));
                 TransactionSpec::single_round(vec![ClientOp::Read(key)])
             }));
-            let report =
-                run_benchmark(mw, custom, DriverConfig::quick(2, Duration::from_secs(1))).await;
+            let report = one_shot(mw, custom, DriverConfig::quick(2, Duration::from_secs(1))).await;
             assert!(report.metrics.committed() > 0);
             assert!(report.abort_rate() < 0.01);
         });

@@ -11,9 +11,10 @@
 //!   Delivery, StockLevel) over warehouse-partitioned data,
 //! * [`metrics`]: latency histograms, percentiles, throughput and abort-rate
 //!   accounting, CDF extraction and a throughput timeline,
-//! * [`driver`]: a closed-loop terminal driver (the Benchbase stand-in) that
-//!   runs any [`driver::TransactionService`] — the GeoTP middleware, the
-//!   ScalarDB-style baseline or the distributed-database baseline.
+//! * [`driver`]: the one closed-loop terminal driver (the Benchbase
+//!   stand-in); each terminal's client is a session (the GeoTP middleware,
+//!   the coordinator tier, the ScalarDB-style baseline) or a one-shot door
+//!   that takes a whole spec (the middleware and both baselines).
 
 pub mod driver;
 pub mod metrics;
@@ -21,9 +22,7 @@ pub mod tpcc;
 pub mod ycsb;
 pub mod zipfian;
 
-pub use driver::{
-    run_session_benchmark, BenchmarkReport, DriverConfig, TransactionService, WorkloadMix,
-};
+pub use driver::{run_session_benchmark, BenchmarkReport, DriverConfig, WorkloadMix};
 pub use metrics::{Histogram, MetricsCollector, ThroughputTimeline};
 pub use tpcc::{consistency_violations, TpccConfig, TpccGenerator, TpccTransaction};
 pub use ycsb::{Contention, YcsbConfig, YcsbGenerator};

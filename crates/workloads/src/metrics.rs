@@ -54,11 +54,6 @@ impl ThroughputTimeline {
         self.start
     }
 
-    /// The window length.
-    pub fn window(&self) -> Duration {
-        self.window
-    }
-
     /// Merge another timeline into this one, aligning both on the earliest
     /// start so commits land in the window they actually happened in (merging
     /// bin-by-bin without alignment silently shifts the later timeline's
@@ -108,7 +103,6 @@ impl ThroughputTimeline {
 #[derive(Debug, Clone)]
 pub struct MetricsCollector {
     started_at: SimInstant,
-    window: Duration,
     committed: u64,
     aborted: u64,
     /// Aborts per cause, indexed by [`AbortReason::ordinal`]. Every variant
@@ -123,21 +117,15 @@ pub struct MetricsCollector {
 impl MetricsCollector {
     /// Start collecting at `started_at` with a 1-second throughput window.
     pub fn new(started_at: SimInstant) -> Self {
-        Self::with_window(started_at, Duration::from_secs(1))
-    }
-
-    /// Start collecting with a custom throughput window.
-    pub fn with_window(started_at: SimInstant, window: Duration) -> Self {
         Self {
             started_at,
-            window,
             committed: 0,
             aborted: 0,
             aborts_by_reason: [0; ABORT_REASONS.len()],
             commit_latency: Histogram::new(),
             distributed_commit_latency: Histogram::new(),
             centralized_commit_latency: Histogram::new(),
-            timeline: ThroughputTimeline::new(started_at, window),
+            timeline: ThroughputTimeline::new(started_at, Duration::from_secs(1)),
         }
     }
 
@@ -216,11 +204,6 @@ impl MetricsCollector {
     /// When collection started.
     pub fn started_at(&self) -> SimInstant {
         self.started_at
-    }
-
-    /// The configured throughput window.
-    pub fn window(&self) -> Duration {
-        self.window
     }
 
     /// Aborts attributed to one specific cause.

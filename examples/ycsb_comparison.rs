@@ -36,15 +36,23 @@ fn main() {
                 .with_distributed_ratio(0.2);
             let generator = Rc::new(YcsbGenerator::new(ycsb));
             generator.load(cluster.data_sources());
+            let driver = DriverConfig {
+                terminals: 16,
+                warmup: Duration::from_secs(1),
+                measure: Duration::from_secs(8),
+                seed: 7,
+                think_time: Duration::ZERO,
+            };
+            // Each terminal submits whole transactions through the
+            // middleware's one-shot door.
+            let mw = Rc::clone(cluster.middleware());
             run_benchmark(
-                Rc::clone(cluster.middleware()),
+                mw.label(),
                 WorkloadMix::Ycsb(generator),
-                DriverConfig {
-                    terminals: 16,
-                    warmup: Duration::from_secs(1),
-                    measure: Duration::from_secs(8),
-                    seed: 7,
-                    think_time: Duration::ZERO,
+                driver,
+                move |_| {
+                    let mw = Rc::clone(&mw);
+                    async move |spec: &TransactionSpec| mw.run_transaction(spec).await
                 },
             )
             .await

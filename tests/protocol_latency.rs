@@ -183,15 +183,21 @@ fn throughput_ordering_matches_fig5_under_contention() {
                 .with_distributed_ratio(0.2);
             let generator = Rc::new(YcsbGenerator::new(ycsb));
             generator.load(cluster.data_sources());
+            let mw = Rc::clone(cluster.middleware());
+            let driver = DriverConfig {
+                terminals: 16,
+                warmup: Duration::from_secs(1),
+                measure: Duration::from_secs(12),
+                seed: 5,
+                think_time: Duration::ZERO,
+            };
             run_benchmark(
-                Rc::clone(cluster.middleware()),
+                mw.label(),
                 WorkloadMix::Ycsb(generator),
-                DriverConfig {
-                    terminals: 16,
-                    warmup: Duration::from_secs(1),
-                    measure: Duration::from_secs(12),
-                    seed: 5,
-                    think_time: Duration::ZERO,
+                driver,
+                move |_| {
+                    let mw = Rc::clone(&mw);
+                    async move |spec: &TransactionSpec| mw.run_transaction(spec).await
                 },
             )
             .await
