@@ -518,20 +518,14 @@ pub static PRESETS: [Preset; 21] = [
     // keeps serving its sessions. Every decision it issues from the stale
     // epoch must be rejected by the sealed commit log and by every data
     // source.
-    Preset::new(
-        "coordinator_partition",
-        Door::Tier,
-        &[Transfer],
-        tier,
-        |_| {
-            FaultSchedule::new().with(FaultEvent::Partition {
-                at: s(2),
-                until: s(8),
-                a: NodeId::middleware(1),
-                b: NodeId::control(0),
-            })
-        },
-    ),
+    Preset::new("coordinator_partition", Door::Tier, GENERIC, tier, |_| {
+        FaultSchedule::new().with(FaultEvent::Partition {
+            at: s(2),
+            until: s(8),
+            a: NodeId::middleware(1),
+            b: NodeId::control(0),
+        })
+    }),
     // A coordinator loses a subset of the data sources across the commit
     // window (its lease stays healthy): transactions stall, decision-wait
     // timeouts fire, and everything must drain once the partition heals —
@@ -561,7 +555,7 @@ pub static PRESETS: [Preset; 21] = [
     Preset::new(
         "dual_coordinator_cold_restart",
         Door::Tier,
-        &[Transfer],
+        GENERIC,
         tier,
         |_| {
             FaultSchedule::new()

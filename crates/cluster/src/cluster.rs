@@ -352,6 +352,15 @@ impl CoordinatorCluster {
         if self.membership.is_alive(coord) {
             self.membership.declare_dead(coord);
         }
+        // Cold recovery of the slot's own gtrid space, as a takeover does it
+        // for a dead peer: first abort the predecessor's unprepared branches
+        // (nobody will ever finish them, and they hold their locks). This
+        // runs while the slot is still dead, so every branch in its gtrid
+        // space is the predecessor's: the router sends the successor nothing
+        // before it registers.
+        for ds in self.sources.iter().filter(|ds| !ds.is_crashed()) {
+            ds.coordinator_disconnected_scoped(coord).await;
+        }
         let epoch = self.membership.register(coord);
         geotp_telemetry::gauge_set("cluster.epoch", "", coord, epoch as i64);
         let mw_cfg = slot_middleware_config(&self.config, coord, epoch, old.next_txn_seq());
@@ -363,8 +372,8 @@ impl CoordinatorCluster {
         );
         *slot.middleware.borrow_mut() = Rc::clone(&successor);
         slot.epoch.set(epoch);
-        // Cold recovery of the slot's own gtrid space: data sources may hold
-        // prepared branches nobody adopted while the whole tier was down.
+        // Then resolve the prepared branches nobody adopted while the tier
+        // was down.
         let _ = successor.recover().await;
         if self.started.get() {
             let cluster = Rc::clone(self);

@@ -10,7 +10,7 @@ use geotp_cluster::{
 use geotp_datasource::{DsConnection, DsOperation, StatementRequest};
 use geotp_middleware::{ClientOp, GlobalKey, Partitioner, Protocol, TransactionSpec};
 use geotp_net::NodeId;
-use geotp_simrt::Runtime;
+use geotp_simrt::{sleep, spawn, Runtime};
 use geotp_storage::{CostModel, EngineConfig, Row, StorageError, TableId, Xid};
 use rand::Rng;
 
@@ -37,8 +37,13 @@ fn layout(coordinators: usize, ds_rtts_ms: Vec<u64>) -> TierLayout {
 }
 
 fn build(coordinators: usize, ds_rtts_ms: Vec<u64>) -> Rc<CoordinatorCluster> {
-    let nodes = ds_rtts_ms.len() as u32;
-    let (net, sources) = build_tier(&layout(coordinators, ds_rtts_ms));
+    build_on(layout(coordinators, ds_rtts_ms))
+}
+
+fn build_on(layout: TierLayout) -> Rc<CoordinatorCluster> {
+    let coordinators = layout.coordinators;
+    let nodes = layout.ds_rtts_ms.len() as u32;
+    let (net, sources) = build_tier(&layout);
     for ds in &sources {
         for row in 0..ROWS_PER_NODE {
             let global = ds.index() as u64 * ROWS_PER_NODE + row;
@@ -271,6 +276,130 @@ fn stale_commit_between_fence_and_adoption_is_rejected() {
             assert!(ds.engine().prepared_xids().is_empty());
         }
     });
+}
+
+/// Cold restart after the whole tier died: the restarted slot aborts its
+/// predecessor's unprepared branches, which nobody else is alive to do, and
+/// leaves the other coordinator's gtrid space alone. Without the abort the
+/// branches hold their row locks forever and the slot's next transaction
+/// on those rows times out.
+#[test]
+fn cold_restart_aborts_the_slots_unprepared_branches() {
+    let mut rt = Runtime::new();
+    rt.block_on(async {
+        let cluster = build(2, vec![10, 100]);
+        // One ACTIVE branch per source in each coordinator's gtrid space.
+        for coord in 0..2u32 {
+            for source in 0..2u32 {
+                let row = source as u64 * ROWS_PER_NODE + 1 + coord as u64;
+                begin_branch(&cluster, coord, source, row).await;
+            }
+        }
+        cluster.crash(0);
+        cluster.crash(1);
+        cluster.restart(0).await;
+
+        let owned_by = |coord: u32| unfinished_owned_by(&cluster, coord);
+        assert_eq!(
+            owned_by(0),
+            0,
+            "dm0's unprepared branches outlived its restart"
+        );
+        assert_eq!(
+            owned_by(1),
+            2,
+            "dm1 is still down: its branches wait for it"
+        );
+        // The freed rows serve dm0's successor again.
+        let outcome = cluster
+            .middleware(0)
+            .run_transaction(&transfer_spec())
+            .await;
+        assert!(outcome.committed, "{:?}", outcome.abort_reason);
+    });
+}
+
+/// A transaction the restarted slot begins while `restart` is still running
+/// belongs to the successor, so the predecessor's cleanup must not roll it
+/// back. Rolling back the predecessor's branch at the near source takes
+/// longer than the successor's first statement needs to reach the far one,
+/// so a cleanup that ran after the slot re-registered would find that
+/// statement's branch at the far source and abort it.
+#[test]
+fn restart_cleanup_spares_a_transaction_begun_during_the_restart() {
+    let mut rt = Runtime::new();
+    rt.block_on(async {
+        let mut slow_rollback = layout(2, vec![10, 100]);
+        slow_rollback.engine.cost.decision_apply = Duration::from_millis(200);
+        let cluster = build_on(slow_rollback);
+        begin_branch(&cluster, 0, 0, 50).await;
+        cluster.crash(0);
+        cluster.crash(1);
+        // Both leases lapsed: once dm0 re-registers, every session routes there.
+        cluster.membership().declare_dead(0);
+        cluster.membership().declare_dead(1);
+        let restarting = spawn({
+            let cluster = Rc::clone(&cluster);
+            async move { cluster.restart(0).await }
+        });
+        while !cluster.membership().is_alive(0) {
+            sleep(Duration::from_millis(1)).await;
+        }
+        let mut session = cluster.connect(0);
+        let mut txn = session.begin().await.expect("dm0 serves again");
+        txn.execute(&[ClientOp::add(gk(101), 100)])
+            .await
+            .expect("the successor's first statement");
+        assert!(!restarting.is_finished(), "the restart is still running");
+        restarting.await;
+        assert_eq!(
+            unfinished_owned_by(&cluster, 0),
+            1,
+            "only the successor's branch is unfinished"
+        );
+        let outcome = txn.commit().await;
+        assert!(outcome.committed, "{:?}", outcome.abort_reason);
+        assert_eq!(unfinished_owned_by(&cluster, 0), 0);
+    });
+}
+
+/// Begin an ACTIVE branch at `source` in `coord`'s gtrid space that adds to
+/// global row `row`, as `coord`'s current incarnation.
+async fn begin_branch(cluster: &CoordinatorCluster, coord: u32, source: u32, row: u64) {
+    let ds = &cluster.sources()[source as usize];
+    let conn = DsConnection::new(
+        NodeId::middleware(coord),
+        Rc::clone(ds),
+        Rc::clone(cluster.middleware(coord).network()),
+    )
+    .with_epoch(cluster.epoch(coord));
+    let resp = conn
+        .execute(StatementRequest {
+            xid: Xid::new(((coord as u64) << 48) | 1_000, source),
+            begin: true,
+            ops: vec![DsOperation::AddInt {
+                key: gk(row).storage_key(),
+                col: 0,
+                delta: 500,
+            }],
+            is_last: false,
+            decentralized_prepare: false,
+            early_abort: false,
+            peers: vec![1 - source],
+            trace_parent: None,
+        })
+        .await;
+    assert!(resp.outcome.is_ok());
+}
+
+/// Branches in `coord`'s gtrid space still ACTIVE or ENDED at any source.
+fn unfinished_owned_by(cluster: &CoordinatorCluster, coord: u32) -> usize {
+    cluster
+        .sources()
+        .iter()
+        .flat_map(|ds| ds.engine().unfinished_xids())
+        .filter(|xid| xid.owner() == coord)
+        .count()
 }
 
 /// Scale-out: under a fixed open-loop offered load that saturates one

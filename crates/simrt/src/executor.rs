@@ -3,16 +3,20 @@
 //! ## Hot-path design
 //!
 //! The executor is the inner loop of every experiment, so its per-poll cost is
-//! kept allocation-free:
+//! kept free of allocations and atomics:
 //!
 //! * **Task slab** — tasks live in a `Vec<TaskSlot>` indexed by slot, with a
 //!   free list and per-slot generation counters (so a stale wake for a
 //!   finished task can never poll an unrelated task that reused the slot).
 //!   Polling takes the future out of its slot and puts it back — two pointer
 //!   moves — instead of the remove/insert pair a `HashMap` would cost.
-//! * **Cached wakers** — each task's `Waker` is created once at spawn and
-//!   cached in its slot; a poll clones it (one atomic refcount bump) instead
-//!   of allocating a fresh `Arc` per poll.
+//!   Dropping the runtime drops the unfinished futures in slot order.
+//! * **Task-id wakers** — a waker is a [`RawWaker`] whose data word *is* the
+//!   task id: runtime tag (16 bits), slot (24) and generation (24). Cloning
+//!   copies the word, dropping does nothing, and waking pushes the id onto
+//!   the thread's current runtime's `RefCell` ready queue — a no-op outside
+//!   a runtime or when the tag names another runtime. Stale ids are
+//!   filtered by the slot generation when popped.
 //! * **`Cell` metrics** — the run counters are plain `Cell`s, not a `RefCell`
 //!   of the whole struct, so bumping a counter is a load+store.
 //! * **Batch timer firing** — expired timers are popped from the timer heap
@@ -29,48 +33,98 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
+use std::ptr;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::sync::atomic::{AtomicU16, Ordering};
+use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 use crate::task::{JoinHandle, JoinState};
 use crate::time::SimInstant;
 use crate::timer_heap::{TimerEntry, TimerHeap};
 
-/// Identifier of a spawned task within one runtime: slab slot in the upper
-/// bits, slot generation in the lower 32 (so ids of finished tasks are never
-/// confused with the slot's next occupant).
+/// Identifier of a task, and the data word of its waker: the runtime's tag
+/// in the top 16 bits, the slab slot in the next 24 and the slot's
+/// generation in the low 24 (so ids of finished tasks are never confused
+/// with the slot's next occupant).
 pub(crate) type TaskId = u64;
 
-const ROOT_ID: TaskId = TaskId::MAX;
+const SLOT_BITS: u32 = 24;
+const GENERATION_BITS: u32 = 24;
+const FIELD_MASK: u64 = (1 << SLOT_BITS) - 1;
+const GENERATION_MASK: u32 = (1 << GENERATION_BITS) - 1;
 
-fn task_id(slot: u32, generation: u32) -> TaskId {
-    ((slot as u64) << 32) | generation as u64
+/// The root future's slot: one past the last slot a task may occupy.
+const ROOT_SLOT: u32 = FIELD_MASK as u32;
+
+// The id is carried in a waker's data pointer.
+const _: () = assert!(usize::BITS >= u64::BITS, "task ids need 64-bit pointers");
+
+fn task_id(tag: u16, slot: u32, generation: u32) -> TaskId {
+    ((tag as u64) << (SLOT_BITS + GENERATION_BITS))
+        | ((slot as u64) << GENERATION_BITS)
+        | generation as u64
 }
 
-fn split_id(id: TaskId) -> (u32, u32) {
-    ((id >> 32) as u32, id as u32)
+/// `(tag, slot, generation)`.
+fn split_id(id: TaskId) -> (u16, u32, u32) {
+    (
+        (id >> (SLOT_BITS + GENERATION_BITS)) as u16,
+        ((id >> GENERATION_BITS) & FIELD_MASK) as u32,
+        (id & GENERATION_MASK as u64) as u32,
+    )
 }
+
+/// Tags handed out to runtimes, so a waker woken inside another runtime's
+/// `block_on` is recognised as foreign. Wraps after 65 536 runtimes.
+static NEXT_TAG: AtomicU16 = AtomicU16::new(0);
+
+static TASK_WAKER: RawWakerVTable =
+    RawWakerVTable::new(clone_task_waker, wake_task, wake_task, drop_task_waker);
+
+fn task_waker(id: TaskId) -> Waker {
+    // SAFETY: the data pointer is never dereferenced — it is the task id,
+    // read back as an integer — and the vtable's functions touch only the
+    // calling thread's own runtime, so the `RawWaker` contract (clone, wake
+    // and drop callable from any thread, any number of times) holds.
+    unsafe {
+        Waker::from_raw(RawWaker::new(
+            ptr::without_provenance(id as usize),
+            &TASK_WAKER,
+        ))
+    }
+}
+
+// The three vtable entries must be `unsafe fn`s to fit `RawWakerVTable`.
+// None of them dereferences `data`, so each is sound for any `data`.
+
+/// # Safety
+///
+/// None: `data` is copied, never dereferenced.
+unsafe fn clone_task_waker(data: *const ()) -> RawWaker {
+    RawWaker::new(data, &TASK_WAKER)
+}
+
+/// # Safety
+///
+/// None: `data` is read as a task id, never dereferenced, and a stale or
+/// foreign id is ignored.
+unsafe fn wake_task(data: *const ()) {
+    let id = data.addr() as TaskId;
+    let _ = CURRENT.try_with(|cur| {
+        if let Some(inner) = cur.borrow().as_ref() {
+            if split_id(id).0 == inner.tag {
+                inner.ready.borrow_mut().push_back(id);
+            }
+        }
+    });
+}
+
+/// # Safety
+///
+/// None: a task waker owns nothing.
+unsafe fn drop_task_waker(_data: *const ()) {}
 
 type LocalFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
-
-/// The waker handed to tasks: pushing the task id back onto the shared ready
-/// queue. The queue lives behind an `Arc<Mutex<..>>` purely to satisfy the
-/// `Send + Sync` bound on [`Wake`]; the runtime is single-threaded and the
-/// mutex is never contended.
-struct QueueWaker {
-    task_id: TaskId,
-    queue: Arc<Mutex<VecDeque<TaskId>>>,
-}
-
-impl Wake for QueueWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.queue.lock().unwrap().push_back(self.task_id);
-    }
-}
 
 /// Counters describing what one `block_on` call did. Exposed so the experiment
 /// harness can report simulator "resource" usage (substitute for Fig. 6a).
@@ -94,19 +148,16 @@ pub struct RunMetrics {
 /// task finished (until the slot is reused).
 struct TaskSlot {
     fut: Option<LocalFuture>,
-    /// The task's cached waker, created once at spawn.
-    waker: Waker,
     generation: u32,
-    /// Whether the slot currently belongs to a live task. Distinguishes
-    /// "being polled right now" from "free" when `fut` is `None`.
-    occupied: bool,
 }
 
 pub(crate) struct RuntimeInner {
+    /// This runtime's waker tag.
+    tag: u16,
     now_micros: Cell<u64>,
     tasks: RefCell<Vec<TaskSlot>>,
     free_slots: RefCell<Vec<u32>>,
-    ready: Arc<Mutex<VecDeque<TaskId>>>,
+    ready: RefCell<VecDeque<TaskId>>,
     timers: RefCell<TimerHeap>,
     /// Scratch buffer for expired timers (reused across clock advances).
     fired: RefCell<Vec<TimerEntry>>,
@@ -120,10 +171,11 @@ pub(crate) struct RuntimeInner {
 impl RuntimeInner {
     fn new() -> Self {
         Self {
+            tag: NEXT_TAG.fetch_add(1, Ordering::Relaxed),
             now_micros: Cell::new(0),
             tasks: RefCell::new(Vec::new()),
             free_slots: RefCell::new(Vec::new()),
-            ready: Arc::new(Mutex::new(VecDeque::new())),
+            ready: RefCell::new(VecDeque::new()),
             timers: RefCell::new(TimerHeap::new()),
             fired: RefCell::new(Vec::new()),
             polls: Cell::new(0),
@@ -162,46 +214,37 @@ impl RuntimeInner {
         self.timers_pending_peak.set(peak);
     }
 
-    fn waker_for(&self, task_id: TaskId) -> Waker {
-        Waker::from(Arc::new(QueueWaker {
-            task_id,
-            queue: Arc::clone(&self.ready),
-        }))
+    fn root_id(&self) -> TaskId {
+        task_id(self.tag, ROOT_SLOT, 0)
     }
 
     /// Insert a task into the slab and schedule it. Safe to call from inside
     /// a poll: polling never holds the slab borrow (the future is taken out
     /// of its slot first), so there is no deferred-spawn side channel.
-    fn spawn_inner(&self, fut: LocalFuture) -> TaskId {
+    fn spawn_inner(&self, fut: LocalFuture) {
         self.tasks_spawned.set(self.tasks_spawned.get() + 1);
         let mut tasks = self.tasks.borrow_mut();
-        let id = match self.free_slots.borrow_mut().pop() {
+        let (slot, generation) = match self.free_slots.borrow_mut().pop() {
             Some(slot) => {
                 let entry = &mut tasks[slot as usize];
-                debug_assert!(!entry.occupied && entry.fut.is_none());
-                // The generation was bumped when the slot was freed, so the
-                // cached waker must be rebuilt for the new id.
-                let id = task_id(slot, entry.generation);
+                debug_assert!(entry.fut.is_none());
                 entry.fut = Some(fut);
-                entry.waker = self.waker_for(id);
-                entry.occupied = true;
-                id
+                (slot, entry.generation)
             }
             None => {
                 let slot = tasks.len() as u32;
-                let id = task_id(slot, 0);
+                assert!(slot < ROOT_SLOT, "geotp-simrt: too many live tasks");
                 tasks.push(TaskSlot {
                     fut: Some(fut),
-                    waker: self.waker_for(id),
                     generation: 0,
-                    occupied: true,
                 });
-                id
+                (slot, 0)
             }
         };
         drop(tasks);
-        self.ready.lock().unwrap().push_back(id);
-        id
+        self.ready
+            .borrow_mut()
+            .push_back(task_id(self.tag, slot, generation));
     }
 
     /// The executor loop: poll ready tasks in FIFO order; when none is
@@ -209,52 +252,46 @@ impl RuntimeInner {
     /// fire every timer due by then. Returns the root's output once it
     /// completes, or `None` when the root is pending while no task is
     /// runnable and no timer is pending.
-    fn run<F: Future>(&self, mut root: Pin<&mut F>, root_waker: &Waker) -> Option<F::Output> {
+    fn run<F: Future>(&self, mut root: Pin<&mut F>) -> Option<F::Output> {
+        let root_id = self.root_id();
         loop {
-            let next = self.ready.lock().unwrap().pop_front();
+            let next = self.ready.borrow_mut().pop_front();
             match next {
-                Some(ROOT_ID) => {
+                Some(id) if id == root_id => {
                     self.polls.set(self.polls.get() + 1);
-                    let mut cx = Context::from_waker(root_waker);
+                    let waker = task_waker(root_id);
+                    let mut cx = Context::from_waker(&waker);
                     if let Poll::Ready(out) = root.as_mut().poll(&mut cx) {
                         return Some(out);
                     }
                 }
                 Some(id) => {
-                    let (slot, generation) = split_id(id);
+                    let (_, slot, generation) = split_id(id);
                     // Take the future out of its slot; a stale wake (finished
                     // task, reused slot, or a wake that raced an earlier poll
                     // in this batch) finds either a mismatched generation or
                     // an empty slot and is ignored.
-                    let taken = {
-                        let mut tasks = self.tasks.borrow_mut();
-                        match tasks.get_mut(slot as usize) {
-                            Some(entry) if entry.generation == generation => {
-                                entry.fut.take().map(|fut| (fut, entry.waker.clone()))
-                            }
-                            _ => None,
-                        }
+                    let taken = match self.tasks.borrow_mut().get_mut(slot as usize) {
+                        Some(entry) if entry.generation == generation => entry.fut.take(),
+                        _ => None,
                     };
-                    let Some((mut fut, waker)) = taken else {
+                    let Some(mut fut) = taken else {
                         continue;
                     };
                     self.polls.set(self.polls.get() + 1);
+                    let waker = task_waker(id);
                     let mut cx = Context::from_waker(&waker);
-                    match fut.as_mut().poll(&mut cx) {
-                        Poll::Ready(()) => {
-                            // Free the slot: bump the generation so any waker
-                            // still floating around for this task goes stale,
-                            // then recycle the slot.
-                            let mut tasks = self.tasks.borrow_mut();
-                            let entry = &mut tasks[slot as usize];
-                            entry.generation = entry.generation.wrapping_add(1);
-                            entry.occupied = false;
-                            drop(tasks);
-                            self.free_slots.borrow_mut().push(slot);
-                        }
-                        Poll::Pending => {
-                            self.tasks.borrow_mut()[slot as usize].fut = Some(fut);
-                        }
+                    if fut.as_mut().poll(&mut cx).is_ready() {
+                        // Free the slot: bump the generation so any waker
+                        // still floating around for this task goes stale,
+                        // then recycle the slot.
+                        let mut tasks = self.tasks.borrow_mut();
+                        let entry = &mut tasks[slot as usize];
+                        entry.generation = (entry.generation + 1) & GENERATION_MASK;
+                        drop(tasks);
+                        self.free_slots.borrow_mut().push(slot);
+                    } else {
+                        self.tasks.borrow_mut()[slot as usize].fut = Some(fut);
                     }
                 }
                 None => {
@@ -364,9 +401,8 @@ impl Runtime {
         let inner = Rc::clone(&self.inner);
         let _guard = CurrentGuard::enter(Rc::clone(&inner));
         let mut root = Box::pin(root);
-        let root_waker = inner.waker_for(ROOT_ID);
-        inner.ready.lock().unwrap().push_back(ROOT_ID);
-        match inner.run(root.as_mut(), &root_waker) {
+        inner.ready.borrow_mut().push_back(inner.root_id());
+        match inner.run(root.as_mut()) {
             Some(out) => out,
             None => panic!(
                 "geotp-simrt: simulation deadlock at t={}us — the root task is \
@@ -379,8 +415,10 @@ impl Runtime {
 
 /// Spawn a new asynchronous task onto the currently running runtime.
 ///
-/// The returned [`JoinHandle`] can be awaited for the task's output. Unlike
-/// tokio, futures do not need to be `Send`: the runtime is single-threaded.
+/// The returned [`JoinHandle`] can be awaited for the task's output; dropping
+/// it detaches the task. Unlike tokio, futures do not need to be `Send`: the
+/// runtime is single-threaded. A spawn costs two allocations, the future's
+/// and the handle's completion slot.
 ///
 /// # Panics
 ///
@@ -645,5 +683,102 @@ mod tests {
             Rc::try_unwrap(log).unwrap().into_inner()
         });
         assert_eq!(order, vec!["outer-start", "inner", "outer-end"]);
+    }
+
+    /// Logs `name` into the shared log when dropped.
+    struct DropLog(&'static str, Rc<RefCell<Vec<&'static str>>>);
+
+    impl Drop for DropLog {
+        fn drop(&mut self) {
+            self.1.borrow_mut().push(self.0);
+        }
+    }
+
+    /// A future that stays pending forever, counts its polls and hands its
+    /// waker out.
+    fn pending_probe(
+        polls: Rc<Cell<u32>>,
+        waker: Rc<RefCell<Option<Waker>>>,
+    ) -> impl Future<Output = ()> {
+        std::future::poll_fn(move |cx| {
+            polls.set(polls.get() + 1);
+            *waker.borrow_mut() = Some(cx.waker().clone());
+            Poll::Pending
+        })
+    }
+
+    #[test]
+    fn waking_after_the_runtime_is_dropped_is_a_no_op() {
+        let polls = Rc::new(Cell::new(0));
+        let waker = Rc::new(RefCell::new(None));
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            spawn(pending_probe(Rc::clone(&polls), Rc::clone(&waker)));
+            yield_now().await;
+        });
+        drop(rt);
+        let waker = waker.borrow_mut().take().expect("the task was polled");
+        waker.wake_by_ref();
+        waker.wake();
+        assert_eq!(polls.get(), 1);
+    }
+
+    /// Runtime B's first task has the same slot and generation as the task
+    /// runtime A left pending; only the runtime tag tells their wakers apart.
+    #[test]
+    fn a_foreign_runtimes_waker_polls_nothing() {
+        let foreign = Rc::new(RefCell::new(None));
+        let mut a = Runtime::new();
+        a.block_on(async {
+            spawn(pending_probe(Rc::new(Cell::new(0)), Rc::clone(&foreign)));
+            yield_now().await;
+        });
+        let foreign = foreign.borrow_mut().take().expect("A's task was polled");
+
+        let polls = Rc::new(Cell::new(0));
+        let mut b = Runtime::new();
+        b.block_on(async {
+            spawn(pending_probe(
+                Rc::clone(&polls),
+                Rc::new(RefCell::new(None)),
+            ));
+            yield_now().await;
+            assert_eq!(polls.get(), 1);
+            foreign.wake_by_ref();
+            sleep(Duration::from_millis(1)).await;
+        });
+        assert_eq!(polls.get(), 1, "A's waker polled B's task");
+        // Root: first poll, after the yield, after the sleep.
+        assert_eq!(b.metrics().polls, 4);
+        drop(a);
+    }
+
+    #[test]
+    fn a_detached_tasks_future_drops_with_the_runtime_while_its_handle_lives() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut rt = Runtime::new();
+        // Out of `block_on` in an `Option`: the handle outlives its runtime.
+        let handle = rt.block_on({
+            let log = Rc::clone(&log);
+            async move {
+                let handles = ["slot0", "slot1"].map(|name| {
+                    let guard = DropLog(name, Rc::clone(&log));
+                    spawn(async move {
+                        sleep(Duration::from_secs(3_600)).await;
+                        drop(guard);
+                    })
+                });
+                sleep(Duration::from_millis(1)).await;
+                let [first, second] = handles;
+                drop(first);
+                Some(second)
+            }
+        });
+        let handle = handle.expect("the second task's handle");
+        assert!(log.borrow().is_empty());
+        drop(rt);
+        assert_eq!(*log.borrow(), ["slot0", "slot1"], "dropped in slot order");
+        assert!(!handle.is_finished());
+        assert_eq!(handle.try_take(), None);
     }
 }

@@ -71,30 +71,49 @@ pub async fn race<A: Future, B: Future>(a: A, b: B) -> Either<A::Output, B::Outp
 /// costs O(n²) polls: this is for the coordinator's 2–4-branch fan-outs.
 /// Spawned tasks progress on their own — to join many, await their
 /// [`JoinHandle`](crate::JoinHandle)s one after another instead.
+///
+/// The futures, then their outputs, live in one boxed slice: joining costs
+/// that allocation plus the returned `Vec`. Futures are polled, and dropped
+/// when the join is cancelled, in index order.
 pub async fn join_all<F: Future>(futures: Vec<F>) -> Vec<F::Output> {
-    let mut slots: Vec<Option<F::Output>> = Vec::with_capacity(futures.len());
-    let mut pinned: Vec<Pin<Box<F>>> = Vec::with_capacity(futures.len());
-    for f in futures {
-        slots.push(None);
-        pinned.push(Box::pin(f));
-    }
+    let slots: Box<[Slot<F>]> = futures.into_iter().map(Slot::Pending).collect();
+    let mut slots = Box::into_pin(slots);
     poll_fn(move |cx| {
+        // SAFETY: the slots are never moved out of the boxed slice (which
+        // itself never moves); a pending future leaves its slot only by
+        // being dropped in place when the slot is overwritten.
+        let slots = unsafe { slots.as_mut().get_unchecked_mut() };
         let mut all_done = true;
-        for (i, fut) in pinned.iter_mut().enumerate() {
-            if slots[i].is_none() {
-                match fut.as_mut().poll(cx) {
-                    Poll::Ready(out) => slots[i] = Some(out),
+        for slot in slots.iter_mut() {
+            if let Slot::Pending(fut) = slot {
+                // SAFETY: as above, `fut` stays at this address until dropped.
+                match unsafe { Pin::new_unchecked(fut) }.poll(cx) {
+                    Poll::Ready(out) => *slot = Slot::Done(out),
                     Poll::Pending => all_done = false,
                 }
             }
         }
-        if all_done {
-            Poll::Ready(slots.iter_mut().map(|s| s.take().unwrap()).collect())
-        } else {
-            Poll::Pending
+        if !all_done {
+            return Poll::Pending;
         }
+        Poll::Ready(
+            slots
+                .iter_mut()
+                .map(|slot| match std::mem::replace(slot, Slot::Taken) {
+                    Slot::Done(out) => out,
+                    _ => unreachable!("join_all finished with a pending slot"),
+                })
+                .collect(),
+        )
     })
     .await
+}
+
+/// One [`join_all`] entry.
+enum Slot<F: Future> {
+    Pending(F),
+    Done(F::Output),
+    Taken,
 }
 
 /// Yield control back to the scheduler once, allowing other ready tasks to run.
@@ -116,6 +135,8 @@ pub async fn yield_now() {
 mod tests {
     use super::*;
     use crate::{now, sleep, spawn, Runtime};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn timeout_ok_when_future_finishes_first() {
@@ -242,5 +263,37 @@ mod tests {
             timeout(Duration::from_millis(5), handle).await
         });
         assert_eq!(ok, Ok(42));
+    }
+
+    #[test]
+    fn join_all_cancelled_by_timeout_drops_unfinished_futures_in_index_order() {
+        struct DropLog(usize, Rc<RefCell<Vec<usize>>>);
+        impl Drop for DropLog {
+            fn drop(&mut self) {
+                self.1.borrow_mut().push(self.0);
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut rt = Runtime::new();
+        let out = rt.block_on({
+            let log = Rc::clone(&log);
+            async move {
+                let futs: Vec<_> = [100, 1, 100, 100]
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, ms)| {
+                        let guard = DropLog(i, Rc::clone(&log));
+                        async move {
+                            sleep(Duration::from_millis(ms)).await;
+                            drop(guard);
+                        }
+                    })
+                    .collect();
+                timeout(Duration::from_millis(10), join_all(futs)).await
+            }
+        });
+        assert_eq!(out, Err(Elapsed));
+        // The finished future went at its completion, the rest by index.
+        assert_eq!(*log.borrow(), [1, 0, 2, 3]);
     }
 }

@@ -48,17 +48,22 @@ impl Notify {
     }
 
     /// Wake every task currently waiting (does not store a permit).
+    ///
+    /// Waiters are popped and woken one at a time, in queue order, with no
+    /// borrow of the state held across a wake; a waiter that registers
+    /// during this call is not among them.
     pub fn notify_waiters(&self) {
-        let wakers: Vec<Waker> = {
-            let mut s = self.state.borrow_mut();
-            let drained: Vec<(usize, Waker)> = s.waiters.drain(..).collect();
-            for (id, _) in &drained {
-                s.woken.push(*id);
-            }
-            drained.into_iter().map(|(_, w)| w).collect()
-        };
-        for w in wakers {
-            w.wake();
+        let waiting = self.state.borrow().waiters.len();
+        for _ in 0..waiting {
+            let waker = {
+                let mut s = self.state.borrow_mut();
+                let Some((id, waker)) = s.waiters.pop_front() else {
+                    break;
+                };
+                s.woken.push(id);
+                waker
+            };
+            waker.wake();
         }
     }
 
