@@ -43,8 +43,8 @@ use geotp_cluster::{
 use geotp_datasource::{DataSource, Dialect};
 use geotp_middleware::session::RetryPolicy;
 use geotp_middleware::{
-    AbortReason, ClientOp, CommitLog, Decision, Middleware, MiddlewareConfig, Partitioner,
-    Protocol, Session, SessionService, TransactionSpec, TxnOutcome,
+    AbortReason, ClientOp, Decision, Middleware, MiddlewareConfig, Protocol, Session,
+    SessionService, TransactionSpec, TxnOutcome,
 };
 use geotp_net::{Network, NodeId};
 use geotp_simrt::hash::FxHashMap;
@@ -322,10 +322,9 @@ enum FrontDoor {
 }
 
 struct SingleDoor {
-    /// The currently-serving coordinator.
+    /// The currently-serving coordinator; every generation shares one
+    /// durable commit log.
     active: RefCell<Rc<Middleware>>,
-    /// The durable commit log, shared across coordinator generations.
-    commit_log: Rc<CommitLog>,
     clocks: RefCell<NodeClocks>,
 }
 
@@ -333,7 +332,6 @@ struct SingleDoor {
 /// share.
 struct Deployment {
     config: ChaosConfig,
-    partitioner: Partitioner,
     net: Rc<Network>,
     sources: Vec<Rc<DataSource>>,
     door: FrontDoor,
@@ -341,23 +339,6 @@ struct Deployment {
 }
 
 impl Deployment {
-    /// The lone middleware's configuration (`Single` door; a successor
-    /// continues its predecessor's gtrid sequence).
-    fn middleware_config(
-        config: &ChaosConfig,
-        partitioner: Partitioner,
-        first_txn_seq: u64,
-    ) -> MiddlewareConfig {
-        let mut cfg = MiddlewareConfig::new(NodeId::middleware(0), config.protocol, partitioner);
-        cfg.analysis_cost = Duration::from_micros(200);
-        cfg.log_flush_cost = Duration::from_micros(200);
-        cfg.decision_wait_timeout = DECISION_WAIT_TIMEOUT;
-        cfg.scheduler.seed = config.seed;
-        cfg.first_txn_seq = first_txn_seq;
-        cfg.snapshot_reads = config.snapshot_reads;
-        cfg
-    }
-
     fn build(
         config: ChaosConfig,
         trace: Rc<EventTrace>,
@@ -397,14 +378,15 @@ impl Deployment {
         let partitioner = workload.partitioner();
         let (door, coordinators) = match &config.tier {
             None => {
-                let mw = Middleware::connect(
-                    Self::middleware_config(&config, partitioner, 1),
-                    Rc::clone(&net),
-                    &sources,
-                    None,
-                );
+                let mut cfg =
+                    MiddlewareConfig::new(NodeId::middleware(0), config.protocol, partitioner);
+                cfg.analysis_cost = Duration::from_micros(200);
+                cfg.log_flush_cost = Duration::from_micros(200);
+                cfg.decision_wait_timeout = DECISION_WAIT_TIMEOUT;
+                cfg.scheduler.seed = config.seed;
+                cfg.snapshot_reads = config.snapshot_reads;
+                let mw = Middleware::connect(cfg, Rc::clone(&net), &sources, None);
                 let door = SingleDoor {
-                    commit_log: Rc::clone(mw.commit_log()),
                     active: RefCell::new(Rc::clone(&mw)),
                     clocks: RefCell::new(NodeClocks::default()),
                 };
@@ -435,7 +417,6 @@ impl Deployment {
 
         Rc::new(Self {
             config,
-            partitioner,
             net,
             sources,
             door,
@@ -455,10 +436,8 @@ impl Deployment {
         }
     }
 
-    /// `Single` door: replace the crashed coordinator. Data sources run
-    /// their disconnect handling, a successor shares the durable commit log,
-    /// replays it over the in-doubt branches and becomes the active
-    /// instance.
+    /// `Single` door: replace the crashed coordinator by its successor
+    /// ([`Middleware::fail_over`]) and trace what the failover did.
     async fn failover(&self, door: &SingleDoor) {
         let old = door.active.borrow().clone();
         if !old.is_crashed() {
@@ -466,26 +445,15 @@ impl Deployment {
             self.trace
                 .record("controller: crash middleware dm0 (implicit before failover)");
         }
-        for ds in &self.sources {
-            if ds.is_crashed() {
-                continue;
-            }
-            let aborted = ds.coordinator_disconnected().await;
-            if !aborted.is_empty() {
-                self.trace.record(&format!(
-                    "ds{} disconnect handling aborted {} unprepared branch(es)",
-                    ds.index(),
-                    aborted.len()
-                ));
-            }
-        }
-        let successor = Middleware::connect(
-            Self::middleware_config(&self.config, self.partitioner, old.next_txn_seq()),
-            Rc::clone(&self.net),
-            &self.sources,
-            Some(Rc::clone(&door.commit_log)),
-        );
-        let (committed, aborted) = successor.recover().await;
+        let (successor, (committed, aborted)) = old
+            .fail_over(|ds, aborted| {
+                if aborted > 0 {
+                    self.trace.record(&format!(
+                        "ds{ds} disconnect handling aborted {aborted} unprepared branch(es)"
+                    ));
+                }
+            })
+            .await;
         self.trace.record(&format!(
             "failover: successor dm0 recovered {committed} committed / {aborted} aborted branch(es)"
         ));
@@ -614,7 +582,7 @@ impl Deployment {
     /// The durable decision for `gtrid`, from whichever commit log owns it.
     fn decision(&self, gtrid: u64) -> Option<Decision> {
         match &self.door {
-            FrontDoor::Single(door) => door.commit_log.decision(gtrid),
+            FrontDoor::Single(door) => door.active.borrow().commit_log().decision(gtrid),
             FrontDoor::Tier(cluster) => cluster.decision(gtrid),
         }
     }

@@ -160,28 +160,6 @@ pub struct CoordinatorCluster {
     reaped: Cell<u64>,
 }
 
-/// The [`MiddlewareConfig`] a slot's (current or successor) instance runs.
-fn slot_middleware_config(
-    config: &ClusterConfig,
-    coord: u32,
-    epoch: u64,
-    first_txn_seq: u64,
-) -> MiddlewareConfig {
-    let mut mw_cfg = MiddlewareConfig::new(
-        NodeId::middleware(coord),
-        config.protocol,
-        config.partitioner,
-    );
-    mw_cfg.analysis_cost = config.analysis_cost;
-    mw_cfg.log_flush_cost = config.log_flush_cost;
-    mw_cfg.decision_wait_timeout = config.decision_wait_timeout;
-    mw_cfg.snapshot_reads = config.snapshot_reads;
-    mw_cfg.scheduler.seed = config.seed.wrapping_add(coord as u64);
-    mw_cfg.epoch = epoch;
-    mw_cfg.first_txn_seq = first_txn_seq;
-    mw_cfg
-}
-
 impl CoordinatorCluster {
     /// Wire `config.coordinators` middlewares onto `sources` over `net`.
     /// Every slot registers in a fresh membership table and is granted its
@@ -195,7 +173,18 @@ impl CoordinatorCluster {
         for coord in 0..config.coordinators as u32 {
             let epoch = membership.register(coord);
             geotp_telemetry::gauge_set("cluster.epoch", "", coord, epoch as i64);
-            let mw_cfg = slot_middleware_config(&config, coord, epoch, 1);
+            // A restarted slot's successor inherits this configuration.
+            let mut mw_cfg = MiddlewareConfig::new(
+                NodeId::middleware(coord),
+                config.protocol,
+                config.partitioner,
+            );
+            mw_cfg.analysis_cost = config.analysis_cost;
+            mw_cfg.log_flush_cost = config.log_flush_cost;
+            mw_cfg.decision_wait_timeout = config.decision_wait_timeout;
+            mw_cfg.snapshot_reads = config.snapshot_reads;
+            mw_cfg.scheduler.seed = config.seed.wrapping_add(coord as u64);
+            mw_cfg.epoch = epoch;
             let middleware = Middleware::connect(mw_cfg, Rc::clone(&net), sources, None);
             let commit_log = Rc::clone(middleware.commit_log());
             slots.push(Slot {
@@ -358,18 +347,10 @@ impl CoordinatorCluster {
         // runs while the slot is still dead, so every branch in its gtrid
         // space is the predecessor's: the router sends the successor nothing
         // before it registers.
-        for ds in self.sources.iter().filter(|ds| !ds.is_crashed()) {
-            ds.coordinator_disconnected_scoped(coord).await;
-        }
+        old.abort_unprepared(|_, _| {}).await;
         let epoch = self.membership.register(coord);
         geotp_telemetry::gauge_set("cluster.epoch", "", coord, epoch as i64);
-        let mw_cfg = slot_middleware_config(&self.config, coord, epoch, old.next_txn_seq());
-        let successor = Middleware::connect(
-            mw_cfg,
-            Rc::clone(&self.net),
-            &self.sources,
-            Some(Rc::clone(&slot.commit_log)),
-        );
+        let successor = old.successor(epoch);
         *slot.middleware.borrow_mut() = Rc::clone(&successor);
         slot.epoch.set(epoch);
         // Then resolve the prepared branches nobody adopted while the tier
@@ -474,12 +455,7 @@ impl CoordinatorCluster {
             if slot.commit_log.min_epoch() > slot.epoch.get() {
                 continue; // already fenced + adopted at this incarnation
             }
-            let Some(&by) = self
-                .membership
-                .live_coordinators()
-                .iter()
-                .find(|&&c| !self.slots[c as usize].middleware().is_crashed())
-            else {
+            let Some(by) = self.adopter() else {
                 continue; // nobody left to adopt; retried next scan / recover_all
             };
             reports.push(self.take_over(dead, by).await);
@@ -493,42 +469,58 @@ impl CoordinatorCluster {
     /// dead peer cannot slip in a decision after adoption resolved the
     /// branches; the data sources are fenced *before* the scoped disconnect
     /// and the adoption, so a stale dispatch cannot land between them.
+    ///
+    /// A slot an earlier takeover already fenced at its current incarnation
+    /// skips the fence broadcast and only re-runs the (idempotent) adoption,
+    /// for branches a then-crashed data source has since recovered from its
+    /// WAL; that does not count as a takeover.
     pub async fn take_over(&self, dead: u32, by: u32) -> TakeoverReport {
         assert_ne!(dead, by, "a coordinator cannot adopt itself");
-        let fencing_epoch = self.membership.fence(dead);
-        let dead_log = Rc::clone(&self.slots[dead as usize].commit_log);
-        // 1. Seal the dead peer's commit log (shared durable storage).
-        dead_log.fence(fencing_epoch);
+        let slot = &self.slots[dead as usize];
+        let dead_log = Rc::clone(&slot.commit_log);
+        let already_fenced = dead_log.min_epoch() > slot.epoch.get();
+        let (fencing_epoch, unprepared_aborted) = if already_fenced {
+            (dead_log.min_epoch(), 0)
+        } else {
+            let fencing_epoch = self.membership.fence(dead);
+            // 1. Seal the dead peer's commit log (shared durable storage).
+            dead_log.fence(fencing_epoch);
 
-        // 2. Broadcast the fence + scoped disconnect handling to every data
-        //    source, in parallel. The fence is durable XA metadata on the
-        //    source (it survives a source crash alongside the prepared
-        //    branches it protects), so it is installed even on a currently
-        //    crashed source. The scoped abort only runs on live engines —
-        //    a crashed engine's unprepared branches die with it anyway.
-        let dead_node = NodeId::middleware(dead);
-        let by_node = NodeId::middleware(by);
-        let unprepared_counts = join_all(
-            self.sources
-                .iter()
-                .map(|ds| {
-                    let ds = Rc::clone(ds);
-                    let net = Rc::clone(&self.net);
-                    async move {
-                        net.transfer(by_node, ds.node()).await;
-                        ds.fence_coordinator(dead_node, fencing_epoch);
-                        let aborted = if ds.is_crashed() {
-                            0
-                        } else {
-                            ds.coordinator_disconnected_scoped(dead).await.len()
-                        };
-                        net.transfer(ds.node(), by_node).await;
-                        aborted
-                    }
-                })
-                .collect(),
-        )
-        .await;
+            // 2. Broadcast the fence + scoped disconnect handling to every
+            //    data source, in parallel. The fence is durable XA metadata
+            //    on the source (it survives a source crash alongside the
+            //    prepared branches it protects), so it is installed even on
+            //    a currently crashed source. The scoped abort only runs on
+            //    live engines — a crashed engine's unprepared branches die
+            //    with it anyway. It runs right after each source's own
+            //    fence, not as `Middleware::abort_unprepared`'s sequential
+            //    pass afterwards: that would reorder it against in-flight
+            //    work and move the pinned takeover fingerprints.
+            let dead_node = NodeId::middleware(dead);
+            let by_node = NodeId::middleware(by);
+            let unprepared_counts = join_all(
+                self.sources
+                    .iter()
+                    .map(|ds| {
+                        let ds = Rc::clone(ds);
+                        let net = Rc::clone(&self.net);
+                        async move {
+                            net.transfer(by_node, ds.node()).await;
+                            ds.fence_coordinator(dead_node, fencing_epoch);
+                            let aborted = if ds.is_crashed() {
+                                0
+                            } else {
+                                ds.abort_unprepared_of(dead).await.len()
+                            };
+                            net.transfer(ds.node(), by_node).await;
+                            aborted
+                        }
+                    })
+                    .collect(),
+            )
+            .await;
+            (fencing_epoch, unprepared_counts.iter().sum())
+        };
 
         // 3. Adopt: XA RECOVER scoped to the dead gtrid space, decisions from
         //    the sealed log, driven over the survivor's (live-epoch)
@@ -538,17 +530,28 @@ impl CoordinatorCluster {
             .recover_owned_by(dead, &dead_log)
             .await;
 
-        self.takeovers.set(self.takeovers.get() + 1);
-        geotp_telemetry::counter_add("cluster.takeovers", "", by, 1);
-        geotp_telemetry::gauge_set("cluster.epoch", "", dead, fencing_epoch as i64);
+        if !already_fenced {
+            self.takeovers.set(self.takeovers.get() + 1);
+            geotp_telemetry::counter_add("cluster.takeovers", "", by, 1);
+            geotp_telemetry::gauge_set("cluster.epoch", "", dead, fencing_epoch as i64);
+        }
         TakeoverReport {
             dead,
             by,
             fencing_epoch,
             adopted_committed,
             adopted_aborted,
-            unprepared_aborted: unprepared_counts.iter().sum(),
+            unprepared_aborted,
         }
+    }
+
+    /// The coordinator that adopts dead slots: the first live one whose
+    /// process is up, if any.
+    fn adopter(&self) -> Option<u32> {
+        self.membership
+            .live_coordinators()
+            .into_iter()
+            .find(|&c| !self.slots[c as usize].middleware().is_crashed())
     }
 
     /// Final recovery pass (after every fault healed): every live coordinator
@@ -578,41 +581,14 @@ impl CoordinatorCluster {
             if self.membership.is_alive(dead) {
                 continue;
             }
-            let Some(&by) = self
-                .membership
-                .live_coordinators()
-                .iter()
-                .find(|&&c| !self.slots[c as usize].middleware().is_crashed())
-            else {
+            let Some(by) = self.adopter() else {
                 break;
             };
-            let report = self.take_over_if_unfenced(dead, by).await;
+            let report = self.take_over(dead, by).await;
             committed += report.adopted_committed;
             aborted += report.adopted_aborted;
         }
         (committed, aborted)
-    }
-
-    /// Adopt `dead` by `by`; if the slot was already fenced by an earlier
-    /// takeover this only re-runs the (idempotent) adoption sweep for
-    /// branches a then-crashed data source has since recovered from its WAL.
-    async fn take_over_if_unfenced(&self, dead: u32, by: u32) -> TakeoverReport {
-        let dead_log = Rc::clone(&self.slots[dead as usize].commit_log);
-        if dead_log.min_epoch() <= self.slots[dead as usize].epoch.get() {
-            return self.take_over(dead, by).await;
-        }
-        let (adopted_committed, adopted_aborted) = self.slots[by as usize]
-            .middleware()
-            .recover_owned_by(dead, &dead_log)
-            .await;
-        TakeoverReport {
-            dead,
-            by,
-            fencing_epoch: dead_log.min_epoch(),
-            adopted_committed,
-            adopted_aborted,
-            unprepared_aborted: 0,
-        }
     }
 }
 

@@ -11,7 +11,7 @@ use geotp_datasource::{DsConnection, DsOperation, StatementRequest};
 use geotp_middleware::{ClientOp, GlobalKey, Partitioner, Protocol, TransactionSpec};
 use geotp_net::NodeId;
 use geotp_simrt::{sleep, spawn, Runtime};
-use geotp_storage::{CostModel, EngineConfig, Row, StorageError, TableId, Xid};
+use geotp_storage::{CostModel, EngineConfig, Key, Row, StorageError, TableId, Xid};
 use rand::Rng;
 
 const ROWS_PER_NODE: u64 = 100;
@@ -361,6 +361,69 @@ fn restart_cleanup_spares_a_transaction_begun_during_the_restart() {
         assert!(outcome.committed, "{:?}", outcome.abort_reason);
         assert_eq!(unfinished_owned_by(&cluster, 0), 0);
     });
+}
+
+/// Recovering twice ≡ once: after a takeover and after a cold restart, a
+/// second recovery pass finds nothing left to resolve and changes no branch
+/// and no row.
+#[test]
+fn a_second_recovery_pass_is_a_no_op() {
+    let mut rt = Runtime::new();
+    rt.block_on(async {
+        // Takeover: dm1 dies with an in-doubt transaction and an ACTIVE
+        // branch; the supervisor fences it and dm0 adopts.
+        let cluster = build(2, vec![10, 100]);
+        prepare_in_doubt(&cluster, (1u64 << 48) | 7).await;
+        begin_branch(&cluster, 1, 0, 60).await;
+        cluster.crash(1);
+        let reports = cluster.supervise_once().await;
+        assert_eq!(reports.len(), 1);
+        assert_eq!(
+            (reports[0].adopted_aborted, reports[0].unprepared_aborted),
+            (2, 1)
+        );
+        assert_second_recovery_is_a_no_op(&cluster).await;
+
+        // Cold restart: the whole tier died; dm0 comes back alone, and the
+        // first pass adopts dm1's in-doubt transaction.
+        let cluster = build(2, vec![10, 100]);
+        prepare_in_doubt(&cluster, (1u64 << 48) | 7).await;
+        begin_branch(&cluster, 0, 1, 160).await;
+        cluster.crash(0);
+        cluster.crash(1);
+        cluster.restart(0).await;
+        assert_eq!(cluster.recover_all().await, (0, 2));
+        assert_second_recovery_is_a_no_op(&cluster).await;
+    });
+}
+
+/// After a first recovery pass resolved everything, `recover_all` returns
+/// `(0, 0)` and leaves every branch and row as it was.
+async fn assert_second_recovery_is_a_no_op(cluster: &CoordinatorCluster) {
+    let resolved = durable_state(cluster);
+    assert!(resolved
+        .iter()
+        .all(|(prepared, unfinished, _)| prepared.is_empty() && unfinished.is_empty()));
+    assert_eq!(cluster.recover_all().await, (0, 0));
+    assert_eq!(durable_state(cluster), resolved);
+}
+
+/// One source's prepared and unfinished branches, and its committed rows.
+type SourceState = (Vec<Xid>, Vec<Xid>, Vec<(Key, Row)>);
+
+fn durable_state(cluster: &CoordinatorCluster) -> Vec<SourceState> {
+    cluster
+        .sources()
+        .iter()
+        .map(|ds| {
+            let engine = ds.engine();
+            (
+                engine.prepared_xids(),
+                engine.unfinished_xids(),
+                engine.snapshot_table(TableId(0)),
+            )
+        })
+        .collect()
 }
 
 /// Begin an ACTIVE branch at `source` in `coord`'s gtrid space that adds to

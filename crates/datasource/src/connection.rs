@@ -132,13 +132,8 @@ impl DsConnection {
         .await
     }
 
-    /// `XA RECOVER`: fetch the prepared-but-undecided branches (one round trip).
-    pub async fn recover_prepared(&self) -> Vec<Xid> {
-        self.round_trip(async { self.ds.recover_prepared() }).await
-    }
-
     /// `XA RECOVER` scoped to coordinator `owner`'s gtrid space (one round
-    /// trip) — what peer takeover adopts.
+    /// trip): what a coordinator's own recovery and a peer takeover resolve.
     pub async fn recover_prepared_owned_by(&self, owner: u32) -> Vec<Xid> {
         self.round_trip(async { self.ds.recover_prepared_owned_by(owner) })
             .await
@@ -245,9 +240,10 @@ mod tests {
             })
             .await;
             conn.prepare(xid).await;
-            assert_eq!(conn.recover_prepared().await, vec![xid]);
+            assert_eq!(conn.recover_prepared_owned_by(0).await, vec![xid]);
+            assert!(conn.recover_prepared_owned_by(1).await.is_empty());
             conn.rollback(xid).await.unwrap();
-            assert_eq!(conn.recover_prepared().await, Vec::<Xid>::new());
+            assert!(conn.recover_prepared_owned_by(0).await.is_empty());
         });
     }
 }

@@ -576,22 +576,13 @@ impl DataSource {
         xids
     }
 
-    /// Abort every branch that has not completed the prepare phase — what the
-    /// data source does when its coordinator disconnects (paper setting ❶).
-    pub async fn coordinator_disconnected(self: &Rc<Self>) -> Vec<Xid> {
-        let victims = self.engine.abort_unprepared().await;
-        for xid in &victims {
-            self.branches.borrow_mut().remove(xid);
-            self.mark_finished(*xid);
-        }
-        victims
-    }
-
-    /// Disconnect handling scoped to one coordinator: abort the unprepared
-    /// (ACTIVE/ENDED) branches in `owner`'s gtrid space only, leaving every
-    /// other coordinator's in-flight branches untouched. This is what a data
-    /// source does when the *cluster* declares one coordinator of many dead.
-    pub async fn coordinator_disconnected_scoped(self: &Rc<Self>, owner: u32) -> Vec<Xid> {
+    /// Abort the unprepared (ACTIVE/ENDED) branches in coordinator `owner`'s
+    /// gtrid space, in xid order — what the data source does when that
+    /// coordinator disconnects (paper setting ❶). Every other coordinator's
+    /// in-flight branches are untouched, and prepared branches stay in doubt
+    /// for the commit log to resolve. A victim parked in a lock wait leaves
+    /// the queue first, so it can never be granted a lock after its rollback.
+    pub async fn abort_unprepared_of(self: &Rc<Self>, owner: u32) -> Vec<Xid> {
         let mut victims = self.engine.unfinished_xids();
         victims.retain(|xid| xid.owner() == owner);
         for xid in &victims {
@@ -1018,11 +1009,36 @@ mod tests {
             )
             .await;
             assert_eq!(ds.prepare(xid_prepared).await, PrepareVote::Prepared);
+            // Another coordinator's in-flight branch (gtrid owner 1).
+            ds.load(key(3), Row::int(300));
+            let xid_peer = Xid::new((1 << Xid::OWNER_SHIFT) | 1, 0);
+            ds.execute(
+                dm,
+                &StatementRequest {
+                    xid: xid_peer,
+                    begin: true,
+                    ops: vec![DsOperation::AddInt {
+                        key: key(3),
+                        col: 0,
+                        delta: 1,
+                    }],
+                    is_last: false,
+                    decentralized_prepare: false,
+                    early_abort: false,
+                    peers: vec![],
+                    trace_parent: None,
+                },
+            )
+            .await;
 
-            let aborted = ds.coordinator_disconnected().await;
+            let aborted = ds.abort_unprepared_of(0).await;
             assert_eq!(aborted, vec![xid_active]);
             assert_eq!(ds.recover_prepared(), vec![xid_prepared]);
             assert_eq!(ds.engine().peek(key(1)).unwrap().int_value(), Some(100));
+            // The peer's branch survives and still commits.
+            assert_eq!(ds.engine().unfinished_xids(), vec![xid_peer]);
+            ds.commit(xid_peer, true).await.unwrap();
+            assert_eq!(ds.engine().peek(key(3)).unwrap().int_value(), Some(301));
         });
     }
 

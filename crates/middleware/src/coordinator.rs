@@ -318,11 +318,6 @@ pub struct MiddlewareConfig {
     /// healthy cluster votes arrive within ~1 WAN RTT, so the generous
     /// default never fires outside failure drills.
     pub decision_wait_timeout: Duration,
-    /// First value of the per-coordinator transaction sequence number. A
-    /// successor instance taking over after a crash must start *past* its
-    /// predecessor's sequence (see [`Middleware::next_txn_seq`]) so gtrids
-    /// never collide across the failover.
-    pub first_txn_seq: u64,
     /// The coordinator's membership epoch. Every decision flush and every
     /// data-source command is stamped with it; once a cluster peer fences
     /// this epoch (lease expiry + takeover), the commit log and the data
@@ -361,7 +356,6 @@ impl MiddlewareConfig {
             analysis_cost: Duration::from_micros(1000),
             log_flush_cost: Duration::from_micros(500),
             decision_wait_timeout: Duration::from_secs(30),
-            first_txn_seq: 1,
             epoch: 0,
             sql_cache_capacity: SQL_CACHE_MAX,
             snapshot_reads: false,
@@ -549,7 +543,6 @@ impl Middleware {
             config.protocol.advanced(),
         ));
         let commit_log = commit_log.unwrap_or_else(|| CommitLog::new(config.log_flush_cost));
-        let first_txn_seq = config.first_txn_seq;
         let sql_cache_capacity = config.sql_cache_capacity;
         Rc::new(Self {
             config,
@@ -559,7 +552,7 @@ impl Middleware {
             scheduler,
             hub,
             commit_log,
-            next_txn: Cell::new(first_txn_seq),
+            next_txn: Cell::new(1),
             crashed: Cell::new(false),
             crash_after_flush: Cell::new(false),
             dispatch_before_flush: Cell::new(false),
@@ -605,8 +598,8 @@ impl Middleware {
         &self.scheduler
     }
 
-    /// The durable commit/abort log (share it with a successor instance to
-    /// exercise middleware failure recovery).
+    /// The durable commit/abort log, shared with every
+    /// [`Middleware::successor`].
     pub fn commit_log(&self) -> &Rc<CommitLog> {
         &self.commit_log
     }
@@ -614,8 +607,8 @@ impl Middleware {
     /// Simulate a crash of this coordinator: it stops making progress on
     /// every in-flight transaction (each bails out at its next step with
     /// [`AbortReason::CoordinatorCrashed`]) and refuses new ones. The commit
-    /// log survives — hand it to a successor instance and call
-    /// [`Middleware::recover`] to finish the in-doubt branches.
+    /// log survives: [`Middleware::fail_over`] hands it to a successor that
+    /// finishes the in-doubt branches.
     pub fn crash(&self) {
         self.crashed.set(true);
     }
@@ -642,10 +635,9 @@ impl Middleware {
         self.dispatch_before_flush.set(true);
     }
 
-    /// The next transaction sequence number this coordinator would assign.
-    /// A successor instance must be configured with
-    /// [`MiddlewareConfig::first_txn_seq`] at least this value so gtrids
-    /// never collide across a failover.
+    /// The next transaction sequence number this coordinator would assign;
+    /// a [`Middleware::successor`] starts from it, so gtrids never collide
+    /// across a failover.
     pub fn next_txn_seq(&self) -> u64 {
         self.next_txn.get()
     }
@@ -1109,6 +1101,66 @@ impl Middleware {
         });
         let results = join_all(commits.collect()).await;
         results.iter().filter(|r| r.is_ok()).count()
+    }
+
+    /// The data sources this coordinator is connected to, in source order.
+    fn data_sources(&self) -> Vec<Rc<DataSource>> {
+        let mut sources: Vec<Rc<DataSource>> = self
+            .connections
+            .values()
+            .map(|conn| Rc::clone(conn.data_source()))
+            .collect();
+        sources.sort_by_key(|ds| ds.index());
+        sources
+    }
+
+    /// Disconnect handling for this coordinator's gtrid space (§V-A, setting
+    /// ❶): every live data source aborts this instance's unprepared branches,
+    /// which nobody will ever finish and which hold their locks. Prepared
+    /// branches stay in doubt for [`Middleware::recover`]. Sources are
+    /// visited in source order; `aborted(source, n)` is called as each live
+    /// one finishes. A crashed engine's unprepared branches died with it.
+    pub async fn abort_unprepared(&self, mut aborted: impl FnMut(u32, usize)) {
+        let owner = self.config.node.index();
+        for ds in self.data_sources() {
+            if !ds.is_crashed() {
+                aborted(ds.index(), ds.abort_unprepared_of(owner).await.len());
+            }
+        }
+    }
+
+    /// The instance that replaces this one once it died: this configuration
+    /// at membership `epoch`, with the gtrid sequence continuing past this
+    /// instance's, connected to the same data sources and sharing this
+    /// instance's durable commit log. It resolves nothing by itself: call
+    /// [`Middleware::recover`] on it.
+    pub fn successor(&self, epoch: u64) -> Rc<Self> {
+        let mut config = self.config.clone();
+        config.epoch = epoch;
+        let successor = Self::connect(
+            config,
+            Rc::clone(&self.net),
+            &self.data_sources(),
+            Some(Rc::clone(&self.commit_log)),
+        );
+        successor.next_txn.set(self.next_txn_seq());
+        successor
+    }
+
+    /// Single-coordinator failover (§V-A): crash this instance if nobody
+    /// has, [`abort_unprepared`](Middleware::abort_unprepared) its branches
+    /// (reporting each live source to `aborted`), then let its
+    /// [`successor`](Middleware::successor) at the same epoch
+    /// [`recover`](Middleware::recover) the in-doubt ones from the shared
+    /// commit log. Returns the successor, to be installed as the serving
+    /// instance now that recovery is done, and its `(committed, aborted)`
+    /// recovery counts.
+    pub async fn fail_over(&self, aborted: impl FnMut(u32, usize)) -> (Rc<Self>, (usize, usize)) {
+        self.crash();
+        self.abort_unprepared(aborted).await;
+        let successor = self.successor(self.config.epoch);
+        let recovered = successor.recover().await;
+        (successor, recovered)
     }
 
     /// Middleware failure recovery (§V-A): query every data source for

@@ -494,25 +494,9 @@ mod tests {
                 .await;
             conn0.prepare(xid2).await;
 
-            // "Restart": a new middleware instance sharing the same durable
-            // commit log recovers the in-doubt branches.
-            let mut cfg = MiddlewareConfig::new(
-                mw.node(),
-                Protocol::SspXa,
-                Partitioner::Range {
-                    rows_per_node: ROWS_PER_NODE,
-                    nodes: 2,
-                },
-            );
-            cfg.analysis_cost = Duration::ZERO;
-            cfg.log_flush_cost = Duration::ZERO;
-            let recovered = Middleware::connect(
-                cfg,
-                Rc::clone(&net),
-                &sources,
-                Some(Rc::clone(mw.commit_log())),
-            );
-            let (committed, aborted) = recovered.recover().await;
+            // "Restart": a successor sharing the same durable commit log
+            // recovers the in-doubt branches.
+            let (_successor, (committed, aborted)) = mw.fail_over(|_, _| {}).await;
             assert_eq!(committed, 2, "both branches of gtrid 42 commit");
             assert_eq!(aborted, 1, "the undecided gtrid 43 branch aborts");
             assert_eq!(
@@ -549,7 +533,7 @@ mod tests {
         // COMMIT decision; a successor sharing the commit log replays it.
         let mut rt = Runtime::new();
         rt.block_on(async {
-            let (net, sources, mw) = cluster(Protocol::geotp());
+            let (_net, sources, mw) = cluster(Protocol::geotp());
             mw.crash_after_next_flush();
             let outcome = mw.run_transaction(&transfer_spec()).await;
             assert!(!outcome.committed, "client saw no outcome");
@@ -559,34 +543,21 @@ mod tests {
             let refused = mw.run_transaction(&transfer_spec()).await;
             assert_eq!(refused.abort_reason, Some(AbortReason::CoordinatorCrashed));
 
-            // Data sources notice the disconnect: unprepared branches abort,
-            // prepared ones stay in doubt.
+            // Data sources notice the disconnect: unprepared branches abort
+            // (there are none), prepared ones stay in doubt.
+            let mut unprepared = Vec::new();
+            mw.abort_unprepared(|ds, n| unprepared.push((ds, n))).await;
+            assert_eq!(unprepared, vec![(0, 0), (1, 0)]);
             for ds in &sources {
-                ds.coordinator_disconnected().await;
                 assert_eq!(ds.recover_prepared().len(), 1);
             }
 
             // Successor: same node, same durable log, gtrid space advanced
             // past the predecessor's.
-            let mut cfg = MiddlewareConfig::new(
-                mw.node(),
-                Protocol::geotp(),
-                Partitioner::Range {
-                    rows_per_node: ROWS_PER_NODE,
-                    nodes: 2,
-                },
-            );
-            cfg.analysis_cost = Duration::ZERO;
-            cfg.log_flush_cost = Duration::ZERO;
-            cfg.first_txn_seq = mw.next_txn_seq();
-            let successor = Middleware::connect(
-                cfg,
-                Rc::clone(&net),
-                &sources,
-                Some(Rc::clone(mw.commit_log())),
-            );
-            let (committed, aborted) = successor.recover().await;
+            let (successor, (committed, aborted)) = mw.fail_over(|_, _| {}).await;
             assert_eq!((committed, aborted), (2, 0));
+            // Recovering again finds nothing left to do.
+            assert_eq!(successor.recover().await, (0, 0));
             // The transfer's effect landed atomically despite the crash.
             assert_eq!(
                 sources[0]
@@ -605,7 +576,77 @@ mod tests {
                 Some(1100)
             );
             // And the successor's own transactions use fresh gtrids.
-            assert!(successor.run_transaction(&transfer_spec()).await.committed);
+            let fresh = successor.run_transaction(&transfer_spec()).await;
+            assert!(fresh.committed);
+            assert!(
+                fresh.gtrid > outcome.gtrid,
+                "gtrid reused across the failover"
+            );
+        });
+    }
+
+    /// A branch parked in a lock wait behind a prepared branch of the same
+    /// coordinator is aborted by the failover. Its wait must go with it:
+    /// otherwise the prepared branch's commit grants the dead branch the
+    /// row lock, nobody ever releases it, and the row is lost to every
+    /// later transaction.
+    #[test]
+    fn fail_over_cancels_the_lock_waits_of_the_branches_it_aborts() {
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let (net, sources, mw) = cluster(Protocol::geotp());
+            let row = gk(5).storage_key();
+            let conn = geotp_datasource::DsConnection::new(mw.node(), Rc::clone(&sources[0]), net);
+            let add = |xid| geotp_datasource::StatementRequest {
+                xid,
+                begin: true,
+                ops: vec![geotp_datasource::DsOperation::AddInt {
+                    key: row,
+                    col: 0,
+                    delta: 10,
+                }],
+                is_last: false,
+                decentralized_prepare: false,
+                early_abort: false,
+                peers: vec![],
+                trace_parent: None,
+            };
+            let holder = geotp_storage::Xid::new(50, 0);
+            assert!(conn.execute(add(holder)).await.outcome.is_ok());
+            assert_eq!(
+                conn.prepare(holder).await,
+                geotp_datasource::PrepareVote::Prepared
+            );
+            mw.commit_log().flush_decision(50, Decision::Commit).await;
+            let waiter = geotp_storage::Xid::new(51, 0);
+            let parked = geotp_simrt::spawn({
+                let conn = conn.clone();
+                let request = add(waiter);
+                async move { conn.execute(request).await }
+            });
+            geotp_simrt::sleep(Duration::from_millis(50)).await;
+            let locks = sources[0].engine().lock_manager();
+            assert_eq!(locks.waiters_on(row), 1, "the waiter is parked");
+
+            let mut unprepared = Vec::new();
+            let (_successor, recovered) = mw.fail_over(|ds, n| unprepared.push((ds, n))).await;
+            assert_eq!(unprepared, vec![(0, 1), (1, 0)]);
+            assert_eq!(recovered, (1, 0), "the holder commits");
+            assert!(
+                !parked.await.outcome.is_ok(),
+                "the waiter's statement fails"
+            );
+            assert_eq!(locks.holds(waiter, row), None);
+
+            let started = geotp_simrt::now();
+            let fresh = geotp_storage::Xid::new(52, 0);
+            assert!(conn.execute(add(fresh)).await.outcome.is_ok());
+            assert!(started.elapsed() < locks.wait_timeout());
+            conn.commit(fresh, true).await.unwrap();
+            assert_eq!(
+                sources[0].engine().peek(row).unwrap().int_value(),
+                Some(1020)
+            );
         });
     }
 

@@ -938,23 +938,6 @@ impl StorageEngine {
         xids
     }
 
-    /// Abort every branch that has not completed the prepare phase. This is
-    /// what the paper's setting ❶ relies on: data sources abort unprepared
-    /// subtransactions when the middleware disconnects.
-    pub async fn abort_unprepared(&self) -> Vec<Xid> {
-        let victims: Vec<Xid> = self
-            .txns
-            .borrow()
-            .iter()
-            .filter(|(_, e)| matches!(e.state, XaState::Active | XaState::Ended))
-            .map(|(x, _)| *x)
-            .collect();
-        for xid in &victims {
-            let _ = self.rollback(*xid).await;
-        }
-        victims
-    }
-
     /// Simulate a crash: volatile WAL tail is lost and the engine stops
     /// serving requests until [`StorageEngine::restart`]. Sessions blocked in
     /// a lock wait are kicked out immediately (their connections died with
@@ -1197,23 +1180,39 @@ mod tests {
     }
 
     #[test]
-    fn prepared_xids_and_abort_unprepared() {
+    fn prepared_and_unfinished_xids_partition_the_undecided_branches() {
         let mut rt = Runtime::new();
         rt.block_on(async {
             let eng = engine();
+            eng.load(key(3), Row::int(300));
             eng.begin(xid(1)).unwrap();
             eng.add_int(xid(1), key(1), 0, 1).await.unwrap();
             eng.prepare(xid(1)).await.unwrap();
 
+            // Begun out of order: both lists come back sorted.
+            eng.begin(xid(3)).unwrap();
+            eng.add_int(xid(3), key(3), 0, 1).await.unwrap();
             eng.begin(xid(2)).unwrap();
             eng.add_int(xid(2), key(2), 0, 1).await.unwrap();
+            eng.end(xid(2)).unwrap();
 
+            // ACTIVE and ENDED are unfinished; PREPARED is recoverable only.
             assert_eq!(eng.prepared_xids(), vec![xid(1)]);
-            let aborted = eng.abort_unprepared().await;
-            assert_eq!(aborted, vec![xid(2)]);
+            assert_eq!(eng.unfinished_xids(), vec![xid(2), xid(3)]);
+
+            for victim in eng.unfinished_xids() {
+                eng.rollback(victim).await.unwrap();
+            }
+            assert!(eng.unfinished_xids().is_empty());
             assert_eq!(eng.peek(key(2)).unwrap().int_value(), Some(200));
+            assert_eq!(eng.peek(key(3)).unwrap().int_value(), Some(300));
             // The prepared branch is untouched.
             assert_eq!(eng.prepared_xids(), vec![xid(1)]);
+
+            // A decided branch leaves both lists.
+            eng.commit(xid(1), false).await.unwrap();
+            assert!(eng.prepared_xids().is_empty());
+            assert!(eng.unfinished_xids().is_empty());
         });
     }
 

@@ -71,14 +71,9 @@ fn main() {
             recovered
         );
 
-        // A new middleware instance (same durable commit log) takes over.
-        let successor = geotp::middleware::Middleware::connect(
-            geotp::MiddlewareConfig::new(mw.node(), Protocol::geotp(), cluster.partitioner()),
-            Rc::clone(cluster.network()),
-            cluster.data_sources(),
-            Some(Rc::clone(mw.commit_log())),
-        );
-        let (committed, aborted) = successor.recover().await;
+        // A successor instance (same durable commit log, gtrids continuing
+        // past the predecessor's) takes over.
+        let (_successor, (committed, aborted)) = mw.fail_over(|_, _| {}).await;
         println!("\n  recovery finished: {committed} branch(es) committed, {aborted} aborted");
 
         let a = cluster.sum_records([GlobalKey::new(USERTABLE, 3)]);

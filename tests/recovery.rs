@@ -57,17 +57,10 @@ async fn prepare_two_branches(cluster: &geotp::Cluster, gtrid: u64, delta: i64) 
     }
 }
 
-fn successor(cluster: &geotp::Cluster) -> Rc<Middleware> {
-    Middleware::connect(
-        geotp::MiddlewareConfig::new(
-            cluster.middleware().node(),
-            Protocol::geotp(),
-            cluster.partitioner(),
-        ),
-        Rc::clone(cluster.network()),
-        cluster.data_sources(),
-        Some(Rc::clone(cluster.middleware().commit_log())),
-    )
+/// Fail the cluster's middleware over to its successor; returns the
+/// successor and its `(committed, aborted)` recovery counts.
+async fn fail_over(cluster: &geotp::Cluster) -> (Rc<Middleware>, (usize, usize)) {
+    cluster.middleware().fail_over(|_, _| {}).await
 }
 
 #[test]
@@ -82,8 +75,10 @@ fn logged_commit_decision_is_completed_after_middleware_restart() {
             .flush_decision(500, Decision::Commit)
             .await;
 
-        let (committed, aborted) = successor(&cluster).recover().await;
-        assert_eq!((committed, aborted), (2, 0));
+        let (successor, recovered) = fail_over(&cluster).await;
+        assert_eq!(recovered, (2, 0));
+        assert_eq!(cluster.sum_records([gk(0)]), 900);
+        assert_eq!(successor.recover().await, (0, 0), "recovering twice ≡ once");
         assert_eq!(cluster.sum_records([gk(0)]), 900);
         assert_eq!(cluster.sum_records([gk(RECORDS)]), 1_100);
     });
@@ -96,8 +91,8 @@ fn undecided_prepared_transaction_is_aborted_after_middleware_restart() {
         let cluster = build();
         prepare_two_branches(&cluster, 600, 77).await;
         // No decision was flushed: the successor must abort both branches.
-        let (committed, aborted) = successor(&cluster).recover().await;
-        assert_eq!((committed, aborted), (0, 2));
+        let (_, recovered) = fail_over(&cluster).await;
+        assert_eq!(recovered, (0, 2));
         assert_eq!(cluster.sum_records([gk(0)]), 1_000);
         assert_eq!(cluster.sum_records([gk(RECORDS)]), 1_000);
     });
@@ -114,8 +109,8 @@ fn logged_abort_decision_rolls_back_prepared_branches() {
             .commit_log()
             .flush_decision(601, Decision::Abort)
             .await;
-        let (committed, aborted) = successor(&cluster).recover().await;
-        assert_eq!((committed, aborted), (0, 2));
+        let (_, recovered) = fail_over(&cluster).await;
+        assert_eq!(recovered, (0, 2));
         assert_eq!(cluster.sum_records([gk(0)]), 1_000);
     });
 }
@@ -151,7 +146,7 @@ fn coordinator_disconnect_aborts_unprepared_work_only() {
         .await;
 
         // The data source notices the middleware disconnect (setting ❶).
-        let aborted = ds0.coordinator_disconnected().await;
+        let aborted = ds0.abort_unprepared_of(0).await;
         assert_eq!(aborted, vec![active]);
         assert_eq!(
             cluster.sum_records([gk(9)]),
@@ -198,7 +193,7 @@ fn data_source_crash_preserves_prepared_branch_and_loses_active_one() {
             .commit_log()
             .flush_decision(800, Decision::Commit)
             .await;
-        let (committed, _) = successor(&cluster).recover().await;
+        let (_, (committed, _)) = fail_over(&cluster).await;
         assert_eq!(committed, 2);
         assert_eq!(cluster.sum_records([gk(RECORDS)]), 1_040);
     });
@@ -215,16 +210,23 @@ fn normal_transactions_resume_after_recovery() {
             .commit_log()
             .flush_decision(900, Decision::Commit)
             .await;
-        let successor = successor(&cluster);
-        successor.recover().await;
-
-        // The successor serves new traffic normally.
         let spec = TransactionSpec::single_round(vec![
             ClientOp::add(gk(1), -1),
             ClientOp::add(gk(RECORDS + 1), 1),
         ]);
+        let before = cluster.middleware().run_transaction(&spec).await;
+        assert!(before.committed);
+        let (successor, _) = fail_over(&cluster).await;
+
+        // The successor serves new traffic normally, past the predecessor's
+        // gtrids: reusing one would let the shared commit log's decision for
+        // the old transaction answer for the new one.
         let outcome = successor.run_transaction(&spec).await;
         assert!(outcome.committed);
+        assert!(
+            outcome.gtrid > before.gtrid,
+            "gtrid reused across the failover"
+        );
         assert_eq!(cluster.sum_records([gk(1), gk(RECORDS + 1)]), 2_000);
     });
 }
