@@ -10,15 +10,19 @@
 //! Methodology: best-of-N wall time against the recorded baseline with a 25%
 //! tolerance, the limit rescaled by a pure-CPU calibration ratio (local
 //! machine vs the recorder of the baseline); re-record with
-//! `GEOTP_SMOKE_RECORD=1` after an intentional change. A hardware-independent
-//! structural check rides along: the reaper must evict every idle session
-//! (the registry drains to zero), so "lean" is not just fast but actually
-//! bounded.
+//! `GEOTP_SMOKE_RECORD=1` after an intentional change. Two hardware-
+//! independent structural checks ride along: the reaper must evict every
+//! idle session (the registry drains to zero), so "lean" is not just fast
+//! but actually bounded; and registering plus reaping the sessions makes
+//! exactly [`CHURN_ALLOCATIONS`] heap allocations or fewer (counted by this
+//! binary's allocator, so the gate convicts on any machine).
 //!
 //! ```text
 //! cargo bench -p geotp-bench --bench session_churn
 //! ```
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use geotp::cluster::{build_tier, ClusterConfig, CoordinatorCluster, TierLayout};
@@ -30,11 +34,53 @@ const SESSIONS: u64 = 100_000;
 const PROBES: usize = 10;
 /// Allowed regression over the recorded baseline, in percent.
 const TOLERANCE_PCT: f64 = 25.0;
+/// Heap allocations of one register + reap of `SESSIONS` sessions (the
+/// registries' and the router's growth, the reaped-id lists). Exact: any
+/// increase fails; lower it when a change saves some.
+const CHURN_ALLOCATIONS: u64 = 76;
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Allocation calls (`alloc` and `realloc`) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` that itself never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations for `alloc` are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's obligations for `dealloc` are passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations for `realloc` are passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 /// One timed churn cycle: register `SESSIONS` sessions (router affinity +
 /// registry entry), idle past the reap deadline on the virtual clock (free),
-/// then reap them all. Deployment setup is untimed.
-fn churn_once() -> Duration {
+/// then reap them all. Deployment setup is untimed. Also returns the
+/// allocations of the register loop and of the reap (the idle minute, in
+/// which the tier's background tasks run, is not counted).
+fn churn_once() -> (Duration, u64) {
     let mut rt = Runtime::new();
     rt.block_on(async {
         let (net, sources) = build_tier(&TierLayout {
@@ -61,13 +107,17 @@ fn churn_once() -> Duration {
         let cluster = CoordinatorCluster::build(config, net, &sources);
 
         let started = Instant::now();
+        let before = allocations();
         for session in 0..SESSIONS {
             if let Some(coord) = cluster.router().route(session) {
                 cluster.middleware(coord).register_session(session);
             }
         }
+        let registered = allocations() - before;
         geotp_simrt::sleep(Duration::from_secs(60)).await;
+        let before = allocations();
         let reaped = cluster.reap_idle_sessions_once(Duration::from_secs(30));
+        let allocated = registered + allocations() - before;
         let elapsed = started.elapsed();
 
         // Structural leanness: every idle session must actually be evicted.
@@ -76,12 +126,32 @@ fn churn_once() -> Duration {
             .map(|c| cluster.middleware(c).active_sessions())
             .sum();
         assert_eq!(left, 0, "registries must be empty after the reap");
-        elapsed
+        (elapsed, allocated)
     })
 }
 
 fn best_of() -> Duration {
-    (0..PROBES).map(|_| churn_once()).min().expect("probes")
+    (0..PROBES).map(|_| churn_once().0).min().expect("probes")
+}
+
+/// The exact gate: one cycle's allocations against [`CHURN_ALLOCATIONS`].
+fn allocation_gate() {
+    let allocated = churn_once().1;
+    println!(
+        "session_churn/register_reap_100k: {allocated} allocations (pinned {CHURN_ALLOCATIONS})"
+    );
+    if allocated > CHURN_ALLOCATIONS {
+        eprintln!(
+            "session_churn: register+reap of {SESSIONS} sessions allocates {allocated} times, \
+             more than the pinned {CHURN_ALLOCATIONS}"
+        );
+        std::process::exit(1);
+    }
+    if allocated < CHURN_ALLOCATIONS {
+        println!(
+            "session_churn: fewer allocations than pinned; lower CHURN_ALLOCATIONS to {allocated}"
+        );
+    }
 }
 
 /// Deterministic pure-CPU calibration (FNV-1a over 1 MiB x 8 passes, best of
@@ -120,6 +190,8 @@ fn baseline_number(json: &str, key: &str) -> Option<f64> {
 }
 
 fn main() {
+    allocation_gate();
+
     let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
     let json = std::fs::read_to_string(baseline_path).expect("read BENCH_hotpath.json");
 

@@ -498,26 +498,21 @@ impl CoordinatorCluster {
             //    work and move the pinned takeover fingerprints.
             let dead_node = NodeId::middleware(dead);
             let by_node = NodeId::middleware(by);
-            let unprepared_counts = join_all(
-                self.sources
-                    .iter()
-                    .map(|ds| {
-                        let ds = Rc::clone(ds);
-                        let net = Rc::clone(&self.net);
-                        async move {
-                            net.transfer(by_node, ds.node()).await;
-                            ds.fence_coordinator(dead_node, fencing_epoch);
-                            let aborted = if ds.is_crashed() {
-                                0
-                            } else {
-                                ds.abort_unprepared_of(dead).await.len()
-                            };
-                            net.transfer(ds.node(), by_node).await;
-                            aborted
-                        }
-                    })
-                    .collect(),
-            )
+            let unprepared_counts = join_all(self.sources.iter().map(|ds| {
+                let ds = Rc::clone(ds);
+                let net = Rc::clone(&self.net);
+                async move {
+                    net.transfer(by_node, ds.node()).await;
+                    ds.fence_coordinator(dead_node, fencing_epoch);
+                    let aborted = if ds.is_crashed() {
+                        0
+                    } else {
+                        ds.abort_unprepared_of(dead).await.len()
+                    };
+                    net.transfer(ds.node(), by_node).await;
+                    aborted
+                }
+            }))
             .await;
             (fencing_epoch, unprepared_counts.iter().sum())
         };

@@ -4,6 +4,8 @@
 //! middleware node and the data-source node, exactly like the TCP connections
 //! the paper's middleware keeps in its connection pool.
 
+use std::borrow::Borrow;
+use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -68,74 +70,97 @@ impl DsConnection {
         self.net.nominal_rtt(self.dm, self.ds.node())
     }
 
-    async fn round_trip<T>(&self, work: impl std::future::Future<Output = T>) -> T {
+    /// One WAN round trip around `work`, which is built only once the
+    /// request reached the data source: the caller's future holds the
+    /// closure (a few references) rather than a second copy of the work's
+    /// future, so every command's future is the work plus two hops.
+    async fn round_trip<F: Future>(&self, work: impl FnOnce() -> F) -> F::Output {
         self.net.transfer(self.dm, self.ds.node()).await;
-        let out = work.await;
+        self.reply(work().await).await
+    }
+
+    /// The reply's hop back to the middleware. Its own future, so the reply
+    /// waits for the hop in the space the work's future used.
+    async fn reply<T>(&self, reply: T) -> T {
         self.net.transfer(self.ds.node(), self.dm).await;
-        out
+        reply
     }
 
     /// Execute a statement batch (one WAN round trip). A fenced coordinator's
-    /// batch is refused at the server before touching the engine.
-    pub async fn execute(&self, req: StatementRequest) -> StatementResponse {
-        self.round_trip(async {
-            if let Err(error) = self.ds.fence_check(self.dm, self.epoch, req.xid) {
-                return StatementResponse {
+    /// batch is refused at the server before touching the engine. The
+    /// coordinator passes its pooled request by reference; an owned request
+    /// works too.
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an `async fn` keeps each parameter twice in its future, which nests in every statement's"
+    )]
+    pub fn execute<'a>(
+        &'a self,
+        req: impl Borrow<StatementRequest> + 'a,
+    ) -> impl Future<Output = StatementResponse> + 'a {
+        async move {
+            let req = req.borrow();
+            self.net.transfer(self.dm, self.ds.node()).await;
+            let response = match self.ds.fence_check(self.dm, self.epoch, req.xid) {
+                Ok(()) => self.ds.execute(self.dm, req).await,
+                Err(error) => StatementResponse {
                     outcome: crate::messages::StatementOutcome::Failed { error },
-                    local_execution_latency: std::time::Duration::ZERO,
-                };
-            }
-            self.ds.execute(self.dm, &req).await
-        })
-        .await
+                    local_execution_latency: Duration::ZERO,
+                },
+            };
+            self.reply(response).await
+        }
     }
 
     /// Explicit prepare (one WAN round trip) — the classic XA path.
-    pub async fn prepare(&self, xid: Xid) -> PrepareVote {
-        self.round_trip(async {
+    pub fn prepare(&self, xid: Xid) -> impl Future<Output = PrepareVote> + '_ {
+        self.round_trip(move || async move {
             if self.ds.fence_check(self.dm, self.epoch, xid).is_err() {
                 return PrepareVote::Failure;
             }
             self.ds.prepare(xid).await
         })
-        .await
     }
 
     /// Commit a branch (one WAN round trip). Rejected if this coordinator's
     /// epoch has been fenced — a stale COMMIT must not contradict the outcome
     /// the adopting peer drove.
-    pub async fn commit(&self, xid: Xid, one_phase: bool) -> Result<(), StorageError> {
-        self.round_trip(async {
+    pub fn commit(
+        &self,
+        xid: Xid,
+        one_phase: bool,
+    ) -> impl Future<Output = Result<(), StorageError>> + '_ {
+        self.round_trip(move || async move {
             self.ds.fence_check(self.dm, self.epoch, xid)?;
             self.ds.commit(xid, one_phase).await
         })
-        .await
     }
 
     /// Commit a branch that performed no writes (one WAN round trip, no
     /// prepare, no WAL flush on the server). Fenced like a normal commit.
-    pub async fn commit_read_only(&self, xid: Xid) -> Result<(), StorageError> {
-        self.round_trip(async {
+    pub fn commit_read_only(
+        &self,
+        xid: Xid,
+    ) -> impl Future<Output = Result<(), StorageError>> + '_ {
+        self.round_trip(move || async move {
             self.ds.fence_check(self.dm, self.epoch, xid)?;
             self.ds.commit_read_only(xid)
         })
-        .await
     }
 
     /// Roll back a branch (one WAN round trip). Fenced like commit: the
     /// branch belongs to the adopting peer once the epoch is sealed.
-    pub async fn rollback(&self, xid: Xid) -> Result<(), StorageError> {
-        self.round_trip(async {
+    pub fn rollback(&self, xid: Xid) -> impl Future<Output = Result<(), StorageError>> + '_ {
+        self.round_trip(move || async move {
             self.ds.fence_check(self.dm, self.epoch, xid)?;
             self.ds.rollback(xid).await
         })
-        .await
     }
 
     /// `XA RECOVER` scoped to coordinator `owner`'s gtrid space (one round
     /// trip): what a coordinator's own recovery and a peer takeover resolve.
     pub async fn recover_prepared_owned_by(&self, owner: u32) -> Vec<Xid> {
-        self.round_trip(async { self.ds.recover_prepared_owned_by(owner) })
+        self.round_trip(|| async { self.ds.recover_prepared_owned_by(owner) })
             .await
     }
 

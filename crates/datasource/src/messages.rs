@@ -107,6 +107,17 @@ impl DsOperation {
     pub fn is_write(&self) -> bool {
         !matches!(self, DsOperation::Read { .. })
     }
+
+    /// Whether a successful execution returns a row (the reads, and the
+    /// new value of an `AddInt`).
+    pub fn returns_row(&self) -> bool {
+        matches!(
+            self,
+            DsOperation::Read { .. }
+                | DsOperation::ReadForUpdate { .. }
+                | DsOperation::AddInt { .. }
+        )
+    }
 }
 
 /// One statement batch dispatched by the middleware to one data source.

@@ -1,6 +1,7 @@
 //! The data-source server: storage engine + geo-agent.
 
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::{Rc, Weak};
 use std::time::Duration;
 
@@ -8,7 +9,7 @@ use geotp_net::{Network, NodeId};
 use geotp_simrt::hash::{FxHashMap, FxHashSet};
 use geotp_simrt::sync::mpsc;
 use geotp_simrt::{now, sleep, spawn};
-use geotp_storage::{EngineConfig, Row, StorageEngine, StorageError, Xid};
+use geotp_storage::{EngineConfig, Row, SmallVec, StorageEngine, StorageError, Xid};
 
 use crate::messages::{
     AgentNotification, Dialect, DsOperation, PrepareVote, StatementOutcome, StatementRequest,
@@ -98,7 +99,17 @@ pub struct DataSource {
 #[derive(Debug, Clone)]
 struct BranchInfo {
     coordinator: NodeId,
-    peers: Vec<u32>,
+    /// Kept inline: a branch starts without allocating for its peer list.
+    peers: SmallVec<u32, 4>,
+}
+
+/// A request's peer list, as a branch keeps it.
+fn peer_set(peers: &[u32]) -> SmallVec<u32, 4> {
+    let mut set = SmallVec::new();
+    for &peer in peers {
+        set.push(peer);
+    }
+    set
 }
 
 impl DataSource {
@@ -246,128 +257,143 @@ impl DataSource {
     /// engine, reports the local execution latency back (hotspot feedback) and
     /// — when the batch is the branch's last statement and decentralized
     /// prepare is enabled — kicks off the implicit prepare phase.
-    pub async fn execute(
-        self: &Rc<Self>,
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an `async fn` keeps each parameter twice in its future, which nests in every statement's"
+    )]
+    pub fn execute<'a>(
+        self: &'a Rc<Self>,
         from: NodeId,
-        req: &StatementRequest,
-    ) -> StatementResponse {
-        let started = now();
-        self.stats.borrow_mut().statements += 1;
-        // The geo-agent's slice of the transaction's trace: parented under
-        // the coordinator span that rode the request, so one trace crosses
-        // the middleware → data-source boundary. Scoped, so the storage
-        // layer's `LockWait` leaves nest under it.
-        let exec_span = geotp_telemetry::span_scoped_under(
-            req.xid.gtrid,
-            geotp_telemetry::TraceNode::data_source(self.index()),
-            geotp_telemetry::SpanKind::AgentExec,
-            req.ops.len() as u64,
-            req.trace_parent,
-        );
-
-        // A peer already asked to abort this branch (early abort raced ahead
-        // of the branch's first statement): refuse it and confirm the rollback.
-        if self.abort_marks.borrow_mut().remove(&req.xid) {
-            self.mark_finished(req.xid);
-            self.stats.borrow_mut().failed_statements += 1;
-            self.notify_dm(from, AgentNotification::Rollbacked { xid: req.xid });
-            geotp_telemetry::span_end(exec_span);
-            return StatementResponse {
-                outcome: StatementOutcome::Failed {
-                    error: StorageError::InvalidState {
-                        xid: req.xid,
-                        reason: "branch aborted by a peer before it started",
-                    },
-                },
-                local_execution_latency: now().duration_since(started),
-            };
-        }
-
-        if req.begin {
-            self.branches.borrow_mut().insert(
-                req.xid,
-                BranchInfo {
-                    coordinator: from,
-                    peers: req.peers.clone(),
-                },
+        req: &'a StatementRequest,
+    ) -> impl Future<Output = StatementResponse> + 'a {
+        async move {
+            let started = now();
+            self.stats.borrow_mut().statements += 1;
+            // The geo-agent's slice of the transaction's trace: parented under
+            // the coordinator span that rode the request, so one trace crosses
+            // the middleware → data-source boundary. Scoped, so the storage
+            // layer's `LockWait` leaves nest under it.
+            let exec_span = geotp_telemetry::span_scoped_under(
+                req.xid.gtrid,
+                geotp_telemetry::TraceNode::data_source(self.index()),
+                geotp_telemetry::SpanKind::AgentExec,
+                req.ops.len() as u64,
+                req.trace_parent,
             );
-            if let Err(error) = self.engine.begin(req.xid) {
+
+            // A peer already asked to abort this branch (early abort raced ahead
+            // of the branch's first statement): refuse it and confirm the rollback.
+            if self.abort_marks.borrow_mut().remove(&req.xid) {
+                self.mark_finished(req.xid);
                 self.stats.borrow_mut().failed_statements += 1;
+                self.notify_dm(from, AgentNotification::Rollbacked { xid: req.xid });
                 geotp_telemetry::span_end(exec_span);
                 return StatementResponse {
-                    outcome: StatementOutcome::Failed { error },
+                    outcome: StatementOutcome::Failed {
+                        error: StorageError::InvalidState {
+                            xid: req.xid,
+                            reason: "branch aborted by a peer before it started",
+                        },
+                    },
                     local_execution_latency: now().duration_since(started),
                 };
             }
-        } else if let Some(info) = self.branches.borrow_mut().get_mut(&req.xid) {
-            // Later rounds may refine the peer list (interactive transactions).
-            if !req.peers.is_empty() {
-                info.peers = req.peers.clone();
-            }
-        }
 
-        let mut rows = Vec::with_capacity(req.ops.len());
-        for op in &req.ops {
-            let result = self.apply(req.xid, op).await;
-            match result {
-                Ok(Some(row)) => rows.push(row),
-                Ok(None) => {}
-                Err(error) => {
+            if req.begin {
+                self.branches.borrow_mut().insert(
+                    req.xid,
+                    BranchInfo {
+                        coordinator: from,
+                        peers: peer_set(&req.peers),
+                    },
+                );
+                if let Err(error) = self.engine.begin(req.xid) {
                     self.stats.borrow_mut().failed_statements += 1;
-                    self.fail_branch(from, req, error.clone()).await;
                     geotp_telemetry::span_end(exec_span);
                     return StatementResponse {
                         outcome: StatementOutcome::Failed { error },
                         local_execution_latency: now().duration_since(started),
                     };
                 }
+            } else if let Some(info) = self.branches.borrow_mut().get_mut(&req.xid) {
+                // Later rounds may refine the peer list (interactive transactions).
+                if !req.peers.is_empty() {
+                    info.peers = peer_set(&req.peers);
+                }
             }
-        }
 
-        if req.is_last && req.decentralized_prepare {
-            self.spawn_decentralized_prepare(from, req);
-        }
+            // Sized for the operations that return a row: a write-only batch
+            // allocates nothing for its (empty) result.
+            let returning = req.ops.iter().filter(|op| op.returns_row()).count();
+            let mut rows = Vec::with_capacity(returning);
+            for op in &req.ops {
+                let error = match self.apply(req.xid, op).await {
+                    Ok(Some(row)) => {
+                        rows.push(row);
+                        continue;
+                    }
+                    Ok(None) => continue,
+                    Err(error) => error,
+                };
+                self.stats.borrow_mut().failed_statements += 1;
+                self.fail_branch(from, req).await;
+                geotp_telemetry::span_end(exec_span);
+                return StatementResponse {
+                    outcome: StatementOutcome::Failed { error },
+                    local_execution_latency: now().duration_since(started),
+                };
+            }
 
-        geotp_telemetry::span_end(exec_span);
-        StatementResponse {
-            outcome: StatementOutcome::Ok { rows },
-            local_execution_latency: now().duration_since(started),
+            if req.is_last && req.decentralized_prepare {
+                self.spawn_decentralized_prepare(from, req);
+            }
+
+            geotp_telemetry::span_end(exec_span);
+            StatementResponse {
+                outcome: StatementOutcome::Ok { rows },
+                local_execution_latency: now().duration_since(started),
+            }
         }
     }
 
-    async fn apply(&self, xid: Xid, op: &DsOperation) -> Result<Option<Row>, StorageError> {
-        match op {
-            DsOperation::Read { key } => self.engine.read(xid, *key).await.map(Some),
-            DsOperation::ReadForUpdate { key } => {
-                self.engine.read_for_update(xid, *key).await.map(Some)
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an `async fn` keeps each parameter twice in its future, which nests in every statement's"
+    )]
+    fn apply<'a>(
+        &'a self,
+        xid: Xid,
+        op: &'a DsOperation,
+    ) -> impl Future<Output = Result<Option<Row>, StorageError>> + 'a {
+        async move {
+            match op {
+                DsOperation::Read { key } => self.engine.read(xid, *key).await.map(Some),
+                DsOperation::ReadForUpdate { key } => {
+                    self.engine.read_for_update(xid, *key).await.map(Some)
+                }
+                DsOperation::Write { key, row } => self
+                    .engine
+                    .write(xid, *key, row.clone())
+                    .await
+                    .map(|_| None),
+                DsOperation::Insert { key, row } => self
+                    .engine
+                    .insert(xid, *key, row.clone())
+                    .await
+                    .map(|_| None),
+                DsOperation::Delete { key } => self.engine.delete(xid, *key).await.map(|_| None),
+                DsOperation::AddInt { key, col, delta } => self
+                    .engine
+                    .add_int(xid, *key, *col, *delta)
+                    .await
+                    .map(|v| Some(Row::int(v))),
             }
-            DsOperation::Write { key, row } => self
-                .engine
-                .write(xid, *key, row.clone())
-                .await
-                .map(|_| None),
-            DsOperation::Insert { key, row } => self
-                .engine
-                .insert(xid, *key, row.clone())
-                .await
-                .map(|_| None),
-            DsOperation::Delete { key } => self.engine.delete(xid, *key).await.map(|_| None),
-            DsOperation::AddInt { key, col, delta } => self
-                .engine
-                .add_int(xid, *key, *col, *delta)
-                .await
-                .map(|v| Some(Row::int(v))),
         }
     }
 
     /// Handle a statement failure: roll back the local branch and, when early
     /// abort is enabled, proactively tell peer geo-agents to roll back theirs.
-    async fn fail_branch(
-        self: &Rc<Self>,
-        from: NodeId,
-        req: &StatementRequest,
-        _error: StorageError,
-    ) {
+    async fn fail_branch(self: &Rc<Self>, from: NodeId, req: &StatementRequest) {
         // Stop queueing for any lock we are still waiting on and roll back.
         self.engine.lock_manager().cancel_waiters(req.xid);
         let _ = self.engine.rollback(req.xid).await;
@@ -389,9 +415,9 @@ impl DataSource {
                     .map(|b| b.peers.clone())
                     .unwrap_or_default()
             } else {
-                req.peers.clone()
+                peer_set(&req.peers)
             };
-            for peer_idx in peers {
+            for peer_idx in peers.iter() {
                 if peer_idx == self.index() {
                     continue;
                 }

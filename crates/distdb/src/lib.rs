@@ -227,30 +227,27 @@ impl DistDb {
         }
 
         // Commit or abort every participant (coordinator-driven).
-        let decisions = results
-            .iter()
-            .map(|(_, _, xid, is_local, shard_node)| {
-                let engine = Rc::clone(self.shards[xid.bqual as usize].engine());
-                let net = Rc::clone(&self.net);
-                let xid = *xid;
-                let is_local = *is_local;
-                let shard_node = *shard_node;
-                let commit = !failed;
-                async move {
-                    if !is_local {
-                        net.transfer(coordinator_node, shard_node).await;
-                    }
-                    if commit {
-                        let _ = engine.commit(xid, false).await;
-                    } else if engine.state_of(xid).is_some() {
-                        let _ = engine.rollback(xid).await;
-                    }
-                    if !is_local {
-                        net.transfer(shard_node, coordinator_node).await;
-                    }
+        let decisions = results.iter().map(|(_, _, xid, is_local, shard_node)| {
+            let engine = Rc::clone(self.shards[xid.bqual as usize].engine());
+            let net = Rc::clone(&self.net);
+            let xid = *xid;
+            let is_local = *is_local;
+            let shard_node = *shard_node;
+            let commit = !failed;
+            async move {
+                if !is_local {
+                    net.transfer(coordinator_node, shard_node).await;
                 }
-            })
-            .collect();
+                if commit {
+                    let _ = engine.commit(xid, false).await;
+                } else if engine.state_of(xid).is_some() {
+                    let _ = engine.rollback(xid).await;
+                }
+                if !is_local {
+                    net.transfer(shard_node, coordinator_node).await;
+                }
+            }
+        });
         join_all(decisions).await;
 
         // Coordinator → router response.
@@ -362,7 +359,7 @@ mod tests {
                     DistDb::run(&db, &spec).await
                 }));
             }
-            let outcomes = join_all(handles.into_iter().collect()).await;
+            let outcomes = join_all(handles).await;
             let committed = outcomes.iter().filter(|o| o.committed).count();
             geotp_simrt::sleep(Duration::from_millis(50)).await;
             assert_eq!(

@@ -7,8 +7,8 @@
 //! survives a simulated middleware crash (it models a local disk or a
 //! replicated log service).
 
+use geotp_simrt::hash::FxHashMap;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -36,7 +36,7 @@ pub struct Fenced {
 
 /// The durable commit/abort log.
 pub struct CommitLog {
-    entries: RefCell<HashMap<u64, Decision>>,
+    entries: RefCell<FxHashMap<u64, Decision>>,
     flush_cost: Duration,
     flushes: RefCell<u64>,
     /// Writers below this epoch are rejected. The fence is the linchpin of
@@ -51,7 +51,7 @@ impl CommitLog {
     /// Create a log whose flush costs `flush_cost` of virtual time.
     pub fn new(flush_cost: Duration) -> Rc<Self> {
         Rc::new(Self {
-            entries: RefCell::new(HashMap::new()),
+            entries: RefCell::new(FxHashMap::default()),
             flush_cost,
             flushes: RefCell::new(0),
             min_epoch: Cell::new(0),

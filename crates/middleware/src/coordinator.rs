@@ -34,13 +34,13 @@
 
 use geotp_simrt::hash::FxHashMap;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
 use geotp_datasource::{
     DataSource, DsConnection, DsOperation, PrepareVote, StatementOutcome, StatementRequest,
+    StatementResponse,
 };
 use geotp_net::{LatencyMonitor, Network, NodeId};
 use geotp_simrt::{join_all, now, sleep, spawn, SimInstant};
@@ -49,12 +49,12 @@ use geotp_telemetry::{SpanId, SpanKind, TraceNode};
 
 use crate::commit_log::{CommitLog, Decision};
 use crate::metrics::{AbortReason, LatencyBreakdown, MiddlewareStats, TxnOutcome};
-use crate::notify_hub::NotifyHub;
+use crate::notify_hub::{NotifyHub, Votes};
 use crate::ops::{ClientOp, GlobalKey, TransactionSpec};
 use crate::parser::{SqlParser, TxnControl};
-use crate::router::Partitioner;
+use crate::router::{Partitioner, RoundGroups};
 use crate::scheduler::{
-    AdmissionDecision, BranchPlan, GeoScheduler, Schedule, SchedulerConfig, ADMISSION_RETRY_BACKOFF,
+    AdmissionDecision, BranchPlan, GeoScheduler, SchedulerConfig, ADMISSION_RETRY_BACKOFF,
 };
 use crate::session::{SqlScript, TxnError};
 
@@ -88,15 +88,14 @@ pub struct LiveTxn {
 /// What a client that submits a whole [`TransactionSpec`] has told the
 /// coordinator before the first round runs — the knowledge the paper's
 /// `/*+ last */` annotation stands for, per branch. The key set, the
-/// involvement and the peer lists it also implies are written straight into
-/// the transaction's scratch buffers by [`Middleware::declare_plan`]. A
-/// statement stream has no plan: the coordinator learns the same facts one
-/// round at a time and only the client's annotation ends a branch.
+/// involvement, the peer lists and each branch's final round it also implies
+/// are written straight into the transaction's scratch buffers by
+/// [`Middleware::declare_plan`]. A statement stream has no plan: the
+/// coordinator learns the same facts one round at a time and only the
+/// client's annotation ends a branch.
 struct DeclaredPlan {
     /// The spec's `/*+ last */` annotation flag.
     annotate_last: bool,
-    /// `(data source, index of the last round that touches it)`.
-    final_round: Vec<(u32, usize)>,
 }
 
 /// One traced slice of a transaction's latency breakdown: a stopwatch and
@@ -134,15 +133,9 @@ impl LiveTxn {
     /// round (`last`), which ends every branch at once.
     fn branch_ends(&self, ds: u32, round: usize, last: bool) -> bool {
         match &self.plan {
-            Some(plan) => plan.final_round.contains(&(ds, round)),
+            Some(_) => self.scratch.final_round.contains(&(ds, round)),
             None => last,
         }
-    }
-
-    /// The other branches `ds`'s geo-agent must know about (early abort).
-    fn peers_of(&self, ds: u32) -> Vec<u32> {
-        let involved = self.scratch.involved.iter().copied();
-        involved.filter(|peer| *peer != ds).collect()
     }
 
     /// Move the transaction's latency origin back to `connected` (the
@@ -446,13 +439,31 @@ impl SqlCache {
 /// Reusable per-transaction working memory. Each in-flight transaction pops
 /// one from the middleware's pool and returns it on completion, so the
 /// steady-state hot path performs no `Vec` allocations for key/routing
-/// bookkeeping regardless of how many transactions have run.
+/// bookkeeping, round planning, statement requests or votes regardless of
+/// how many transactions have run. The per-round buffers are sized by the
+/// widest round seen, and hold nothing between rounds.
 #[derive(Default)]
 struct TxnScratch {
     keys: Vec<GlobalKey>,
     involved: Vec<u32>,
     started_branches: Vec<u32>,
     branch_keys: Vec<GlobalKey>,
+    /// A declared plan's `(data source, index of the last round touching
+    /// it)`.
+    final_round: Vec<(u32, usize)>,
+    /// The current round split per data source.
+    groups: RoundGroups,
+    /// The geo-scheduler's input: one plan per group (key lists reused).
+    plans: Vec<BranchPlan>,
+    /// The schedule: one postpone per group (empty: postpone nothing).
+    postpone: Vec<Duration>,
+    /// One request per group; their operation and peer lists are reused.
+    requests: Vec<StatementRequest>,
+    /// One response per group, drained after the round.
+    responses: Vec<StatementResponse>,
+    /// Data sources whose statement failed this round.
+    failed: Vec<u32>,
+    votes: Votes,
 }
 
 /// The database middleware instance.
@@ -818,54 +829,56 @@ impl Middleware {
         }
     }
 
-    /// Dispatch a round's branches concurrently, honouring the scheduler's
-    /// postpone amounts. Chiller holds the lowest-RTT ("inner region")
-    /// branch back until the others finished, shrinking its lock span.
+    /// Dispatch a round's requests concurrently, honouring the scheduler's
+    /// postpone amounts (none when `postpone` is empty), and leave their
+    /// responses in `responses` (empty on entry) in request order. Chiller
+    /// holds the lowest-RTT ("inner region") branch back until the others
+    /// finished, shrinking its lock span.
     async fn dispatch_round(
         &self,
-        groups: &[(u32, Vec<&ClientOp>)],
-        requests: Vec<StatementRequest>,
-        schedule: &Schedule,
-    ) -> Vec<geotp_datasource::StatementResponse> {
-        // Fast path: centralized transactions (the overwhelming majority at
-        // the paper's 20% distributed ratio) have exactly one branch — await
-        // it directly instead of paying `join_all`'s boxing and re-polling.
-        if let [(ds, _)] = groups {
-            let request = requests.into_iter().next().expect("one request per group");
-            let postpone = schedule.postpone.first().copied().unwrap_or(Duration::ZERO);
-            if !postpone.is_zero() {
-                sleep(postpone).await;
-            }
-            return vec![self.conn(*ds).execute(request).await];
-        }
-        let rtt = |idx: &usize| self.monitor.rtt(NodeId::data_source(groups[*idx].0));
-        let held_back = if self.config.protocol.inner_region_last() {
-            (0..groups.len()).min_by_key(rtt)
-        } else {
-            None
-        };
-        let mut inner = None;
-        let mut futures = Vec::new();
-        for (idx, ((ds, _), request)) in groups.iter().zip(requests).enumerate() {
-            if held_back == Some(idx) {
-                inner = Some((idx, *ds, request));
-                continue;
-            }
-            let conn = self.conn(*ds).clone();
-            let postpone = schedule.postpone.get(idx).copied().unwrap_or_default();
-            futures.push(async move {
+        requests: &[StatementRequest],
+        postpone: &[Duration],
+        responses: &mut Vec<StatementResponse>,
+    ) {
+        // Each branch writes its own response slot, so the join needs no
+        // output buffer.
+        responses.resize_with(requests.len(), || StatementResponse {
+            outcome: StatementOutcome::Ok { rows: Vec::new() },
+            local_execution_latency: Duration::ZERO,
+        });
+        let slots = Cell::from_mut(&mut responses[..]).as_slice_of_cells();
+        let send = |idx: usize| {
+            let (request, slot) = (&requests[idx], &slots[idx]);
+            let postpone = postpone.get(idx).copied().unwrap_or_default();
+            async move {
                 if !postpone.is_zero() {
                     sleep(postpone).await;
                 }
-                conn.execute(request).await
-            });
+                slot.set(self.conn(request.xid.bqual).execute(request).await);
+            }
+        };
+        // Fast path: centralized transactions (the overwhelming majority at
+        // the paper's 20% distributed ratio) have exactly one branch — await
+        // it directly instead of paying `join_all`'s boxing and re-polling.
+        if requests.len() == 1 {
+            return send(0).await;
         }
-        let mut responses = join_all(futures).await;
-        if let Some((idx, ds, request)) = inner {
-            let response = self.conn(ds).execute(request).await;
-            responses.insert(idx, response);
+        let rtt = |idx: &usize| {
+            self.monitor
+                .rtt(NodeId::data_source(requests[*idx].xid.bqual))
+        };
+        let held_back = if self.config.protocol.inner_region_last() {
+            (0..requests.len()).min_by_key(rtt)
+        } else {
+            None
+        };
+        // Every branch but the held-back one, in request order.
+        let skip = held_back.unwrap_or(requests.len());
+        let joined = requests.len() - usize::from(held_back.is_some());
+        join_all((0..joined).map(|i| send(if i < skip { i } else { i + 1 }))).await;
+        if let Some(idx) = held_back {
+            send(idx).await;
         }
-        responses
     }
 
     /// Roll `branches` back concurrently. Failures are ignored: rolling back
@@ -941,6 +954,7 @@ impl Middleware {
     async fn commit_phase(&self, txn: &mut LiveTxn) -> Result<(), AbortReason> {
         let (gtrid, annotated) = (txn.gtrid, txn.annotated);
         let (involved, breakdown) = (&txn.scratch.involved[..], &mut txn.breakdown);
+        let votes = &mut txn.scratch.votes;
         if involved.len() == 1 || self.config.protocol.one_phase_everywhere() {
             // No votes to collect: the centralized transaction's one-phase
             // commit, and SSP(local)'s on every branch.
@@ -963,14 +977,15 @@ impl Middleware {
             SpanKind::Prepare
         };
         let wait = self.phase(gtrid, kind, involved.len());
-        let votes = if annotated {
-            self.pushed_votes(gtrid, involved).await
+        if annotated {
+            self.pushed_votes(gtrid, involved, votes).await;
         } else {
-            self.prepare_round(gtrid, involved).await
-        };
+            self.prepare_round(gtrid, involved, votes).await;
+        }
+        let votes = &*votes;
         breakdown.prepare_wait = wait.end();
 
-        let voted_yes = |ds: &u32| votes.get(ds).is_some_and(PrepareVote::is_yes);
+        let voted_yes = |ds: &u32| votes.get(*ds).is_some_and(|vote| vote.is_yes());
         if !involved.iter().all(voted_yes) {
             self.flush_decision(gtrid, Decision::Abort, breakdown)
                 .await?;
@@ -990,7 +1005,7 @@ impl Middleware {
                 .await?;
         }
         let commit = self.phase(gtrid, SpanKind::CommitDispatch, involved.len());
-        let one_phase = |ds| votes.get(&ds) == Some(&PrepareVote::Idle);
+        let one_phase = |ds| votes.get(ds) == Some(PrepareVote::Idle);
         let committed = self.dispatch_commits(gtrid, involved, one_phase).await;
         breakdown.commit = commit.end();
         // The decision is durable, so the transaction *is* committed whatever
@@ -1014,27 +1029,26 @@ impl Middleware {
     /// decision-wait timeout the missing votes count as no-votes and the
     /// transaction aborts, exactly like a real XA coordinator giving up on a
     /// dead participant.
-    async fn pushed_votes(&self, gtrid: u64, involved: &[u32]) -> HashMap<u32, PrepareVote> {
-        let pushed = geotp_simrt::timeout(
-            self.config.decision_wait_timeout,
-            self.hub.wait_for_votes(gtrid, involved),
-        )
-        .await;
-        pushed.unwrap_or_else(|_elapsed| {
+    async fn pushed_votes(&self, gtrid: u64, involved: &[u32], votes: &mut Votes) {
+        let wait = self.hub.wait_for_votes(gtrid, involved, votes);
+        let pushed = geotp_simrt::timeout(self.config.decision_wait_timeout, wait).await;
+        if pushed.is_err() {
             self.stats.borrow_mut().decision_wait_timeouts += 1;
-            self.hub.votes(gtrid)
-        })
+            self.hub.votes_into(gtrid, votes);
+        }
     }
 
     /// Classic XA: an explicit prepare round trip (SSP, QURO, and any
     /// transaction the client did not annotate).
-    async fn prepare_round(&self, gtrid: u64, involved: &[u32]) -> HashMap<u32, PrepareVote> {
-        let prepares = involved.iter().map(|ds| {
-            let conn = self.conn(*ds).clone();
-            let xid = Xid::new(gtrid, *ds);
-            async move { (xid.bqual, conn.prepare(xid).await) }
+    async fn prepare_round(&self, gtrid: u64, involved: &[u32], votes: &mut Votes) {
+        let prepares = involved.iter().map(|&ds| {
+            let xid = Xid::new(gtrid, ds);
+            async move { (ds, self.conn(ds).prepare(xid).await) }
         });
-        join_all(prepares.collect()).await.into_iter().collect()
+        votes.clear();
+        for (ds, vote) in join_all(prepares).await {
+            votes.set(ds, vote);
+        }
     }
 
     /// Flush the decision (the `LogFlush` slice), honouring the
@@ -1093,14 +1107,19 @@ impl Middleware {
             let committed = self.conn(*ds).commit(Xid::new(gtrid, *ds), one_phase(*ds));
             return committed.await.is_ok() as usize;
         }
+        // Counted as they land: the join's output is `()`, which needs no
+        // output buffer.
+        let committed = Cell::new(0);
         let commits = involved.iter().map(|&ds| {
-            let conn = self.conn(ds).clone();
-            let xid = Xid::new(gtrid, ds);
-            let one_phase = one_phase(ds);
-            async move { conn.commit(xid, one_phase).await }
+            let (xid, one_phase, committed) = (Xid::new(gtrid, ds), one_phase(ds), &committed);
+            async move {
+                if self.conn(ds).commit(xid, one_phase).await.is_ok() {
+                    committed.set(committed.get() + 1);
+                }
+            }
         });
-        let results = join_all(commits.collect()).await;
-        results.iter().filter(|r| r.is_ok()).count()
+        join_all(commits).await;
+        committed.get()
     }
 
     /// The data sources this coordinator is connected to, in source order.
@@ -1312,7 +1331,7 @@ impl Middleware {
         let mut rows = Vec::new();
         for round in &spec.rounds {
             match self.execute_live(&mut txn, round, false).await {
-                Ok(mut round_rows) => rows.append(&mut round_rows),
+                Ok(round_rows) => append_rows(&mut rows, round_rows),
                 Err(error) => return error.outcome,
             }
         }
@@ -1355,6 +1374,7 @@ impl Middleware {
         scratch.keys.clear();
         scratch.involved.clear();
         scratch.started_branches.clear();
+        scratch.final_round.clear();
         LiveTxn {
             gtrid,
             session,
@@ -1387,7 +1407,7 @@ impl Middleware {
             let mut footprint = self.scheduler.footprint().borrow_mut();
             footprint.on_access_start(&txn.scratch.keys);
         }
-        let mut final_round: Vec<(u32, usize)> = Vec::with_capacity(txn.scratch.involved.len());
+        let final_round = &mut txn.scratch.final_round;
         for (round, ops) in spec.rounds.iter().enumerate() {
             for op in ops {
                 let ds = partitioner.route(op.key());
@@ -1399,7 +1419,6 @@ impl Middleware {
         }
         txn.plan = Some(DeclaredPlan {
             annotate_last: spec.annotate_last,
-            final_round,
         });
     }
 
@@ -1409,6 +1428,10 @@ impl Middleware {
     /// `/*+ last */` annotation on this round (a declared plan carries its
     /// own): with a decentralized-prepare protocol it triggers the implicit
     /// prepare on every branch it ends.
+    ///
+    /// The steps between the awaits are plain functions, so their locals
+    /// never take space in this future (boxed once per round by the session
+    /// door).
     pub(crate) async fn execute_live(
         self: &Rc<Self>,
         txn: &mut LiveTxn,
@@ -1419,8 +1442,6 @@ impl Middleware {
         if let Some(error) = self.conclude_if_crashed(txn) {
             return Err(error);
         }
-        let protocol = self.config.protocol;
-        let advanced = protocol.advanced();
         let round_idx = txn.rounds;
         txn.rounds += 1;
         // The round's span is scoped: the data sources' spans nest under it.
@@ -1433,7 +1454,57 @@ impl Middleware {
                 round_idx as u64,
             ),
         };
+        if let Some(attempts) = self.plan_round(txn, ops, round_idx) {
+            // Late transaction scheduling kept this transaction back; charge
+            // the backoff and abort it.
+            sleep(ADMISSION_RETRY_BACKOFF * attempts).await;
+            return Err(self.conclude_aborted(txn, AbortReason::AdmissionRejected, false));
+        }
+        let branches = self.build_requests(txn, ops, round_idx, last, round.span);
 
+        let scratch = &mut txn.scratch;
+        let requests = &scratch.requests[..branches];
+        self.dispatch_round(requests, &scratch.postpone, &mut scratch.responses)
+            .await;
+        // The requests' operations hold row values: drop them now rather
+        // than keep them alive in the pool.
+        for request in &mut txn.scratch.requests[..branches] {
+            request.ops.clear();
+        }
+        if let Some(error) = self.conclude_if_crashed(txn) {
+            txn.scratch.responses.clear();
+            return Err(error);
+        }
+        self.round_feedback(txn, ops);
+        txn.breakdown.execution += round.end();
+
+        if !txn.scratch.failed.is_empty() {
+            txn.scratch.responses.clear();
+            let (started, failed) = (&txn.scratch.started_branches, &txn.scratch.failed);
+            let rollback = self.phase(txn.gtrid, SpanKind::RollbackDispatch, started.len());
+            self.abort_started_branches(txn.gtrid, started, failed)
+                .await;
+            rollback.end();
+            return Err(self.conclude_aborted(txn, AbortReason::ExecutionFailed, false));
+        }
+
+        // Move the result rows out of the responses (no clones).
+        let mut rows = Vec::new();
+        for response in txn.scratch.responses.drain(..) {
+            if let StatementOutcome::Ok { rows: round_rows } = response.outcome {
+                append_rows(&mut rows, round_rows);
+            }
+        }
+        Ok(rows)
+    }
+
+    /// Fold round `round_idx`'s operations into the transaction (key set and
+    /// involvement for a statement stream, the read-only flag), split them
+    /// per data source and schedule the branches. Returns the admission
+    /// attempts when late transaction scheduling refuses the transaction.
+    fn plan_round(&self, txn: &mut LiveTxn, ops: &[ClientOp], round_idx: usize) -> Option<u32> {
+        let protocol = self.config.protocol;
+        let advanced = protocol.advanced();
         // A statement stream grows its key set and involvement one round at
         // a time; a declared plan fixed both before the first round.
         let streaming = txn.plan.is_none();
@@ -1449,8 +1520,8 @@ impl Middleware {
                 txn.scratch.keys.push(op.key());
             }
         }
+        let scratch = &mut txn.scratch;
         if streaming {
-            let scratch = &mut txn.scratch;
             let partitioner = &self.config.partitioner;
             partitioner.involved_nodes_into(&scratch.keys, &mut scratch.involved);
             txn.distributed = scratch.involved.len() > 1;
@@ -1461,128 +1532,141 @@ impl Middleware {
             }
         }
 
-        // Per-branch operation groups borrow from the caller's round —
-        // nothing is cloned for routing.
-        let mut groups = self.config.partitioner.split(ops);
+        // Per-branch operation groups index the caller's round — nothing is
+        // cloned for routing.
+        let groups = &mut scratch.groups;
+        self.config.partitioner.split_into(ops, groups);
         if protocol.reorders_writes_last() {
-            for (_, ops) in groups.iter_mut() {
-                ops.sort_by_key(|op| op.is_write());
-            }
+            groups.sort_each_by_key(|op| ops[op].is_write());
         }
         // Only the geo-scheduler plans a round; everyone else postpones
         // nothing (an empty schedule).
-        let schedule = if protocol.geo_scheduled() {
-            let plans: Vec<BranchPlan> = groups
-                .iter()
-                .map(|(ds, ops)| BranchPlan {
-                    ds_index: *ds,
-                    keys: ops.iter().map(|op| op.key()).collect(),
-                })
-                .collect();
-            if !advanced || round_idx > 0 {
-                self.scheduler.schedule(&plans)
-            } else {
-                match self.scheduler.schedule_with_admission(&plans) {
-                    AdmissionDecision::Admit(schedule) => schedule,
-                    AdmissionDecision::Reject { attempts } => {
-                        // Late transaction scheduling kept this transaction
-                        // back; charge the backoff and abort it.
-                        sleep(ADMISSION_RETRY_BACKOFF * attempts).await;
-                        let reason = AbortReason::AdmissionRejected;
-                        return Err(self.conclude_aborted(txn, reason, false));
-                    }
+        scratch.postpone.clear();
+        if protocol.geo_scheduled() {
+            let plans = &mut scratch.plans;
+            for (idx, (ds, members)) in groups.iter().enumerate() {
+                if plans.len() == idx {
+                    plans.push(BranchPlan {
+                        ds_index: ds,
+                        keys: Vec::new(),
+                    });
                 }
+                let plan = &mut plans[idx];
+                plan.ds_index = ds;
+                plan.keys.clear();
+                plan.keys.extend(members.iter().map(|&op| ops[op].key()));
             }
-        } else {
-            Schedule::default()
-        };
-        let postponed: u64 = schedule.postpone.iter().map(|d| d.as_micros() as u64).sum();
+            let plans = &plans[..groups.len()];
+            if !advanced || round_idx > 0 {
+                self.scheduler.schedule_into(plans, &mut scratch.postpone);
+            } else if let AdmissionDecision::Reject { attempts } = self
+                .scheduler
+                .schedule_with_admission(plans, &mut scratch.postpone)
+            {
+                return Some(attempts);
+            }
+        }
+        let postponed: u64 = scratch.postpone.iter().map(|d| d.as_micros() as u64).sum();
         self.stats.borrow_mut().total_postpone_micros += postponed;
+        None
+    }
 
-        // Assemble the per-branch requests; a branch's first statement
-        // starts it.
+    /// Fill the pooled request slots with the round's per-branch statements
+    /// (a branch's first statement starts it) and return how many there
+    /// are. A statement stream's annotated round also sends the started
+    /// branches it does not touch their end-of-branch statement.
+    fn build_requests(
+        &self,
+        txn: &mut LiveTxn,
+        ops: &[ClientOp],
+        round_idx: usize,
+        last: bool,
+        trace_parent: Option<SpanId>,
+    ) -> usize {
+        let protocol = self.config.protocol;
         let annotated = txn.plan.as_ref().map_or(last, |plan| plan.annotate_last);
         let decentralized = protocol.decentralized_prepare() && annotated;
         let early_abort = protocol.early_abort() && txn.distributed;
-        let request = |txn: &LiveTxn, ds: u32, begin, ops, is_last| StatementRequest {
-            xid: Xid::new(txn.gtrid, ds),
-            begin,
-            ops,
-            is_last,
-            decentralized_prepare: decentralized,
-            early_abort,
-            peers: txn.peers_of(ds),
-            trace_parent: round.span,
+        let gtrid = txn.gtrid;
+        let fill = |request: &mut StatementRequest, involved: &[u32], ds, begin, is_last| {
+            request.xid = Xid::new(gtrid, ds);
+            request.begin = begin;
+            request.is_last = is_last;
+            request.decentralized_prepare = decentralized;
+            request.early_abort = early_abort;
+            request.peers.clear();
+            let peers = involved.iter().copied().filter(|peer| *peer != ds);
+            request.peers.extend(peers);
+            request.trace_parent = trace_parent;
         };
-        let mut requests = Vec::with_capacity(groups.len());
-        for (ds, ops) in &groups {
-            let begin = !txn.scratch.started_branches.contains(ds);
-            let ds_ops = ops.iter().map(|op| Self::to_ds_op(op)).collect();
-            let is_last = decentralized && txn.branch_ends(*ds, round_idx, last);
-            requests.push(request(txn, *ds, begin, ds_ops, is_last));
+        let branches = txn.scratch.groups.len();
+        for idx in 0..branches {
+            let ds = txn.scratch.groups.get(idx).0;
+            let begin = !txn.scratch.started_branches.contains(&ds);
+            let is_last = decentralized && txn.branch_ends(ds, round_idx, last);
+            let TxnScratch {
+                involved,
+                started_branches,
+                groups,
+                requests,
+                ..
+            } = &mut txn.scratch;
+            if requests.len() == idx {
+                requests.push(StatementRequest::simple(Xid::new(0, 0), Vec::new()));
+            }
+            let request = &mut requests[idx];
+            fill(request, involved, ds, begin, is_last);
+            let members = groups.get(idx).1.iter();
+            request
+                .ops
+                .extend(members.map(|&op| Self::to_ds_op(&ops[op])));
             if begin {
-                txn.scratch.started_branches.push(*ds);
+                started_branches.push(ds);
             }
         }
 
         txn.annotated |= decentralized;
-        if decentralized && streaming {
+        if decentralized && txn.plan.is_none() {
             // The stream's `/*+ last */` round ends every started branch.
             // Branches not participating in it get an empty end-of-branch
             // statement, dispatched concurrently with the round itself
             // (their prepare overlaps the round's execution — the
             // interactive shape of the paper's O1). A declared plan never
             // needs one: each branch was told at its own final round.
-            for &ds in &txn.scratch.started_branches {
-                if groups.iter().any(|(g, _)| *g == ds) {
+            let scratch = &txn.scratch;
+            for &ds in &scratch.started_branches {
+                if scratch.groups.iter().any(|(g, _)| g == ds) {
                     continue;
                 }
                 let conn = self.conn(ds).clone();
-                let trigger = request(txn, ds, false, Vec::new(), true);
+                let mut trigger = StatementRequest::simple(Xid::new(0, 0), Vec::new());
+                fill(&mut trigger, &scratch.involved, ds, false, true);
                 spawn(async move {
                     let _ = conn.execute(trigger).await;
                 });
             }
         }
+        branches
+    }
 
-        let mut responses = self.dispatch_round(&groups, requests, &schedule).await;
-        if let Some(error) = self.conclude_if_crashed(txn) {
-            return Err(error);
-        }
-
-        // Feedback + failure handling.
-        let mut failed_here = Vec::new();
-        for ((ds, ops), response) in groups.iter().zip(&responses) {
-            if advanced {
-                let keys = &mut txn.scratch.branch_keys;
+    /// Fold the round's responses into the hotspot footprint (O3) and
+    /// collect the branches whose statement failed.
+    fn round_feedback(&self, txn: &mut LiveTxn, ops: &[ClientOp]) {
+        let scratch = &mut txn.scratch;
+        scratch.failed.clear();
+        for (idx, response) in scratch.responses.iter().enumerate() {
+            let (ds, members) = scratch.groups.get(idx);
+            if self.config.protocol.advanced() {
+                let keys = &mut scratch.branch_keys;
                 keys.clear();
-                keys.extend(ops.iter().map(|op| op.key()));
+                keys.extend(members.iter().map(|&op| ops[op].key()));
                 let mut footprint = self.scheduler.footprint().borrow_mut();
                 footprint.on_subtxn_feedback(keys, response.local_execution_latency);
             }
             if !response.outcome.is_ok() {
-                failed_here.push(*ds);
+                scratch.failed.push(ds);
             }
         }
-        txn.breakdown.execution += round.end();
-
-        if !failed_here.is_empty() {
-            let started = &txn.scratch.started_branches;
-            let rollback = self.phase(txn.gtrid, SpanKind::RollbackDispatch, started.len());
-            self.abort_started_branches(txn.gtrid, started, &failed_here)
-                .await;
-            rollback.end();
-            return Err(self.conclude_aborted(txn, AbortReason::ExecutionFailed, false));
-        }
-
-        // Move the result rows out of the responses (no clones).
-        let mut rows = Vec::new();
-        for response in &mut responses {
-            if let StatementOutcome::Ok { rows: r } = &mut response.outcome {
-                rows.append(r);
-            }
-        }
-        Ok(rows)
     }
 
     /// Commit a live transaction: with the decentralized prepare triggered
@@ -1593,11 +1677,7 @@ impl Middleware {
         if let Some(error) = self.conclude_if_crashed(txn) {
             return error.outcome;
         }
-        let mut outcome = TxnOutcome {
-            gtrid: txn.gtrid,
-            distributed: txn.distributed,
-            ..TxnOutcome::default()
-        };
+        let mut read_only = false;
         let committed = if txn.scratch.involved.is_empty() {
             // An empty transaction commits trivially — nothing was decided.
             Ok(())
@@ -1608,16 +1688,20 @@ impl Middleware {
             // dispatch span either: the trace oracle's flush-before-dispatch
             // rule is about decisions, and this path decides nothing.
             let commit_started = now();
-            let commits = txn.scratch.started_branches.iter().map(|ds| {
-                let conn = self.conn(*ds).clone();
-                let xid = Xid::new(txn.gtrid, *ds);
-                async move { conn.commit_read_only(xid).await }
+            let all_ok = Cell::new(true);
+            let commits = txn.scratch.started_branches.iter().map(|&ds| {
+                let (xid, all_ok) = (Xid::new(txn.gtrid, ds), &all_ok);
+                async move {
+                    if self.conn(ds).commit_read_only(xid).await.is_err() {
+                        all_ok.set(false);
+                    }
+                }
             });
-            let results = join_all(commits.collect()).await;
+            join_all(commits).await;
             txn.breakdown.commit += now().duration_since(commit_started);
             geotp_telemetry::counter_add("mw.readonly_commits", "", self.config.node.index(), 1);
-            outcome.read_only = true;
-            if results.iter().all(Result::is_ok) {
+            read_only = true;
+            if all_ok.get() {
                 Ok(())
             } else {
                 Err(AbortReason::ExecutionFailed)
@@ -1625,10 +1709,18 @@ impl Middleware {
         } else {
             self.commit_phase(txn).await
         };
-        outcome.committed = committed.is_ok();
-        outcome.abort_reason = committed.err();
-        outcome.latency = now().duration_since(txn.started);
-        outcome.breakdown = txn.breakdown;
+        // The outcome is built only now, so it does not wait through the
+        // commit inside this future.
+        let outcome = TxnOutcome {
+            gtrid: txn.gtrid,
+            distributed: txn.distributed,
+            read_only,
+            committed: committed.is_ok(),
+            abort_reason: committed.err(),
+            latency: now().duration_since(txn.started),
+            breakdown: txn.breakdown,
+            ..TxnOutcome::default()
+        };
         self.finish_live(txn, outcome)
     }
 
@@ -1704,5 +1796,15 @@ impl Middleware {
         }
         self.return_scratch(std::mem::take(&mut txn.scratch));
         outcome
+    }
+}
+
+/// Append a round's `rows` to a transaction's: the first rows are moved in
+/// whole, so a single-branch round allocates no second buffer.
+pub(crate) fn append_rows(rows: &mut Vec<geotp_storage::Row>, mut more: Vec<geotp_storage::Row>) {
+    if rows.is_empty() {
+        *rows = more;
+    } else {
+        rows.append(&mut more);
     }
 }

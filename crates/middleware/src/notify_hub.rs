@@ -2,28 +2,67 @@
 //!
 //! Geo-agents push [`AgentNotification`]s (prepare votes, rollback
 //! confirmations) to the middleware over a single mailbox; the hub dispatches
-//! them to the per-transaction state the coordinator is awaiting on.
+//! them to the per-transaction state the coordinator is awaiting on. That
+//! state is recycled: a concluded transaction's vote list, rollback list and
+//! [`Notify`] go back to a free list for the next `register`.
 
 use geotp_simrt::hash::FxHashMap;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use geotp_datasource::{AgentNotification, PrepareVote};
 use geotp_simrt::spawn;
 use geotp_simrt::sync::{mpsc, Notify};
 
+/// Prepare votes by branch (data-source index), each branch at most once, in
+/// arrival order. A handful of branches per transaction: a linear scan beats
+/// hashing, and nothing depends on the order.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Votes(Vec<(u32, PrepareVote)>);
+
+impl Votes {
+    /// The vote of branch `ds`, if it voted.
+    pub fn get(&self, ds: u32) -> Option<PrepareVote> {
+        self.0.iter().find(|(b, _)| *b == ds).map(|(_, vote)| *vote)
+    }
+
+    /// Whether branch `ds` voted.
+    pub fn contains(&self, ds: u32) -> bool {
+        self.0.iter().any(|(b, _)| *b == ds)
+    }
+
+    /// Record `ds`'s vote, replacing an earlier one.
+    pub fn set(&mut self, ds: u32, vote: PrepareVote) {
+        match self.0.iter_mut().find(|(b, _)| *b == ds) {
+            Some(slot) => slot.1 = vote,
+            None => self.0.push((ds, vote)),
+        }
+    }
+
+    /// Whether no branch voted.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Forget every vote, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 /// Per-transaction notification state.
 #[derive(Default)]
 struct TxnState {
-    votes: HashMap<u32, PrepareVote>,
+    votes: Votes,
     rollbacked: Vec<u32>,
-    notify: Rc<Notify>,
+    notify: Notify,
 }
 
 /// The notification hub. One per middleware instance.
 pub struct NotifyHub {
     txns: Rc<RefCell<FxHashMap<u64, TxnState>>>,
+    /// States of concluded transactions, emptied, for the next `register`.
+    free: RefCell<Vec<TxnState>>,
     sender: mpsc::Sender<AgentNotification>,
 }
 
@@ -47,7 +86,7 @@ impl NotifyHub {
                 };
                 match notification {
                     AgentNotification::PrepareResult { xid, vote } => {
-                        state.votes.insert(xid.bqual, vote);
+                        state.votes.set(xid.bqual, vote);
                     }
                     AgentNotification::Rollbacked { xid } => {
                         if !state.rollbacked.contains(&xid.bqual) {
@@ -55,12 +94,16 @@ impl NotifyHub {
                         }
                     }
                 }
-                let notify = Rc::clone(&state.notify);
-                drop(map);
-                notify.notify_waiters();
+                // Waking only queues the waiters' task ids, so the map may
+                // stay borrowed.
+                state.notify.notify_waiters();
             }
         });
-        Rc::new(Self { txns, sender: tx })
+        Rc::new(Self {
+            txns,
+            free: RefCell::new(Vec::new()),
+            sender: tx,
+        })
     }
 
     /// The mailbox sender to register with geo-agents.
@@ -71,27 +114,39 @@ impl NotifyHub {
     /// Register a transaction before dispatching its branches, so that early
     /// notifications are not lost.
     pub fn register(&self, gtrid: u64) {
-        self.txns.borrow_mut().entry(gtrid).or_default();
+        let mut txns = self.txns.borrow_mut();
+        if let std::collections::hash_map::Entry::Vacant(slot) = txns.entry(gtrid) {
+            slot.insert(self.free.borrow_mut().pop().unwrap_or_default());
+        }
     }
 
-    /// Remove a transaction's state once it has completed.
+    /// Remove a transaction's state once it has completed. Nothing waits on
+    /// it any more (its coordinator is the only waiter), so the state is
+    /// emptied and kept for the next transaction.
     pub fn unregister(&self, gtrid: u64) {
-        self.txns.borrow_mut().remove(&gtrid);
+        if let Some(mut state) = self.txns.borrow_mut().remove(&gtrid) {
+            state.votes.clear();
+            state.rollbacked.clear();
+            self.free.borrow_mut().push(state);
+        }
     }
 
-    /// Current votes for a transaction. A branch that confirmed its
-    /// rollback counts as a [`PrepareVote::RollbackOnly`] (an implicit
-    /// no-vote) unless it voted first.
-    pub fn votes(&self, gtrid: u64) -> HashMap<u32, PrepareVote> {
+    /// Current votes for a transaction, written into `out` (cleared first).
+    /// A branch that confirmed its rollback counts as a
+    /// [`PrepareVote::RollbackOnly`] (an implicit no-vote) unless it voted
+    /// first.
+    pub fn votes_into(&self, gtrid: u64, out: &mut Votes) {
+        out.clear();
         let map = self.txns.borrow();
         let Some(state) = map.get(&gtrid) else {
-            return HashMap::new();
+            return;
         };
-        let mut votes = state.votes.clone();
+        out.0.extend_from_slice(&state.votes.0);
         for b in &state.rollbacked {
-            votes.entry(*b).or_insert(PrepareVote::RollbackOnly);
+            if !out.contains(*b) {
+                out.0.push((*b, PrepareVote::RollbackOnly));
+            }
         }
-        votes
     }
 
     /// Branches that have confirmed rollback for a transaction.
@@ -107,7 +162,7 @@ impl NotifyHub {
     /// the transaction is unregistered).
     async fn wait_until(&self, gtrid: u64, done: impl Fn(&TxnState) -> bool) {
         loop {
-            let notify = {
+            let notified = {
                 let map = self.txns.borrow();
                 let Some(state) = map.get(&gtrid) else {
                     return;
@@ -115,21 +170,21 @@ impl NotifyHub {
                 if done(state) {
                     return;
                 }
-                Rc::clone(&state.notify)
+                state.notify.notified()
             };
-            notify.notified().await;
+            notified.await;
         }
     }
 
     /// Wait until all `branches` have reported a prepare vote (or a rollback,
-    /// which counts as an implicit no-vote). Returns the votes.
-    pub async fn wait_for_votes(&self, gtrid: u64, branches: &[u32]) -> HashMap<u32, PrepareVote> {
+    /// which counts as an implicit no-vote), then write the votes into `out`.
+    pub async fn wait_for_votes(&self, gtrid: u64, branches: &[u32], out: &mut Votes) {
         self.wait_until(gtrid, |state| {
-            let voted = |b: &u32| state.votes.contains_key(b) || state.rollbacked.contains(b);
+            let voted = |b: &u32| state.votes.contains(*b) || state.rollbacked.contains(b);
             branches.iter().all(voted)
         })
         .await;
-        self.votes(gtrid)
+        self.votes_into(gtrid, out);
     }
 
     /// Wait until all `branches` have confirmed rollback (the early-abort
@@ -172,11 +227,17 @@ mod tests {
                     })
                     .unwrap();
             });
-            let votes = hub.wait_for_votes(5, &[0, 1]).await;
-            assert_eq!(votes.get(&0), Some(&PrepareVote::Prepared));
-            assert_eq!(votes.get(&1), Some(&PrepareVote::Failure));
+            let mut votes = Votes::default();
+            hub.wait_for_votes(5, &[0, 1], &mut votes).await;
+            assert_eq!(votes.get(0), Some(PrepareVote::Prepared));
+            assert_eq!(votes.get(1), Some(PrepareVote::Failure));
             hub.unregister(5);
-            assert!(hub.votes(5).is_empty());
+            hub.votes_into(5, &mut votes);
+            assert!(votes.is_empty());
+            // The next transaction starts from a recycled, empty state.
+            hub.register(6);
+            hub.votes_into(6, &mut votes);
+            assert!(votes.is_empty() && hub.rollbacked(6).is_empty());
         });
     }
 
@@ -195,8 +256,9 @@ mod tests {
                     })
                     .unwrap();
             });
-            let votes = hub.wait_for_votes(9, &[2]).await;
-            assert_eq!(votes.get(&2), Some(&PrepareVote::RollbackOnly));
+            let mut votes = Votes::default();
+            hub.wait_for_votes(9, &[2], &mut votes).await;
+            assert_eq!(votes.get(2), Some(PrepareVote::RollbackOnly));
             assert_eq!(hub.rollbacked(9), vec![2]);
         });
     }

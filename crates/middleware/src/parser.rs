@@ -22,7 +22,7 @@
 //! plain `SELECT` into `SELECT ... FOR SHARE` for PostgreSQL data sources as
 //! the paper's setup does.
 
-use std::collections::HashMap;
+use geotp_simrt::hash::FxHashMap;
 use std::fmt;
 
 use geotp_datasource::Dialect;
@@ -72,7 +72,7 @@ impl std::error::Error for ParseError {}
 /// Maps table names to [`TableId`]s.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
-    tables: HashMap<String, TableId>,
+    tables: FxHashMap<String, TableId>,
     next_id: u16,
 }
 

@@ -7,6 +7,51 @@
 
 use crate::ops::{ClientOp, GlobalKey};
 
+/// A round's operations split per data source, as indices into the round:
+/// groups in data-source order, each group's operations in round order.
+/// Filled by [`Partitioner::split_into`]; the buffers are kept across
+/// rounds, so a coordinator's steady state splits without allocating.
+#[derive(Debug, Default, Clone)]
+pub struct RoundGroups {
+    /// `(data source, end of its members)`, in data-source order.
+    bounds: Vec<(u32, usize)>,
+    /// Operation indices, grouped.
+    members: Vec<usize>,
+}
+
+impl RoundGroups {
+    /// Number of groups (branches of the round).
+    pub fn len(&self) -> usize {
+        self.bounds.len()
+    }
+
+    /// Whether the round touched no data source.
+    pub fn is_empty(&self) -> bool {
+        self.bounds.is_empty()
+    }
+
+    /// Group `group`: its data source and its operation indices.
+    pub fn get(&self, group: usize) -> (u32, &[usize]) {
+        let start = group.checked_sub(1).map_or(0, |prev| self.bounds[prev].1);
+        let (ds, end) = self.bounds[group];
+        (ds, &self.members[start..end])
+    }
+
+    /// The groups in data-source order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[usize])> + '_ {
+        (0..self.len()).map(|group| self.get(group))
+    }
+
+    /// Stable-sort each group's operations by `key`.
+    pub fn sort_each_by_key<K: Ord>(&mut self, mut key: impl FnMut(usize) -> K) {
+        let mut start = 0;
+        for &(_, end) in &self.bounds {
+            self.members[start..end].sort_by_key(|&op| key(op));
+            start = end;
+        }
+    }
+}
+
 /// Partitioning strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Partitioner {
@@ -67,16 +112,32 @@ impl Partitioner {
     /// operation order within each group. Returns `(ds_index, ops)` pairs
     /// sorted by data-source index.
     pub fn split<'a>(&self, ops: &'a [ClientOp]) -> Vec<(u32, Vec<&'a ClientOp>)> {
-        let mut groups: Vec<(u32, Vec<&ClientOp>)> = Vec::new();
+        let mut groups = RoundGroups::default();
+        self.split_into(ops, &mut groups);
+        groups
+            .iter()
+            .map(|(ds, members)| (ds, members.iter().map(|&op| &ops[op]).collect()))
+            .collect()
+    }
+
+    /// [`Partitioner::split`] into reusable buffers: the same groups, as
+    /// indices into `ops`.
+    pub fn split_into(&self, ops: &[ClientOp], groups: &mut RoundGroups) {
+        groups.bounds.clear();
+        groups.members.clear();
         for op in ops {
             let ds = self.route(op.key());
-            match groups.iter_mut().find(|(idx, _)| *idx == ds) {
-                Some((_, list)) => list.push(op),
-                None => groups.push((ds, vec![op])),
+            if !groups.bounds.iter().any(|(idx, _)| *idx == ds) {
+                groups.bounds.push((ds, 0));
             }
         }
-        groups.sort_by_key(|(idx, _)| *idx);
-        groups
+        groups.bounds.sort_unstable_by_key(|(idx, _)| *idx);
+        for (ds, end) in groups.bounds.iter_mut() {
+            let routed_here = |(_, op): &(usize, &ClientOp)| self.route(op.key()) == *ds;
+            let members = ops.iter().enumerate().filter(routed_here);
+            groups.members.extend(members.map(|(idx, _)| idx));
+            *end = groups.members.len();
+        }
     }
 
     /// The distinct data sources a set of keys touches.

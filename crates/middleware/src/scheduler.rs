@@ -46,8 +46,8 @@ pub struct Schedule {
 /// Outcome of trying to schedule a transaction under late scheduling.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdmissionDecision {
-    /// Dispatch with the given postpone amounts.
-    Admit(Schedule),
+    /// Dispatch with the postpone amounts written into the caller's buffer.
+    Admit,
     /// Refuse admission (predicted abort rate too high, retries exhausted);
     /// the transaction should abort and be retried by the client.
     Reject {
@@ -140,29 +140,43 @@ impl GeoScheduler {
 
     /// Compute the postpone schedule for one round of branches (Eq. 3 / Eq. 8).
     pub fn schedule(&self, branches: &[BranchPlan]) -> Schedule {
-        let latencies: Vec<Duration> = branches.iter().map(|b| self.branch_latency(b)).collect();
-        let horizon = latencies.iter().copied().max().unwrap_or(Duration::ZERO);
-        let postpone = if self.latency_scheduling && branches.len() > 1 {
-            latencies
-                .iter()
-                .map(|lat| horizon.saturating_sub(*lat))
-                .collect()
-        } else {
-            vec![Duration::ZERO; branches.len()]
-        };
+        let mut postpone = Vec::with_capacity(branches.len());
+        self.schedule_into(branches, &mut postpone);
         Schedule { postpone }
     }
 
-    /// Algorithm 2: admission control plus scheduling. Returns how long each
-    /// branch should be postponed, or a rejection when the predicted abort
-    /// rate stays too high across 10 retried lottery draws.
+    /// [`GeoScheduler::schedule`] into a caller's buffer (cleared first):
+    /// the postpone of each branch, in plan order.
+    pub fn schedule_into(&self, branches: &[BranchPlan], postpone: &mut Vec<Duration>) {
+        postpone.clear();
+        postpone.extend(branches.iter().map(|b| self.branch_latency(b)));
+        let horizon = postpone.iter().copied().max().unwrap_or(Duration::ZERO);
+        let latency_scheduling = self.latency_scheduling && branches.len() > 1;
+        for slot in postpone.iter_mut() {
+            *slot = if latency_scheduling {
+                horizon.saturating_sub(*slot)
+            } else {
+                Duration::ZERO
+            };
+        }
+    }
+
+    /// Algorithm 2: admission control plus scheduling. On admission the
+    /// postpone of each branch is written into `postpone` (as by
+    /// [`GeoScheduler::schedule_into`]); a rejection comes when the
+    /// predicted abort rate stays too high across 10 retried lottery draws.
     ///
     /// The returned `attempts` count lets the coordinator charge a 2 ms
     /// backoff per attempt to the transaction's latency.
-    pub fn schedule_with_admission(&self, branches: &[BranchPlan]) -> AdmissionDecision {
+    pub fn schedule_with_admission(
+        &self,
+        branches: &[BranchPlan],
+        postpone: &mut Vec<Duration>,
+    ) -> AdmissionDecision {
         if !self.advanced {
             *self.admissions.borrow_mut() += 1;
-            return AdmissionDecision::Admit(self.schedule(branches));
+            self.schedule_into(branches, postpone);
+            return AdmissionDecision::Admit;
         }
         let mut all_keys = self.keys_scratch.borrow_mut();
         all_keys.clear();
@@ -176,7 +190,8 @@ impl GeoScheduler {
             let draw: f64 = self.rng.borrow_mut().gen();
             if success_p >= draw {
                 *self.admissions.borrow_mut() += 1;
-                return AdmissionDecision::Admit(self.schedule(branches));
+                self.schedule_into(branches, postpone);
+                return AdmissionDecision::Admit;
             }
             if attempts > MAX_ADMISSION_RETRIES {
                 *self.rejections.borrow_mut() += 1;
@@ -305,7 +320,9 @@ mod tests {
                 }
                 // 20 transactions still accessing it, success ratio 2%.
             }
-            let decision = sched.schedule_with_admission(&[plan(0, &[7]), plan(1, &[8])]);
+            let mut postpone = Vec::new();
+            let plans = [plan(0, &[7]), plan(1, &[8])];
+            let decision = sched.schedule_with_admission(&plans, &mut postpone);
             match decision {
                 AdmissionDecision::Reject { attempts } => {
                     assert_eq!(attempts, MAX_ADMISSION_RETRIES + 1)
@@ -322,8 +339,11 @@ mod tests {
         rt.block_on(async {
             let mon = monitor(&[10, 100]);
             let sched = GeoScheduler::new(SchedulerConfig::default(), mon, true, true);
-            let decision = sched.schedule_with_admission(&[plan(0, &[1]), plan(1, &[2])]);
-            assert!(matches!(decision, AdmissionDecision::Admit(_)));
+            let mut postpone = Vec::new();
+            let plans = [plan(0, &[1]), plan(1, &[2])];
+            let decision = sched.schedule_with_admission(&plans, &mut postpone);
+            assert_eq!(decision, AdmissionDecision::Admit);
+            assert_eq!(postpone, sched.schedule(&plans).postpone);
             assert_eq!(sched.admission_counters(), (1, 0));
         });
     }

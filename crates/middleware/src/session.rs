@@ -90,7 +90,7 @@ use geotp_storage::Row;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::coordinator::{LiveTxn, Middleware};
+use crate::coordinator::{append_rows, LiveTxn, Middleware};
 use crate::metrics::{AbortReason, TxnOutcome};
 use crate::ops::{ClientOp, TransactionSpec};
 use crate::parser::{ParseError, TxnControl};
@@ -404,7 +404,7 @@ impl Session {
             }
             let last = spec.annotate_last && idx + 1 == rounds;
             match txn.execute_round(round, last).await {
-                Ok(mut result) => rows.append(&mut result.rows),
+                Ok(result) => append_rows(&mut rows, result.rows),
                 Err(error) => return error.outcome,
             }
         }
@@ -597,18 +597,25 @@ impl Middleware {
     ) -> Result<Box<dyn TxnHandle>, TxnError> {
         let connected = now();
         let hop_in = client_hop(&self, client, true).await;
-        let mut live = self.begin_live(session).await?;
-        live.backdate(connected);
-        live.note_client_rtt(hop_in);
-        let hop_out = client_hop(&self, client, false).await;
-        live.note_client_rtt(hop_out);
-        live.note_queue_time(queued);
-        Ok(Box::new(MiddlewareTxn {
-            mw: self,
-            client,
-            state: Ok(live),
-            _permit: permit,
-        }))
+        // Boxed before the hop back: the handle, not the whole transaction,
+        // waits in this future.
+        let mut txn = {
+            let mut live = self.begin_live(session).await?;
+            live.backdate(connected);
+            live.note_client_rtt(hop_in);
+            live.note_queue_time(queued);
+            Box::new(MiddlewareTxn {
+                mw: self,
+                client,
+                state: Ok(live),
+                _permit: permit,
+            })
+        };
+        let hop_out = client_hop(&txn.mw, client, false).await;
+        if let Ok(live) = &mut txn.state {
+            live.note_client_rtt(hop_out);
+        }
+        Ok(txn)
     }
 }
 
@@ -681,6 +688,19 @@ async fn client_hop(mw: &Rc<Middleware>, client: Option<NodeId>, inbound: bool) 
     now().duration_since(started)
 }
 
+/// The outcome's hop back to the client, charged to its latency. Its own
+/// future, so the outcome waits for the hop in the space the commit used.
+async fn reply_hop(
+    mw: &Rc<Middleware>,
+    client: Option<NodeId>,
+    mut outcome: TxnOutcome,
+) -> TxnOutcome {
+    let hop_out = client_hop(mw, client, false).await;
+    outcome.latency += hop_out;
+    outcome.breakdown.client_rtt += hop_out;
+    outcome
+}
+
 /// The middleware's transaction handle, whichever door began it.
 struct MiddlewareTxn {
     mw: Rc<Middleware>,
@@ -701,20 +721,20 @@ impl MiddlewareTxn {
         let round_started = now();
         let hop_in = client_hop(&self.mw, self.client, true).await;
         live.note_client_rtt(hop_in);
-        match self.mw.execute_live(live, ops, last).await {
-            Ok(rows) => {
-                let hop_out = client_hop(&self.mw, self.client, false).await;
-                live.note_client_rtt(hop_out);
-                Ok(RoundResult {
-                    rows,
-                    latency: now().duration_since(round_started),
-                })
-            }
+        // Only the rows wait for the hop back, not the whole result.
+        let rows = match self.mw.execute_live(live, ops, last).await {
+            Ok(rows) => rows,
             Err(error) => {
                 self.state = Err(error.clone());
-                Err(error)
+                return Err(error);
             }
-        }
+        };
+        let hop_out = client_hop(&self.mw, self.client, false).await;
+        live.note_client_rtt(hop_out);
+        Ok(RoundResult {
+            rows,
+            latency: now().duration_since(round_started),
+        })
     }
 
     /// Commit (or roll back), paying the client↔middleware hop each way. A
@@ -726,15 +746,12 @@ impl MiddlewareTxn {
         };
         let hop_in = client_hop(&self.mw, self.client, true).await;
         live.note_client_rtt(hop_in);
-        let mut outcome = if commit {
+        let outcome = if commit {
             self.mw.commit_live(live).await
         } else {
             self.mw.rollback_live(live).await
         };
-        let hop_out = client_hop(&self.mw, self.client, false).await;
-        outcome.latency += hop_out;
-        outcome.breakdown.client_rtt += hop_out;
-        outcome
+        reply_hop(&self.mw, self.client, outcome).await
     }
 
     /// The client poisoned the transaction: roll it back so the reported
@@ -824,6 +841,73 @@ impl TxnHandle for MiddlewareTxn {
         match &self.state {
             Ok(live) => live.gtrid(),
             Err(failed) => failed.outcome.gtrid,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{GlobalKey, MiddlewareConfig, Partitioner, Protocol};
+    use geotp_datasource::{DataSource, DataSourceConfig, DsConnection, StatementRequest};
+    use geotp_net::NetworkBuilder;
+    use geotp_simrt::Runtime;
+    use geotp_storage::{TableId, Xid};
+    use std::mem::size_of_val;
+
+    /// The unpolled futures of the round path, in bytes, against the sizes
+    /// they were slimmed to (from 2 640 / 1 464 / 2 360 / 1 864 / 744). Every
+    /// round boxes `run_round` and every commit boxes `conclude`; a
+    /// parameter or child future kept across an await where it was not
+    /// (a `round_trip` that holds its work twice) grows them by hundreds of
+    /// bytes and fails here.
+    #[test]
+    fn round_path_futures_stay_slim() {
+        let mut rt = Runtime::new();
+        let sizes = rt.block_on(async {
+            let dm = NodeId::middleware(0);
+            let node = NodeId::data_source(0);
+            let net = NetworkBuilder::new(1)
+                .static_link(dm, node, Duration::from_millis(10))
+                .build();
+            let ds = DataSource::new(DataSourceConfig::new(node), Rc::clone(&net));
+            let partitioner = Partitioner::Range {
+                rows_per_node: 100,
+                nodes: 1,
+            };
+            let config = MiddlewareConfig::new(dm, Protocol::geotp(), partitioner);
+            let mw = Middleware::connect(config, Rc::clone(&net), &[Rc::clone(&ds)], None);
+            mw.register_session(1);
+            let live = mw.begin_live(1).await.expect("a registered session");
+            let mut txn = MiddlewareTxn {
+                mw: Rc::clone(&mw),
+                client: None,
+                state: Ok(live),
+                _permit: None,
+            };
+            let ops = [ClientOp::add(GlobalKey::new(TableId(0), 1), 1)];
+            let run_round = size_of_val(&txn.run_round(&ops, true));
+            let conclude = size_of_val(&txn.conclude(true));
+            let Ok(live) = &mut txn.state else {
+                unreachable!("nothing ran")
+            };
+            let execute_live = size_of_val(&mw.execute_live(live, &ops, true));
+            let conn = DsConnection::new(dm, ds, net);
+            let request = StatementRequest::simple(Xid::new(1, 0), Vec::new());
+            let execute = size_of_val(&conn.execute(&request));
+            let commit = size_of_val(&conn.commit(Xid::new(1, 0), false));
+            [
+                ("MiddlewareTxn::run_round", run_round),
+                ("MiddlewareTxn::conclude", conclude),
+                ("Middleware::execute_live", execute_live),
+                ("DsConnection::execute", execute),
+                ("DsConnection::commit", commit),
+            ]
+        });
+        println!("{sizes:?}");
+        let limits = [824, 640, 752, 440, 312];
+        for ((future, size), limit) in sizes.into_iter().zip(limits) {
+            assert!(size <= limit, "{future}: {size} B, more than {limit} B");
         }
     }
 }

@@ -8,8 +8,8 @@
 //! source that pings over the simulated network and publishes an EWMA RTT
 //! estimate the geo-scheduler reads.
 
+use geotp_simrt::hash::FxHashMap;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -28,7 +28,7 @@ const EWMA_ALPHA: f64 = 0.8;
 /// Published RTT estimates from a middleware node to each data source.
 pub struct LatencyMonitor {
     from: NodeId,
-    estimates: RefCell<HashMap<NodeId, Duration>>,
+    estimates: RefCell<FxHashMap<NodeId, Duration>>,
 }
 
 impl LatencyMonitor {

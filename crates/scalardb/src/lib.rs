@@ -316,8 +316,11 @@ impl ScalarDbTxn {
                         .collect(),
                 })
                 .collect();
-            if let AdmissionDecision::Reject { .. } =
-                cluster.scheduler.schedule_with_admission(&plans)
+            // Admission only: the rounds are scheduled as they come.
+            let mut postpone = Vec::new();
+            if let AdmissionDecision::Reject { .. } = cluster
+                .scheduler
+                .schedule_with_admission(&plans, &mut postpone)
             {
                 return Err(self.fail(AbortReason::AdmissionRejected));
             }
@@ -370,8 +373,7 @@ impl ScalarDbTxn {
                     })
                     .await
                 }
-            })
-            .collect();
+            });
         let mut rows = Vec::new();
         for row in join_all(batches).await.into_iter().flatten() {
             match row {
@@ -417,8 +419,7 @@ impl ScalarDbTxn {
                     })
                     .await
                 }
-            })
-            .collect();
+            });
         join_all(prepares).await;
         let status_ds = self.involved.first().copied().unwrap_or(0);
         cluster.round_trip(status_ds, |_| ()).await;

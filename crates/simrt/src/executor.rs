@@ -429,14 +429,46 @@ where
     F::Output: 'static,
 {
     let state = Rc::new(RefCell::new(JoinState::new()));
-    let state_clone = Rc::clone(&state);
-    with_current(|inner| {
-        inner.spawn_inner(Box::pin(async move {
-            let out = fut.await;
-            JoinState::complete(&state_clone, out);
-        }));
-    });
+    let task = Task {
+        fut: Some(fut),
+        state: Rc::clone(&state),
+    };
+    with_current(|inner| inner.spawn_inner(Box::pin(task)));
     JoinHandle::new(state)
+}
+
+/// A spawned task's future: the caller's future beside its handle's
+/// completion slot. Written out rather than as an `async` block, which would
+/// keep the future twice (once captured, once as the awaited value) and
+/// double every task's allocation.
+struct Task<F: Future> {
+    /// `None` once finished: the future is dropped before its output is
+    /// published, as at the end of an `.await`.
+    fut: Option<F>,
+    state: Rc<RefCell<JoinState<F::Output>>>,
+}
+
+impl<F: Future> Future for Task<F> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // SAFETY: `fut` is structurally pinned: it is never moved out of the
+        // pinned `Task`, only dropped in place (by the assignment below or
+        // with the task), and `Task` has no `Drop` impl of its own.
+        let this = unsafe { self.get_unchecked_mut() };
+        let Some(fut) = this.fut.as_mut() else {
+            return Poll::Ready(());
+        };
+        // SAFETY: see above.
+        match unsafe { Pin::new_unchecked(fut) }.poll(cx) {
+            Poll::Ready(out) => {
+                this.fut = None;
+                JoinState::complete(&this.state, out);
+                Poll::Ready(())
+            }
+            Poll::Pending => Poll::Pending,
+        }
+    }
 }
 
 /// Current virtual time of the active runtime, as a [`SimInstant`].

@@ -3,10 +3,10 @@
 use std::fmt;
 use std::future::{poll_fn, Future};
 use std::pin::{pin, Pin};
-use std::task::Poll;
+use std::task::{Context, Poll};
 use std::time::Duration;
 
-use crate::time::sleep;
+use crate::time::{sleep, Sleep};
 
 /// Error returned by [`timeout`] when the deadline elapsed first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,19 +24,38 @@ impl std::error::Error for Elapsed {}
 ///
 /// Returns `Ok(output)` if the future completes first, `Err(Elapsed)` if the
 /// timer fires first. The inner future is dropped on timeout, cancelling it.
-pub async fn timeout<F: Future>(dur: Duration, fut: F) -> Result<F::Output, Elapsed> {
-    let mut fut = pin!(fut);
-    let mut deadline = pin!(sleep(dur));
-    poll_fn(|cx| {
-        if let Poll::Ready(out) = fut.as_mut().poll(cx) {
+pub fn timeout<F: Future>(dur: Duration, fut: F) -> Timeout<F> {
+    Timeout {
+        fut,
+        deadline: sleep(dur),
+    }
+}
+
+/// Future returned by [`timeout`]: the inner future and its deadline side by
+/// side, nothing else (a lock wait's is 56 bytes). Each poll polls the inner
+/// future first, then the deadline, whose clock starts at the first poll.
+pub struct Timeout<F> {
+    fut: F,
+    deadline: Sleep,
+}
+
+impl<F: Future> Future for Timeout<F> {
+    type Output = Result<F::Output, Elapsed>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        // SAFETY: `fut` is structurally pinned — it is never moved out of
+        // the pinned `Timeout`, which has no `Drop` impl and is `Unpin` only
+        // when `F` is; `deadline` is `Unpin` and needs no pinning.
+        let this = unsafe { self.get_unchecked_mut() };
+        // SAFETY: see above.
+        if let Poll::Ready(out) = unsafe { Pin::new_unchecked(&mut this.fut) }.poll(cx) {
             return Poll::Ready(Ok(out));
         }
-        if deadline.as_mut().poll(cx).is_ready() {
+        if Pin::new(&mut this.deadline).poll(cx).is_ready() {
             return Poll::Ready(Err(Elapsed));
         }
         Poll::Pending
-    })
-    .await
+    }
 }
 
 /// Result of [`race`]: which future finished first.
@@ -72,11 +91,18 @@ pub async fn race<A: Future, B: Future>(a: A, b: B) -> Either<A::Output, B::Outp
 /// Spawned tasks progress on their own — to join many, await their
 /// [`JoinHandle`](crate::JoinHandle)s one after another instead.
 ///
-/// The futures, then their outputs, live in one boxed slice: joining costs
-/// that allocation plus the returned `Vec`. Futures are polled, and dropped
-/// when the join is cancelled, in index order.
-pub async fn join_all<F: Future>(futures: Vec<F>) -> Vec<F::Output> {
-    let slots: Box<[Slot<F>]> = futures.into_iter().map(Slot::Pending).collect();
+/// The futures are built straight into one boxed slice from the exact-size
+/// iterator (no caller `Vec`, no second copy), and their outputs replace
+/// them there: joining costs that allocation plus the returned `Vec`, which
+/// allocates nothing when the output is zero-sized. Futures are polled, and
+/// dropped when the join is cancelled, in index order.
+pub async fn join_all<I>(futures: I) -> Vec<<I::Item as Future>::Output>
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Future,
+{
+    let slots: Box<[Slot<I::Item>]> = futures.into_iter().map(Slot::Pending).collect();
     let mut slots = Box::into_pin(slots);
     poll_fn(move |cx| {
         // SAFETY: the slots are never moved out of the boxed slice (which

@@ -52,7 +52,7 @@ mod timer_heap;
 
 pub use builder::RuntimeBuilder;
 pub use executor::{spawn, RunMetrics, Runtime};
-pub use future_util::{join_all, race, timeout, yield_now, Either, Elapsed};
+pub use future_util::{join_all, race, timeout, yield_now, Either, Elapsed, Timeout};
 pub use handle::{handle, try_handle, RuntimeHandle};
 pub use task::JoinHandle;
 pub use time::{now, sleep, sleep_until, SimInstant, Sleep};

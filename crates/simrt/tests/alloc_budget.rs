@@ -5,8 +5,9 @@
 //! queue, the timer heap and the notify queues to their steady size, so what
 //! is left is the per-operation cost: two allocations per spawn (the task's
 //! future and its handle's completion slot), none for a waker,
-//! two per `join_all` besides the caller's `Vec` (the futures' boxed slice
-//! and the returned `Vec`), and none for `notify_waiters`.
+//! two per `join_all` over an iterator (the futures' boxed slice and the
+//! returned `Vec`; one when the output is zero-sized), and none for
+//! `notify_waiters`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -133,19 +134,24 @@ fn waker_clone_wake_and_drop_cost_nothing() {
 }
 
 #[test]
-fn join_all_costs_two_allocations_beyond_the_callers_vec() {
-    for n in [2u64, 4] {
-        let (outs, cost) = on_warm_runtime(|| async move {
-            let futs: Vec<_> = (0..n)
-                .map(|i| async move {
-                    sleep(Duration::from_micros(10 * (n - i))).await;
-                    i
-                })
-                .collect();
-            allocations_in(join_all(futs)).await
+fn join_all_costs_its_slots_plus_its_output_vec() {
+    for n in [2u32, 4] {
+        // The futures are built from the iterator straight into the join's
+        // slots: no caller `Vec` to allocate and copy them out of.
+        let ((outs, units), costs) = on_warm_runtime(|| async move {
+            let micros = |i: u32| Duration::from_micros(10 * u64::from(n - i));
+            let (outs, valued) = allocations_in(join_all((0..n).map(|i| async move {
+                sleep(micros(i)).await;
+                i
+            })))
+            .await;
+            // A zero-sized output needs no output buffer.
+            let (units, unit) = allocations_in(join_all((0..n).map(|i| sleep(micros(i))))).await;
+            ((outs, units.len()), [valued, unit])
         });
         assert_eq!(outs, (0..n).collect::<Vec<_>>());
-        assert_eq!(cost, 2, "join_all over {n} futures");
+        assert_eq!(units, n as usize);
+        assert_eq!(costs, [2, 1], "join_all over {n} futures");
     }
 }
 

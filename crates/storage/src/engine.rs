@@ -165,12 +165,15 @@ pub struct EngineStats {
     pub group_commit_aborted_waits: u64,
 }
 
+/// A branch's uncommitted writes (see [`TxnEntry`]).
+type WriteSet = Vec<(Key, Option<Row>)>;
+
 struct TxnEntry {
     state: XaState,
     /// The branch's uncommitted writes, one per key in first-write order:
     /// the value it last wrote (`None` = deleted). Commit applies them to
     /// the record pages; rollback drops them.
-    writes: Vec<(Key, Option<Row>)>,
+    writes: WriteSet,
     /// When the branch acquired its first lock. (Per-key release bookkeeping
     /// lives in the lock manager's own per-transaction index.)
     first_lock_at: Option<SimInstant>,
@@ -217,6 +220,9 @@ pub struct StorageEngine {
     locks: Rc<LockManager>,
     wal: WriteAheadLog,
     txns: RefCell<FxHashMap<Xid, TxnEntry>>,
+    /// Emptied write sets of finished branches, handed to the next `begin`:
+    /// a branch's first write does not allocate in the steady state.
+    spare_write_sets: RefCell<Vec<WriteSet>>,
     config: EngineConfig,
     stats: RefCell<EngineStats>,
     crashed: Cell<bool>,
@@ -244,6 +250,7 @@ impl StorageEngine {
             locks: LockManager::new(config.lock_wait_timeout),
             wal: WriteAheadLog::new(),
             txns: RefCell::new(FxHashMap::default()),
+            spare_write_sets: RefCell::new(Vec::new()),
             config,
             stats: RefCell::new(EngineStats::default()),
             crashed: Cell::new(false),
@@ -340,7 +347,7 @@ impl StorageEngine {
         }
         let entry = TxnEntry {
             state: XaState::Active,
-            writes: Vec::new(),
+            writes: self.spare_write_sets.borrow_mut().pop().unwrap_or_default(),
             first_lock_at: None,
             reads: Vec::new(),
             snapshot_ts: None,
@@ -362,18 +369,29 @@ impl StorageEngine {
         }
     }
 
-    async fn lock(&self, xid: Xid, key: Key, mode: LockMode) -> Result<(), StorageError> {
-        match self.locks.acquire(xid, key, mode).await {
-            Ok(()) => {
-                let mut txns = self.txns.borrow_mut();
-                if let Some(entry) = txns.get_mut(&xid) {
-                    if entry.first_lock_at.is_none() {
-                        entry.first_lock_at = Some(now());
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an `async fn` keeps each parameter twice in its future, which nests in every statement's"
+    )]
+    fn lock(
+        &self,
+        xid: Xid,
+        key: Key,
+        mode: LockMode,
+    ) -> impl Future<Output = Result<(), StorageError>> + '_ {
+        async move {
+            match self.locks.acquire(xid, key, mode).await {
+                Ok(()) => {
+                    let mut txns = self.txns.borrow_mut();
+                    if let Some(entry) = txns.get_mut(&xid) {
+                        if entry.first_lock_at.is_none() {
+                            entry.first_lock_at = Some(now());
+                        }
                     }
+                    Ok(())
                 }
-                Ok(())
+                Err(reason) => Err(StorageError::LockFailed { key, reason }),
             }
-            Err(reason) => Err(StorageError::LockFailed { key, reason }),
         }
     }
 
@@ -398,72 +416,84 @@ impl StorageEngine {
     /// locked read returns the committed head, and a plain read under an
     /// MVCC level returns the version visible to its pinned snapshot
     /// (`SnapshotRead`) or the head as of now (`ReadCommitted`).
-    async fn read_as(&self, xid: Xid, key: Key, for_update: bool) -> Result<Row, StorageError> {
-        self.check_available()?;
-        self.active(xid)?;
-        let lock_free = !for_update && self.mvcc_enabled();
-        let lock = if for_update {
-            Some(LockMode::Exclusive)
-        } else if lock_free || self.bypass_read_lock() {
-            None
-        } else {
-            Some(LockMode::Shared)
-        };
-        if let Some(mode) = lock {
-            self.lock(xid, key, mode).await?;
-        }
-        sleep(self.config.cost.statement_execute).await;
-        // Re-check after the awaits: the branch may have been aborted (early
-        // abort from a peer geo-agent) while this statement was in flight.
-        let own = self.active(xid)?.written(key).cloned();
-        self.stats.borrow_mut().reads += 1;
-        // Read-your-writes creates no inter-transaction dependency and is
-        // never recorded.
-        if let Some(own) = own {
-            return own.ok_or(StorageError::KeyNotFound(key));
-        }
-        let visible = if lock_free {
-            self.stats.borrow_mut().snapshot_reads += 1;
-            match self.config.isolation {
-                IsolationLevel::SnapshotRead => {
-                    let ts = self.snapshot_ts_of(xid);
-                    self.versions.read_at(key, ts)
-                }
-                _ => Some(Visible::Head),
-            }
-        } else {
-            Some(Visible::Head)
-        };
-        let (row, version) = match visible {
-            Some(Visible::Superseded(v)) => (v.row, Some(v.version)),
-            // A 2PL plain read that skipped its lock (the fail point) sees
-            // the uncommitted value of whichever branch holds the key.
-            Some(Visible::Head) if lock.is_none() && !lock_free => {
-                let txns = self.txns.borrow();
-                let dirty = txns.values().find_map(|e| e.written(key)).cloned();
-                let head = || self.records.borrow().get(&key).cloned();
-                (dirty.unwrap_or_else(head), None)
-            }
-            Some(Visible::Head) => (self.records.borrow().get(&key).cloned(), None),
-            None => (None, None),
-        };
-        let row = row.ok_or(StorageError::KeyNotFound(key))?;
-        if self.config.record_history {
-            // Exact duplicates are dropped; two observations that *differ*
-            // at one version are both kept, as evidence for the checker.
-            let version = version.unwrap_or_else(|| self.versions.head_version(key).unwrap_or(0));
-            let observed = VersionedValue {
-                version,
-                fingerprint: row_fingerprint(&row),
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an `async fn` keeps each parameter twice in its future, which nests in every statement's"
+    )]
+    fn read_as(
+        &self,
+        xid: Xid,
+        key: Key,
+        for_update: bool,
+    ) -> impl Future<Output = Result<Row, StorageError>> + '_ {
+        async move {
+            self.check_available()?;
+            self.active(xid)?;
+            let lock_free = !for_update && self.mvcc_enabled();
+            let lock = if for_update {
+                Some(LockMode::Exclusive)
+            } else if lock_free || self.bypass_read_lock() {
+                None
+            } else {
+                Some(LockMode::Shared)
             };
-            let read = ReadAccess { key, observed };
-            let mut txns = self.txns.borrow_mut();
-            let reads = txns.get_mut(&xid).map(|e| &mut e.reads);
-            if let Some(reads) = reads.filter(|reads| !reads.contains(&read)) {
-                reads.push(read);
+            if let Some(mode) = lock {
+                self.lock(xid, key, mode).await?;
             }
+            sleep(self.config.cost.statement_execute).await;
+            // Re-check after the awaits: the branch may have been aborted (early
+            // abort from a peer geo-agent) while this statement was in flight.
+            let own = self.active(xid)?.written(key).cloned();
+            self.stats.borrow_mut().reads += 1;
+            // Read-your-writes creates no inter-transaction dependency and is
+            // never recorded.
+            if let Some(own) = own {
+                return own.ok_or(StorageError::KeyNotFound(key));
+            }
+            let visible = if lock_free {
+                self.stats.borrow_mut().snapshot_reads += 1;
+                match self.config.isolation {
+                    IsolationLevel::SnapshotRead => {
+                        let ts = self.snapshot_ts_of(xid);
+                        self.versions.read_at(key, ts)
+                    }
+                    _ => Some(Visible::Head),
+                }
+            } else {
+                Some(Visible::Head)
+            };
+            let (row, version) = match visible {
+                Some(Visible::Superseded(v)) => (v.row, Some(v.version)),
+                // A 2PL plain read that skipped its lock (the fail point) sees
+                // the uncommitted value of whichever branch holds the key.
+                Some(Visible::Head) if lock.is_none() && !lock_free => {
+                    let txns = self.txns.borrow();
+                    let dirty = txns.values().find_map(|e| e.written(key)).cloned();
+                    let head = || self.records.borrow().get(&key).cloned();
+                    (dirty.unwrap_or_else(head), None)
+                }
+                Some(Visible::Head) => (self.records.borrow().get(&key).cloned(), None),
+                None => (None, None),
+            };
+            let row = row.ok_or(StorageError::KeyNotFound(key))?;
+            if self.config.record_history {
+                // Exact duplicates are dropped; two observations that *differ*
+                // at one version are both kept, as evidence for the checker.
+                let version =
+                    version.unwrap_or_else(|| self.versions.head_version(key).unwrap_or(0));
+                let observed = VersionedValue {
+                    version,
+                    fingerprint: row_fingerprint(&row),
+                };
+                let read = ReadAccess { key, observed };
+                let mut txns = self.txns.borrow_mut();
+                let reads = txns.get_mut(&xid).map(|e| &mut e.reads);
+                if let Some(reads) = reads.filter(|reads| !reads.contains(&read)) {
+                    reads.push(read);
+                }
+            }
+            Ok(row)
         }
-        Ok(row)
     }
 
     /// The branch's pinned snapshot timestamp, pinning one (and registering
@@ -508,40 +538,46 @@ impl StorageEngine {
     /// (`None` = deleted), or refuse: a refusal is a duplicate key if there
     /// was a row, else a missing one. The WAL gets both images; the write set
     /// keeps the new value until commit.
-    async fn write_as<R>(
-        &self,
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an `async fn` keeps each parameter twice in its future, which nests in every statement's"
+    )]
+    fn write_as<'a, R: 'a>(
+        &'a self,
         xid: Xid,
         key: Key,
-        op: impl FnOnce(Option<&Row>) -> Option<(Option<Row>, R)>,
-    ) -> Result<R, StorageError> {
-        self.check_available()?;
-        self.active(xid)?;
-        self.lock(xid, key, LockMode::Exclusive).await?;
-        sleep(self.config.cost.statement_execute).await;
-        let mut entry = self.active(xid)?;
-        let slot = entry.writes.iter().position(|(k, _)| *k == key);
-        let before = match slot {
-            Some(i) => entry.writes[i].1.clone(),
-            None => self.records.borrow().get(&key).cloned(),
-        };
-        let Some((after, out)) = op(before.as_ref()) else {
-            return Err(match before {
-                Some(_) => StorageError::DuplicateKey(key),
-                None => StorageError::KeyNotFound(key),
+        op: impl FnOnce(Option<&Row>) -> Option<(Option<Row>, R)> + 'a,
+    ) -> impl Future<Output = Result<R, StorageError>> + 'a {
+        async move {
+            self.check_available()?;
+            self.active(xid)?;
+            self.lock(xid, key, LockMode::Exclusive).await?;
+            sleep(self.config.cost.statement_execute).await;
+            let mut entry = self.active(xid)?;
+            let slot = entry.writes.iter().position(|(k, _)| *k == key);
+            let before = match slot {
+                Some(i) => entry.writes[i].1.clone(),
+                None => self.records.borrow().get(&key).cloned(),
+            };
+            let Some((after, out)) = op(before.as_ref()) else {
+                return Err(match before {
+                    Some(_) => StorageError::DuplicateKey(key),
+                    None => StorageError::KeyNotFound(key),
+                });
+            };
+            match slot {
+                Some(i) => entry.writes[i].1 = after.clone(),
+                None => entry.writes.push((key, after.clone())),
+            }
+            self.wal.append(LogRecord::Update {
+                xid,
+                key,
+                before,
+                after,
             });
-        };
-        match slot {
-            Some(i) => entry.writes[i].1 = after.clone(),
-            None => entry.writes.push((key, after.clone())),
+            self.stats.borrow_mut().writes += 1;
+            Ok(out)
         }
-        self.wal.append(LogRecord::Update {
-            xid,
-            key,
-            before,
-            after,
-        });
-        self.stats.borrow_mut().writes += 1;
-        Ok(out)
     }
 
     /// Insert or overwrite a record under an exclusive lock.
@@ -703,7 +739,7 @@ impl StorageEngine {
         if committed {
             self.apply(xid, &mut entry);
         }
-        self.locks.release_all(xid);
+        self.locks.release_all_with(xid, |_, _| {});
         let mut stats = self.stats.borrow_mut();
         if let Some(first) = entry.first_lock_at {
             let span = now().duration_since(first);
@@ -715,6 +751,8 @@ impl StorageEngine {
         } else {
             stats.aborts += 1;
         }
+        entry.writes.clear();
+        self.spare_write_sets.borrow_mut().push(entry.writes);
     }
 
     /// Commit-time apply: every key the branch wrote moves its value from
@@ -899,7 +937,7 @@ impl StorageEngine {
                     reason: "branch already finished",
                 });
             }
-            entry.writes = Vec::new();
+            entry.writes.clear();
         }
         self.wal.append(LogRecord::Abort(xid));
         sleep(self.config.cost.decision_apply).await;

@@ -16,6 +16,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
+use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -294,115 +295,121 @@ impl LockManager {
 
     /// Acquire a lock on `key` for `xid`, waiting up to the configured
     /// lock-wait timeout.
-    pub async fn acquire(
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an `async fn` keeps each parameter twice in its future, which nests in every statement's"
+    )]
+    pub fn acquire(
         self: &Rc<Self>,
         xid: Xid,
         key: Key,
         mode: LockMode,
-    ) -> Result<(), LockError> {
-        let request_at = now();
-        // Fast path: grant immediately when compatible. Allocation-free for
-        // the uncontended case (inline holder storage, `Cell` counters).
-        {
-            let mut entries = self.entries.borrow_mut();
-            let entry = entries.entry(key).or_default();
-            if let Some(held) = entry.holds(xid) {
-                if held == LockMode::Exclusive || mode == LockMode::Shared {
-                    // Re-entrant acquisition of an equal-or-weaker mode.
+    ) -> impl Future<Output = Result<(), LockError>> + '_ {
+        async move {
+            let request_at = now();
+            // Fast path: grant immediately when compatible. Allocation-free for
+            // the uncontended case (inline holder storage, `Cell` counters).
+            {
+                let mut entries = self.entries.borrow_mut();
+                let entry = entries.entry(key).or_default();
+                if let Some(held) = entry.holds(xid) {
+                    if held == LockMode::Exclusive || mode == LockMode::Shared {
+                        // Re-entrant acquisition of an equal-or-weaker mode.
+                        self.stats
+                            .immediate_grants
+                            .set(self.stats.immediate_grants.get() + 1);
+                        return Ok(());
+                    }
+                }
+                if entry.can_grant(xid, mode) {
+                    let newly = entry.grant(xid, mode, request_at);
+                    drop(entries);
+                    if newly {
+                        self.index_held(xid, key);
+                    }
                     self.stats
                         .immediate_grants
                         .set(self.stats.immediate_grants.get() + 1);
                     return Ok(());
                 }
             }
-            if entry.can_grant(xid, mode) {
-                let newly = entry.grant(xid, mode, request_at);
-                drop(entries);
-                if newly {
-                    self.index_held(xid, key);
+
+            // Slow path: enqueue and wait for a grant, a cancellation or a timeout.
+            let (tx, rx) = self.grant_pool.channel();
+            let waiter_id = self.next_waiter_id.get() + 1;
+            self.next_waiter_id.set(waiter_id);
+            self.entries
+                .borrow_mut()
+                .entry(key)
+                .or_default()
+                .waiters
+                .push_back(Waiter {
+                    xid,
+                    mode,
+                    waiter_id,
+                    grant: tx,
+                });
+            self.index_waiting(xid, key);
+
+            // Contended wait: visible to telemetry as a LockWait leaf span on the
+            // data source (nested under whatever agent span is open) plus a
+            // wait-latency histogram sample, labelled by how the wait ended.
+            let wait_span = geotp_telemetry::span_leaf(
+                xid.gtrid,
+                geotp_telemetry::TraceNode::data_source(xid.bqual),
+                geotp_telemetry::SpanKind::LockWait,
+                key.row,
+            );
+
+            // `timeout` keeps its state inline: together with the pooled grant
+            // channel, a contended acquire performs no allocations in the steady
+            // state.
+            let outcome = timeout(self.wait_timeout, rx).await;
+            let waited = now().duration_since(request_at);
+            self.stats
+                .total_wait_micros
+                .set(self.stats.total_wait_micros.get() + waited.as_micros() as u64);
+            if geotp_telemetry::enabled() {
+                geotp_telemetry::span_end(wait_span);
+                let fate = match &outcome {
+                    Ok(Ok(Ok(()))) => "granted",
+                    Ok(Ok(Err(LockError::Cancelled))) | Ok(Err(_)) => "cancelled",
+                    Ok(Ok(Err(LockError::Timeout))) | Err(_) => "timeout",
+                };
+                geotp_telemetry::observe("storage.lock_wait", fate, xid.bqual, waited);
+            }
+            match outcome {
+                Ok(Ok(Ok(()))) => {
+                    // The granting side (promote_waiters) has already moved this
+                    // key from the waiting index to the held index.
+                    self.stats
+                        .waited_grants
+                        .set(self.stats.waited_grants.get() + 1);
+                    Ok(())
                 }
-                self.stats
-                    .immediate_grants
-                    .set(self.stats.immediate_grants.get() + 1);
-                return Ok(());
-            }
-        }
-
-        // Slow path: enqueue and wait for a grant, a cancellation or a timeout.
-        let (tx, rx) = self.grant_pool.channel();
-        let waiter_id = self.next_waiter_id.get() + 1;
-        self.next_waiter_id.set(waiter_id);
-        self.entries
-            .borrow_mut()
-            .entry(key)
-            .or_default()
-            .waiters
-            .push_back(Waiter {
-                xid,
-                mode,
-                waiter_id,
-                grant: tx,
-            });
-        self.index_waiting(xid, key);
-
-        // Contended wait: visible to telemetry as a LockWait leaf span on the
-        // data source (nested under whatever agent span is open) plus a
-        // wait-latency histogram sample, labelled by how the wait ended.
-        let wait_span = geotp_telemetry::span_leaf(
-            xid.gtrid,
-            geotp_telemetry::TraceNode::data_source(xid.bqual),
-            geotp_telemetry::SpanKind::LockWait,
-            key.row,
-        );
-
-        // `timeout` keeps its state inline: together with the pooled grant
-        // channel, a contended acquire performs no allocations in the steady
-        // state.
-        let outcome = timeout(self.wait_timeout, rx).await;
-        let waited = now().duration_since(request_at);
-        self.stats
-            .total_wait_micros
-            .set(self.stats.total_wait_micros.get() + waited.as_micros() as u64);
-        if geotp_telemetry::enabled() {
-            geotp_telemetry::span_end(wait_span);
-            let fate = match &outcome {
-                Ok(Ok(Ok(()))) => "granted",
-                Ok(Ok(Err(LockError::Cancelled))) | Ok(Err(_)) => "cancelled",
-                Ok(Ok(Err(LockError::Timeout))) | Err(_) => "timeout",
-            };
-            geotp_telemetry::observe("storage.lock_wait", fate, xid.bqual, waited);
-        }
-        match outcome {
-            Ok(Ok(Ok(()))) => {
-                // The granting side (promote_waiters) has already moved this
-                // key from the waiting index to the held index.
-                self.stats
-                    .waited_grants
-                    .set(self.stats.waited_grants.get() + 1);
-                Ok(())
-            }
-            Ok(Ok(Err(err))) => {
-                // cancel_waiters has already dropped the waiting-index entry.
-                if err == LockError::Cancelled {
+                Ok(Ok(Err(err))) => {
+                    // cancel_waiters has already dropped the waiting-index entry.
+                    if err == LockError::Cancelled {
+                        self.stats.cancelled.set(self.stats.cancelled.get() + 1);
+                    } else {
+                        self.stats.timeouts.set(self.stats.timeouts.get() + 1);
+                    }
+                    Err(err)
+                }
+                Ok(Err(_dropped)) => {
+                    // Sender dropped without a verdict (the waiter was discarded
+                    // wholesale); make sure the waiting index does not leak.
+                    self.unindex_waiting(xid, key);
                     self.stats.cancelled.set(self.stats.cancelled.get() + 1);
-                } else {
-                    self.stats.timeouts.set(self.stats.timeouts.get() + 1);
+                    Err(LockError::Cancelled)
                 }
-                Err(err)
-            }
-            Ok(Err(_dropped)) => {
-                // Sender dropped without a verdict (the waiter was discarded
-                // wholesale); make sure the waiting index does not leak.
-                self.unindex_waiting(xid, key);
-                self.stats.cancelled.set(self.stats.cancelled.get() + 1);
-                Err(LockError::Cancelled)
-            }
-            Err(_elapsed) => {
-                // Remove ourselves from the queue; the grant may not have
-                // happened (if it had, the oneshot would have resolved first).
-                self.remove_waiter(xid, key, waiter_id);
-                self.stats.timeouts.set(self.stats.timeouts.get() + 1);
-                Err(LockError::Timeout)
+                Err(_elapsed) => {
+                    // Remove ourselves from the queue; the grant may not have
+                    // happened (if it had, the oneshot would have resolved first).
+                    self.remove_waiter(xid, key, waiter_id);
+                    self.stats.timeouts.set(self.stats.timeouts.get() + 1);
+                    Err(LockError::Timeout)
+                }
             }
         }
     }
@@ -497,16 +504,25 @@ impl LockManager {
     }
 
     /// Release every lock held by `xid` and grant newly-compatible waiters.
-    /// Returns the keys that were released (with the duration they were held),
-    /// which the engine uses to update contention statistics.
+    /// Returns the keys that were released, in acquisition order, with the
+    /// duration each was held.
+    pub fn release_all(&self, xid: Xid) -> Vec<(Key, Duration)> {
+        let mut released = Vec::new();
+        self.release_all_with(xid, |key, held| released.push((key, held)));
+        released
+    }
+
+    /// [`LockManager::release_all`] reporting each released key and how long
+    /// it was held to `on_release` instead of collecting them: the engine's
+    /// commit and rollback path, which allocates nothing here.
     ///
     /// O(keys held): releases walk the per-transaction held-key index (in
     /// acquisition order) instead of scanning the whole lock table.
-    pub fn release_all(&self, xid: Xid) -> Vec<(Key, Duration)> {
+    pub fn release_all_with(&self, xid: Xid, mut on_release: impl FnMut(Key, Duration)) {
         let held = {
             let mut index = self.txn_index.borrow_mut();
             let Some(entry) = index.get_mut(&xid) else {
-                return Vec::new();
+                return;
             };
             let held = std::mem::take(&mut entry.held);
             // A queued waiter may still reference this transaction (e.g. an
@@ -517,7 +533,6 @@ impl LockManager {
             }
             held
         };
-        let mut released = Vec::with_capacity(held.len());
         for key in held.iter() {
             let did_release = {
                 let mut entries = self.entries.borrow_mut();
@@ -527,10 +542,8 @@ impl LockManager {
                 let held_since = entry.acquired_at;
                 let did = entry.release_holder(xid);
                 if did {
-                    match held_since {
-                        Some(at) => released.push((key, now().duration_since(at))),
-                        None => released.push((key, Duration::ZERO)),
-                    }
+                    let held_for = held_since.map_or(Duration::ZERO, |at| now().duration_since(at));
+                    on_release(key, held_for);
                 }
                 did
             };
@@ -538,7 +551,6 @@ impl LockManager {
                 self.promote_waiters(key);
             }
         }
-        released
     }
 
     /// Grant as many queued waiters on `key` as compatibility allows (FIFO).

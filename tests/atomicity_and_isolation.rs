@@ -76,7 +76,7 @@ fn run_conflicting_transfers(
                     .await
             }));
         }
-        let outcomes = join_all(handles.into_iter().collect()).await;
+        let outcomes = join_all(handles).await;
         let committed = outcomes.iter().filter(|o| o.committed).count() as u64;
         let aborted = outcomes.len() as u64 - committed;
         let after = total_balance(&cluster);
@@ -136,7 +136,7 @@ fn early_abort_does_not_leak_partial_writes() {
                 mw.run_transaction(&spec).await
             }));
         }
-        let outcomes = join_all(handles.into_iter().collect()).await;
+        let outcomes = join_all(handles).await;
         let committed = outcomes.iter().filter(|o| o.committed).count() as i64;
         assert_eq!(total_balance(&cluster), before);
         // The two hot records must reflect exactly the committed count.
@@ -163,7 +163,7 @@ fn serializability_committed_increments_equal_final_state() {
                 mw.run_transaction(&spec).await
             }));
         }
-        let outcomes = join_all(handles.into_iter().collect()).await;
+        let outcomes = join_all(handles).await;
         let committed = outcomes.iter().filter(|o| o.committed).count() as i64;
         assert_eq!(cluster.sum_records([gk(7)]), 1_000 + committed);
         for (t, outcome) in outcomes.iter().enumerate() {
