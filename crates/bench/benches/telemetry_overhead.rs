@@ -1,5 +1,11 @@
 //! Telemetry-overhead gate: tracing must stay (almost) free.
 //!
+//! The exact gate runs first: this binary's allocator counts the heap
+//! allocations of one untraced and one traced run of the scaled drill, and
+//! the tracer's span count. Each is pinned ([`UNTRACED_ALLOCATIONS`],
+//! [`TRACED_ALLOCATIONS`], [`SPANS`]); any increase fails the build on any
+//! machine. The host-time ratio below is the second gate.
+//!
 //! `geotp-telemetry` instruments every tier — coordinator span trees, the
 //! metrics registry, lock-wait and WAL counters, per-message network
 //! counters. The design contract is that all of it is append-only work on
@@ -24,6 +30,8 @@
 //! cargo bench -p geotp-bench --bench telemetry_overhead
 //! ```
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::time::Instant;
 
 use geotp_chaos::{preset, run, traced, ChaosReport, DrillWorkload};
@@ -31,6 +39,49 @@ use geotp_chaos::{preset, run, traced, ChaosReport, DrillWorkload};
 const PROBES: usize = 7;
 const SEED: u64 = 11;
 const PRESET: &str = "prepare_phase_crash";
+/// Heap allocations of one untraced [`scaled_run`]. Exact: any increase
+/// fails; lower it when a change saves some.
+const UNTRACED_ALLOCATIONS: u64 = 34_631;
+/// Heap allocations of one traced [`scaled_run`], collector included.
+const TRACED_ALLOCATIONS: u64 = 34_749;
+/// Spans the tracer holds after one traced [`scaled_run`].
+const SPANS: u64 = 13_416;
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Allocation calls (`alloc` and `realloc`) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` that itself never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations for `alloc` are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's obligations for `dealloc` are passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations for `realloc` are passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 /// The preset scaled up (16 clients × 100 transactions) so per-transaction
 /// tracing cost dominates over the one-time collector setup — a preset-sized
@@ -60,16 +111,49 @@ fn traced_once() -> (f64, usize) {
     (elapsed, telemetry.tracer.len())
 }
 
+/// The exact gate: one untraced and one traced run's allocations, and the
+/// traced run's spans, against their pins.
+fn exact_gate() {
+    let before = allocations();
+    let report = scaled_run();
+    let untraced = allocations() - before;
+    assert!(report.invariants.all_hold());
+    drop(report);
+    let before = allocations();
+    let (report, telemetry) = traced(scaled_run);
+    let traced = allocations() - before;
+    assert!(report.invariants.all_hold());
+    let spans = telemetry.tracer.len() as u64;
+    let mut failed = false;
+    for (what, measured, pinned) in [
+        ("untraced allocations", untraced, UNTRACED_ALLOCATIONS),
+        ("traced allocations", traced, TRACED_ALLOCATIONS),
+        ("spans", spans, SPANS),
+    ] {
+        println!("telemetry_overhead/{PRESET}: {measured} {what} (pinned {pinned})");
+        if measured > pinned {
+            eprintln!("telemetry_overhead: {measured} {what}, more than the pinned {pinned}");
+            failed = true;
+        } else if measured < pinned {
+            println!("telemetry_overhead: fewer {what} than pinned; lower the pin to {measured}");
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
+}
+
 fn main() {
+    // One warm-up pair populates caches and the lazy runtime state before
+    // anything is counted or timed.
+    let _ = untraced_once();
+    let _ = traced_once();
+    exact_gate();
+
     let tolerance: f64 = std::env::var("GEOTP_TELEMETRY_TOLERANCE")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1.25);
-
-    // One warm-up pair populates caches and the lazy runtime state before
-    // anything is timed.
-    let _ = untraced_once();
-    let _ = traced_once();
 
     let mut ratios = Vec::with_capacity(PROBES);
     let mut best_off = f64::MAX;
