@@ -9,10 +9,9 @@
 //! in the gap. The trace oracle closes that hole by checking the recorded
 //! spans themselves.
 //!
-//! Every rule is a [`TraceRule`] — a named predicate over a [`TraceContext`]
-//! (the span record plus the durable/concluded gtrid sets). The five rules
-//! ship in [`builtin_rules`], and [`apply`] runs all of them on every traced
-//! chaos run:
+//! Every rule is a plain function over a `TraceContext` (the span record
+//! plus the durable/concluded gtrid sets). [`check_spans`] runs the five
+//! rules in order, and [`apply`] runs it on every traced chaos run:
 //!
 //! * **R1 flush-before-dispatch** — on each `(gtrid, middleware)` pair,
 //!   every `CommitDispatch` span starts at or after some `LogFlush` span of
@@ -51,30 +50,31 @@ use super::InvariantReport;
 /// Everything a trace rule may inspect: the recorded spans, the spans still
 /// open at run end, the gtrids with at least one durable branch record, and
 /// the gtrids whose client got a definite answer.
-pub struct TraceContext<'a> {
+struct TraceContext<'a> {
     /// Every recorded span, in deterministic program order.
-    pub spans: &'a [Span],
+    spans: &'a [Span],
     /// Spans still open when the run ended.
-    pub open: &'a [SpanId],
+    open: &'a [SpanId],
     /// Gtrids with a durable `Prepare`/`Commit`/`Abort` in some WAL.
-    pub durable_gtrids: &'a FxHashSet<u64>,
+    durable_gtrids: &'a FxHashSet<u64>,
     /// Gtrids whose outcome the client saw (not coordinator-crash limbo).
-    pub concluded_gtrids: &'a FxHashSet<u64>,
+    concluded_gtrids: &'a FxHashSet<u64>,
 }
 
-/// One named happens-before predicate over a run's span record.
+/// The five happens-before rules, in evaluation order.
 ///
-/// Implementations must be pure over the [`TraceContext`] — no clock, no
-/// randomness, no I/O — so that enabling a rule never perturbs schedules
-/// and its verdict is deterministic. Violations are returned one line each,
-/// in an order derived only from the context (span program order or sorted
-/// key order).
-pub trait TraceRule {
-    /// Short stable identifier, used to label the rule's violations.
-    fn name(&self) -> &'static str;
-    /// Evaluate the rule; one line per violation, empty when it holds.
-    fn check(&self, ctx: &TraceContext<'_>) -> Vec<String>;
-}
+/// Each is pure over the `TraceContext` — no clock, no randomness, no I/O —
+/// so that enabling the oracle never perturbs schedules and its verdict is
+/// deterministic. A rule returns one line per violation, empty when it
+/// holds, in an order derived only from the context (span program order or
+/// sorted key order).
+const RULES: [fn(&TraceContext<'_>) -> Vec<String>; 5] = [
+    flush_before_dispatch,
+    vote_before_decision,
+    admission_before_body,
+    recovery_needs_evidence,
+    well_formed_span_trees,
+];
 
 /// Per-`(gtrid, node)` extrema accumulated in one pass over the spans.
 #[derive(Default)]
@@ -132,152 +132,101 @@ fn each_group(
 }
 
 /// R1: per dispatch, so a late flush cannot excuse an early dispatch.
-struct FlushBeforeDispatch;
-
-impl TraceRule for FlushBeforeDispatch {
-    fn name(&self) -> &'static str {
-        "flush-before-dispatch"
-    }
-
-    fn check(&self, ctx: &TraceContext<'_>) -> Vec<String> {
-        let groups = group_extrema(ctx.spans);
-        let mut violations = Vec::new();
-        for s in ctx.spans {
-            if s.kind != SpanKind::CommitDispatch {
-                continue;
-            }
-            let flushed = groups
-                .get(&(s.id.gtrid, s.id.node))
-                .and_then(|g| g.flush_end_min);
-            match flushed {
-                None => violations.push(format!(
-                    "commit dispatch {} has no log flush on its node",
-                    s.id
-                )),
-                Some(f) if f > s.start.as_micros() => violations.push(format!(
-                    "commit dispatch {} starts at {}us before the earliest log flush ends at {f}us",
-                    s.id,
-                    s.start.as_micros()
-                )),
-                Some(_) => {}
-            }
+fn flush_before_dispatch(ctx: &TraceContext<'_>) -> Vec<String> {
+    let groups = group_extrema(ctx.spans);
+    let mut violations = Vec::new();
+    for s in ctx.spans {
+        if s.kind != SpanKind::CommitDispatch {
+            continue;
         }
-        violations
+        let flushed = groups
+            .get(&(s.id.gtrid, s.id.node))
+            .and_then(|g| g.flush_end_min);
+        match flushed {
+            None => violations.push(format!(
+                "commit dispatch {} has no log flush on its node",
+                s.id
+            )),
+            Some(f) if f > s.start.as_micros() => violations.push(format!(
+                "commit dispatch {} starts at {}us before the earliest log flush ends at {f}us",
+                s.id,
+                s.start.as_micros()
+            )),
+            Some(_) => {}
+        }
     }
+    violations
 }
 
 /// R2: decisions never race their own vote collection.
-struct VoteBeforeDecision;
-
-impl TraceRule for VoteBeforeDecision {
-    fn name(&self) -> &'static str {
-        "vote-before-decision"
-    }
-
-    fn check(&self, ctx: &TraceContext<'_>) -> Vec<String> {
-        let mut violations = Vec::new();
-        each_group(&group_extrema(ctx.spans), |gtrid, node, g| {
-            if let (Some(vote), Some(dispatch)) = (g.vote_end_max, g.dispatch_start_min) {
-                if vote > dispatch {
-                    violations.push(format!(
-                        "gtrid {gtrid}: vote wait on {node} still open at {vote}us when the \
-                         decision dispatched at {dispatch}us"
-                    ));
-                }
-            }
-        });
-        violations
-    }
-}
-
-/// R3: admitted work never begins while still queued.
-struct AdmissionBeforeBody;
-
-impl TraceRule for AdmissionBeforeBody {
-    fn name(&self) -> &'static str {
-        "admission-before-body"
-    }
-
-    fn check(&self, ctx: &TraceContext<'_>) -> Vec<String> {
-        let mut violations = Vec::new();
-        each_group(&group_extrema(ctx.spans), |gtrid, node, g| {
-            if let (Some(admission), Some(txn)) = (g.admission_end_max, g.txn_start_min) {
-                if admission > txn {
-                    violations.push(format!(
-                        "gtrid {gtrid}: admission queue on {node} released at {admission}us \
-                         after the txn body started at {txn}us"
-                    ));
-                }
-            }
-        });
-        violations
-    }
-}
-
-/// R4: recovery spans only attach to gtrids with durable evidence.
-struct RecoveryNeedsEvidence;
-
-impl TraceRule for RecoveryNeedsEvidence {
-    fn name(&self) -> &'static str {
-        "recovery-needs-evidence"
-    }
-
-    fn check(&self, ctx: &TraceContext<'_>) -> Vec<String> {
-        let mut violations = Vec::new();
-        for s in ctx.spans {
-            if s.kind == SpanKind::Recovery && !ctx.durable_gtrids.contains(&s.id.gtrid) {
+fn vote_before_decision(ctx: &TraceContext<'_>) -> Vec<String> {
+    let mut violations = Vec::new();
+    each_group(&group_extrema(ctx.spans), |gtrid, node, g| {
+        if let (Some(vote), Some(dispatch)) = (g.vote_end_max, g.dispatch_start_min) {
+            if vote > dispatch {
                 violations.push(format!(
-                    "recovery span {} attaches to gtrid {} with no durable branch record",
-                    s.id, s.id.gtrid
+                    "gtrid {gtrid}: vote wait on {node} still open at {vote}us when the \
+                     decision dispatched at {dispatch}us"
                 ));
             }
         }
-        violations
+    });
+    violations
+}
+
+/// R3: admitted work never begins while still queued.
+fn admission_before_body(ctx: &TraceContext<'_>) -> Vec<String> {
+    let mut violations = Vec::new();
+    each_group(&group_extrema(ctx.spans), |gtrid, node, g| {
+        if let (Some(admission), Some(txn)) = (g.admission_end_max, g.txn_start_min) {
+            if admission > txn {
+                violations.push(format!(
+                    "gtrid {gtrid}: admission queue on {node} released at {admission}us \
+                     after the txn body started at {txn}us"
+                ));
+            }
+        }
+    });
+    violations
+}
+
+/// R4: recovery spans only attach to gtrids with durable evidence.
+fn recovery_needs_evidence(ctx: &TraceContext<'_>) -> Vec<String> {
+    let mut violations = Vec::new();
+    for s in ctx.spans {
+        if s.kind == SpanKind::Recovery && !ctx.durable_gtrids.contains(&s.id.gtrid) {
+            violations.push(format!(
+                "recovery span {} attaches to gtrid {} with no durable branch record",
+                s.id, s.id.gtrid
+            ));
+        }
     }
+    violations
 }
 
 /// R5: parent references resolve, and no coordinator-side span of a
 /// concluded transaction is left open. Indeterminate outcomes are exempt —
 /// a crashed coordinator legitimately strands its open spans.
-struct WellFormedSpanTrees;
-
-impl TraceRule for WellFormedSpanTrees {
-    fn name(&self) -> &'static str {
-        "well-formed-span-trees"
-    }
-
-    fn check(&self, ctx: &TraceContext<'_>) -> Vec<String> {
-        let mut violations = Vec::new();
-        let ids: FxHashSet<(u64, TraceNode, u32)> = ctx
-            .spans
-            .iter()
-            .map(|s| (s.id.gtrid, s.id.node, s.id.seq))
-            .collect();
-        for s in ctx.spans {
-            if let Some(p) = s.parent {
-                if !ids.contains(&(p.gtrid, p.node, p.seq)) {
-                    violations.push(format!("span {} has unresolved parent {p}", s.id));
-                }
+fn well_formed_span_trees(ctx: &TraceContext<'_>) -> Vec<String> {
+    let mut violations = Vec::new();
+    let ids: FxHashSet<(u64, TraceNode, u32)> = ctx
+        .spans
+        .iter()
+        .map(|s| (s.id.gtrid, s.id.node, s.id.seq))
+        .collect();
+    for s in ctx.spans {
+        if let Some(p) = s.parent {
+            if !ids.contains(&(p.gtrid, p.node, p.seq)) {
+                violations.push(format!("span {} has unresolved parent {p}", s.id));
             }
         }
-        for id in ctx.open {
-            if id.node.class == NodeClass::Middleware && ctx.concluded_gtrids.contains(&id.gtrid) {
-                violations.push(format!("span {id} still open after its txn concluded"));
-            }
-        }
-        violations
     }
-}
-
-/// The five built-in happens-before rules, in evaluation order.
-pub fn builtin_rules() -> Vec<Rc<dyn TraceRule>> {
-    vec![
-        Rc::new(FlushBeforeDispatch),
-        Rc::new(VoteBeforeDecision),
-        Rc::new(AdmissionBeforeBody),
-        Rc::new(RecoveryNeedsEvidence),
-        Rc::new(WellFormedSpanTrees),
-    ]
+    for id in ctx.open {
+        if id.node.class == NodeClass::Middleware && ctx.concluded_gtrids.contains(&id.gtrid) {
+            violations.push(format!("span {id} still open after its txn concluded"));
+        }
+    }
+    violations
 }
 
 /// Evaluate every built-in trace rule over a span record. Pure function
@@ -295,11 +244,7 @@ pub fn check_spans(
         durable_gtrids,
         concluded_gtrids,
     };
-    let mut violations = Vec::new();
-    for rule in builtin_rules() {
-        violations.extend(rule.check(&ctx));
-    }
-    violations
+    RULES.iter().flat_map(|rule| rule(&ctx)).collect()
 }
 
 /// Run the trace oracle over the installed run's telemetry and fold the
@@ -329,16 +274,10 @@ pub fn apply(
 
     let open = telemetry.tracer.open_spans();
     let spans = telemetry.tracer.spans();
-    let ctx = TraceContext {
-        spans: &spans,
-        open: &open,
-        durable_gtrids: &durable,
-        concluded_gtrids: &concluded,
-    };
-    let mut violations = Vec::new();
-    for rule in builtin_rules() {
-        violations.extend(rule.check(&ctx).into_iter().map(|v| format!("trace: {v}")));
-    }
+    let violations: Vec<String> = check_spans(&spans, &open, &durable, &concluded)
+        .into_iter()
+        .map(|v| format!("trace: {v}"))
+        .collect();
     drop(spans);
     if !violations.is_empty() {
         report.trace_ok = false;

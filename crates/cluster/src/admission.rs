@@ -80,9 +80,6 @@ pub enum ShedReason {
     QueueFull,
     /// The queue-time deadline expired before a permit freed up.
     DeadlineExpired,
-    /// The gate was closed (coordinator shutting down) — callers map this to
-    /// a refusal, not an overload shed.
-    Closed,
 }
 
 /// An admission rejection: why, and how long the client should back off.
@@ -163,6 +160,9 @@ pub struct AdmissionGate {
     permits: Option<Rc<Semaphore>>,
     capacity: usize,
     policy: AdmissionPolicy,
+    /// `begin`s waiting for a permit. Not the semaphore's queue length: the
+    /// semaphore drops a waiter when it grants the permit, before the
+    /// granted `begin` resumes, so within one instant the two differ.
     queued: Cell<usize>,
     admitted: Cell<u64>,
     shed_queue_full: Cell<u64>,
@@ -289,9 +289,9 @@ impl AdmissionGate {
         self.queued.set(self.queued.get() + 1);
         self.publish_queue_depth();
         let _slot = QueueSlot { gate: self };
-        let acquired = match self.policy.queue_deadline {
+        let permit = match self.policy.queue_deadline {
             Some(deadline) => match timeout(deadline, sem.acquire()).await {
-                Ok(result) => result,
+                Ok(permit) => permit,
                 Err(_elapsed) => {
                     self.shed_deadline.set(self.shed_deadline.get() + 1);
                     geotp_telemetry::counter_add(
@@ -324,20 +324,12 @@ impl AdmissionGate {
             },
             None => sem.acquire().await,
         };
-        match acquired {
-            Ok(permit) => {
-                self.admitted.set(self.admitted.get() + 1);
-                geotp_telemetry::counter_add("cluster.admitted", "", self.metrics_index.get(), 1);
-                Ok(AdmissionTicket {
-                    permit: Some(permit),
-                    queue_time: now().duration_since(enqueued),
-                })
-            }
-            Err(_closed) => Err(AdmissionReject {
-                reason: ShedReason::Closed,
-                retry_after: Duration::ZERO,
-            }),
-        }
+        self.admitted.set(self.admitted.get() + 1);
+        geotp_telemetry::counter_add("cluster.admitted", "", self.metrics_index.get(), 1);
+        Ok(AdmissionTicket {
+            permit: Some(permit),
+            queue_time: now().duration_since(enqueued),
+        })
     }
 }
 

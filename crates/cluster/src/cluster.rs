@@ -32,7 +32,7 @@ use geotp_middleware::{CommitLog, Middleware, MiddlewareConfig, Partitioner, Pro
 use geotp_net::{Network, NodeId};
 use geotp_simrt::{join_all, now, sleep, spawn};
 
-use crate::admission::{AdmissionGate, AdmissionPolicy, CoordinatorLoad, ShedReason};
+use crate::admission::{AdmissionGate, AdmissionPolicy, CoordinatorLoad};
 use crate::membership::{MembershipConfig, MembershipTable};
 use crate::ring::SessionRouter;
 
@@ -624,15 +624,9 @@ impl SessionService for CoordinatorCluster {
             let enqueued = now();
             let ticket = match slot.admission.admit().await {
                 Ok(ticket) => ticket,
-                Err(reject) => {
-                    return Err(if reject.reason == ShedReason::Closed {
-                        TxnError::refused()
-                    } else {
-                        // Explicit load shed: overloaded, back off for the
-                        // hinted duration and retry.
-                        TxnError::overloaded(reject.retry_after)
-                    });
-                }
+                // Explicit load shed: overloaded, back off for the hinted
+                // duration and retry.
+                Err(reject) => return Err(TxnError::overloaded(reject.retry_after)),
             };
             let middleware = slot.middleware();
             // Every begin (re-)registers the session, so a session the reaper

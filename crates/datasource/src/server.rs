@@ -504,15 +504,15 @@ impl DataSource {
         });
     }
 
-    /// The geo-agent's `AsyncPrepare` (Algorithm 1): end the branch, and if
-    /// the transaction is distributed, prepare it. Centralized branches only
-    /// end and report `Idle`.
+    /// The geo-agent's `AsyncPrepare` (Algorithm 1): end the branch if it is
+    /// still active, and if the transaction is distributed, prepare it.
+    /// Centralized branches only end and report `Idle`.
     pub async fn async_prepare(self: &Rc<Self>, xid: Xid, centralized: bool) -> PrepareVote {
-        if self.engine.state_of(xid).is_none() {
+        let Some(state) = self.engine.state_of(xid) else {
             // Already rolled back (e.g. early abort raced with the prepare).
             return PrepareVote::RollbackOnly;
-        }
-        if let Err(_e) = self.engine.end(xid) {
+        };
+        if state == geotp_storage::XaState::Active && self.engine.end(xid).is_err() {
             let _ = self.engine.rollback(xid).await;
             return PrepareVote::RollbackOnly;
         }
@@ -529,26 +529,10 @@ impl DataSource {
     }
 
     /// Explicit prepare, driven by the middleware over the WAN (the classic
-    /// XA path used by the SSP baseline).
-    pub async fn prepare(self: &Rc<Self>, xid: Xid) -> PrepareVote {
-        if self.engine.state_of(xid).is_none() {
-            return PrepareVote::RollbackOnly;
-        }
-        if matches!(
-            self.engine.state_of(xid),
-            Some(geotp_storage::XaState::Active)
-        ) && self.engine.end(xid).is_err()
-        {
-            let _ = self.engine.rollback(xid).await;
-            return PrepareVote::RollbackOnly;
-        }
-        match self.engine.prepare(xid).await {
-            Ok(()) => PrepareVote::Prepared,
-            Err(_) => {
-                let _ = self.engine.rollback(xid).await;
-                PrepareVote::Failure
-            }
-        }
+    /// XA path used by the SSP baseline): [`DataSource::async_prepare`] of a
+    /// distributed branch.
+    pub fn prepare(self: &Rc<Self>, xid: Xid) -> impl Future<Output = PrepareVote> + '_ {
+        self.async_prepare(xid, false)
     }
 
     /// Commit a branch (two-phase if prepared, one-phase otherwise).

@@ -3,7 +3,8 @@
 //! A [`LatencyModel`] answers two questions about a link at a given virtual
 //! time: the *nominal* round-trip time (what `tc` was configured to, used by
 //! experiment harnesses as ground truth) and a *sampled* round-trip time
-//! (what a packet actually experiences, possibly with jitter or spikes).
+//! (what a packet actually experiences, possibly with jitter or random
+//! variation).
 
 use std::time::Duration;
 
@@ -177,43 +178,6 @@ impl LatencyModel for RandomLatency {
     }
 }
 
-/// Occasional latency spikes on top of a base RTT: with probability
-/// `spike_probability` a sample is multiplied by `spike_factor`. Models the
-/// "a few machines experience occasional latency spikes" scenario of Fig. 10b.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpikingLatency {
-    base_rtt: Duration,
-    spike_factor: f64,
-    spike_probability: f64,
-}
-
-impl SpikingLatency {
-    /// Create a spiking link model.
-    pub fn new(base_rtt: Duration, spike_factor: f64, spike_probability: f64) -> Self {
-        assert!((0.0..=1.0).contains(&spike_probability));
-        assert!(spike_factor >= 1.0);
-        Self {
-            base_rtt,
-            spike_factor,
-            spike_probability,
-        }
-    }
-}
-
-impl LatencyModel for SpikingLatency {
-    fn nominal_rtt(&self, _now: SimInstant) -> Duration {
-        self.base_rtt
-    }
-
-    fn sample_rtt(&self, _now: SimInstant, rng: &mut StdRng) -> Duration {
-        if rng.gen::<f64>() < self.spike_probability {
-            Duration::from_secs_f64(self.base_rtt.as_secs_f64() * self.spike_factor)
-        } else {
-            self.base_rtt
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,20 +241,6 @@ mod tests {
             assert!(s >= Duration::from_millis(100));
             assert!(s <= Duration::from_millis(150));
         }
-    }
-
-    #[test]
-    fn spiking_latency_spikes_at_expected_rate() {
-        let m = SpikingLatency::new(Duration::from_millis(50), 4.0, 0.2);
-        let mut r = rng();
-        let spikes = (0..5000)
-            .filter(|_| m.sample_rtt(SimInstant::ZERO, &mut r) > Duration::from_millis(50))
-            .count();
-        let rate = spikes as f64 / 5000.0;
-        assert!(
-            (rate - 0.2).abs() < 0.03,
-            "spike rate {rate} too far from 0.2"
-        );
     }
 
     #[test]

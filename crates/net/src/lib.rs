@@ -5,7 +5,7 @@
 //! data nodes in Beijing, Shanghai, Singapore and London). This crate is the
 //! equivalent substrate for the simulation: a latency matrix between
 //! [`NodeId`]s with pluggable per-link [`LatencyModel`]s (static, jittered,
-//! dynamic schedules, random spikes) plus the `ping`-based RTT monitor the
+//! uniformly random, dynamic schedules) plus the `ping`-based RTT monitor the
 //! middleware uses for latency-aware scheduling.
 //!
 //! All delays are virtual-time sleeps on [`geotp_simrt`], so experiments are
@@ -18,9 +18,7 @@ mod network;
 mod node;
 
 pub use fault::FaultInjector;
-pub use latency::{
-    DynamicLatency, JitteredLatency, LatencyModel, RandomLatency, SpikingLatency, StaticLatency,
-};
+pub use latency::{DynamicLatency, JitteredLatency, LatencyModel, RandomLatency, StaticLatency};
 pub use monitor::LatencyMonitor;
 pub use network::{LinkStats, Network, NetworkBuilder};
 pub use node::{NodeId, NodeKind};

@@ -106,18 +106,6 @@ pub struct Network {
 }
 
 impl Network {
-    /// Convenience: a network where every pair of nodes has the given static
-    /// RTT (plus the default LAN RTT for undeclared pairs).
-    pub fn uniform(seed: u64, nodes: &[NodeId], rtt: Duration) -> Rc<Network> {
-        let mut b = NetworkBuilder::new(seed);
-        for (i, a) in nodes.iter().enumerate() {
-            for bnode in nodes.iter().skip(i + 1) {
-                b = b.static_link(*a, *bnode, rtt);
-            }
-        }
-        b.build()
-    }
-
     fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
         if a <= b {
             (a, b)
@@ -461,11 +449,15 @@ mod tests {
     }
 
     #[test]
-    fn uniform_network_links_every_pair() {
+    fn static_links_set_every_declared_pair() {
         let mut rt = Runtime::new();
         rt.block_on(async {
-            let nodes = [dm(), ds(0), ds(1)];
-            let net = Network::uniform(7, &nodes, Duration::from_millis(30));
+            let rtt = Duration::from_millis(30);
+            let net = NetworkBuilder::new(7)
+                .static_link(dm(), ds(0), rtt)
+                .static_link(dm(), ds(1), rtt)
+                .static_link(ds(0), ds(1), rtt)
+                .build();
             assert_eq!(net.nominal_rtt(dm(), ds(1)), Duration::from_millis(30));
             assert_eq!(net.nominal_rtt(ds(0), ds(1)), Duration::from_millis(30));
         });

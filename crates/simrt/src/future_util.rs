@@ -1,8 +1,8 @@
-//! Small future combinators: `timeout`, `race`, `join_all`, `yield_now`.
+//! Small future combinators: `timeout`, `join_all`, `yield_now`.
 
 use std::fmt;
 use std::future::{poll_fn, Future};
-use std::pin::{pin, Pin};
+use std::pin::Pin;
 use std::task::{Context, Poll};
 use std::time::Duration;
 
@@ -56,32 +56,6 @@ impl<F: Future> Future for Timeout<F> {
         }
         Poll::Pending
     }
-}
-
-/// Result of [`race`]: which future finished first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Either<A, B> {
-    /// The left future finished first.
-    Left(A),
-    /// The right future finished first.
-    Right(B),
-}
-
-/// Poll two futures concurrently and return the output of whichever finishes
-/// first (left wins ties). The loser is dropped/cancelled.
-pub async fn race<A: Future, B: Future>(a: A, b: B) -> Either<A::Output, B::Output> {
-    let mut a = pin!(a);
-    let mut b = pin!(b);
-    poll_fn(|cx| {
-        if let Poll::Ready(out) = a.as_mut().poll(cx) {
-            return Poll::Ready(Either::Left(out));
-        }
-        if let Poll::Ready(out) = b.as_mut().poll(cx) {
-            return Poll::Ready(Either::Right(out));
-        }
-        Poll::Pending
-    })
-    .await
 }
 
 /// Await a set of futures concurrently, returning their outputs in input order.
@@ -202,25 +176,6 @@ mod tests {
         });
         assert_eq!(out, (Err(Elapsed), Err(Elapsed)));
         assert_eq!(rt.now_micros(), 15_000);
-    }
-
-    #[test]
-    fn race_returns_first_winner() {
-        let mut rt = Runtime::new();
-        let out = rt.block_on(async {
-            race(
-                async {
-                    sleep(Duration::from_millis(30)).await;
-                    "slow"
-                },
-                async {
-                    sleep(Duration::from_millis(5)).await;
-                    "fast"
-                },
-            )
-            .await
-        });
-        assert_eq!(out, Either::Right("fast"));
     }
 
     #[test]

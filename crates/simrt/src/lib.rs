@@ -9,7 +9,10 @@
 //!
 //! The runtime intentionally mirrors a small subset of the tokio API surface
 //! (`spawn`, `sleep`, `timeout`, `oneshot`, `mpsc`, `Notify`, `Semaphore`) so
-//! that the higher layers read like ordinary async Rust service code.
+//! that the higher layers read like ordinary async Rust service code, and
+//! keeps only what the workspace calls: `Notify` is broadcast-only, a
+//! `Semaphore` cannot be closed, and [`try_now`] reads the clock where no
+//! runtime may be active.
 //!
 //! ## Semantics
 //!
@@ -43,7 +46,6 @@
 mod builder;
 mod executor;
 mod future_util;
-mod handle;
 pub mod hash;
 pub mod sync;
 mod task;
@@ -52,14 +54,6 @@ mod timer_heap;
 
 pub use builder::RuntimeBuilder;
 pub use executor::{spawn, RunMetrics, Runtime};
-pub use future_util::{join_all, race, timeout, yield_now, Either, Elapsed, Timeout};
-pub use handle::{handle, try_handle, RuntimeHandle};
+pub use future_util::{join_all, timeout, yield_now, Elapsed, Timeout};
 pub use task::JoinHandle;
-pub use time::{now, sleep, sleep_until, SimInstant, Sleep};
-
-/// Convenience: build a fresh [`Runtime`] and run `fut` to completion on it.
-///
-/// Equivalent to `Runtime::new().block_on(fut)`; useful in tests and examples.
-pub fn run<F: std::future::Future>(fut: F) -> F::Output {
-    Runtime::new().block_on(fut)
-}
+pub use time::{now, sleep, sleep_until, try_now, SimInstant, Sleep};

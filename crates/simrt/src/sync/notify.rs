@@ -1,4 +1,5 @@
-//! Event notification primitive, modelled on `tokio::sync::Notify`.
+//! Broadcast event notification: [`Notify::notify_waiters`] wakes every
+//! task waiting in [`Notify::notified`] at the time of the call.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -9,77 +10,51 @@ use std::task::{Context, Poll, Waker};
 
 #[derive(Default)]
 struct State {
-    /// One stored permit: a `notify_one` with no waiter is remembered so the
-    /// next `notified().await` returns immediately.
-    permit: bool,
+    /// How many `notify_waiters` calls there have been.
+    epoch: u64,
     waiters: VecDeque<(usize, Waker)>,
-    /// Waiter ids that have been explicitly woken and should complete.
-    woken: Vec<usize>,
     next_waiter_id: usize,
 }
 
-/// Notifies one or many waiting tasks.
+/// Wakes every task waiting on it. A notification with no waiter is not
+/// remembered.
 #[derive(Default)]
 pub struct Notify {
     state: Rc<RefCell<State>>,
 }
 
 impl Notify {
-    /// Create a new `Notify` with no stored permit.
+    /// Create a new `Notify`.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Wake a single waiting task, or store a permit if none is waiting.
-    pub fn notify_one(&self) {
-        let waker = {
-            let mut s = self.state.borrow_mut();
-            if let Some((id, waker)) = s.waiters.pop_front() {
-                s.woken.push(id);
-                Some(waker)
-            } else {
-                s.permit = true;
-                None
-            }
-        };
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
-
-    /// Wake every task currently waiting (does not store a permit).
-    ///
-    /// Waiters are popped and woken one at a time, in queue order, with no
-    /// borrow of the state held across a wake; a waiter that registers
-    /// during this call is not among them.
+    /// Wake every task currently waiting, in queue order. Waking only
+    /// queues a task id, so the state stays borrowed meanwhile.
     pub fn notify_waiters(&self) {
-        let waiting = self.state.borrow().waiters.len();
-        for _ in 0..waiting {
-            let waker = {
-                let mut s = self.state.borrow_mut();
-                let Some((id, waker)) = s.waiters.pop_front() else {
-                    break;
-                };
-                s.woken.push(id);
-                waker
-            };
+        let mut s = self.state.borrow_mut();
+        s.epoch += 1;
+        for (_, waker) in s.waiters.drain(..) {
             waker.wake();
         }
     }
 
-    /// Wait for a notification.
+    /// Wait for the next [`notify_waiters`](Self::notify_waiters) after this
+    /// future's first poll.
     pub fn notified(&self) -> Notified {
         Notified {
             state: Rc::clone(&self.state),
-            waiter_id: None,
+            waiter: None,
         }
     }
 }
 
-/// Future returned by [`Notify::notified`].
+/// Future returned by [`Notify::notified`]. It registers at its first poll,
+/// recording the notify's epoch, and is ready once the epoch has moved.
 pub struct Notified {
     state: Rc<RefCell<State>>,
-    waiter_id: Option<usize>,
+    /// The waiter's id and the epoch it registered in.
+    waiter: Option<(usize, u64)>,
 }
 
 impl Future for Notified {
@@ -87,24 +62,18 @@ impl Future for Notified {
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let mut s = self.state.borrow_mut();
-        match self.waiter_id {
+        match self.waiter {
             None => {
-                if s.permit {
-                    s.permit = false;
-                    return Poll::Ready(());
-                }
                 let id = s.next_waiter_id;
                 s.next_waiter_id += 1;
                 s.waiters.push_back((id, cx.waker().clone()));
+                let epoch = s.epoch;
                 drop(s);
-                self.waiter_id = Some(id);
+                self.waiter = Some((id, epoch));
                 Poll::Pending
             }
-            Some(id) => {
-                if let Some(pos) = s.woken.iter().position(|w| *w == id) {
-                    s.woken.swap_remove(pos);
-                    return Poll::Ready(());
-                }
+            Some((_, epoch)) if s.epoch != epoch => Poll::Ready(()),
+            Some((id, _)) => {
                 // Refresh the stored waker in case the future moved tasks.
                 if let Some(entry) = s.waiters.iter_mut().find(|(wid, _)| *wid == id) {
                     entry.1 = cx.waker().clone();
@@ -117,21 +86,11 @@ impl Future for Notified {
 
 impl Drop for Notified {
     fn drop(&mut self) {
-        if let Some(id) = self.waiter_id {
-            let mut s = self.state.borrow_mut();
-            s.waiters.retain(|(wid, _)| *wid != id);
-            // If we were woken but never polled to completion, pass the wake on
-            // to the next waiter so the notification is not lost.
-            if let Some(pos) = s.woken.iter().position(|w| *w == id) {
-                s.woken.swap_remove(pos);
-                if let Some((next_id, waker)) = s.waiters.pop_front() {
-                    s.woken.push(next_id);
-                    drop(s);
-                    waker.wake();
-                } else {
-                    s.permit = true;
-                }
-            }
+        if let Some((id, _)) = self.waiter {
+            self.state
+                .borrow_mut()
+                .waiters
+                .retain(|(wid, _)| *wid != id);
         }
     }
 }
@@ -139,56 +98,29 @@ impl Drop for Notified {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{sleep, spawn, Runtime};
+    use crate::{sleep, spawn, timeout, Runtime};
     use std::cell::Cell;
+    use std::future::poll_fn;
     use std::time::Duration;
 
-    #[test]
-    fn stored_permit_completes_immediately() {
-        let mut rt = Runtime::new();
-        rt.block_on(async {
-            let n = Notify::new();
-            n.notify_one();
-            n.notified().await; // must not hang
-        });
-        assert_eq!(rt.now_micros(), 0);
-    }
-
-    #[test]
-    fn notify_one_wakes_single_waiter() {
-        let mut rt = Runtime::new();
-        let woken = rt.block_on(async {
-            let n = Rc::new(Notify::new());
-            let count = Rc::new(Cell::new(0u32));
-            for _ in 0..3 {
-                let n = Rc::clone(&n);
-                let count = Rc::clone(&count);
-                spawn(async move {
-                    n.notified().await;
-                    count.set(count.get() + 1);
-                });
-            }
-            sleep(Duration::from_millis(1)).await;
-            n.notify_one();
-            sleep(Duration::from_millis(1)).await;
-            count.get()
-        });
-        assert_eq!(woken, 1);
+    /// Poll `fut` once from inside a task.
+    async fn poll_once<F: Future + Unpin>(fut: &mut F) -> Poll<F::Output> {
+        poll_fn(|cx| Poll::Ready(Pin::new(&mut *fut).poll(cx))).await
     }
 
     #[test]
     fn cancelled_waiter_leaves_no_dangling_entry() {
         // A task awaiting `notified()` is cancelled (here: by a timeout racing
         // it, the same shape an injected crash produces). Its queue entry must
-        // be removed on drop, and a later `notify_one` must wake the *other*
-        // waiter instead of being swallowed by the dead one.
+        // be removed on drop, and a later `notify_waiters` must wake the
+        // other waiter.
         let mut rt = Runtime::new();
         let woken = rt.block_on(async {
             let n = Rc::new(Notify::new());
             let n1 = Rc::clone(&n);
             // First waiter: cancelled after 5ms by the timeout.
             let cancelled = spawn(async move {
-                crate::timeout(Duration::from_millis(5), n1.notified())
+                timeout(Duration::from_millis(5), n1.notified())
                     .await
                     .is_ok()
             });
@@ -202,37 +134,48 @@ mod tests {
             sleep(Duration::from_millis(10)).await;
             assert!(!cancelled.await, "first waiter must have timed out");
             assert_eq!(n.state.borrow().waiters.len(), 1, "dead entry removed");
-            n.notify_one();
+            n.notify_waiters();
             sleep(Duration::from_millis(1)).await;
             assert!(n.state.borrow().waiters.is_empty());
-            assert!(n.state.borrow().woken.is_empty(), "no stale woken ids");
             count.get()
         });
         assert_eq!(woken, 1);
     }
 
     #[test]
-    fn wake_passed_on_when_woken_waiter_is_dropped_before_poll() {
-        // A waiter is woken by `notify_one` but its future is dropped before
-        // it gets polled again (the owning task was cancelled in the same
-        // virtual instant). The notification must not be lost: it moves to the
-        // next waiter, or becomes a stored permit when none is queued.
+    fn waiter_registered_after_notify_waiters_is_not_woken() {
         let mut rt = Runtime::new();
         rt.block_on(async {
-            let n = Rc::new(Notify::new());
-            let mut first = Box::pin(n.notified());
-            // Register the waiter.
-            assert!(
-                crate::race(&mut first, std::future::ready(())).await == crate::Either::Right(())
-            );
-            n.notify_one();
-            // Dropped while "woken but not yet re-polled".
-            drop(first);
-            assert!(n.state.borrow().woken.is_empty());
-            // The wake survived as the stored permit.
-            n.notified().await;
+            let n = Notify::new();
+            n.notify_waiters(); // nobody waits: nothing is remembered
+            let mut late = Box::pin(n.notified());
+            assert!(poll_once(&mut late).await.is_pending());
+            assert!(poll_once(&mut late).await.is_pending());
+            assert_eq!(n.state.borrow().waiters.len(), 1);
+            n.notify_waiters();
+            assert!(poll_once(&mut late).await.is_ready());
         });
         assert_eq!(rt.now_micros(), 0);
+    }
+
+    #[test]
+    fn woken_waiter_dropped_before_poll_leaves_nothing_behind() {
+        // A waiter is woken but its future is dropped before it is polled
+        // again (its task was cancelled in the same virtual instant). The
+        // notification is not passed on: the next waiter stays pending.
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let n = Notify::new();
+            let mut first = Box::pin(n.notified());
+            assert!(poll_once(&mut first).await.is_pending());
+            n.notify_waiters();
+            drop(first);
+            assert!(n.state.borrow().waiters.is_empty());
+            let next = timeout(Duration::from_millis(1), n.notified()).await;
+            assert!(next.is_err(), "the dropped wake was not stored");
+            assert!(n.state.borrow().waiters.is_empty());
+        });
+        assert_eq!(rt.now_micros(), 1_000);
     }
 
     #[test]

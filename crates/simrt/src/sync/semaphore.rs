@@ -2,7 +2,6 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -13,7 +12,6 @@ struct State {
     waiters: VecDeque<(usize, Waker)>,
     granted: Vec<usize>,
     next_waiter_id: usize,
-    closed: bool,
 }
 
 /// An async counting semaphore. Permits are released when the
@@ -22,19 +20,7 @@ pub struct Semaphore {
     state: Rc<RefCell<State>>,
 }
 
-/// Error returned by [`Semaphore::acquire`] after [`Semaphore::close`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AcquireError;
-
-impl fmt::Display for AcquireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "semaphore has been closed")
-    }
-}
-
-impl std::error::Error for AcquireError {}
-
-/// RAII guard returned by a successful acquire; releases its permit on drop.
+/// RAII guard returned by an acquire; releases its permit on drop.
 pub struct SemaphorePermit {
     state: Rc<RefCell<State>>,
 }
@@ -70,7 +56,6 @@ impl Semaphore {
                 waiters: VecDeque::new(),
                 granted: Vec::new(),
                 next_waiter_id: 0,
-                closed: false,
             })),
         }
     }
@@ -78,18 +63,6 @@ impl Semaphore {
     /// Number of currently available permits.
     pub fn available_permits(&self) -> usize {
         self.state.borrow().permits
-    }
-
-    /// Close the semaphore: pending and future acquires fail.
-    pub fn close(&self) {
-        let wakers: Vec<Waker> = {
-            let mut s = self.state.borrow_mut();
-            s.closed = true;
-            s.waiters.drain(..).map(|(_, w)| w).collect()
-        };
-        for w in wakers {
-            w.wake();
-        }
     }
 
     /// Acquire one permit, waiting (FIFO) if none is available.
@@ -103,7 +76,7 @@ impl Semaphore {
     /// Try to acquire one permit without waiting.
     pub fn try_acquire(&self) -> Option<SemaphorePermit> {
         let mut s = self.state.borrow_mut();
-        if s.closed || s.permits == 0 {
+        if s.permits == 0 {
             return None;
         }
         s.permits -= 1;
@@ -121,21 +94,18 @@ pub struct Acquire {
 }
 
 impl Future for Acquire {
-    type Output = Result<SemaphorePermit, AcquireError>;
+    type Output = SemaphorePermit;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mut s = self.state.borrow_mut();
-        if s.closed {
-            return Poll::Ready(Err(AcquireError));
-        }
         match self.waiter_id {
             None => {
                 if s.permits > 0 {
                     s.permits -= 1;
                     drop(s);
-                    return Poll::Ready(Ok(SemaphorePermit {
+                    return Poll::Ready(SemaphorePermit {
                         state: Rc::clone(&self.state),
-                    }));
+                    });
                 }
                 let id = s.next_waiter_id;
                 s.next_waiter_id += 1;
@@ -148,9 +118,9 @@ impl Future for Acquire {
                 if let Some(pos) = s.granted.iter().position(|g| *g == id) {
                     s.granted.swap_remove(pos);
                     drop(s);
-                    return Poll::Ready(Ok(SemaphorePermit {
+                    return Poll::Ready(SemaphorePermit {
                         state: Rc::clone(&self.state),
-                    }));
+                    });
                 }
                 if let Some(entry) = s.waiters.iter_mut().find(|(wid, _)| *wid == id) {
                     entry.1 = cx.waker().clone();
@@ -192,7 +162,7 @@ mod tests {
             for _ in 0..4 {
                 let sem = Rc::clone(&sem);
                 handles.push(spawn(async move {
-                    let _permit = sem.acquire().await.unwrap();
+                    let _permit = sem.acquire().await;
                     sleep(Duration::from_millis(10)).await;
                 }));
             }
@@ -216,19 +186,5 @@ mod tests {
             assert!(sem.try_acquire().is_some()); // dropped immediately again
             assert_eq!(sem.available_permits(), 1);
         });
-    }
-
-    #[test]
-    fn close_fails_pending_acquires() {
-        let mut rt = Runtime::new();
-        let res = rt.block_on(async {
-            let sem = Rc::new(Semaphore::new(0));
-            let sem2 = Rc::clone(&sem);
-            let h = spawn(async move { sem2.acquire().await });
-            sleep(Duration::from_millis(1)).await;
-            sem.close();
-            h.await
-        });
-        assert!(res.is_err());
     }
 }

@@ -6,7 +6,7 @@ use std::pin::Pin;
 use std::task::{Context, Poll};
 use std::time::Duration;
 
-use crate::executor::{current_now, current_register_timer};
+use crate::executor::{current_now, current_register_timer, try_with_current};
 
 /// A point in virtual time, measured in microseconds since the runtime started.
 ///
@@ -91,6 +91,12 @@ impl Sub<Duration> for SimInstant {
 /// Panics if called outside [`crate::Runtime::block_on`].
 pub fn now() -> SimInstant {
     current_now()
+}
+
+/// Current virtual time, or `None` when no runtime is active on this thread
+/// (in plain unit tests, or after [`crate::Runtime::block_on`] returned).
+pub fn try_now() -> Option<SimInstant> {
+    try_with_current(|inner| SimInstant::from_micros(inner.now_micros()))
 }
 
 /// Future returned by [`sleep`] / [`sleep_until`].
@@ -205,5 +211,16 @@ mod tests {
             sleep(Duration::from_micros(1234)).await;
             assert_eq!(start.elapsed(), Duration::from_micros(1234));
         });
+    }
+
+    #[test]
+    fn try_now_reads_the_clock_only_inside_a_runtime() {
+        assert_eq!(try_now(), None);
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            sleep(Duration::from_millis(3)).await;
+            assert_eq!(try_now(), Some(SimInstant::from_micros(3_000)));
+        });
+        assert_eq!(try_now(), None);
     }
 }

@@ -196,9 +196,7 @@ impl MetricsRegistry {
         MetricsSnapshot {
             // Post-run inspection happens after `block_on` returned, where no
             // virtual clock exists; stamp those snapshots with zero.
-            at: geotp_simrt::try_handle()
-                .map(|h| h.now())
-                .unwrap_or(SimInstant::from_micros(0)),
+            at: geotp_simrt::try_now().unwrap_or(SimInstant::from_micros(0)),
             entries,
         }
     }
