@@ -212,6 +212,16 @@ impl DataSource {
         finished.insert(xid);
     }
 
+    /// The notification channel to middleware `dm`, unless this source has
+    /// crashed or `dm` never registered. Sync, so no `Ref` guard of the
+    /// lookup takes a slot in the notifying futures.
+    fn dm_channel(&self, dm: NodeId) -> Option<mpsc::Sender<AgentNotification>> {
+        if self.is_crashed() {
+            return None;
+        }
+        self.dm_channels.borrow().get(&dm).cloned()
+    }
+
     /// Push a notification towards middleware `dm` in the background.
     ///
     /// Notifications ride the *unreliable* network path: under a chaos fault
@@ -219,10 +229,7 @@ impl DataSource {
     /// fire-and-forget and never learns). A crashed data source sends
     /// nothing — its geo-agent died with it.
     fn notify_dm(self: &Rc<Self>, dm: NodeId, notification: AgentNotification) {
-        if self.is_crashed() {
-            return;
-        }
-        let Some(channel) = self.dm_channels.borrow().get(&dm).cloned() else {
+        let Some(channel) = self.dm_channel(dm) else {
             return;
         };
         let net = Rc::clone(&self.net);
@@ -239,10 +246,7 @@ impl DataSource {
     /// are already a background task with nothing left to do, saving a task
     /// spawn per notification on the decentralized-prepare hot path.
     async fn notify_dm_inline(&self, dm: NodeId, notification: AgentNotification) {
-        if self.is_crashed() {
-            return;
-        }
-        let Some(channel) = self.dm_channels.borrow().get(&dm).cloned() else {
+        let Some(channel) = self.dm_channel(dm) else {
             return;
         };
         let copies = self.net.transfer_unreliable(self.config.node, dm).await;

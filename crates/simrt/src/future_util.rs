@@ -171,7 +171,7 @@ mod tests {
             // The inner future is dropped: its sender observes the closure.
             let (tx, rx) = crate::sync::oneshot::channel::<u8>();
             let channel = timeout(Duration::from_millis(5), rx).await;
-            assert!(tx.is_closed(), "timed-out receiver was cancelled");
+            assert_eq!(tx.send(1), Err(1), "timed-out receiver was cancelled");
             (block, channel)
         });
         assert_eq!(out, (Err(Elapsed), Err(Elapsed)));

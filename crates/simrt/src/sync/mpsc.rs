@@ -95,11 +95,6 @@ impl<T> Sender<T> {
         }
         Ok(())
     }
-
-    /// Whether the receiver has been dropped.
-    pub fn is_closed(&self) -> bool {
-        !self.shared.borrow().receiver_alive
-    }
 }
 
 impl<T> Drop for Receiver<T> {
@@ -198,7 +193,6 @@ mod tests {
         rt.block_on(async {
             let (tx, rx) = unbounded::<u8>();
             drop(rx);
-            assert!(tx.is_closed());
             assert!(tx.send(1).is_err());
         });
     }

@@ -165,11 +165,6 @@ impl<T> Sender<T> {
         }
         Ok(())
     }
-
-    /// Whether the receiving half has been dropped.
-    pub fn is_closed(&self) -> bool {
-        self.shared.borrow().receiver_dropped
-    }
 }
 
 impl<T> Drop for Sender<T> {
@@ -248,7 +243,6 @@ mod tests {
         rt.block_on(async {
             let (tx, rx) = channel::<u8>();
             drop(rx);
-            assert!(tx.is_closed());
             assert_eq!(tx.send(1), Err(1));
         });
     }

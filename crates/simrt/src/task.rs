@@ -55,11 +55,6 @@ impl<T> JoinHandle<T> {
     pub fn is_finished(&self) -> bool {
         self.state.borrow().finished
     }
-
-    /// Take the output if the task already finished, without awaiting.
-    pub fn try_take(&self) -> Option<T> {
-        self.state.borrow_mut().result.take()
-    }
 }
 
 impl<T> Future for JoinHandle<T> {
@@ -85,15 +80,14 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn is_finished_and_try_take() {
+    fn is_finished_once_the_task_returns() {
         let mut rt = Runtime::new();
         rt.block_on(async {
             let h = spawn(async { 5u32 });
             assert!(!h.is_finished());
             sleep(Duration::from_millis(1)).await;
             assert!(h.is_finished());
-            assert_eq!(h.try_take(), Some(5));
-            assert_eq!(h.try_take(), None);
+            assert_eq!(h.await, 5);
         });
     }
 

@@ -27,7 +27,7 @@ use crate::history::{
 };
 use crate::lock::{LockManager, LockMode, LockStats};
 use crate::mvcc::{VersionStore, Visible};
-use crate::row::{Row, Value};
+use crate::row::Row;
 use crate::table::RecordTable;
 use crate::types::{Key, StorageError, TableId, Xid};
 use crate::wal::{LogRecord, WriteAheadLog};
@@ -621,14 +621,15 @@ impl StorageEngine {
         delta: i64,
     ) -> impl Future<Output = Result<i64, StorageError>> + '_ {
         // Three row clones (the before-image, the new value, the write set's
-        // copy of it), none of which allocates: a one-column row is inline,
-        // and a wider row's clones share its columns — the write copies them
-        // once, because the before-image still holds them, and the write
-        // set shares the new copy.
+        // copy of it), none of which allocates for the benchmark shapes: a
+        // one-column row and a two-integer row are inline. A wider row's
+        // clones share its columns — the write copies them once, because
+        // the before-image still holds them, and the write set shares the
+        // new copy.
         self.write_as(xid, key, move |before| {
             let mut after = before?.clone();
             after.add_int(col, delta);
-            let new_value = after.get(col).and_then(Value::as_int).unwrap_or(0);
+            let new_value = after.int_at(col).unwrap_or(0);
             Some((Some(after), new_value))
         })
     }

@@ -4,11 +4,14 @@
 //! A million dense single-integer rows are the YCSB usertable shape; 80 000
 //! rows 640 apart, one to a 64-row page, are the TPC-C ORDERS / NEW_ORDER
 //! insert shape; 100 000 dense two-integer rows are the TPC-C STOCK /
-//! CUSTOMER shape. The per-row hash map the paged store replaced read 136.3
+//! CUSTOMER shape, and 100 000 dense integer-and-string rows the TPC-C
+//! WAREHOUSE shape. The per-row hash map the paged store replaced read 136.3
 //! and 106.5 B/row on the first two loads. Over the paged store, 48-byte
 //! rows (an inline first column beside a `Vec` of the rest) read 50.4, 119.6
-//! and 97.5 B/row on the three loads; 24-byte rows (one column inline, wider
-//! rows in one `Arc<[Value]>` that clones share) read 25.9, 93.4 and 89.2.
+//! and 97.5 B/row on the first three loads; 24-byte rows (one column inline,
+//! wider rows in one `Arc<[Value]>` that clones share) read 25.9, 93.4 and
+//! 89.2. Two integers inline in the 24 bytes bring the third to 25.2; the
+//! integer-and-string row keeps the shared `Arc` path and reads 97.2.
 //!
 //! A load touches only the pages under every engine configuration. While
 //! the pages also held uncommitted writes, a dense load into a `SnapshotRead`
@@ -24,8 +27,9 @@ use geotp_storage::{EngineConfig, IsolationLevel, Key, Row, StorageEngine, Table
 
 struct LiveBytes;
 
-// Statistics only: the counter publishes no other data, so `Relaxed` suffices.
+// Statistics only: the counters publish no other data, so `Relaxed` suffices.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
@@ -35,6 +39,7 @@ unsafe impl GlobalAlloc for LiveBytes {
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
             LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         ptr
     }
@@ -51,6 +56,7 @@ unsafe impl GlobalAlloc for LiveBytes {
         if !new.is_null() {
             LIVE.fetch_add(new_size, Ordering::Relaxed);
             LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         new
     }
@@ -68,7 +74,11 @@ fn int_row(n: u64) -> Row {
 }
 
 fn two_int_row(n: u64) -> Row {
-    Row::from_values(vec![Value::Int(n as i64), Value::Int(0)])
+    Row::pair(n as i64, 0)
+}
+
+fn int_str_row(n: u64) -> Row {
+    Row::from_values(vec![Value::Int(n as i64), Value::Str(format!("wh{n}"))])
 }
 
 /// A fresh engine configured by `config`, holding `rows` rows `row(n)`
@@ -101,7 +111,8 @@ fn loaded_rows_stay_within_their_heap_budget() {
     let dense = load(1_000_000, 1, int_row).1;
     let sparse = load(80_000, 640, int_row).1;
     const WIDE_ROWS: u64 = 100_000;
-    let (engine, wide) = load(WIDE_ROWS, 1, two_int_row);
+    let (pairs, pair) = load(WIDE_ROWS, 1, two_int_row);
+    let (shared, wide) = load(WIDE_ROWS, 1, int_str_row);
     let snapshot = EngineConfig {
         isolation: IsolationLevel::SnapshotRead,
         ..EngineConfig::default()
@@ -114,7 +125,8 @@ fn loaded_rows_stay_within_their_heap_budget() {
     let history = load_into(history, 1_000_000, 1, int_row).1;
     println!("dense rows: {dense:.1} heap B/row (per-row hash map: 136.3)");
     println!("stride-640 rows: {sparse:.1} heap B/row (per-row hash map: 106.5)");
-    println!("dense two-column rows: {wide:.1} heap B/row");
+    println!("dense two-integer rows: {pair:.1} heap B/row (in a shared Arc: 89.2)");
+    println!("dense integer-and-string rows: {wide:.1} heap B/row");
     println!("dense rows, SnapshotRead: {snapshot:.1} heap B/row (version chain per row: 281.5)");
     println!("dense rows, record_history: {history:.1} heap B/row (stamps per row: 147.5)");
     assert!(
@@ -126,8 +138,12 @@ fn loaded_rows_stay_within_their_heap_budget() {
         "stride-640 rows cost {sparse:.1} B each (budget 106.5)"
     );
     assert!(
-        wide <= 1.1 * 89.2,
-        "dense two-column rows cost {wide:.1} B each (budget 1.1 x 89.2)"
+        pair <= 32.0,
+        "dense two-integer rows cost {pair:.1} B each (budget 32)"
+    );
+    assert!(
+        wide <= 1.1 * 97.2,
+        "dense integer-and-string rows cost {wide:.1} B each (budget 1.1 x 97.2)"
     );
     assert!(
         snapshot <= 32.0,
@@ -138,13 +154,33 @@ fn loaded_rows_stay_within_their_heap_budget() {
         "dense rows on a history-recording engine cost {history:.1} B each (budget 32)"
     );
 
-    // A clone of a stored wide row shares its columns.
-    let mut clones = Vec::with_capacity(WIDE_ROWS as usize);
-    let before = LIVE.load(Ordering::Relaxed);
-    clones.extend((0..WIDE_ROWS).map(|n| engine.peek(key(n)).expect("loaded")));
-    let cloned = LIVE.load(Ordering::Relaxed) as isize - before as isize;
+    // A clone of a stored wide row shares its columns, and one of a stored
+    // pair copies two integers: neither allocates. Nor does a write to a
+    // cloned pair.
+    for engine in [&pairs, &shared] {
+        let mut clones = Vec::with_capacity(WIDE_ROWS as usize);
+        let (bytes, count) = (
+            LIVE.load(Ordering::Relaxed),
+            ALLOCATIONS.load(Ordering::Relaxed),
+        );
+        clones.extend((0..WIDE_ROWS).map(|n| engine.peek(key(n)).expect("loaded")));
+        let cloned = LIVE.load(Ordering::Relaxed) as isize - bytes as isize;
+        assert_eq!(
+            (cloned, ALLOCATIONS.load(Ordering::Relaxed) - count),
+            (0, 0),
+            "cloning {WIDE_ROWS} stored two-column rows allocated (B, blocks)"
+        );
+    }
+    let mut row = pairs.peek(key(7)).expect("loaded");
+    let count = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..1_000 {
+        row.add_int(0, 1);
+        row.add_int(1, -1);
+    }
     assert_eq!(
-        cloned, 0,
-        "cloning {WIDE_ROWS} stored two-column rows allocated {cloned} B"
+        ALLOCATIONS.load(Ordering::Relaxed),
+        count,
+        "add_int on a pair allocated"
     );
+    assert_eq!(row, Row::pair(1_007, -1_000));
 }

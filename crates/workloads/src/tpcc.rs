@@ -207,18 +207,12 @@ impl TpccGenerator {
             for d in 1..=DISTRICTS_PER_WAREHOUSE {
                 source.load(
                     wh_key(DISTRICT, w, d).storage_key(),
-                    Row::from_values(vec![
-                        Value::Int(0), // d_ytd
-                        Value::Int(1), // d_next_o_id
-                    ]),
+                    Row::pair(0, 1), // d_ytd, d_next_o_id
                 );
                 for c in 1..=self.config.customers_per_district {
                     source.load(
                         wh_key(CUSTOMER, w, d * 100_000 + c).storage_key(),
-                        Row::from_values(vec![
-                            Value::Int(1_000), // c_balance
-                            Value::Int(0),     // c_payment_cnt
-                        ]),
+                        Row::pair(1_000, 0), // c_balance, c_payment_cnt
                     );
                 }
             }
@@ -226,7 +220,7 @@ impl TpccGenerator {
                 source.load(wh_key(ITEM, w, item).storage_key(), Row::int(100));
                 source.load(
                     wh_key(STOCK, w, item).storage_key(),
-                    Row::from_values(vec![Value::Int(INITIAL_STOCK), Value::Int(0)]),
+                    Row::pair(INITIAL_STOCK, 0),
                 );
             }
         }
@@ -327,12 +321,12 @@ impl TpccGenerator {
             });
             round2.push(ClientOp::Insert {
                 key: wh_key(ORDER_LINE, w, order_id * 100 + line as u64),
-                row: Row::from_values(vec![Value::Int(item as i64), Value::Int(supply_w as i64)]),
+                row: Row::pair(item as i64, supply_w as i64),
             });
         }
         round2.push(ClientOp::Insert {
             key: wh_key(ORDERS, w, d * ORDER_DISTRICT_STRIDE + order_id),
-            row: Row::from_values(vec![Value::Int(ol_cnt as i64)]),
+            row: Row::int(ol_cnt as i64),
         });
         round2.push(ClientOp::Insert {
             key: wh_key(NEW_ORDER, w, d * ORDER_DISTRICT_STRIDE + order_id),
@@ -448,7 +442,7 @@ pub fn consistency_violations(config: &TpccConfig, sources: &[Rc<DataSource>]) -
         rows.sort_by_key(|(k, _)| *k);
         rows
     };
-    let col_int = |row: &Row, col: usize| row.get(col).and_then(Value::as_int).unwrap_or(0);
+    let col_int = |row: &Row, col: usize| row.int_at(col).unwrap_or(0);
 
     let warehouses = config.total_warehouses() as u64;
     let districts = snapshot(DISTRICT);

@@ -111,6 +111,10 @@ impl YcsbConfig {
     }
 }
 
+/// The most data nodes one transaction may touch: the generator keeps them in
+/// a fixed array rather than a per-transaction `Vec`.
+const MAX_TXN_NODES: usize = 8;
+
 /// Generates YCSB transactions.
 pub struct YcsbGenerator {
     config: YcsbConfig,
@@ -123,6 +127,10 @@ impl YcsbGenerator {
         assert!(config.nodes >= 1);
         assert!(config.ops_per_txn >= 1);
         assert!(config.rounds >= 1);
+        assert!(
+            config.nodes_per_distributed_txn.min(config.nodes as usize) <= MAX_TXN_NODES,
+            "a transaction touches at most {MAX_TXN_NODES} nodes"
+        );
         Self {
             zipf: ZipfianGenerator::new(config.records_per_node, config.theta),
             config,
@@ -156,47 +164,54 @@ impl YcsbGenerator {
         )
     }
 
-    fn pick_nodes(&self, rng: &mut StdRng, distributed: bool) -> Vec<u32> {
-        let home = self
+    /// Fill `nodes` with the transaction's data nodes, home first, and
+    /// return the filled prefix.
+    fn pick_nodes<'a>(
+        &self,
+        rng: &mut StdRng,
+        distributed: bool,
+        nodes: &'a mut [u32; MAX_TXN_NODES],
+    ) -> &'a [u32] {
+        nodes[0] = self
             .config
             .home_node
             .unwrap_or_else(|| rng.gen_range(0..self.config.nodes));
-        if !distributed || self.config.nodes == 1 {
-            return vec![home];
-        }
-        let mut nodes = vec![home];
-        let wanted = self
-            .config
-            .nodes_per_distributed_txn
-            .clamp(2, self.config.nodes as usize);
-        while nodes.len() < wanted {
+        let wanted = if !distributed || self.config.nodes == 1 {
+            1
+        } else {
+            self.config
+                .nodes_per_distributed_txn
+                .clamp(2, self.config.nodes as usize)
+        };
+        let mut len = 1;
+        while len < wanted {
             let candidate = rng.gen_range(0..self.config.nodes);
-            if !nodes.contains(&candidate) {
-                nodes.push(candidate);
+            if !nodes[..len].contains(&candidate) {
+                nodes[len] = candidate;
+                len += 1;
             }
         }
-        nodes
+        &nodes[..len]
     }
 
     /// Generate one transaction. Returns the spec and whether it is
     /// distributed by construction.
     pub fn generate(&self, rng: &mut StdRng) -> (TransactionSpec, bool) {
         let distributed = rng.gen::<f64>() < self.config.distributed_ratio;
-        let nodes = self.pick_nodes(rng, distributed);
-        let mut ops = Vec::with_capacity(self.config.ops_per_txn);
-        let mut used = Vec::new();
+        let mut picked = [0; MAX_TXN_NODES];
+        let nodes = self.pick_nodes(rng, distributed, &mut picked);
+        let mut ops: Vec<ClientOp> = Vec::with_capacity(self.config.ops_per_txn);
         for i in 0..self.config.ops_per_txn {
             // Spread operations over the involved nodes round-robin so every
             // involved node receives at least one operation.
             let node = nodes[i % nodes.len()];
             let mut key = self.key_on_node(node, rng);
             for _ in 0..8 {
-                if !used.contains(&key) {
+                if !ops.iter().any(|op| op.key() == key) {
                     break;
                 }
                 key = self.key_on_node(node, rng);
             }
-            used.push(key);
             let op = if rng.gen::<f64>() < self.config.read_ratio {
                 ClientOp::Read(key)
             } else {
