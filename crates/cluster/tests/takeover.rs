@@ -8,8 +8,10 @@ use geotp_cluster::{
     build_tier, run_open_loop, ClusterConfig, CoordinatorCluster, OpenLoopConfig, TierLayout,
 };
 use geotp_datasource::{DsConnection, DsOperation, StatementRequest};
-use geotp_middleware::{ClientOp, GlobalKey, Partitioner, Protocol, TransactionSpec};
-use geotp_net::NodeId;
+use geotp_middleware::{
+    ClientOp, GlobalKey, Partitioner, Protocol, SessionService, TransactionSpec,
+};
+use geotp_net::{NodeId, StaticLatency};
 use geotp_simrt::{sleep, spawn, Runtime};
 use geotp_storage::{CostModel, EngineConfig, Key, Row, StorageError, TableId, Xid};
 use rand::Rng;
@@ -361,6 +363,84 @@ fn restart_cleanup_spares_a_transaction_begun_during_the_restart() {
         assert!(outcome.committed, "{:?}", outcome.abort_reason);
         assert_eq!(unfinished_owned_by(&cluster, 0), 0);
     });
+}
+
+/// dm0 dies and dm1's takeover of it is in flight over a slow dm1↔ds1 link
+/// when dm0's slot restarts cold; returns the running takeover. Its fence
+/// and scoped abort reach ds1 about a second later, after the restarted
+/// slot's successor has begun serving.
+async fn restart_during_a_slow_takeover(
+    cluster: &Rc<CoordinatorCluster>,
+) -> geotp_simrt::JoinHandle<geotp_cluster::TakeoverReport> {
+    cluster.middleware(1).network().set_link(
+        NodeId::middleware(1),
+        NodeId::data_source(1),
+        StaticLatency::from_millis(2_000),
+    );
+    cluster.crash(0);
+    cluster.membership().declare_dead(0);
+    let takeover = spawn({
+        let cluster = Rc::clone(cluster);
+        async move { cluster.take_over(0, 1).await }
+    });
+    sleep(Duration::from_millis(1)).await;
+    cluster.restart(0).await;
+    takeover
+}
+
+/// A takeover of the dead incarnation must not abort the successor's
+/// unprepared branch, although both are in coordinator 0's gtrid space.
+#[test]
+fn an_in_flight_takeover_spares_the_successors_unprepared_branch() {
+    let mut rt = Runtime::new();
+    rt.block_on(async {
+        let cluster = build(2, vec![10, 100]);
+        let takeover = restart_during_a_slow_takeover(&cluster).await;
+        let mut session = cluster.middleware(0).connect(7);
+        let mut txn = session.begin().await.expect("the successor serves");
+        txn.execute(&[ClientOp::add(gk(101), 100)])
+            .await
+            .expect("the successor's first statement");
+        let report = takeover.await;
+        assert_eq!(report.unprepared_aborted, 0, "the successor's branch");
+        let outcome = txn.commit().await;
+        assert!(outcome.committed, "{:?}", outcome.abort_reason);
+        assert_eq!(row(&cluster, 101), 1_100);
+    });
+}
+
+/// The same race one step later: the adoption's scoped `XA RECOVER` must
+/// not presume abort for the successor's prepared, undecided branches.
+#[test]
+fn an_in_flight_adoption_spares_the_successors_prepared_branches() {
+    let mut rt = Runtime::new();
+    rt.block_on(async {
+        let cluster = build(2, vec![10, 100]);
+        let takeover = restart_during_a_slow_takeover(&cluster).await;
+        let mut session = cluster.middleware(0).connect(7);
+        let mut txn = session.begin().await.expect("the successor serves");
+        txn.execute_last(&[ClientOp::add(gk(1), -100), ClientOp::add(gk(101), 100)])
+            .await
+            .expect("the successor's only round");
+        let report = takeover.await;
+        assert_eq!(
+            (report.adopted_committed, report.adopted_aborted),
+            (0, 0),
+            "the successor's prepared branches are not the dead instance's"
+        );
+        let outcome = txn.commit().await;
+        assert!(outcome.committed, "{:?}", outcome.abort_reason);
+        assert_eq!((row(&cluster, 1), row(&cluster, 101)), (900, 1_100));
+    });
+}
+
+/// The committed value of global row `row`.
+fn row(cluster: &CoordinatorCluster, row: u64) -> i64 {
+    let ds = &cluster.sources()[(row / ROWS_PER_NODE) as usize];
+    ds.engine()
+        .peek(gk(row).storage_key())
+        .and_then(|r| r.int_value())
+        .expect("a loaded integer row")
 }
 
 /// Recovering twice ≡ once: after a takeover and after a cold restart, a

@@ -908,6 +908,109 @@ mod tests {
         });
     }
 
+    /// How many conclusions a concluded or tombstoned branch stays known.
+    const WINDOW: u64 = 4_096;
+
+    /// Conclude `n` branches that never ran here, gtrids from `first` (the
+    /// middleware's rollback concludes a branch whether or not it arrived).
+    async fn conclude_fresh(ds: &Rc<DataSource>, first: u64, n: u64) {
+        for gtrid in first..first + n {
+            ds.rollback(Xid::new(gtrid, 0)).await.unwrap();
+        }
+    }
+
+    /// A branch's first statement: add 1 to key 1.
+    fn first_statement(xid: Xid) -> StatementRequest {
+        StatementRequest {
+            xid,
+            begin: true,
+            ops: vec![DsOperation::AddInt {
+                key: key(1),
+                col: 0,
+                delta: 1,
+            }],
+            is_last: false,
+            decentralized_prepare: false,
+            early_abort: true,
+            peers: vec![1],
+            trace_parent: None,
+        }
+    }
+
+    /// Drain the notifications that reached the middleware by now.
+    async fn notifications(rx: &mut mpsc::Receiver<AgentNotification>) -> usize {
+        sleep(Duration::from_millis(100)).await;
+        let mut n = 0;
+        while rx.try_recv().is_some() {
+            n += 1;
+        }
+        n
+    }
+
+    #[test]
+    fn a_late_abort_after_100_001_conclusions_plants_no_tombstone() {
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let (_net, ds, dm) = setup(0, 10);
+            conclude_fresh(&ds, 1, 100_002).await;
+            // A late early abort for the branch that concluded one
+            // conclusion ago: nothing to roll back and nothing to refuse.
+            let late = Xid::new(100_001, 0);
+            ds.peer_rollback(late).await;
+            assert_eq!(ds.stats().peer_rollbacks, 0, "a late abort is a no-op");
+            assert!(ds.execute(dm, &first_statement(late)).await.outcome.is_ok());
+        });
+    }
+
+    #[test]
+    fn a_duplicate_abort_inside_the_retention_window_is_a_no_op() {
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let (_net, ds, dm) = setup(0, 10);
+            let (tx, mut rx) = mpsc::unbounded();
+            ds.register_middleware(dm, tx);
+            let xid = Xid::new(1, 0);
+            assert!(ds.execute(dm, &first_statement(xid)).await.outcome.is_ok());
+            ds.peer_rollback(xid).await;
+            conclude_fresh(&ds, 100, WINDOW).await;
+            ds.peer_rollback(xid).await;
+            assert_eq!(ds.stats().peer_rollbacks, 1);
+            assert_eq!(notifications(&mut rx).await, 1, "one Rollbacked");
+        });
+    }
+
+    #[test]
+    fn an_unclaimed_tombstone_expires_after_the_retention_window() {
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let (_net, ds, dm) = setup(0, 10);
+            let xid = Xid::new(1, 0);
+            ds.peer_rollback(xid).await;
+            assert_eq!(ds.stats().peer_rollbacks, 1, "the tombstone counts");
+            conclude_fresh(&ds, 100, 2 * WINDOW).await;
+            // Its branch arrives after the window: nothing refuses it.
+            assert!(ds.execute(dm, &first_statement(xid)).await.outcome.is_ok());
+        });
+    }
+
+    #[test]
+    fn a_tombstone_refuses_its_branch_inside_the_retention_window() {
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let (_net, ds, dm) = setup(0, 10);
+            let (tx, mut rx) = mpsc::unbounded();
+            ds.register_middleware(dm, tx);
+            let xid = Xid::new(1, 0);
+            ds.peer_rollback(xid).await;
+            conclude_fresh(&ds, 100, WINDOW).await;
+            let refused = ds.execute(dm, &first_statement(xid)).await;
+            assert!(!refused.outcome.is_ok());
+            assert_eq!(ds.engine().state_of(xid), None, "it never began");
+            assert_eq!(notifications(&mut rx).await, 1, "one Rollbacked");
+            assert_eq!(ds.engine().peek(key(1)).unwrap().int_value(), Some(100));
+        });
+    }
+
     #[test]
     fn crashed_source_sends_no_early_aborts() {
         let mut rt = Runtime::new();
