@@ -343,10 +343,10 @@ impl CoordinatorCluster {
         }
         // Cold recovery of the slot's own gtrid space, as a takeover does it
         // for a dead peer: first abort the predecessor's unprepared branches
-        // (nobody will ever finish them, and they hold their locks). This
-        // runs while the slot is still dead, so every branch in its gtrid
-        // space is the predecessor's: the router sends the successor nothing
-        // before it registers.
+        // (nobody will ever finish them, and they hold their locks): the
+        // gtrids below `old.next_txn_seq()`, the same bound a takeover of the
+        // dead incarnation uses. The successor continues from there, so
+        // neither touches its branches.
         old.abort_unprepared(|_, _| {}).await;
         let epoch = self.membership.register(coord);
         geotp_telemetry::gauge_set("cluster.epoch", "", coord, epoch as i64);
@@ -478,6 +478,10 @@ impl CoordinatorCluster {
         assert_ne!(dead, by, "a coordinator cannot adopt itself");
         let slot = &self.slots[dead as usize];
         let dead_log = Rc::clone(&slot.commit_log);
+        // The dead incarnation's gtrids are the ones below its sequence now: a
+        // successor the slot's cold restart brings up meanwhile continues from
+        // here, and its branches are not this takeover's to abort or adopt.
+        let below = slot.middleware().next_txn_seq();
         let already_fenced = dead_log.min_epoch() > slot.epoch.get();
         let (fencing_epoch, unprepared_aborted) = if already_fenced {
             (dead_log.min_epoch(), 0)
@@ -507,7 +511,7 @@ impl CoordinatorCluster {
                     let aborted = if ds.is_crashed() {
                         0
                     } else {
-                        ds.abort_unprepared_of(dead).await.len()
+                        ds.abort_unprepared_of(dead, below).await.len()
                     };
                     net.transfer(ds.node(), by_node).await;
                     aborted
@@ -522,7 +526,7 @@ impl CoordinatorCluster {
         //    connections.
         let (adopted_committed, adopted_aborted) = self.slots[by as usize]
             .middleware()
-            .recover_owned_by(dead, &dead_log)
+            .recover_owned_by(dead, below, &dead_log)
             .await;
 
         if !already_fenced {

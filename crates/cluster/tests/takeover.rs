@@ -129,9 +129,22 @@ fn crashed_coordinator_is_fenced_and_its_commit_is_adopted() {
     });
 }
 
+/// A gtrid coordinator `coord`'s current incarnation allocated: a
+/// transaction begun there and rolled back before its first statement.
+/// Recovery resolves only the gtrids an incarnation allocated.
+async fn allocated_gtrid(cluster: &CoordinatorCluster, coord: u32) -> u64 {
+    let mut session = cluster.middleware(coord).connect(u64::MAX);
+    let txn = session.begin().await.expect("the coordinator serves");
+    let gtrid = txn.gtrid();
+    txn.rollback().await;
+    gtrid
+}
+
 /// Drive two branches of a dm1-owned gtrid to the prepared state through
 /// dm1's own (epoch-stamped) connections, without any flushed decision.
-async fn prepare_in_doubt(cluster: &Rc<CoordinatorCluster>, gtrid: u64) -> Vec<DsConnection> {
+/// Returns the gtrid and the connections.
+async fn prepare_in_doubt(cluster: &Rc<CoordinatorCluster>) -> (u64, Vec<DsConnection>) {
+    let gtrid = allocated_gtrid(cluster, 1).await;
     let dm1 = NodeId::middleware(1);
     let epoch = cluster.epoch(1);
     let mut conns = Vec::new();
@@ -166,7 +179,7 @@ async fn prepare_in_doubt(cluster: &Rc<CoordinatorCluster>, gtrid: u64) -> Vec<D
         );
         conns.push(conn);
     }
-    conns
+    (gtrid, conns)
 }
 
 /// Epoch fencing, order A: takeover completes first, the stale coordinator's
@@ -177,8 +190,7 @@ fn stale_decisions_after_takeover_are_rejected_by_every_source() {
     let mut rt = Runtime::new();
     rt.block_on(async {
         let cluster = build(2, vec![10, 100]);
-        let gtrid = (1u64 << 48) | 7;
-        let conns = prepare_in_doubt(&cluster, gtrid).await;
+        let (gtrid, conns) = prepare_in_doubt(&cluster).await;
 
         // dm1 goes silent (say, GC pause); the cluster declares it dead and
         // dm0 adopts. No decision was durable, so the branches abort.
@@ -235,8 +247,7 @@ fn stale_commit_between_fence_and_adoption_is_rejected() {
     let mut rt = Runtime::new();
     rt.block_on(async {
         let cluster = build(2, vec![10, 100]);
-        let gtrid = (1u64 << 48) | 9;
-        let conns = prepare_in_doubt(&cluster, gtrid).await;
+        let (gtrid, conns) = prepare_in_doubt(&cluster).await;
 
         // Manual takeover, step by step (the public pieces `take_over`
         // composes), so the stale COMMIT can be injected mid-way.
@@ -264,7 +275,11 @@ fn stale_commit_between_fence_and_adoption_is_rejected() {
         // decision ⇒ abort, and the stale coordinator's +500s are undone.
         let (committed, aborted) = cluster
             .middleware(0)
-            .recover_owned_by(1, cluster.commit_log(1))
+            .recover_owned_by(
+                1,
+                cluster.middleware(1).next_txn_seq(),
+                cluster.commit_log(1),
+            )
             .await;
         assert_eq!((committed, aborted), (0, 2));
         for (i, ds) in cluster.sources().iter().enumerate() {
@@ -453,7 +468,7 @@ fn a_second_recovery_pass_is_a_no_op() {
         // Takeover: dm1 dies with an in-doubt transaction and an ACTIVE
         // branch; the supervisor fences it and dm0 adopts.
         let cluster = build(2, vec![10, 100]);
-        prepare_in_doubt(&cluster, (1u64 << 48) | 7).await;
+        prepare_in_doubt(&cluster).await;
         begin_branch(&cluster, 1, 0, 60).await;
         cluster.crash(1);
         let reports = cluster.supervise_once().await;
@@ -467,7 +482,7 @@ fn a_second_recovery_pass_is_a_no_op() {
         // Cold restart: the whole tier died; dm0 comes back alone, and the
         // first pass adopts dm1's in-doubt transaction.
         let cluster = build(2, vec![10, 100]);
-        prepare_in_doubt(&cluster, (1u64 << 48) | 7).await;
+        prepare_in_doubt(&cluster).await;
         begin_branch(&cluster, 0, 1, 160).await;
         cluster.crash(0);
         cluster.crash(1);
@@ -518,7 +533,7 @@ async fn begin_branch(cluster: &CoordinatorCluster, coord: u32, source: u32, row
     .with_epoch(cluster.epoch(coord));
     let resp = conn
         .execute(StatementRequest {
-            xid: Xid::new(((coord as u64) << 48) | 1_000, source),
+            xid: Xid::new(allocated_gtrid(cluster, coord).await, source),
             begin: true,
             ops: vec![DsOperation::AddInt {
                 key: gk(row).storage_key(),

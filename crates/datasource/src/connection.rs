@@ -157,10 +157,11 @@ impl DsConnection {
         })
     }
 
-    /// `XA RECOVER` scoped to coordinator `owner`'s gtrid space (one round
-    /// trip): what a coordinator's own recovery and a peer takeover resolve.
-    pub async fn recover_prepared_owned_by(&self, owner: u32) -> Vec<Xid> {
-        self.round_trip(|| async { self.ds.recover_prepared_owned_by(owner) })
+    /// `XA RECOVER` scoped to the gtrids coordinator `owner` allocated below
+    /// sequence number `below` (one round trip): what a coordinator's own
+    /// recovery and a peer takeover resolve.
+    pub async fn recover_prepared_owned_by(&self, owner: u32, below: u64) -> Vec<Xid> {
+        self.round_trip(|| async { self.ds.recover_prepared_owned_by(owner, below) })
             .await
     }
 
@@ -265,10 +266,14 @@ mod tests {
             })
             .await;
             conn.prepare(xid).await;
-            assert_eq!(conn.recover_prepared_owned_by(0).await, vec![xid]);
-            assert!(conn.recover_prepared_owned_by(1).await.is_empty());
+            assert_eq!(conn.recover_prepared_owned_by(0, 5).await, vec![xid]);
+            assert!(conn.recover_prepared_owned_by(1, 5).await.is_empty());
+            assert!(
+                conn.recover_prepared_owned_by(0, 4).await.is_empty(),
+                "gtrid 4 belongs to the incarnation that starts at 4"
+            );
             conn.rollback(xid).await.unwrap();
-            assert!(conn.recover_prepared_owned_by(0).await.is_empty());
+            assert!(conn.recover_prepared_owned_by(0, 5).await.is_empty());
         });
     }
 }

@@ -1,14 +1,15 @@
 //! The data-source server: storage engine + geo-agent.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::future::Future;
 use std::rc::{Rc, Weak};
 use std::time::Duration;
 
 use geotp_net::{Network, NodeId};
-use geotp_simrt::hash::{FxHashMap, FxHashSet};
+use geotp_simrt::hash::FxHashMap;
 use geotp_simrt::sync::mpsc;
-use geotp_simrt::{now, sleep, spawn};
+use geotp_simrt::{now, sleep, spawn, SimInstant};
 use geotp_storage::{EngineConfig, Row, SmallVec, StorageEngine, StorageError, Xid};
 
 use crate::messages::{
@@ -73,20 +74,10 @@ pub struct DataSource {
     dm_channels: RefCell<FxHashMap<NodeId, mpsc::Sender<AgentNotification>>>,
     /// Connection pool towards peer geo-agents, keyed by data-source index.
     peers: RefCell<FxHashMap<u32, Weak<DataSource>>>,
-    /// Local transaction manager: which middleware coordinates each branch and
-    /// which peer data sources participate in the same global transaction.
-    branches: RefCell<FxHashMap<Xid, BranchInfo>>,
-    /// Early-abort tombstones: branches a peer geo-agent asked to abort
-    /// *before* their first statement arrived (possible when the scheduler
-    /// postpones the local branch). The branch is refused on arrival.
-    abort_marks: RefCell<FxHashSet<Xid>>,
-    /// Branches that already concluded here (committed, rolled back or
-    /// refused). Lets [`DataSource::peer_rollback`] tell a *late or
-    /// duplicated* abort request (a no-op) apart from one racing ahead of
-    /// the branch's first statement (a tombstone) — without it, a second
-    /// request for a finished branch planted a bogus tombstone and
-    /// double-counted `peer_rollbacks`.
-    finished_branches: RefCell<FxHashSet<Xid>>,
+    /// The geo-agent's local transaction manager: one record per branch.
+    branches: RefCell<FxHashMap<Xid, Branch>>,
+    /// Branches concluded here so far: the clock of [`BRANCH_RETENTION`].
+    conclusions: Cell<u64>,
     /// Per-coordinator epoch fences: commands from a coordinator whose epoch
     /// is below its fence are rejected (the cluster declared it dead and a
     /// peer adopted its in-doubt branches — a stale COMMIT/ROLLBACK from the
@@ -96,11 +87,44 @@ pub struct DataSource {
     stats: RefCell<DataSourceStats>,
 }
 
-#[derive(Debug, Clone)]
-struct BranchInfo {
-    coordinator: NodeId,
-    /// Kept inline: a branch starts without allocating for its peer list.
-    peers: SmallVec<u32, 4>,
+/// How many of a source's conclusions a concluded or tombstoned branch stays
+/// known for: every `BRANCH_RETENTION` conclusions, the older records go.
+/// Over the workspace tests, the 32-seed chaos sweep (which reaches neither
+/// path) and 15 s benchmark runs, a late early abort reached its branch at
+/// most 17 conclusions after the branch concluded, and a tombstone's branch
+/// arrived at most 72 conclusions after the tombstone was planted.
+const BRANCH_RETENTION: u64 = 4_096;
+
+/// A branch's record at its geo-agent; a non-live one carries the number of
+/// its conclusion.
+enum Branch {
+    /// Executing here, for `coordinator`, with `peers` (the data sources of
+    /// its sibling branches, kept inline: a branch starts without allocating).
+    Live {
+        coordinator: NodeId,
+        peers: SmallVec<u32, 4>,
+    },
+    /// A peer asked to abort the branch before its first statement arrived
+    /// (possible when the scheduler postpones it): it is refused on arrival.
+    Tombstoned(u64),
+    /// Committed, rolled back or refused here: a late or duplicated early
+    /// abort for it is a no-op, not a tombstone.
+    Concluded(u64),
+}
+
+/// Whether coordinator `owner` allocated `xid`'s gtrid before its sequence
+/// reached `below`: a dead incarnation's `next_txn_seq` bounds its gtrids,
+/// and its successor continues from there.
+fn allocated_below(xid: Xid, owner: u32, below: u64) -> bool {
+    xid.owner() == owner && xid.gtrid - (u64::from(owner) << Xid::OWNER_SHIFT) < below
+}
+
+/// The response to a batch `started` then that failed with `error`.
+fn failed(error: StorageError, started: SimInstant) -> StatementResponse {
+    StatementResponse {
+        outcome: StatementOutcome::Failed { error },
+        local_execution_latency: now().duration_since(started),
+    }
 }
 
 /// A request's peer list, as a branch keeps it.
@@ -123,8 +147,7 @@ impl DataSource {
             dm_channels: RefCell::new(FxHashMap::default()),
             peers: RefCell::new(FxHashMap::default()),
             branches: RefCell::new(FxHashMap::default()),
-            abort_marks: RefCell::new(FxHashSet::default()),
-            finished_branches: RefCell::new(FxHashSet::default()),
+            conclusions: Cell::new(0),
             fences: RefCell::new(FxHashMap::default()),
             stats: RefCell::new(DataSourceStats::default()),
         })
@@ -167,21 +190,13 @@ impl DataSource {
     /// commit-log fence.
     pub fn fence_coordinator(&self, dm: NodeId, min_epoch: u64) {
         let mut fences = self.fences.borrow_mut();
-        let entry = fences.entry(dm).or_insert(0);
-        if min_epoch > *entry {
-            *entry = min_epoch;
-        }
-    }
-
-    /// The minimum epoch currently accepted from coordinator `dm` (0 when
-    /// unfenced).
-    pub fn coordinator_fence(&self, dm: NodeId) -> u64 {
-        self.fences.borrow().get(&dm).copied().unwrap_or(0)
+        let fence = fences.entry(dm).or_insert(0);
+        *fence = min_epoch.max(*fence);
     }
 
     /// Reject a command from `dm` at `epoch` if the coordinator is fenced.
     pub fn fence_check(&self, dm: NodeId, epoch: u64, xid: Xid) -> Result<(), StorageError> {
-        if epoch < self.coordinator_fence(dm) {
+        if epoch < self.fences.borrow().get(&dm).copied().unwrap_or(0) {
             return Err(StorageError::InvalidState {
                 xid,
                 reason: "command from a fenced coordinator epoch",
@@ -202,14 +217,62 @@ impl DataSource {
         self.engine.load(key, row);
     }
 
-    /// Record that a branch concluded on this node (bounded like the
-    /// tombstone set: these are failure-path artifacts, not hot state).
-    fn mark_finished(&self, xid: Xid) {
-        let mut finished = self.finished_branches.borrow_mut();
-        if finished.len() > 100_000 {
-            finished.clear();
+    /// The next conclusion's number. Every [`BRANCH_RETENTION`] conclusions
+    /// it first drops the records concluded more than that many before.
+    fn next_conclusion(&self) -> u64 {
+        let at = self.conclusions.get() + 1;
+        self.conclusions.set(at);
+        if at.is_multiple_of(BRANCH_RETENTION) {
+            self.branches.borrow_mut().retain(|_, branch| match branch {
+                Branch::Live { .. } => true,
+                Branch::Tombstoned(since) | Branch::Concluded(since) => {
+                    at - *since <= BRANCH_RETENTION
+                }
+            });
         }
-        finished.insert(xid);
+        at
+    }
+
+    /// Conclude `xid` here and return the record it replaced. A tombstone
+    /// stays, still refusing its branch.
+    fn finish(&self, xid: Xid) -> Option<Branch> {
+        let concluded = Branch::Concluded(self.next_conclusion());
+        match self.branches.borrow_mut().entry(xid) {
+            Entry::Occupied(record) if matches!(record.get(), Branch::Tombstoned(_)) => None,
+            Entry::Occupied(mut record) => Some(record.insert(concluded)),
+            Entry::Vacant(record) => {
+                record.insert(concluded);
+                None
+            }
+        }
+    }
+
+    /// A statement reaches `req`'s branch record. A tombstone refuses the
+    /// branch and concludes it (`false`); a first statement makes the branch
+    /// live; a later one may refine its peer list (interactive transactions).
+    fn admit(&self, from: NodeId, req: &StatementRequest) -> bool {
+        let mut branches = self.branches.borrow_mut();
+        match branches.get_mut(&req.xid) {
+            Some(Branch::Tombstoned(_)) => {
+                drop(branches);
+                let concluded = Branch::Concluded(self.next_conclusion());
+                self.branches.borrow_mut().insert(req.xid, concluded);
+                return false;
+            }
+            _ if req.begin => {
+                let peers = peer_set(&req.peers);
+                let live = Branch::Live {
+                    coordinator: from,
+                    peers,
+                };
+                branches.insert(req.xid, live);
+            }
+            Some(Branch::Live { peers, .. }) if !req.peers.is_empty() => {
+                *peers = peer_set(&req.peers);
+            }
+            _ => {}
+        }
+        true
     }
 
     /// The notification channel to middleware `dm`, unless this source has
@@ -287,42 +350,23 @@ impl DataSource {
 
             // A peer already asked to abort this branch (early abort raced ahead
             // of the branch's first statement): refuse it and confirm the rollback.
-            if self.abort_marks.borrow_mut().remove(&req.xid) {
-                self.mark_finished(req.xid);
+            if !self.admit(from, req) {
                 self.stats.borrow_mut().failed_statements += 1;
                 self.notify_dm(from, AgentNotification::Rollbacked { xid: req.xid });
                 geotp_telemetry::span_end(exec_span);
-                return StatementResponse {
-                    outcome: StatementOutcome::Failed {
-                        error: StorageError::InvalidState {
-                            xid: req.xid,
-                            reason: "branch aborted by a peer before it started",
-                        },
-                    },
-                    local_execution_latency: now().duration_since(started),
+                let reason = "branch aborted by a peer before it started";
+                let error = StorageError::InvalidState {
+                    xid: req.xid,
+                    reason,
                 };
+                return failed(error, started);
             }
 
             if req.begin {
-                self.branches.borrow_mut().insert(
-                    req.xid,
-                    BranchInfo {
-                        coordinator: from,
-                        peers: peer_set(&req.peers),
-                    },
-                );
                 if let Err(error) = self.engine.begin(req.xid) {
                     self.stats.borrow_mut().failed_statements += 1;
                     geotp_telemetry::span_end(exec_span);
-                    return StatementResponse {
-                        outcome: StatementOutcome::Failed { error },
-                        local_execution_latency: now().duration_since(started),
-                    };
-                }
-            } else if let Some(info) = self.branches.borrow_mut().get_mut(&req.xid) {
-                // Later rounds may refine the peer list (interactive transactions).
-                if !req.peers.is_empty() {
-                    info.peers = peer_set(&req.peers);
+                    return failed(error, started);
                 }
             }
 
@@ -342,10 +386,7 @@ impl DataSource {
                 self.stats.borrow_mut().failed_statements += 1;
                 self.fail_branch(from, req).await;
                 geotp_telemetry::span_end(exec_span);
-                return StatementResponse {
-                    outcome: StatementOutcome::Failed { error },
-                    local_execution_latency: now().duration_since(started),
-                };
+                return failed(error, started);
             }
 
             if req.is_last && req.decentralized_prepare {
@@ -401,6 +442,7 @@ impl DataSource {
         // Stop queueing for any lock we are still waiting on and roll back.
         self.engine.lock_manager().cancel_waiters(req.xid);
         let _ = self.engine.rollback(req.xid).await;
+        let record = self.finish(req.xid);
         self.notify_dm(from, AgentNotification::Rollbacked { xid: req.xid });
 
         // A crashed data source sends nothing — not to the coordinator (the
@@ -412,14 +454,10 @@ impl DataSource {
         // surviving branches back explicitly, so nothing depends on a dead
         // process speaking.
         if req.early_abort && !self.is_crashed() {
-            let peers = if req.peers.is_empty() {
-                self.branches
-                    .borrow()
-                    .get(&req.xid)
-                    .map(|b| b.peers.clone())
-                    .unwrap_or_default()
-            } else {
-                peer_set(&req.peers)
+            let peers = match record {
+                _ if !req.peers.is_empty() => peer_set(&req.peers),
+                Some(Branch::Live { peers, .. }) => peers,
+                _ => SmallVec::new(),
             };
             for peer_idx in peers.iter() {
                 if peer_idx == self.index() {
@@ -441,8 +479,6 @@ impl DataSource {
                 });
             }
         }
-        self.branches.borrow_mut().remove(&req.xid);
-        self.mark_finished(req.xid);
     }
 
     /// Roll back a branch at the request of a *peer* geo-agent (early abort),
@@ -450,34 +486,29 @@ impl DataSource {
     ///
     /// Idempotent: when two failing siblings of a ≥3-branch transaction both
     /// early-abort this branch (or the duplicate-delivery fault doubles the
-    /// request), the second call finds the branch gone, counts nothing and
-    /// sends nothing — previously it double-counted `peer_rollbacks` and
+    /// request), the second call finds the branch concluded, counts nothing
+    /// and sends nothing — previously it double-counted `peer_rollbacks` and
     /// re-sent the `Rollbacked` notification.
-    pub async fn peer_rollback(self: &Rc<Self>, xid: Xid) {
-        if self.finished_branches.borrow().contains(&xid) {
-            return; // late or duplicated request for a concluded branch
-        }
-        let coordinator = self.branches.borrow().get(&xid).map(|b| b.coordinator);
+    async fn peer_rollback(self: &Rc<Self>, xid: Xid) {
+        let coordinator = match self.branches.borrow().get(&xid) {
+            Some(Branch::Live { coordinator, .. }) => Some(*coordinator),
+            // Late or duplicated: the branch concluded or is tombstoned.
+            Some(_) => return,
+            None => None,
+        };
+        self.stats.borrow_mut().peer_rollbacks += 1;
         if coordinator.is_none() && self.engine.state_of(xid).is_none() {
             // The branch has not arrived yet (its dispatch was postponed by
-            // the scheduler). Leave a tombstone so it is refused on arrival;
-            // a repeated request for the same branch changes nothing.
-            let mut marks = self.abort_marks.borrow_mut();
-            if marks.len() > 100_000 {
-                marks.clear();
-            }
-            if marks.insert(xid) {
-                self.stats.borrow_mut().peer_rollbacks += 1;
-            }
+            // the scheduler). Leave a tombstone so it is refused on arrival.
+            let tombstone = Branch::Tombstoned(self.next_conclusion());
+            self.branches.borrow_mut().insert(xid, tombstone);
             return;
         }
-        self.stats.borrow_mut().peer_rollbacks += 1;
         self.engine.lock_manager().cancel_waiters(xid);
         if self.engine.state_of(xid).is_some() {
             let _ = self.engine.rollback(xid).await;
         }
-        self.branches.borrow_mut().remove(&xid);
-        self.mark_finished(xid);
+        self.finish(xid);
         if let Some(dm) = coordinator {
             self.notify_dm(dm, AgentNotification::Rollbacked { xid });
         }
@@ -511,7 +542,7 @@ impl DataSource {
     /// The geo-agent's `AsyncPrepare` (Algorithm 1): end the branch if it is
     /// still active, and if the transaction is distributed, prepare it.
     /// Centralized branches only end and report `Idle`.
-    pub async fn async_prepare(self: &Rc<Self>, xid: Xid, centralized: bool) -> PrepareVote {
+    async fn async_prepare(self: &Rc<Self>, xid: Xid, centralized: bool) -> PrepareVote {
         let Some(state) = self.engine.state_of(xid) else {
             // Already rolled back (e.g. early abort raced with the prepare).
             return PrepareVote::RollbackOnly;
@@ -533,7 +564,7 @@ impl DataSource {
     }
 
     /// Explicit prepare, driven by the middleware over the WAN (the classic
-    /// XA path used by the SSP baseline): [`DataSource::async_prepare`] of a
+    /// XA path used by the SSP baseline): the geo-agent's `AsyncPrepare` of a
     /// distributed branch.
     pub fn prepare(self: &Rc<Self>, xid: Xid) -> impl Future<Output = PrepareVote> + '_ {
         self.async_prepare(xid, false)
@@ -542,10 +573,7 @@ impl DataSource {
     /// Commit a branch (two-phase if prepared, one-phase otherwise).
     pub async fn commit(self: &Rc<Self>, xid: Xid, one_phase: bool) -> Result<(), StorageError> {
         let result = self.engine.commit(xid, one_phase).await;
-        self.branches.borrow_mut().remove(&xid);
-        if result.is_ok() {
-            self.mark_finished(xid);
-        }
+        self.settle(xid, &result);
         result
     }
 
@@ -554,11 +582,20 @@ impl DataSource {
     /// so the fast path can never lose a durable decision.
     pub fn commit_read_only(self: &Rc<Self>, xid: Xid) -> Result<(), StorageError> {
         let result = self.engine.commit_read_only(xid);
-        self.branches.borrow_mut().remove(&xid);
-        if result.is_ok() {
-            self.mark_finished(xid);
-        }
+        self.settle(xid, &result);
         result
+    }
+
+    /// After a commit: a committed branch concludes; a refused one only loses
+    /// its live record (the engine may still hold it).
+    fn settle(&self, xid: Xid, committed: &Result<(), StorageError>) {
+        if committed.is_ok() {
+            self.finish(xid);
+        } else if let Entry::Occupied(record) = self.branches.borrow_mut().entry(xid) {
+            if matches!(record.get(), Branch::Live { .. }) {
+                record.remove();
+            }
+        }
     }
 
     /// Roll back a branch on the middleware's request.
@@ -569,41 +606,36 @@ impl DataSource {
         } else {
             Ok(())
         };
-        self.branches.borrow_mut().remove(&xid);
-        self.mark_finished(xid);
+        self.finish(xid);
         result
     }
 
-    /// Branches in the prepared state (`XA RECOVER`), used by middleware
-    /// failure recovery.
-    pub fn recover_prepared(&self) -> Vec<Xid> {
-        self.engine.prepared_xids()
-    }
-
-    /// `XA RECOVER` scoped to one coordinator's gtrid space: the prepared
-    /// branches whose gtrid was allocated by coordinator `owner`. Peer
-    /// takeover adopts exactly these — the in-doubt branches of the live
-    /// coordinators are none of the adopter's business.
-    pub fn recover_prepared_owned_by(&self, owner: u32) -> Vec<Xid> {
+    /// `XA RECOVER` scoped to one incarnation of coordinator `owner`: the
+    /// prepared branches whose gtrid `owner` allocated below sequence number
+    /// `below`. Peer takeover adopts exactly these — the in-doubt branches of
+    /// the live coordinators, and of the slot's restarted successor, are none
+    /// of the adopter's business.
+    pub fn recover_prepared_owned_by(&self, owner: u32, below: u64) -> Vec<Xid> {
         let mut xids = self.engine.prepared_xids();
-        xids.retain(|xid| xid.owner() == owner);
+        xids.retain(|xid| allocated_below(*xid, owner, below));
         xids
     }
 
-    /// Abort the unprepared (ACTIVE/ENDED) branches in coordinator `owner`'s
-    /// gtrid space, in xid order — what the data source does when that
-    /// coordinator disconnects (paper setting ❶). Every other coordinator's
-    /// in-flight branches are untouched, and prepared branches stay in doubt
-    /// for the commit log to resolve. A victim parked in a lock wait leaves
-    /// the queue first, so it can never be granted a lock after its rollback.
-    pub async fn abort_unprepared_of(self: &Rc<Self>, owner: u32) -> Vec<Xid> {
+    /// Abort the unprepared (ACTIVE/ENDED) branches whose gtrid coordinator
+    /// `owner` allocated below sequence number `below`, in xid order — what
+    /// the data source does when that incarnation disconnects (paper setting
+    /// ❶). Every other coordinator's in-flight branches, and those of the
+    /// incarnation's successor, are untouched, and prepared branches stay in
+    /// doubt for the commit log to resolve. A victim parked in a lock wait
+    /// leaves the queue first, so it can never be granted a lock after its
+    /// rollback.
+    pub async fn abort_unprepared_of(self: &Rc<Self>, owner: u32, below: u64) -> Vec<Xid> {
         let mut victims = self.engine.unfinished_xids();
-        victims.retain(|xid| xid.owner() == owner);
+        victims.retain(|xid| allocated_below(*xid, owner, below));
         for xid in &victims {
             self.engine.lock_manager().cancel_waiters(*xid);
             let _ = self.engine.rollback(*xid).await;
-            self.branches.borrow_mut().remove(xid);
-            self.mark_finished(*xid);
+            self.finish(*xid);
         }
         victims
     }
@@ -730,7 +762,7 @@ mod tests {
             );
             let elapsed = now().duration_since(started);
             assert_eq!(elapsed, Duration::from_millis(51));
-            assert_eq!(ds.recover_prepared(), vec![xid]);
+            assert_eq!(ds.engine().prepared_xids(), vec![xid]);
             assert_eq!(ds.stats().decentralized_prepares, 1);
         });
     }
@@ -908,9 +940,6 @@ mod tests {
         });
     }
 
-    /// How many conclusions a concluded or tombstoned branch stays known.
-    const WINDOW: u64 = 4_096;
-
     /// Conclude `n` branches that never ran here, gtrids from `first` (the
     /// middleware's rollback concludes a branch whether or not it arrived).
     async fn conclude_fresh(ds: &Rc<DataSource>, first: u64, n: u64) {
@@ -972,7 +1001,7 @@ mod tests {
             let xid = Xid::new(1, 0);
             assert!(ds.execute(dm, &first_statement(xid)).await.outcome.is_ok());
             ds.peer_rollback(xid).await;
-            conclude_fresh(&ds, 100, WINDOW).await;
+            conclude_fresh(&ds, 100, BRANCH_RETENTION).await;
             ds.peer_rollback(xid).await;
             assert_eq!(ds.stats().peer_rollbacks, 1);
             assert_eq!(notifications(&mut rx).await, 1, "one Rollbacked");
@@ -987,9 +1016,21 @@ mod tests {
             let xid = Xid::new(1, 0);
             ds.peer_rollback(xid).await;
             assert_eq!(ds.stats().peer_rollbacks, 1, "the tombstone counts");
-            conclude_fresh(&ds, 100, 2 * WINDOW).await;
+            conclude_fresh(&ds, 100, 2 * BRANCH_RETENTION).await;
             // Its branch arrives after the window: nothing refuses it.
             assert!(ds.execute(dm, &first_statement(xid)).await.outcome.is_ok());
+        });
+    }
+
+    #[test]
+    fn the_agent_keeps_at_most_twice_the_window_of_concluded_branches() {
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let (_net, ds, _dm) = setup(0, 10);
+            conclude_fresh(&ds, 1, 2 * BRANCH_RETENTION - 1).await;
+            assert_eq!(ds.branches.borrow().len() as u64, 2 * BRANCH_RETENTION - 1);
+            conclude_fresh(&ds, 2 * BRANCH_RETENTION, 1).await;
+            assert_eq!(ds.branches.borrow().len() as u64, BRANCH_RETENTION + 1);
         });
     }
 
@@ -1002,7 +1043,7 @@ mod tests {
             ds.register_middleware(dm, tx);
             let xid = Xid::new(1, 0);
             ds.peer_rollback(xid).await;
-            conclude_fresh(&ds, 100, WINDOW).await;
+            conclude_fresh(&ds, 100, BRANCH_RETENTION).await;
             let refused = ds.execute(dm, &first_statement(xid)).await;
             assert!(!refused.outcome.is_ok());
             assert_eq!(ds.engine().state_of(xid), None, "it never began");
@@ -1148,9 +1189,9 @@ mod tests {
             )
             .await;
 
-            let aborted = ds.abort_unprepared_of(0).await;
+            let aborted = ds.abort_unprepared_of(0, 3).await;
             assert_eq!(aborted, vec![xid_active]);
-            assert_eq!(ds.recover_prepared(), vec![xid_prepared]);
+            assert_eq!(ds.engine().prepared_xids(), vec![xid_prepared]);
             assert_eq!(ds.engine().peek(key(1)).unwrap().int_value(), Some(100));
             // The peer's branch survives and still commits.
             assert_eq!(ds.engine().unfinished_xids(), vec![xid_peer]);

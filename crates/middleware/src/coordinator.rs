@@ -658,7 +658,7 @@ impl Middleware {
         &self.net
     }
 
-    fn alloc_gtrid(&self) -> u64 {
+    pub(crate) fn alloc_gtrid(&self) -> u64 {
         let seq = self.next_txn.get();
         self.next_txn.set(seq + 1);
         ((self.config.node.index() as u64) << Xid::OWNER_SHIFT) | seq
@@ -1134,16 +1134,18 @@ impl Middleware {
     }
 
     /// Disconnect handling for this coordinator's gtrid space (§V-A, setting
-    /// ❶): every live data source aborts this instance's unprepared branches,
-    /// which nobody will ever finish and which hold their locks. Prepared
+    /// ❶): every live data source aborts the unprepared branches of this
+    /// instance and its predecessors (the gtrids below
+    /// [`next_txn_seq`](Middleware::next_txn_seq), so a successor's are
+    /// spared), which nobody will ever finish and which hold their locks. Prepared
     /// branches stay in doubt for [`Middleware::recover`]. Sources are
     /// visited in source order; `aborted(source, n)` is called as each live
     /// one finishes. A crashed engine's unprepared branches died with it.
     pub async fn abort_unprepared(&self, mut aborted: impl FnMut(u32, usize)) {
-        let owner = self.config.node.index();
+        let (owner, below) = (self.config.node.index(), self.next_txn_seq());
         for ds in self.data_sources() {
             if !ds.is_crashed() {
-                aborted(ds.index(), ds.abort_unprepared_of(owner).await.len());
+                aborted(ds.index(), ds.abort_unprepared_of(owner, below).await.len());
             }
         }
     }
@@ -1194,24 +1196,28 @@ impl Middleware {
     /// the peer durably committed. Adopting a dead peer's space is the
     /// explicit [`Middleware::recover_owned_by`].
     pub async fn recover(&self) -> (usize, usize) {
-        self.recover_owned_by(self.config.node.index(), &Rc::clone(&self.commit_log))
+        let owner = self.config.node.index();
+        self.recover_owned_by(owner, u64::MAX, &Rc::clone(&self.commit_log))
             .await
     }
 
-    /// Peer recovery: finish the in-doubt branches of coordinator `owner`'s
-    /// gtrid space according to `decision_log` (the dead peer's sealed commit
-    /// log). Drives this instance's own connections, so the commands carry
-    /// *this* coordinator's (live) epoch and pass the data sources' fences.
+    /// Peer recovery: finish the in-doubt branches whose gtrids coordinator
+    /// `owner` allocated below sequence number `below` (a dead incarnation's
+    /// [`next_txn_seq`](Middleware::next_txn_seq)) according to
+    /// `decision_log` (the dead peer's sealed commit log). Drives this
+    /// instance's own connections, so the commands carry *this*
+    /// coordinator's (live) epoch and pass the data sources' fences.
     pub async fn recover_owned_by(
         &self,
         owner: u32,
+        below: u64,
         decision_log: &Rc<CommitLog>,
     ) -> (usize, usize) {
         let mut committed = 0;
         let mut aborted = 0;
         let dm = self.dm();
         for conn in self.connections.values() {
-            let prepared = conn.recover_prepared_owned_by(owner).await;
+            let prepared = conn.recover_prepared_owned_by(owner, below).await;
             for xid in prepared {
                 // Recovery spans attach to the *original* transaction's trace
                 // (keyed by its gtrid), even when this coordinator is a peer

@@ -549,7 +549,7 @@ mod tests {
             mw.abort_unprepared(|ds, n| unprepared.push((ds, n))).await;
             assert_eq!(unprepared, vec![(0, 0), (1, 0)]);
             for ds in &sources {
-                assert_eq!(ds.recover_prepared().len(), 1);
+                assert_eq!(ds.engine().prepared_xids().len(), 1);
             }
 
             // Successor: same node, same durable log, gtrid space advanced
@@ -611,14 +611,17 @@ mod tests {
                 peers: vec![],
                 trace_parent: None,
             };
-            let holder = geotp_storage::Xid::new(50, 0);
+            // Gtrids this instance allocated: the failover aborts only those.
+            let holder = geotp_storage::Xid::new(mw.alloc_gtrid(), 0);
             assert!(conn.execute(add(holder)).await.outcome.is_ok());
             assert_eq!(
                 conn.prepare(holder).await,
                 geotp_datasource::PrepareVote::Prepared
             );
-            mw.commit_log().flush_decision(50, Decision::Commit).await;
-            let waiter = geotp_storage::Xid::new(51, 0);
+            mw.commit_log()
+                .flush_decision(holder.gtrid, Decision::Commit)
+                .await;
+            let waiter = geotp_storage::Xid::new(mw.alloc_gtrid(), 0);
             let parked = geotp_simrt::spawn({
                 let conn = conn.clone();
                 let request = add(waiter);
@@ -711,7 +714,7 @@ mod tests {
             assert_eq!(mw.stats().decision_wait_timeouts, 1);
             // ds1's branch prepared fine — only its vote was lost — so it
             // dangles until recovery aborts it via the logged Abort decision.
-            assert_eq!(sources[1].recover_prepared().len(), 1);
+            assert_eq!(sources[1].engine().prepared_xids().len(), 1);
             let (committed, aborted) = mw.recover().await;
             assert_eq!((committed, aborted), (0, 1));
             // Atomicity held: neither key changed.

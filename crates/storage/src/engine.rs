@@ -132,12 +132,9 @@ pub enum XaState {
     Active,
     /// Execution finished (`XA END` done), not yet prepared.
     Ended,
-    /// Prepared: vote=yes is durable, locks still held.
+    /// Prepared: vote=yes is durable, locks still held. A branch that
+    /// commits or rolls back leaves the engine.
     Prepared,
-    /// Final state: committed.
-    Committed,
-    /// Final state: rolled back.
-    Aborted,
 }
 
 /// Aggregate counters for one engine.
@@ -359,13 +356,22 @@ impl StorageEngine {
 
     /// The branch's entry, if it may still execute statements.
     fn active(&self, xid: Xid) -> Result<RefMut<'_, TxnEntry>, StorageError> {
+        let reason = "statement execution requires an ACTIVE branch";
+        self.entry_if(xid, |state| state == XaState::Active, reason)
+    }
+
+    /// The branch's entry, if `allowed` accepts its state; otherwise the
+    /// branch is unknown, or in the wrong state for `reason`.
+    fn entry_if(
+        &self,
+        xid: Xid,
+        allowed: impl FnOnce(XaState) -> bool,
+        reason: &'static str,
+    ) -> Result<RefMut<'_, TxnEntry>, StorageError> {
         match RefMut::filter_map(self.txns.borrow_mut(), |txns| txns.get_mut(&xid)) {
             Err(_) => Err(StorageError::UnknownTransaction(xid)),
-            Ok(entry) if entry.state == XaState::Active => Ok(entry),
-            Ok(_) => Err(StorageError::InvalidState {
-                xid,
-                reason: "statement execution requires an ACTIVE branch",
-            }),
+            Ok(entry) if allowed(entry.state) => Ok(entry),
+            Ok(_) => Err(StorageError::InvalidState { xid, reason }),
         }
     }
 
@@ -637,20 +643,10 @@ impl StorageEngine {
     /// End the execution phase of a branch (`XA END`).
     pub fn end(&self, xid: Xid) -> Result<(), StorageError> {
         self.check_available()?;
-        let mut txns = self.txns.borrow_mut();
-        let entry = txns
-            .get_mut(&xid)
-            .ok_or(StorageError::UnknownTransaction(xid))?;
-        match entry.state {
-            XaState::Active => {
-                entry.state = XaState::Ended;
-                Ok(())
-            }
-            _ => Err(StorageError::InvalidState {
-                xid,
-                reason: "XA END requires an ACTIVE branch",
-            }),
-        }
+        let reason = "XA END requires an ACTIVE branch";
+        self.entry_if(xid, |state| state == XaState::Active, reason)?
+            .state = XaState::Ended;
+        Ok(())
     }
 
     /// Prepare a branch (`XA PREPARE` / `PREPARE TRANSACTION`): persist the
@@ -658,21 +654,9 @@ impl StorageEngine {
     /// `Active` (PostgreSQL's `PREPARE TRANSACTION` has no separate END).
     pub async fn prepare(&self, xid: Xid) -> Result<(), StorageError> {
         self.check_available()?;
-        {
-            let mut txns = self.txns.borrow_mut();
-            let entry = txns
-                .get_mut(&xid)
-                .ok_or(StorageError::UnknownTransaction(xid))?;
-            match entry.state {
-                XaState::Active | XaState::Ended => entry.state = XaState::Prepared,
-                _ => {
-                    return Err(StorageError::InvalidState {
-                        xid,
-                        reason: "prepare requires an ACTIVE or ENDED branch",
-                    })
-                }
-            }
-        }
+        let reason = "prepare requires an ACTIVE or ENDED branch";
+        self.entry_if(xid, |state| state != XaState::Prepared, reason)?
+            .state = XaState::Prepared;
         self.wal.append(LogRecord::Prepare(xid));
         sleep(self.config.cost.prepare).await;
         self.flush_wal().await?;
@@ -811,20 +795,6 @@ impl StorageEngine {
         self.history.borrow().clone()
     }
 
-    /// The committed version currently installed for `key`: its stamped
-    /// version (0 if never written since load) and the fingerprint of its
-    /// row in the pages (the tombstone's if deleted). `None` for a key never
-    /// loaded or written, and unless [`EngineConfig::record_history`] is set.
-    pub fn committed_version(&self, key: Key) -> Option<VersionedValue> {
-        let version = self.versions.head_version(key);
-        let fingerprint = self.records.borrow().get(&key).map(row_fingerprint);
-        let known = self.config.record_history && (version.is_some() || fingerprint.is_some());
-        known.then(|| VersionedValue {
-            version: version.unwrap_or(0),
-            fingerprint: fingerprint.unwrap_or(TOMBSTONE_FINGERPRINT),
-        })
-    }
-
     /// Fingerprints of the bulk-loaded (version 0) values, for validating
     /// reads that observed version 0. Empty unless
     /// [`EngineConfig::record_history`] is set.
@@ -867,23 +837,8 @@ impl StorageEngine {
     /// SSP(local) baseline use; two-phase commit requires `Prepared`.
     pub async fn commit(&self, xid: Xid, one_phase: bool) -> Result<(), StorageError> {
         self.check_available()?;
-        {
-            let txns = self.txns.borrow();
-            let entry = txns
-                .get(&xid)
-                .ok_or(StorageError::UnknownTransaction(xid))?;
-            let ok = match entry.state {
-                XaState::Prepared => true,
-                XaState::Active | XaState::Ended => one_phase,
-                _ => false,
-            };
-            if !ok {
-                return Err(StorageError::InvalidState {
-                    xid,
-                    reason: "commit requires PREPARED (or ACTIVE/ENDED with one-phase)",
-                });
-            }
-        }
+        let reason = "commit requires PREPARED (or ACTIVE/ENDED with one-phase)";
+        self.entry_if(xid, |state| one_phase || state == XaState::Prepared, reason)?;
         self.wal.append(LogRecord::Commit(xid));
         sleep(self.config.cost.decision_apply).await;
         self.flush_wal().await?;
@@ -898,23 +853,16 @@ impl StorageEngine {
     /// serializability checker sees the snapshot it observed.
     pub fn commit_read_only(&self, xid: Xid) -> Result<(), StorageError> {
         self.check_available()?;
+        let reason = "read-only commit requires an ACTIVE or ENDED branch";
+        if !self
+            .entry_if(xid, |state| state != XaState::Prepared, reason)?
+            .writes
+            .is_empty()
         {
-            let txns = self.txns.borrow();
-            let entry = txns
-                .get(&xid)
-                .ok_or(StorageError::UnknownTransaction(xid))?;
-            if !matches!(entry.state, XaState::Active | XaState::Ended) {
-                return Err(StorageError::InvalidState {
-                    xid,
-                    reason: "read-only commit requires an ACTIVE or ENDED branch",
-                });
-            }
-            if !entry.writes.is_empty() {
-                return Err(StorageError::InvalidState {
-                    xid,
-                    reason: "read-only commit on a branch that wrote",
-                });
-            }
+            return Err(StorageError::InvalidState {
+                xid,
+                reason: "read-only commit on a branch that wrote",
+            });
         }
         // The decision record keeps WAL compaction effective (the branch's
         // Begin would otherwise pin log space forever); it needs no flush.
@@ -923,23 +871,11 @@ impl StorageEngine {
         Ok(())
     }
 
-    /// Roll back a branch from any non-final state. Its writes never reached
-    /// the record pages, so dropping its write set undoes them.
+    /// Roll back a branch in any state. Its writes never reached the record
+    /// pages, so dropping its write set undoes them.
     pub async fn rollback(&self, xid: Xid) -> Result<(), StorageError> {
         self.check_available()?;
-        {
-            let mut txns = self.txns.borrow_mut();
-            let entry = txns
-                .get_mut(&xid)
-                .ok_or(StorageError::UnknownTransaction(xid))?;
-            if matches!(entry.state, XaState::Committed | XaState::Aborted) {
-                return Err(StorageError::InvalidState {
-                    xid,
-                    reason: "branch already finished",
-                });
-            }
-            entry.writes.clear();
-        }
+        self.entry_if(xid, |_| true, "")?.writes.clear();
         self.wal.append(LogRecord::Abort(xid));
         sleep(self.config.cost.decision_apply).await;
         self.flush_wal().await?;
@@ -953,25 +889,22 @@ impl StorageEngine {
     /// heals and drains, any such branch is abandoned — it holds locks and
     /// uncommitted writes forever — so liveness checkers flag them.
     pub fn unfinished_xids(&self) -> Vec<Xid> {
-        let mut xids: Vec<Xid> = self
-            .txns
-            .borrow()
-            .iter()
-            .filter(|(_, e)| matches!(e.state, XaState::Active | XaState::Ended))
-            .map(|(x, _)| *x)
-            .collect();
-        xids.sort();
-        xids
+        self.xids_where(|_, state| state != XaState::Prepared)
     }
 
     /// Branches currently in the `Prepared` state (`XA RECOVER`).
     pub fn prepared_xids(&self) -> Vec<Xid> {
+        self.xids_where(|_, state| state == XaState::Prepared)
+    }
+
+    /// The branches `keep` selects, in xid order.
+    fn xids_where(&self, keep: impl Fn(Xid, XaState) -> bool) -> Vec<Xid> {
         let mut xids: Vec<Xid> = self
             .txns
             .borrow()
             .iter()
-            .filter(|(_, e)| e.state == XaState::Prepared)
-            .map(|(x, _)| *x)
+            .filter(|(xid, entry)| keep(**xid, entry.state))
+            .map(|(xid, _)| *xid)
             .collect();
         xids.sort();
         xids
@@ -1003,18 +936,8 @@ impl StorageEngine {
         self.crashed.set(false);
         let durable_prepared = self.wal.prepared_but_undecided();
         // Roll back branches that never reached a durable prepare.
-        let victims: Vec<Xid> = self
-            .txns
-            .borrow()
-            .iter()
-            .filter(|(x, e)| {
-                !durable_prepared.contains(x)
-                    && !matches!(e.state, XaState::Committed | XaState::Aborted)
-            })
-            .map(|(x, _)| *x)
-            .collect();
-        for xid in &victims {
-            let _ = self.rollback(*xid).await;
+        for xid in self.xids_where(|xid, _| !durable_prepared.contains(&xid)) {
+            let _ = self.rollback(xid).await;
         }
         // Branches with a durable prepare survive in Prepared state.
         let mut txns = self.txns.borrow_mut();
@@ -1037,6 +960,22 @@ mod tests {
     use super::*;
     use crate::types::TableId;
     use geotp_simrt::{spawn, Runtime};
+
+    impl StorageEngine {
+        /// The committed version currently installed for `key`: its stamped
+        /// version (0 if never written since load) and the fingerprint of its
+        /// row in the pages (the tombstone's if deleted). `None` for a key
+        /// never loaded or written, and unless `record_history` is set.
+        fn committed_version(&self, key: Key) -> Option<VersionedValue> {
+            let version = self.versions.head_version(key);
+            let fingerprint = self.records.borrow().get(&key).map(row_fingerprint);
+            let known = self.config.record_history && (version.is_some() || fingerprint.is_some());
+            known.then(|| VersionedValue {
+                version: version.unwrap_or(0),
+                fingerprint: fingerprint.unwrap_or(TOMBSTONE_FINGERPRINT),
+            })
+        }
+    }
 
     fn key(row: u64) -> Key {
         Key::new(TableId(0), row)

@@ -146,7 +146,8 @@ fn coordinator_disconnect_aborts_unprepared_work_only() {
         .await;
 
         // The data source notices the middleware disconnect (setting ❶).
-        let aborted = ds0.abort_unprepared_of(0).await;
+        // The incarnation that allocated gtrids 700 and 701 disconnects.
+        let aborted = ds0.abort_unprepared_of(0, 702).await;
         assert_eq!(aborted, vec![active]);
         assert_eq!(
             cluster.sum_records([gk(9)]),
@@ -154,7 +155,7 @@ fn coordinator_disconnect_aborts_unprepared_work_only() {
             "active branch rolled back"
         );
         assert_eq!(
-            ds0.recover_prepared(),
+            ds0.engine().prepared_xids(),
             vec![Xid::new(700, 0)],
             "prepared branch kept"
         );
