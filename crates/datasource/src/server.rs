@@ -10,7 +10,7 @@ use geotp_net::{Network, NodeId};
 use geotp_simrt::hash::FxHashMap;
 use geotp_simrt::sync::mpsc;
 use geotp_simrt::{now, sleep, spawn, SimInstant};
-use geotp_storage::{EngineConfig, Row, SmallVec, StorageEngine, StorageError, Xid};
+use geotp_storage::{EngineConfig, Row, StorageEngine, StorageError, Xid};
 
 use crate::messages::{
     AgentNotification, Dialect, DsOperation, PrepareVote, StatementOutcome, StatementRequest,
@@ -77,7 +77,7 @@ pub struct DataSource {
     /// The geo-agent's local transaction manager: one record per branch.
     branches: RefCell<FxHashMap<Xid, Branch>>,
     /// Branches concluded here so far: the clock of [`BRANCH_RETENTION`].
-    conclusions: Cell<u64>,
+    conclusions: Cell<u32>,
     /// Per-coordinator epoch fences: commands from a coordinator whose epoch
     /// is below its fence are rejected (the cluster declared it dead and a
     /// peer adopted its in-doubt branches — a stale COMMIT/ROLLBACK from the
@@ -89,27 +89,24 @@ pub struct DataSource {
 
 /// How many of a source's conclusions a concluded or tombstoned branch stays
 /// known for: every `BRANCH_RETENTION` conclusions, the older records go.
-/// Over the workspace tests, the 32-seed chaos sweep (which reaches neither
-/// path) and 15 s benchmark runs, a late early abort reached its branch at
-/// most 17 conclusions after the branch concluded, and a tombstone's branch
-/// arrived at most 72 conclusions after the tombstone was planted.
-const BRANCH_RETENTION: u64 = 4_096;
+/// Over the workspace tests, the 32-seed chaos sweep and 15 s benchmark
+/// runs, a late early abort reached its branch at most 17 conclusions after
+/// the branch concluded, and a tombstone's branch arrived at most 72
+/// conclusions after the tombstone was planted (both on `ycsb_contended`).
+const BRANCH_RETENTION: u32 = 4_096;
 
-/// A branch's record at its geo-agent; a non-live one carries the number of
-/// its conclusion.
+/// A branch's record at its geo-agent, eight bytes wide. A non-live record
+/// carries the number of its conclusion (wrapping).
+#[derive(Clone, Copy)]
 enum Branch {
-    /// Executing here, for `coordinator`, with `peers` (the data sources of
-    /// its sibling branches, kept inline: a branch starts without allocating).
-    Live {
-        coordinator: NodeId,
-        peers: SmallVec<u32, 4>,
-    },
+    /// Executing here for this coordinating middleware.
+    Live(NodeId),
     /// A peer asked to abort the branch before its first statement arrived
     /// (possible when the scheduler postpones it): it is refused on arrival.
-    Tombstoned(u64),
+    Tombstoned(u32),
     /// Committed, rolled back or refused here: a late or duplicated early
     /// abort for it is a no-op, not a tombstone.
-    Concluded(u64),
+    Concluded(u32),
 }
 
 /// Whether coordinator `owner` allocated `xid`'s gtrid before its sequence
@@ -127,15 +124,6 @@ fn failed(error: StorageError, started: SimInstant) -> StatementResponse {
     }
 }
 
-/// A request's peer list, as a branch keeps it.
-fn peer_set(peers: &[u32]) -> SmallVec<u32, 4> {
-    let mut set = SmallVec::new();
-    for &peer in peers {
-        set.push(peer);
-    }
-    set
-}
-
 impl DataSource {
     /// Create a data source attached to the simulated network.
     pub fn new(config: DataSourceConfig, net: Rc<Network>) -> Rc<Self> {
@@ -146,7 +134,12 @@ impl DataSource {
             net,
             dm_channels: RefCell::new(FxHashMap::default()),
             peers: RefCell::new(FxHashMap::default()),
-            branches: RefCell::new(FxHashMap::default()),
+            // Room for a window of concluded branches and the live ones:
+            // a steady load reaches the bound without rehashing on the way.
+            branches: RefCell::new(FxHashMap::with_capacity_and_hasher(
+                BRANCH_RETENTION as usize,
+                Default::default(),
+            )),
             conclusions: Cell::new(0),
             fences: RefCell::new(FxHashMap::default()),
             stats: RefCell::new(DataSourceStats::default()),
@@ -219,60 +212,30 @@ impl DataSource {
 
     /// The next conclusion's number. Every [`BRANCH_RETENTION`] conclusions
     /// it first drops the records concluded more than that many before.
-    fn next_conclusion(&self) -> u64 {
-        let at = self.conclusions.get() + 1;
+    fn next_conclusion(&self) -> u32 {
+        let at = self.conclusions.get().wrapping_add(1);
         self.conclusions.set(at);
         if at.is_multiple_of(BRANCH_RETENTION) {
-            self.branches.borrow_mut().retain(|_, branch| match branch {
-                Branch::Live { .. } => true,
-                Branch::Tombstoned(since) | Branch::Concluded(since) => {
-                    at - *since <= BRANCH_RETENTION
-                }
-            });
+            self.branches
+                .borrow_mut()
+                .retain(|_, branch| match *branch {
+                    Branch::Live(_) => true,
+                    Branch::Tombstoned(since) | Branch::Concluded(since) => {
+                        at.wrapping_sub(since) <= BRANCH_RETENTION
+                    }
+                });
         }
         at
     }
 
-    /// Conclude `xid` here and return the record it replaced. A tombstone
-    /// stays, still refusing its branch.
-    fn finish(&self, xid: Xid) -> Option<Branch> {
+    /// Conclude `xid` here. A tombstone stays, still refusing its branch.
+    fn finish(&self, xid: Xid) {
         let concluded = Branch::Concluded(self.next_conclusion());
-        match self.branches.borrow_mut().entry(xid) {
-            Entry::Occupied(record) if matches!(record.get(), Branch::Tombstoned(_)) => None,
-            Entry::Occupied(mut record) => Some(record.insert(concluded)),
-            Entry::Vacant(record) => {
-                record.insert(concluded);
-                None
-            }
-        }
-    }
-
-    /// A statement reaches `req`'s branch record. A tombstone refuses the
-    /// branch and concludes it (`false`); a first statement makes the branch
-    /// live; a later one may refine its peer list (interactive transactions).
-    fn admit(&self, from: NodeId, req: &StatementRequest) -> bool {
         let mut branches = self.branches.borrow_mut();
-        match branches.get_mut(&req.xid) {
-            Some(Branch::Tombstoned(_)) => {
-                drop(branches);
-                let concluded = Branch::Concluded(self.next_conclusion());
-                self.branches.borrow_mut().insert(req.xid, concluded);
-                return false;
-            }
-            _ if req.begin => {
-                let peers = peer_set(&req.peers);
-                let live = Branch::Live {
-                    coordinator: from,
-                    peers,
-                };
-                branches.insert(req.xid, live);
-            }
-            Some(Branch::Live { peers, .. }) if !req.peers.is_empty() => {
-                *peers = peer_set(&req.peers);
-            }
-            _ => {}
+        let record = branches.entry(xid).or_insert(concluded);
+        if !matches!(record, Branch::Tombstoned(_)) {
+            *record = concluded;
         }
-        true
     }
 
     /// The notification channel to middleware `dm`, unless this source has
@@ -350,7 +313,12 @@ impl DataSource {
 
             // A peer already asked to abort this branch (early abort raced ahead
             // of the branch's first statement): refuse it and confirm the rollback.
-            if !self.admit(from, req) {
+            if matches!(
+                self.branches.borrow().get(&req.xid),
+                Some(Branch::Tombstoned(_))
+            ) {
+                let concluded = Branch::Concluded(self.next_conclusion());
+                self.branches.borrow_mut().insert(req.xid, concluded);
                 self.stats.borrow_mut().failed_statements += 1;
                 self.notify_dm(from, AgentNotification::Rollbacked { xid: req.xid });
                 geotp_telemetry::span_end(exec_span);
@@ -363,6 +331,9 @@ impl DataSource {
             }
 
             if req.begin {
+                self.branches
+                    .borrow_mut()
+                    .insert(req.xid, Branch::Live(from));
                 if let Err(error) = self.engine.begin(req.xid) {
                     self.stats.borrow_mut().failed_statements += 1;
                     geotp_telemetry::span_end(exec_span);
@@ -442,7 +413,6 @@ impl DataSource {
         // Stop queueing for any lock we are still waiting on and roll back.
         self.engine.lock_manager().cancel_waiters(req.xid);
         let _ = self.engine.rollback(req.xid).await;
-        let record = self.finish(req.xid);
         self.notify_dm(from, AgentNotification::Rollbacked { xid: req.xid });
 
         // A crashed data source sends nothing — not to the coordinator (the
@@ -454,12 +424,7 @@ impl DataSource {
         // surviving branches back explicitly, so nothing depends on a dead
         // process speaking.
         if req.early_abort && !self.is_crashed() {
-            let peers = match record {
-                _ if !req.peers.is_empty() => peer_set(&req.peers),
-                Some(Branch::Live { peers, .. }) => peers,
-                _ => SmallVec::new(),
-            };
-            for peer_idx in peers.iter() {
+            for &peer_idx in &req.peers {
                 if peer_idx == self.index() {
                     continue;
                 }
@@ -479,6 +444,7 @@ impl DataSource {
                 });
             }
         }
+        self.finish(req.xid);
     }
 
     /// Roll back a branch at the request of a *peer* geo-agent (early abort),
@@ -491,7 +457,7 @@ impl DataSource {
     /// re-sent the `Rollbacked` notification.
     async fn peer_rollback(self: &Rc<Self>, xid: Xid) {
         let coordinator = match self.branches.borrow().get(&xid) {
-            Some(Branch::Live { coordinator, .. }) => Some(*coordinator),
+            Some(Branch::Live(coordinator)) => Some(*coordinator),
             // Late or duplicated: the branch concluded or is tombstoned.
             Some(_) => return,
             None => None,
@@ -592,7 +558,7 @@ impl DataSource {
         if committed.is_ok() {
             self.finish(xid);
         } else if let Entry::Occupied(record) = self.branches.borrow_mut().entry(xid) {
-            if matches!(record.get(), Branch::Live { .. }) {
+            if matches!(record.get(), Branch::Live(_)) {
                 record.remove();
             }
         }
@@ -942,8 +908,8 @@ mod tests {
 
     /// Conclude `n` branches that never ran here, gtrids from `first` (the
     /// middleware's rollback concludes a branch whether or not it arrived).
-    async fn conclude_fresh(ds: &Rc<DataSource>, first: u64, n: u64) {
-        for gtrid in first..first + n {
+    async fn conclude_fresh(ds: &Rc<DataSource>, first: u64, n: u32) {
+        for gtrid in first..first + u64::from(n) {
             ds.rollback(Xid::new(gtrid, 0)).await.unwrap();
         }
     }
@@ -1028,10 +994,15 @@ mod tests {
         rt.block_on(async {
             let (_net, ds, _dm) = setup(0, 10);
             conclude_fresh(&ds, 1, 2 * BRANCH_RETENTION - 1).await;
-            assert_eq!(ds.branches.borrow().len() as u64, 2 * BRANCH_RETENTION - 1);
-            conclude_fresh(&ds, 2 * BRANCH_RETENTION, 1).await;
-            assert_eq!(ds.branches.borrow().len() as u64, BRANCH_RETENTION + 1);
+            assert_eq!(ds.branches.borrow().len() as u32, 2 * BRANCH_RETENTION - 1);
+            conclude_fresh(&ds, 2 * u64::from(BRANCH_RETENTION), 1).await;
+            assert_eq!(ds.branches.borrow().len() as u32, BRANCH_RETENTION + 1);
         });
+    }
+
+    #[test]
+    fn a_branch_record_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Branch>(), 8);
     }
 
     #[test]
