@@ -113,7 +113,7 @@ enum Branch {
 /// reached `below`: a dead incarnation's `next_txn_seq` bounds its gtrids,
 /// and its successor continues from there.
 fn allocated_below(xid: Xid, owner: u32, below: u64) -> bool {
-    xid.owner() == owner && xid.gtrid - (u64::from(owner) << Xid::OWNER_SHIFT) < below
+    xid.owner() == owner && xid.seq() < below
 }
 
 /// The response to a batch `started` then that failed with `error`.

@@ -64,6 +64,11 @@ impl Xid {
     pub const fn owner(&self) -> u32 {
         (self.gtrid >> Self::OWNER_SHIFT) as u32
     }
+
+    /// Sequence number of this branch's gtrid within its coordinator's space.
+    pub const fn seq(&self) -> u64 {
+        self.gtrid & ((1 << Self::OWNER_SHIFT) - 1)
+    }
 }
 
 impl fmt::Display for Xid {
