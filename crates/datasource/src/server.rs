@@ -116,7 +116,7 @@ fn allocated_below(xid: Xid, owner: u32, below: u64) -> bool {
     xid.owner() == owner && xid.seq() < below
 }
 
-/// The response to a batch `started` then that failed with `error`.
+/// The response to a batch that failed with `error`, timed from `started`.
 fn failed(error: StorageError, started: SimInstant) -> StatementResponse {
     StatementResponse {
         outcome: StatementOutcome::Failed { error },

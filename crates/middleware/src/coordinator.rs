@@ -1135,12 +1135,13 @@ impl Middleware {
 
     /// Disconnect handling for this coordinator's gtrid space (§V-A, setting
     /// ❶): every live data source aborts the unprepared branches of this
-    /// instance and its predecessors (the gtrids below
+    /// instance and its predecessors, which nobody will ever finish and
+    /// which hold their locks. Their gtrids are the ones below
     /// [`next_txn_seq`](Middleware::next_txn_seq), so a successor's are
-    /// spared), which nobody will ever finish and which hold their locks. Prepared
-    /// branches stay in doubt for [`Middleware::recover`]. Sources are
-    /// visited in source order; `aborted(source, n)` is called as each live
-    /// one finishes. A crashed engine's unprepared branches died with it.
+    /// spared. Prepared branches stay in doubt for [`Middleware::recover`].
+    /// Sources are visited in source order; `aborted(source, n)` is called
+    /// as each live one finishes. A crashed engine's unprepared branches
+    /// died with it.
     pub async fn abort_unprepared(&self, mut aborted: impl FnMut(u32, usize)) {
         let (owner, below) = (self.config.node.index(), self.next_txn_seq());
         for ds in self.data_sources() {
@@ -1196,6 +1197,10 @@ impl Middleware {
     /// the peer durably committed. Adopting a dead peer's space is the
     /// explicit [`Middleware::recover_owned_by`].
     pub async fn recover(&self) -> (usize, usize) {
+        // Unbounded by sequence, so a cold restart's recovery also reaches
+        // branches its successor began meanwhile. Bounding it by
+        // `next_txn_seq()` spares them but changes the recorded outcome of
+        // the cold-restart drill, so it waits for a deliberate re-record.
         let owner = self.config.node.index();
         self.recover_owned_by(owner, u64::MAX, &Rc::clone(&self.commit_log))
             .await
