@@ -875,7 +875,12 @@ impl StorageEngine {
     /// pages, so dropping its write set undoes them.
     pub async fn rollback(&self, xid: Xid) -> Result<(), StorageError> {
         self.check_available()?;
-        self.entry_if(xid, |_| true, "")?.writes.clear();
+        self.txns
+            .borrow_mut()
+            .get_mut(&xid)
+            .ok_or(StorageError::UnknownTransaction(xid))?
+            .writes
+            .clear();
         self.wal.append(LogRecord::Abort(xid));
         sleep(self.config.cost.decision_apply).await;
         self.flush_wal().await?;
