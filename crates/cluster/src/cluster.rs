@@ -478,10 +478,10 @@ impl CoordinatorCluster {
         assert_ne!(dead, by, "a coordinator cannot adopt itself");
         let slot = &self.slots[dead as usize];
         let dead_log = Rc::clone(&slot.commit_log);
-        // The dead incarnation's gtrids are the ones below its sequence now: a
-        // successor the slot's cold restart brings up meanwhile continues from
-        // here, and its branches are not this takeover's to abort or adopt.
-        let below = slot.middleware().next_txn_seq();
+        // The incarnation taken over. A cold restart of the slot may install
+        // a successor meanwhile; it continues from this instance's sequence,
+        // and its branches are not this takeover's to abort or adopt.
+        let dead_mw = slot.middleware();
         let already_fenced = dead_log.min_epoch() > slot.epoch.get();
         let (fencing_epoch, unprepared_aborted) = if already_fenced {
             (dead_log.min_epoch(), 0)
@@ -505,9 +505,14 @@ impl CoordinatorCluster {
             let unprepared_counts = join_all(self.sources.iter().map(|ds| {
                 let ds = Rc::clone(ds);
                 let net = Rc::clone(&self.net);
+                let dead_mw = Rc::clone(&dead_mw);
                 async move {
                     net.transfer(by_node, ds.node()).await;
                     ds.fence_coordinator(dead_node, fencing_epoch);
+                    // No branch of the dead incarnation begins here from now
+                    // on (a partitioned one may still be serving), so its
+                    // branches here are the ones below its sequence now.
+                    let below = dead_mw.next_txn_seq();
                     let aborted = if ds.is_crashed() {
                         0
                     } else {
@@ -523,7 +528,9 @@ impl CoordinatorCluster {
 
         // 3. Adopt: XA RECOVER scoped to the dead gtrid space, decisions from
         //    the sealed log, driven over the survivor's (live-epoch)
-        //    connections.
+        //    connections. Every source is fenced by now, so the dead
+        //    incarnation prepares nothing more.
+        let below = dead_mw.next_txn_seq();
         let (adopted_committed, adopted_aborted) = self.slots[by as usize]
             .middleware()
             .recover_owned_by(dead, below, &dead_log)

@@ -449,6 +449,42 @@ fn an_in_flight_adoption_spares_the_successors_prepared_branches() {
     });
 }
 
+/// A coordinator cut off from membership but still running is declared dead
+/// and taken over while it serves. The branch it begins at ds1 before the
+/// takeover's fence gets there (over a slow dm0↔ds1 link) is the dead
+/// incarnation's, although it began after the takeover did: the scoped
+/// abort must roll it back, or it holds its locks for ever.
+#[test]
+fn a_takeover_aborts_the_branch_a_partitioned_coordinator_begins_ahead_of_the_fence() {
+    let mut rt = Runtime::new();
+    rt.block_on(async {
+        let cluster = build(2, vec![10, 100]);
+        cluster.middleware(0).network().set_link(
+            NodeId::middleware(0),
+            NodeId::data_source(1),
+            StaticLatency::from_millis(2_000),
+        );
+        cluster.membership().declare_dead(1);
+        let takeover = spawn({
+            let cluster = Rc::clone(&cluster);
+            async move { cluster.take_over(1, 0).await }
+        });
+        sleep(Duration::from_millis(1)).await;
+        let mut session = cluster.middleware(1).connect(7);
+        let mut txn = session.begin().await.expect("dm1 still serves");
+        txn.execute(&[ClientOp::add(gk(101), 100)])
+            .await
+            .expect("the statement lands ahead of the fence");
+        assert!(!takeover.is_finished(), "the fence is still on its way");
+        let report = takeover.await;
+        assert_eq!(report.unprepared_aborted, 1, "dm1's branch at ds1");
+        assert_eq!(unfinished_owned_by(&cluster, 1), 0);
+        let outcome = txn.commit().await;
+        assert!(!outcome.committed, "the fenced coordinator commits nothing");
+        assert_eq!(row(&cluster, 101), 1_000);
+    });
+}
+
 /// The committed value of global row `row`.
 fn row(cluster: &CoordinatorCluster, row: u64) -> i64 {
     let ds = &cluster.sources()[(row / ROWS_PER_NODE) as usize];
