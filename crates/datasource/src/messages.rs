@@ -37,6 +37,14 @@ impl Dialect {
             Dialect::Postgres => vec![format!("PREPARE TRANSACTION '{}_{}'", xid.gtrid, xid.bqual)],
         }
     }
+
+    /// The command used to commit a prepared branch.
+    pub fn commit_command(&self, xid: Xid) -> String {
+        match self {
+            Dialect::MySql => format!("XA COMMIT '{},{}'", xid.gtrid, xid.bqual),
+            Dialect::Postgres => format!("COMMIT PREPARED '{}_{}'", xid.gtrid, xid.bqual),
+        }
+    }
 }
 
 /// A single operation within a subtransaction statement batch.
@@ -255,6 +263,11 @@ mod tests {
         assert_eq!(mysql, vec!["XA END '7,2'", "XA PREPARE '7,2'"]);
         let pg = Dialect::Postgres.prepare_commands(xid);
         assert_eq!(pg, vec!["PREPARE TRANSACTION '7_2'"]);
+        assert_eq!(Dialect::MySql.commit_command(xid), "XA COMMIT '7,2'");
+        assert_eq!(
+            Dialect::Postgres.commit_command(xid),
+            "COMMIT PREPARED '7_2'"
+        );
         assert_eq!(Dialect::MySql.name(), "MySQL");
     }
 

@@ -134,8 +134,10 @@ impl DataSource {
             net,
             dm_channels: RefCell::new(FxHashMap::default()),
             peers: RefCell::new(FxHashMap::default()),
-            // Room for a window of concluded branches and the live ones:
-            // a steady load reaches the bound without rehashing on the way.
+            // Room for one window of records (7 168 fit): a lightly loaded
+            // source never rehashes. A busier one, which holds up to two
+            // windows just before a retention pass, rehashes once, to the
+            // size it then keeps.
             branches: RefCell::new(FxHashMap::with_capacity_and_hasher(
                 BRANCH_RETENTION as usize,
                 Default::default(),
@@ -183,13 +185,21 @@ impl DataSource {
     /// commit-log fence.
     pub fn fence_coordinator(&self, dm: NodeId, min_epoch: u64) {
         let mut fences = self.fences.borrow_mut();
-        let fence = fences.entry(dm).or_insert(0);
-        *fence = min_epoch.max(*fence);
+        let entry = fences.entry(dm).or_insert(0);
+        if min_epoch > *entry {
+            *entry = min_epoch;
+        }
+    }
+
+    /// The minimum epoch currently accepted from coordinator `dm` (0 when
+    /// unfenced).
+    pub fn coordinator_fence(&self, dm: NodeId) -> u64 {
+        self.fences.borrow().get(&dm).copied().unwrap_or(0)
     }
 
     /// Reject a command from `dm` at `epoch` if the coordinator is fenced.
     pub fn fence_check(&self, dm: NodeId, epoch: u64, xid: Xid) -> Result<(), StorageError> {
-        if epoch < self.fences.borrow().get(&dm).copied().unwrap_or(0) {
+        if epoch < self.coordinator_fence(dm) {
             return Err(StorageError::InvalidState {
                 xid,
                 reason: "command from a fenced coordinator epoch",
