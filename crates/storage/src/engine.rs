@@ -306,7 +306,7 @@ impl StorageEngine {
     /// Read a record's committed value without any transaction (snapshot
     /// for verification only).
     pub fn peek(&self, key: Key) -> Option<Row> {
-        self.records.borrow().get(&key).cloned()
+        self.records.borrow().get(&key)
     }
 
     /// Number of committed records stored.
@@ -475,10 +475,10 @@ impl StorageEngine {
                 Some(Visible::Head) if lock.is_none() && !lock_free => {
                     let txns = self.txns.borrow();
                     let dirty = txns.values().find_map(|e| e.written(key)).cloned();
-                    let head = || self.records.borrow().get(&key).cloned();
+                    let head = || self.records.borrow().get(&key);
                     (dirty.unwrap_or_else(head), None)
                 }
-                Some(Visible::Head) => (self.records.borrow().get(&key).cloned(), None),
+                Some(Visible::Head) => (self.records.borrow().get(&key), None),
                 None => (None, None),
             };
             let row = row.ok_or(StorageError::KeyNotFound(key))?;
@@ -563,7 +563,7 @@ impl StorageEngine {
             let slot = entry.writes.iter().position(|(k, _)| *k == key);
             let before = match slot {
                 Some(i) => entry.writes[i].1.clone(),
-                None => self.records.borrow().get(&key).cloned(),
+                None => self.records.borrow().get(&key),
             };
             let Some((after, out)) = op(before.as_ref()) else {
                 return Err(match before {
@@ -806,7 +806,7 @@ impl StorageEngine {
             .records
             .borrow()
             .iter()
-            .map(|(key, row)| (key, row_fingerprint(row)))
+            .map(|(key, row)| (key, row_fingerprint(&row)))
             .collect();
         for (key, base) in self.versions.bases() {
             match base {
@@ -826,7 +826,6 @@ impl StorageEngine {
             .borrow()
             .iter()
             .filter(|(k, _)| k.table == table)
-            .map(|(k, r)| (k, r.clone()))
             .collect();
         rows.sort_by_key(|(k, _)| *k);
         rows
@@ -973,7 +972,7 @@ mod tests {
         /// never loaded or written, and unless `record_history` is set.
         fn committed_version(&self, key: Key) -> Option<VersionedValue> {
             let version = self.versions.head_version(key);
-            let fingerprint = self.records.borrow().get(&key).map(row_fingerprint);
+            let fingerprint = self.records.borrow().get(&key).map(|r| row_fingerprint(&r));
             let known = self.config.record_history && (version.is_some() || fingerprint.is_some());
             known.then(|| VersionedValue {
                 version: version.unwrap_or(0),

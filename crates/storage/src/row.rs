@@ -26,15 +26,6 @@ impl Value {
         }
     }
 
-    /// Interpret as a float (integers are widened).
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(v) => Some(*v),
-            Value::Int(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
     /// Interpret as a string slice if this is a string value.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -199,6 +190,22 @@ impl Row {
         }
     }
 
+    /// The integer of a row that is exactly one `Int` column.
+    pub(crate) fn lone_int(&self) -> Option<i64> {
+        match self.0 {
+            Repr::One(Value::Int(v)) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The two integers of a two-`Int` row.
+    pub(crate) fn int_pair(&self) -> Option<[i64; 2]> {
+        match self.0 {
+            Repr::Pair(a, b) => Some([a, b]),
+            _ => None,
+        }
+    }
+
     /// First column as integer (YCSB convenience).
     pub fn int_value(&self) -> Option<i64> {
         self.int_at(0)
@@ -230,8 +237,6 @@ mod tests {
     #[test]
     fn value_conversions() {
         assert_eq!(Value::from(5i64).as_int(), Some(5));
-        assert_eq!(Value::from(2.5f64).as_float(), Some(2.5));
-        assert_eq!(Value::Int(3).as_float(), Some(3.0));
         assert_eq!(Value::from("x").as_str(), Some("x"));
         assert_eq!(Value::Null.as_int(), None);
     }

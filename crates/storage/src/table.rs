@@ -4,15 +4,24 @@
 //! of its memory on buckets and hashes. [`RecordTable`] hashes a *page* —
 //! `(table, row >> 6)` — instead; a page keeps a presence bitmap and its rows
 //! in slot order, so a slot's row sits at the popcount of the bits below it.
-//! A dense page costs one bucket per 64 rows plus the rows themselves (24
-//! bytes each, see [`Row`]). A page holding one row keeps it inline, so the
-//! one-row-per-page insert shapes of TPC-C (ORDERS, NEW_ORDER, HISTORY) cost
-//! one 56-byte bucket and no allocation.
+//! A dense page costs one bucket per 64 rows plus the rows themselves. A page
+//! holding one row keeps it inline, so the one-row-per-page insert shapes of
+//! TPC-C (ORDERS, NEW_ORDER, HISTORY) cost one 56-byte bucket and no
+//! allocation.
 //!
-//! A page's second row spills its rows into a `Vec` that doubles from four.
-//! The buffer a page outgrows is kept for the next page to grow into (see
-//! [`Spares`]), so a sequential load allocates one buffer per page and frees
-//! none: growth leaves no freed chunks scattered through the heap it loads.
+//! A page's second row spills its rows into a buffer typed by their shape,
+//! the column-store layout: bare `i64`s (8 bytes a row) while every row is
+//! exactly one `Int` (the YCSB usertable), bare pairs (16 bytes) while every
+//! row is two `Int`s (the hot TPC-C tables), and 24-byte [`Row`]s otherwise.
+//! A row of another shape widens a typed buffer to `Row`s once; the buffer
+//! then stays as it is until the page is dropped. Rows are handed back by
+//! value, since a typed buffer has no `Row` to lend, and equal to the rows
+//! stored.
+//!
+//! A buffer doubles from four. The buffer a page outgrows is kept for the
+//! next page to grow into (see [`Spares`]), so a sequential load allocates
+//! one buffer per page and frees none: growth leaves no freed chunks
+//! scattered through the heap it loads.
 //!
 //! Iteration order is the hash map's and carries no meaning: callers that
 //! need an order sort (as [`StorageEngine::snapshot_table`] does).
@@ -38,34 +47,166 @@ struct Page {
     rows: Rows,
 }
 
-/// A page's rows: the first inline, a second spills them all into a `Vec`
-/// (which stays a `Vec` until the page is dropped).
+/// A page's rows: the first inline, a second spills them all into a buffer
+/// (which stays a buffer until the page is dropped).
 enum Rows {
     One(Row),
+    /// Every row is exactly one `Int`.
+    Ints(Vec<i64>),
+    /// Every row is two `Int`s.
+    Pairs(Vec<[i64; 2]>),
     Many(Vec<Row>),
 }
 
 impl Rows {
-    fn as_slice(&self) -> &[Row] {
+    fn len(&self) -> usize {
         match self {
-            Rows::One(row) => std::slice::from_ref(row),
-            Rows::Many(rows) => rows,
+            Rows::One(_) => 1,
+            Rows::Ints(ints) => ints.len(),
+            Rows::Pairs(pairs) => pairs.len(),
+            Rows::Many(rows) => rows.len(),
         }
     }
 
-    fn as_mut_slice(&mut self) -> &mut [Row] {
+    /// Row `i`, by value.
+    fn get(&self, i: usize) -> Row {
         match self {
-            Rows::One(row) => std::slice::from_mut(row),
+            Rows::One(row) => row.clone(),
+            Rows::Ints(ints) => Row::int(ints[i]),
+            Rows::Pairs(pairs) => {
+                let [a, b] = pairs[i];
+                Row::pair(a, b)
+            }
+            Rows::Many(rows) => rows[i].clone(),
+        }
+    }
+
+    /// Overwrite row `i` with `row`, returning the row it replaced.
+    fn replace(&mut self, i: usize, row: Row, spares: &mut Spares) -> Row {
+        match self {
+            Rows::One(old) => return std::mem::replace(old, row),
+            Rows::Ints(ints) => {
+                if let Some(v) = row.lone_int() {
+                    return Row::int(std::mem::replace(&mut ints[i], v));
+                }
+            }
+            Rows::Pairs(pairs) => {
+                if let Some(pair) = row.int_pair() {
+                    let [a, b] = std::mem::replace(&mut pairs[i], pair);
+                    return Row::pair(a, b);
+                }
+            }
+            Rows::Many(rows) => return std::mem::replace(&mut rows[i], row),
+        }
+        std::mem::replace(&mut self.widen(spares)[i], row)
+    }
+
+    /// Put `row` at position `i`, spilling a one-row page into a buffer.
+    fn insert(&mut self, i: usize, row: Row, spares: &mut Spares) {
+        if let Rows::One(first) = self {
+            *self = Rows::spill(std::mem::take(first), &row, spares);
+        }
+        match self {
+            Rows::Ints(ints) => {
+                if let Some(v) = row.lone_int() {
+                    return insert_growing(ints, i, v, &mut spares.ints);
+                }
+            }
+            Rows::Pairs(pairs) => {
+                if let Some(pair) = row.int_pair() {
+                    return insert_growing(pairs, i, pair, &mut spares.pairs);
+                }
+            }
+            Rows::One(_) | Rows::Many(_) => {}
+        }
+        insert_growing(self.widen(spares), i, row, &mut spares.rows);
+    }
+
+    /// The buffer a one-row page's `first` row moves into when `next`
+    /// joins it: typed if the two rows share a typed shape.
+    fn spill(first: Row, next: &Row, spares: &mut Spares) -> Rows {
+        if let (Some(v), Some(_)) = (first.lone_int(), next.lone_int()) {
+            Rows::Ints(spares.ints.first(v))
+        } else if let (Some(pair), Some(_)) = (first.int_pair(), next.int_pair()) {
+            Rows::Pairs(spares.pairs.first(pair))
+        } else {
+            Rows::Many(spares.rows.first(first))
+        }
+    }
+
+    /// The rows as `Row`s, re-storing a typed buffer's in a `Row` buffer of
+    /// the same capacity and keeping the typed one as a spare.
+    fn widen(&mut self, spares: &mut Spares) -> &mut Vec<Row> {
+        match self {
+            Rows::Ints(ints) => {
+                let mut rows = spares.rows.take(ints.capacity());
+                rows.extend(ints.drain(..).map(Row::int));
+                spares.ints.give(std::mem::take(ints));
+                *self = Rows::Many(rows);
+            }
+            Rows::Pairs(pairs) => {
+                let mut rows = spares.rows.take(pairs.capacity());
+                rows.extend(pairs.drain(..).map(|[a, b]| Row::pair(a, b)));
+                spares.pairs.give(std::mem::take(pairs));
+                *self = Rows::Many(rows);
+            }
+            Rows::One(_) | Rows::Many(_) => {}
+        }
+        match self {
             Rows::Many(rows) => rows,
+            _ => unreachable!("a one-row page is never widened"),
+        }
+    }
+
+    /// Remove and return row `i`. The last row of a page leaves an empty
+    /// buffer behind (or an empty `One`), for [`Rows::recycle`].
+    fn remove(&mut self, i: usize) -> Row {
+        match self {
+            Rows::One(row) => std::mem::take(row),
+            Rows::Ints(ints) => Row::int(ints.remove(i)),
+            Rows::Pairs(pairs) => {
+                let [a, b] = pairs.remove(i);
+                Row::pair(a, b)
+            }
+            Rows::Many(rows) => rows.remove(i),
+        }
+    }
+
+    /// Keep a dropped page's emptied buffer as a spare.
+    fn recycle(self, spares: &mut Spares) {
+        match self {
+            Rows::One(_) => {}
+            Rows::Ints(ints) => spares.ints.give(ints),
+            Rows::Pairs(pairs) => spares.pairs.give(pairs),
+            Rows::Many(rows) => spares.rows.give(rows),
         }
     }
 }
 
-/// Empty row buffers of capacity 4, 8, 16, 32 and 64, at most one of each.
-#[derive(Default)]
-struct Spares([Vec<Row>; 5]);
+/// Insert `item` at `i`; a full buffer first moves into one twice its size
+/// and is kept as a spare.
+fn insert_growing<T>(items: &mut Vec<T>, i: usize, item: T, spares: &mut SpareBuffers<T>) {
+    if items.len() == items.capacity() {
+        let mut grown = spares.take(2 * items.capacity());
+        grown.append(items);
+        spares.give(std::mem::replace(items, grown));
+    }
+    items.insert(i, item);
+}
 
-impl Spares {
+/// The spare buffers of each element type a page stores.
+#[derive(Default)]
+struct Spares {
+    ints: SpareBuffers<i64>,
+    pairs: SpareBuffers<[i64; 2]>,
+    rows: SpareBuffers<Row>,
+}
+
+/// Empty buffers of capacity 4, 8, 16, 32 and 64, at most one of each.
+#[derive(Default)]
+struct SpareBuffers<T>([Vec<T>; 5]);
+
+impl<T> SpareBuffers<T> {
     /// Capacity of a page's first buffer.
     const MIN: usize = 4;
 
@@ -74,20 +215,27 @@ impl Spares {
             .then(|| (capacity / Self::MIN).trailing_zeros() as usize)
     }
 
-    /// An empty buffer for `capacity` rows: the spare one, or a new one.
-    fn take(&mut self, capacity: usize) -> Vec<Row> {
+    /// An empty buffer for `capacity` items: the spare one, or a new one.
+    fn take(&mut self, capacity: usize) -> Vec<T> {
         match Self::class(capacity) {
             Some(c) if self.0[c].capacity() == capacity => std::mem::take(&mut self.0[c]),
             _ => Vec::with_capacity(capacity),
         }
     }
 
+    /// A page's first buffer, holding `first`.
+    fn first(&mut self, first: T) -> Vec<T> {
+        let mut items = self.take(Self::MIN);
+        items.push(first);
+        items
+    }
+
     /// Keep an emptied buffer if its class has no spare yet.
-    fn give(&mut self, rows: Vec<Row>) {
-        debug_assert!(rows.is_empty());
-        if let Some(c) = Self::class(rows.capacity()) {
+    fn give(&mut self, items: Vec<T>) {
+        debug_assert!(items.is_empty());
+        if let Some(c) = Self::class(items.capacity()) {
             if self.0[c].capacity() == 0 {
-                self.0[c] = rows;
+                self.0[c] = items;
             }
         }
     }
@@ -97,28 +245,6 @@ impl Page {
     /// Position in `rows` of the slot whose bit is `bit` (present or not).
     fn index(&self, bit: u64) -> usize {
         (self.present & (bit - 1)).count_ones() as usize
-    }
-
-    /// Put `row` in the empty slot whose bit is `bit`.
-    fn fill(&mut self, bit: u64, row: Row, spares: &mut Spares) {
-        let i = self.index(bit);
-        let mut rows = match std::mem::replace(&mut self.rows, Rows::Many(Vec::new())) {
-            Rows::One(first) => {
-                let mut rows = spares.take(Spares::MIN);
-                rows.push(first);
-                rows
-            }
-            Rows::Many(mut full) if full.len() == full.capacity() => {
-                let mut rows = spares.take(2 * full.capacity());
-                rows.append(&mut full);
-                spares.give(full);
-                rows
-            }
-            Rows::Many(rows) => rows,
-        };
-        rows.insert(i, row);
-        self.rows = Rows::Many(rows);
-        self.present |= bit;
     }
 }
 
@@ -143,11 +269,11 @@ impl RecordTable {
         self.len
     }
 
-    /// The row stored under `key`.
-    pub(crate) fn get(&self, key: &Key) -> Option<&Row> {
+    /// The row stored under `key`, by value.
+    pub(crate) fn get(&self, key: &Key) -> Option<Row> {
         let (page, bit) = locate(key);
         let page = self.pages.get(&page)?;
-        (page.present & bit != 0).then(|| &page.rows.as_slice()[page.index(bit)])
+        (page.present & bit != 0).then(|| page.rows.get(page.index(bit)))
     }
 
     /// Store `row` under `key`, returning the row it replaced.
@@ -164,12 +290,13 @@ impl RecordTable {
             }
             Entry::Occupied(occupied) => occupied.into_mut(),
         };
+        let i = page.index(bit);
         if page.present & bit != 0 {
-            let i = page.index(bit);
-            return Some(std::mem::replace(&mut page.rows.as_mut_slice()[i], row));
+            return Some(page.rows.replace(i, row, &mut self.spares));
         }
         self.len += 1;
-        page.fill(bit, row, &mut self.spares);
+        page.rows.insert(i, row, &mut self.spares);
+        page.present |= bit;
         None
     }
 
@@ -181,32 +308,24 @@ impl RecordTable {
             return None;
         }
         self.len -= 1;
-        let i = page.index(bit);
+        let row = page.rows.remove(page.index(bit));
         page.present &= !bit;
-        if page.present != 0 {
-            let Rows::Many(rows) = &mut page.rows else {
-                unreachable!("a page holding two rows keeps them in a Vec");
-            };
-            return Some(rows.remove(i));
-        }
-        match self.pages.remove(&page_key)?.rows {
-            Rows::One(row) => Some(row),
-            Rows::Many(mut rows) => {
-                let row = rows.pop();
-                self.spares.give(rows);
-                row
+        if page.present == 0 {
+            if let Some(page) = self.pages.remove(&page_key) {
+                page.rows.recycle(&mut self.spares);
             }
         }
+        Some(row)
     }
 
     /// Every stored row with its key, in no particular order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (Key, &Row)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Key, Row)> + '_ {
         self.pages.iter().flat_map(|(&(table, page), p)| {
             let mut bits = p.present;
-            p.rows.as_slice().iter().map(move |row| {
+            (0..p.rows.len()).map(move |i| {
                 let slot = u64::from(bits.trailing_zeros());
                 bits &= bits - 1;
-                (Key::new(table, (page << PAGE_BITS) | slot), row)
+                (Key::new(table, (page << PAGE_BITS) | slot), p.rows.get(i))
             })
         })
     }
@@ -248,17 +367,30 @@ mod tests {
         }
 
         fn get(&mut self, key: Key) {
-            assert_eq!(self.table.get(&key), self.model.get(&key), "get {key}");
+            let expected = self.model.get(&key).cloned();
+            assert_eq!(self.table.get(&key), expected, "get {key}");
             self.check();
+        }
+
+        /// The variant of `key`'s page's rows, if the page exists.
+        fn shape(&self, key: Key) -> Option<&'static str> {
+            let page = self.table.pages.get(&locate(&key).0)?;
+            Some(match page.rows {
+                Rows::One(_) => "One",
+                Rows::Ints(_) => "Ints",
+                Rows::Pairs(_) => "Pairs",
+                Rows::Many(_) => "Many",
+            })
         }
 
         fn check(&mut self) {
             self.ops += 1;
             let ops = self.ops;
             assert_eq!(self.table.len(), self.model.len(), "len after op {ops}");
-            let mut rows: Vec<(Key, &Row)> = self.table.iter().collect();
+            let mut rows: Vec<(Key, Row)> = self.table.iter().collect();
             rows.sort_by_key(|(k, _)| *k);
-            let mut expected: Vec<(Key, &Row)> = self.model.iter().map(|(k, r)| (*k, r)).collect();
+            let mut expected: Vec<(Key, Row)> =
+                self.model.iter().map(|(k, r)| (*k, r.clone())).collect();
             expected.sort_by_key(|(k, _)| *k);
             assert_eq!(rows, expected, "iter after op {ops}");
             // No empty page outlives its last row, and every page's rows
@@ -267,24 +399,32 @@ mod tests {
             pages.sort();
             pages.dedup();
             assert_eq!(self.table.pages.len(), pages.len(), "pages after op {ops}");
-            for (c, spare) in self.table.spares.0.iter().enumerate() {
-                assert!(spare.is_empty());
-                assert!([0, Spares::MIN << c].contains(&spare.capacity()));
-            }
+            let spares = &self.table.spares;
+            assert_spares_are_empty_and_classed(&spares.ints);
+            assert_spares_are_empty_and_classed(&spares.pairs);
+            assert_spares_are_empty_and_classed(&spares.rows);
             for page in self.table.pages.values() {
-                assert_eq!(
-                    page.rows.as_slice().len(),
-                    page.present.count_ones() as usize
-                );
+                assert_eq!(page.rows.len(), page.present.count_ones() as usize);
             }
         }
     }
 
-    fn row_for(n: u64) -> Row {
-        if n.is_multiple_of(3) {
-            Row::from_values(vec![Value::Int(n as i64), Value::Str(format!("r{n}"))])
-        } else {
-            Row::int(n as i64)
+    fn assert_spares_are_empty_and_classed<T>(spares: &SpareBuffers<T>) {
+        for (c, spare) in spares.0.iter().enumerate() {
+            assert!(spare.is_empty());
+            assert!([0, SpareBuffers::<T>::MIN << c].contains(&spare.capacity()));
+        }
+    }
+
+    /// A row of shape `shape % 4` — one `Int`, a two-`Int` pair, an `Int`
+    /// and a `Str`, or one `Float` — built from `n`.
+    fn row_for(shape: u64, n: u64) -> Row {
+        let v = n as i64;
+        match shape % 4 {
+            0 => Row::int(v),
+            1 => Row::pair(v, -v),
+            2 => Row::from_values(vec![Value::Int(v), Value::Str(format!("r{n}"))]),
+            _ => Row::from_values(vec![Value::Float(n as f64)]),
         }
     }
 
@@ -297,6 +437,8 @@ mod tests {
         keys.extend((0..32).map(|i| Key::new(t(1), 100_000 + i * 640)));
         // Page edges: slots 0 and 63 of one page, slot 0 of the next.
         keys.extend([0, 63, 64, 127, 128].map(|r| Key::new(t(2), r)));
+        // A dense run of pairs.
+        keys.extend((1_000..1_130).map(|r| Key::new(t(2), r)));
         // Two tables sharing a page number.
         keys.extend([449, 450, 451].map(|r| Key::new(t(3), r)));
         keys.extend([449, 450, 451].map(|r| Key::new(t(4), r)));
@@ -309,27 +451,89 @@ mod tests {
         let mut d = Differential::default();
         // Scripted: fill both edge pages, empty the first, refill it.
         for r in [0, 63, 64] {
-            d.insert(Key::new(t(2), r), row_for(r));
+            d.insert(Key::new(t(2), r), row_for(r, r));
         }
         d.remove(Key::new(t(2), 0));
         d.remove(Key::new(t(2), 63));
         d.get(Key::new(t(2), 63));
-        d.insert(Key::new(t(2), 63), row_for(7));
-        d.insert(Key::new(t(2), 63), row_for(8));
-        d.insert(Key::new(t(2), 0), row_for(9));
+        d.insert(Key::new(t(2), 63), row_for(2, 7));
+        d.insert(Key::new(t(2), 63), row_for(0, 8));
+        d.insert(Key::new(t(2), 0), row_for(0, 9));
         d.remove(Key::new(t(2), 64));
-        d.insert(Key::new(t(3), 450), row_for(1));
+        d.insert(Key::new(t(3), 450), row_for(0, 1));
         d.get(Key::new(t(4), 450));
         d.remove(Key::new(t(4), 450));
-        d.insert(Key::new(t(u16::MAX), u64::MAX), row_for(2));
+        d.insert(Key::new(t(u16::MAX), u64::MAX), row_for(2, 2));
         d.get(Key::new(t(u16::MAX), u64::MAX));
+
+        // Scripted: one slot of a two-row page goes int -> pair -> wide ->
+        // int. The pair widens the page, which then stays wide; a lone row
+        // changes shape inline.
+        let (a, b, lone) = (Key::new(t(5), 0), Key::new(t(5), 1), Key::new(t(5), 64));
+        d.insert(a, row_for(0, 1));
+        d.insert(b, row_for(0, 2));
+        d.insert(lone, row_for(0, 3));
+        assert_eq!(d.shape(a), Some("Ints"));
+        for shape in [1, 2, 0] {
+            d.insert(b, row_for(shape, 4));
+            d.insert(lone, row_for(shape, 5));
+            assert_eq!((d.shape(a), d.shape(lone)), (Some("Many"), Some("One")));
+        }
+        // A lone row spills into a typed buffer only if the next row shares
+        // its typed shape: a `Float` is not an `Int`.
+        for (first, next, spilled) in [
+            (0, 0, "Ints"),
+            (1, 1, "Pairs"),
+            (0, 1, "Many"),
+            (1, 0, "Many"),
+            (3, 0, "Many"),
+            (0, 3, "Many"),
+            (2, 2, "Many"),
+        ] {
+            let (x, y) = (Key::new(t(6), 0), Key::new(t(6), 9));
+            d.insert(x, row_for(first, 10));
+            d.insert(y, row_for(next, 11));
+            assert_eq!(d.shape(x), Some(spilled), "{first} then {next}");
+            d.remove(y);
+            d.remove(x);
+        }
+        // An `Ints` page grows through three buffers, takes one wide row, is
+        // emptied and is refilled: typed again. A `Pairs` page likewise.
+        for (shape, typed) in [(0, "Ints"), (1, "Pairs")] {
+            let page: Vec<Key> = (128..148).map(|r| Key::new(t(5), r)).collect();
+            for (n, &k) in page.iter().enumerate() {
+                d.insert(k, row_for(shape, n as u64));
+            }
+            assert_eq!(d.shape(page[0]), Some(typed));
+            d.insert(page[5], row_for(2, 5));
+            assert_eq!(d.shape(page[0]), Some("Many"));
+            d.get(page[5]);
+            d.get(page[6]);
+            for &k in page.iter().rev() {
+                d.remove(k);
+            }
+            assert_eq!(d.shape(page[0]), None);
+            for (n, &k) in page.iter().enumerate() {
+                d.insert(k, row_for(shape, n as u64));
+            }
+            assert_eq!(d.shape(page[0]), Some(typed));
+            for &k in &page {
+                d.remove(k);
+            }
+        }
 
         for seed in 1..=3u64 {
             let mut rng = seed;
             for step in 0..4_000u64 {
                 let key = keys[(splitmix64(&mut rng) % keys.len() as u64) as usize];
+                // Each table has a home shape (table 1 integers, table 2
+                // pairs), so typed pages form; one row in eight widens.
+                let shape = match splitmix64(&mut rng) {
+                    r if r.is_multiple_of(8) => r >> 3,
+                    _ => u64::from(key.table.0) + 3,
+                };
                 match splitmix64(&mut rng) % 10 {
-                    0..=4 => d.insert(key, row_for(step)),
+                    0..=4 => d.insert(key, row_for(shape, step)),
                     5..=6 => d.remove(key),
                     _ => d.get(key),
                 }
@@ -338,24 +542,51 @@ mod tests {
         assert!(d.model.len() > 50, "the run kept a populated table");
     }
 
-    #[test]
-    fn outgrown_buffers_are_grown_into_by_the_next_page() {
+    fn capacities<T>(spares: &SpareBuffers<T>) -> [usize; 5] {
+        spares.0.each_ref().map(Vec::capacity)
+    }
+
+    /// Fill a page with copies of `row`, spill the next one, then drop the
+    /// first: the buffers each outgrows go to the spares `own` picks, and no
+    /// other element type's spares are touched.
+    fn outgrown_buffers_go_to<T>(row: Row, own: fn(&Spares) -> &SpareBuffers<T>) {
         let mut table = RecordTable::default();
-        let spares = |table: &RecordTable| table.spares.0.each_ref().map(Vec::capacity);
-        for row in 0..64 {
-            table.insert(Key::new(TableId(0), row), Row::int(0));
+        let spares = |table: &RecordTable| {
+            let s = &table.spares;
+            let kept = [
+                capacities(&s.ints),
+                capacities(&s.pairs),
+                capacities(&s.rows),
+            ];
+            let own = capacities(own(s));
+            let total = |c: &[usize]| c.iter().sum::<usize>();
+            assert_eq!(total(kept.as_flattened()), total(&own), "{kept:?}");
+            own
+        };
+        for n in 0..64 {
+            table.insert(Key::new(TableId(0), n), row.clone());
         }
         assert_eq!(spares(&table), [4, 8, 16, 32, 0]);
         // The next page spills into the spare 4, grows into the spare 8 and
         // leaves its 4 behind.
-        for row in 64..69 {
-            table.insert(Key::new(TableId(0), row), Row::int(0));
+        for n in 64..69 {
+            table.insert(Key::new(TableId(0), n), row.clone());
         }
         assert_eq!(spares(&table), [4, 0, 16, 32, 0]);
         // A page dropped with its last row keeps its buffer too.
-        for row in 0..64 {
-            table.remove(&Key::new(TableId(0), row));
+        for n in 0..64 {
+            table.remove(&Key::new(TableId(0), n));
         }
         assert_eq!(spares(&table), [4, 0, 16, 32, 64]);
+    }
+
+    #[test]
+    fn outgrown_buffers_are_grown_into_by_the_next_page() {
+        outgrown_buffers_go_to(Row::int(0), |s| &s.ints);
+    }
+
+    #[test]
+    fn outgrown_pair_buffers_are_grown_into_by_the_next_page() {
+        outgrown_buffers_go_to(Row::pair(0, 0), |s| &s.pairs);
     }
 }
