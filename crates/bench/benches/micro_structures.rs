@@ -151,7 +151,7 @@ fn bench_hotspot(c: &mut Criterion) {
                     fp.on_txn_finish(&keys, true);
                 }
                 criterion::black_box(fp.forecast_local_latency(&keys));
-                criterion::black_box(fp.abort_probability(&keys));
+                criterion::black_box(fp.success_probability(&keys));
             },
             BatchSize::SmallInput,
         )

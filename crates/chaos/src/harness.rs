@@ -40,7 +40,7 @@ use geotp_cluster::{
     wire, AdmissionPolicy, ClusterConfig, CoordinatorCluster, MembershipConfig,
     SessionReaperConfig, Wiring, SUPERVISOR_INTERVAL,
 };
-use geotp_datasource::{DataSource, Dialect};
+use geotp_datasource::DataSource;
 use geotp_middleware::session::RetryPolicy;
 use geotp_middleware::{
     AbortReason, ClientOp, Decision, Middleware, MiddlewareConfig, Protocol, Session,
@@ -349,7 +349,6 @@ impl Deployment {
             seed: config.seed,
             coordinator_rtts_ms: vec![DS_RTTS_MS.to_vec(); config.coordinators()],
             control_rtt_ms: config.tier.as_ref().map(|_| TIER_CONTROL_RTT_MS),
-            dialects: vec![Dialect::MySql; DS_RTTS_MS.len()],
             engine: EngineConfig {
                 lock_wait_timeout: LOCK_WAIT_TIMEOUT,
                 cost: CostModel::default(),

@@ -10,7 +10,7 @@
 //! spans themselves.
 //!
 //! Every rule is a plain function over a `TraceContext` (the span record
-//! plus the durable/concluded gtrid sets). [`check_spans`] runs the five
+//! plus the durable/concluded gtrid sets). `check_spans` runs the five
 //! rules in order, and [`apply`] runs it on every traced chaos run:
 //!
 //! * **R1 flush-before-dispatch** — on each `(gtrid, middleware)` pair,
@@ -232,7 +232,7 @@ fn well_formed_span_trees(ctx: &TraceContext<'_>) -> Vec<String> {
 /// Evaluate every built-in trace rule over a span record. Pure function
 /// over the inputs; returns one line per violation, in deterministic order
 /// (rule order, then each rule's own span/sorted-group order).
-pub fn check_spans(
+fn check_spans(
     spans: &[Span],
     open: &[SpanId],
     durable_gtrids: &FxHashSet<u64>,

@@ -18,7 +18,6 @@ use geotp_net::NodeId;
 use geotp_storage::IsolationLevel;
 
 use crate::harness::{run, ChaosConfig, ChaosReport, TierConfig};
-use crate::invariants::InvariantReport;
 use crate::mvcc::{LongReaderOltpWorkload, WriteSkewWorkload};
 use crate::schedule::{FaultEvent, FaultSchedule, RandomFaultConfig};
 use crate::workload::{
@@ -80,16 +79,6 @@ pub enum Expect {
     /// The adversarial leg: the preset deliberately weakens isolation, and
     /// the serializability checker must convict it.
     SerializabilityConviction,
-}
-
-impl Expect {
-    /// Whether `report` is the verdict this preset is there to produce.
-    pub fn met_by(&self, report: &InvariantReport) -> bool {
-        match self {
-            Expect::AllGreen => report.all_hold(),
-            Expect::SerializabilityConviction => !report.serializability_ok,
-        }
-    }
 }
 
 /// One named failure drill.
@@ -609,7 +598,18 @@ pub static PRESETS: [Preset; 21] = [
 mod tests {
     use super::*;
     use crate::harness::{DECISION_WAIT_TIMEOUT, HORIZON};
+    use crate::invariants::InvariantReport;
     use crate::telemetry::traced;
+
+    impl Expect {
+        /// Whether `report` is the verdict this preset is there to produce.
+        fn met_by(&self, report: &InvariantReport) -> bool {
+            match self {
+                Expect::AllGreen => report.all_hold(),
+                Expect::SerializabilityConviction => !report.serializability_ok,
+            }
+        }
+    }
 
     /// Every chaos knob earns its place: some row of the table sets it to a
     /// non-default value. The destructuring lists every field with no `..`,

@@ -196,7 +196,7 @@ impl FaultEvent {
 
     /// Whether the harness controller (rather than the network injector)
     /// applies this event.
-    pub fn is_node_event(&self) -> bool {
+    fn is_node_event(&self) -> bool {
         matches!(
             self,
             FaultEvent::CrashDataSource { .. }

@@ -5,13 +5,13 @@
 //! the same physical shape: each coordinator linked to every data source, an
 //! optional control node for the membership heartbeats, data sources
 //! inter-linked for the geo-agent early-abort traffic. [`wire`] builds it
-//! once; callers differ only in RTT vectors, dialects, engine configuration
-//! and what they plug into the fault plane afterwards.
+//! once; callers differ only in RTT vectors, engine configuration and what
+//! they plug into the fault plane afterwards.
 
 use std::rc::Rc;
 use std::time::Duration;
 
-use geotp_datasource::{DataSource, DataSourceConfig, Dialect};
+use geotp_datasource::{DataSource, DataSourceConfig};
 use geotp_net::{Network, NetworkBuilder, NodeId};
 use geotp_storage::EngineConfig;
 
@@ -21,13 +21,12 @@ pub struct Wiring {
     /// Seed for network latency sampling.
     pub seed: u64,
     /// One RTT vector per coordinator: `coordinator_rtts_ms[i][j]` is the
-    /// `dm_i ↔ ds_j` RTT in milliseconds.
+    /// `dm_i ↔ ds_j` RTT in milliseconds (the first vector's length is the
+    /// source count).
     pub coordinator_rtts_ms: Vec<Vec<u64>>,
     /// Coordinator↔control-node RTT in milliseconds; `None` deploys no
     /// control node (a lone middleware has no membership service).
     pub control_rtt_ms: Option<u64>,
-    /// SQL dialect of each data source (its length is the source count).
-    pub dialects: Vec<Dialect>,
     /// Storage-engine configuration applied to every source.
     pub engine: EngineConfig,
     /// LAN RTT between each geo-agent and its co-located database.
@@ -68,10 +67,9 @@ pub fn wire(wiring: &Wiring) -> (Rc<Network>, Vec<Rc<DataSource>>) {
     }
     let net = net_builder.build();
 
-    let mut sources = Vec::with_capacity(wiring.dialects.len());
-    for (j, dialect) in wiring.dialects.iter().enumerate() {
+    let mut sources = Vec::with_capacity(ds_rtts.len());
+    for j in 0..ds_rtts.len() {
         let mut cfg = DataSourceConfig::new(NodeId::data_source(j as u32));
-        cfg.dialect = *dialect;
         cfg.engine = wiring.engine;
         cfg.agent_lan_rtt = wiring.agent_lan_rtt;
         sources.push(DataSource::new(cfg, Rc::clone(&net)));
@@ -106,13 +104,12 @@ pub struct TierLayout {
 }
 
 /// [`wire`] for a co-located tier: every coordinator shares one RTT vector,
-/// a control node is always present, every source speaks MySQL.
+/// a control node is always present.
 pub fn build_tier(layout: &TierLayout) -> (Rc<Network>, Vec<Rc<DataSource>>) {
     wire(&Wiring {
         seed: layout.seed,
         coordinator_rtts_ms: vec![layout.ds_rtts_ms.clone(); layout.coordinators],
         control_rtt_ms: Some(layout.control_rtt_ms),
-        dialects: vec![Dialect::MySql; layout.ds_rtts_ms.len()],
         engine: layout.engine,
         agent_lan_rtt: layout.agent_lan_rtt,
     })

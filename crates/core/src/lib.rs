@@ -16,8 +16,8 @@
 //! rt.block_on(async {
 //!     // Two data sources: one local (10 ms RTT), one remote (100 ms RTT).
 //!     let cluster = ClusterBuilder::new()
-//!         .data_source(10, Dialect::Postgres)
-//!         .data_source(100, Dialect::MySql)
+//!         .data_source(10)
+//!         .data_source(100)
 //!         .records_per_node(1_000)
 //!         .protocol(Protocol::geotp())
 //!         .build();
@@ -76,7 +76,7 @@ pub use geotp_cluster::{
     MembershipConfig, MembershipTable, OpenLoopConfig, OpenLoopReport, SessionReaperConfig,
     SessionRouter, TierLayout,
 };
-pub use geotp_datasource::{DataSource, DataSourceConfig, Dialect, DsConnection};
+pub use geotp_datasource::{DataSource, DataSourceConfig, DsConnection};
 pub use geotp_middleware::{
     ClientOp, GlobalKey, Middleware, MiddlewareConfig, MiddlewareSessionService, Partitioner,
     Protocol, RetriedOutcome, RetryPolicy, RoundResult, Session, SessionService, TransactionSpec,
@@ -91,7 +91,6 @@ pub use geotp_workloads::ycsb::USERTABLE;
 /// Commonly used items for building and driving a cluster.
 pub mod prelude {
     pub use crate::{Cluster, ClusterBuilder};
-    pub use geotp_datasource::Dialect;
     pub use geotp_middleware::{
         ClientOp, GlobalKey, Middleware, Partitioner, Protocol, RoundResult, Session,
         SessionService, TransactionSpec, Txn, TxnError, TxnOutcome,
@@ -109,15 +108,11 @@ pub fn runtime() -> Runtime {
     Runtime::new()
 }
 
-struct DataSourceSpec {
-    rtt_ms: u64,
-    dialect: Dialect,
-}
-
 /// Builds a complete simulated geo-distributed deployment.
 pub struct ClusterBuilder {
     seed: u64,
-    sources: Vec<DataSourceSpec>,
+    /// Middleware↔data-source RTT in milliseconds, one per source.
+    source_rtts_ms: Vec<u64>,
     protocol: Protocol,
     records_per_node: u64,
     engine: EngineConfig,
@@ -140,7 +135,7 @@ impl ClusterBuilder {
     pub fn new() -> Self {
         Self {
             seed: 42,
-            sources: Vec::new(),
+            source_rtts_ms: Vec::new(),
             protocol: Protocol::geotp(),
             records_per_node: 1_000,
             engine: EngineConfig::default(),
@@ -160,18 +155,17 @@ impl ClusterBuilder {
     }
 
     /// Add a data source with the given RTT (in milliseconds) from the
-    /// (first) middleware and the given SQL dialect.
-    pub fn data_source(mut self, rtt_ms: u64, dialect: Dialect) -> Self {
-        self.sources.push(DataSourceSpec { rtt_ms, dialect });
+    /// (first) middleware.
+    pub fn data_source(mut self, rtt_ms: u64) -> Self {
+        self.source_rtts_ms.push(rtt_ms);
         self
     }
 
     /// Add the paper's default deployment: four data sources at
-    /// 0 / 27 / 73 / 251 ms RTT, all MySQL.
+    /// 0 / 27 / 73 / 251 ms RTT.
     pub fn paper_default_sources(mut self) -> Self {
-        for rtt in geotp_net::PAPER_DEFAULT_RTTS_MS {
-            self = self.data_source(rtt, Dialect::MySql);
-        }
+        self.source_rtts_ms
+            .extend_from_slice(&geotp_net::PAPER_DEFAULT_RTTS_MS);
         self
     }
 
@@ -236,20 +230,19 @@ impl ClusterBuilder {
     /// Assemble the cluster.
     pub fn build(self) -> Cluster {
         assert!(
-            !self.sources.is_empty(),
+            !self.source_rtts_ms.is_empty(),
             "a cluster needs at least one data source"
         );
-        let n = self.sources.len() as u32;
+        let n = self.source_rtts_ms.len() as u32;
 
         // DM↔DS links as configured (one RTT vector per middleware), DS↔DS
         // links and the geo-agents by the shared wiring convention.
-        let mut coordinator_rtts_ms = vec![self.sources.iter().map(|s| s.rtt_ms).collect()];
+        let mut coordinator_rtts_ms = vec![self.source_rtts_ms];
         coordinator_rtts_ms.extend(self.extra_middlewares.iter().cloned());
         let (net, sources) = geotp_cluster::wire(&geotp_cluster::Wiring {
             seed: self.seed,
             coordinator_rtts_ms,
             control_rtt_ms: None,
-            dialects: self.sources.iter().map(|s| s.dialect).collect(),
             engine: self.engine,
             agent_lan_rtt: self.agent_lan_rtt,
         });
@@ -407,8 +400,8 @@ mod tests {
         let mut rt = runtime();
         rt.block_on(async {
             let cluster = ClusterBuilder::new()
-                .data_source(10, Dialect::Postgres)
-                .data_source(100, Dialect::MySql)
+                .data_source(10)
+                .data_source(100)
                 .records_per_node(500)
                 .protocol(Protocol::geotp())
                 .build();
@@ -433,8 +426,8 @@ mod tests {
             // `max(configured, requested)`, placing rows on nodes the range
             // partitioner would never route a lookup to.
             let cluster = ClusterBuilder::new()
-                .data_source(10, Dialect::MySql)
-                .data_source(100, Dialect::MySql)
+                .data_source(10)
+                .data_source(100)
                 .records_per_node(100)
                 .build();
             cluster.load_uniform(250, 7);
@@ -465,8 +458,8 @@ mod tests {
         let mut rt = runtime();
         rt.block_on(async {
             let cluster = ClusterBuilder::new()
-                .data_source(10, Dialect::MySql)
-                .data_source(100, Dialect::MySql)
+                .data_source(10)
+                .data_source(100)
                 .records_per_node(100)
                 .partitioner(Partitioner::Hash { nodes: 2 })
                 .build();

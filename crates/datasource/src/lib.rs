@@ -8,9 +8,9 @@
 //!   geo-agents,
 //! * a local transaction manager tracking branch state,
 //! * the **decentralized prepare** path (§IV-A): when the last statement of a
-//!   branch finishes, the agent immediately drives `XA END` / `XA PREPARE`
-//!   (MySQL dialect) or `PREPARE TRANSACTION` (PostgreSQL dialect) over the
-//!   local LAN and pushes the vote to the middleware asynchronously,
+//!   branch finishes, the agent immediately prepares the branch in its
+//!   co-located database (one LAN round trip plus the engine's prepare cost)
+//!   and pushes the vote to the middleware asynchronously,
 //! * the **early abort** path (§IV-A): when a statement fails, the agent
 //!   proactively asks peer data sources to roll back the sibling branches,
 //!   bypassing the middleware and saving half a WAN round trip.
@@ -25,7 +25,7 @@ pub mod server;
 
 pub use connection::DsConnection;
 pub use messages::{
-    AgentNotification, Dialect, DsOperation, PrepareVote, StatementOutcome, StatementRequest,
+    AgentNotification, DsOperation, PrepareVote, StatementOutcome, StatementRequest,
     StatementResponse,
 };
 pub use server::{DataSource, DataSourceConfig, DataSourceStats};

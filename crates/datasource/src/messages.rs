@@ -5,48 +5,6 @@ use std::time::Duration;
 
 use geotp_storage::{Key, Row, StorageError, Xid};
 
-/// SQL dialect spoken by a data source. The two dialects are functionally
-//  equivalent in the simulation but drive different rewritten command
-/// sequences (paper §IV-A): MySQL uses `XA END` + `XA PREPARE`, PostgreSQL
-/// uses a single `PREPARE TRANSACTION`, and PostgreSQL reads are rewritten to
-/// `SELECT ... FOR SHARE` by the middleware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Dialect {
-    /// MySQL-style XA participant.
-    MySql,
-    /// PostgreSQL-style prepared transactions.
-    Postgres,
-}
-
-impl Dialect {
-    /// Human-readable name used in reports (Table I scenarios).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Dialect::MySql => "MySQL",
-            Dialect::Postgres => "PostgreSQL",
-        }
-    }
-
-    /// The command sequence the geo-agent issues to prepare a branch.
-    pub fn prepare_commands(&self, xid: Xid) -> Vec<String> {
-        match self {
-            Dialect::MySql => vec![
-                format!("XA END '{},{}'", xid.gtrid, xid.bqual),
-                format!("XA PREPARE '{},{}'", xid.gtrid, xid.bqual),
-            ],
-            Dialect::Postgres => vec![format!("PREPARE TRANSACTION '{}_{}'", xid.gtrid, xid.bqual)],
-        }
-    }
-
-    /// The command used to commit a prepared branch.
-    pub fn commit_command(&self, xid: Xid) -> String {
-        match self {
-            Dialect::MySql => format!("XA COMMIT '{},{}'", xid.gtrid, xid.bqual),
-            Dialect::Postgres => format!("COMMIT PREPARED '{}_{}'", xid.gtrid, xid.bqual),
-        }
-    }
-}
-
 /// A single operation within a subtransaction statement batch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DsOperation {
@@ -255,21 +213,6 @@ impl AgentNotification {
 mod tests {
     use super::*;
     use geotp_storage::TableId;
-
-    #[test]
-    fn dialect_command_sequences() {
-        let xid = Xid::new(7, 2);
-        let mysql = Dialect::MySql.prepare_commands(xid);
-        assert_eq!(mysql, vec!["XA END '7,2'", "XA PREPARE '7,2'"]);
-        let pg = Dialect::Postgres.prepare_commands(xid);
-        assert_eq!(pg, vec!["PREPARE TRANSACTION '7_2'"]);
-        assert_eq!(Dialect::MySql.commit_command(xid), "XA COMMIT '7,2'");
-        assert_eq!(
-            Dialect::Postgres.commit_command(xid),
-            "COMMIT PREPARED '7_2'"
-        );
-        assert_eq!(Dialect::MySql.name(), "MySQL");
-    }
 
     #[test]
     fn operation_key_and_write_flags() {

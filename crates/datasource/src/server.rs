@@ -13,7 +13,7 @@ use geotp_simrt::{now, sleep, spawn, SimInstant};
 use geotp_storage::{EngineConfig, Row, StorageEngine, StorageError, Xid};
 
 use crate::messages::{
-    AgentNotification, Dialect, DsOperation, PrepareVote, StatementOutcome, StatementRequest,
+    AgentNotification, DsOperation, PrepareVote, StatementOutcome, StatementRequest,
     StatementResponse,
 };
 
@@ -22,8 +22,6 @@ use crate::messages::{
 pub struct DataSourceConfig {
     /// The node identity in the simulated network.
     pub node: NodeId,
-    /// SQL dialect (drives the rewritten command sequences).
-    pub dialect: Dialect,
     /// Storage-engine configuration (lock timeout, local costs).
     pub engine: EngineConfig,
     /// Round-trip time between the geo-agent and its co-located database
@@ -32,20 +30,13 @@ pub struct DataSourceConfig {
 }
 
 impl DataSourceConfig {
-    /// Defaults: MySQL dialect, default engine configuration, 0.5 ms LAN RTT.
+    /// Defaults: default engine configuration, 0.5 ms LAN RTT.
     pub fn new(node: NodeId) -> Self {
         Self {
             node,
-            dialect: Dialect::MySql,
             engine: EngineConfig::default(),
             agent_lan_rtt: Duration::from_micros(500),
         }
-    }
-
-    /// Override the engine configuration.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
     }
 }
 
@@ -158,11 +149,6 @@ impl DataSource {
         self.config.node.index()
     }
 
-    /// The SQL dialect of this data source.
-    pub fn dialect(&self) -> Dialect {
-        self.config.dialect
-    }
-
     /// Direct access to the underlying storage engine (loading data,
     /// inspecting state in tests and experiments).
     pub fn engine(&self) -> &Rc<StorageEngine> {
@@ -193,7 +179,7 @@ impl DataSource {
 
     /// The minimum epoch currently accepted from coordinator `dm` (0 when
     /// unfenced).
-    pub fn coordinator_fence(&self, dm: NodeId) -> u64 {
+    fn coordinator_fence(&self, dm: NodeId) -> u64 {
         self.fences.borrow().get(&dm).copied().unwrap_or(0)
     }
 

@@ -292,7 +292,8 @@ mod tests {
         };
         let sources: Vec<_> = (0..2)
             .map(|i| {
-                let config = DataSourceConfig::new(NodeId::data_source(i)).with_engine(engine);
+                let mut config = DataSourceConfig::new(NodeId::data_source(i));
+                config.engine = engine;
                 DataSource::new(config, Rc::clone(&net))
             })
             .collect();

@@ -13,7 +13,7 @@
 //!
 //! Every cell is deterministic (bit-reproducible runs), so the rendered
 //! tables are committed as golden references under `tests/golden/` and
-//! diffed in CI ([`crate::golden`]): silent result drift fails the job.
+//! diffed in CI (the `golden` test module): silent result drift fails the job.
 
 use geotp::chaos::{traced, Door, DrillWorkload, Preset, PRESETS};
 
@@ -124,7 +124,7 @@ pub fn failure_drills(scale: Scale) -> Vec<Table> {
 }
 
 /// Coverage + green assertions shared with the golden gate (the quick-scale
-/// sweep is expensive, so [`crate::golden`]'s test runs it once and applies
+/// sweep is expensive, so `crate::golden`'s test runs it once and applies
 /// both this structural check and the golden diff to the same tables).
 #[cfg(test)]
 pub(crate) fn assert_tables_cover_every_preset_and_stay_green(tables: &[Table]) {

@@ -224,7 +224,6 @@ pub fn fig06_trace_breakdown(_scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geotp::Dialect;
 
     #[test]
     fn fig06_trace_breakdown_cross_checks_against_the_stopwatch() {
@@ -289,13 +288,5 @@ mod tests {
             breakdown.push_row(vec!["total".into(), ms(outcome.latency)]);
         });
         breakdown
-    }
-
-    #[test]
-    fn latency_config_dialect_defaults_hold() {
-        // Quick sanity on the helper types used by this module.
-        let cfg = LatencyConfig::Static(vec![10, 100]);
-        assert!(matches!(cfg, LatencyConfig::Static(_)));
-        assert_eq!(Dialect::MySql.name(), "MySQL");
     }
 }

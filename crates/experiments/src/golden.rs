@@ -4,7 +4,7 @@
 //! runtime — same build, same config ⇒ byte-identical result tables. That
 //! makes *result drift* (not just perf drift) mechanically checkable: the
 //! rendered tables are committed under `tests/golden/` and
-//! [`verify`] diffs a fresh run against them. CI fails on any mismatch
+//! `verify` diffs a fresh run against them. CI fails on any mismatch
 //! instead of waiting for a human to eyeball the nightly artifacts (the
 //! ROADMAP's "stored reference tables" item).
 //!
@@ -20,96 +20,94 @@
 //! The diff in review *is* the drift report: a reviewer sees exactly which
 //! scenario/seed cells moved.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
-
-use crate::report::Table;
-
-/// Where the golden files live: `<repo root>/tests/golden/`.
-pub fn golden_dir() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden"))
-}
-
-/// Render a table set exactly as committed to the golden file.
-pub fn render(tables: &[Table]) -> String {
-    let mut out = String::new();
-    for table in tables {
-        let _ = write!(out, "{table}");
-    }
-    out
-}
-
-/// Compare `tables` against the committed golden file `<name>.txt`.
-///
-/// With `GEOTP_BLESS=1` the file is (re)written instead and the check
-/// passes — that is the only sanctioned way to move a golden table, so the
-/// change lands as a reviewable diff. Errors carry the first differing line
-/// and the bless instructions.
-pub fn verify(name: &str, tables: &[Table]) -> Result<(), String> {
-    verify_raw(&format!("{name}.txt"), &render(tables))
-}
-
-/// Compare raw artifact bytes (a CSV, a rendered table set) against the
-/// committed golden file `<filename>` (extension included). Same bless
-/// protocol as [`verify`].
-pub fn verify_raw(filename: &str, actual: &str) -> Result<(), String> {
-    let path = golden_dir().join(filename);
-    if std::env::var("GEOTP_BLESS")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        std::fs::create_dir_all(golden_dir())
-            .map_err(|e| format!("golden: create {}: {e}", golden_dir().display()))?;
-        std::fs::write(&path, actual)
-            .map_err(|e| format!("golden: write {}: {e}", path.display()))?;
-        return Ok(());
-    }
-    let expected = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "golden: missing reference {path:?} ({e}); record it with \
-             GEOTP_BLESS=1 and commit the file",
-        )
-    })?;
-    diff(filename, &expected, actual)
-}
-
-/// Line-level comparison with a drift report naming the first divergence.
-fn diff(name: &str, expected: &str, actual: &str) -> Result<(), String> {
-    if expected == actual {
-        return Ok(());
-    }
-    let mut report = format!("golden: `{name}` drifted from tests/golden/{name}\n");
-    let expected_lines: Vec<&str> = expected.lines().collect();
-    let actual_lines: Vec<&str> = actual.lines().collect();
-    let mut shown = 0;
-    for i in 0..expected_lines.len().max(actual_lines.len()) {
-        let e = expected_lines.get(i).copied().unwrap_or("<missing>");
-        let a = actual_lines.get(i).copied().unwrap_or("<missing>");
-        if e != a {
-            let _ = write!(
-                report,
-                "  line {}:\n    golden: {e}\n    actual: {a}\n",
-                i + 1
-            );
-            shown += 1;
-            if shown >= 5 {
-                let _ = writeln!(report, "  ... (further differences elided)");
-                break;
-            }
-        }
-    }
-    let _ = write!(
-        report,
-        "If this drift is intentional, re-record with GEOTP_BLESS=1 and commit the diff."
-    );
-    Err(report)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::fmt::Write as _;
+    use std::path::PathBuf;
+
     use crate::failure_drills::failure_drills;
+    use crate::report::Table;
     use crate::scale::Scale;
+
+    /// Where the golden files live: `<repo root>/tests/golden/`.
+    fn golden_dir() -> PathBuf {
+        PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden"))
+    }
+
+    /// Render a table set exactly as committed to the golden file.
+    fn render(tables: &[Table]) -> String {
+        let mut out = String::new();
+        for table in tables {
+            let _ = write!(out, "{table}");
+        }
+        out
+    }
+
+    /// Compare `tables` against the committed golden file `<name>.txt`.
+    ///
+    /// With `GEOTP_BLESS=1` the file is (re)written instead and the check
+    /// passes — that is the only sanctioned way to move a golden table, so the
+    /// change lands as a reviewable diff. Errors carry the first differing line
+    /// and the bless instructions.
+    fn verify(name: &str, tables: &[Table]) -> Result<(), String> {
+        verify_raw(&format!("{name}.txt"), &render(tables))
+    }
+
+    /// Compare raw artifact bytes (a CSV, a rendered table set) against the
+    /// committed golden file `<filename>` (extension included). Same bless
+    /// protocol as [`verify`].
+    fn verify_raw(filename: &str, actual: &str) -> Result<(), String> {
+        let path = golden_dir().join(filename);
+        if std::env::var("GEOTP_BLESS")
+            .map(|v| v == "1")
+            .unwrap_or(false)
+        {
+            std::fs::create_dir_all(golden_dir())
+                .map_err(|e| format!("golden: create {}: {e}", golden_dir().display()))?;
+            std::fs::write(&path, actual)
+                .map_err(|e| format!("golden: write {}: {e}", path.display()))?;
+            return Ok(());
+        }
+        let expected = std::fs::read_to_string(&path).map_err(|e| {
+            format!(
+                "golden: missing reference {path:?} ({e}); record it with \
+                 GEOTP_BLESS=1 and commit the file",
+            )
+        })?;
+        diff(filename, &expected, actual)
+    }
+
+    /// Line-level comparison with a drift report naming the first divergence.
+    fn diff(name: &str, expected: &str, actual: &str) -> Result<(), String> {
+        if expected == actual {
+            return Ok(());
+        }
+        let mut report = format!("golden: `{name}` drifted from tests/golden/{name}\n");
+        let expected_lines: Vec<&str> = expected.lines().collect();
+        let actual_lines: Vec<&str> = actual.lines().collect();
+        let mut shown = 0;
+        for i in 0..expected_lines.len().max(actual_lines.len()) {
+            let e = expected_lines.get(i).copied().unwrap_or("<missing>");
+            let a = actual_lines.get(i).copied().unwrap_or("<missing>");
+            if e != a {
+                let _ = write!(
+                    report,
+                    "  line {}:\n    golden: {e}\n    actual: {a}\n",
+                    i + 1
+                );
+                shown += 1;
+                if shown >= 5 {
+                    let _ = writeln!(report, "  ... (further differences elided)");
+                    break;
+                }
+            }
+        }
+        let _ = write!(
+            report,
+            "If this drift is intentional, re-record with GEOTP_BLESS=1 and commit the diff."
+        );
+        Err(report)
+    }
 
     /// The CI drift gate: the failure-drill tables must match the committed
     /// golden file for the active scale. `GEOTP_FULL=1` checks the 32-seed

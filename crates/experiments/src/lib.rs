@@ -18,7 +18,6 @@ pub mod figs_distributed;
 pub mod figs_motivation;
 pub mod figs_network;
 pub mod figs_overall;
-pub mod golden;
 pub mod overload;
 pub mod profile_drills;
 pub mod report;
@@ -30,59 +29,5 @@ pub use report::Table;
 pub use runner::{RunResult, SystemUnderTest, TpccRunSpec, YcsbRunSpec};
 pub use scale::Scale;
 
-/// An experiment entry: `(identifier, runner)`.
-pub type ExperimentEntry = (&'static str, fn(Scale) -> Vec<Table>);
-
-/// Every experiment in paper order: `(identifier, runner)`.
-/// Useful for "run everything" binaries.
-pub fn all_experiments() -> Vec<ExperimentEntry> {
-    vec![
-        ("fig01_motivation", figs_motivation::fig01_motivation),
-        ("fig05_scalability", figs_overall::fig05_scalability),
-        ("fig06_breakdown", figs_motivation::fig06_breakdown),
-        (
-            "fig06_trace_breakdown",
-            figs_motivation::fig06_trace_breakdown,
-        ),
-        (
-            "fig07_dist_ratio_ycsb",
-            figs_distributed::fig07_dist_ratio_ycsb,
-        ),
-        ("fig08_latency_cdf", figs_distributed::fig08_latency_cdf),
-        (
-            "fig09_dist_ratio_tpcc",
-            figs_distributed::fig09_dist_ratio_tpcc,
-        ),
-        ("fig10_latency_config", figs_network::fig10_latency_config),
-        ("fig11_random_dynamic", figs_network::fig11_random_dynamic),
-        ("fig12_ablation", figs_ablation::fig12_ablation),
-        ("fig13_yugabyte", figs_overall::fig13_yugabyte),
-        ("fig14_txn_length", figs_ablation::fig14_txn_length),
-        ("fig15_multi_dm", figs_overall::fig15_multi_dm),
-        ("tab01_heterogeneous", figs_overall::tab01_heterogeneous),
-        ("failure_drills", failure_drills::failure_drills),
-        ("cluster_drills", cluster_drills::cluster_drills),
-        ("profile_drills", profile_drills::profile_drills),
-        ("scaleout", scaleout::scaleout),
-        ("overload", overload::overload),
-    ]
-}
-
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn experiment_registry_is_complete() {
-        let names: Vec<&str> = all_experiments().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 19);
-        assert!(names.contains(&"profile_drills"));
-        assert!(names.contains(&"fig06_trace_breakdown"));
-        assert!(names.contains(&"fig12_ablation"));
-        assert!(names.contains(&"tab01_heterogeneous"));
-        assert!(names.contains(&"failure_drills"));
-        assert!(names.contains(&"cluster_drills"));
-        assert!(names.contains(&"scaleout"));
-        assert!(names.contains(&"overload"));
-    }
-}
+mod golden;

@@ -149,7 +149,7 @@ pub fn overload(scale: Scale) -> Vec<Table> {
 /// table so the *shape over time* of the collapse (queue depth ramps,
 /// latency histograms fattening) is pinned, not just the end-of-run
 /// aggregates.
-pub fn overload_with_timelines(scale: Scale) -> (Vec<Table>, Vec<(&'static str, String)>) {
+pub(crate) fn overload_with_timelines(scale: Scale) -> (Vec<Table>, Vec<(&'static str, String)>) {
     let mut table = Table::new(
         "Overload — graceful degradation vs collapse (1 coordinator, 32 workers, \
          600 arrivals/s; shedding = queue 64, 250 ms queue deadline)",

@@ -156,7 +156,7 @@ fn csv(profiles: &[PresetProfile]) -> String {
 
 /// Run the traced sweep over every preset; returns the two dominance tables
 /// plus the per-preset critical-path CSV (one row per preset × span kind).
-pub fn profile_drills_with_csv(scale: Scale) -> (Vec<Table>, String) {
+pub(crate) fn profile_drills_with_csv(scale: Scale) -> (Vec<Table>, String) {
     let profiles: Vec<PresetProfile> = generic_drills()
         .map(|scenario| profile(scale, scenario))
         .collect();
@@ -168,7 +168,7 @@ pub fn profile_drills_with_csv(scale: Scale) -> (Vec<Table>, String) {
     (tables, csv)
 }
 
-/// The registry face: tables only.
+/// The dominance and share tables alone.
 pub fn profile_drills(scale: Scale) -> Vec<Table> {
     profile_drills_with_csv(scale).0
 }

@@ -5,7 +5,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use geotp::{Cluster, ClusterBuilder, Dialect, Protocol};
+use geotp::{Cluster, ClusterBuilder, Protocol};
 use geotp_distdb::DistDb;
 use geotp_middleware::{
     Middleware, MiddlewareConfig, Partitioner, SessionService, TransactionSpec, TxnOutcome,
@@ -92,7 +92,7 @@ pub enum LatencyConfig {
 
 impl LatencyConfig {
     /// The paper's default deployment: 0 / 27 / 73 / 251 ms.
-    pub fn paper_default() -> Self {
+    fn paper_default() -> Self {
         LatencyConfig::Static(geotp_net::PAPER_DEFAULT_RTTS_MS.to_vec())
     }
 
@@ -171,8 +171,6 @@ pub struct YcsbRunSpec {
     pub system: SystemUnderTest,
     /// WAN latency configuration.
     pub latency: LatencyConfig,
-    /// Per-data-source dialect (defaults to MySQL everywhere).
-    pub dialects: Option<Vec<Dialect>>,
     /// Workload configuration (records, skew, distributed ratio, ...).
     pub ycsb: YcsbConfig,
     /// Closed-loop terminals.
@@ -201,7 +199,6 @@ impl YcsbRunSpec {
         Self {
             system,
             latency: LatencyConfig::paper_default(),
-            dialects: None,
             ycsb,
             terminals,
             warmup: Duration::from_millis(500),
@@ -316,7 +313,6 @@ fn engine_config(lock_wait_timeout: Duration) -> EngineConfig {
 fn build_cluster(
     system: SystemUnderTest,
     latency: &LatencyConfig,
-    dialects: &Option<Vec<Dialect>>,
     records_per_node: u64,
     lock_wait_timeout: Duration,
     seed: u64,
@@ -334,12 +330,8 @@ fn build_cluster(
         .protocol(protocol)
         .engine_config(engine_config(lock_wait_timeout))
         .background_monitor(background_monitor);
-    for (i, rtt) in rtts.iter().enumerate() {
-        let dialect = dialects
-            .as_ref()
-            .and_then(|d| d.get(i).copied())
-            .unwrap_or(Dialect::MySql);
-        builder = builder.data_source(*rtt, dialect);
+    for rtt in rtts {
+        builder = builder.data_source(rtt);
     }
     let cluster = builder.build();
     latency.apply(&cluster, NodeId::middleware(0));
@@ -460,7 +452,6 @@ pub fn run_ycsb(spec: &YcsbRunSpec) -> RunResult {
         let cluster = build_cluster(
             spec.system,
             &spec.latency,
-            &spec.dialects,
             spec.ycsb.records_per_node,
             spec.lock_wait_timeout,
             spec.seed,
@@ -496,7 +487,6 @@ pub fn run_tpcc(spec: &TpccRunSpec) -> RunResult {
         let cluster = build_cluster(
             spec.system,
             &spec.latency,
-            &None,
             1_000,
             Duration::from_secs(5),
             spec.seed,

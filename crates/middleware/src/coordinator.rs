@@ -317,10 +317,6 @@ pub struct MiddlewareConfig {
     /// sources reject everything this instance tries to decide. `0` (the
     /// default) is the unfenced single-coordinator world.
     pub epoch: u64,
-    /// Upper bound on distinct scripts kept in the parsed-SQL plan cache
-    /// (second-chance eviction; hot scripts survive capacity pressure).
-    /// `0` disables the cache.
-    pub sql_cache_capacity: usize,
     /// Snapshot-read fast path: a live transaction that issued only plain
     /// reads (no writes, no `FOR UPDATE`, no `/*+ last */` annotation)
     /// commits read-only — one parallel `commit_read_only` per started
@@ -350,14 +346,12 @@ impl MiddlewareConfig {
             log_flush_cost: Duration::from_micros(500),
             decision_wait_timeout: Duration::from_secs(30),
             epoch: 0,
-            sql_cache_capacity: SQL_CACHE_MAX,
             snapshot_reads: false,
         }
     }
 }
 
-/// Default upper bound on distinct scripts kept in the parsed-statement
-/// cache (see [`MiddlewareConfig::sql_cache_capacity`]).
+/// Upper bound on distinct scripts kept in the parsed-SQL plan cache.
 const SQL_CACHE_MAX: usize = 4_096;
 
 /// The parsed-SQL plan cache, bounded by cheap second-chance (clock)
@@ -395,7 +389,7 @@ impl SqlCache {
     }
 
     fn insert(&mut self, script: &str, plan: SqlScript) {
-        if self.capacity == 0 || self.map.contains_key(script) {
+        if self.map.contains_key(script) {
             return;
         }
         // Second chance: advance the clock hand until an unreferenced entry
@@ -425,14 +419,6 @@ impl SqlCache {
                 referenced: false,
             },
         );
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn contains(&self, script: &str) -> bool {
-        self.map.contains_key(script)
     }
 }
 
@@ -554,7 +540,6 @@ impl Middleware {
             config.protocol.advanced(),
         ));
         let commit_log = commit_log.unwrap_or_else(|| CommitLog::new(config.log_flush_cost));
-        let sql_cache_capacity = config.sql_cache_capacity;
         Rc::new(Self {
             config,
             net,
@@ -569,7 +554,7 @@ impl Middleware {
             dispatch_before_flush: Cell::new(false),
             stats: RefCell::new(MiddlewareStats::default()),
             parser: RefCell::new(SqlParser::new()),
-            sql_cache: RefCell::new(SqlCache::new(sql_cache_capacity)),
+            sql_cache: RefCell::new(SqlCache::new(SQL_CACHE_MAX)),
             scratch_pool: RefCell::new(Vec::new()),
             sessions: RefCell::new(FxHashMap::default()),
             hotspot_depth_traced: Cell::new((0, 0, 0)),
@@ -740,17 +725,6 @@ impl Middleware {
         statement: &str,
     ) -> Result<crate::parser::ParsedStatement, crate::parser::ParseError> {
         self.parser.borrow_mut().parse_statement(statement)
-    }
-
-    /// Number of scripts currently in the parsed-SQL plan cache.
-    pub fn sql_cache_len(&self) -> usize {
-        self.sql_cache.borrow().len()
-    }
-
-    /// Whether the script's parsed plan is currently cached (diagnostics and
-    /// eviction-policy tests).
-    pub fn sql_cache_contains(&self, script: &str) -> bool {
-        self.sql_cache.borrow().contains(script)
     }
 
     /// Parse a SQL script into its executable plan (the slow path behind the
@@ -1817,5 +1791,39 @@ pub(crate) fn append_rows(rows: &mut Vec<geotp_storage::Row>, mut more: Vec<geot
         *rows = more;
     } else {
         rows.append(&mut more);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sql_plan_cache_keeps_hot_entries_under_capacity_pressure() {
+        // Regression test for the wholesale-clear policy: a hot script must
+        // survive a stream of one-shot scripts overflowing the cache. Each
+        // touch is `Middleware::parsed_sql`'s lookup, inserting on a miss.
+        let mut cache = SqlCache::new(4);
+        let mut touch = |script: &str| {
+            if cache.get(script).is_none() {
+                cache.insert(script, SqlScript::Rollback);
+            }
+        };
+        let hot = "BEGIN; UPDATE usertable SET bal = bal + 1 WHERE id = 1 /*+ last */; COMMIT;";
+        touch(hot);
+        for i in 0..16u64 {
+            // Touch the hot script between fillers, as a workload would.
+            touch(hot);
+            let filler = format!(
+                "BEGIN; UPDATE usertable SET bal = bal + 1 WHERE id = {} /*+ last */; COMMIT;",
+                100 + i
+            );
+            touch(&filler);
+        }
+        assert!(cache.map.len() <= 4, "cache stays bounded");
+        assert!(
+            cache.map.contains_key(hot),
+            "the hot script must survive capacity pressure (second chance)"
+        );
     }
 }

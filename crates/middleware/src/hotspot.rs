@@ -62,7 +62,7 @@ pub struct HotRecordStats {
 
 impl HotRecordStats {
     /// The success ratio `c_cnt / t_cnt`, defaulting to 1 when unknown.
-    pub fn success_ratio(&self) -> f64 {
+    fn success_ratio(&self) -> f64 {
         if self.t_cnt == 0 {
             1.0
         } else {
@@ -333,7 +333,7 @@ impl HotspotFootprint {
     }
 
     /// Eq. 9: predicted probability that a transaction accessing `keys` will
-    /// successfully acquire all its locks (1 − abort rate).
+    /// successfully acquire all its locks (1 − the paper's abort rate).
     pub fn success_probability(&self, keys: &[GlobalKey]) -> f64 {
         let mut p = 1.0;
         for key in keys {
@@ -345,11 +345,6 @@ impl HotspotFootprint {
             }
         }
         p
-    }
-
-    /// Eq. 9 as stated in the paper: the predicted abort rate.
-    pub fn abort_probability(&self, keys: &[GlobalKey]) -> f64 {
-        1.0 - self.success_probability(keys)
     }
 }
 
@@ -401,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn abort_probability_follows_eq9() {
+    fn success_probability_follows_eq9() {
         let mut fp = HotspotFootprint::new(DEFAULT_CAPACITY);
         // Build history: 10 accesses, 5 commits on record 1.
         for _ in 0..10 {
@@ -411,7 +406,7 @@ mod tests {
             fp.on_txn_finish(&[gk(1)], i < 5);
         }
         // No one is currently accessing the record: abort probability is 0.
-        assert!(fp.abort_probability(&[gk(1)]).abs() < 1e-9);
+        assert!((fp.success_probability(&[gk(1)]) - 1.0).abs() < 1e-9);
 
         // Three concurrent accessors: queue length for a newcomer is a_cnt-1=2.
         fp.on_access_start(&[gk(1)]);
@@ -422,7 +417,6 @@ mod tests {
         // success ratio is now 5/13 (t_cnt grew to 13).
         let expected_success = (5.0f64 / 13.0).powi(2);
         assert!((fp.success_probability(&[gk(1)]) - expected_success).abs() < 1e-9);
-        assert!((fp.abort_probability(&[gk(1)]) - (1.0 - expected_success)).abs() < 1e-9);
     }
 
     #[test]

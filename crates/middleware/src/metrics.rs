@@ -72,9 +72,10 @@ impl AbortReason {
         }
     }
 
-    /// Index into [`ABORT_REASONS`]-shaped accumulation arrays.
+    /// Index into [`ABORT_REASONS`]-shaped accumulation arrays: the
+    /// declaration order, which that list follows.
     pub fn ordinal(self) -> usize {
-        ABORT_REASONS.iter().position(|r| *r == self).unwrap()
+        self as usize
     }
 }
 
@@ -199,8 +200,6 @@ pub struct MiddlewareStats {
     pub prepare_failures: u64,
     /// Committed distributed transactions.
     pub distributed_committed: u64,
-    /// Sum of committed-transaction latencies (microseconds).
-    pub total_commit_latency_micros: u64,
     /// Sum of the scheduler postpone durations applied (microseconds).
     pub total_postpone_micros: u64,
     /// Transactions that used the decentralized prepare path.
@@ -237,7 +236,6 @@ impl MiddlewareStats {
             if outcome.distributed {
                 self.distributed_committed += 1;
             }
-            self.total_commit_latency_micros += outcome.latency.as_micros() as u64;
         } else {
             self.aborted += 1;
             match outcome.abort_reason {
@@ -262,14 +260,6 @@ impl MiddlewareStats {
             0.0
         } else {
             self.aborted as f64 / total as f64
-        }
-    }
-
-    /// Mean latency of committed transactions.
-    pub fn mean_commit_latency(&self) -> Duration {
-        match self.total_commit_latency_micros.checked_div(self.committed) {
-            Some(mean) => Duration::from_micros(mean),
-            None => Duration::ZERO,
         }
     }
 }
@@ -322,6 +312,14 @@ mod tests {
         assert_eq!(stats.admission_rejections, 1);
         assert_eq!(stats.distributed_committed, 1);
         assert!((stats.abort_rate() - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(stats.mean_commit_latency(), Duration::from_millis(100));
+    }
+
+    #[test]
+    fn abort_reason_ordinals_are_dense_and_stable() {
+        for (i, reason) in ABORT_REASONS.iter().enumerate() {
+            assert_eq!(reason.ordinal(), i);
+        }
+        assert_eq!(AbortReason::AdmissionRejected.label(), "admission_rejected");
+        assert_eq!(AbortReason::SessionExpired.label(), "session_expired");
     }
 }

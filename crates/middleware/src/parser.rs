@@ -1,4 +1,4 @@
-//! SQL parser and per-dialect rewriter.
+//! SQL parser.
 //!
 //! The middleware accepts a compact SQL subset (enough to express the paper's
 //! running example and the benchmark workloads) plus the annotation hints
@@ -15,18 +15,11 @@
 //! (paper §III: "we leverage annotations to mark the last statement"), which
 //! lets the transaction manager trigger the decentralized prepare as soon as
 //! that statement finishes.
-//!
-//! The [`Rewriter`] renders the per-data-source command scripts shown in
-//! Fig. 3 (e.g. `XA START`/`XA END`/`XA PREPARE` for MySQL and
-//! `PREPARE TRANSACTION`/`COMMIT PREPARED` for PostgreSQL), and rewrites
-//! plain `SELECT` into `SELECT ... FOR SHARE` for PostgreSQL data sources as
-//! the paper's setup does.
 
 use geotp_simrt::hash::FxHashMap;
 use std::fmt;
 
-use geotp_datasource::Dialect;
-use geotp_storage::{TableId, Xid};
+use geotp_storage::TableId;
 
 use crate::ops::{ClientOp, GlobalKey};
 
@@ -97,14 +90,6 @@ impl Catalog {
     /// Look up a table without registering it.
     pub fn lookup(&self, name: &str) -> Option<TableId> {
         self.tables.get(&name.to_ascii_lowercase()).copied()
-    }
-
-    /// Reverse lookup for pretty-printing.
-    pub fn name_of(&self, id: TableId) -> Option<&str> {
-        self.tables
-            .iter()
-            .find(|(_, v)| **v == id)
-            .map(|(k, _)| k.as_str())
     }
 
     /// Number of registered tables.
@@ -347,86 +332,6 @@ enum SetExpr {
     Assign(i64),
 }
 
-/// Renders per-data-source subtransaction scripts (the rewriter of Fig. 3).
-#[derive(Debug, Default)]
-pub struct Rewriter;
-
-impl Rewriter {
-    /// Render the command script a branch executes on its data source,
-    /// including the dialect-specific transaction control statements.
-    pub fn render_branch(
-        &self,
-        dialect: Dialect,
-        xid: Xid,
-        ops: &[ClientOp],
-        catalog: &Catalog,
-        decentralized_prepare: bool,
-    ) -> Vec<String> {
-        let mut script = Vec::new();
-        match dialect {
-            Dialect::MySql => script.push(format!("XA START '{},{}'", xid.gtrid, xid.bqual)),
-            Dialect::Postgres => script.push("BEGIN".to_string()),
-        }
-        for op in ops {
-            script.push(self.render_op(dialect, op, catalog));
-        }
-        if decentralized_prepare {
-            script.extend(dialect.prepare_commands(xid));
-        }
-        script
-    }
-
-    fn table_name(catalog: &Catalog, key: GlobalKey) -> String {
-        catalog
-            .name_of(key.table)
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("t{}", key.table.0))
-    }
-
-    fn render_op(&self, dialect: Dialect, op: &ClientOp, catalog: &Catalog) -> String {
-        match op {
-            ClientOp::Read(key) => {
-                let base = format!(
-                    "SELECT * FROM {} WHERE id = {}",
-                    Self::table_name(catalog, *key),
-                    key.row
-                );
-                // The paper's setup adds an explicit shared lock for PostgreSQL.
-                match dialect {
-                    Dialect::Postgres => format!("{base} FOR SHARE"),
-                    Dialect::MySql => base,
-                }
-            }
-            ClientOp::ReadForUpdate(key) => format!(
-                "SELECT * FROM {} WHERE id = {} FOR UPDATE",
-                Self::table_name(catalog, *key),
-                key.row
-            ),
-            ClientOp::AddInt { key, delta, .. } => format!(
-                "UPDATE {} SET bal = bal + {} WHERE id = {}",
-                Self::table_name(catalog, *key),
-                delta,
-                key.row
-            ),
-            ClientOp::Write { key, .. } => format!(
-                "UPDATE {} SET bal = ? WHERE id = {}",
-                Self::table_name(catalog, *key),
-                key.row
-            ),
-            ClientOp::Insert { key, .. } => format!(
-                "INSERT INTO {} (id, ...) VALUES ({}, ...)",
-                Self::table_name(catalog, *key),
-                key.row
-            ),
-            ClientOp::Delete(key) => format!(
-                "DELETE FROM {} WHERE id = {}",
-                Self::table_name(catalog, *key),
-                key.row
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,7 +381,7 @@ mod tests {
         match ins.op {
             Some(ClientOp::Insert { key, row }) => {
                 assert_eq!(key.row, 9);
-                assert_eq!(row.get(0).unwrap().as_int(), Some(500));
+                assert_eq!(row.int_at(0), Some(500));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -513,33 +418,5 @@ mod tests {
             .unwrap();
         assert_eq!(parser.catalog().len(), 1);
         assert!(parser.catalog().lookup("savings").is_some());
-    }
-
-    #[test]
-    fn rewriter_renders_dialect_specific_scripts() {
-        let mut parser = SqlParser::new();
-        parser
-            .parse_statement("SELECT * FROM savings WHERE id = 1")
-            .unwrap();
-        let catalog = parser.catalog().clone();
-        let key = GlobalKey::new(catalog.lookup("savings").unwrap(), 1);
-        let ops = vec![ClientOp::Read(key), ClientOp::add(key, 100)];
-        let xid = Xid::new(1, 2);
-        let rewriter = Rewriter;
-
-        let mysql = rewriter.render_branch(Dialect::MySql, xid, &ops, &catalog, true);
-        assert_eq!(mysql[0], "XA START '1,2'");
-        assert!(mysql[1].starts_with("SELECT * FROM savings"));
-        assert!(!mysql[1].contains("FOR SHARE"));
-        assert_eq!(mysql.last().unwrap(), "XA PREPARE '1,2'");
-
-        let pg = rewriter.render_branch(Dialect::Postgres, xid, &ops, &catalog, true);
-        assert_eq!(pg[0], "BEGIN");
-        assert!(
-            pg[1].ends_with("FOR SHARE"),
-            "PostgreSQL reads get FOR SHARE: {}",
-            pg[1]
-        );
-        assert_eq!(pg.last().unwrap(), "PREPARE TRANSACTION '1_2'");
     }
 }

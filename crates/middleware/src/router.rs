@@ -2,7 +2,7 @@
 //!
 //! The paper's YCSB deployment partitions the `usertable` with one million
 //! records per data node (range partitioning); TPC-C partitions by warehouse.
-//! The router tells the middleware's rewriter which data source owns each key
+//! The router tells the middleware which data source owns each key
 //! so a client transaction can be split into per-data-source subtransactions.
 
 use crate::ops::{ClientOp, GlobalKey};

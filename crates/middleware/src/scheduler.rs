@@ -87,8 +87,6 @@ pub struct GeoScheduler {
     monitor: Rc<LatencyMonitor>,
     footprint: RefCell<HotspotFootprint>,
     rng: RefCell<StdRng>,
-    admissions: RefCell<u64>,
-    rejections: RefCell<u64>,
     /// Reusable buffer for the admission check's flattened key list.
     keys_scratch: RefCell<Vec<GlobalKey>>,
 }
@@ -108,8 +106,6 @@ impl GeoScheduler {
             footprint: RefCell::new(HotspotFootprint::new(DEFAULT_CAPACITY)),
             rng: RefCell::new(StdRng::seed_from_u64(config.seed)),
             monitor,
-            admissions: RefCell::new(0),
-            rejections: RefCell::new(0),
             keys_scratch: RefCell::new(Vec::new()),
         }
     }
@@ -117,11 +113,6 @@ impl GeoScheduler {
     /// Shared access to the hotspot footprint for feedback updates.
     pub fn footprint(&self) -> &RefCell<HotspotFootprint> {
         &self.footprint
-    }
-
-    /// Number of transactions admitted / rejected by late scheduling.
-    pub fn admission_counters(&self) -> (u64, u64) {
-        (*self.admissions.borrow(), *self.rejections.borrow())
     }
 
     fn rtt_of(&self, ds_index: u32) -> Duration {
@@ -174,7 +165,6 @@ impl GeoScheduler {
         postpone: &mut Vec<Duration>,
     ) -> AdmissionDecision {
         if !self.advanced {
-            *self.admissions.borrow_mut() += 1;
             self.schedule_into(branches, postpone);
             return AdmissionDecision::Admit;
         }
@@ -189,12 +179,10 @@ impl GeoScheduler {
             attempts += 1;
             let draw: f64 = self.rng.borrow_mut().gen();
             if success_p >= draw {
-                *self.admissions.borrow_mut() += 1;
                 self.schedule_into(branches, postpone);
                 return AdmissionDecision::Admit;
             }
             if attempts > MAX_ADMISSION_RETRIES {
-                *self.rejections.borrow_mut() += 1;
                 return AdmissionDecision::Reject { attempts };
             }
         }
@@ -329,7 +317,6 @@ mod tests {
                 }
                 other => panic!("expected rejection, got {other:?}"),
             }
-            assert_eq!(sched.admission_counters(), (0, 1));
         });
     }
 
@@ -344,7 +331,6 @@ mod tests {
             let decision = sched.schedule_with_admission(&plans, &mut postpone);
             assert_eq!(decision, AdmissionDecision::Admit);
             assert_eq!(postpone, sched.schedule(&plans).postpone);
-            assert_eq!(sched.admission_counters(), (1, 0));
         });
     }
 }

@@ -227,7 +227,7 @@ impl RetryPolicy {
     /// (all *definite* non-commits); never true for an indeterminate
     /// coordinator crash (`gtrid != 0`, outcome unknown — retrying could
     /// double-apply).
-    pub fn should_retry(outcome: &TxnOutcome) -> bool {
+    fn should_retry(outcome: &TxnOutcome) -> bool {
         outcome.is_refusal()
             || matches!(
                 outcome.abort_reason,
@@ -419,7 +419,7 @@ impl Session {
 
     /// [`Session::run_spec_thinking`] under a [`RetryPolicy`]: retryable
     /// non-commits (refused connections, overload sheds, expired sessions,
-    /// fenced coordinators — see [`RetryPolicy::should_retry`]) are re-run
+    /// fenced coordinators; never an indeterminate crash) are re-run
     /// after a deterministic backoff until the budget is exhausted. The pause
     /// honours a shed's retry-after hint when it exceeds the policy's own
     /// backoff. Jitter comes from `rng`, so the whole schedule is a function
@@ -499,7 +499,7 @@ impl Txn {
     }
 
     /// Ship one round with an explicit `last` flag.
-    pub async fn execute_round(
+    async fn execute_round(
         &mut self,
         ops: &[ClientOp],
         last: bool,

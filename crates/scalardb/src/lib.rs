@@ -117,11 +117,6 @@ impl ScalarDbCluster {
         })
     }
 
-    /// Whether this instance is the `+` variant.
-    pub fn is_plus(&self) -> bool {
-        self.plus
-    }
-
     /// Aggregate statistics.
     pub fn stats(&self) -> MiddlewareStats {
         *self.stats.borrow()
@@ -811,8 +806,6 @@ mod tests {
         rt.block_on(async {
             let (plain, _) = cluster(false);
             let (plus, _) = cluster(true);
-            assert!(!plain.is_plus());
-            assert!(plus.is_plus());
             assert_eq!(plain.label(), "ScalarDB");
             assert_eq!(plus.label(), "ScalarDB+");
         });

@@ -45,7 +45,7 @@ impl SimInstant {
     }
 
     /// Checked addition of a duration.
-    pub fn checked_add(self, dur: Duration) -> Option<SimInstant> {
+    fn checked_add(self, dur: Duration) -> Option<SimInstant> {
         let extra: u64 = dur.as_micros().try_into().ok()?;
         self.micros.checked_add(extra).map(SimInstant::from_micros)
     }

@@ -279,15 +279,6 @@ impl LockManager {
             .unwrap_or(0)
     }
 
-    /// Number of transactions currently holding a lock on `key`.
-    pub fn holders_on(&self, key: Key) -> usize {
-        self.entries
-            .borrow()
-            .get(&key)
-            .map(|e| e.holders.len())
-            .unwrap_or(0)
-    }
-
     /// Whether `xid` currently holds a lock on `key` (of any mode).
     pub fn holds(&self, xid: Xid, key: Key) -> Option<LockMode> {
         self.entries.borrow().get(&key).and_then(|e| e.holds(xid))
@@ -604,12 +595,6 @@ impl LockManager {
     pub fn active_entries(&self) -> usize {
         self.entries.borrow().len()
     }
-
-    /// Number of transactions tracked by the per-transaction lock index
-    /// (diagnostics: must drop back to zero once all transactions finish).
-    pub fn indexed_txns(&self) -> usize {
-        self.txn_index.borrow().len()
-    }
 }
 
 #[cfg(test)]
@@ -618,6 +603,23 @@ mod tests {
     use crate::types::TableId;
     use geotp_simrt::{sleep, spawn, Runtime};
     use std::cell::Cell;
+
+    impl LockManager {
+        /// Number of transactions currently holding a lock on `key`.
+        fn holders_on(&self, key: Key) -> usize {
+            self.entries
+                .borrow()
+                .get(&key)
+                .map(|e| e.holders.len())
+                .unwrap_or(0)
+        }
+
+        /// Number of transactions tracked by the per-transaction lock index
+        /// (must drop back to zero once all transactions finish).
+        fn indexed_txns(&self) -> usize {
+            self.txn_index.borrow().len()
+        }
+    }
 
     fn key(row: u64) -> Key {
         Key::new(TableId(0), row)

@@ -260,7 +260,7 @@ impl VersionStore {
     }
 
     /// The oldest open snapshot timestamp, if any (the GC horizon).
-    pub fn oldest_open_snapshot(&self) -> Option<u64> {
+    fn oldest_open_snapshot(&self) -> Option<u64> {
         self.open_snapshots.borrow().keys().next().copied()
     }
 
@@ -285,7 +285,7 @@ impl VersionStore {
     /// Prune versions no open snapshot can reach: per key, everything
     /// strictly older than the newest version visible at the oldest open
     /// snapshot (or everything but the head when no snapshot is open).
-    pub fn gc(&self) {
+    pub(crate) fn gc(&self) {
         let horizon = self.oldest_open_snapshot().unwrap_or(u64::MAX);
         let mut chains = self.chains.borrow_mut();
         let mut reclaim = self.reclaim.borrow_mut();

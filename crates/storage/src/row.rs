@@ -19,7 +19,7 @@ pub enum Value {
 
 impl Value {
     /// Interpret as an integer if possible.
-    pub fn as_int(&self) -> Option<i64> {
+    fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(v) => Some(*v),
             _ => None,

@@ -42,11 +42,6 @@ impl<T: Copy, const N: usize> SmallVec<T, N> {
         self.len == 0
     }
 
-    /// Whether any element spilled to the heap.
-    pub fn spilled(&self) -> bool {
-        self.len > N
-    }
-
     /// Element at `index`.
     ///
     /// # Panics
@@ -145,6 +140,13 @@ impl<T: Copy, const N: usize> SmallVec<T, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Copy, const N: usize> SmallVec<T, N> {
+        /// Whether any element spilled to the heap.
+        fn spilled(&self) -> bool {
+            self.len > N
+        }
+    }
 
     #[test]
     fn push_get_within_inline_capacity() {

@@ -142,7 +142,7 @@ impl WriteAheadLog {
     }
 
     /// Snapshot of the durable prefix (what survives a crash).
-    pub fn durable_records(&self) -> Vec<LogRecord> {
+    fn durable_records(&self) -> Vec<LogRecord> {
         let durable = *self.durable_len.borrow();
         self.records.borrow()[..durable].to_vec()
     }

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use geotp_middleware::{AbortReason, TxnOutcome, ABORT_REASONS};
+use geotp_middleware::TxnOutcome;
 use geotp_simrt::SimInstant;
 
 /// The log-bucketed latency histogram now lives in `geotp-telemetry` (the
@@ -31,7 +31,7 @@ impl ThroughputTimeline {
     }
 
     /// Record one committed transaction finishing at `at`.
-    pub fn record_commit(&mut self, at: SimInstant) {
+    fn record_commit(&mut self, at: SimInstant) {
         let elapsed = at.duration_since(self.start);
         let idx = (elapsed.as_micros() / self.window.as_micros().max(1)) as usize;
         if self.commits_per_window.len() <= idx {
@@ -105,9 +105,6 @@ pub struct MetricsCollector {
     started_at: SimInstant,
     committed: u64,
     aborted: u64,
-    /// Aborts per cause, indexed by [`AbortReason::ordinal`]. Every variant
-    /// is counted — nothing falls through a catch-all arm.
-    aborts_by_reason: [u64; ABORT_REASONS.len()],
     commit_latency: Histogram,
     distributed_commit_latency: Histogram,
     centralized_commit_latency: Histogram,
@@ -121,7 +118,6 @@ impl MetricsCollector {
             started_at,
             committed: 0,
             aborted: 0,
-            aborts_by_reason: [0; ABORT_REASONS.len()],
             commit_latency: Histogram::new(),
             distributed_commit_latency: Histogram::new(),
             centralized_commit_latency: Histogram::new(),
@@ -142,9 +138,6 @@ impl MetricsCollector {
             self.timeline.record_commit(at);
         } else {
             self.aborted += 1;
-            if let Some(reason) = outcome.abort_reason {
-                self.aborts_by_reason[reason.ordinal()] += 1;
-            }
         }
     }
 
@@ -201,25 +194,6 @@ impl MetricsCollector {
         &self.timeline
     }
 
-    /// When collection started.
-    pub fn started_at(&self) -> SimInstant {
-        self.started_at
-    }
-
-    /// Aborts attributed to one specific cause.
-    pub fn aborts_for(&self, reason: AbortReason) -> u64 {
-        self.aborts_by_reason[reason.ordinal()]
-    }
-
-    /// The full abort breakdown as `(reason, count)` pairs in
-    /// [`ABORT_REASONS`] order, zero counts included.
-    pub fn abort_breakdown_full(&self) -> Vec<(AbortReason, u64)> {
-        ABORT_REASONS
-            .iter()
-            .map(|r| (*r, self.aborts_by_reason[r.ordinal()]))
-            .collect()
-    }
-
     /// Merge another collector (e.g. from another terminal) into this one.
     /// Timelines align on the earliest start (see
     /// [`ThroughputTimeline::merge`]), so collectors that began at different
@@ -227,13 +201,6 @@ impl MetricsCollector {
     pub fn merge(&mut self, other: &MetricsCollector) {
         self.committed += other.committed;
         self.aborted += other.aborted;
-        for (a, b) in self
-            .aborts_by_reason
-            .iter_mut()
-            .zip(&other.aborts_by_reason)
-        {
-            *a += b;
-        }
         self.commit_latency.merge(&other.commit_latency);
         self.distributed_commit_latency
             .merge(&other.distributed_commit_latency);
@@ -251,7 +218,7 @@ impl MetricsCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geotp_middleware::LatencyBreakdown;
+    use geotp_middleware::{AbortReason, LatencyBreakdown};
 
     fn outcome(committed: bool, ms: u64, distributed: bool) -> TxnOutcome {
         TxnOutcome {
@@ -327,43 +294,11 @@ mod tests {
         assert_eq!(c.aborted(), 20);
         assert!((c.abort_rate() - 0.2).abs() < 1e-9);
         assert!((c.throughput(Duration::from_secs(8)) - 10.0).abs() < 1e-9);
-        assert_eq!(c.aborts_for(AbortReason::AdmissionRejected), 0);
-        assert_eq!(c.aborts_for(AbortReason::ExecutionFailed), 20);
-        assert_eq!(c.aborts_for(AbortReason::PrepareFailed), 0);
         assert_eq!(c.distributed_latency().count(), 16);
         assert_eq!(c.centralized_latency().count(), 64);
         let series = c.timeline().series_tps();
         assert!(!series.is_empty());
         assert!((series[0] - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn every_abort_reason_is_counted() {
-        // Regression: Overloaded, SessionExpired, CoordinatorFenced,
-        // ClientDisconnected (and friends) used to fall through a `_ => {}`
-        // arm and vanish from the breakdown.
-        let start = SimInstant::ZERO;
-        let mut c = MetricsCollector::new(start);
-        for (i, reason) in ABORT_REASONS.iter().enumerate() {
-            for _ in 0..=i {
-                c.record(
-                    &TxnOutcome::aborted(*reason, Duration::from_millis(1), false),
-                    start,
-                );
-            }
-        }
-        assert_eq!(c.aborted(), (1..=ABORT_REASONS.len() as u64).sum::<u64>());
-        for (i, (reason, count)) in c.abort_breakdown_full().iter().enumerate() {
-            assert_eq!(
-                *count,
-                i as u64 + 1,
-                "abort cause {reason:?} must be counted, not dropped"
-            );
-            assert_eq!(c.aborts_for(*reason), i as u64 + 1);
-        }
-        // The full breakdown accounts for every abort.
-        let total: u64 = c.abort_breakdown_full().iter().map(|(_, n)| n).sum();
-        assert_eq!(total, c.aborted());
     }
 
     #[test]
@@ -396,8 +331,7 @@ mod tests {
         b.record(&outcome(true, 10, false), early + Duration::from_secs(1));
         a.merge(&b);
         assert_eq!(
-            a.started_at(),
-            early,
+            a.started_at, early,
             "merged collector adopts earliest start"
         );
         assert_eq!(a.timeline().start(), early);

@@ -47,7 +47,7 @@ pub const DISTRICTS_PER_WAREHOUSE: u64 = 10;
 /// `local = district * stride + order_id`. Must keep `district * stride +
 /// order_id` within the 32 bits [`wh_key`] reserves for the local part
 /// (10 × 10⁷ ≈ 2²⁶·⁶), so the encoding is losslessly decodable by
-/// [`order_key_parts`] — the consistency checker counts orders per district
+/// `order_key_parts` — the consistency checker counts orders per district
 /// from final state alone.
 pub const ORDER_DISTRICT_STRIDE: u64 = 10_000_000;
 
@@ -57,7 +57,7 @@ pub const ORDER_DISTRICT_STRIDE: u64 = 10_000_000;
 pub const INITIAL_STOCK: i64 = 10_000;
 
 /// Decode an ORDERS / NEW_ORDER key into `(warehouse, district, order_id)`.
-pub fn order_key_parts(key: GlobalKey) -> (u32, u64, u64) {
+fn order_key_parts(key: GlobalKey) -> (u32, u64, u64) {
     let warehouse = (key.row >> 32) as u32;
     let local = key.row & 0xffff_ffff;
     (
@@ -84,7 +84,7 @@ pub enum TpccTransaction {
 
 impl TpccTransaction {
     /// The standard mix weights.
-    pub fn standard_mix() -> Vec<(TpccTransaction, f64)> {
+    fn standard_mix() -> Vec<(TpccTransaction, f64)> {
         vec![
             (TpccTransaction::NewOrder, 0.45),
             (TpccTransaction::Payment, 0.43),
@@ -152,7 +152,7 @@ impl TpccConfig {
     }
 
     /// Total number of warehouses.
-    pub fn total_warehouses(&self) -> u32 {
+    fn total_warehouses(&self) -> u32 {
         self.warehouses_per_node * self.nodes
     }
 
@@ -250,7 +250,7 @@ impl TpccGenerator {
     }
 
     /// Pick which transaction profile to run next.
-    pub fn pick_transaction(&self, rng: &mut StdRng) -> TpccTransaction {
+    fn pick_transaction(&self, rng: &mut StdRng) -> TpccTransaction {
         let total: f64 = self.config.mix.iter().map(|(_, w)| w).sum();
         let mut draw = rng.gen::<f64>() * total;
         for (txn, weight) in &self.config.mix {
@@ -267,7 +267,7 @@ impl TpccGenerator {
     }
 
     /// Generate one transaction of the given profile.
-    pub fn generate_of(&self, txn: TpccTransaction, rng: &mut StdRng) -> TransactionSpec {
+    fn generate_of(&self, txn: TpccTransaction, rng: &mut StdRng) -> TransactionSpec {
         match txn {
             TpccTransaction::NewOrder => self.new_order(rng),
             TpccTransaction::Payment => self.payment(rng),
@@ -286,7 +286,7 @@ impl TpccGenerator {
     /// NewOrder: read warehouse/customer, bump the district's next order id,
     /// update the stock of 5–15 items (possibly on a remote node), insert the
     /// order, its lines and the NEW_ORDER entry.
-    pub fn new_order(&self, rng: &mut StdRng) -> TransactionSpec {
+    fn new_order(&self, rng: &mut StdRng) -> TransactionSpec {
         let w = self.home_warehouse(rng);
         let d = rng.gen_range(1..=DISTRICTS_PER_WAREHOUSE);
         let customer = self.customer_key(w, d, rng);
@@ -337,7 +337,7 @@ impl TpccGenerator {
 
     /// Payment: update warehouse and district year-to-date totals and the
     /// customer's balance (customer possibly registered at a remote node).
-    pub fn payment(&self, rng: &mut StdRng) -> TransactionSpec {
+    fn payment(&self, rng: &mut StdRng) -> TransactionSpec {
         let w = self.home_warehouse(rng);
         let d = rng.gen_range(1..=DISTRICTS_PER_WAREHOUSE);
         let amount = rng.gen_range(1..=5000i64);
@@ -377,7 +377,7 @@ impl TpccGenerator {
     }
 
     /// OrderStatus: read a customer and a handful of their order lines.
-    pub fn order_status(&self, rng: &mut StdRng) -> TransactionSpec {
+    fn order_status(&self, rng: &mut StdRng) -> TransactionSpec {
         let w = self.home_warehouse(rng);
         let d = rng.gen_range(1..=DISTRICTS_PER_WAREHOUSE);
         let customer = self.customer_key(w, d, rng);
@@ -406,7 +406,7 @@ impl TpccGenerator {
     }
 
     /// StockLevel: read the district row and twenty stock rows.
-    pub fn stock_level(&self, rng: &mut StdRng) -> TransactionSpec {
+    fn stock_level(&self, rng: &mut StdRng) -> TransactionSpec {
         let w = self.home_warehouse(rng);
         let d = rng.gen_range(1..=DISTRICTS_PER_WAREHOUSE);
         let mut ops = vec![ClientOp::Read(wh_key(DISTRICT, w, d))];

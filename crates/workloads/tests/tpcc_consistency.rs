@@ -7,7 +7,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use geotp_datasource::{DataSource, DataSourceConfig, Dialect};
+use geotp_datasource::{DataSource, DataSourceConfig};
 use geotp_middleware::{Middleware, MiddlewareConfig, Protocol};
 use geotp_net::{NetworkBuilder, NodeId};
 use geotp_simrt::spawn;
@@ -54,7 +54,6 @@ fn run_tpcc_mix(seed: u64, clients: usize, txns: usize) -> (TpccConfig, Vec<Rc<D
             let mut sources = Vec::new();
             for i in 0..config.nodes {
                 let mut ds_cfg = DataSourceConfig::new(NodeId::data_source(i));
-                ds_cfg.dialect = Dialect::MySql;
                 ds_cfg.engine = EngineConfig {
                     lock_wait_timeout: Duration::from_secs(2),
                     cost: CostModel::default(),

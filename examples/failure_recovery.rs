@@ -19,8 +19,8 @@ fn main() {
     let mut rt = geotp::runtime();
     rt.block_on(async {
         let cluster = ClusterBuilder::new()
-            .data_source(10, Dialect::MySql)
-            .data_source(100, Dialect::MySql)
+            .data_source(10)
+            .data_source(100)
             .records_per_node(1_000)
             .protocol(Protocol::geotp())
             .build();

@@ -36,8 +36,8 @@ fn account_check(user: u64) -> TransactionSpec {
 
 async fn run_scenario(protocol: Protocol) -> (f64, f64, f64) {
     let cluster = ClusterBuilder::new()
-        .data_source(10, Dialect::Postgres) // US accounts, close to the middleware
-        .data_source(100, Dialect::MySql) // Singapore stock, far away
+        .data_source(10) // US accounts, close to the middleware
+        .data_source(100) // Singapore stock, far away
         .records_per_node(RECORDS)
         .protocol(protocol)
         .build();

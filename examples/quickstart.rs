@@ -12,18 +12,18 @@ use geotp::USERTABLE;
 fn main() {
     let mut rt = geotp::runtime();
     rt.block_on(async {
-        // A PostgreSQL data source 10 ms away and a MySQL data source 100 ms
-        // away, fronted by a GeoTP middleware co-located with the client.
+        // One data source 10 ms away and one 100 ms away, fronted by a GeoTP
+        // middleware co-located with the client.
         let cluster = ClusterBuilder::new()
-            .data_source(10, Dialect::Postgres)
-            .data_source(100, Dialect::MySql)
+            .data_source(10)
+            .data_source(100)
             .records_per_node(10_000)
             .protocol(Protocol::geotp())
             .build();
         cluster.load_uniform(10_000, 1_000);
 
         println!("== GeoTP quickstart ==");
-        println!("DS0 (PostgreSQL): RTT 10 ms   DS1 (MySQL): RTT 100 ms\n");
+        println!("DS0: RTT 10 ms   DS1: RTT 100 ms\n");
 
         // Connect a client session — the front door is session-first: the
         // session holds live transactions and ships statements one round at

@@ -18,9 +18,9 @@ const RECORDS: u64 = 200;
 fn build(protocol: Protocol, lock_timeout_ms: u64, seed: u64) -> geotp::Cluster {
     let cluster = ClusterBuilder::new()
         .seed(seed)
-        .data_source(10, Dialect::Postgres)
-        .data_source(60, Dialect::MySql)
-        .data_source(120, Dialect::MySql)
+        .data_source(10)
+        .data_source(60)
+        .data_source(120)
         .records_per_node(RECORDS)
         .protocol(protocol)
         .engine_config(EngineConfig {

@@ -14,8 +14,8 @@ const RECORDS: u64 = 1_000;
 
 fn build(protocol: Protocol) -> geotp::Cluster {
     let cluster = ClusterBuilder::new()
-        .data_source(10, Dialect::Postgres)
-        .data_source(100, Dialect::MySql)
+        .data_source(10)
+        .data_source(100)
         .records_per_node(RECORDS)
         .protocol(protocol)
         .engine_config(EngineConfig {
@@ -171,10 +171,10 @@ fn throughput_ordering_matches_fig5_under_contention() {
         let mut rt = geotp::runtime();
         rt.block_on(async {
             let cluster = ClusterBuilder::new()
-                .data_source(0, Dialect::MySql)
-                .data_source(27, Dialect::MySql)
-                .data_source(73, Dialect::MySql)
-                .data_source(251, Dialect::MySql)
+                .data_source(0)
+                .data_source(27)
+                .data_source(73)
+                .data_source(251)
                 .records_per_node(1_000)
                 .protocol(protocol)
                 .build();

@@ -14,8 +14,8 @@ const RECORDS: u64 = 100;
 
 fn build() -> geotp::Cluster {
     let cluster = ClusterBuilder::new()
-        .data_source(10, Dialect::MySql)
-        .data_source(80, Dialect::Postgres)
+        .data_source(10)
+        .data_source(80)
         .records_per_node(RECORDS)
         .protocol(Protocol::geotp())
         .build();
