@@ -713,12 +713,74 @@ mod tests {
                 drift_ppm: -250,
             });
         let timeline = schedule.to_timeline();
+        assert_eq!(
+            timeline,
+            concat!(
+                "# geotp-chaos fault timeline v1\n",
+                "crash_ds at_us=3000000 ds=1\n",
+                "restart_ds at_us=8000000 ds=1\n",
+                "crash_middleware at_us=100000\n",
+                "crash_middleware_after_flush at_us=2500000\n",
+                "failover_middleware at_us=5000000\n",
+                "crash_coordinator at_us=2000000 dm=1\n",
+                "crash_coordinator_after_flush at_us=2250000 dm=0\n",
+                "restart_coordinator at_us=6000000 dm=1\n",
+                "partition at_us=1000000 until_us=7000000 a=dm1 b=ctl0\n",
+                "partition at_us=2000000 until_us=6000000 a=dm0 b=ds2\n",
+                "partition_oneway at_us=2000000 until_us=5000000 from=ds1 to=dm0\n",
+                "latency_storm at_us=1000000 until_us=9000000 a=dm0 b=ds0 extra_us=150000 jitter_us=50000\n",
+                "drop_notifications at_us=1000000 until_us=8000000 from=ds0 to=dm0 p=0.325\n",
+                "duplicate_notifications at_us=1000000 until_us=8000000 from=ds2 to=dm0 p=0.5\n",
+                "clock_skew at_us=1000000 node=ds2 drift_ppm=-250\n",
+            )
+        );
         let parsed = FaultSchedule::parse_timeline(&timeline).expect("round trip");
         assert_eq!(parsed, schedule);
         // A random seeded schedule round-trips too (the shrinker's input).
         let random = FaultSchedule::random(9, &RandomFaultConfig::default());
         let parsed = FaultSchedule::parse_timeline(&random.to_timeline()).unwrap();
         assert_eq!(parsed, random);
+    }
+
+    /// The exact draws of two random schedules: the one `shrink_repro`
+    /// feeds the shrinker (seed 1, eight faults) and a four-fault one with a
+    /// storm and a crash. The draw order is part of every
+    /// `randomized_faults` fingerprint.
+    #[test]
+    fn random_schedule_text_is_pinned() {
+        let shrink_input = FaultSchedule::random(
+            1,
+            &RandomFaultConfig {
+                faults: 8,
+                ..RandomFaultConfig::default()
+            },
+        );
+        assert_eq!(
+            shrink_input.to_timeline(),
+            concat!(
+                "# geotp-chaos fault timeline v1\n",
+                "drop_notifications at_us=9847000 until_us=15438000 from=ds2 to=dm0 p=0.1669674108527209\n",
+                "partition_oneway at_us=13373000 until_us=15178000 from=ds0 to=dm0\n",
+                "drop_notifications at_us=2723000 until_us=4412000 from=ds2 to=dm0 p=0.20375954761808346\n",
+                "partition at_us=6348000 until_us=14245000 a=dm0 b=ds2\n",
+                "partition at_us=6358000 until_us=7400000 a=dm0 b=ds1\n",
+                "drop_notifications at_us=16364000 until_us=17151000 from=ds0 to=dm0 p=0.22038077383458693\n",
+                "drop_notifications at_us=9410000 until_us=11671000 from=ds1 to=dm0 p=0.07962846874891022\n",
+                "partition at_us=4158000 until_us=7792000 a=dm0 b=ds1\n",
+            )
+        );
+        let four = FaultSchedule::random(9, &RandomFaultConfig::default());
+        assert_eq!(
+            four.to_timeline(),
+            concat!(
+                "# geotp-chaos fault timeline v1\n",
+                "latency_storm at_us=14760000 until_us=19391000 a=dm0 b=ds0 extra_us=174000 jitter_us=17000\n",
+                "latency_storm at_us=15270000 until_us=19923000 a=dm0 b=ds1 extra_us=66000 jitter_us=29000\n",
+                "latency_storm at_us=17451000 until_us=18928000 a=dm0 b=ds1 extra_us=85000 jitter_us=36000\n",
+                "crash_ds at_us=2811000 ds=2\n",
+                "restart_ds at_us=6943000 ds=2\n",
+            )
+        );
     }
 
     #[test]

@@ -549,6 +549,63 @@ mod tests {
         assert!(shrink_workload(&initial, 50, |_| false).is_none());
     }
 
+    /// The variants the timing pass tries for one event of each kind, as
+    /// timeline text (simplest first).
+    #[test]
+    fn simplify_event_variants_per_kind() {
+        let ms = Duration::from_millis;
+        let dm = NodeId::middleware(0);
+        let ds = NodeId::data_source;
+        let events = [
+            crash(3, 1),
+            partition(4, 12),
+            FaultEvent::PartitionOneWay {
+                at: ms(2_000),
+                until: ms(5_000),
+                from: ds(1),
+                to: dm,
+            },
+            FaultEvent::LatencyStorm {
+                at: ms(1_000),
+                until: ms(9_000),
+                a: dm,
+                b: ds(0),
+                extra: ms(150),
+                jitter: ms(50),
+            },
+            FaultEvent::DropNotifications {
+                at: ms(1_000),
+                until: ms(8_001),
+                from: ds(0),
+                to: dm,
+                probability: 0.3,
+            },
+            FaultEvent::DuplicateNotifications {
+                at: ms(1_500),
+                until: ms(8_000),
+                from: ds(2),
+                to: dm,
+                probability: 0.5,
+            },
+        ];
+        let variants = FaultSchedule {
+            events: events.iter().flat_map(simplify_event).collect(),
+        };
+        assert_eq!(
+            variants.to_timeline(),
+            concat!(
+                "# geotp-chaos fault timeline v1\n",
+                "crash_ds at_us=1500000 ds=1\n",
+                "partition at_us=4000000 until_us=8000000 a=dm0 b=ds0\n",
+                "partition at_us=2000000 until_us=12000000 a=dm0 b=ds0\n",
+                "partition_oneway at_us=2000000 until_us=3500000 from=ds1 to=dm0\n",
+                "latency_storm at_us=1000000 until_us=5000000 a=dm0 b=ds0 extra_us=150000 jitter_us=50000\n",
+                "drop_notifications at_us=1000000 until_us=4500500 from=ds0 to=dm0 p=0.3\n",
+                "duplicate_notifications at_us=1500000 until_us=4750000 from=ds2 to=dm0 p=0.5\n",
+            )
+        );
+    }
+
     #[test]
     fn timing_pass_halves_windows() {
         // Single event, failure independent of timing: the window shrinks.
