@@ -56,7 +56,7 @@ use rand::SeedableRng;
 
 use crate::injector::ScheduleInjector;
 use crate::invariants::{self, InvariantReport};
-use crate::schedule::{FaultEvent, FaultSchedule};
+use crate::schedule::{Fault, FaultSchedule};
 use crate::trace::EventTrace;
 use crate::workload::ChaosWorkload;
 
@@ -460,10 +460,10 @@ impl Deployment {
     }
 
     /// Apply one node-level event (link-level events live in the injector).
-    async fn apply(&self, event: &FaultEvent) {
+    async fn apply(&self, fault: &Fault) {
         let trace = &self.trace;
-        match (event, &self.door) {
-            (FaultEvent::CrashDataSource { ds, .. }, door) => {
+        match (fault, &self.door) {
+            (Fault::CrashDataSource { ds }, door) => {
                 self.sources[*ds as usize].crash();
                 match door {
                     FrontDoor::Single(door) => {
@@ -476,47 +476,40 @@ impl Deployment {
                     FrontDoor::Tier(_) => trace.record(&format!("crash ds{ds}")),
                 }
             }
-            (FaultEvent::RestartDataSource { ds, .. }, _) => {
+            (Fault::RestartDataSource { ds }, _) => {
                 let recovered = self.sources[*ds as usize].restart().await;
                 trace.record(&format!(
                     "restart ds{ds}: {} prepared branch(es) recovered from the WAL",
                     recovered.len()
                 ));
             }
-            (FaultEvent::CrashMiddleware { .. }, FrontDoor::Single(door)) => {
+            (Fault::CrashMiddleware, FrontDoor::Single(door)) => {
                 door.active.borrow().crash();
                 trace.record("crash middleware dm0");
             }
-            (FaultEvent::CrashMiddlewareAfterFlush { .. }, FrontDoor::Single(door)) => {
+            (Fault::CrashMiddlewareAfterFlush, FrontDoor::Single(door)) => {
                 door.active.borrow().crash_after_next_flush();
                 trace.record("arm fail point: crash middleware dm0 after next commit-log flush");
             }
-            (FaultEvent::FailoverMiddleware { .. }, FrontDoor::Single(door)) => {
-                self.failover(door).await
-            }
-            (
-                FaultEvent::ClockSkewRamp {
-                    node, drift_ppm, ..
-                },
-                FrontDoor::Single(door),
-            ) => {
+            (Fault::FailoverMiddleware, FrontDoor::Single(door)) => self.failover(door).await,
+            (Fault::ClockSkewRamp { node, drift_ppm }, FrontDoor::Single(door)) => {
                 door.clocks.borrow_mut().ramp(*node, *drift_ppm);
                 trace.record(&format!(
                     "clock skew ramp on {node}: {drift_ppm:+} ppm (node clock {}us)",
                     door.clocks.borrow().node_now_micros(*node)
                 ));
             }
-            (FaultEvent::CrashCoordinator { dm, .. }, FrontDoor::Tier(cluster)) => {
+            (Fault::CrashCoordinator { dm }, FrontDoor::Tier(cluster)) => {
                 cluster.crash(*dm);
                 trace.record(&format!("crash coordinator dm{dm}"));
             }
-            (FaultEvent::CrashCoordinatorAfterFlush { dm, .. }, FrontDoor::Tier(cluster)) => {
+            (Fault::CrashCoordinatorAfterFlush { dm }, FrontDoor::Tier(cluster)) => {
                 cluster.crash_after_next_flush(*dm);
                 trace.record(&format!(
                     "arm fail point: crash coordinator dm{dm} after next commit-log flush"
                 ));
             }
-            (FaultEvent::RestartCoordinator { dm, .. }, FrontDoor::Tier(cluster)) => {
+            (Fault::RestartCoordinator { dm }, FrontDoor::Tier(cluster)) => {
                 let epoch = cluster.restart(*dm).await;
                 trace.record(&format!(
                     "restart coordinator dm{dm}: successor registered at epoch {epoch}"
@@ -810,8 +803,8 @@ fn run_impl(
             let events = schedule.node_events();
             spawn(async move {
                 for event in events {
-                    sleep_until(SimInstant::ZERO + event.at()).await;
-                    deployment.apply(&event).await;
+                    sleep_until(SimInstant::ZERO + event.at).await;
+                    deployment.apply(&event.fault).await;
                 }
             })
         };

@@ -16,7 +16,7 @@ use geotp_simrt::SimInstant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::schedule::{FaultEvent, FaultSchedule};
+use crate::schedule::{Fault, FaultSchedule, LinkEffect};
 use crate::trace::EventTrace;
 
 /// A half-open activation window `[start, end)` in microseconds.
@@ -68,78 +68,49 @@ impl ScheduleInjector {
     /// `trace`.
     pub fn compile(schedule: &FaultSchedule, seed: u64, trace: Rc<EventTrace>) -> Rc<Self> {
         let mut links: FxHashMap<(NodeId, NodeId), LinkFaults> = FxHashMap::default();
-        fn on(
-            links: &mut FxHashMap<(NodeId, NodeId), LinkFaults>,
-            from: NodeId,
-            to: NodeId,
-        ) -> &mut LinkFaults {
-            links.entry((from, to)).or_default()
-        }
         for event in &schedule.events {
-            match event {
-                FaultEvent::Partition { at, until, a, b } => {
-                    let w = window(*at, *until);
-                    on(&mut links, *a, *b).blocked.push(w);
-                    on(&mut links, *b, *a).blocked.push(w);
-                }
-                FaultEvent::PartitionOneWay {
-                    at,
-                    until,
-                    from,
-                    to,
-                } => {
-                    on(&mut links, *from, *to).blocked.push(window(*at, *until));
-                }
-                FaultEvent::LatencyStorm {
-                    at,
-                    until,
-                    a,
-                    b,
-                    extra,
-                    jitter,
-                } => {
-                    let w = StormWindow {
-                        window: window(*at, *until),
+            // Node-level faults are the controller's business.
+            let Fault::Link {
+                until,
+                from,
+                to,
+                effect,
+            } = event.fault
+            else {
+                continue;
+            };
+            let window = Window {
+                start: event.at.as_micros() as u64,
+                end: until.as_micros() as u64,
+            };
+            let mut push = |from, to| {
+                let faults: &mut LinkFaults = links.entry((from, to)).or_default();
+                match effect {
+                    LinkEffect::Partition | LinkEffect::PartitionOneWay => {
+                        faults.blocked.push(window)
+                    }
+                    LinkEffect::LatencyStorm { extra, jitter } => faults.storms.push(StormWindow {
+                        window,
                         extra_micros: extra.as_micros() as u64,
                         jitter_micros: jitter.as_micros() as u64,
-                    };
-                    on(&mut links, *a, *b).storms.push(w);
-                    on(&mut links, *b, *a).storms.push(w);
+                    }),
+                    LinkEffect::DropNotifications { probability } => {
+                        faults.drops.push(LossWindow {
+                            window,
+                            probability,
+                        })
+                    }
+                    LinkEffect::DuplicateNotifications { probability } => {
+                        faults.duplicates.push(LossWindow {
+                            window,
+                            probability,
+                        })
+                    }
                 }
-                FaultEvent::DropNotifications {
-                    at,
-                    until,
-                    from,
-                    to,
-                    probability,
-                } => {
-                    on(&mut links, *from, *to).drops.push(LossWindow {
-                        window: window(*at, *until),
-                        probability: *probability,
-                    });
-                }
-                FaultEvent::DuplicateNotifications {
-                    at,
-                    until,
-                    from,
-                    to,
-                    probability,
-                } => {
-                    on(&mut links, *from, *to).duplicates.push(LossWindow {
-                        window: window(*at, *until),
-                        probability: *probability,
-                    });
-                }
-                // Node-level events are the controller's business.
-                FaultEvent::CrashDataSource { .. }
-                | FaultEvent::RestartDataSource { .. }
-                | FaultEvent::CrashMiddleware { .. }
-                | FaultEvent::CrashMiddlewareAfterFlush { .. }
-                | FaultEvent::FailoverMiddleware { .. }
-                | FaultEvent::CrashCoordinator { .. }
-                | FaultEvent::CrashCoordinatorAfterFlush { .. }
-                | FaultEvent::RestartCoordinator { .. }
-                | FaultEvent::ClockSkewRamp { .. } => {}
+            };
+            push(from, to);
+            if effect.both_ways() {
+                push(to, from);
             }
         }
         Rc::new(Self {
@@ -151,13 +122,6 @@ impl ScheduleInjector {
 
     fn faults(&self, from: NodeId, to: NodeId) -> Option<&LinkFaults> {
         self.links.get(&(from, to))
-    }
-}
-
-fn window(at: Duration, until: Duration) -> Window {
-    Window {
-        start: at.as_micros() as u64,
-        end: until.as_micros() as u64,
     }
 }
 
@@ -229,18 +193,19 @@ mod tests {
         let mut rt = Runtime::new();
         rt.block_on(async {
             let schedule = FaultSchedule::new()
-                .with(FaultEvent::Partition {
-                    at: Duration::from_secs(1),
-                    until: Duration::from_secs(2),
-                    a: dm(),
-                    b: ds(0),
-                })
-                .with(FaultEvent::PartitionOneWay {
-                    at: Duration::from_secs(1),
-                    until: Duration::from_secs(3),
-                    from: ds(1),
-                    to: dm(),
-                });
+                .with(
+                    Duration::from_secs(1),
+                    Fault::link(Duration::from_secs(2), dm(), ds(0), LinkEffect::Partition),
+                )
+                .with(
+                    Duration::from_secs(1),
+                    Fault::link(
+                        Duration::from_secs(3),
+                        ds(1),
+                        dm(),
+                        LinkEffect::PartitionOneWay,
+                    ),
+                );
             let inj = ScheduleInjector::compile(&schedule, 1, EventTrace::new());
             let at = |secs: u64| SimInstant::from_micros(secs * 1_000_000);
             // Symmetric window.
@@ -258,22 +223,20 @@ mod tests {
     fn storms_and_losses_are_windowed_and_deterministic() {
         let mut rt = Runtime::new();
         rt.block_on(async {
+            let storm = LinkEffect::LatencyStorm {
+                extra: Duration::from_millis(40),
+                jitter: Duration::ZERO,
+            };
+            let drop = LinkEffect::DropNotifications { probability: 1.0 };
             let schedule = FaultSchedule::new()
-                .with(FaultEvent::LatencyStorm {
-                    at: Duration::ZERO,
-                    until: Duration::from_secs(1),
-                    a: dm(),
-                    b: ds(0),
-                    extra: Duration::from_millis(40),
-                    jitter: Duration::ZERO,
-                })
-                .with(FaultEvent::DropNotifications {
-                    at: Duration::ZERO,
-                    until: Duration::from_secs(1),
-                    from: ds(0),
-                    to: dm(),
-                    probability: 1.0,
-                });
+                .with(
+                    Duration::ZERO,
+                    Fault::link(Duration::from_secs(1), dm(), ds(0), storm),
+                )
+                .with(
+                    Duration::ZERO,
+                    Fault::link(Duration::from_secs(1), ds(0), dm(), drop),
+                );
             let t0 = SimInstant::ZERO;
             let late = SimInstant::from_micros(5_000_000);
             let run = |seed: u64| {

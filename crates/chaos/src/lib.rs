@@ -82,7 +82,7 @@ pub use injector::ScheduleInjector;
 pub use invariants::{InvariantReport, SerializabilityReport};
 pub use mvcc::{LongReaderOltpWorkload, WriteSkewWorkload};
 pub use presets::{preset, Door, DrillWorkload, Expect, Preset, PRESETS};
-pub use schedule::{FaultEvent, FaultSchedule, RandomFaultConfig};
+pub use schedule::{Fault, FaultEvent, FaultSchedule, LinkEffect};
 pub use shrink::{shrink_schedule, shrink_workload, ShrinkReport, WorkloadShrinkReport};
 pub use telemetry::{attach_trace_on_failure, traced, traced_capped, write_failure_artifact};
 pub use trace::EventTrace;

@@ -19,7 +19,7 @@ use geotp_storage::IsolationLevel;
 
 use crate::harness::{run, ChaosConfig, ChaosReport, TierConfig};
 use crate::mvcc::{LongReaderOltpWorkload, WriteSkewWorkload};
-use crate::schedule::{FaultEvent, FaultSchedule, RandomFaultConfig};
+use crate::schedule::{Fault, FaultSchedule, LinkEffect};
 use crate::workload::{
     ChaosWorkload, InteractiveTransferWorkload, TpccChaosWorkload, TransferWorkload,
 };
@@ -226,15 +226,9 @@ fn brownout(
     extra: Duration,
     jitter: Duration,
 ) -> FaultSchedule {
+    let storm = LinkEffect::LatencyStorm { extra, jitter };
     (0..3).fold(schedule, |schedule, i| {
-        schedule.with(FaultEvent::LatencyStorm {
-            at,
-            until,
-            a: DM,
-            b: ds(i),
-            extra,
-            jitter,
-        })
+        schedule.with(at, Fault::link(until, DM, ds(i), storm))
     })
 }
 
@@ -242,8 +236,8 @@ fn brownout(
 /// successor is scripted in.
 fn crash_after_flush_then_failover(_seed: u64) -> FaultSchedule {
     FaultSchedule::new()
-        .with(FaultEvent::CrashMiddlewareAfterFlush { at: ms(2_500) })
-        .with(FaultEvent::FailoverMiddleware { at: s(5) })
+        .with(ms(2_500), Fault::CrashMiddlewareAfterFlush)
+        .with(s(5), Fault::FailoverMiddleware)
 }
 
 /// Workload-generic: the preset's faults are about the deployment, so it is
@@ -258,8 +252,8 @@ pub static PRESETS: [Preset; 21] = [
     // durable-prepared branches must survive via the WAL.
     Preset::new("prepare_phase_crash", Door::Single, GENERIC, single, |_| {
         FaultSchedule::new()
-            .with(FaultEvent::CrashDataSource { at: s(3), ds: 1 })
-            .with(FaultEvent::RestartDataSource { at: s(8), ds: 1 })
+            .with(s(3), Fault::CrashDataSource { ds: 1 })
+            .with(s(8), Fault::RestartDataSource { ds: 1 })
     }),
     // The middleware↔slowest-data-source link partitions across the commit
     // window and heals; stalled decisions must complete, not corrupt.
@@ -268,14 +262,7 @@ pub static PRESETS: [Preset; 21] = [
         Door::Single,
         GENERIC,
         single,
-        |_| {
-            FaultSchedule::new().with(FaultEvent::Partition {
-                at: s(2),
-                until: s(6),
-                a: DM,
-                b: ds(2),
-            })
-        },
+        |_| FaultSchedule::new().with(s(2), Fault::link(s(6), DM, ds(2), LinkEffect::Partition)),
     ),
     // A data source can hear the middleware but not answer (response
     // direction blocked), then heals.
@@ -285,29 +272,21 @@ pub static PRESETS: [Preset; 21] = [
         GENERIC,
         single,
         |_| {
-            FaultSchedule::new().with(FaultEvent::PartitionOneWay {
-                at: s(2),
-                until: s(5),
-                from: ds(1),
-                to: DM,
-            })
+            FaultSchedule::new().with(
+                s(2),
+                Fault::link(s(5), ds(1), DM, LinkEffect::PartitionOneWay),
+            )
         },
     ),
     // Every data source crashes and restarts in sequence.
     Preset::new("rolling_restarts", Door::Single, GENERIC, single, |_| {
         FaultSchedule::new()
-            .with(FaultEvent::CrashDataSource { at: s(2), ds: 0 })
-            .with(FaultEvent::RestartDataSource { at: s(4), ds: 0 })
-            .with(FaultEvent::CrashDataSource {
-                at: ms(4_500),
-                ds: 1,
-            })
-            .with(FaultEvent::RestartDataSource {
-                at: ms(6_500),
-                ds: 1,
-            })
-            .with(FaultEvent::CrashDataSource { at: s(7), ds: 2 })
-            .with(FaultEvent::RestartDataSource { at: s(9), ds: 2 })
+            .with(s(2), Fault::CrashDataSource { ds: 0 })
+            .with(s(4), Fault::RestartDataSource { ds: 0 })
+            .with(ms(4_500), Fault::CrashDataSource { ds: 1 })
+            .with(ms(6_500), Fault::RestartDataSource { ds: 1 })
+            .with(s(7), Fault::CrashDataSource { ds: 2 })
+            .with(s(9), Fault::RestartDataSource { ds: 2 })
     }),
     // A WAN brownout: heavy extra latency plus per-message jitter on every
     // middleware link for a sustained window.
@@ -334,44 +313,33 @@ pub static PRESETS: [Preset; 21] = [
     // duplicated; the decision-wait timeout and the notify hub's idempotent
     // vote handling must cope.
     Preset::new("lossy_notifications", Door::Single, GENERIC, single, |_| {
+        let drop = LinkEffect::DropNotifications { probability: 0.3 };
+        let duplicate = LinkEffect::DuplicateNotifications { probability: 0.3 };
         (0..3).fold(FaultSchedule::new(), |schedule, i| {
             schedule
-                .with(FaultEvent::DropNotifications {
-                    at: s(1),
-                    until: s(8),
-                    from: ds(i),
-                    to: DM,
-                    probability: 0.3,
-                })
-                .with(FaultEvent::DuplicateNotifications {
-                    at: s(1),
-                    until: s(8),
-                    from: ds(i),
-                    to: DM,
-                    probability: 0.3,
-                })
+                .with(s(1), Fault::link(s(8), ds(i), DM, drop))
+                .with(s(1), Fault::link(s(8), ds(i), DM, duplicate))
         })
     }),
     // One node's clock drifts hundreds of ppm (plus a partition blip); the
     // commit protocol never reads node clocks, so invariants stay green.
     Preset::new("clock_skew_drift", Door::Single, GENERIC, single, |_| {
         FaultSchedule::new()
-            .with(FaultEvent::ClockSkewRamp {
-                at: s(1),
-                node: ds(2),
-                drift_ppm: 500,
-            })
-            .with(FaultEvent::ClockSkewRamp {
-                at: s(6),
-                node: ds(0),
-                drift_ppm: -250,
-            })
-            .with(FaultEvent::Partition {
-                at: s(3),
-                until: s(4),
-                a: DM,
-                b: ds(2),
-            })
+            .with(
+                s(1),
+                Fault::ClockSkewRamp {
+                    node: ds(2),
+                    drift_ppm: 500,
+                },
+            )
+            .with(
+                s(6),
+                Fault::ClockSkewRamp {
+                    node: ds(0),
+                    drift_ppm: -250,
+                },
+            )
+            .with(s(3), Fault::link(s(4), DM, ds(2), LinkEffect::Partition))
     }),
     // A data-source crash in the middle of a WAN brownout — compound
     // failure, the recovery paths under degraded links.
@@ -382,20 +350,15 @@ pub static PRESETS: [Preset; 21] = [
         single,
         |_| {
             let crash = FaultSchedule::new()
-                .with(FaultEvent::CrashDataSource { at: s(3), ds: 0 })
-                .with(FaultEvent::RestartDataSource { at: s(7), ds: 0 });
+                .with(s(3), Fault::CrashDataSource { ds: 0 })
+                .with(s(7), Fault::RestartDataSource { ds: 0 });
             brownout(crash, (s(1), s(9)), ms(100), ms(30))
         },
     ),
     // A seeded-random schedule — different for every seed, always healing
     // before the horizon.
     Preset::new("randomized_faults", Door::Single, GENERIC, single, |seed| {
-        let shape = RandomFaultConfig {
-            data_sources: 3,
-            faults: 4,
-            horizon: s(60),
-        };
-        FaultSchedule::random(seed, &shape)
+        FaultSchedule::random(seed, 4)
     }),
     // Interactive clients under chaos: transfers ship one statement round at
     // a time through live sessions, clients *think* between rounds (locks
@@ -415,12 +378,10 @@ pub static PRESETS: [Preset; 21] = [
             ..single(seed)
         },
         |seed| {
-            crash_after_flush_then_failover(seed).with(FaultEvent::Partition {
-                at: s(6),
-                until: ms(7_500),
-                a: DM,
-                b: ds(1),
-            })
+            crash_after_flush_then_failover(seed).with(
+                s(6),
+                Fault::link(ms(7_500), DM, ds(1), LinkEffect::Partition),
+            )
         },
     ),
     // Long multi-round read-only scans (unannotated, so the coordinator
@@ -479,10 +440,10 @@ pub static PRESETS: [Preset; 21] = [
         },
         |_| {
             FaultSchedule::new()
-                .with(FaultEvent::CrashDataSource { at: s(3), ds: 1 })
-                .with(FaultEvent::RestartDataSource { at: s(6), ds: 1 })
-                .with(FaultEvent::CrashDataSource { at: s(8), ds: 0 })
-                .with(FaultEvent::RestartDataSource { at: s(10), ds: 0 })
+                .with(s(3), Fault::CrashDataSource { ds: 1 })
+                .with(s(6), Fault::RestartDataSource { ds: 1 })
+                .with(s(8), Fault::CrashDataSource { ds: 0 })
+                .with(s(10), Fault::RestartDataSource { ds: 0 })
         },
     ),
     // A coordinator crashes mid-traffic (half of it inside the §V-A window:
@@ -494,12 +455,7 @@ pub static PRESETS: [Preset; 21] = [
         Door::Tier,
         GENERIC,
         tier,
-        |_| {
-            FaultSchedule::new().with(FaultEvent::CrashCoordinatorAfterFlush {
-                at: ms(2_500),
-                dm: 1,
-            })
-        },
+        |_| FaultSchedule::new().with(ms(2_500), Fault::CrashCoordinatorAfterFlush { dm: 1 }),
     ),
     // Split brain: a coordinator is partitioned from the membership service
     // (but not from the data sources!), its lease (1.5 s) lapses inside the
@@ -508,12 +464,13 @@ pub static PRESETS: [Preset; 21] = [
     // epoch must be rejected by the sealed commit log and by every data
     // source.
     Preset::new("coordinator_partition", Door::Tier, GENERIC, tier, |_| {
-        FaultSchedule::new().with(FaultEvent::Partition {
-            at: s(2),
-            until: s(8),
-            a: NodeId::middleware(1),
-            b: NodeId::control(0),
-        })
+        let membership = Fault::link(
+            s(8),
+            NodeId::middleware(1),
+            NodeId::control(0),
+            LinkEffect::Partition,
+        );
+        FaultSchedule::new().with(s(2), membership)
     }),
     // A coordinator loses a subset of the data sources across the commit
     // window (its lease stays healthy): transactions stall, decision-wait
@@ -525,12 +482,8 @@ pub static PRESETS: [Preset; 21] = [
         &[Transfer],
         tier,
         |_| {
-            FaultSchedule::new().with(FaultEvent::Partition {
-                at: s(2),
-                until: s(6),
-                a: NodeId::middleware(1),
-                b: ds(2),
-            })
+            let sources = Fault::link(s(6), NodeId::middleware(1), ds(2), LinkEffect::Partition);
+            FaultSchedule::new().with(s(2), sources)
         },
     ),
     // *Both* coordinators die mid-traffic (one inside the §V-A window) and
@@ -548,16 +501,10 @@ pub static PRESETS: [Preset; 21] = [
         tier,
         |_| {
             FaultSchedule::new()
-                .with(FaultEvent::CrashCoordinatorAfterFlush {
-                    at: ms(2_000),
-                    dm: 0,
-                })
-                .with(FaultEvent::CrashCoordinator {
-                    at: ms(2_400),
-                    dm: 1,
-                })
-                .with(FaultEvent::RestartCoordinator { at: s(6), dm: 0 })
-                .with(FaultEvent::RestartCoordinator { at: s(9), dm: 1 })
+                .with(ms(2_000), Fault::CrashCoordinatorAfterFlush { dm: 0 })
+                .with(ms(2_400), Fault::CrashCoordinator { dm: 1 })
+                .with(s(6), Fault::RestartCoordinator { dm: 0 })
+                .with(s(9), Fault::RestartCoordinator { dm: 1 })
         },
     ),
     // Flash crowd: 200k mostly-idle registered sessions, then a sudden
@@ -585,12 +532,7 @@ pub static PRESETS: [Preset; 21] = [
             }),
             ..tier(seed)
         },
-        |_| {
-            FaultSchedule::new().with(FaultEvent::CrashCoordinatorAfterFlush {
-                at: ms(2_600),
-                dm: 1,
-            })
-        },
+        |_| FaultSchedule::new().with(ms(2_600), Fault::CrashCoordinatorAfterFlush { dm: 1 }),
     ),
 ];
 

@@ -2,16 +2,18 @@
 //!
 //! A [`FaultSchedule`] is a declarative timeline of faults, written either
 //! explicitly (every preset in [`crate::presets`] is one) or generated from
-//! a seed with [`FaultSchedule::random`]. Link-level events (partitions,
-//! latency storms, notification loss) compile into the
-//! [`crate::ScheduleInjector`] consulted by the network on every message;
-//! node-level events (crashes, restarts, failover, clock skew) are applied by
-//! the harness's controller task at their scheduled instants.
+//! a seed with [`FaultSchedule::random`]. Each entry is a [`FaultEvent`]: the
+//! virtual-time instant `at` and the [`Fault`] that takes effect then.
+//! Link faults ([`Fault::Link`]: partitions, latency storms, notification
+//! loss) compile into the [`crate::ScheduleInjector`] consulted by the
+//! network on every message; node-level faults (crashes, restarts, failover,
+//! clock skew) are applied by the harness's controller task at their
+//! instants.
 //!
 //! All instants are virtual-time offsets from the start of the run, and every
-//! windowed fault carries its own heal time — the whole failure history is
-//! known up front, which is what makes runs replayable and lets the injector
-//! answer "when does this partition heal?" without hidden state.
+//! link fault carries its own heal time — the whole failure history is known
+//! up front, which is what makes runs replayable and lets the injector answer
+//! "when does this partition heal?" without hidden state.
 
 use std::time::Duration;
 
@@ -19,144 +21,80 @@ use geotp_net::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One scheduled fault.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultEvent {
-    /// Data source `ds` crashes at `at`: volatile state is lost, blocked
-    /// lock waiters are kicked out, requests fail until restart.
+use crate::harness::DS_RTTS_MS;
+
+/// One scheduled fault: `fault` first takes effect at `at`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FaultEvent {
+    /// When the fault takes effect (a link fault's window start).
+    pub at: Duration,
+    /// What happens.
+    pub fault: Fault,
+}
+
+/// What a [`FaultEvent`] does.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Fault {
+    /// Data source `ds` crashes: volatile state is lost, blocked lock
+    /// waiters are kicked out, requests fail until restart.
     CrashDataSource {
-        /// When the crash happens.
-        at: Duration,
         /// Index of the data source.
         ds: u32,
     },
-    /// Data source `ds` restarts at `at`: durable-prepared branches survive
+    /// Data source `ds` restarts: durable-prepared branches survive
     /// (recovered from the WAL via the XA state machine), everything else is
     /// rolled back.
     RestartDataSource {
-        /// When the restart happens.
-        at: Duration,
         /// Index of the data source.
         ds: u32,
     },
-    /// The coordinator process dies at `at`. In-flight transactions get no
-    /// outcome; branches stay in doubt until failover.
-    CrashMiddleware {
-        /// When the crash happens.
-        at: Duration,
-    },
-    /// Arm the one-shot fail point at `at`: the coordinator crashes right
-    /// after its *next* commit-log flush — decision durable, never
-    /// dispatched (the paper's §V-A recovery window).
-    CrashMiddlewareAfterFlush {
-        /// When the fail point is armed.
-        at: Duration,
-    },
-    /// A successor coordinator takes over at `at`: data sources abort their
+    /// The coordinator process dies. In-flight transactions get no outcome;
+    /// branches stay in doubt until failover.
+    CrashMiddleware,
+    /// Arm the one-shot fail point: the coordinator crashes right after its
+    /// *next* commit-log flush — decision durable, never dispatched (the
+    /// paper's §V-A recovery window).
+    CrashMiddlewareAfterFlush,
+    /// A successor coordinator takes over: data sources abort their
     /// unprepared branches (disconnect handling), the successor shares the
     /// durable commit log, replays it over the in-doubt branches and starts
     /// serving new transactions.
-    FailoverMiddleware {
-        /// When the failover completes.
-        at: Duration,
-    },
-    /// Multi-coordinator tier: coordinator `dm` crashes at `at`. Its lease
-    /// lapses (or the crash is observed directly), the cluster supervisor
-    /// fences its epoch and a surviving peer adopts its in-doubt branches —
-    /// no scripted failover event needed.
+    FailoverMiddleware,
+    /// Multi-coordinator tier: coordinator `dm` crashes. Its lease lapses
+    /// (or the crash is observed directly), the cluster supervisor fences its
+    /// epoch and a surviving peer adopts its in-doubt branches — no scripted
+    /// failover event needed.
     CrashCoordinator {
-        /// When the crash happens.
-        at: Duration,
         /// Index of the coordinator slot.
         dm: u32,
     },
-    /// Multi-coordinator tier: arm the §V-A fail point on coordinator `dm`
-    /// at `at` — it crashes right after its *next* commit-log flush, leaving
-    /// a durable decision for the adopting peer to discover.
+    /// Multi-coordinator tier: arm the §V-A fail point on coordinator `dm` —
+    /// it crashes right after its *next* commit-log flush, leaving a durable
+    /// decision for the adopting peer to discover.
     CrashCoordinatorAfterFlush {
-        /// When the fail point is armed.
-        at: Duration,
         /// Index of the coordinator slot.
         dm: u32,
     },
-    /// Multi-coordinator tier: a successor process restarts slot `dm` at
-    /// `at` — it re-registers for a fresh epoch (above any fence), shares the
-    /// slot's durable commit log, recovers its own in-doubt branches and
-    /// resumes serving (the router re-homes the slot's sessions). With every
+    /// Multi-coordinator tier: a successor process restarts slot `dm` — it
+    /// re-registers for a fresh epoch (above any fence), shares the slot's
+    /// durable commit log, recovers its own in-doubt branches and resumes
+    /// serving (the router re-homes the slot's sessions). With every
     /// coordinator dead this is the tier's *cold* recovery entry point.
     RestartCoordinator {
-        /// When the restart happens.
-        at: Duration,
         /// Index of the coordinator slot.
         dm: u32,
     },
-    /// Both directions between `a` and `b` are blocked during `[at, until)`.
-    Partition {
-        /// Partition start.
-        at: Duration,
+    /// `effect` holds on the `from → to` link (both directions when
+    /// [`LinkEffect::both_ways`]) during `[at, until)`.
+    Link {
         /// Heal instant (exclusive end of the window).
         until: Duration,
-        /// One endpoint.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-    },
-    /// Only the `from → to` direction is blocked during `[at, until)` —
-    /// an asymmetric partition (replies still flow).
-    PartitionOneWay {
-        /// Partition start.
-        at: Duration,
-        /// Heal instant.
-        until: Duration,
-        /// Blocked sender.
+        /// Sender (one endpoint of a two-way effect).
         from: NodeId,
-        /// Unreachable receiver.
+        /// Receiver (the other endpoint of a two-way effect).
         to: NodeId,
-    },
-    /// Every message between `a` and `b` pays `extra` (plus up to `jitter`,
-    /// drawn per message — which reorders messages relative to each other)
-    /// during `[at, until)`.
-    LatencyStorm {
-        /// Storm start.
-        at: Duration,
-        /// Storm end.
-        until: Duration,
-        /// One endpoint.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-        /// Deterministic extra one-way delay.
-        extra: Duration,
-        /// Upper bound of the per-message uniform jitter.
-        jitter: Duration,
-    },
-    /// Each fire-and-forget notification on `from → to` is dropped with
-    /// `probability` during `[at, until)`.
-    DropNotifications {
-        /// Window start.
-        at: Duration,
-        /// Window end.
-        until: Duration,
-        /// Sender.
-        from: NodeId,
-        /// Receiver.
-        to: NodeId,
-        /// Per-message drop probability in `[0, 1]`.
-        probability: f64,
-    },
-    /// Each fire-and-forget notification on `from → to` is delivered twice
-    /// with `probability` during `[at, until)`.
-    DuplicateNotifications {
-        /// Window start.
-        at: Duration,
-        /// Window end.
-        until: Duration,
-        /// Sender.
-        from: NodeId,
-        /// Receiver.
-        to: NodeId,
-        /// Per-message duplication probability in `[0, 1]`.
-        probability: f64,
+        /// What the link does during the window.
+        effect: LinkEffect,
     },
     /// From `at` on, `node`'s local clock drifts by `drift_ppm` parts per
     /// million relative to true (virtual) time. Purely observational: the
@@ -164,8 +102,6 @@ pub enum FaultEvent {
     /// green invariants demonstrate exactly that; the trace records
     /// node-local timestamps so the skew is visible.
     ClockSkewRamp {
-        /// When the drift starts.
-        at: Duration,
         /// The drifting node.
         node: NodeId,
         /// Drift rate in parts per million (positive = fast clock).
@@ -173,44 +109,83 @@ pub enum FaultEvent {
     },
 }
 
-impl FaultEvent {
-    /// The instant this event first takes effect.
-    pub fn at(&self) -> Duration {
+/// What a [`Fault::Link`] does to the messages on its link.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LinkEffect {
+    /// Both directions are blocked.
+    Partition,
+    /// Only `from → to` is blocked — an asymmetric partition (replies still
+    /// flow).
+    PartitionOneWay,
+    /// Every message in both directions pays `extra` (plus up to `jitter`,
+    /// drawn per message — which reorders messages relative to each other).
+    LatencyStorm {
+        /// Deterministic extra one-way delay.
+        extra: Duration,
+        /// Upper bound of the per-message uniform jitter.
+        jitter: Duration,
+    },
+    /// Each fire-and-forget notification on `from → to` is dropped with
+    /// `probability`.
+    DropNotifications {
+        /// Per-message drop probability in `[0, 1]`.
+        probability: f64,
+    },
+    /// Each fire-and-forget notification on `from → to` is delivered twice
+    /// with `probability`.
+    DuplicateNotifications {
+        /// Per-message duplication probability in `[0, 1]`.
+        probability: f64,
+    },
+}
+
+impl Fault {
+    /// A [`Fault::Link`]: `effect` on `from → to` until `until`.
+    pub const fn link(until: Duration, from: NodeId, to: NodeId, effect: LinkEffect) -> Self {
+        Fault::Link {
+            until,
+            from,
+            to,
+            effect,
+        }
+    }
+}
+
+impl LinkEffect {
+    /// Whether the effect holds in both directions (its timeline endpoints
+    /// are `a=` / `b=` rather than `from=` / `to=`).
+    pub fn both_ways(&self) -> bool {
+        matches!(
+            self,
+            LinkEffect::Partition | LinkEffect::LatencyStorm { .. }
+        )
+    }
+
+    /// The event kind in the timeline text.
+    fn kind(&self) -> &'static str {
         match self {
-            FaultEvent::CrashDataSource { at, .. }
-            | FaultEvent::RestartDataSource { at, .. }
-            | FaultEvent::CrashMiddleware { at }
-            | FaultEvent::CrashMiddlewareAfterFlush { at }
-            | FaultEvent::FailoverMiddleware { at }
-            | FaultEvent::CrashCoordinator { at, .. }
-            | FaultEvent::CrashCoordinatorAfterFlush { at, .. }
-            | FaultEvent::RestartCoordinator { at, .. }
-            | FaultEvent::Partition { at, .. }
-            | FaultEvent::PartitionOneWay { at, .. }
-            | FaultEvent::LatencyStorm { at, .. }
-            | FaultEvent::DropNotifications { at, .. }
-            | FaultEvent::DuplicateNotifications { at, .. }
-            | FaultEvent::ClockSkewRamp { at, .. } => *at,
+            LinkEffect::Partition => "partition",
+            LinkEffect::PartitionOneWay => "partition_oneway",
+            LinkEffect::LatencyStorm { .. } => "latency_storm",
+            LinkEffect::DropNotifications { .. } => "drop_notifications",
+            LinkEffect::DuplicateNotifications { .. } => "duplicate_notifications",
         }
     }
 
-    /// Whether the harness controller (rather than the network injector)
-    /// applies this event.
-    fn is_node_event(&self) -> bool {
-        matches!(
-            self,
-            FaultEvent::CrashDataSource { .. }
-                | FaultEvent::RestartDataSource { .. }
-                | FaultEvent::CrashMiddleware { .. }
-                | FaultEvent::CrashMiddlewareAfterFlush { .. }
-                | FaultEvent::FailoverMiddleware { .. }
-                | FaultEvent::CrashCoordinator { .. }
-                | FaultEvent::CrashCoordinatorAfterFlush { .. }
-                | FaultEvent::RestartCoordinator { .. }
-                | FaultEvent::ClockSkewRamp { .. }
-        )
+    /// The timeline keys of the link's endpoints.
+    fn endpoint_keys(&self) -> (&'static str, &'static str) {
+        if self.both_ways() {
+            ("a", "b")
+        } else {
+            ("from", "to")
+        }
     }
 }
+
+/// The window of [`FaultSchedule::random`]'s faults: every fault starts and
+/// heals inside the first 36 s, leaving the tail of the run fault-free so
+/// in-flight work can drain.
+const RANDOM_ACTIVE_MS: u64 = 36_000;
 
 /// A declarative fault timeline.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -226,9 +201,9 @@ impl FaultSchedule {
         Self::default()
     }
 
-    /// Builder-style push.
-    pub fn with(mut self, event: FaultEvent) -> Self {
-        self.events.push(event);
+    /// Builder-style push: `fault` takes effect at `at`.
+    pub fn with(mut self, at: Duration, fault: Fault) -> Self {
+        self.events.push(FaultEvent { at, fault });
         self
     }
 
@@ -238,10 +213,10 @@ impl FaultSchedule {
         let mut events: Vec<FaultEvent> = self
             .events
             .iter()
-            .filter(|e| e.is_node_event())
-            .cloned()
+            .filter(|e| !matches!(e.fault, Fault::Link { .. }))
+            .copied()
             .collect();
-        events.sort_by_key(|e| e.at());
+        events.sort_by_key(|e| e.at);
         events
     }
 
@@ -250,13 +225,9 @@ impl FaultSchedule {
     pub fn last_fault_instant(&self) -> Duration {
         self.events
             .iter()
-            .map(|e| match e {
-                FaultEvent::Partition { until, .. }
-                | FaultEvent::PartitionOneWay { until, .. }
-                | FaultEvent::LatencyStorm { until, .. }
-                | FaultEvent::DropNotifications { until, .. }
-                | FaultEvent::DuplicateNotifications { until, .. } => *until,
-                other => other.at(),
+            .map(|e| match e.fault {
+                Fault::Link { until, .. } => until,
+                _ => e.at,
             })
             .max()
             .unwrap_or(Duration::ZERO)
@@ -269,86 +240,50 @@ impl FaultSchedule {
     /// original seed.
     pub fn to_timeline(&self) -> String {
         let mut out = String::from("# geotp-chaos fault timeline v1\n");
-        let us = |d: &Duration| d.as_micros();
+        let us = |d: Duration| d.as_micros();
         for event in &self.events {
-            let line = match event {
-                FaultEvent::CrashDataSource { at, ds } => {
-                    format!("crash_ds at_us={} ds={ds}", us(at))
+            let at = us(event.at);
+            let line = match event.fault {
+                Fault::CrashDataSource { ds } => format!("crash_ds at_us={at} ds={ds}"),
+                Fault::RestartDataSource { ds } => format!("restart_ds at_us={at} ds={ds}"),
+                Fault::CrashMiddleware => format!("crash_middleware at_us={at}"),
+                Fault::CrashMiddlewareAfterFlush => {
+                    format!("crash_middleware_after_flush at_us={at}")
                 }
-                FaultEvent::RestartDataSource { at, ds } => {
-                    format!("restart_ds at_us={} ds={ds}", us(at))
+                Fault::FailoverMiddleware => format!("failover_middleware at_us={at}"),
+                Fault::CrashCoordinator { dm } => format!("crash_coordinator at_us={at} dm={dm}"),
+                Fault::CrashCoordinatorAfterFlush { dm } => {
+                    format!("crash_coordinator_after_flush at_us={at} dm={dm}")
                 }
-                FaultEvent::CrashMiddleware { at } => {
-                    format!("crash_middleware at_us={}", us(at))
+                Fault::RestartCoordinator { dm } => {
+                    format!("restart_coordinator at_us={at} dm={dm}")
                 }
-                FaultEvent::CrashMiddlewareAfterFlush { at } => {
-                    format!("crash_middleware_after_flush at_us={}", us(at))
-                }
-                FaultEvent::FailoverMiddleware { at } => {
-                    format!("failover_middleware at_us={}", us(at))
-                }
-                FaultEvent::CrashCoordinator { at, dm } => {
-                    format!("crash_coordinator at_us={} dm={dm}", us(at))
-                }
-                FaultEvent::CrashCoordinatorAfterFlush { at, dm } => {
-                    format!("crash_coordinator_after_flush at_us={} dm={dm}", us(at))
-                }
-                FaultEvent::RestartCoordinator { at, dm } => {
-                    format!("restart_coordinator at_us={} dm={dm}", us(at))
-                }
-                FaultEvent::Partition { at, until, a, b } => {
-                    format!("partition at_us={} until_us={} a={a} b={b}", us(at), us(until))
-                }
-                FaultEvent::PartitionOneWay {
-                    at,
+                Fault::Link {
                     until,
                     from,
                     to,
-                } => format!(
-                    "partition_oneway at_us={} until_us={} from={from} to={to}",
-                    us(at),
-                    us(until)
-                ),
-                FaultEvent::LatencyStorm {
-                    at,
-                    until,
-                    a,
-                    b,
-                    extra,
-                    jitter,
-                } => format!(
-                    "latency_storm at_us={} until_us={} a={a} b={b} extra_us={} jitter_us={}",
-                    us(at),
-                    us(until),
-                    us(extra),
-                    us(jitter)
-                ),
-                FaultEvent::DropNotifications {
-                    at,
-                    until,
-                    from,
-                    to,
-                    probability,
-                } => format!(
-                    "drop_notifications at_us={} until_us={} from={from} to={to} p={probability}",
-                    us(at),
-                    us(until)
-                ),
-                FaultEvent::DuplicateNotifications {
-                    at,
-                    until,
-                    from,
-                    to,
-                    probability,
-                } => format!(
-                    "duplicate_notifications at_us={} until_us={} from={from} to={to} p={probability}",
-                    us(at),
-                    us(until)
-                ),
-                FaultEvent::ClockSkewRamp { at, node, drift_ppm } => format!(
-                    "clock_skew at_us={} node={node} drift_ppm={drift_ppm}",
-                    us(at)
-                ),
+                    effect,
+                } => {
+                    let (a, b) = effect.endpoint_keys();
+                    let head = format!(
+                        "{} at_us={at} until_us={} {a}={from} {b}={to}",
+                        effect.kind(),
+                        us(until)
+                    );
+                    match effect {
+                        LinkEffect::LatencyStorm { extra, jitter } => {
+                            format!("{head} extra_us={} jitter_us={}", us(extra), us(jitter))
+                        }
+                        LinkEffect::DropNotifications { probability }
+                        | LinkEffect::DuplicateNotifications { probability } => {
+                            format!("{head} p={probability}")
+                        }
+                        LinkEffect::Partition | LinkEffect::PartitionOneWay => head,
+                    }
+                }
+                Fault::ClockSkewRamp { node, drift_ppm } => {
+                    format!("clock_skew at_us={at} node={node} drift_ppm={drift_ppm}")
+                }
             };
             out.push_str(&line);
             out.push('\n');
@@ -373,79 +308,52 @@ impl FaultSchedule {
         Ok(Self { events })
     }
 
-    /// Generate a random — but fully deterministic for a given `seed` —
-    /// schedule: every windowed fault heals and every crashed node restarts
-    /// before `cfg.horizon`, so liveness is checkable.
-    ///
-    /// Horizons below 4 s are treated as 4 s: fault windows need room for a
-    /// ≥0.5 s start offset and a ≥0.5 s duration, so there is a floor under
-    /// which no meaningful schedule exists.
-    pub fn random(seed: u64, cfg: &RandomFaultConfig) -> Self {
+    /// Generate `faults` random — but fully deterministic for a given
+    /// `seed` — faults on the chaos deployment's data sources: every link
+    /// fault heals and every crashed source restarts within the first 36 s,
+    /// so liveness is checkable.
+    pub fn random(seed: u64, faults: u32) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut events = Vec::new();
+        let mut schedule = Self::new();
         let dm = NodeId::middleware(0);
-        let horizon_ms = (cfg.horizon.as_millis() as u64).max(4_000);
-        // Keep a tail of the run fault-free so in-flight work can drain.
-        let active_ms = horizon_ms.saturating_mul(6) / 10;
         let rand_window = |rng: &mut StdRng| {
-            let start = rng.gen_range(500..active_ms / 2);
-            let len = rng.gen_range(500..=active_ms / 4);
+            let start = rng.gen_range(500..RANDOM_ACTIVE_MS / 2);
+            let len = rng.gen_range(500..=RANDOM_ACTIVE_MS / 4);
             (
                 Duration::from_millis(start),
-                Duration::from_millis((start + len).min(active_ms)),
+                Duration::from_millis((start + len).min(RANDOM_ACTIVE_MS)),
             )
         };
-        for _ in 0..cfg.faults {
-            let ds = rng.gen_range(0..cfg.data_sources);
+        for _ in 0..faults {
+            let ds = rng.gen_range(0..DS_RTTS_MS.len() as u32);
             let node = NodeId::data_source(ds);
-            match rng.gen_range(0..5u32) {
-                0 => {
-                    let (at, until) = rand_window(&mut rng);
-                    events.push(FaultEvent::CrashDataSource { at, ds });
-                    events.push(FaultEvent::RestartDataSource { at: until, ds });
-                }
-                1 => {
-                    let (at, until) = rand_window(&mut rng);
-                    events.push(FaultEvent::Partition {
-                        at,
-                        until,
-                        a: dm,
-                        b: node,
-                    });
-                }
+            let kind = rng.gen_range(0..5u32);
+            let (at, until) = rand_window(&mut rng);
+            let link = |from, to, effect| Fault::link(until, from, to, effect);
+            schedule = match kind {
+                0 => schedule
+                    .with(at, Fault::CrashDataSource { ds })
+                    .with(until, Fault::RestartDataSource { ds }),
+                1 => schedule.with(at, link(dm, node, LinkEffect::Partition)),
                 2 => {
-                    let (at, until) = rand_window(&mut rng);
-                    events.push(FaultEvent::LatencyStorm {
+                    let extra = Duration::from_millis(rng.gen_range(20..200));
+                    let jitter = Duration::from_millis(rng.gen_range(0..50));
+                    schedule.with(
                         at,
-                        until,
-                        a: dm,
-                        b: node,
-                        extra: Duration::from_millis(rng.gen_range(20..200)),
-                        jitter: Duration::from_millis(rng.gen_range(0..50)),
-                    });
+                        link(dm, node, LinkEffect::LatencyStorm { extra, jitter }),
+                    )
                 }
                 3 => {
-                    let (at, until) = rand_window(&mut rng);
-                    events.push(FaultEvent::DropNotifications {
+                    let probability = rng.gen_range(0.05..0.4);
+                    schedule.with(
                         at,
-                        until,
-                        from: node,
-                        to: dm,
-                        probability: rng.gen_range(0.05..0.4),
-                    });
+                        link(node, dm, LinkEffect::DropNotifications { probability }),
+                    )
                 }
-                _ => {
-                    let (at, until) = rand_window(&mut rng);
-                    events.push(FaultEvent::PartitionOneWay {
-                        at,
-                        until,
-                        from: node,
-                        to: dm,
-                    });
-                }
-            }
+                _ => schedule.with(at, link(node, dm, LinkEffect::PartitionOneWay)),
+            };
         }
-        Self { events }
+        schedule
     }
 }
 
@@ -496,222 +404,148 @@ fn parse_timeline_event(line: &str) -> Result<FaultEvent, String> {
     let mut parts = line.split_whitespace();
     let kind = parts.next().ok_or("empty event")?;
     let fields: Vec<&str> = parts.collect();
-    let event = match kind {
-        "crash_ds" => FaultEvent::CrashDataSource {
-            at: parse_us(&fields, "at_us")?,
+    let link = |effect: LinkEffect| -> Result<Fault, String> {
+        let (a, b) = effect.endpoint_keys();
+        Ok(Fault::Link {
+            until: parse_us(&fields, "until_us")?,
+            from: parse_node(&fields, a)?,
+            to: parse_node(&fields, b)?,
+            effect,
+        })
+    };
+    let fault = match kind {
+        "crash_ds" => Fault::CrashDataSource {
             ds: parse_num(&fields, "ds")?,
         },
-        "restart_ds" => FaultEvent::RestartDataSource {
-            at: parse_us(&fields, "at_us")?,
+        "restart_ds" => Fault::RestartDataSource {
             ds: parse_num(&fields, "ds")?,
         },
-        "crash_middleware" => FaultEvent::CrashMiddleware {
-            at: parse_us(&fields, "at_us")?,
-        },
-        "crash_middleware_after_flush" => FaultEvent::CrashMiddlewareAfterFlush {
-            at: parse_us(&fields, "at_us")?,
-        },
-        "failover_middleware" => FaultEvent::FailoverMiddleware {
-            at: parse_us(&fields, "at_us")?,
-        },
-        "crash_coordinator" => FaultEvent::CrashCoordinator {
-            at: parse_us(&fields, "at_us")?,
+        "crash_middleware" => Fault::CrashMiddleware,
+        "crash_middleware_after_flush" => Fault::CrashMiddlewareAfterFlush,
+        "failover_middleware" => Fault::FailoverMiddleware,
+        "crash_coordinator" => Fault::CrashCoordinator {
             dm: parse_num(&fields, "dm")?,
         },
-        "crash_coordinator_after_flush" => FaultEvent::CrashCoordinatorAfterFlush {
-            at: parse_us(&fields, "at_us")?,
+        "crash_coordinator_after_flush" => Fault::CrashCoordinatorAfterFlush {
             dm: parse_num(&fields, "dm")?,
         },
-        "restart_coordinator" => FaultEvent::RestartCoordinator {
-            at: parse_us(&fields, "at_us")?,
+        "restart_coordinator" => Fault::RestartCoordinator {
             dm: parse_num(&fields, "dm")?,
         },
-        "partition" => FaultEvent::Partition {
-            at: parse_us(&fields, "at_us")?,
-            until: parse_us(&fields, "until_us")?,
-            a: parse_node(&fields, "a")?,
-            b: parse_node(&fields, "b")?,
-        },
-        "partition_oneway" => FaultEvent::PartitionOneWay {
-            at: parse_us(&fields, "at_us")?,
-            until: parse_us(&fields, "until_us")?,
-            from: parse_node(&fields, "from")?,
-            to: parse_node(&fields, "to")?,
-        },
-        "latency_storm" => FaultEvent::LatencyStorm {
-            at: parse_us(&fields, "at_us")?,
-            until: parse_us(&fields, "until_us")?,
-            a: parse_node(&fields, "a")?,
-            b: parse_node(&fields, "b")?,
+        "partition" => link(LinkEffect::Partition)?,
+        "partition_oneway" => link(LinkEffect::PartitionOneWay)?,
+        "latency_storm" => link(LinkEffect::LatencyStorm {
             extra: parse_us(&fields, "extra_us")?,
             jitter: parse_us(&fields, "jitter_us")?,
-        },
-        "drop_notifications" => FaultEvent::DropNotifications {
-            at: parse_us(&fields, "at_us")?,
-            until: parse_us(&fields, "until_us")?,
-            from: parse_node(&fields, "from")?,
-            to: parse_node(&fields, "to")?,
+        })?,
+        "drop_notifications" => link(LinkEffect::DropNotifications {
             probability: parse_num(&fields, "p")?,
-        },
-        "duplicate_notifications" => FaultEvent::DuplicateNotifications {
-            at: parse_us(&fields, "at_us")?,
-            until: parse_us(&fields, "until_us")?,
-            from: parse_node(&fields, "from")?,
-            to: parse_node(&fields, "to")?,
+        })?,
+        "duplicate_notifications" => link(LinkEffect::DuplicateNotifications {
             probability: parse_num(&fields, "p")?,
-        },
-        "clock_skew" => FaultEvent::ClockSkewRamp {
-            at: parse_us(&fields, "at_us")?,
+        })?,
+        "clock_skew" => Fault::ClockSkewRamp {
             node: parse_node(&fields, "node")?,
             drift_ppm: parse_num(&fields, "drift_ppm")?,
         },
         other => return Err(format!("unknown event kind {other:?}")),
     };
-    Ok(event)
-}
-
-/// Parameters for [`FaultSchedule::random`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RandomFaultConfig {
-    /// Number of data sources faults may target.
-    pub data_sources: u32,
-    /// How many faults to draw.
-    pub faults: u32,
-    /// Run horizon: every fault heals comfortably before it. Values below
-    /// 4 s are clamped up to 4 s (see [`FaultSchedule::random`]).
-    pub horizon: Duration,
-}
-
-impl Default for RandomFaultConfig {
-    fn default() -> Self {
-        Self {
-            data_sources: 3,
-            faults: 4,
-            horizon: Duration::from_secs(60),
-        }
-    }
+    Ok(FaultEvent {
+        at: parse_us(&fields, "at_us")?,
+        fault,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn node_events_sort_by_time() {
-        let s = FaultSchedule::new()
-            .with(FaultEvent::RestartDataSource {
-                at: Duration::from_secs(8),
-                ds: 1,
-            })
-            .with(FaultEvent::CrashDataSource {
-                at: Duration::from_secs(3),
-                ds: 1,
-            })
-            .with(FaultEvent::Partition {
-                at: Duration::from_secs(1),
-                until: Duration::from_secs(2),
-                a: NodeId::middleware(0),
-                b: NodeId::data_source(0),
-            });
-        let node = s.node_events();
-        assert_eq!(node.len(), 2);
-        assert_eq!(node[0].at(), Duration::from_secs(3));
-        assert_eq!(node[1].at(), Duration::from_secs(8));
-        assert_eq!(s.last_fault_instant(), Duration::from_secs(8));
+    const DM: NodeId = NodeId::middleware(0);
+
+    fn ds(index: u32) -> NodeId {
+        NodeId::data_source(index)
     }
 
     #[test]
-    fn random_schedule_tolerates_tiny_horizons() {
-        // Regression: horizons below ~3.4s used to make the window sampler
-        // panic on an empty range; they are clamped to 4s instead.
-        for horizon_secs in [0, 1, 2, 3] {
-            let schedule = FaultSchedule::random(
-                5,
-                &RandomFaultConfig {
-                    data_sources: 3,
-                    faults: 2,
-                    horizon: Duration::from_secs(horizon_secs),
-                },
-            );
-            assert!(!schedule.events.is_empty());
-            assert!(schedule.last_fault_instant() <= Duration::from_secs(4));
-        }
+    fn node_events_sort_by_time() {
+        let s = |secs| Duration::from_secs(secs);
+        let schedule = FaultSchedule::new()
+            .with(s(8), Fault::RestartDataSource { ds: 1 })
+            .with(s(3), Fault::CrashDataSource { ds: 1 })
+            .with(s(1), Fault::link(s(2), DM, ds(0), LinkEffect::Partition));
+        let node = schedule.node_events();
+        assert_eq!(node.len(), 2);
+        assert_eq!(node[0].at, s(3));
+        assert_eq!(node[1].at, s(8));
+        assert_eq!(schedule.last_fault_instant(), s(8));
     }
 
     #[test]
     fn timeline_round_trips_every_event_kind() {
-        let dm = NodeId::middleware(0);
-        let ds = NodeId::data_source;
         let ms = Duration::from_millis;
         let schedule = FaultSchedule::new()
-            .with(FaultEvent::CrashDataSource {
-                at: ms(3000),
-                ds: 1,
-            })
-            .with(FaultEvent::RestartDataSource {
-                at: ms(8000),
-                ds: 1,
-            })
-            .with(FaultEvent::CrashMiddleware { at: ms(100) })
-            .with(FaultEvent::CrashMiddlewareAfterFlush { at: ms(2500) })
-            .with(FaultEvent::FailoverMiddleware { at: ms(5000) })
-            .with(FaultEvent::CrashCoordinator {
-                at: ms(2000),
-                dm: 1,
-            })
-            .with(FaultEvent::CrashCoordinatorAfterFlush {
-                at: ms(2250),
-                dm: 0,
-            })
-            .with(FaultEvent::RestartCoordinator {
-                at: ms(6000),
-                dm: 1,
-            })
-            .with(FaultEvent::Partition {
-                at: ms(1000),
-                until: ms(7000),
-                a: NodeId::middleware(1),
-                b: NodeId::control(0),
-            })
-            .with(FaultEvent::Partition {
-                at: ms(2000),
-                until: ms(6000),
-                a: dm,
-                b: ds(2),
-            })
-            .with(FaultEvent::PartitionOneWay {
-                at: ms(2000),
-                until: ms(5000),
-                from: ds(1),
-                to: dm,
-            })
-            .with(FaultEvent::LatencyStorm {
-                at: ms(1000),
-                until: ms(9000),
-                a: dm,
-                b: ds(0),
-                extra: ms(150),
-                jitter: ms(50),
-            })
-            .with(FaultEvent::DropNotifications {
-                at: ms(1000),
-                until: ms(8000),
-                from: ds(0),
-                to: dm,
-                probability: 0.325,
-            })
-            .with(FaultEvent::DuplicateNotifications {
-                at: ms(1000),
-                until: ms(8000),
-                from: ds(2),
-                to: dm,
-                probability: 0.5,
-            })
-            .with(FaultEvent::ClockSkewRamp {
-                at: ms(1000),
-                node: ds(2),
-                drift_ppm: -250,
-            });
+            .with(ms(3000), Fault::CrashDataSource { ds: 1 })
+            .with(ms(8000), Fault::RestartDataSource { ds: 1 })
+            .with(ms(100), Fault::CrashMiddleware)
+            .with(ms(2500), Fault::CrashMiddlewareAfterFlush)
+            .with(ms(5000), Fault::FailoverMiddleware)
+            .with(ms(2000), Fault::CrashCoordinator { dm: 1 })
+            .with(ms(2250), Fault::CrashCoordinatorAfterFlush { dm: 0 })
+            .with(ms(6000), Fault::RestartCoordinator { dm: 1 })
+            .with(
+                ms(1000),
+                Fault::link(
+                    ms(7000),
+                    NodeId::middleware(1),
+                    NodeId::control(0),
+                    LinkEffect::Partition,
+                ),
+            )
+            .with(
+                ms(2000),
+                Fault::link(ms(6000), DM, ds(2), LinkEffect::Partition),
+            )
+            .with(
+                ms(2000),
+                Fault::link(ms(5000), ds(1), DM, LinkEffect::PartitionOneWay),
+            )
+            .with(
+                ms(1000),
+                Fault::link(
+                    ms(9000),
+                    DM,
+                    ds(0),
+                    LinkEffect::LatencyStorm {
+                        extra: ms(150),
+                        jitter: ms(50),
+                    },
+                ),
+            )
+            .with(
+                ms(1000),
+                Fault::link(
+                    ms(8000),
+                    ds(0),
+                    DM,
+                    LinkEffect::DropNotifications { probability: 0.325 },
+                ),
+            )
+            .with(
+                ms(1000),
+                Fault::link(
+                    ms(8000),
+                    ds(2),
+                    DM,
+                    LinkEffect::DuplicateNotifications { probability: 0.5 },
+                ),
+            )
+            .with(
+                ms(1000),
+                Fault::ClockSkewRamp {
+                    node: ds(2),
+                    drift_ppm: -250,
+                },
+            );
         let timeline = schedule.to_timeline();
         assert_eq!(
             timeline,
@@ -737,7 +571,7 @@ mod tests {
         let parsed = FaultSchedule::parse_timeline(&timeline).expect("round trip");
         assert_eq!(parsed, schedule);
         // A random seeded schedule round-trips too (the shrinker's input).
-        let random = FaultSchedule::random(9, &RandomFaultConfig::default());
+        let random = FaultSchedule::random(9, 4);
         let parsed = FaultSchedule::parse_timeline(&random.to_timeline()).unwrap();
         assert_eq!(parsed, random);
     }
@@ -748,13 +582,7 @@ mod tests {
     /// `randomized_faults` fingerprint.
     #[test]
     fn random_schedule_text_is_pinned() {
-        let shrink_input = FaultSchedule::random(
-            1,
-            &RandomFaultConfig {
-                faults: 8,
-                ..RandomFaultConfig::default()
-            },
-        );
+        let shrink_input = FaultSchedule::random(1, 8);
         assert_eq!(
             shrink_input.to_timeline(),
             concat!(
@@ -769,7 +597,7 @@ mod tests {
                 "partition at_us=4158000 until_us=7792000 a=dm0 b=ds1\n",
             )
         );
-        let four = FaultSchedule::random(9, &RandomFaultConfig::default());
+        let four = FaultSchedule::random(9, 4);
         assert_eq!(
             four.to_timeline(),
             concat!(
@@ -800,25 +628,18 @@ mod tests {
 
     #[test]
     fn random_schedules_are_deterministic_and_heal() {
-        let cfg = RandomFaultConfig::default();
-        let a = FaultSchedule::random(11, &cfg);
-        let b = FaultSchedule::random(11, &cfg);
-        let c = FaultSchedule::random(12, &cfg);
+        let a = FaultSchedule::random(11, 4);
+        let b = FaultSchedule::random(11, 4);
+        let c = FaultSchedule::random(12, 4);
         assert_eq!(a, b, "same seed, same schedule");
         assert_ne!(a, c, "different seed, different schedule");
         assert!(!a.events.is_empty());
-        assert!(a.last_fault_instant() < cfg.horizon);
+        assert!(a.last_fault_instant() <= Duration::from_millis(RANDOM_ACTIVE_MS));
         // Every crash has a matching restart.
-        let crashes = a
-            .events
-            .iter()
-            .filter(|e| matches!(e, FaultEvent::CrashDataSource { .. }))
-            .count();
-        let restarts = a
-            .events
-            .iter()
-            .filter(|e| matches!(e, FaultEvent::RestartDataSource { .. }))
-            .count();
-        assert_eq!(crashes, restarts);
+        let count = |kind: fn(&Fault) -> bool| a.events.iter().filter(|e| kind(&e.fault)).count();
+        assert_eq!(
+            count(|f| matches!(f, Fault::CrashDataSource { .. })),
+            count(|f| matches!(f, Fault::RestartDataSource { .. }))
+        );
     }
 }

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use geotp_middleware::TransactionSpec;
 
-use crate::schedule::{FaultEvent, FaultSchedule};
+use crate::schedule::{Fault, FaultEvent, FaultSchedule, LinkEffect};
 
 /// Result of a shrink run.
 #[derive(Debug, Clone)]
@@ -144,7 +144,7 @@ where
                 rounds += 1;
                 for variant in simplify_event(&current[index]) {
                     let mut candidate = current.clone();
-                    candidate[index] = variant.clone();
+                    candidate[index] = variant;
                     match probe.fails(&candidate) {
                         None => {
                             budget_exhausted = true;
@@ -255,135 +255,28 @@ where
     })
 }
 
-/// Candidate simplifications of one event, simplest first: pull the
-/// activation instant halfway toward zero, and halve a windowed fault's
-/// duration. Instant events only get the time pull.
+/// Candidate simplifications of one event, simplest first: halve a link
+/// fault's window, and pull the activation instant halfway toward zero.
+/// Instant events only get the time pull.
 fn simplify_event(event: &FaultEvent) -> Vec<FaultEvent> {
     // Quantized to whole microseconds: the virtual clock ticks in µs and the
     // replayable timeline stores µs, so finer durations would not round-trip.
-    let halve_at = |at: &Duration| Duration::from_micros(at.as_micros() as u64 / 2);
-    let halve_window = |at: &Duration, until: &Duration| {
-        let length = until.saturating_sub(*at).as_micros() as u64;
-        *at + Duration::from_micros(length / 2)
-    };
+    let half = |d: Duration| Duration::from_micros(d.as_micros() as u64 / 2);
     let mut variants = Vec::new();
-    match event {
-        FaultEvent::CrashDataSource { at, ds } => variants.push(FaultEvent::CrashDataSource {
-            at: halve_at(at),
-            ds: *ds,
-        }),
-        FaultEvent::RestartDataSource { at, ds } => variants.push(FaultEvent::RestartDataSource {
-            at: halve_at(at),
-            ds: *ds,
-        }),
-        FaultEvent::CrashMiddleware { at } => {
-            variants.push(FaultEvent::CrashMiddleware { at: halve_at(at) })
+    let mut pull = true;
+    if let Fault::Link { until, effect, .. } = event.fault {
+        let mut shorter = *event;
+        if let Fault::Link { until: end, .. } = &mut shorter.fault {
+            *end = event.at + half(until.saturating_sub(event.at));
         }
-        FaultEvent::CrashMiddlewareAfterFlush { at } => {
-            variants.push(FaultEvent::CrashMiddlewareAfterFlush { at: halve_at(at) })
-        }
-        FaultEvent::FailoverMiddleware { at } => {
-            variants.push(FaultEvent::FailoverMiddleware { at: halve_at(at) })
-        }
-        FaultEvent::CrashCoordinator { at, dm } => variants.push(FaultEvent::CrashCoordinator {
-            at: halve_at(at),
-            dm: *dm,
-        }),
-        FaultEvent::CrashCoordinatorAfterFlush { at, dm } => {
-            variants.push(FaultEvent::CrashCoordinatorAfterFlush {
-                at: halve_at(at),
-                dm: *dm,
-            })
-        }
-        FaultEvent::RestartCoordinator { at, dm } => {
-            variants.push(FaultEvent::RestartCoordinator {
-                at: halve_at(at),
-                dm: *dm,
-            })
-        }
-        FaultEvent::Partition { at, until, a, b } => {
-            variants.push(FaultEvent::Partition {
-                at: *at,
-                until: halve_window(at, until),
-                a: *a,
-                b: *b,
-            });
-            variants.push(FaultEvent::Partition {
-                at: halve_at(at),
-                until: *until,
-                a: *a,
-                b: *b,
-            });
-        }
-        FaultEvent::PartitionOneWay {
-            at,
-            until,
-            from,
-            to,
-        } => {
-            variants.push(FaultEvent::PartitionOneWay {
-                at: *at,
-                until: halve_window(at, until),
-                from: *from,
-                to: *to,
-            });
-        }
-        FaultEvent::LatencyStorm {
-            at,
-            until,
-            a,
-            b,
-            extra,
-            jitter,
-        } => {
-            variants.push(FaultEvent::LatencyStorm {
-                at: *at,
-                until: halve_window(at, until),
-                a: *a,
-                b: *b,
-                extra: *extra,
-                jitter: *jitter,
-            });
-        }
-        FaultEvent::DropNotifications {
-            at,
-            until,
-            from,
-            to,
-            probability,
-        } => {
-            variants.push(FaultEvent::DropNotifications {
-                at: *at,
-                until: halve_window(at, until),
-                from: *from,
-                to: *to,
-                probability: *probability,
-            });
-        }
-        FaultEvent::DuplicateNotifications {
-            at,
-            until,
-            from,
-            to,
-            probability,
-        } => {
-            variants.push(FaultEvent::DuplicateNotifications {
-                at: *at,
-                until: halve_window(at, until),
-                from: *from,
-                to: *to,
-                probability: *probability,
-            });
-        }
-        FaultEvent::ClockSkewRamp {
-            at,
-            node,
-            drift_ppm,
-        } => variants.push(FaultEvent::ClockSkewRamp {
-            at: halve_at(at),
-            node: *node,
-            drift_ppm: *drift_ppm,
-        }),
+        variants.push(shorter);
+        pull = effect == LinkEffect::Partition;
+    }
+    if pull {
+        variants.push(FaultEvent {
+            at: half(event.at),
+            ..*event
+        });
     }
     // A zero-time variant equals the original for `at == 0`; drop no-ops.
     variants.retain(|v| v != event);
@@ -396,33 +289,55 @@ mod tests {
     use geotp_net::NodeId;
 
     fn crash(at_secs: u64, ds: u32) -> FaultEvent {
-        FaultEvent::CrashDataSource {
+        FaultEvent {
             at: Duration::from_secs(at_secs),
-            ds,
+            fault: Fault::CrashDataSource { ds },
+        }
+    }
+
+    fn link(
+        at: Duration,
+        until: Duration,
+        from: NodeId,
+        to: NodeId,
+        effect: LinkEffect,
+    ) -> FaultEvent {
+        FaultEvent {
+            at,
+            fault: Fault::link(until, from, to, effect),
         }
     }
 
     fn partition(at_secs: u64, until_secs: u64) -> FaultEvent {
-        FaultEvent::Partition {
-            at: Duration::from_secs(at_secs),
-            until: Duration::from_secs(until_secs),
-            a: NodeId::middleware(0),
-            b: NodeId::data_source(0),
-        }
+        link(
+            Duration::from_secs(at_secs),
+            Duration::from_secs(until_secs),
+            NodeId::middleware(0),
+            NodeId::data_source(0),
+            LinkEffect::Partition,
+        )
+    }
+
+    fn is_crash_of(event: &FaultEvent, ds: u32) -> bool {
+        event.fault == Fault::CrashDataSource { ds }
+    }
+
+    fn is_partition(event: &FaultEvent) -> bool {
+        matches!(
+            event.fault,
+            Fault::Link {
+                effect: LinkEffect::Partition,
+                ..
+            }
+        )
     }
 
     /// A synthetic failure oracle: the "bug" triggers iff ds1 crashes while
     /// some partition is scheduled. The shrinker must isolate exactly that
     /// pair out of a pile of noise events.
     fn synthetic_fails(schedule: &FaultSchedule) -> bool {
-        let crash_ds1 = schedule
-            .events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::CrashDataSource { ds: 1, .. }));
-        let any_partition = schedule
-            .events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::Partition { .. }));
+        let crash_ds1 = schedule.events.iter().any(|e| is_crash_of(e, 1));
+        let any_partition = schedule.events.iter().any(is_partition);
         crash_ds1 && any_partition
     }
 
@@ -436,10 +351,12 @@ mod tests {
                 crash(4, 1), // culprit 1
                 partition(5, 6),
                 crash(6, 0),
-                FaultEvent::ClockSkewRamp {
+                FaultEvent {
                     at: Duration::from_secs(1),
-                    node: NodeId::data_source(2),
-                    drift_ppm: 400,
+                    fault: Fault::ClockSkewRamp {
+                        node: NodeId::data_source(2),
+                        drift_ppm: 400,
+                    },
                 },
                 crash(8, 2),
             ],
@@ -448,16 +365,8 @@ mod tests {
         assert!(!report.budget_exhausted);
         assert_eq!(report.minimized_events, 2, "{:?}", report.minimized);
         assert!(synthetic_fails(&report.minimized));
-        assert!(report
-            .minimized
-            .events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::CrashDataSource { ds: 1, .. })));
-        assert!(report
-            .minimized
-            .events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::Partition { .. })));
+        assert!(report.minimized.events.iter().any(|e| is_crash_of(e, 1)));
+        assert!(report.minimized.events.iter().any(is_partition));
         // The timeline artifact replays to the same schedule.
         let replayed = FaultSchedule::parse_timeline(&report.timeline()).unwrap();
         assert_eq!(replayed, report.minimized);
@@ -488,19 +397,11 @@ mod tests {
         let schedule = FaultSchedule {
             events: (0..12).map(|i| crash(i, (i % 3) as u32)).collect(),
         };
-        let report = shrink_schedule(&schedule, 3, |s| {
-            s.events
-                .iter()
-                .any(|e| matches!(e, FaultEvent::CrashDataSource { ds: 1, .. }))
-        })
-        .unwrap();
+        let report =
+            shrink_schedule(&schedule, 3, |s| s.events.iter().any(|e| is_crash_of(e, 1))).unwrap();
         assert!(report.budget_exhausted);
         assert!(report.runs <= 3);
-        assert!(report
-            .minimized
-            .events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::CrashDataSource { ds: 1, .. })));
+        assert!(report.minimized.events.iter().any(|e| is_crash_of(e, 1)));
     }
 
     #[test]
@@ -559,34 +460,31 @@ mod tests {
         let events = [
             crash(3, 1),
             partition(4, 12),
-            FaultEvent::PartitionOneWay {
-                at: ms(2_000),
-                until: ms(5_000),
-                from: ds(1),
-                to: dm,
-            },
-            FaultEvent::LatencyStorm {
-                at: ms(1_000),
-                until: ms(9_000),
-                a: dm,
-                b: ds(0),
-                extra: ms(150),
-                jitter: ms(50),
-            },
-            FaultEvent::DropNotifications {
-                at: ms(1_000),
-                until: ms(8_001),
-                from: ds(0),
-                to: dm,
-                probability: 0.3,
-            },
-            FaultEvent::DuplicateNotifications {
-                at: ms(1_500),
-                until: ms(8_000),
-                from: ds(2),
-                to: dm,
-                probability: 0.5,
-            },
+            link(ms(2_000), ms(5_000), ds(1), dm, LinkEffect::PartitionOneWay),
+            link(
+                ms(1_000),
+                ms(9_000),
+                dm,
+                ds(0),
+                LinkEffect::LatencyStorm {
+                    extra: ms(150),
+                    jitter: ms(50),
+                },
+            ),
+            link(
+                ms(1_000),
+                ms(8_001),
+                ds(0),
+                dm,
+                LinkEffect::DropNotifications { probability: 0.3 },
+            ),
+            link(
+                ms(1_500),
+                ms(8_000),
+                ds(2),
+                dm,
+                LinkEffect::DuplicateNotifications { probability: 0.5 },
+            ),
         ];
         let variants = FaultSchedule {
             events: events.iter().flat_map(simplify_event).collect(),
@@ -612,17 +510,16 @@ mod tests {
         let schedule = FaultSchedule {
             events: vec![partition(4, 12)],
         };
-        let report = shrink_schedule(&schedule, 100, |s| {
-            s.events
-                .iter()
-                .any(|e| matches!(e, FaultEvent::Partition { .. }))
-        })
-        .unwrap();
+        let report =
+            shrink_schedule(&schedule, 100, |s| s.events.iter().any(is_partition)).unwrap();
         assert_eq!(report.minimized_events, 1);
-        match &report.minimized.events[0] {
-            FaultEvent::Partition { at, until, .. } => {
-                assert!(*until < Duration::from_secs(12), "window not simplified");
-                assert!(*at <= Duration::from_secs(4));
+        match report.minimized.events[0] {
+            FaultEvent {
+                at,
+                fault: Fault::Link { until, .. },
+            } => {
+                assert!(until < Duration::from_secs(12), "window not simplified");
+                assert!(at <= Duration::from_secs(4));
             }
             other => panic!("unexpected {other:?}"),
         }

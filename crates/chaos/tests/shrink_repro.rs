@@ -15,7 +15,7 @@
 
 use geotp_chaos::{
     client_scripts, preset, run, run_scripted, shrink_schedule, shrink_workload, ChaosConfig,
-    DrillWorkload, FaultSchedule, RandomFaultConfig,
+    DrillWorkload, FaultSchedule,
 };
 
 /// The failing configuration: TPC-C at drill scale with every 2nd read
@@ -36,14 +36,7 @@ fn tpcc_fails(config: &ChaosConfig, schedule: &FaultSchedule) -> bool {
 #[test]
 fn injected_isolation_bug_is_caught_and_shrunk_to_a_minimal_timeline() {
     let config = bugged_config();
-    let schedule = FaultSchedule::random(
-        config.seed,
-        &RandomFaultConfig {
-            data_sources: 3,
-            faults: 8,
-            horizon: std::time::Duration::from_secs(60),
-        },
-    );
+    let schedule = FaultSchedule::random(config.seed, 8);
     assert!(
         schedule.events.len() >= 8,
         "the starting schedule should be noisy ({} events)",
@@ -126,14 +119,7 @@ fn without_the_fail_point_the_same_run_is_green() {
     // bug's doing, not the checker's.
     let mut config = bugged_config();
     config.isolation_bug_read_stride = None;
-    let schedule = FaultSchedule::random(
-        config.seed,
-        &RandomFaultConfig {
-            data_sources: 3,
-            faults: 8,
-            horizon: std::time::Duration::from_secs(60),
-        },
-    );
+    let schedule = FaultSchedule::random(config.seed, 8);
     let workload = DrillWorkload::Tpcc.build(&config);
     let report = run(config, schedule, workload);
     assert!(

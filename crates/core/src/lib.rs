@@ -68,8 +68,9 @@ pub use geotp_workloads as workloads;
 
 pub use geotp_chaos::{
     preset, shrink_schedule, shrink_workload, ChaosConfig, ChaosReport, ChaosWorkload, Door,
-    DrillWorkload, FaultEvent, FaultSchedule, InteractiveTransferWorkload, InvariantReport, Preset,
-    ShrinkReport, TierConfig, TpccChaosWorkload, TransferWorkload, WorkloadShrinkReport, PRESETS,
+    DrillWorkload, Fault, FaultEvent, FaultSchedule, InteractiveTransferWorkload, InvariantReport,
+    LinkEffect, Preset, ShrinkReport, TierConfig, TpccChaosWorkload, TransferWorkload,
+    WorkloadShrinkReport, PRESETS,
 };
 pub use geotp_cluster::{
     run_open_loop, AdmissionPolicy, ClusterConfig, CoordinatorCluster, CoordinatorLoad,

@@ -19,7 +19,6 @@
 
 use geotp::chaos::{
     attach_trace_on_failure, preset, run, shrink_schedule, traced, DrillWorkload, FaultSchedule,
-    RandomFaultConfig,
 };
 
 fn main() {
@@ -62,14 +61,7 @@ fn main() {
     println!("\n== injected isolation bug: catch + shrink ==\n");
     let (mut config, _) = preset("randomized_faults").build(seed);
     config.isolation_bug_read_stride = Some(2);
-    let noisy = FaultSchedule::random(
-        config.seed,
-        &RandomFaultConfig {
-            data_sources: config.nodes(),
-            faults: 8,
-            horizon: std::time::Duration::from_secs(60),
-        },
-    );
+    let noisy = FaultSchedule::random(config.seed, 8);
     let fails = |schedule: &FaultSchedule| {
         let workload = DrillWorkload::Tpcc.build(&config);
         let report = run(config.clone(), schedule.clone(), workload);
