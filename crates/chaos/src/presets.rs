@@ -85,8 +85,6 @@ pub enum Expect {
 pub struct Preset {
     /// Stable identifier used in tables, trace files and CI output.
     pub name: &'static str,
-    /// The front door the preset deploys.
-    pub door: Door,
     /// The workloads this preset is swept under; the first is its own.
     pub workloads: &'static [DrillWorkload],
     /// The verdict its runs must reach.
@@ -96,18 +94,16 @@ pub struct Preset {
 }
 
 impl Preset {
-    /// A row that must stay green behind `door`; `config` and `schedule`
-    /// build the run for a seed.
+    /// A row that must stay green; `config` and `schedule` build the run
+    /// for a seed.
     const fn new(
         name: &'static str,
-        door: Door,
         workloads: &'static [DrillWorkload],
         config: fn(u64) -> ChaosConfig,
         schedule: fn(u64) -> FaultSchedule,
     ) -> Self {
         Self {
             name,
-            door,
             workloads,
             expect: Expect::AllGreen,
             config,
@@ -119,6 +115,14 @@ impl Preset {
     const fn convicted(mut self) -> Self {
         self.expect = Expect::SerializabilityConviction;
         self
+    }
+
+    /// The front door the preset deploys, as its configuration decides.
+    pub fn door(&self) -> Door {
+        match (self.config)(0).tier {
+            Some(_) => Door::Tier,
+            None => Door::Single,
+        }
     }
 
     /// The preset's configuration and schedule for a given seed.
@@ -250,36 +254,26 @@ const GENERIC: &[DrillWorkload] = &[Transfer, Tpcc];
 pub static PRESETS: [Preset; 21] = [
     // A data source crashes while branches are mid-prepare, restarts later;
     // durable-prepared branches must survive via the WAL.
-    Preset::new("prepare_phase_crash", Door::Single, GENERIC, single, |_| {
+    Preset::new("prepare_phase_crash", GENERIC, single, |_| {
         FaultSchedule::new()
             .with(s(3), Fault::CrashDataSource { ds: 1 })
             .with(s(8), Fault::RestartDataSource { ds: 1 })
     }),
     // The middleware↔slowest-data-source link partitions across the commit
     // window and heals; stalled decisions must complete, not corrupt.
-    Preset::new(
-        "commit_phase_partition",
-        Door::Single,
-        GENERIC,
-        single,
-        |_| FaultSchedule::new().with(s(2), Fault::link(s(6), DM, ds(2), LinkEffect::Partition)),
-    ),
+    Preset::new("commit_phase_partition", GENERIC, single, |_| {
+        FaultSchedule::new().with(s(2), Fault::link(s(6), DM, ds(2), LinkEffect::Partition))
+    }),
     // A data source can hear the middleware but not answer (response
     // direction blocked), then heals.
-    Preset::new(
-        "asymmetric_partition",
-        Door::Single,
-        GENERIC,
-        single,
-        |_| {
-            FaultSchedule::new().with(
-                s(2),
-                Fault::link(s(5), ds(1), DM, LinkEffect::PartitionOneWay),
-            )
-        },
-    ),
+    Preset::new("asymmetric_partition", GENERIC, single, |_| {
+        FaultSchedule::new().with(
+            s(2),
+            Fault::link(s(5), ds(1), DM, LinkEffect::PartitionOneWay),
+        )
+    }),
     // Every data source crashes and restarts in sequence.
-    Preset::new("rolling_restarts", Door::Single, GENERIC, single, |_| {
+    Preset::new("rolling_restarts", GENERIC, single, |_| {
         FaultSchedule::new()
             .with(s(2), Fault::CrashDataSource { ds: 0 })
             .with(s(4), Fault::RestartDataSource { ds: 0 })
@@ -290,14 +284,13 @@ pub static PRESETS: [Preset; 21] = [
     }),
     // A WAN brownout: heavy extra latency plus per-message jitter on every
     // middleware link for a sustained window.
-    Preset::new("wan_brownout", Door::Single, GENERIC, single, |_| {
+    Preset::new("wan_brownout", GENERIC, single, |_| {
         brownout(FaultSchedule::new(), (s(2), s(8)), ms(150), ms(50))
     }),
     // The coordinator crashes deterministically right after flushing a
     // commit decision (§V-A); a successor replays the shared commit log.
     Preset::new(
         "coordinator_failover",
-        Door::Single,
         GENERIC,
         |seed| ChaosConfig {
             // Every transfer distributed: the flush that trips the fail
@@ -312,7 +305,7 @@ pub static PRESETS: [Preset; 21] = [
     // Prepare votes and rollback confirmations are randomly dropped and
     // duplicated; the decision-wait timeout and the notify hub's idempotent
     // vote handling must cope.
-    Preset::new("lossy_notifications", Door::Single, GENERIC, single, |_| {
+    Preset::new("lossy_notifications", GENERIC, single, |_| {
         let drop = LinkEffect::DropNotifications { probability: 0.3 };
         let duplicate = LinkEffect::DuplicateNotifications { probability: 0.3 };
         (0..3).fold(FaultSchedule::new(), |schedule, i| {
@@ -323,7 +316,7 @@ pub static PRESETS: [Preset; 21] = [
     }),
     // One node's clock drifts hundreds of ppm (plus a partition blip); the
     // commit protocol never reads node clocks, so invariants stay green.
-    Preset::new("clock_skew_drift", Door::Single, GENERIC, single, |_| {
+    Preset::new("clock_skew_drift", GENERIC, single, |_| {
         FaultSchedule::new()
             .with(
                 s(1),
@@ -343,21 +336,15 @@ pub static PRESETS: [Preset; 21] = [
     }),
     // A data-source crash in the middle of a WAN brownout — compound
     // failure, the recovery paths under degraded links.
-    Preset::new(
-        "crash_during_brownout",
-        Door::Single,
-        GENERIC,
-        single,
-        |_| {
-            let crash = FaultSchedule::new()
-                .with(s(3), Fault::CrashDataSource { ds: 0 })
-                .with(s(7), Fault::RestartDataSource { ds: 0 });
-            brownout(crash, (s(1), s(9)), ms(100), ms(30))
-        },
-    ),
+    Preset::new("crash_during_brownout", GENERIC, single, |_| {
+        let crash = FaultSchedule::new()
+            .with(s(3), Fault::CrashDataSource { ds: 0 })
+            .with(s(7), Fault::RestartDataSource { ds: 0 });
+        brownout(crash, (s(1), s(9)), ms(100), ms(30))
+    }),
     // A seeded-random schedule — different for every seed, always healing
     // before the horizon.
-    Preset::new("randomized_faults", Door::Single, GENERIC, single, |seed| {
+    Preset::new("randomized_faults", GENERIC, single, |seed| {
         FaultSchedule::random(seed, 4)
     }),
     // Interactive clients under chaos: transfers ship one statement round at
@@ -369,7 +356,6 @@ pub static PRESETS: [Preset; 21] = [
     // scenario the one-shot spec API structurally could not express.
     Preset::new(
         "interactive_client_chaos",
-        Door::Single,
         &[InteractiveTransfer, Tpcc],
         |seed| ChaosConfig {
             think_time: ms(20),
@@ -390,7 +376,6 @@ pub static PRESETS: [Preset; 21] = [
     // locks.
     Preset::new(
         "long_readers_snapshot",
-        Door::Single,
         &[LongReaderOltp],
         |seed| long_readers(seed, IsolationLevel::SnapshotRead),
         no_faults,
@@ -399,7 +384,6 @@ pub static PRESETS: [Preset; 21] = [
     // *do* contend there, so the lock-wait histogram is non-empty.
     Preset::new(
         "long_readers_2pl",
-        Door::Single,
         &[LongReaderOltp],
         |seed| long_readers(seed, IsolationLevel::Serializable2pl),
         no_faults,
@@ -409,7 +393,6 @@ pub static PRESETS: [Preset; 21] = [
     // anomaly to form.
     Preset::new(
         "write_skew_snapshot",
-        Door::Single,
         &[WriteSkew],
         |seed| engine_drill(seed, IsolationLevel::SnapshotRead, 15),
         no_faults,
@@ -418,7 +401,6 @@ pub static PRESETS: [Preset; 21] = [
     // Write-skew hot pair under `ReadCommitted`.
     Preset::new(
         "write_skew_read_committed",
-        Door::Single,
         &[WriteSkew],
         |seed| engine_drill(seed, IsolationLevel::ReadCommitted, 15),
         no_faults,
@@ -432,7 +414,6 @@ pub static PRESETS: [Preset; 21] = [
     // transfer workload's checkers are the sharpest about torn commits.
     Preset::new(
         "group_commit_crash_window",
-        Door::Single,
         &[Transfer],
         |seed| ChaosConfig {
             group_commit_window: ms(10),
@@ -450,20 +431,16 @@ pub static PRESETS: [Preset; 21] = [
     // decision durable, never dispatched). The supervisor must detect the
     // death, fence the epoch and have a peer adopt every in-doubt branch
     // while the dead coordinator's sessions fail over.
-    Preset::new(
-        "coordinator_crash_takeover",
-        Door::Tier,
-        GENERIC,
-        tier,
-        |_| FaultSchedule::new().with(ms(2_500), Fault::CrashCoordinatorAfterFlush { dm: 1 }),
-    ),
+    Preset::new("coordinator_crash_takeover", GENERIC, tier, |_| {
+        FaultSchedule::new().with(ms(2_500), Fault::CrashCoordinatorAfterFlush { dm: 1 })
+    }),
     // Split brain: a coordinator is partitioned from the membership service
     // (but not from the data sources!), its lease (1.5 s) lapses inside the
     // window, the cluster declares it dead and fences it — while the process
     // keeps serving its sessions. Every decision it issues from the stale
     // epoch must be rejected by the sealed commit log and by every data
     // source.
-    Preset::new("coordinator_partition", Door::Tier, GENERIC, tier, |_| {
+    Preset::new("coordinator_partition", GENERIC, tier, |_| {
         let membership = Fault::link(
             s(8),
             NodeId::middleware(1),
@@ -476,16 +453,10 @@ pub static PRESETS: [Preset; 21] = [
     // window (its lease stays healthy): transactions stall, decision-wait
     // timeouts fire, and everything must drain once the partition heals —
     // with the other coordinator's traffic unaffected throughout.
-    Preset::new(
-        "coordinator_source_partition",
-        Door::Tier,
-        &[Transfer],
-        tier,
-        |_| {
-            let sources = Fault::link(s(6), NodeId::middleware(1), ds(2), LinkEffect::Partition);
-            FaultSchedule::new().with(s(2), sources)
-        },
-    ),
+    Preset::new("coordinator_source_partition", &[Transfer], tier, |_| {
+        let sources = Fault::link(s(6), NodeId::middleware(1), ds(2), LinkEffect::Partition);
+        FaultSchedule::new().with(s(2), sources)
+    }),
     // *Both* coordinators die mid-traffic (one inside the §V-A window) and
     // the tier must recover **from cold**: while everyone is down nobody can
     // adopt anybody, clients see only refusals, and in-doubt branches wait.
@@ -494,19 +465,13 @@ pub static PRESETS: [Preset; 21] = [
     // and (via the supervisor's retry of never-adopted dead slots) fences
     // and adopts its still-dead peer; the router re-homes sessions both
     // ways.
-    Preset::new(
-        "dual_coordinator_cold_restart",
-        Door::Tier,
-        GENERIC,
-        tier,
-        |_| {
-            FaultSchedule::new()
-                .with(ms(2_000), Fault::CrashCoordinatorAfterFlush { dm: 0 })
-                .with(ms(2_400), Fault::CrashCoordinator { dm: 1 })
-                .with(s(6), Fault::RestartCoordinator { dm: 0 })
-                .with(s(9), Fault::RestartCoordinator { dm: 1 })
-        },
-    ),
+    Preset::new("dual_coordinator_cold_restart", GENERIC, tier, |_| {
+        FaultSchedule::new()
+            .with(ms(2_000), Fault::CrashCoordinatorAfterFlush { dm: 0 })
+            .with(ms(2_400), Fault::CrashCoordinator { dm: 1 })
+            .with(s(6), Fault::RestartCoordinator { dm: 0 })
+            .with(s(9), Fault::RestartCoordinator { dm: 1 })
+    }),
     // Flash crowd: 200k mostly-idle registered sessions, then a sudden
     // open-loop arrival spike on a zipfian hot set of them — with bounded
     // admission (queue 64, 250 ms queue deadline) shedding the overflow,
@@ -516,7 +481,6 @@ pub static PRESETS: [Preset; 21] = [
     // under overload. No per-client loops: the spike *is* the workload.
     Preset::new(
         "flash_crowd",
-        Door::Tier,
         &[Transfer],
         |seed| ChaosConfig {
             clients: 0,
@@ -628,8 +592,7 @@ mod tests {
     }
 
     /// The table's own contract, one row at a time: names are unique across
-    /// *all* presets, the door column matches the configuration it builds,
-    /// every schedule heals comfortably before its horizon, and the expected
+    /// *all* presets, every schedule heals comfortably before its horizon, and the expected
     /// verdict holds at seed 1 under all five checkers.
     #[test]
     fn every_row_is_well_formed_and_meets_its_expected_verdict() {
@@ -641,12 +604,6 @@ mod tests {
         for preset in &PRESETS {
             for seed in [1, 7] {
                 let (config, schedule) = preset.build(seed);
-                assert_eq!(
-                    config.tier.is_some(),
-                    preset.door == Door::Tier,
-                    "{}: door column disagrees with the built configuration",
-                    preset.name
-                );
                 let detection = config.tier.as_ref().map_or(Duration::ZERO, |_| {
                     geotp_cluster::MembershipConfig::default().lease
                 });

@@ -89,7 +89,7 @@ fn sweep(scenario: &Preset, workload: DrillWorkload) {
 fn green_presets(door: Door) -> impl Iterator<Item = &'static Preset> {
     PRESETS
         .iter()
-        .filter(move |p| p.door == door && p.expect == Expect::AllGreen)
+        .filter(move |p| p.door() == door && p.expect == Expect::AllGreen)
 }
 
 #[test]

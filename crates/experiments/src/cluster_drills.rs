@@ -15,7 +15,7 @@ use crate::scale::Scale;
 
 /// The tier rows of the preset table.
 fn tier_drills() -> impl Iterator<Item = &'static Preset> {
-    PRESETS.iter().filter(|p| p.door == Door::Tier)
+    PRESETS.iter().filter(|p| p.door() == Door::Tier)
 }
 
 /// Run every cluster preset across the seed sweep.

@@ -34,7 +34,7 @@ pub(crate) fn seeds(scale: Scale) -> u64 {
 pub(crate) fn generic_drills() -> impl Iterator<Item = &'static Preset> {
     PRESETS
         .iter()
-        .filter(|p| p.door == Door::Single && p.workloads.contains(&DrillWorkload::Tpcc))
+        .filter(|p| p.door() == Door::Single && p.workloads.contains(&DrillWorkload::Tpcc))
 }
 
 /// The two legs of the failure-drill sweep: each preset's own (transfer)

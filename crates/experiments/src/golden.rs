@@ -267,7 +267,7 @@ mod tests {
         };
         let workload_specific = PRESETS
             .iter()
-            .filter(|p| p.door == Door::Single && !p.workloads.contains(&DrillWorkload::Tpcc));
+            .filter(|p| p.door() == Door::Single && !p.workloads.contains(&DrillWorkload::Tpcc));
         for scenario in workload_specific {
             for seed in 1..=3 {
                 push(scenario.name, seed, traced(|| scenario.run(seed)).0);
