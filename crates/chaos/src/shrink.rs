@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use geotp_middleware::TransactionSpec;
 
-use crate::schedule::{Fault, FaultEvent, FaultSchedule, LinkEffect};
+use crate::schedule::{Fault, FaultEvent, FaultSchedule};
 
 /// Result of a shrink run.
 #[derive(Debug, Clone)]
@@ -256,28 +256,31 @@ where
 }
 
 /// Candidate simplifications of one event, simplest first: halve a link
-/// fault's window, and pull the activation instant halfway toward zero.
+/// fault's window, then pull the activation instant halfway toward zero.
 /// Instant events only get the time pull.
 fn simplify_event(event: &FaultEvent) -> Vec<FaultEvent> {
     // Quantized to whole microseconds: the virtual clock ticks in µs and the
     // replayable timeline stores µs, so finer durations would not round-trip.
     let half = |d: Duration| Duration::from_micros(d.as_micros() as u64 / 2);
+    let FaultEvent { at, fault } = *event;
     let mut variants = Vec::new();
-    let mut pull = true;
-    if let Fault::Link { until, effect, .. } = event.fault {
-        let mut shorter = *event;
-        if let Fault::Link { until: end, .. } = &mut shorter.fault {
-            *end = event.at + half(until.saturating_sub(event.at));
-        }
-        variants.push(shorter);
-        pull = effect == LinkEffect::Partition;
-    }
-    if pull {
+    if let Fault::Link {
+        until,
+        from,
+        to,
+        effect,
+    } = fault
+    {
+        let until = at + half(until.saturating_sub(at));
         variants.push(FaultEvent {
-            at: half(event.at),
-            ..*event
+            at,
+            fault: Fault::link(until, from, to, effect),
         });
     }
+    variants.push(FaultEvent {
+        at: half(at),
+        fault,
+    });
     // A zero-time variant equals the original for `at == 0`; drop no-ops.
     variants.retain(|v| v != event);
     variants
@@ -286,6 +289,7 @@ fn simplify_event(event: &FaultEvent) -> Vec<FaultEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::LinkEffect;
     use geotp_net::NodeId;
 
     fn crash(at_secs: u64, ds: u32) -> FaultEvent {
@@ -497,11 +501,48 @@ mod tests {
                 "partition at_us=4000000 until_us=8000000 a=dm0 b=ds0\n",
                 "partition at_us=2000000 until_us=12000000 a=dm0 b=ds0\n",
                 "partition_oneway at_us=2000000 until_us=3500000 from=ds1 to=dm0\n",
+                "partition_oneway at_us=1000000 until_us=5000000 from=ds1 to=dm0\n",
                 "latency_storm at_us=1000000 until_us=5000000 a=dm0 b=ds0 extra_us=150000 jitter_us=50000\n",
+                "latency_storm at_us=500000 until_us=9000000 a=dm0 b=ds0 extra_us=150000 jitter_us=50000\n",
                 "drop_notifications at_us=1000000 until_us=4500500 from=ds0 to=dm0 p=0.3\n",
+                "drop_notifications at_us=500000 until_us=8001000 from=ds0 to=dm0 p=0.3\n",
                 "duplicate_notifications at_us=1500000 until_us=4750000 from=ds2 to=dm0 p=0.5\n",
+                "duplicate_notifications at_us=750000 until_us=8000000 from=ds2 to=dm0 p=0.5\n",
             )
         );
+    }
+
+    /// Every link fault's start is pulled earlier, not only a partition's.
+    /// The failure needs the fault active at 5 s, so halving the window
+    /// alone loses it and only an earlier start keeps it.
+    #[test]
+    fn timing_pass_pulls_every_link_fault_earlier() {
+        let s = Duration::from_secs;
+        let covers_5s = |schedule: &FaultSchedule| {
+            schedule.events.iter().any(|e| match e.fault {
+                Fault::Link { until, .. } => e.at <= s(5) && s(5) < until,
+                _ => false,
+            })
+        };
+        let storm = LinkEffect::LatencyStorm {
+            extra: Duration::from_millis(100),
+            jitter: Duration::ZERO,
+        };
+        for effect in [LinkEffect::PartitionOneWay, storm] {
+            let schedule = FaultSchedule {
+                events: vec![link(
+                    s(4),
+                    s(6),
+                    NodeId::data_source(1),
+                    NodeId::middleware(0),
+                    effect,
+                )],
+            };
+            let report = shrink_schedule(&schedule, 100, covers_5s).unwrap();
+            let shrunk = report.minimized.events[0];
+            assert!(shrunk.at < s(4), "{effect:?}: start not pulled earlier");
+            assert!(covers_5s(&report.minimized));
+        }
     }
 
     #[test]
