@@ -13,24 +13,11 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use geotp::cluster::{
-    build_tier, run_open_loop, AdmissionPolicy, ClusterConfig, CoordinatorCluster, OpenLoopConfig,
-    TierLayout,
-};
-use geotp::{ClientOp, GlobalKey, Partitioner, Protocol, TableId};
-use geotp_middleware::TransactionSpec;
-use geotp_storage::{CostModel, EngineConfig, Row};
-use rand::Rng;
+use geotp::cluster::AdmissionPolicy;
 
 use crate::report::{ms, tput, Table};
 use crate::scale::Scale;
-
-const ROWS_PER_NODE: u64 = 1_000;
-const DS_RTTS_MS: [u64; 3] = [10, 60, 120];
-/// Worker capacity of the single coordinator (same as the scale-out table).
-const WORKERS: usize = 32;
-/// Offered load — roughly 3× what 32 workers can complete at these RTTs.
-const ARRIVALS_PER_SEC: u64 = 600;
+use crate::scaleout::{loaded_tier, offer_transfers};
 
 /// How often the metrics registry is snapshotted into the timeline during
 /// the run (virtual time). The sampler only reads the registry, so the
@@ -50,40 +37,7 @@ fn drive(admission: AdmissionPolicy, scale: Scale) -> OverloadRow {
     let telemetry = geotp_telemetry::install();
     let mut rt = geotp_simrt::Runtime::new();
     let mut row = rt.block_on(async {
-        let (net, sources) = build_tier(&TierLayout {
-            seed: 42,
-            coordinators: 1,
-            ds_rtts_ms: DS_RTTS_MS.to_vec(),
-            control_rtt_ms: 2,
-            engine: EngineConfig {
-                lock_wait_timeout: Duration::from_secs(2),
-                cost: CostModel::default(),
-                record_history: false,
-                ..EngineConfig::default()
-            },
-            agent_lan_rtt: Duration::from_micros(500),
-        });
-        let nodes = DS_RTTS_MS.len() as u32;
-        for ds in &sources {
-            for row in 0..ROWS_PER_NODE {
-                let global = ds.index() as u64 * ROWS_PER_NODE + row;
-                ds.load(
-                    GlobalKey::new(TableId(0), global).storage_key(),
-                    Row::int(1_000),
-                );
-            }
-        }
-        let mut config = ClusterConfig::new(
-            1,
-            Protocol::geotp(),
-            Partitioner::Range {
-                rows_per_node: ROWS_PER_NODE,
-                nodes,
-            },
-        );
-        config.max_inflight = WORKERS;
-        config.admission = admission;
-        let cluster = CoordinatorCluster::build(config, net, &sources);
+        let cluster = loaded_tier(1, admission);
 
         // Periodic registry snapshots while the load runs. Sampling only
         // reads the registry — no randomness, no cluster state — so it
@@ -100,26 +54,7 @@ fn drive(admission: AdmissionPolicy, scale: Scale) -> OverloadRow {
             })
         };
 
-        let total_rows = ROWS_PER_NODE * nodes as u64;
-        let report = run_open_loop(
-            &cluster,
-            move |rng| {
-                let src = rng.gen_range(0..total_rows);
-                let dst = rng.gen_range(0..total_rows);
-                TransactionSpec::single_round(vec![
-                    ClientOp::add(GlobalKey::new(TableId(0), src), -1),
-                    ClientOp::add(GlobalKey::new(TableId(0), dst), 1),
-                ])
-            },
-            OpenLoopConfig {
-                arrivals_per_sec: ARRIVALS_PER_SEC,
-                sessions: 512,
-                warmup: scale.warmup(),
-                measure: scale.measure(),
-                seed: 42,
-            },
-        )
-        .await;
+        let report = offer_transfers(&cluster, scale).await;
         done.set(true);
         sampler.await;
         OverloadRow {

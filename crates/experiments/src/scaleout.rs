@@ -14,10 +14,12 @@
 //! -loop driver can never show a tier's ceiling, the open-loop drive is the
 //! tool that does.
 
+use std::rc::Rc;
 use std::time::Duration;
 
 use geotp::cluster::{
-    build_tier, run_open_loop, ClusterConfig, CoordinatorCluster, OpenLoopConfig, TierLayout,
+    build_tier, run_open_loop, AdmissionPolicy, ClusterConfig, CoordinatorCluster, OpenLoopConfig,
+    TierLayout,
 };
 use geotp::{ClientOp, GlobalKey, Partitioner, Protocol, TableId};
 use geotp_middleware::TransactionSpec;
@@ -31,65 +33,87 @@ const ROWS_PER_NODE: u64 = 1_000;
 const DS_RTTS_MS: [u64; 3] = [10, 60, 120];
 /// Worker capacity of one coordinator (concurrent in-flight transactions).
 const WORKERS_PER_COORDINATOR: usize = 32;
+/// The offered load of both open-loop experiments.
+const ARRIVALS_PER_SEC: u64 = 600;
+
+/// The deployment both open-loop experiments (this one and
+/// [`crate::overload`]) drive: `coordinators` GeoTP coordinators of
+/// [`WORKERS_PER_COORDINATOR`] workers each, admitting under `admission`,
+/// over three data sources with every row loaded. Call it inside the
+/// simulated runtime.
+pub(crate) fn loaded_tier(
+    coordinators: usize,
+    admission: AdmissionPolicy,
+) -> Rc<CoordinatorCluster> {
+    let (net, sources) = build_tier(&TierLayout {
+        seed: 42,
+        coordinators,
+        ds_rtts_ms: DS_RTTS_MS.to_vec(),
+        control_rtt_ms: 2,
+        engine: EngineConfig {
+            lock_wait_timeout: Duration::from_secs(2),
+            cost: CostModel::default(),
+            record_history: false,
+            ..EngineConfig::default()
+        },
+        agent_lan_rtt: Duration::from_micros(500),
+    });
+    for ds in &sources {
+        for row in 0..ROWS_PER_NODE {
+            let global = ds.index() as u64 * ROWS_PER_NODE + row;
+            ds.load(
+                GlobalKey::new(TableId(0), global).storage_key(),
+                Row::int(1_000),
+            );
+        }
+    }
+    let mut config = ClusterConfig::new(
+        coordinators,
+        Protocol::geotp(),
+        Partitioner::Range {
+            rows_per_node: ROWS_PER_NODE,
+            nodes: DS_RTTS_MS.len() as u32,
+        },
+    );
+    config.max_inflight = WORKERS_PER_COORDINATOR;
+    config.admission = admission;
+    CoordinatorCluster::build(config, net, &sources)
+}
+
+/// Offer [`ARRIVALS_PER_SEC`] open-loop transfers over 512 sessions to
+/// `cluster` for the scale's warm-up and measurement windows: 50%
+/// distributed transfers (two rows anywhere in the keyspace).
+pub(crate) async fn offer_transfers(
+    cluster: &Rc<CoordinatorCluster>,
+    scale: Scale,
+) -> geotp::OpenLoopReport {
+    let total_rows = ROWS_PER_NODE * DS_RTTS_MS.len() as u64;
+    run_open_loop(
+        cluster,
+        move |rng| {
+            let src = rng.gen_range(0..total_rows);
+            let dst = rng.gen_range(0..total_rows);
+            TransactionSpec::single_round(vec![
+                ClientOp::add(GlobalKey::new(TableId(0), src), -1),
+                ClientOp::add(GlobalKey::new(TableId(0), dst), 1),
+            ])
+        },
+        OpenLoopConfig {
+            arrivals_per_sec: ARRIVALS_PER_SEC,
+            sessions: 512,
+            warmup: scale.warmup(),
+            measure: scale.measure(),
+            seed: 42,
+        },
+    )
+    .await
+}
 
 fn drive(coordinators: usize, scale: Scale) -> geotp::OpenLoopReport {
     let mut rt = geotp_simrt::Runtime::new();
     rt.block_on(async {
-        let (net, sources) = build_tier(&TierLayout {
-            seed: 42,
-            coordinators,
-            ds_rtts_ms: DS_RTTS_MS.to_vec(),
-            control_rtt_ms: 2,
-            engine: EngineConfig {
-                lock_wait_timeout: Duration::from_secs(2),
-                cost: CostModel::default(),
-                record_history: false,
-                ..EngineConfig::default()
-            },
-            agent_lan_rtt: Duration::from_micros(500),
-        });
-        let nodes = DS_RTTS_MS.len() as u32;
-        for ds in &sources {
-            for row in 0..ROWS_PER_NODE {
-                let global = ds.index() as u64 * ROWS_PER_NODE + row;
-                ds.load(
-                    GlobalKey::new(TableId(0), global).storage_key(),
-                    Row::int(1_000),
-                );
-            }
-        }
-        let mut config = ClusterConfig::new(
-            coordinators,
-            Protocol::geotp(),
-            Partitioner::Range {
-                rows_per_node: ROWS_PER_NODE,
-                nodes,
-            },
-        );
-        config.max_inflight = WORKERS_PER_COORDINATOR;
-        let cluster = CoordinatorCluster::build(config, net, &sources);
-
-        let total_rows = ROWS_PER_NODE * nodes as u64;
-        run_open_loop(
-            &cluster,
-            move |rng| {
-                // 50% distributed transfers (two rows anywhere in the keyspace).
-                let src = rng.gen_range(0..total_rows);
-                let dst = rng.gen_range(0..total_rows);
-                TransactionSpec::single_round(vec![
-                    ClientOp::add(GlobalKey::new(TableId(0), src), -1),
-                    ClientOp::add(GlobalKey::new(TableId(0), dst), 1),
-                ])
-            },
-            OpenLoopConfig {
-                arrivals_per_sec: 600,
-                sessions: 512,
-                warmup: scale.warmup(),
-                measure: scale.measure(),
-                seed: 42,
-            },
-        )
-        .await
+        let cluster = loaded_tier(coordinators, AdmissionPolicy::default());
+        offer_transfers(&cluster, scale).await
     })
 }
 
