@@ -6,11 +6,13 @@
 //! decision. This crate turns every such failure mode into a *scripted,
 //! replayable, invariant-checked* scenario:
 //!
-//! * a [`FaultSchedule`] describes a timeline of faults — data-source
-//!   crash/restart, coordinator crash/failover, (possibly asymmetric) network
-//!   partitions, latency storms, notification drop/duplicate probabilities
-//!   and clock-skew ramps — written explicitly, generated from a seed
-//!   ([`FaultSchedule::random`]), or parsed from a replayable timeline file
+//! * a [`FaultSchedule`] describes a timeline of faults, each a
+//!   [`FaultEvent`] `{ at, fault }`: a node-level [`Fault`] (data-source
+//!   crash/restart, coordinator crash/failover, clock-skew ramp) or a
+//!   [`Fault::Link`] window whose [`LinkEffect`] is a (possibly asymmetric)
+//!   partition, a latency storm or notification drops/duplicates — written
+//!   explicitly, generated from a seed ([`FaultSchedule::random`]), or
+//!   parsed from a replayable timeline file
 //!   ([`FaultSchedule::parse_timeline`]);
 //! * the schedule compiles into a [`ScheduleInjector`] plugged into
 //!   `geotp-net`'s fault plane, while node-level events are driven by the
