@@ -460,24 +460,24 @@ impl Deployment {
     }
 
     /// Apply one node-level event (link-level events live in the injector).
-    async fn apply(&self, fault: &Fault) {
+    async fn apply(&self, fault: Fault) {
         let trace = &self.trace;
         match (fault, &self.door) {
             (Fault::CrashDataSource { ds }, door) => {
-                self.sources[*ds as usize].crash();
+                self.sources[ds as usize].crash();
                 match door {
                     FrontDoor::Single(door) => {
                         let clock = door
                             .clocks
                             .borrow()
-                            .node_now_micros(NodeId::data_source(*ds));
+                            .node_now_micros(NodeId::data_source(ds));
                         trace.record(&format!("crash ds{ds} (node clock {clock}us)"));
                     }
                     FrontDoor::Tier(_) => trace.record(&format!("crash ds{ds}")),
                 }
             }
             (Fault::RestartDataSource { ds }, _) => {
-                let recovered = self.sources[*ds as usize].restart().await;
+                let recovered = self.sources[ds as usize].restart().await;
                 trace.record(&format!(
                     "restart ds{ds}: {} prepared branch(es) recovered from the WAL",
                     recovered.len()
@@ -493,24 +493,24 @@ impl Deployment {
             }
             (Fault::FailoverMiddleware, FrontDoor::Single(door)) => self.failover(door).await,
             (Fault::ClockSkewRamp { node, drift_ppm }, FrontDoor::Single(door)) => {
-                door.clocks.borrow_mut().ramp(*node, *drift_ppm);
+                door.clocks.borrow_mut().ramp(node, drift_ppm);
                 trace.record(&format!(
                     "clock skew ramp on {node}: {drift_ppm:+} ppm (node clock {}us)",
-                    door.clocks.borrow().node_now_micros(*node)
+                    door.clocks.borrow().node_now_micros(node)
                 ));
             }
             (Fault::CrashCoordinator { dm }, FrontDoor::Tier(cluster)) => {
-                cluster.crash(*dm);
+                cluster.crash(dm);
                 trace.record(&format!("crash coordinator dm{dm}"));
             }
             (Fault::CrashCoordinatorAfterFlush { dm }, FrontDoor::Tier(cluster)) => {
-                cluster.crash_after_next_flush(*dm);
+                cluster.crash_after_next_flush(dm);
                 trace.record(&format!(
                     "arm fail point: crash coordinator dm{dm} after next commit-log flush"
                 ));
             }
             (Fault::RestartCoordinator { dm }, FrontDoor::Tier(cluster)) => {
-                let epoch = cluster.restart(*dm).await;
+                let epoch = cluster.restart(dm).await;
                 trace.record(&format!(
                     "restart coordinator dm{dm}: successor registered at epoch {epoch}"
                 ));
@@ -804,7 +804,7 @@ fn run_impl(
             spawn(async move {
                 for event in events {
                     sleep_until(SimInstant::ZERO + event.at).await;
-                    deployment.apply(&event.fault).await;
+                    deployment.apply(event.fault).await;
                 }
             })
         };
