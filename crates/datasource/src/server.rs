@@ -206,6 +206,12 @@ impl DataSource {
         self.engine.load(key, row);
     }
 
+    /// Bulk-load `row` under `count` consecutive keys from `first` (see
+    /// [`StorageEngine::load_run`]).
+    pub fn load_run(&self, first: geotp_storage::Key, count: u64, row: Row) {
+        self.engine.load_run(first, count, row);
+    }
+
     /// The next conclusion's number. Every [`BRANCH_RETENTION`] conclusions
     /// it first drops the records concluded more than that many before.
     fn next_conclusion(&self) -> u32 {

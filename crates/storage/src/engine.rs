@@ -299,8 +299,16 @@ impl StorageEngine {
     /// It becomes the key's version 0: the pages take the row, and the
     /// version store forgets whatever it held for the key.
     pub fn load(&self, key: Key, row: Row) {
-        self.versions.forget(key);
+        self.versions.forget(key, 1);
         self.records.borrow_mut().insert(key, row);
+    }
+
+    /// Bulk-load `row` under the `count` keys of `first`'s table from
+    /// `first` on, as `count` [`StorageEngine::load`]s in key order would,
+    /// but whole pages at a time where it can (see the record store).
+    pub fn load_run(&self, first: Key, count: u64, row: Row) {
+        self.versions.forget(first, count);
+        self.records.borrow_mut().insert_run(first, count, &row);
     }
 
     /// Read a record's committed value without any transaction (snapshot

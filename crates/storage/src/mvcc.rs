@@ -131,12 +131,20 @@ impl VersionStore {
         }
     }
 
-    /// Forget everything about `key`: a reloaded key is version 0 again, and
-    /// its queued reclamations go with its chain.
-    pub fn forget(&self, key: Key) {
+    /// Forget everything about the `count` keys of `first`'s table from
+    /// `first` on: a reloaded key is version 0 again, and its queued
+    /// reclamations go with its chain. A store without chains (every load
+    /// into a fresh engine) has nothing to walk.
+    pub fn forget(&self, first: Key, count: u64) {
         let mut chains = self.chains.borrow_mut();
-        if !chains.is_empty() && chains.remove(&key).is_some() {
-            self.reclaim.borrow_mut().retain(|(_, k)| *k != key);
+        if chains.is_empty() {
+            return;
+        }
+        for i in 0..count {
+            let key = Key::new(first.table, first.row.wrapping_add(i));
+            if chains.remove(&key).is_some() {
+                self.reclaim.borrow_mut().retain(|(_, k)| *k != key);
+            }
         }
     }
 
@@ -353,7 +361,7 @@ mod tests {
         }
 
         fn load(&mut self, key: Key, row: Row) {
-            self.store.forget(key);
+            self.store.forget(key, 1);
             self.rows.insert(key, row);
         }
 

@@ -23,6 +23,17 @@
 //! one buffer per page and frees none: growth leaves no freed chunks
 //! scattered through the heap it loads.
 //!
+//! A bulk load of one row under a run of consecutive keys
+//! ([`RecordTable::insert_run`]) builds each absent page the run covers
+//! wholly in one step when the row is one or two `Int`s: a full bitmap and
+//! the 64-row typed buffer the page's 64 inserts would have grown into. It
+//! still allocates one buffer per page, but skips the 64 page-map probes
+//! and the four growth copies. Every other row of the run — a partial page,
+//! a page that already exists, a wider row — goes through
+//! [`RecordTable::insert`], so the page map holds the same pages, added in
+//! the same order, with the same shapes and capacities as `count` single
+//! inserts leave.
+//!
 //! Iteration order is the hash map's and carries no meaning: callers that
 //! need an order sort (as [`StorageEngine::snapshot_table`] does).
 //!
@@ -37,6 +48,7 @@ use crate::types::{Key, TableId};
 
 /// Rows per page: one bit each in [`Page::present`].
 const PAGE_BITS: u32 = 6;
+const PAGE_ROWS: usize = 1 << PAGE_BITS;
 
 /// Up to 64 consecutive rows of one table. Never empty: a page is dropped
 /// with its last row.
@@ -211,7 +223,7 @@ impl<T> SpareBuffers<T> {
     const MIN: usize = 4;
 
     fn class(capacity: usize) -> Option<usize> {
-        (capacity.is_power_of_two() && (Self::MIN..=1 << PAGE_BITS).contains(&capacity))
+        (capacity.is_power_of_two() && (Self::MIN..=PAGE_ROWS).contains(&capacity))
             .then(|| (capacity / Self::MIN).trailing_zeros() as usize)
     }
 
@@ -227,6 +239,16 @@ impl<T> SpareBuffers<T> {
     fn first(&mut self, first: T) -> Vec<T> {
         let mut items = self.take(Self::MIN);
         items.push(first);
+        items
+    }
+
+    /// A full page's buffer: `item` in every slot.
+    fn full(&mut self, item: T) -> Vec<T>
+    where
+        T: Clone,
+    {
+        let mut items = self.take(PAGE_ROWS);
+        items.resize(PAGE_ROWS, item);
         items
     }
 
@@ -298,6 +320,48 @@ impl RecordTable {
         page.rows.insert(i, row, &mut self.spares);
         page.present |= bit;
         None
+    }
+
+    /// Store `row` under the `count` keys of `first`'s table from `first`
+    /// on, as `count` [`RecordTable::insert`]s in key order would: the page
+    /// map gets the same pages in the same order, each of the same shape and
+    /// capacity. A one- or two-`Int` row fills an absent page the run covers
+    /// wholly in one step; every other row goes through `insert`. The run
+    /// must not pass `u64::MAX`.
+    pub(crate) fn insert_run(&mut self, first: Key, count: u64, row: &Row) {
+        debug_assert!(count == 0 || first.row.checked_add(count - 1).is_some());
+        let page_rows = PAGE_ROWS as u64;
+        let typed = row.lone_int().is_some() || row.int_pair().is_some();
+        let (mut at, mut left) = (first.row, count);
+        while left > 0 {
+            let whole = typed && at % page_rows == 0 && left >= page_rows;
+            if whole && self.fill_absent_page((first.table, at >> PAGE_BITS), row) {
+                (at, left) = (at.wrapping_add(page_rows), left - page_rows);
+            } else {
+                self.insert(Key::new(first.table, at), row.clone());
+                (at, left) = (at.wrapping_add(1), left - 1);
+            }
+        }
+    }
+
+    /// Build page `page` with a one- or two-`Int` `row` in every slot, if the
+    /// page is absent: the 64-row buffer that 64 inserts grow it into, taken
+    /// from the spares the same way.
+    fn fill_absent_page(&mut self, page: (TableId, u64), row: &Row) -> bool {
+        let Entry::Vacant(vacant) = self.pages.entry(page) else {
+            return false;
+        };
+        let rows = match (row.lone_int(), row.int_pair()) {
+            (Some(v), _) => Rows::Ints(self.spares.ints.full(v)),
+            (_, Some(pair)) => Rows::Pairs(self.spares.pairs.full(pair)),
+            _ => unreachable!("only a one- or two-`Int` row fills a page"),
+        };
+        vacant.insert(Page {
+            present: u64::MAX,
+            rows,
+        });
+        self.len += PAGE_ROWS;
+        true
     }
 
     /// Remove and return the row stored under `key`.
@@ -375,12 +439,7 @@ mod tests {
         /// The variant of `key`'s page's rows, if the page exists.
         fn shape(&self, key: Key) -> Option<&'static str> {
             let page = self.table.pages.get(&locate(&key).0)?;
-            Some(match page.rows {
-                Rows::One(_) => "One",
-                Rows::Ints(_) => "Ints",
-                Rows::Pairs(_) => "Pairs",
-                Rows::Many(_) => "Many",
-            })
+            Some(shape_and_capacity(&page.rows).0)
         }
 
         fn check(&mut self) {
@@ -406,6 +465,16 @@ mod tests {
             for page in self.table.pages.values() {
                 assert_eq!(page.rows.len(), page.present.count_ones() as usize);
             }
+        }
+    }
+
+    /// The variant of a page's rows and its buffer's capacity.
+    fn shape_and_capacity(rows: &Rows) -> (&'static str, usize) {
+        match rows {
+            Rows::One(_) => ("One", 1),
+            Rows::Ints(ints) => ("Ints", ints.capacity()),
+            Rows::Pairs(pairs) => ("Pairs", pairs.capacity()),
+            Rows::Many(rows) => ("Many", rows.capacity()),
         }
     }
 
@@ -540,6 +609,83 @@ mod tests {
             }
         }
         assert!(d.model.len() > 50, "the run kept a populated table");
+    }
+
+    /// Two tables holding `before`: one takes `row` under `count` keys from
+    /// `first` as one run, the other as `count` inserts in key order. Both
+    /// hold the same rows, and the same pages in the same iteration order,
+    /// each with the same shape, bitmap and capacity.
+    fn assert_run_equals_inserts(before: &[(Key, Row)], first: Key, count: u64, row: &Row) {
+        let run_keys = (0..count).map(|i| Key::new(first.table, first.row + i));
+        let build = |run: bool| {
+            let mut table = RecordTable::default();
+            for (key, row) in before {
+                table.insert(*key, row.clone());
+            }
+            if run {
+                table.insert_run(first, count, row);
+            } else {
+                for key in run_keys.clone() {
+                    table.insert(key, row.clone());
+                }
+            }
+            table
+        };
+        let (run, inserts) = (build(true), build(false));
+        let case = format!("{count} rows from {first} over {} rows", before.len());
+        assert_eq!(run.len(), inserts.len(), "len, {case}");
+        let edges = [first.row.wrapping_sub(1), first.row.wrapping_add(count)];
+        let probes = before
+            .iter()
+            .map(|(key, _)| *key)
+            .chain(run_keys)
+            .chain(edges.map(|r| Key::new(first.table, r)));
+        for key in probes {
+            assert_eq!(run.get(&key), inserts.get(&key), "get {key}, {case}");
+        }
+        let rows = |t: &RecordTable| t.iter().collect::<Vec<_>>();
+        assert_eq!(rows(&run), rows(&inserts), "iter, {case}");
+        let layout = |t: &RecordTable| {
+            t.pages
+                .iter()
+                .map(|(&page, p)| (page, p.present, shape_and_capacity(&p.rows)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(layout(&run), layout(&inserts), "pages, {case}");
+    }
+
+    #[test]
+    fn a_run_load_equals_its_single_inserts() {
+        let at = |row| Key::new(TableId(1), row);
+        // (first, count): aligned, unaligned at either end or both, inside
+        // one page, one row, none, and the top of the key space.
+        let runs = [
+            (0, 640),
+            (0, 130),
+            (5, 200),
+            (30, 20),
+            (64, 63),
+            (7, 1),
+            (128, 0),
+            (u64::MAX - 191, 192),
+        ];
+        for shape in 0..4 {
+            let row = row_for(shape, 77);
+            // Nothing stored; rows of every shape in pages a run covers
+            // wholly, partly or not at all, one of them in the run's own
+            // slot; and the same page numbers of another table.
+            let stored: Vec<(Key, Row)> = [0, 65, 128, 129, 200, 640, u64::MAX - 64]
+                .iter()
+                .enumerate()
+                .map(|(n, &r)| (at(r), row_for(n as u64, n as u64)))
+                .chain([(Key::new(TableId(2), 64), row_for(shape, 1))])
+                .collect();
+            for before in [&[][..], &stored] {
+                for (first, count) in runs {
+                    assert_run_equals_inserts(before, at(first), count, &row);
+                }
+            }
+        }
     }
 
     fn capacities<T>(spares: &SpareBuffers<T>) -> [usize; 5] {

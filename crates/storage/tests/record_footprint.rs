@@ -105,6 +105,24 @@ fn load_into(
     (engine, (after - before) as f64 / rows as f64)
 }
 
+/// A fresh engine configured by `config`, holding `rows` copies of `row`
+/// under keys `0..rows` of one table, loaded as one run; the live heap bytes
+/// per row and the allocations that loading them left behind.
+fn load_run_into(config: EngineConfig, rows: u64, row: Row) -> (f64, usize) {
+    let engine = StorageEngine::new(config);
+    let (before, count) = (
+        LIVE.load(Ordering::Relaxed),
+        ALLOCATIONS.load(Ordering::Relaxed),
+    );
+    engine.load_run(key(0), rows, row);
+    let (after, allocations) = (
+        LIVE.load(Ordering::Relaxed),
+        ALLOCATIONS.load(Ordering::Relaxed) - count,
+    );
+    assert_eq!(engine.record_count(), rows as usize);
+    ((after - before) as f64 / rows as f64, allocations)
+}
+
 /// [`load_into`] a default (strict 2PL, no history) engine.
 fn load(rows: u64, stride: u64, row: fn(u64) -> Row) -> (Rc<StorageEngine>, f64) {
     load_into(EngineConfig::default(), rows, stride, row)
@@ -118,16 +136,16 @@ fn loaded_rows_stay_within_their_heap_budget() {
     const WIDE_ROWS: u64 = 100_000;
     let (pairs, pair) = load(WIDE_ROWS, 1, two_int_row);
     let (shared, wide) = load(WIDE_ROWS, 1, int_str_row);
-    let snapshot = EngineConfig {
+    let snapshot_config = EngineConfig {
         isolation: IsolationLevel::SnapshotRead,
         ..EngineConfig::default()
     };
-    let snapshot = load_into(snapshot, 1_000_000, 1, int_row).1;
-    let history = EngineConfig {
+    let snapshot = load_into(snapshot_config, 1_000_000, 1, int_row).1;
+    let history_config = EngineConfig {
         record_history: true,
         ..EngineConfig::default()
     };
-    let history = load_into(history, 1_000_000, 1, int_row).1;
+    let history = load_into(history_config, 1_000_000, 1, int_row).1;
     println!("dense rows: {dense:.1} heap B/row (per-row hash map: 136.3, 24-byte rows: 25.9)");
     println!("stride-640 rows: {sparse:.1} heap B/row (per-row hash map: 106.5)");
     println!(
@@ -160,6 +178,38 @@ fn loaded_rows_stay_within_their_heap_budget() {
         history <= 12.0,
         "dense rows on a history-recording engine cost {history:.1} B each (budget 12)"
     );
+
+    // The same dense loads as one run each: the same budgets, and one
+    // buffer per full page plus the page map's bucket arrays (one per
+    // doubling: at most log2 of the page count, plus two).
+    const RUN_ROWS: u64 = 1 << 20;
+    let pages = (RUN_ROWS >> 6) as usize;
+    let map_growth = pages.ilog2() as usize + 2;
+    for (name, config) in [
+        ("default", EngineConfig::default()),
+        ("SnapshotRead", snapshot_config),
+        ("record_history", history_config),
+    ] {
+        for (shape, row, budget) in [
+            ("one-integer", Row::int(7), 12.0),
+            ("two-integer", Row::pair(7, 0), 20.0),
+        ] {
+            let (bytes, allocations) = load_run_into(config, RUN_ROWS, row);
+            println!(
+                "dense {shape} rows as one run, {name}: {bytes:.1} heap B/row, \
+                 {allocations} allocations for {pages} pages"
+            );
+            assert!(
+                bytes <= budget,
+                "dense {shape} rows loaded as a run on a {name} engine cost {bytes:.1} B each \
+                 (budget {budget})"
+            );
+            assert!(
+                (pages..=pages + map_growth).contains(&allocations),
+                "{allocations} allocations for {pages} pages of {shape} rows on a {name} engine"
+            );
+        }
+    }
 
     // A clone of a stored wide row shares its columns, and a stored pair is
     // read out as two integers: neither allocates. Nor does a write to a

@@ -209,20 +209,22 @@ impl TpccGenerator {
                     wh_key(DISTRICT, w, d).storage_key(),
                     Row::pair(0, 1), // d_ytd, d_next_o_id
                 );
-                for c in 1..=self.config.customers_per_district {
-                    source.load(
-                        wh_key(CUSTOMER, w, d * 100_000 + c).storage_key(),
-                        Row::pair(1_000, 0), // c_balance, c_payment_cnt
-                    );
-                }
-            }
-            for item in 1..=self.config.items {
-                source.load(wh_key(ITEM, w, item).storage_key(), Row::int(100));
-                source.load(
-                    wh_key(STOCK, w, item).storage_key(),
-                    Row::pair(INITIAL_STOCK, 0),
+                source.load_run(
+                    wh_key(CUSTOMER, w, d * 100_000 + 1).storage_key(),
+                    self.config.customers_per_district,
+                    Row::pair(1_000, 0), // c_balance, c_payment_cnt
                 );
             }
+            source.load_run(
+                wh_key(ITEM, w, 1).storage_key(),
+                self.config.items,
+                Row::int(100),
+            );
+            source.load_run(
+                wh_key(STOCK, w, 1).storage_key(),
+                self.config.items,
+                Row::pair(INITIAL_STOCK, 0),
+            );
         }
     }
 

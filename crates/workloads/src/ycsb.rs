@@ -147,12 +147,11 @@ impl YcsbGenerator {
     pub fn load(&self, sources: &[Rc<DataSource>]) {
         for (node, source) in sources.iter().enumerate() {
             let base = node as u64 * self.config.records_per_node;
-            for row in 0..self.config.records_per_node {
-                source.load(
-                    GlobalKey::new(USERTABLE, base + row).storage_key(),
-                    Row::int(10_000),
-                );
-            }
+            source.load_run(
+                GlobalKey::new(USERTABLE, base).storage_key(),
+                self.config.records_per_node,
+                Row::int(10_000),
+            );
         }
     }
 
