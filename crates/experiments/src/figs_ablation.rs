@@ -5,7 +5,7 @@ use geotp::Protocol;
 use geotp_workloads::{Contention, YcsbConfig};
 
 use crate::report::{ms, pct, tput, Table};
-use crate::runner::{run_ycsb, SystemUnderTest, YcsbRunSpec};
+use crate::runner::{run, RunSpec, SystemUnderTest, Workload};
 use crate::scale::Scale;
 
 /// Fig. 12: SSP vs GeoTP(O1) vs GeoTP(O1–O2) vs GeoTP(O1–O3) with 50%
@@ -33,14 +33,8 @@ pub fn fig12_ablation(scale: Scale) -> Vec<Table> {
         for (_, protocol) in &systems {
             let mut ycsb = YcsbConfig::new(4, scale.records_per_node()).with_distributed_ratio(0.5);
             ycsb.theta = skew;
-            let mut spec = YcsbRunSpec::new(
-                SystemUnderTest::Middleware(*protocol),
-                ycsb,
-                scale.terminals(),
-                scale.measure(),
-            );
-            spec.warmup = scale.warmup();
-            let result = run_ycsb(&spec);
+            let system = SystemUnderTest::Middleware(*protocol);
+            let result = run(&RunSpec::new(system, Workload::Ycsb(ycsb), scale));
             tput_row.push(tput(result.throughput));
             p99_row.push(ms(result.p99));
             abort_row.push(pct(result.abort_rate));
@@ -71,14 +65,9 @@ pub fn fig14_txn_length(scale: Scale) -> Vec<Table> {
                 .with_contention(Contention::Medium)
                 .with_distributed_ratio(0.2);
             ycsb.ops_per_txn = *length;
-            let mut spec = YcsbRunSpec::new(
-                SystemUnderTest::Middleware(protocol),
-                ycsb,
-                scale.terminals(),
-                scale.measure(),
-            );
-            spec.warmup = scale.warmup();
-            row.push(tput(run_ycsb(&spec).throughput));
+            let system = SystemUnderTest::Middleware(protocol);
+            let spec = RunSpec::new(system, Workload::Ycsb(ycsb), scale);
+            row.push(tput(run(&spec).throughput));
         }
         length_table.push_row(row);
     }
@@ -109,14 +98,9 @@ pub fn fig14_txn_length(scale: Scale) -> Vec<Table> {
                     .with_distributed_ratio(0.2);
                 ycsb.ops_per_txn = 6.max(*round_count);
                 ycsb.rounds = *round_count;
-                let mut spec = YcsbRunSpec::new(
-                    SystemUnderTest::Middleware(protocol),
-                    ycsb,
-                    scale.terminals(),
-                    scale.measure(),
-                );
-                spec.warmup = scale.warmup();
-                row.push(tput(run_ycsb(&spec).throughput));
+                let system = SystemUnderTest::Middleware(protocol);
+                let spec = RunSpec::new(system, Workload::Ycsb(ycsb), scale);
+                row.push(tput(run(&spec).throughput));
             }
             round_table.push_row(row);
         }

@@ -5,7 +5,7 @@ use geotp::Protocol;
 use geotp_workloads::{Contention, TpccConfig, TpccTransaction, YcsbConfig};
 
 use crate::report::{ms, pct, tput, Table};
-use crate::runner::{run_tpcc, run_ycsb, SystemUnderTest, TpccRunSpec, YcsbRunSpec};
+use crate::runner::{run, RunSpec, SystemUnderTest, Workload};
 use crate::scale::Scale;
 
 /// Fig. 7: throughput and average latency as the fraction of distributed
@@ -31,9 +31,7 @@ pub fn fig07_dist_ratio_ycsb(scale: Scale) -> Vec<Table> {
                 let ycsb = YcsbConfig::new(4, scale.records_per_node())
                     .with_contention(contention)
                     .with_distributed_ratio(dr);
-                let mut spec = YcsbRunSpec::new(*system, ycsb, scale.terminals(), scale.measure());
-                spec.warmup = scale.warmup();
-                let result = run_ycsb(&spec);
+                let result = run(&RunSpec::new(*system, Workload::Ycsb(ycsb), scale));
                 row.push(tput(result.throughput));
                 row.push(ms(result.mean_latency));
             }
@@ -74,9 +72,7 @@ pub fn fig08_latency_cdf(scale: Scale) -> Vec<Table> {
             let ycsb = YcsbConfig::new(4, scale.records_per_node())
                 .with_contention(contention)
                 .with_distributed_ratio(0.6);
-            let mut spec = YcsbRunSpec::new(system, ycsb, scale.terminals(), scale.measure());
-            spec.warmup = scale.warmup();
-            let result = run_ycsb(&spec);
+            let result = run(&RunSpec::new(system, Workload::Ycsb(ycsb), scale));
             let at = |frac: f64| {
                 result
                     .cdf
@@ -119,9 +115,7 @@ pub fn fig09_dist_ratio_tpcc(scale: Scale) -> Vec<Table> {
                 let tpcc = TpccConfig::new(4, scale.warehouses_per_node())
                     .with_only(profile)
                     .with_distributed_ratio(dr);
-                let mut spec = TpccRunSpec::new(*system, tpcc, scale.terminals(), scale.measure());
-                spec.warmup = scale.warmup();
-                let result = run_tpcc(&spec);
+                let result = run(&RunSpec::new(*system, Workload::Tpcc(tpcc), scale));
                 row.push(tput(result.throughput));
                 row.push(ms(result.mean_latency));
             }

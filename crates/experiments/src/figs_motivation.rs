@@ -3,13 +3,13 @@
 
 use std::time::Duration;
 
-use geotp::{ClientOp, ClusterBuilder, GlobalKey, Protocol, TransactionSpec};
-use geotp_storage::{CostModel, EngineConfig};
+use geotp::telemetry::{self, Span, SpanKind};
+use geotp::{ClientOp, ClusterBuilder, GlobalKey, Protocol, TransactionSpec, TxnOutcome};
 use geotp_workloads::ycsb::USERTABLE;
 use geotp_workloads::{Contention, YcsbConfig};
 
 use crate::report::{ms, tput, Table};
-use crate::runner::{run_ycsb, LatencyConfig, SystemUnderTest, YcsbRunSpec};
+use crate::runner::{run, LatencyConfig, RunSpec, SystemUnderTest, Workload};
 use crate::scale::Scale;
 
 /// Fig. 1b: average latency of *centralized* transactions (which only touch
@@ -39,15 +39,10 @@ pub fn fig01_motivation(scale: Scale) -> Vec<Table> {
             // All centralized transactions hit DS1 (node 0), as in the paper's
             // motivating setup.
             ycsb.home_node = Some(0);
-            let mut spec = YcsbRunSpec::new(
-                SystemUnderTest::Middleware(Protocol::SspXa),
-                ycsb,
-                scale.terminals(),
-                scale.measure(),
-            );
+            let system = SystemUnderTest::Middleware(Protocol::SspXa);
+            let mut spec = RunSpec::new(system, Workload::Ycsb(ycsb), scale);
             spec.latency = LatencyConfig::Static(vec![10, *rtt]);
-            spec.warmup = scale.warmup();
-            let result = run_ycsb(&spec);
+            let result = run(&spec);
             cells.push(ms(result.mean_centralized_latency));
         }
         table.push_row(cells);
@@ -78,9 +73,7 @@ pub fn fig06_breakdown(scale: Scale) -> Vec<Table> {
         let ycsb = YcsbConfig::new(4, scale.records_per_node())
             .with_contention(Contention::Medium)
             .with_distributed_ratio(0.2);
-        let mut spec = YcsbRunSpec::new(system, ycsb, scale.terminals(), scale.measure());
-        spec.warmup = scale.warmup();
-        let result = run_ycsb(&spec);
+        let result = run(&RunSpec::new(system, Workload::Ycsb(ycsb), scale));
         resources.push_row(vec![
             result.label.clone(),
             tput(result.throughput),
@@ -90,41 +83,61 @@ pub fn fig06_breakdown(scale: Scale) -> Vec<Table> {
         ]);
     }
 
-    // (c): single-transaction latency breakdown, paper-default deployment.
-    let mut breakdown = Table::new(
-        "Fig. 6c — latency breakdown of one distributed GeoTP transaction (paper deployment)",
-        &["phase", "latency (ms)"],
-    );
+    vec![resources, fig06c_breakdown()]
+}
+
+/// Fig. 6c's one transaction on a fresh paper-default deployment: a transfer
+/// between the Beijing node (0) and the Singapore node (2). With `traced`,
+/// the tracer is installed for the run and its spans come back too.
+fn fig06c_transfer(traced: bool) -> (TxnOutcome, Vec<Span>) {
     let mut rt = geotp_simrt::Runtime::new();
     rt.block_on(async {
+        let session = traced.then(telemetry::install);
         let cluster = ClusterBuilder::new()
             .paper_default_sources()
             .records_per_node(1_000)
             .protocol(Protocol::geotp())
-            .engine_config(EngineConfig {
-                lock_wait_timeout: Duration::from_secs(5),
-                cost: CostModel::default(),
-                record_history: false,
-                ..EngineConfig::default()
-            })
             .build();
         cluster.load_uniform(1_000, 10_000);
-        // A transfer between the Beijing node (0) and the Singapore node (2).
         let spec = TransactionSpec::single_round(vec![
             ClientOp::add(GlobalKey::new(USERTABLE, 1), -100),
             ClientOp::add(GlobalKey::new(USERTABLE, 2_001), 100),
         ]);
         let outcome = cluster.middleware().run_transaction(&spec).await;
+        let spans = session.map_or_else(Vec::new, |session| {
+            telemetry::uninstall();
+            session.tracer.spans().clone()
+        });
         assert!(outcome.committed, "breakdown transaction must commit");
-        let b = outcome.breakdown;
-        breakdown.push_row(vec!["analysis".into(), ms(b.analysis)]);
-        breakdown.push_row(vec!["execution (incl. network)".into(), ms(b.execution)]);
-        breakdown.push_row(vec!["prepare wait".into(), ms(b.prepare_wait)]);
-        breakdown.push_row(vec!["commit log flush".into(), ms(b.log_flush)]);
-        breakdown.push_row(vec!["commit dispatch".into(), ms(b.commit)]);
-        breakdown.push_row(vec!["total".into(), ms(outcome.latency)]);
-    });
-    vec![resources, breakdown]
+        (outcome, spans)
+    })
+}
+
+/// Fig. 6c's rows: each phase's label, the span kind that times it in the
+/// trace, and its stopwatch slice of `outcome`.
+fn fig06c_phases(outcome: &TxnOutcome) -> [(&'static str, SpanKind, Duration); 6] {
+    let b = outcome.breakdown;
+    [
+        ("analysis", SpanKind::Analysis, b.analysis),
+        ("execution (incl. network)", SpanKind::Round, b.execution),
+        ("prepare wait", SpanKind::VoteWait, b.prepare_wait),
+        ("commit log flush", SpanKind::LogFlush, b.log_flush),
+        ("commit dispatch", SpanKind::CommitDispatch, b.commit),
+        ("total", SpanKind::Txn, outcome.latency),
+    ]
+}
+
+/// Fig. 6c: the stopwatch breakdown of the untraced transfer.
+fn fig06c_breakdown() -> Table {
+    let mut breakdown = Table::new(
+        "Fig. 6c — latency breakdown of one distributed GeoTP transaction (paper deployment)",
+        &["phase", "latency (ms)"],
+    );
+    let (outcome, _) = fig06c_transfer(false);
+    for (phase, _, latency) in fig06c_phases(&outcome) {
+        breakdown.push_row(vec![phase.into(), ms(latency)]);
+    }
+    breakdown
 }
 
 /// Fig. 6c re-derived from the distributed trace: run the same
@@ -139,8 +152,6 @@ pub fn fig06_breakdown(scale: Scale) -> Vec<Table> {
 /// lock waits, decentralized prepare) that the middleware stopwatch cannot
 /// see.
 pub fn fig06_trace_breakdown(_scale: Scale) -> Vec<Table> {
-    use geotp::telemetry::{self, SpanKind};
-
     let mut cross = Table::new(
         "Fig. 6c (trace-derived) — phase windows from the span tree vs the \
          hand-instrumented breakdown",
@@ -150,74 +161,36 @@ pub fn fig06_trace_breakdown(_scale: Scale) -> Vec<Table> {
         "Fig. 6c (trace-derived) — critical-path attribution of the same transaction",
         &["span kind", "blocking time (ms)"],
     );
-    let mut rt = geotp_simrt::Runtime::new();
-    rt.block_on(async {
-        let session = telemetry::install();
-        let cluster = ClusterBuilder::new()
-            .paper_default_sources()
-            .records_per_node(1_000)
-            .protocol(Protocol::geotp())
-            .engine_config(EngineConfig {
-                lock_wait_timeout: Duration::from_secs(5),
-                cost: CostModel::default(),
-                record_history: false,
-                ..EngineConfig::default()
-            })
-            .build();
-        cluster.load_uniform(1_000, 10_000);
-        let spec = TransactionSpec::single_round(vec![
-            ClientOp::add(GlobalKey::new(USERTABLE, 1), -100),
-            ClientOp::add(GlobalKey::new(USERTABLE, 2_001), 100),
-        ]);
-        let outcome = cluster.middleware().run_transaction(&spec).await;
-        telemetry::uninstall();
-        assert!(outcome.committed, "breakdown transaction must commit");
-        let spans = session.tracer.spans();
-        let gtrid = outcome.gtrid;
-        let phase = |kind: SpanKind| -> u64 {
-            spans
-                .iter()
-                .filter(|s| s.id.gtrid == gtrid && s.kind == kind)
-                .map(|s| s.duration_micros())
-                .sum()
-        };
-        let b = outcome.breakdown;
-        let pairs: [(&str, u64, Duration); 6] = [
-            ("analysis", phase(SpanKind::Analysis), b.analysis),
-            (
-                "execution (incl. network)",
-                phase(SpanKind::Round),
-                b.execution,
-            ),
-            ("prepare wait", phase(SpanKind::VoteWait), b.prepare_wait),
-            ("commit log flush", phase(SpanKind::LogFlush), b.log_flush),
-            ("commit dispatch", phase(SpanKind::CommitDispatch), b.commit),
-            ("total", phase(SpanKind::Txn), outcome.latency),
-        ];
-        for (name, traced_micros, instrumented) in pairs {
-            let drift = traced_micros.abs_diff(instrumented.as_micros() as u64);
-            assert!(
-                drift <= 100,
-                "{name}: trace says {traced_micros}us, stopwatch says {}us",
-                instrumented.as_micros()
-            );
-            cross.push_row(vec![
-                name.into(),
-                ms(Duration::from_micros(traced_micros)),
-                ms(instrumented),
-            ]);
-        }
-        let path =
-            telemetry::critical_path(&spans, gtrid).expect("the committed transaction has a trace");
-        assert_eq!(
-            path.total_micros,
-            outcome.latency.as_micros() as u64,
-            "critical path must account for the whole client-observed latency"
+    let (outcome, spans) = fig06c_transfer(true);
+    let gtrid = outcome.gtrid;
+    for (name, kind, instrumented) in fig06c_phases(&outcome) {
+        let traced_micros: u64 = spans
+            .iter()
+            .filter(|s| s.id.gtrid == gtrid && s.kind == kind)
+            .map(|s| s.duration_micros())
+            .sum();
+        let drift = traced_micros.abs_diff(instrumented.as_micros() as u64);
+        assert!(
+            drift <= 100,
+            "{name}: trace says {traced_micros}us, stopwatch says {}us",
+            instrumented.as_micros()
         );
-        for (kind, micros) in path.rows() {
-            path_table.push_row(vec![kind.label().into(), ms(Duration::from_micros(micros))]);
-        }
-    });
+        cross.push_row(vec![
+            name.into(),
+            ms(Duration::from_micros(traced_micros)),
+            ms(instrumented),
+        ]);
+    }
+    let path =
+        telemetry::critical_path(&spans, gtrid).expect("the committed transaction has a trace");
+    assert_eq!(
+        path.total_micros,
+        outcome.latency.as_micros() as u64,
+        "critical path must account for the whole client-observed latency"
+    );
+    for (kind, micros) in path.rows() {
+        path_table.push_row(vec![kind.label().into(), ms(Duration::from_micros(micros))]);
+    }
     vec![cross, path_table]
 }
 
@@ -241,7 +214,7 @@ mod tests {
 
     #[test]
     fn fig06_breakdown_produces_the_expected_phases() {
-        let table = fig06_breakdown_single_txn_only();
+        let table = fig06c_breakdown();
         assert_eq!(table.headers, vec!["phase", "latency (ms)"]);
         assert_eq!(table.len(), 6);
         // The transfer involves the Beijing (0 ms) and Singapore (73 ms)
@@ -259,34 +232,5 @@ mod tests {
             .parse()
             .unwrap();
         assert!(prepare < 10.0, "prepare wait {prepare}");
-    }
-
-    /// Cheap helper used by the unit test: only the single-transaction
-    /// breakdown part of Fig. 6.
-    fn fig06_breakdown_single_txn_only() -> Table {
-        let mut rt = geotp_simrt::Runtime::new();
-        let mut breakdown = Table::new("test", &["phase", "latency (ms)"]);
-        rt.block_on(async {
-            let cluster = ClusterBuilder::new()
-                .paper_default_sources()
-                .records_per_node(100)
-                .protocol(Protocol::geotp())
-                .build();
-            cluster.load_uniform(100, 0);
-            let spec = TransactionSpec::single_round(vec![
-                ClientOp::add(GlobalKey::new(USERTABLE, 1), -1),
-                ClientOp::add(GlobalKey::new(USERTABLE, 201), 1),
-            ]);
-            let outcome = cluster.middleware().run_transaction(&spec).await;
-            assert!(outcome.committed);
-            let b = outcome.breakdown;
-            breakdown.push_row(vec!["analysis".into(), ms(b.analysis)]);
-            breakdown.push_row(vec!["execution (incl. network)".into(), ms(b.execution)]);
-            breakdown.push_row(vec!["prepare wait".into(), ms(b.prepare_wait)]);
-            breakdown.push_row(vec!["commit log flush".into(), ms(b.log_flush)]);
-            breakdown.push_row(vec!["commit dispatch".into(), ms(b.commit)]);
-            breakdown.push_row(vec!["total".into(), ms(outcome.latency)]);
-        });
-        breakdown
     }
 }

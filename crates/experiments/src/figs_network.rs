@@ -5,13 +5,19 @@ use geotp::Protocol;
 use geotp_workloads::{Contention, YcsbConfig};
 
 use crate::report::{tput, Table};
-use crate::runner::{run_ycsb, LatencyConfig, SystemUnderTest, YcsbRunSpec};
+use crate::runner::{run, LatencyConfig, RunSpec, SystemUnderTest, Workload};
 use crate::scale::Scale;
 
-fn ycsb_default(scale: Scale, dr: f64) -> YcsbConfig {
-    YcsbConfig::new(4, scale.records_per_node())
+/// `protocol` over medium-contention YCSB with distributed ratio `dr`.
+fn ycsb_spec(scale: Scale, protocol: Protocol, dr: f64) -> RunSpec {
+    let ycsb = YcsbConfig::new(4, scale.records_per_node())
         .with_contention(Contention::Medium)
-        .with_distributed_ratio(dr)
+        .with_distributed_ratio(dr);
+    RunSpec::new(
+        SystemUnderTest::Middleware(protocol),
+        Workload::Ycsb(ycsb),
+        scale,
+    )
 }
 
 /// Fig. 10: (a) fix the latency spread and sweep the mean; (b) fix the mean
@@ -61,15 +67,9 @@ pub fn fig10_latency_config(scale: Scale) -> Vec<Table> {
 fn compare_row(scale: Scale, latency: LatencyConfig, label: &str) -> Vec<String> {
     let mut throughputs = Vec::new();
     for protocol in [Protocol::SspXa, Protocol::geotp()] {
-        let mut spec = YcsbRunSpec::new(
-            SystemUnderTest::Middleware(protocol),
-            ycsb_default(scale, 0.2),
-            scale.terminals(),
-            scale.measure(),
-        );
-        spec.warmup = scale.warmup();
+        let mut spec = ycsb_spec(scale, protocol, 0.2);
         spec.latency = latency.clone();
-        throughputs.push(run_ycsb(&spec).throughput);
+        throughputs.push(run(&spec).throughput);
     }
     let improvement = if throughputs[0] > 0.0 {
         throughputs[1] / throughputs[0]
@@ -98,19 +98,13 @@ pub fn fig11_random_dynamic(scale: Scale) -> Vec<Table> {
         for protocol in [Protocol::SspXa, Protocol::geotp()] {
             let mut samples = Vec::new();
             for seed in 0..scale.random_latency_seeds() {
-                let mut spec = YcsbRunSpec::new(
-                    SystemUnderTest::Middleware(protocol),
-                    ycsb_default(scale, dr),
-                    scale.terminals(),
-                    scale.measure(),
-                );
-                spec.warmup = scale.warmup();
+                let mut spec = ycsb_spec(scale, protocol, dr);
                 spec.seed = 100 + seed;
                 spec.latency = LatencyConfig::Random {
                     base_ms: geotp_net::PAPER_DEFAULT_RTTS_MS.to_vec(),
                     max_factor: 1.5,
                 };
-                samples.push(run_ycsb(&spec).throughput);
+                samples.push(run(&spec).throughput);
             }
             let mean = samples.iter().sum::<f64>() / samples.len() as f64;
             let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
@@ -145,19 +139,14 @@ pub fn fig11_random_dynamic(scale: Scale) -> Vec<Table> {
     );
     let mut series = Vec::new();
     for protocol in [Protocol::SspXa, Protocol::geotp()] {
-        let mut spec = YcsbRunSpec::new(
-            SystemUnderTest::Middleware(protocol),
-            ycsb_default(scale, 0.2),
-            scale.terminals(),
-            duration,
-        );
+        let mut spec = ycsb_spec(scale, protocol, 0.2);
         spec.warmup = std::time::Duration::ZERO;
-        spec.background_monitor = true;
+        spec.measure = duration;
         spec.latency = LatencyConfig::Dynamic {
             window,
             per_node: (0..4).map(schedule_for).collect(),
         };
-        series.push(run_ycsb(&spec).timeline_tps);
+        series.push(run(&spec).timeline_tps);
     }
     // Aggregate the per-second timeline into the re-draw windows.
     let per_window = window.as_secs() as usize;

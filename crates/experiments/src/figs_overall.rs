@@ -6,13 +6,12 @@ use std::time::Duration;
 
 use geotp::{ClusterBuilder, Middleware, Protocol};
 use geotp_net::PAPER_DM2_RTTS_MS;
-use geotp_storage::{CostModel, EngineConfig};
 use geotp_workloads::{
     Contention, DriverConfig, TpccConfig, WorkloadMix, YcsbConfig, YcsbGenerator,
 };
 
 use crate::report::{ms, tput, Table};
-use crate::runner::{run_tpcc, run_ycsb, Deployed, SystemUnderTest, TpccRunSpec, YcsbRunSpec};
+use crate::runner::{run, Deployed, RunSpec, SystemUnderTest, Workload};
 use crate::scale::Scale;
 
 /// Fig. 5: throughput vs number of client terminals over YCSB (a) and TPC-C
@@ -30,9 +29,9 @@ pub fn fig05_scalability(scale: Scale) -> Vec<Table> {
             let ycsb = YcsbConfig::new(4, scale.records_per_node())
                 .with_contention(Contention::Medium)
                 .with_distributed_ratio(0.2);
-            let mut spec = YcsbRunSpec::new(*system, ycsb, terminals, scale.measure());
-            spec.warmup = scale.warmup();
-            row.push(tput(run_ycsb(&spec).throughput));
+            let mut spec = RunSpec::new(*system, Workload::Ycsb(ycsb), scale);
+            spec.terminals = terminals;
+            row.push(tput(run(&spec).throughput));
         }
         ycsb_table.push_row(row);
     }
@@ -42,9 +41,9 @@ pub fn fig05_scalability(scale: Scale) -> Vec<Table> {
         let mut row = vec![terminals.to_string()];
         for system in &systems {
             let tpcc = TpccConfig::new(4, scale.warehouses_per_node());
-            let mut spec = TpccRunSpec::new(*system, tpcc, terminals, scale.measure());
-            spec.warmup = scale.warmup();
-            row.push(tput(run_tpcc(&spec).throughput));
+            let mut spec = RunSpec::new(*system, Workload::Tpcc(tpcc), scale);
+            spec.terminals = terminals;
+            row.push(tput(run(&spec).throughput));
         }
         tpcc_table.push_row(row);
     }
@@ -74,9 +73,7 @@ pub fn fig13_yugabyte(scale: Scale) -> Vec<Table> {
             let ycsb = YcsbConfig::new(4, scale.records_per_node())
                 .with_contention(contention)
                 .with_distributed_ratio(0.2);
-            let mut spec = YcsbRunSpec::new(system, ycsb, scale.terminals(), scale.measure());
-            spec.warmup = scale.warmup();
-            let result = run_ycsb(&spec);
+            let result = run(&RunSpec::new(system, Workload::Ycsb(ycsb), scale));
             tput_row.push(tput(result.throughput));
             lat_row.push(ms(result.mean_latency));
         }
@@ -99,13 +96,7 @@ pub fn fig15_multi_dm(scale: Scale) -> Vec<Table> {
             let mut builder = ClusterBuilder::new()
                 .paper_default_sources()
                 .records_per_node(scale.records_per_node())
-                .protocol(Protocol::geotp())
-                .engine_config(EngineConfig {
-                    lock_wait_timeout: Duration::from_secs(5),
-                    cost: CostModel::default(),
-                    record_history: false,
-                    ..EngineConfig::default()
-                });
+                .protocol(Protocol::geotp());
             if multi {
                 builder = builder.extra_middleware(PAPER_DM2_RTTS_MS.to_vec());
             }
@@ -179,9 +170,7 @@ pub fn tab01_heterogeneous(scale: Scale) -> Vec<Table> {
                 let ycsb = YcsbConfig::new(4, scale.records_per_node())
                     .with_contention(Contention::Medium)
                     .with_distributed_ratio(dr);
-                let mut spec = YcsbRunSpec::new(system, ycsb, scale.terminals(), scale.measure());
-                spec.warmup = scale.warmup();
-                let result = run_ycsb(&spec);
+                let result = run(&RunSpec::new(system, Workload::Ycsb(ycsb), scale));
                 row.push(tput(result.throughput));
                 row.push(ms(result.mean_latency));
             }

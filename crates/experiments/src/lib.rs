@@ -26,7 +26,7 @@ pub mod scale;
 pub mod scaleout;
 
 pub use report::Table;
-pub use runner::{RunResult, SystemUnderTest, TpccRunSpec, YcsbRunSpec};
+pub use runner::{RunResult, RunSpec, SystemUnderTest, Workload};
 pub use scale::Scale;
 
 #[cfg(test)]

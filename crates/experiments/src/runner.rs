@@ -1,6 +1,9 @@
-//! Shared experiment runner: builds a fresh cluster for a system under test,
-//! drives it with YCSB or TPC-C through the closed-loop terminal driver and
-//! returns the measurements every figure needs.
+//! Shared experiment runner: one [`RunSpec`] and one [`run`] for every
+//! measured figure point. A run builds a fresh cluster for a system under
+//! test, drives it with YCSB or TPC-C ([`Workload`]) through the closed-loop
+//! terminal driver and returns the measurements every figure needs. The
+//! spec takes its terminals, warm-up and measurement window from the
+//! figure's [`Scale`]; a figure overrides only what it sweeps.
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -10,15 +13,16 @@ use geotp_distdb::DistDb;
 use geotp_middleware::{
     Middleware, MiddlewareConfig, Partitioner, SessionService, TransactionSpec, TxnOutcome,
 };
-use geotp_net::{DynamicLatency, JitteredLatency, NodeId, RandomLatency};
+use geotp_net::{DynamicLatency, NodeId, RandomLatency};
 use geotp_scalardb::ScalarDbCluster;
 use geotp_simrt::Runtime;
-use geotp_storage::{CostModel, EngineConfig};
 use geotp_workloads::driver::run_benchmark;
 use geotp_workloads::{
     BenchmarkReport, DriverConfig, TpccConfig, TpccGenerator, WorkloadMix, YcsbConfig,
     YcsbGenerator,
 };
+
+use crate::scale::Scale;
 
 /// Which system a run exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +75,6 @@ impl SystemUnderTest {
 pub enum LatencyConfig {
     /// Fixed RTT per data source (milliseconds).
     Static(Vec<u64>),
-    /// Gaussian jitter: `(mean_ms, std_ms)` per data source.
-    Jittered(Vec<(u64, u64)>),
     /// RTT drawn uniformly in `[base, base*max_factor]` per message.
     Random {
         /// Base RTT per data source.
@@ -96,19 +98,9 @@ impl LatencyConfig {
         LatencyConfig::Static(geotp_net::PAPER_DEFAULT_RTTS_MS.to_vec())
     }
 
-    fn node_count(&self) -> usize {
-        match self {
-            LatencyConfig::Static(v) => v.len(),
-            LatencyConfig::Jittered(v) => v.len(),
-            LatencyConfig::Random { base_ms, .. } => base_ms.len(),
-            LatencyConfig::Dynamic { per_node, .. } => per_node.len(),
-        }
-    }
-
     fn base_rtts(&self) -> Vec<u64> {
         match self {
             LatencyConfig::Static(v) => v.clone(),
-            LatencyConfig::Jittered(v) => v.iter().map(|(m, _)| *m).collect(),
             LatencyConfig::Random { base_ms, .. } => base_ms.clone(),
             LatencyConfig::Dynamic { per_node, .. } => per_node
                 .iter()
@@ -121,18 +113,6 @@ impl LatencyConfig {
     fn apply(&self, cluster: &Cluster, dm: NodeId) {
         match self {
             LatencyConfig::Static(_) => {}
-            LatencyConfig::Jittered(params) => {
-                for (i, (mean, std)) in params.iter().enumerate() {
-                    cluster.network().set_link(
-                        dm,
-                        NodeId::data_source(i as u32),
-                        JitteredLatency::new(
-                            Duration::from_millis(*mean),
-                            Duration::from_millis(*std),
-                        ),
-                    );
-                }
-            }
             LatencyConfig::Random {
                 base_ms,
                 max_factor,
@@ -164,61 +144,25 @@ impl LatencyConfig {
     }
 }
 
-/// Specification of one YCSB run.
+/// The workload a run drives, with its generator's configuration.
 #[derive(Clone)]
-pub struct YcsbRunSpec {
-    /// System under test.
-    pub system: SystemUnderTest,
-    /// WAN latency configuration.
-    pub latency: LatencyConfig,
-    /// Workload configuration (records, skew, distributed ratio, ...).
-    pub ycsb: YcsbConfig,
-    /// Closed-loop terminals.
-    pub terminals: usize,
-    /// Warm-up excluded from measurement.
-    pub warmup: Duration,
-    /// Measurement window.
-    pub measure: Duration,
-    /// Seed.
-    pub seed: u64,
-    /// Data-source lock-wait timeout (the paper configures 5 s).
-    pub lock_wait_timeout: Duration,
-    /// Spawn the background RTT monitor (needed when latency changes online).
-    pub background_monitor: bool,
+pub enum Workload {
+    /// The transactional YCSB variant.
+    Ycsb(YcsbConfig),
+    /// TPC-C with its configured mix.
+    Tpcc(TpccConfig),
 }
 
-impl YcsbRunSpec {
-    /// A run over the paper's default deployment with the given system,
-    /// workload and driver parameters.
-    pub fn new(
-        system: SystemUnderTest,
-        ycsb: YcsbConfig,
-        terminals: usize,
-        measure: Duration,
-    ) -> Self {
-        Self {
-            system,
-            latency: LatencyConfig::paper_default(),
-            ycsb,
-            terminals,
-            warmup: Duration::from_millis(500),
-            measure,
-            seed: 42,
-            lock_wait_timeout: Duration::from_secs(5),
-            background_monitor: false,
-        }
-    }
-}
-
-/// Specification of one TPC-C run.
+/// Specification of one measured run.
 #[derive(Clone)]
-pub struct TpccRunSpec {
+pub struct RunSpec {
     /// System under test.
     pub system: SystemUnderTest,
-    /// WAN latency configuration.
+    /// WAN latency configuration. A [`LatencyConfig::Dynamic`] network also
+    /// turns on the coordinator's background RTT monitor.
     pub latency: LatencyConfig,
     /// Workload configuration.
-    pub tpcc: TpccConfig,
+    pub workload: Workload,
     /// Closed-loop terminals.
     pub terminals: usize,
     /// Warm-up excluded from measurement.
@@ -229,21 +173,17 @@ pub struct TpccRunSpec {
     pub seed: u64,
 }
 
-impl TpccRunSpec {
-    /// A run over the paper's default deployment.
-    pub fn new(
-        system: SystemUnderTest,
-        tpcc: TpccConfig,
-        terminals: usize,
-        measure: Duration,
-    ) -> Self {
+impl RunSpec {
+    /// A run over the paper's default deployment with `scale`'s terminals,
+    /// warm-up and measurement window.
+    pub fn new(system: SystemUnderTest, workload: Workload, scale: Scale) -> Self {
         Self {
             system,
             latency: LatencyConfig::paper_default(),
-            tpcc,
-            terminals,
-            warmup: Duration::from_millis(500),
-            measure,
+            workload,
+            terminals: scale.terminals(),
+            warmup: scale.warmup(),
+            measure: scale.measure(),
             seed: 42,
         }
     }
@@ -260,8 +200,6 @@ pub struct RunResult {
     pub mean_latency: Duration,
     /// Mean latency of committed *centralized* transactions (Fig. 1b).
     pub mean_centralized_latency: Duration,
-    /// Mean latency of committed *distributed* transactions.
-    pub mean_distributed_latency: Duration,
     /// 99th-percentile latency.
     pub p99: Duration,
     /// 99.9th-percentile latency.
@@ -282,59 +220,22 @@ pub struct RunResult {
     pub hotspot_entries: usize,
 }
 
-fn report_to_result(report: &BenchmarkReport, measure: Duration) -> RunResult {
-    RunResult {
-        label: report.label.clone(),
-        throughput: report.metrics.throughput(measure),
-        mean_latency: report.metrics.latency().mean(),
-        mean_centralized_latency: report.metrics.centralized_latency().mean(),
-        mean_distributed_latency: report.metrics.distributed_latency().mean(),
-        p99: report.metrics.latency().percentile(99.0),
-        p999: report.metrics.latency().percentile(99.9),
-        abort_rate: report.metrics.abort_rate(),
-        committed: report.metrics.committed(),
-        cdf: report.metrics.latency().cdf(100),
-        timeline_tps: report.metrics.timeline().series_tps(),
-        net_messages: 0,
-        sim_polls: 0,
-        hotspot_entries: 0,
-    }
-}
-
-fn engine_config(lock_wait_timeout: Duration) -> EngineConfig {
-    EngineConfig {
-        lock_wait_timeout,
-        cost: CostModel::default(),
-        record_history: false,
-        ..EngineConfig::default()
-    }
-}
-
-fn build_cluster(
-    system: SystemUnderTest,
-    latency: &LatencyConfig,
-    records_per_node: u64,
-    lock_wait_timeout: Duration,
-    seed: u64,
-    background_monitor: bool,
-) -> Cluster {
+fn build_cluster(spec: &RunSpec, records_per_node: u64) -> Cluster {
     // The baselines ride a cluster wired for SSP; its coordinator stays idle.
-    let protocol = match system {
+    let protocol = match spec.system {
         SystemUnderTest::Middleware(protocol) => protocol,
         _ => Protocol::SspXa,
     };
-    let rtts = latency.base_rtts();
     let mut builder = ClusterBuilder::new()
-        .seed(seed)
+        .seed(spec.seed)
         .records_per_node(records_per_node)
         .protocol(protocol)
-        .engine_config(engine_config(lock_wait_timeout))
-        .background_monitor(background_monitor);
-    for rtt in rtts {
+        .background_monitor(matches!(spec.latency, LatencyConfig::Dynamic { .. }));
+    for rtt in spec.latency.base_rtts() {
         builder = builder.data_source(rtt);
     }
     let cluster = builder.build();
-    latency.apply(&cluster, NodeId::middleware(0));
+    spec.latency.apply(&cluster, NodeId::middleware(0));
     cluster
 }
 
@@ -413,32 +314,9 @@ pub(crate) fn deploy(
     }
 }
 
-/// Deploy `system` on the loaded cluster, drive it and collect the result.
-async fn measure(
-    system: SystemUnderTest,
-    cluster: &Cluster,
-    partitioner: Partitioner,
-    workload: WorkloadMix,
-    driver: DriverConfig,
-) -> RunResult {
-    let service = deploy(system, cluster, partitioner);
-    let report = service.clone().benchmark(workload, driver).await;
-    let mut result = report_to_result(&report, driver.measure);
-    result.net_messages = cluster.network().total_messages();
-    if let Deployed::Middleware(middleware) = service {
-        result.hotspot_entries = middleware.scheduler().footprint().borrow().len();
-    }
-    result
-}
-
-/// Run one YCSB experiment point. Builds a dedicated runtime and cluster so
-/// every point starts from identical, independent state.
-pub fn run_ycsb(spec: &YcsbRunSpec) -> RunResult {
-    assert_eq!(
-        spec.latency.node_count(),
-        spec.ycsb.nodes as usize,
-        "latency config and YCSB node count must agree"
-    );
+/// Run one experiment point. Builds a dedicated runtime and cluster so every
+/// point starts from identical, independent state.
+pub fn run(spec: &RunSpec) -> RunResult {
     let mut rt = Runtime::new();
     let driver = DriverConfig {
         terminals: spec.terminals,
@@ -447,61 +325,48 @@ pub fn run_ycsb(spec: &YcsbRunSpec) -> RunResult {
         seed: spec.seed,
         think_time: Duration::ZERO,
     };
-    let generator = Rc::new(YcsbGenerator::new(spec.ycsb));
     let mut result = rt.block_on(async {
-        let cluster = build_cluster(
-            spec.system,
-            &spec.latency,
-            spec.ycsb.records_per_node,
-            spec.lock_wait_timeout,
-            spec.seed,
-            spec.background_monitor,
-        );
-        generator.load(cluster.data_sources());
-        let workload = WorkloadMix::Ycsb(Rc::clone(&generator));
-        measure(
-            spec.system,
-            &cluster,
-            spec.ycsb.partitioner(),
-            workload,
-            driver,
-        )
-        .await
-    });
-    result.sim_polls = rt.metrics().polls;
-    result
-}
-
-/// Run one TPC-C experiment point.
-pub fn run_tpcc(spec: &TpccRunSpec) -> RunResult {
-    let mut rt = Runtime::new();
-    let driver = DriverConfig {
-        terminals: spec.terminals,
-        warmup: spec.warmup,
-        measure: spec.measure,
-        seed: spec.seed,
-        think_time: Duration::ZERO,
-    };
-    let generator = Rc::new(TpccGenerator::new(spec.tpcc.clone()));
-    let mut result = rt.block_on(async {
-        let cluster = build_cluster(
-            spec.system,
-            &spec.latency,
-            1_000,
-            Duration::from_secs(5),
-            spec.seed,
-            false,
-        );
-        generator.load(cluster.data_sources());
-        let workload = WorkloadMix::Tpcc(Rc::clone(&generator));
-        measure(
-            spec.system,
-            &cluster,
-            spec.tpcc.partitioner(),
-            workload,
-            driver,
-        )
-        .await
+        let (cluster, workload, partitioner) = match &spec.workload {
+            Workload::Ycsb(ycsb) => {
+                assert_eq!(
+                    spec.latency.base_rtts().len(),
+                    ycsb.nodes as usize,
+                    "latency config and YCSB node count must agree"
+                );
+                let cluster = build_cluster(spec, ycsb.records_per_node);
+                let generator = Rc::new(YcsbGenerator::new(*ycsb));
+                generator.load(cluster.data_sources());
+                (cluster, WorkloadMix::Ycsb(generator), ycsb.partitioner())
+            }
+            // TPC-C keeps the cluster's 1 000-row range; `deploy` routes by warehouse.
+            Workload::Tpcc(tpcc) => {
+                let cluster = build_cluster(spec, 1_000);
+                let generator = Rc::new(TpccGenerator::new(tpcc.clone()));
+                generator.load(cluster.data_sources());
+                (cluster, WorkloadMix::Tpcc(generator), tpcc.partitioner())
+            }
+        };
+        let service = deploy(spec.system, &cluster, partitioner);
+        let BenchmarkReport { metrics, label, .. } =
+            service.clone().benchmark(workload, driver).await;
+        RunResult {
+            label,
+            throughput: metrics.throughput(spec.measure),
+            mean_latency: metrics.latency().mean(),
+            mean_centralized_latency: metrics.centralized_latency().mean(),
+            p99: metrics.latency().percentile(99.0),
+            p999: metrics.latency().percentile(99.9),
+            abort_rate: metrics.abort_rate(),
+            committed: metrics.committed(),
+            cdf: metrics.latency().cdf(100),
+            timeline_tps: metrics.timeline().series_tps(),
+            net_messages: cluster.network().total_messages(),
+            sim_polls: 0,
+            hotspot_entries: match service {
+                Deployed::Middleware(mw) => mw.scheduler().footprint().borrow().len(),
+                _ => 0,
+            },
+        }
     });
     result.sim_polls = rt.metrics().polls;
     result
@@ -516,9 +381,11 @@ mod tests {
         let ycsb = YcsbConfig::new(2, 500)
             .with_contention(Contention::Medium)
             .with_distributed_ratio(0.2);
-        let mut spec = YcsbRunSpec::new(system, ycsb, 4, Duration::from_secs(2));
+        let mut spec = RunSpec::new(system, Workload::Ycsb(ycsb), Scale::Quick);
+        spec.terminals = 4;
+        spec.measure = Duration::from_secs(2);
         spec.latency = LatencyConfig::Static(vec![10, 100]);
-        run_ycsb(&spec)
+        run(&spec)
     }
 
     #[test]
@@ -561,9 +428,11 @@ mod tests {
             let mut tpcc = TpccConfig::new(2, 2);
             tpcc.items = 100;
             tpcc.customers_per_district = 30;
-            let mut spec = TpccRunSpec::new(system, tpcc, 4, Duration::from_secs(2));
+            let mut spec = RunSpec::new(system, Workload::Tpcc(tpcc), Scale::Quick);
+            spec.terminals = 4;
+            spec.measure = Duration::from_secs(2);
             spec.latency = LatencyConfig::Static(vec![10, 100]);
-            let result = run_tpcc(&spec);
+            let result = run(&spec);
             assert_eq!(result.label, label);
             assert!(result.committed > 0, "{label} committed nothing");
             assert!(result.throughput > 0.0);

@@ -354,12 +354,11 @@ impl MiddlewareConfig {
 /// Upper bound on distinct scripts kept in the parsed-SQL plan cache.
 const SQL_CACHE_MAX: usize = 4_096;
 
-/// The parsed-SQL plan cache, bounded by cheap second-chance (clock)
-/// eviction. The previous policy wholesale-`clear()`ed a full cache, so a
-/// workload whose distinct-script count hovered just above capacity threw
-/// away its *hot* entries along with the cold ones and thrashed the parser;
-/// the clock gives every entry that was hit since its last inspection one
-/// more pass, so hot scripts survive capacity pressure indefinitely.
+/// The parsed-SQL plan cache behind [`Middleware::run_sql`] and
+/// [`crate::session::Session::run_sql`], bounded by cheap second-chance
+/// (clock) eviction: the clock gives every entry that was hit since its last
+/// inspection one more pass, so hot scripts survive a distinct-script count
+/// above capacity instead of being thrown out with the cold ones.
 struct SqlCache {
     capacity: usize,
     map: FxHashMap<Rc<str>, CachedScript>,
@@ -691,9 +690,11 @@ impl Middleware {
     /// Statements between BEGIN and COMMIT become one interactive round each;
     /// the `/*+ last */` annotation is honoured.
     ///
-    /// Parses are cached by script text: workload drivers issue the same
-    /// handful of script templates millions of times, so repeat executions
-    /// skip the parser entirely and reuse the prepared [`TransactionSpec`].
+    /// Parses are cached by script text, so a repeated script skips the
+    /// parser and reuses its prepared [`TransactionSpec`]. The cache's users
+    /// are the benchmark's `middleware.probe_sql_cached_ns` probe, which
+    /// replays one script here, and the examples, which go through
+    /// [`crate::session::Session::run_sql`] and share this cache.
     pub async fn run_sql(
         self: &Rc<Self>,
         script: &str,
@@ -1334,7 +1335,6 @@ impl Middleware {
         if !self.sessions.borrow().contains_key(&session) {
             // The idle-session reaper evicted this session: reject cleanly
             // (retryable) instead of silently resurrecting registry state.
-            self.stats.borrow_mut().sessions_expired += 1;
             return Err(TxnError::session_expired());
         }
         let txn = self.begin_txn(Some(session), session).await;

@@ -212,20 +212,6 @@ pub struct MiddlewareStats {
     /// Transactions whose prepare-vote or rollback-confirmation wait hit the
     /// decision-wait timeout (a participant crashed or was partitioned away).
     pub decision_wait_timeouts: u64,
-    /// Requests shed at admission (bounded queue full or queue-time deadline
-    /// expired) — the explicit load-shedding path, not a failure.
-    pub overload_sheds: u64,
-    /// `begin`s rejected because the session had been reaped by the
-    /// idle-session reaper.
-    pub sessions_expired: u64,
-    /// Aborts the client asked for (explicit ROLLBACK scripts).
-    pub client_rollbacks: u64,
-    /// Transactions lost to a coordinator crash mid-flight.
-    pub coordinator_crashes: u64,
-    /// Transactions aborted because their coordinator was fenced by a peer.
-    pub coordinator_fences: u64,
-    /// Transactions rolled back after the client's connection dropped.
-    pub client_disconnects: u64,
 }
 
 impl MiddlewareStats {
@@ -242,24 +228,8 @@ impl MiddlewareStats {
                 Some(AbortReason::AdmissionRejected) => self.admission_rejections += 1,
                 Some(AbortReason::ExecutionFailed) => self.execution_failures += 1,
                 Some(AbortReason::PrepareFailed) => self.prepare_failures += 1,
-                Some(AbortReason::Overloaded) => self.overload_sheds += 1,
-                Some(AbortReason::SessionExpired) => self.sessions_expired += 1,
-                Some(AbortReason::ClientRollback) => self.client_rollbacks += 1,
-                Some(AbortReason::CoordinatorCrashed) => self.coordinator_crashes += 1,
-                Some(AbortReason::CoordinatorFenced) => self.coordinator_fences += 1,
-                Some(AbortReason::ClientDisconnected) => self.client_disconnects += 1,
-                None => {}
+                _ => {}
             }
-        }
-    }
-
-    /// Fraction of transactions that aborted.
-    pub fn abort_rate(&self) -> f64 {
-        let total = self.committed + self.aborted;
-        if total == 0 {
-            0.0
-        } else {
-            self.aborted as f64 / total as f64
         }
     }
 }
@@ -311,7 +281,6 @@ mod tests {
         assert_eq!(stats.execution_failures, 1);
         assert_eq!(stats.admission_rejections, 1);
         assert_eq!(stats.distributed_committed, 1);
-        assert!((stats.abort_rate() - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]

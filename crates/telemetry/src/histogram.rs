@@ -1,10 +1,6 @@
 //! A logarithmically-bucketed latency histogram (1 µs – ~1 hour range) with
-//! exact tracking of count, sum, min and max.
-//!
-//! This lived in `geotp-workloads` originally; it moved here so the metrics
-//! registry can reuse it without inverting the dependency graph.
-//! `geotp_workloads::Histogram` re-exports it, so existing callers are
-//! unchanged.
+//! exact tracking of count, sum, min and max. The metrics registry and the
+//! closed-loop driver's collector (`geotp_workloads::Histogram`) share it.
 
 use std::time::Duration;
 
@@ -127,17 +123,6 @@ impl Histogram {
             })
             .collect()
     }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_micros += other.sum_micros;
-        self.min_micros = self.min_micros.min(other.min_micros);
-        self.max_micros = self.max_micros.max(other.max_micros);
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +131,7 @@ mod tests {
 
     // Edge-case coverage for the log-bucketed histogram: the exact-count
     // region boundary (32 µs), power-of-two bucket edges, saturation at the
-    // 2^32 µs cap, degenerate percentiles and merge/record equivalence.
+    // 2^32 µs cap and degenerate percentiles.
 
     #[test]
     fn samples_below_32us_are_exact() {
@@ -231,33 +216,5 @@ mod tests {
         let p100 = h.percentile(100.0);
         assert!(p100 >= h.min());
         assert!(p100.as_micros() <= h.max().as_micros() * 33 / 32);
-    }
-
-    #[test]
-    fn merge_then_percentile_matches_single_histogram() {
-        let mut left = Histogram::new();
-        let mut right = Histogram::new();
-        let mut all = Histogram::new();
-        for i in 0..500u64 {
-            let d = Duration::from_micros(i * 37 + 1);
-            if i % 2 == 0 {
-                left.record(d);
-            } else {
-                right.record(d);
-            }
-            all.record(d);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert_eq!(left.min(), all.min());
-        assert_eq!(left.max(), all.max());
-        assert_eq!(left.mean(), all.mean());
-        for p in [0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
-            assert_eq!(
-                left.percentile(p),
-                all.percentile(p),
-                "merged percentile({p}) must equal recording into one histogram"
-            );
-        }
     }
 }

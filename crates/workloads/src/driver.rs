@@ -4,9 +4,11 @@
 //! terminal submits one transaction, waits for its outcome and immediately
 //! submits the next. [`run_benchmark`] is that one loop, for a configurable
 //! number of terminals, warm-up period and measurement window (all in
-//! virtual time). Each terminal connects its own client, and a client is any
-//! async closure from a [`TransactionSpec`] to its [`TxnOutcome`]. There are
-//! two kinds:
+//! virtual time). Every terminal starts at the same instant and records the
+//! outcomes that finish inside the window into the run's one
+//! [`MetricsCollector`]. Each terminal connects its own client, and a client
+//! is any async closure from a [`TransactionSpec`] to its [`TxnOutcome`].
+//! There are two kinds:
 //!
 //! * a session — [`run_session_benchmark`] connects one [`SessionService`]
 //!   session per terminal and replays its specs through live transaction
@@ -16,6 +18,7 @@
 //!   ScalarDB's `cluster.run(spec)` and the distributed database's
 //!   `db.run(spec)`, its only door.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -105,7 +108,7 @@ impl DriverConfig {
 
 /// The result of one benchmark run.
 pub struct BenchmarkReport {
-    /// Merged metrics over the measurement period.
+    /// Every terminal's outcomes over the measurement period.
     pub metrics: MetricsCollector,
     /// Length of the measurement period.
     pub measured: Duration,
@@ -128,11 +131,6 @@ impl BenchmarkReport {
     pub fn p99_latency(&self) -> Duration {
         self.metrics.latency().percentile(99.0)
     }
-
-    /// Abort rate over the measurement period.
-    pub fn abort_rate(&self) -> f64 {
-        self.metrics.abort_rate()
-    }
 }
 
 /// Run a closed-loop benchmark of `workload`: each terminal `t` calls
@@ -154,10 +152,12 @@ where
     let measure_start = start + config.warmup;
     let end = measure_start + config.measure;
     let connect = Rc::new(connect);
+    let collector = Rc::new(RefCell::new(MetricsCollector::new(measure_start)));
 
     let mut handles = Vec::with_capacity(config.terminals);
     for terminal in 0..config.terminals {
         let connect = Rc::clone(&connect);
+        let collector = Rc::clone(&collector);
         let workload = workload.clone();
         let mut rng = StdRng::seed_from_u64(
             config
@@ -166,7 +166,6 @@ where
                 .wrapping_add(terminal as u64),
         );
         handles.push(spawn(async move {
-            let mut collector = MetricsCollector::new(measure_start);
             let mut client = connect(terminal as u64);
             while now() < end {
                 let spec = workload.next(&mut rng);
@@ -177,20 +176,19 @@ where
                 }
                 let finished = now();
                 if finished >= measure_start && finished < end {
-                    collector.record(&outcome, finished);
+                    collector.borrow_mut().record(&outcome, finished);
                 }
             }
-            collector
         }));
     }
 
     // Await the terminals in order (see `join_all` on why not through it).
-    let mut merged = MetricsCollector::new(measure_start);
     for handle in handles {
-        merged.merge(&handle.await);
+        handle.await;
     }
+    let metrics = collector.borrow().clone();
     BenchmarkReport {
-        metrics: merged,
+        metrics,
         measured: config.measure,
         label,
     }
@@ -482,6 +480,47 @@ mod tests {
         );
     }
 
+    /// Three terminals whose every transaction commits 250 ms after it is
+    /// submitted, all starting at t = 0, over a 1 s warm-up and a 2 s window.
+    /// Each terminal completes at 250, 500, ..., 3 000 ms: the three warm-up
+    /// completions are dropped, the one at exactly 1 000 ms (the window's
+    /// start) counts, and the one at exactly 3 000 ms (its end) does not.
+    #[test]
+    fn only_completions_inside_the_window_are_counted() {
+        let mut rt = Runtime::new();
+        let report = rt.block_on(async {
+            let workload = WorkloadMix::Custom(Rc::new(|_: &mut StdRng| {
+                TransactionSpec::single_round(vec![])
+            }));
+            let config = DriverConfig {
+                terminals: 3,
+                warmup: Duration::from_secs(1),
+                measure: Duration::from_secs(2),
+                seed: 1,
+                think_time: Duration::ZERO,
+            };
+            run_benchmark("sleeper".into(), workload, config, |_| {
+                async |_: &TransactionSpec| {
+                    geotp_simrt::sleep(Duration::from_millis(250)).await;
+                    TxnOutcome {
+                        gtrid: 1,
+                        committed: true,
+                        latency: Duration::from_millis(250),
+                        ..TxnOutcome::default()
+                    }
+                }
+            })
+            .await
+        });
+        // Per terminal: 1 000, 1 250, ..., 2 750 ms.
+        assert_eq!(report.metrics.committed(), 3 * 8);
+        assert_eq!(report.metrics.attempts(), 3 * 8);
+        // Four completions per terminal in each 1 s window of the timeline.
+        assert_eq!(report.metrics.timeline().series_tps(), vec![12.0, 12.0]);
+        assert_eq!(report.throughput(), 12.0);
+        assert_eq!(report.mean_latency(), Duration::from_millis(250));
+    }
+
     #[test]
     fn custom_workload_mix_runs() {
         let mut rt = Runtime::new();
@@ -496,7 +535,7 @@ mod tests {
             }));
             let report = one_shot(mw, custom, DriverConfig::quick(2, Duration::from_secs(1))).await;
             assert!(report.metrics.committed() > 0);
-            assert!(report.abort_rate() < 0.01);
+            assert!(report.metrics.abort_rate() < 0.01);
         });
     }
 }

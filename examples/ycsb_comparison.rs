@@ -63,7 +63,7 @@ fn main() {
             report.throughput(),
             report.mean_latency().as_secs_f64() * 1e3,
             report.p99_latency().as_secs_f64() * 1e3,
-            report.abort_rate() * 100.0
+            report.metrics.abort_rate() * 100.0
         );
     }
     println!("\n(virtual-time measurement; wall-clock runtime is a small fraction of the simulated window)");
